@@ -15,11 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
-                   NotAMorphism, NotComparable, NotPrimeInInterval,
+                   NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
                    TheoremViolation, check_axioms, validate)
 from .spectrum import (classify_all, d_set, hyperabelian_report, primes_of,
                        spectrum, v_set)
 from .families import residual_left, residual_right
+
+
+def _rows(cells, n: int) -> tuple:
+    """A row-major list of ``n * n`` table cells as a tuple of ``n`` rows."""
+    return tuple(zip(*[iter(cells)] * n))
 
 
 # --------------------------------------------------------------------------
@@ -56,6 +61,8 @@ class IntervalLattice:
 def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     """The multiplicative lattice on {z : x <= z <= y} with z * z' = (zz') v x.
 
+    The sublattice keeps the parent's order tables, restricted, so
+    :func:`validate` checks only the multiplication bound and the labels.
     When ``x`` is bottom the new multiplication agrees with the restriction
     of the parent multiplication; this is asserted.
     """
@@ -67,13 +74,16 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     elems = [z for z in L.elements if L.relation[x][z] and L.relation[z][y]]
     index = {z: i for i, z in enumerate(elems)}
     size = len(elems)
-    relation = [[L.relation[elems[i]][elems[j]] for j in range(size)]
-                for i in range(size)]
+    # z -> z v x on every z <= y, so on every product of interval elements
+    shifted = {z: index[L.join_table[z][x]] for z in L.elements if L.relation[z][y]}
 
-    def star(i, j):
-        return index[L.join_table[L.mult_table[elems[i]][elems[j]]][x]]
+    def restrict(table, cell):
+        return _rows([cell[table[a][b]] for a in elems for b in elems], size)
 
-    M = validate(size=size, relation=relation, mult=star,
+    relation = _rows([L.relation[a][b] for a in elems for b in elems], size)
+    order = OrderData(size, relation, restrict(L.join_table, index),
+                      restrict(L.meet_table, index), index[x], index[y])
+    M = validate(order=order, mult=restrict(L.mult_table, shifted),
                  labels=[L.labels[z] for z in elems],
                  name=f"{L.name}[{L.labels[x]},{L.labels[y]}]")
     if x == L.bottom:
@@ -140,29 +150,30 @@ class ProductLattice:
 
 
 def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
-    """Componentwise order and multiplication on pairs, indexed row-major."""
+    """Componentwise order and multiplication on pairs, indexed row-major.
+
+    The order tables come componentwise from the factors, so :func:`validate`
+    checks only the multiplication bound, the generators (pairs of factor
+    generators or bottoms) and the labels."""
     key = ("product", id(L2))
     if key in L1._cache:
         return L1._cache[key]
-    n1, n2 = L1.size, L2.size
-    size = n1 * n2
+    n2 = L2.size
+    size = L1.size * n2
 
-    def rel(a, b):
-        i1, i2 = divmod(a, n2)
-        j1, j2 = divmod(b, n2)
-        return L1.relation[i1][j1] and L2.relation[i2][j2]
+    def pairs(t1, t2):
+        return _rows([a * n2 + b for r1 in t1 for r2 in t2 for a in r1 for b in r2], size)
 
-    def mul(a, b):
-        i1, i2 = divmod(a, n2)
-        j1, j2 = divmod(b, n2)
-        return L1.mult_table[i1][j1] * n2 + L2.mult_table[i2][j2]
-
-    relation = [[rel(a, b) for b in range(size)] for a in range(size)]
-    labels = [f"({L1.labels[i]},{L2.labels[j]})"
-              for i in range(n1) for j in range(n2)]
-    gens = frozenset(a * n2 + b for a in L1.generators for b in L2.generators)
-    M = validate(size=size, relation=relation, mult=mul, generators=gens,
-                 labels=labels, name=f"{L1.name}x{L2.name}")
+    relation = _rows([a and b for r1 in L1.relation for r2 in L2.relation
+                      for a in r1 for b in r2], size)
+    order = OrderData(size, relation, pairs(L1.join_table, L2.join_table),
+                      pairs(L1.meet_table, L2.meet_table),
+                      L1.bottom * n2 + L2.bottom, L1.top * n2 + L2.top)
+    labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
+    gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
+                     for b in L2.generators | {L2.bottom})
+    M = validate(order=order, mult=pairs(L1.mult_table, L2.mult_table),
+                 generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
     out = ProductLattice(M, L1, L2)
     L1._cache[key] = out
     return out

@@ -328,23 +328,29 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
 def validate(*, size: int | None = None,
              covers: Sequence[tuple] | None = None,
              relation: Sequence[Sequence] | None = None,
+             order: OrderData | None = None,
              mult,
              generators: Iterable[int] | None = None,
              labels: Sequence[str] | None = None,
              name: str = "L") -> MultLattice:
     """Validate a raw lattice description and build a :class:`MultLattice`.
 
-    The order may be supplied either as cover pairs ``(a, b)`` meaning
-    ``a < b`` (the reflexive-transitive closure is taken) or as a full
-    boolean relation (which is then verified to be a partial order).
-    ``mult`` is a full ``size x size`` table of indices or a callable
-    ``(x, y) -> index``.
+    The order may be supplied as cover pairs ``(a, b)`` meaning ``a < b``
+    (the reflexive-transitive closure is taken), as a full boolean relation
+    (which is then verified to be a partial order), or as the
+    :class:`OrderData` of a lattice derived from validated ones, which skips
+    the partial-order check and the join/meet search.  The multiplication
+    bound, generators and labels are checked in every case.  ``mult`` is a
+    full ``size x size`` table of indices or a callable ``(x, y) -> index``.
 
     Raises :class:`NotAPartialOrder`, :class:`NotALattice`,
     :class:`MultNotBounded` or :class:`NotGenerated`, each carrying a
     witness for the offending pair or element.
     """
-    order = build_order(size=size, covers=covers, relation=relation)
+    if order is None:
+        order = build_order(size=size, covers=covers, relation=relation)
+    elif size is not None or covers is not None or relation is not None:
+        raise BadParams("order excludes size, covers and relation")
     size = order.size
     rel = order.relation
     join_table = order.join_table
@@ -470,10 +476,11 @@ def _lub_of_masks(L: MultLattice, n: int):
 
 def check_axioms(L: MultLattice, *, infinite_cap: int = 6) -> PropertyReport:
     """Decide the monotonicity, distributivity and symmetry axioms exhaustively."""
-    key = ("axioms", infinite_cap)
+    n = L.size
+    method = "exhaustive" if n <= infinite_cap else "reduction"
+    key = ("axioms", method)
     if key in L._cache:
         return L._cache[key]
-    n = L.size
     rel = L.relation
     mt = L.mult_table
     jt = L.join_table
@@ -540,8 +547,7 @@ def check_axioms(L: MultLattice, *, infinite_cap: int = 6) -> PropertyReport:
         if not commutative:
             break
 
-    if n <= infinite_cap:
-        method = "exhaustive"
+    if method == "exhaustive":
         infinitely = True
         lubs = _lub_of_masks(L, n)
         members = [tuple(x for x in range(n) if m >> x & 1) for m in range(1 << n)]
@@ -560,7 +566,6 @@ def check_axioms(L: MultLattice, *, infinite_cap: int = 6) -> PropertyReport:
             if not infinitely:
                 break
     else:
-        method = "reduction"
         infinitely = m_distributive
         if infinitely:
             for x in range(n):

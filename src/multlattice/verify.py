@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (LatticeError, MultLattice, TheoremViolation, check_axioms,
-                   compact_elements, replace_mult, validate)
+from .core import (BadParams, LatticeError, MultLattice, TheoremViolation,
+                   check_axioms, compact_elements, replace_mult, validate)
 from .ingest import chain, powerset_lattice, random_mult_table, to_json, zn_ideals
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
@@ -307,6 +307,9 @@ def suite_families(L: MultLattice, max_enum=12) -> list:
     return out
 
 
+PRODUCT_PARTNERS = (chain(2, "meet"), chain(2, "zero"))
+
+
 def suite_constructions(L: MultLattice, max_enum=12) -> list:
     out = []
     ax = check_axioms(L)
@@ -332,7 +335,7 @@ def suite_constructions(L: MultLattice, max_enum=12) -> list:
         out.append(_skip(L, "constructions.quotient_spec_map", "not m-distributive"))
 
     def products():
-        for partner in (chain(2, "meet"), chain(2, "zero")):
+        for partner in PRODUCT_PARTNERS:
             P = cons.product_spec_check(L, partner)
             left, right = cons.projection_morphisms(P.product)
             cons.spec_map(left)
@@ -490,9 +493,11 @@ def enumerate_tables(base: MultLattice):
 def corpus_exhaustive_tables(max_size: int = 4):
     """All bounded tables on all lattice shapes of at most ``max_size``
     elements (up to isomorphism of the underlying order)."""
+    if max_size > 4:
+        raise BadParams(f"exhaustive tables go up to 4 elements, not {max_size}")
     out = []
     for name, (size, _) in sorted(LATTICE_SHAPES.items()):
-        if size > max_size or size > 4:
+        if size > max_size:
             continue
         base = shape_lattice(name)
         for i, table in enumerate(enumerate_tables(base)):

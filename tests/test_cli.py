@@ -50,6 +50,12 @@ def test_check_named_corpus(capsys):
     assert json.loads(out)["failed"] == 0
 
 
+def test_check_exhaustive_corpus_above_four_is_bad_input(capsys):
+    code, out, err = run(capsys, "check", "all", "--corpus", "exhaustive:5")
+    assert code == 2 and out == ""
+    assert "BadParams" in err
+
+
 def test_series_by_label(capsys):
     code, out, _ = run(capsys, "series", "(2)", "gen:zn:12")
     assert code == 0

@@ -10,10 +10,12 @@ from multlattice.constructions import (closed_subspace_spec,
                                        projection_morphisms,
                                        quotient_morphism, right_adjoint,
                                        spec_map)
-from multlattice.core import (HypothesesFail, NotAMorphism, NotComparable,
-                              NotPrimeInInterval, check_axioms, validate)
+from multlattice.core import (BadParams, HypothesesFail, NotAMorphism,
+                              NotComparable, NotPrimeInInterval, build_order,
+                              check_axioms, validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import classify_all, hyperabelian_report, spectrum
+from multlattice.verify import corpus_exhaustive_tables
 
 from conftest import mk_chain
 
@@ -106,6 +108,77 @@ def test_product_of_hyperabelians_is_hyperabelian():
     P = product(zero, zero)
     assert hyperabelian_report(P.lattice).hyperabelian
     assert spectrum(P.lattice).primes == frozenset()
+
+
+def test_product_when_generators_leave_out_bottom():
+    L = validate(size=2, covers=[(0, 1)], mult=min, generators=[1], name="g")
+    P = product(L, L)
+    assert P.lattice.generators == frozenset(range(4))
+    assert len(product_spec_check(L, L).left_part) == 1
+
+
+def test_product_generators_are_pairs_when_bottoms_generate():
+    L = validate(size=4, covers=[(0, 1), (0, 2), (1, 3), (2, 3)],
+                 mult=lambda x, y: 0, generators=[0, 1, 2], name="M2")
+    assert product(L, L).lattice.generators == frozenset(
+        a * 4 + b for a in (0, 1, 2) for b in (0, 1, 2))
+
+
+def product_from_scratch(L1, L2):
+    """The product built by validating its full description from scratch."""
+    pairs = [(a, b) for a in L1.elements for b in L2.elements]
+    gens = [k for k, (a, b) in enumerate(pairs)
+            if (a in L1.generators or a == L1.bottom)
+            and (b in L2.generators or b == L2.bottom)]
+    return validate(
+        relation=[[L1.leq(a, c) and L2.leq(b, d) for c, d in pairs] for a, b in pairs],
+        mult=[[pairs.index((L1.mult(a, c), L2.mult(b, d))) for c, d in pairs]
+              for a, b in pairs],
+        generators=gens, labels=[f"({L1.labels[a]},{L2.labels[b]})" for a, b in pairs],
+        name=f"{L1.name}x{L2.name}")
+
+
+def interval_from_scratch(L, x, y):
+    """The interval built by validating its full description from scratch."""
+    elems = [z for z in L.elements if L.leq(x, z) and L.leq(z, y)]
+    return validate(
+        relation=[[L.leq(a, b) for b in elems] for a in elems],
+        mult=[[elems.index(L.join(L.mult(a, b), x)) for b in elems] for a in elems],
+        labels=[L.labels[z] for z in elems],
+        name=f"{L.name}[{L.labels[x]},{L.labels[y]}]")
+
+
+def assert_same_lattice(M, R):
+    # MultLattice.__eq__ leaves out the join and meet tables, so compare
+    # every field; the relation must hold bools, as the JSON export shows it
+    for attr in ("size", "relation", "join_table", "meet_table", "mult_table",
+                 "bottom", "top", "generators", "labels", "name"):
+        assert getattr(M, attr) == getattr(R, attr), (R.name, attr)
+    assert all(type(v) is bool for row in M.relation for v in row), R.name
+
+
+def test_derived_lattices_match_validation_from_scratch(named_corpus):
+    corpus = list(named_corpus) + corpus_exhaustive_tables(4)[::40]
+    partners = (chain(2, "meet"), chain(2, "zero"))
+    shifted_bottoms = 0
+    for L in corpus:
+        for partner in partners:
+            assert_same_lattice(product(L, partner).lattice,
+                                product_from_scratch(L, partner))
+        for x in L.elements:
+            for y in L.up(x):
+                M = interval(L, x, y).lattice
+                assert_same_lattice(M, interval_from_scratch(L, x, y))
+                shifted_bottoms += M.bottom != 0
+    assert shifted_bottoms  # some interval bottom is not its index 0
+
+
+@pytest.mark.parametrize("extra", [{"size": 2}, {"covers": [(0, 1)]},
+                                   {"relation": [[1, 1], [0, 1]]}])
+def test_validate_order_excludes_other_order_arguments(extra):
+    order = build_order(size=2, covers=[(0, 1)])
+    with pytest.raises(BadParams):
+        validate(order=order, mult=min, **extra)
 
 
 def test_disjointness_bottom_pair():

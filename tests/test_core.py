@@ -142,6 +142,14 @@ def test_infinite_reduction_matches_exhaustive(small_exhaustive_corpus):
         assert check_axioms(L, infinite_cap=0).infinite_check_method == "reduction"
 
 
+def test_check_axioms_cache_is_keyed_by_route():
+    L = mk_chain(3, min)
+    assert check_axioms(L, infinite_cap=L.size) is check_axioms(L)
+    assert check_axioms(L, infinite_cap=0) is check_axioms(L, infinite_cap=2)
+    assert check_axioms(L, infinite_cap=0) is not check_axioms(L)
+    assert check_axioms(L).infinite_check_method == "exhaustive"
+
+
 def test_axiom_implications_hold_exhaustively(small_exhaustive_corpus):
     for L in small_exhaustive_corpus:
         report = check_axioms(L)

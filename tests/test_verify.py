@@ -1,4 +1,6 @@
-from multlattice.core import check_axioms
+import pytest
+
+from multlattice.core import BadParams, check_axioms
 from multlattice.verify import (CorpusSpec, LATTICE_SHAPES,
                                 corpus_exhaustive_tables, corpus_random_tables,
                                 enumerate_tables, shape_lattice, verify_all)
@@ -14,6 +16,14 @@ def test_exhaustive_corpus_counts():
         by_shape[L.name.split("#")[0]] += 1
     assert by_shape == {"point": 1, "chain2": 2, "chain3": 24,
                         "chain4": 3456, "diamond": 256}
+
+
+def test_exhaustive_corpus_refuses_sizes_above_four():
+    # the shape list is complete only up to 4 elements
+    with pytest.raises(BadParams):
+        corpus_exhaustive_tables(5)
+    with pytest.raises(BadParams):
+        CorpusSpec("exhaustive_tables", max_size=5).build()
 
 
 def test_small_shapes_are_all_lattices_up_to_iso():
