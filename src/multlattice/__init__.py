@@ -7,7 +7,7 @@ from .core import (BadParams, HypothesesFail, LatticeError,
                    NotAPartialOrder, NotComparable, NotGenerated, NotMaximal,
                    NotPrimeInInterval, PrimeElement, PropertyReport,
                    TheoremViolation, build_order, check_axioms,
-                   compact_elements, glb, lub, replace_mult, validate)
+                   compact_elements, replace_mult, validate)
 from .spectrum import (ElementFlags, FiniteTopology, HyperabelianReport,
                        SoberReport, SpectrumReport, classify, classify_all,
                        hyperabelian_report, maximal_prime_criterion,

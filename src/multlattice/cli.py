@@ -13,12 +13,17 @@ import sys
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import LatticeError, check_axioms
+from .core import BadParams, LatticeError, check_axioms
 from .ingest import (LatticeSyntaxError, export_dot, export_dot_spectrum,
-                     export_text, generate, parse, to_json)
+                     export_text, generate, int_param, parse, to_json)
 from .series import series as series_op
 from .spectrum import spectrum
 from .verify import CorpusSpec, VerifyReport, report_to_json, verify_all
+
+# Arguments after the kind in ``construct <kind>:<arg>:...``; the last
+# argument keeps any further colons, so ``product:gen:chain:2`` works.
+CONSTRUCT_ARITY = {"interval": 2, "product": 1, "disjoint": 2, "lying": 2,
+                   "open_homeo": 1}
 
 
 def _load(spec: str):
@@ -125,10 +130,10 @@ def _run(args) -> int:
                 spec = CorpusSpec("named")
             elif parts[0] == "exhaustive":
                 spec = CorpusSpec("exhaustive_tables",
-                                  max_size=int(parts[1]) if len(parts) > 1 else 4)
+                                  max_size=int_param(parts[1]) if len(parts) > 1 else 4)
             elif parts[0] == "random":
                 spec = CorpusSpec("random_tables", seed=args.seed,
-                                  count=int(parts[1]) if len(parts) > 1 else 1000)
+                                  count=int_param(parts[1]) if len(parts) > 1 else 1000)
             else:
                 raise LatticeError(f"unknown corpus {args.corpus!r}")
             lattices = spec.build()
@@ -170,8 +175,13 @@ def _run(args) -> int:
             F = frozenset({L.top})
         _emit(args, fam.classify_family(L, F))
     elif cmd == "construct":
-        parts = args.op.split(":")
-        kind = parts[0]
+        kind = args.op.partition(":")[0]
+        arity = CONSTRUCT_ARITY.get(kind)
+        if arity is None:
+            raise LatticeError(f"unknown construction {kind!r}")
+        parts = args.op.split(":", arity)
+        if len(parts) != arity + 1:
+            raise BadParams(f"{kind} takes {arity} argument(s)")
         if kind == "interval":
             iv = cons.interval(L, _element(L, parts[1]), _element(L, parts[2]))
             _emit(args, iv.lattice, dot=export_dot(iv.lattice))
@@ -193,8 +203,6 @@ def _run(args) -> int:
                 print(right, end="")
             else:
                 _emit(args, cons.open_subspace_homeo(L, n))
-        else:
-            raise LatticeError(f"unknown construction {kind!r}")
     elif cmd == "export":
         if args.format == "dot":
             print(export_dot(L), end="")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   TheoremViolation, check_axioms, validate)
+                   TheoremViolation, check_axioms, memo, validate)
 from .spectrum import (classify_all, d_set, hyperabelian_report, primes_of,
                        spectrum, v_set)
 from .families import residual_left, residual_right
@@ -68,9 +68,10 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
-    key = ("interval", x, y)
-    if key in L._cache:
-        return L._cache[key]
+    return memo(L, ("interval", x, y), lambda: _interval(L, x, y))
+
+
+def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     elems = [z for z in L.elements if L.relation[x][z] and L.relation[z][y]]
     index = {z: i for i, z in enumerate(elems)}
     size = len(elems)
@@ -93,9 +94,7 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
                     raise TheoremViolation(
                         "interval from bottom must restrict the multiplication",
                         witness=(elems[i], elems[j]))
-    out = IntervalLattice(M, L, x, y, tuple(elems))
-    L._cache[key] = out
-    return out
+    return IntervalLattice(M, L, x, y, tuple(elems))
 
 
 @dataclass
@@ -155,9 +154,10 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     The order tables come componentwise from the factors, so :func:`validate`
     checks only the multiplication bound, the generators (pairs of factor
     generators or bottoms) and the labels."""
-    key = ("product", id(L2))
-    if key in L1._cache:
-        return L1._cache[key]
+    return memo(L1, ("product", id(L2)), lambda: _product(L1, L2))
+
+
+def _product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     n2 = L2.size
     size = L1.size * n2
 
@@ -174,9 +174,7 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
                      for b in L2.generators | {L2.bottom})
     M = validate(order=order, mult=pairs(L1.mult_table, L2.mult_table),
                  generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
-    out = ProductLattice(M, L1, L2)
-    L1._cache[key] = out
-    return out
+    return ProductLattice(M, L1, L2)
 
 
 @dataclass

@@ -122,10 +122,7 @@ class MultLattice:
         self.generators = generators      # frozenset of indices
         self.labels = labels              # tuple of str
         self.name = name
-        self.down_masks = tuple(
-            sum(1 << y for y in range(size) if relation[y][x]) for x in range(size))
-        self.up_masks = tuple(
-            sum(1 << y for y in range(size) if relation[x][y]) for x in range(size))
+        self.down_masks, self.up_masks = _masks(size, relation)
         self.full_mask = (1 << size) - 1
         self._cache = {}
 
@@ -161,10 +158,10 @@ class MultLattice:
         return out
 
     def down(self, x: int) -> frozenset:
-        return frozenset(y for y in range(self.size) if self.relation[y][x])
+        return self.set_of(self.down_masks[x])
 
     def up(self, x: int) -> frozenset:
-        return frozenset(y for y in range(self.size) if self.relation[x][y])
+        return self.set_of(self.up_masks[x])
 
     @property
     def elements(self) -> range:
@@ -172,8 +169,7 @@ class MultLattice:
 
     def covers(self):
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram."""
-        key = "covers"
-        if key not in self._cache:
+        def build():
             out = []
             for a in range(self.size):
                 for b in range(self.size):
@@ -183,8 +179,8 @@ class MultLattice:
                            and c != a and c != b for c in range(self.size)):
                         continue
                     out.append((a, b))
-            self._cache[key] = tuple(sorted(out))
-        return self._cache[key]
+            return tuple(sorted(out))
+        return memo(self, "covers", build)
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -209,8 +205,23 @@ class MultLattice:
         return f"MultLattice({self.name!r}, size={self.size})"
 
 
+def memo(L: MultLattice, key, build):
+    """``build()``, computed once per lattice and key and kept on ``L``."""
+    cache = L._cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 # --------------------------------------------------------------------------
 # Validation
+
+
+def _masks(size: int, rel) -> tuple:
+    """The down- and up-set of every element as integer bitmasks."""
+    down = tuple(sum(1 << y for y in range(size) if rel[y][x]) for x in range(size))
+    up = tuple(sum(1 << y for y in range(size) if rel[x][y]) for x in range(size))
+    return down, up
 
 
 def _close_covers(size: int, covers) -> list:
@@ -282,8 +293,7 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
         raise BadParams("a bounded lattice has at least one element")
 
     # Every pair needs a least upper bound and a greatest lower bound.
-    up_masks = [sum(1 << y for y in range(size) if rel[x][y]) for x in range(size)]
-    down_masks = [sum(1 << y for y in range(size) if rel[y][x]) for x in range(size)]
+    down_masks, up_masks = _masks(size, rel)
     join_table = [[0] * size for _ in range(size)]
     meet_table = [[0] * size for _ in range(size)]
     for x in range(size):
@@ -358,23 +368,7 @@ def validate(*, size: int | None = None,
     bottom = order.bottom
     top = order.top
 
-    if callable(mult):
-        table = [[int(mult(x, y)) for y in range(size)] for x in range(size)]
-    else:
-        table = [[int(v) for v in row] for row in mult]
-        if len(table) != size or any(len(row) != size for row in table):
-            raise BadParams("mult must be a full size x size table")
-    for x in range(size):
-        for y in range(size):
-            z = table[x][y]
-            if not 0 <= z < size:
-                raise BadParams(f"mult({x}, {y}) = {z} is not an element",
-                                witness=(x, y))
-            if not rel[z][meet_table[x][y]]:
-                raise MultNotBounded(
-                    f"mult({x}, {y}) = {z} is not below meet({x}, {y})",
-                    witness=(x, y))
-
+    table = _bounded_table(size, rel, meet_table, mult)
     gens = frozenset(range(size)) if generators is None else frozenset(generators)
     if any(not 0 <= g < size for g in gens):
         raise BadParams("generators out of range")
@@ -394,10 +388,30 @@ def validate(*, size: int | None = None,
         if len(labels) != size:
             raise BadParams("labels must match size")
 
-    return MultLattice(size, rel,
-                       tuple(tuple(row) for row in table),
-                       join_table, meet_table,
+    return MultLattice(size, rel, table, join_table, meet_table,
                        bottom, top, gens, labels, name)
+
+
+def _bounded_table(size: int, rel, meet_table, mult) -> tuple:
+    """``mult`` (a table or a callable) as a tuple of rows, checked to be a
+    full table of elements with every product below the meet."""
+    if callable(mult):
+        table = [[int(mult(x, y)) for y in range(size)] for x in range(size)]
+    else:
+        table = [[int(v) for v in row] for row in mult]
+        if len(table) != size or any(len(row) != size for row in table):
+            raise BadParams("mult must be a full size x size table")
+    for x in range(size):
+        for y in range(size):
+            z = table[x][y]
+            if not 0 <= z < size:
+                raise BadParams(f"mult({x}, {y}) = {z} is not an element",
+                                witness=(x, y))
+            if not rel[z][meet_table[x][y]]:
+                raise MultNotBounded(
+                    f"mult({x}, {y}) = {z} is not below meet({x}, {y})",
+                    witness=(x, y))
+    return tuple(tuple(row) for row in table)
 
 
 def replace_mult(base: MultLattice, mult_table, name: str | None = None) -> MultLattice:
@@ -406,31 +420,15 @@ def replace_mult(base: MultLattice, mult_table, name: str | None = None) -> Mult
     Used by the table enumerators: only the boundedness of the new table has
     to be re-checked, the order-side structure is shared.
     """
-    size = base.size
-    table = [[int(mult_table[x][y]) for y in range(size)] for x in range(size)]
-    for x in range(size):
-        for y in range(size):
-            z = table[x][y]
-            if not 0 <= z < size or not base.relation[z][base.meet_table[x][y]]:
-                raise MultNotBounded(
-                    f"mult({x}, {y}) = {z} is not below meet({x}, {y})",
-                    witness=(x, y))
-    return MultLattice(size, base.relation, tuple(tuple(r) for r in table),
+    table = _bounded_table(base.size, base.relation, base.meet_table, mult_table)
+    return MultLattice(base.size, base.relation, table,
                        base.join_table, base.meet_table, base.bottom, base.top,
                        base.generators, base.labels,
                        base.name if name is None else name)
 
 
 # --------------------------------------------------------------------------
-# Module-level order queries (spec'd operations; the methods are conveniences)
-
-
-def lub(L: MultLattice, xs: Iterable[int]) -> int:
-    return L.lub(xs)
-
-
-def glb(L: MultLattice, xs: Iterable[int]) -> int:
-    return L.glb(xs)
+# Compactness
 
 
 def compact_elements(L: MultLattice) -> frozenset:
@@ -476,11 +474,12 @@ def _lub_of_masks(L: MultLattice, n: int):
 
 def check_axioms(L: MultLattice, *, infinite_cap: int = 6) -> PropertyReport:
     """Decide the monotonicity, distributivity and symmetry axioms exhaustively."""
+    method = "exhaustive" if L.size <= infinite_cap else "reduction"
+    return memo(L, ("axioms", method), lambda: _check_axioms(L, method))
+
+
+def _check_axioms(L: MultLattice, method: str) -> PropertyReport:
     n = L.size
-    method = "exhaustive" if n <= infinite_cap else "reduction"
-    key = ("axioms", method)
-    if key in L._cache:
-        return L._cache[key]
     rel = L.relation
     mt = L.mult_table
     jt = L.join_table
@@ -586,5 +585,4 @@ def check_axioms(L: MultLattice, *, infinite_cap: int = 6) -> PropertyReport:
     if report.infinitely_m_distributive and not report.m_distributive:
         raise TheoremViolation("infinitely m-distributive but not m-distributive",
                                witness=witnesses.get("m_distributive"))
-    L._cache[key] = report
     return report

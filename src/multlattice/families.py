@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
-                   check_axioms, compact_elements)
+                   check_axioms, compact_elements, memo)
 from .spectrum import classify_all
 from .systems import classify_system
 
@@ -22,19 +22,16 @@ from .systems import classify_system
 
 
 def residual_left(L: MultLattice, a: int, b: int) -> int:
-    """(a :l b): the join of all x with x*b <= a.
+    """(a :l b): the join of all x with x*b <= a, read from
+    :func:`residual_tables`.
 
     The defining set always contains bottom, so the join exists.  No
     adjunction is assumed; when the lattice is infinitely m-distributive the
     bound mult(residual, b) <= a is asserted.
     """
-    da = L.down_masks[a]
-    out = L.bottom
-    for x in L.elements:
-        if da >> L.mult_table[x][b] & 1:
-            out = L.join_table[out][x]
+    out = residual_tables(L)[0][a][b]
     if check_axioms(L).infinitely_m_distributive:
-        if not da >> L.mult_table[out][b] & 1:
+        if not L.relation[L.mult_table[out][b]][a]:
             raise TheoremViolation(
                 f"residual bound fails: ({a} :l {b}) * {b} !<= {a}",
                 witness=(a, b))
@@ -42,15 +39,11 @@ def residual_left(L: MultLattice, a: int, b: int) -> int:
 
 
 def residual_right(L: MultLattice, a: int, b: int) -> int:
-    """(a :r b): the join of all x with b*x <= a."""
-    da = L.down_masks[a]
-    row = L.mult_table[b]
-    out = L.bottom
-    for x in L.elements:
-        if da >> row[x] & 1:
-            out = L.join_table[out][x]
+    """(a :r b): the join of all x with b*x <= a, read from
+    :func:`residual_tables`."""
+    out = residual_tables(L)[1][a][b]
     if check_axioms(L).infinitely_m_distributive:
-        if not da >> row[out] & 1:
+        if not L.relation[L.mult_table[b][out]][a]:
             raise TheoremViolation(
                 f"residual bound fails: {b} * ({a} :r {b}) !<= {a}",
                 witness=(a, b))
@@ -60,9 +53,10 @@ def residual_right(L: MultLattice, a: int, b: int) -> int:
 def residual_tables(L: MultLattice):
     """Both residual tables, indexed [l][a]; cached on the lattice since the
     family classifiers evaluate them for every (l, a) pair."""
-    key = "residual_tables"
-    if key in L._cache:
-        return L._cache[key]
+    return memo(L, "residual_tables", lambda: _residual_tables(L))
+
+
+def _residual_tables(L: MultLattice):
     n = L.size
     mt = L.mult_table
     jt = L.join_table
@@ -83,9 +77,7 @@ def residual_tables(L: MultLattice):
                 if dl >> row[x] & 1:
                     acc = jt[acc][x]
             right[l][a] = acc
-    tables = (tuple(tuple(r) for r in left), tuple(tuple(r) for r in right))
-    L._cache[key] = tables
-    return tables
+    return tuple(tuple(r) for r in left), tuple(tuple(r) for r in right)
 
 
 @dataclass(frozen=True)

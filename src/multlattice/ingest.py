@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from math import gcd
 
-from .core import (BadParams, LatticeError, MultLattice, build_order,
-                   check_axioms, replace_mult, validate)
-from .spectrum import FiniteTopology, spectrum
+from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
+                   build_order, check_axioms, replace_mult, validate)
+from .spectrum import FiniteTopology, close_family, spectrum
 
 
 class LatticeSyntaxError(LatticeError):
@@ -425,17 +425,9 @@ def poset_space(kind: str, n: int = 0) -> FiniteTopology:
             [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]
     else:
         raise BadParams(f"unknown poset kind {kind!r}")
-    below = {p: frozenset(a for a, b in pairs if b == p) | {p} for p in pts}
-    closed = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        cur = frontier.pop()
-        for p in pts:
-            w = cur | below[p]
-            if w not in closed:
-                closed.add(w)
-                frontier.append(w)
-    return FiniteTopology.from_closed_sets(pts, closed)
+    below = [frozenset(a for a, b in pairs if b == p) | {p} for p in pts]
+    return FiniteTopology.from_closed_sets(
+        pts, close_family({frozenset()}, below, frozenset.__or__))
 
 
 def open_set_lattice(T: FiniteTopology, name: str = "opens") -> MultLattice:
@@ -480,8 +472,11 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
     """
     if size < 1:
         raise BadParams("size must be positive")
-    rng = random.Random(seed)
     axioms = axioms or {}
+    unknown = set(axioms) - {f.name for f in fields(PropertyReport) if f.type == "bool"}
+    if unknown:
+        raise BadParams(f"unknown axiom flags {sorted(unknown)}")
+    rng = random.Random(seed)
     order_attempts = table_attempts = 0
     base = None
     while base is None:
@@ -517,24 +512,34 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
             return RandomLatticeResult(L, seed, order_attempts, table_attempts)
 
 
+def int_param(text: str) -> int:
+    """An integer parameter given as text; anything else is bad input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise BadParams(f"expected an integer, got {text!r}") from None
+
+
 def generate(kind: str, *args) -> MultLattice:
     """Dispatch for the named generators, as used by the CLI ``gen:`` specs."""
+    if not args:
+        raise BadParams(f"generator {kind!r} needs a parameter")
     if kind == "chain":
-        return chain(int(args[0]), args[1] if len(args) > 1 else "meet")
+        return chain(int_param(args[0]), args[1] if len(args) > 1 else "meet")
     if kind in ("zn", "zn_ideals"):
-        return zn_ideals(int(args[0]))
+        return zn_ideals(int_param(args[0]))
     if kind in ("bool", "powerset"):
-        return powerset_lattice(int(args[0]), args[1] if len(args) > 1 else "meet")
+        return powerset_lattice(int_param(args[0]), args[1] if len(args) > 1 else "meet")
     if kind == "open_sets":
-        space = poset_space(args[0], int(args[1]) if len(args) > 1 else 0)
+        space = poset_space(args[0], int_param(args[1]) if len(args) > 1 else 0)
         return open_set_lattice(space, name=f"opens_{args[0]}{args[1] if len(args) > 1 else ''}")
     if kind == "random":
-        size = int(args[0])
+        size = int_param(args[0])
         seed = 0
         axioms = {}
         for a in args[1:]:
             if a.startswith("seed="):
-                seed = int(a[5:])
+                seed = int_param(a[5:])
             else:
                 axioms[a] = True
         return random_lattice(size, axioms, seed).lattice

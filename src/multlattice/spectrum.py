@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .core import (MDistributivityRequired, MultLattice, NotMaximal,
                    PrimeElement, HypothesesFail, TheoremViolation,
-                   check_axioms)
+                   check_axioms, memo)
 
 
 # --------------------------------------------------------------------------
@@ -107,6 +107,21 @@ class FiniteTopology:
                          for q in self.point_closure(p) if p != q)
 
 
+def close_family(start, members, op) -> frozenset:
+    """The smallest family of sets that contains ``start`` and is closed
+    under ``op(set, member)`` for every one of ``members``."""
+    family = set(start)
+    frontier = list(family)
+    while frontier:
+        cur = frontier.pop()
+        for m in members:
+            w = op(cur, m)
+            if w not in family:
+                family.add(w)
+                frontier.append(w)
+    return frozenset(family)
+
+
 def topology_from_subbasis(points, subbasis) -> FiniteTopology:
     """The topology generated by a subbasis of open sets.
 
@@ -114,38 +129,9 @@ def topology_from_subbasis(points, subbasis) -> FiniteTopology:
     the empty intersection contributes the full space.
     """
     points = frozenset(points)
-    basis = {points}
-    for s in subbasis:
-        basis |= {b & frozenset(s) for b in basis}
-    opens = {frozenset()} | set(basis)
-    frontier = list(opens)
-    while frontier:
-        u = frontier.pop()
-        for b in basis:
-            w = u | b
-            if w not in opens:
-                opens.add(w)
-                frontier.append(w)
+    basis = close_family({points}, [frozenset(s) for s in subbasis], frozenset.__and__)
+    opens = close_family({frozenset()}, basis, frozenset.__or__)
     return FiniteTopology.from_closed_sets(points, {points - u for u in opens})
-
-
-def union_closure_topology(points, open_basis, basis_labels=None) -> FiniteTopology:
-    """The topology whose opens are exactly the unions of the given basis."""
-    points = frozenset(points)
-    basis = [frozenset(b) for b in open_basis]
-    opens = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        u = frontier.pop()
-        for b in basis:
-            w = u | b
-            if w not in opens:
-                opens.add(w)
-                frontier.append(w)
-    if points not in opens:
-        raise ValueError("basis does not cover the point set")
-    return FiniteTopology.from_closed_sets(points, {points - u for u in opens},
-                                           basis_labels)
 
 
 @dataclass
@@ -197,9 +183,10 @@ def classify(L: MultLattice, x: int) -> ElementFlags:
 
 def classify_all(L: MultLattice) -> tuple:
     """Flags for every element, computed once and cached on the lattice."""
-    key = "classify"
-    if key in L._cache:
-        return L._cache[key]
+    return memo(L, "classify", lambda: _classify_all(L))
+
+
+def _classify_all(L: MultLattice) -> tuple:
     n = L.size
     mt = L.mult_table
     out = []
@@ -221,9 +208,7 @@ def classify_all(L: MultLattice) -> tuple:
             if not meet_irreducible:
                 break
         out.append(ElementFlags(prime, semiprime, maximal, meet_irreducible))
-    result = tuple(out)
-    L._cache[key] = result
-    return result
+    return tuple(out)
 
 
 def primes_of(L: MultLattice) -> frozenset:
@@ -271,9 +256,10 @@ def spectrum(L: MultLattice) -> SpectrumReport:
     of the maximal prime elements, ``jacobson_meet`` the meet of the same
     set, so callers can pick either convention.
     """
-    key = "spectrum"
-    if key in L._cache:
-        return L._cache[key]
+    return memo(L, "spectrum", lambda: _spectrum(L))
+
+
+def _spectrum(L: MultLattice) -> SpectrumReport:
     flags = classify_all(L)
     primes = frozenset(x for x in L.elements if flags[x].prime)
     notes = []
@@ -318,14 +304,21 @@ def spectrum(L: MultLattice) -> SpectrumReport:
         raise TheoremViolation("Zariski topology is not sober",
                                witness=sob.witness)
 
-    report = SpectrumReport(primes, zariski, radical, jrad, jmeet, True,
-                            via_gens, tuple(notes))
-    L._cache[key] = report
-    return report
+    return SpectrumReport(primes, zariski, radical, jrad, jmeet, True,
+                          via_gens, tuple(notes))
 
 
 # --------------------------------------------------------------------------
 # Maximal implies prime
+
+
+def _nonprime_pair(L: MultLattice, p: int) -> tuple:
+    """The first pair (x, y) in index order with x, y !<= p and xy <= p; one
+    exists for every non-prime ``p`` below top."""
+    down = L.down_masks[p]
+    mt = L.mult_table
+    return next((x, y) for x in L.elements if not down >> x & 1
+                for y in L.elements if not down >> y & 1 and down >> mt[x][y] & 1)
 
 
 @dataclass
@@ -358,18 +351,8 @@ def maximal_prime_criterion(L: MultLattice, m: int) -> MaximalPrimeReport:
             witness=m)
     witness = raw = None
     if not flags.prime:
-        down = L.down_masks[m]
-        for x in L.elements:
-            if down >> x & 1:
-                continue
-            for y in L.elements:
-                if down >> y & 1 or not down >> L.mult_table[x][y] & 1:
-                    continue
-                raw = (x, y)
-                witness = (L.join_table[x][m], L.join_table[y][m])
-                break
-            if raw:
-                break
+        raw = _nonprime_pair(L, m)
+        witness = (L.join_table[raw[0]][m], L.join_table[raw[1]][m])
         if witness != (L.top, L.top):
             raise TheoremViolation(
                 "joins with a maximal element did not reach top", witness=witness)
@@ -394,18 +377,7 @@ def non_prime_symmetric_witness(L: MultLattice, p: int) -> tuple:
         raise PrimeElement(f"element {p} is prime; no witness exists", witness=p)
     down = L.down_masks[p]
     mt = L.mult_table
-    found = None
-    for a in L.elements:
-        if down >> a & 1:
-            continue
-        for b in L.elements:
-            if down >> b & 1 or not down >> mt[a][b] & 1:
-                continue
-            found = (a, b)
-            break
-        if found:
-            break
-    a, b = found
+    a, b = _nonprime_pair(L, p)
     if down >> mt[b][a] & 1:
         x, y = a, b
     else:
@@ -468,11 +440,12 @@ def hyperabelian_report(L: MultLattice, *, max_enum: int = 12) -> HyperabelianRe
     above the cap only saturated m-systems are enumerated, which decides the
     same condition because upward closure neither adds nor removes bottom.
     """
+    return memo(L, ("hyperabelian", max_enum), lambda: _hyperabelian_report(L, max_enum))
+
+
+def _hyperabelian_report(L: MultLattice, max_enum: int) -> HyperabelianReport:
     from .systems import saturated_m_systems  # local import to avoid a cycle
 
-    key = ("hyperabelian", max_enum)
-    if key in L._cache:
-        return L._cache[key]
     ax = check_axioms(L)
     if not ax.m_distributive:
         raise MDistributivityRequired("the equivalences need m-distributivity",
@@ -544,7 +517,5 @@ def hyperabelian_report(L: MultLattice, *, max_enum: int = 12) -> HyperabelianRe
     if len(set(conditions.values())) != 1:
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",
                                witness=witnesses)
-    report = HyperabelianReport(conditions, cond_a, chain, blocking, mode,
-                                witnesses, tuple(notes))
-    L._cache[key] = report
-    return report
+    return HyperabelianReport(conditions, cond_a, chain, blocking, mode,
+                              witnesses, tuple(notes))

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MonotonicityRequired, MultLattice,
-                   NotAnMSystem, TheoremViolation, check_axioms, compact_elements)
-from .spectrum import (FiniteTopology, classify_all, primes_of, spectrum,
-                       topology_from_subbasis, union_closure_topology, v_set)
+                   NotAnMSystem, TheoremViolation, check_axioms, compact_elements,
+                   memo)
+from .spectrum import (FiniteTopology, classify_all, close_family, primes_of,
+                       spectrum, topology_from_subbasis, v_set)
 
 
 @dataclass(frozen=True)
@@ -24,10 +25,9 @@ class MSystem:
     """A classified subset of the compact elements.
 
     ``kind`` is "both" when the set is an m-system (hence an n-system too),
-    "n" when it is an n-system only, and "neither" otherwise; "m" is reserved
-    but unreachable, since every m-system is an n-system.  Failed tests carry
-    witnesses: ``m_witness`` is a pair (x, y) with nothing in S below x*y,
-    ``n_witness`` an element x with nothing in S below x*x, and
+    "n" when it is an n-system only, and "neither" otherwise.  Failed tests
+    carry witnesses: ``m_witness`` is a pair (x, y) with nothing in S below
+    x*y, ``n_witness`` an element x with nothing in S below x*x, and
     ``saturation_witness`` a pair (x, c) with x in S, x <= c, c not in S.
     """
     members: frozenset
@@ -38,14 +38,6 @@ class MSystem:
     m_witness: tuple | None = None
     n_witness: int | None = None
     saturation_witness: tuple | None = None
-
-    @property
-    def is_m_system(self) -> bool:
-        return self.is_m
-
-    @property
-    def is_n_system(self) -> bool:
-        return self.is_n
 
 
 def _classify_mask(L: MultLattice, mask: int):
@@ -98,7 +90,6 @@ def classify_system(L: MultLattice, S) -> MSystem:
     if is_m and not is_n:
         raise TheoremViolation("an m-system failed the n-system test",
                                witness=n_wit)
-    # "m" alone is unreachable: an m-system is always an n-system.
     kind = "both" if is_m else ("n" if is_n else "neither")
     return MSystem(members, sat, kind, is_m, is_n, m_wit, n_wit, sat_wit)
 
@@ -196,35 +187,24 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
     asserted to be exactly the intersections of the basic Zariski opens D(c),
     i.e. the construction agrees with inverting the Zariski topology.
     """
-    key = "inverse_topology"
-    if key in L._cache:
-        return L._cache[key]
-    rep = spectrum(L)
-    primes = rep.primes
+    return memo(L, "inverse_topology", lambda: _inverse_topology(L))
+
+
+def _inverse_topology(L: MultLattice) -> FiniteTopology:
+    primes = spectrum(L).primes
     basis = {}
     for c in sorted(compact_elements(L)):
         vc = v_set(L, c, primes)
         basis.setdefault(vc, c)
-    topo = union_closure_topology(primes, basis.keys())
-
-    closed_by_intersection = {primes}
-    frontier = [primes]
-    d_sets = {primes - v for v in basis}
-    while frontier:
-        cur = frontier.pop()
-        for d in d_sets:
-            w = cur & d
-            if w not in closed_by_intersection:
-                closed_by_intersection.add(w)
-                frontier.append(w)
-    if frozenset(closed_by_intersection) != topo.closed_sets:
+    opens = close_family({frozenset()}, basis, frozenset.__or__)
+    closed = {primes - u for u in opens}
+    d_sets = [primes - v for v in basis]
+    if close_family({primes}, d_sets, frozenset.__and__) != closed:
         raise TheoremViolation(
             "inverse topology differs from the intersections of basic opens",
             witness=None)
     labels = {primes - v: c for v, c in basis.items()}
-    out = FiniteTopology.from_closed_sets(primes, topo.closed_sets, labels)
-    L._cache[key] = out
-    return out
+    return FiniteTopology.from_closed_sets(primes, closed, labels)
 
 
 def constructible_topology(L: MultLattice) -> FiniteTopology:

@@ -23,7 +23,7 @@ from .ingest import chain, powerset_lattice, random_mult_table, to_json, zn_idea
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
                        maximal_prime_criterion, non_prime_symmetric_witness,
-                       spectrum, v_set)
+                       primes_of, spectrum, v_set)
 from .systems import all_m_systems, saturated_m_systems
 
 
@@ -49,12 +49,15 @@ def _fail(L, check, why):
 
 
 def _guard(L, check, fn):
-    """Run ``fn``; any structured error is a recorded failure."""
+    """Run ``fn``; any exception is a failure recorded against ``L``, so one
+    lattice cannot abort a corpus run."""
     try:
         fn()
         return _ok(L, check)
     except LatticeError as exc:
         return _fail(L, check, f"{type(exc).__name__}: {exc} (witness {exc.witness})")
+    except Exception as exc:
+        return _fail(L, check, f"{type(exc).__name__}: {exc}")
 
 
 # --------------------------------------------------------------------------
@@ -212,16 +215,17 @@ def suite_systems(L: MultLattice, max_enum=12) -> list:
                                    "spectrum must be discrete", witness=None)
     out.append(_guard(L, "systems.constructible_discrete", constructible_discrete))
 
-    def closure_equivalence():
-        pts = sorted(spectrum(L).primes)
-        if len(pts) > max_enum:
-            return
-        subsets = [frozenset(c) for r in range(len(pts) + 1)
-                   for c in itertools.combinations(pts, r)]
-        for xs in subsets:
-            for ys in subsets:
-                sys_mod.equal_saturations(L, xs, ys)
-    out.append(_guard(L, "systems.closure_equivalence", closure_equivalence))
+    pts = sorted(primes_of(L))
+    if len(pts) > max_enum:
+        out.append(_skip(L, "systems.closure_equivalence", "spectrum above max_enum"))
+    else:
+        def closure_equivalence():
+            subsets = [frozenset(c) for r in range(len(pts) + 1)
+                       for c in itertools.combinations(pts, r)]
+            for xs in subsets:
+                for ys in subsets:
+                    sys_mod.equal_saturations(L, xs, ys)
+        out.append(_guard(L, "systems.closure_equivalence", closure_equivalence))
 
     if ax.m_distributive:
         out.append(_guard(L, "systems.correspondence",
@@ -436,7 +440,7 @@ def verify_all(lattices, suites=("all",), *, max_enum: int = 12) -> VerifyReport
     names = list(SUITES) if "all" in suites else [s for s in suites if s in SUITES]
     unknown = [s for s in suites if s not in SUITES and s != "all"]
     if unknown:
-        raise ValueError(f"unknown suites: {unknown}")
+        raise BadParams(f"unknown suites: {unknown}")
     results = []
     for L in lattices:
         for s in names:

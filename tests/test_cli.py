@@ -56,6 +56,19 @@ def test_check_exhaustive_corpus_above_four_is_bad_input(capsys):
     assert "BadParams" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("spec", "gen:chain:abc"),
+    ("spec", "gen:random:5:bogus"),
+    ("construct", "interval:(2)", "gen:zn:12"),
+    ("check", "nosuch", "gen:zn:12"),
+    ("check", "all", "--corpus", "exhaustive:x"),
+])
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: BadParams: ") and err.count("\n") == 1
+
+
 def test_series_by_label(capsys):
     code, out, _ = run(capsys, "series", "(2)", "gen:zn:12")
     assert code == 0
@@ -138,5 +151,10 @@ def test_families_with_explicit_family(capsys):
 
 def test_construct_product(capsys, z12_file):
     code, out, _ = run(capsys, "construct", f"product:{z12_file}", "gen:chain:2:meet")
+    assert code == 0
+    assert json.loads(out)["partition_ok"]
+
+    # the factor may be a generator spec, colons included
+    code, out, _ = run(capsys, "construct", "product:gen:chain:2:meet", "gen:zn:12")
     assert code == 0
     assert json.loads(out)["partition_ok"]

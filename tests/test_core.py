@@ -5,7 +5,7 @@ import pytest
 from multlattice import core
 from multlattice.core import (MultNotBounded, NotALattice, NotAPartialOrder,
                               NotGenerated, check_axioms, compact_elements,
-                              glb, lub, validate)
+                              validate)
 
 from conftest import mk_chain
 
@@ -78,14 +78,14 @@ def test_generation_check():
 def test_lub_glb_conventions_and_oracle():
     L = validate(size=4, covers=[(0, 1), (0, 2), (1, 3), (2, 3)],
                  mult=lambda x, y: 0, name="M2")
-    assert lub(L, []) == L.bottom
-    assert glb(L, []) == L.top
-    assert lub(L, {1, 2}) == 3
-    assert glb(L, {1, 2}) == 0
+    assert L.lub([]) == L.bottom
+    assert L.glb([]) == L.top
+    assert L.lub({1, 2}) == 3
+    assert L.glb({1, 2}) == 0
     for r in range(1, 5):
         for xs in itertools.combinations(range(4), r):
-            assert lub(L, xs) == brute_lub(L, xs)
-            assert glb(L, xs) == brute_glb(L, xs)
+            assert L.lub(xs) == brute_lub(L, xs)
+            assert L.glb(xs) == brute_glb(L, xs)
 
 
 def test_compact_elements_is_everything(named_corpus):

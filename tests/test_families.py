@@ -15,6 +15,10 @@ def brute_residual_left(L, a, b):
     return L.lub([x for x in L.elements if L.leq(L.mult(x, b), a)])
 
 
+def brute_residual_right(L, a, b):
+    return L.lub([x for x in L.elements if L.leq(L.mult(b, x), a)])
+
+
 def test_residual_with_top_target():
     L = mk_chain(3, min)
     for b in L.elements:
@@ -40,6 +44,7 @@ def test_residuals_match_oracle(small_exhaustive_corpus):
         for a in L.elements:
             for b in L.elements:
                 assert residual_left(L, a, b) == brute_residual_left(L, a, b)
+                assert residual_right(L, a, b) == brute_residual_right(L, a, b)
 
 
 def test_annihilators_zero_mult():

@@ -25,18 +25,18 @@ def brute_is_m_system(L, S):
 def test_singleton_bottom_is_m_system():
     L = mk_chain(3, min)
     ms = classify_system(L, {0})
-    assert ms.is_m_system and ms.kind == "both"
+    assert ms.is_m and ms.kind == "both"
 
 
 def test_singleton_top_with_idempotent_top():
     L = mk_chain(2, min)
-    assert classify_system(L, {1}).is_m_system
+    assert classify_system(L, {1}).is_m
 
 
 def test_upper_pair_on_meet_chain_saturated():
     L = mk_chain(3, min)
     ms = classify_system(L, {1, 2})
-    assert ms.is_m_system and ms.saturated
+    assert ms.is_m and ms.saturated
 
 
 def test_empty_set_is_neither():

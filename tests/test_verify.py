@@ -1,6 +1,8 @@
 import pytest
 
+from multlattice import families
 from multlattice.core import BadParams, check_axioms
+from multlattice.ingest import chain
 from multlattice.verify import (CorpusSpec, LATTICE_SHAPES,
                                 corpus_exhaustive_tables, corpus_random_tables,
                                 enumerate_tables, shape_lattice, verify_all)
@@ -103,3 +105,25 @@ def test_enumerate_tables_covers_every_bounded_table():
     base = shape_lattice("chain2")
     tables = [tuple(map(tuple, t)) for t in enumerate_tables(base)]
     assert tables == [((0, 0), (0, 0)), ((0, 0), (0, 1))]
+
+
+def test_unexpected_exception_is_a_failure_of_its_lattice(monkeypatch):
+    original = families.annihilators
+
+    def annihilators(L, x):
+        if L.name == "chain3_meet":
+            raise RuntimeError("boom")
+        return original(L, x)
+
+    monkeypatch.setattr(families, "annihilators", annihilators)
+    rep = verify_all([chain(3, "meet"), chain(3, "zero")])
+    failures = [(r.lattice, r.check, r.detail) for r in rep.results if not r.passed]
+    assert failures == [("chain3_meet", "families.annihilators", "RuntimeError: boom")]
+    assert {r.lattice for r in rep.results} == {"chain3_meet", "chain3_zero"}
+
+
+def test_closure_equivalence_above_max_enum_is_skipped():
+    rep = verify_all(chain(6, "meet"), ("systems",), max_enum=3)
+    [result] = [r for r in rep.results if r.check == "systems.closure_equivalence"]
+    assert result.skipped and result.detail == "spectrum above max_enum"
+    assert rep.failed == 0 and rep.skipped == 1
