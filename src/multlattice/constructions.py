@@ -63,6 +63,8 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
 
     The sublattice keeps the parent's order tables, restricted, so
     :func:`validate` checks only the multiplication bound and the labels.
+    The restricted order, the element list and the shift z -> z v x are
+    computed once per parent order and shared by every lattice on it.
     When ``x`` is bottom the new multiplication agrees with the restriction
     of the parent multiplication; this is asserted.
     """
@@ -71,30 +73,42 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     return memo(L, ("interval", x, y), lambda: _interval(L, x, y))
 
 
-def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
-    elems = [z for z in L.elements if L.relation[x][z] and L.relation[z][y]]
+def _restrict(table, elems, cell) -> tuple:
+    """``table`` on ``elems`` x ``elems``, each entry mapped through ``cell``."""
+    return _rows([cell[table[a][b]] for a in elems for b in elems], len(elems))
+
+
+def _interval_order(order: OrderData, x: int, y: int) -> tuple:
+    """The parent elements of [x, y], the shift z -> z v x on every z <= y
+    (so on every product of interval elements) as interval indices, and the
+    restricted order."""
+    rel = order.relation
+    elems = tuple(z for z in range(order.size) if rel[x][z] and rel[z][y])
     index = {z: i for i, z in enumerate(elems)}
-    size = len(elems)
-    # z -> z v x on every z <= y, so on every product of interval elements
-    shifted = {z: index[L.join_table[z][x]] for z in L.elements if L.relation[z][y]}
+    shifted = {z: index[order.join_table[z][x]]
+               for z in range(order.size) if rel[z][y]}
+    restricted = OrderData(len(elems),
+                           _rows([rel[a][b] for a in elems for b in elems], len(elems)),
+                           _restrict(order.join_table, elems, index),
+                           _restrict(order.meet_table, elems, index),
+                           index[x], index[y])
+    return elems, shifted, restricted
 
-    def restrict(table, cell):
-        return _rows([cell[table[a][b]] for a in elems for b in elems], size)
 
-    relation = _rows([L.relation[a][b] for a in elems for b in elems], size)
-    order = OrderData(size, relation, restrict(L.join_table, index),
-                      restrict(L.meet_table, index), index[x], index[y])
-    M = validate(order=order, mult=restrict(L.mult_table, shifted),
+def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
+    elems, shifted, order = memo(L.order, ("interval", x, y),
+                                 lambda: _interval_order(L.order, x, y))
+    M = validate(order=order, mult=_restrict(L.mult_table, elems, shifted),
                  labels=[L.labels[z] for z in elems],
                  name=f"{L.name}[{L.labels[x]},{L.labels[y]}]")
     if x == L.bottom:
-        for i in range(size):
-            for j in range(size):
+        for i in range(order.size):
+            for j in range(order.size):
                 if elems[M.mult_table[i][j]] != L.mult_table[elems[i]][elems[j]]:
                     raise TheoremViolation(
                         "interval from bottom must restrict the multiplication",
                         witness=(elems[i], elems[j]))
-    return IntervalLattice(M, L, x, y, tuple(elems))
+    return IntervalLattice(M, L, x, y, elems)
 
 
 @dataclass
@@ -151,28 +165,36 @@ class ProductLattice:
 def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     """Componentwise order and multiplication on pairs, indexed row-major.
 
-    The order tables come componentwise from the factors, so :func:`validate`
-    checks only the multiplication bound, the generators (pairs of factor
-    generators or bottoms) and the labels."""
+    The order tables come componentwise from the factors, once per pair of
+    factor orders, so :func:`validate` checks only the multiplication bound,
+    the generators (pairs of factor generators or bottoms) and the labels."""
     return memo(L1, ("product", id(L2)), lambda: _product(L1, L2))
 
 
+def _pairs(t1, t2) -> tuple:
+    """The componentwise table of two factor tables, on row-major pairs."""
+    n2 = len(t2)
+    return _rows([a * n2 + b for r1 in t1 for r2 in t2 for a in r1 for b in r2],
+                 len(t1) * n2)
+
+
+def _product_order(o1: OrderData, o2: OrderData) -> OrderData:
+    n2 = o2.size
+    relation = _rows([a and b for r1 in o1.relation for r2 in o2.relation
+                      for a in r1 for b in r2], o1.size * n2)
+    return OrderData(o1.size * n2, relation, _pairs(o1.join_table, o2.join_table),
+                     _pairs(o1.meet_table, o2.meet_table),
+                     o1.bottom * n2 + o2.bottom, o1.top * n2 + o2.top)
+
+
 def _product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
+    order = memo(L1.order, ("product", L2.order),
+                 lambda: _product_order(L1.order, L2.order))
     n2 = L2.size
-    size = L1.size * n2
-
-    def pairs(t1, t2):
-        return _rows([a * n2 + b for r1 in t1 for r2 in t2 for a in r1 for b in r2], size)
-
-    relation = _rows([a and b for r1 in L1.relation for r2 in L2.relation
-                      for a in r1 for b in r2], size)
-    order = OrderData(size, relation, pairs(L1.join_table, L2.join_table),
-                      pairs(L1.meet_table, L2.meet_table),
-                      L1.bottom * n2 + L2.bottom, L1.top * n2 + L2.top)
     labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
     gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
                      for b in L2.generators | {L2.bottom})
-    M = validate(order=order, mult=pairs(L1.mult_table, L2.mult_table),
+    M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
                  generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
     return ProductLattice(M, L1, L2)
 
@@ -283,27 +305,37 @@ class LatticeMorphism:
 
 def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphism:
     """Validate the morphism laws; :class:`NotAMorphism` names the violated
-    law and a witness."""
+    law and a witness.  The order laws are checked once per source order,
+    target order and mapping; submultiplicativity on every call."""
     f = tuple(int(mapping[x]) for x in source.elements)
-    if len(f) != source.size or any(not 0 <= v < target.size for v in f):
-        raise NotAMorphism("mapping is not a function into the target",
-                           witness=f)
-    if f[source.bottom] != target.bottom:
-        raise NotAMorphism("bottom (the empty join) is not preserved",
-                           witness=source.bottom)
-    for x in source.elements:
-        for y in source.elements:
-            if f[source.join_table[x][y]] != target.join_table[f[x]][f[y]]:
-                raise NotAMorphism(f"join not preserved at ({x}, {y})",
-                                   witness=(x, y))
-    if f[source.top] != target.top:
-        raise NotAMorphism("top is not preserved", witness=source.top)
-    for x in source.elements:
-        for y in source.elements:
-            if not target.relation[target.mult_table[f[x]][f[y]]][f[source.mult_table[x][y]]]:
+    memo(source.order, ("morphism", target.order, f),
+         lambda: _order_laws(source.order, target.order, f))
+    rel, tmult = target.relation, target.mult_table
+    for x, row in enumerate(source.mult_table):
+        fx_row = tmult[f[x]]
+        for y, xy in enumerate(row):
+            if not rel[fx_row[f[y]]][f[xy]]:
                 raise NotAMorphism(
                     f"submultiplicativity fails at ({x}, {y})", witness=(x, y))
     return LatticeMorphism(source, target, f)
+
+
+def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
+    """Raise :class:`NotAMorphism` unless ``f`` maps into ``tgt`` and
+    preserves bottom, binary joins and top."""
+    if len(f) != src.size or any(not 0 <= v < tgt.size for v in f):
+        raise NotAMorphism("mapping is not a function into the target",
+                           witness=f)
+    if f[src.bottom] != tgt.bottom:
+        raise NotAMorphism("bottom (the empty join) is not preserved",
+                           witness=src.bottom)
+    for x in range(src.size):
+        for y in range(src.size):
+            if f[src.join_table[x][y]] != tgt.join_table[f[x]][f[y]]:
+                raise NotAMorphism(f"join not preserved at ({x}, {y})",
+                                   witness=(x, y))
+    if f[src.top] != tgt.top:
+        raise NotAMorphism("top is not preserved", witness=src.top)
 
 
 def identity_morphism(L: MultLattice) -> LatticeMorphism:
@@ -337,16 +369,20 @@ def projection_morphisms(P: ProductLattice) -> tuple:
 
 def right_adjoint(f: LatticeMorphism) -> tuple:
     """u with f(x) <= y iff x <= u(y), as a table indexed by target elements.
-    The biconditional is asserted exhaustively."""
-    src, tgt = f.source, f.target
-    u = []
-    for y in tgt.elements:
-        dy = tgt.down_masks[y]
-        u.append(src.lub(x for x in src.elements if dy >> f.mapping[x] & 1))
-    u = tuple(u)
-    for x in src.elements:
-        for y in tgt.elements:
-            if (tgt.relation[f.mapping[x]][y]) != (src.relation[x][u[y]]):
+    The biconditional is asserted exhaustively, once per source order,
+    target order and mapping: both sides depend on the orders alone."""
+    src, tgt = f.source.order, f.target.order
+    return memo(src, ("adjoint", tgt, f.mapping),
+                lambda: _right_adjoint(src, tgt, f.mapping))
+
+
+def _right_adjoint(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
+    down = tgt.masks()[0]
+    u = tuple(src.lub(x for x in range(src.size) if down[y] >> f[x] & 1)
+              for y in range(tgt.size))
+    for x in range(src.size):
+        for y in range(tgt.size):
+            if tgt.relation[f[x]][y] != src.relation[x][u[y]]:
                 raise TheoremViolation(
                     f"adjunction biconditional fails at ({x}, {y})",
                     witness=(x, y))

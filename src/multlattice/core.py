@@ -107,23 +107,30 @@ class MultLattice:
     integer bitmasks, which the enumeration-heavy modules use for O(1)
     subset queries.
 
+    The order side lives in ``order``, an :class:`OrderData` that every
+    lattice on the same order shares (``replace_mult`` and the derived
+    lattices of ``constructions`` pass it on); ``relation``, ``join_table``,
+    ``meet_table``, ``bottom``, ``top`` and the masks are read from it.  What
+    depends on the multiplication, generators or labels is cached per
+    lattice in ``_cache``.
+
     Do not construct directly; use :func:`validate`.
     """
 
-    def __init__(self, size, relation, mult_table, join_table, meet_table,
-                 bottom, top, generators, labels, name):
-        self.size = size
-        self.relation = relation          # tuple of tuples of bool
+    def __init__(self, order, mult_table, generators, labels, name):
+        self.order = order
+        self.size = order.size
+        self.relation = order.relation    # tuple of tuples of bool
         self.mult_table = mult_table      # tuple of tuples of int
-        self.join_table = join_table
-        self.meet_table = meet_table
-        self.bottom = bottom
-        self.top = top
+        self.join_table = order.join_table
+        self.meet_table = order.meet_table
+        self.bottom = order.bottom
+        self.top = order.top
         self.generators = generators      # frozenset of indices
         self.labels = labels              # tuple of str
         self.name = name
-        self.down_masks, self.up_masks = _masks(size, relation)
-        self.full_mask = (1 << size) - 1
+        self.down_masks, self.up_masks = order.masks()
+        self.full_mask = (1 << self.size) - 1
         self._cache = {}
 
     # -- order and algebra queries
@@ -145,10 +152,7 @@ class MultLattice:
 
     def lub(self, xs: Iterable[int]) -> int:
         """Least upper bound of a set of elements; the empty join is bottom."""
-        out = self.bottom
-        for x in xs:
-            out = self.join_table[out][x]
-        return out
+        return self.order.lub(xs)
 
     def glb(self, xs: Iterable[int]) -> int:
         """Greatest lower bound of a set of elements; the empty meet is top."""
@@ -169,18 +173,7 @@ class MultLattice:
 
     def covers(self):
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram."""
-        def build():
-            out = []
-            for a in range(self.size):
-                for b in range(self.size):
-                    if a == b or not self.relation[a][b]:
-                        continue
-                    if any(self.relation[a][c] and self.relation[c][b]
-                           and c != a and c != b for c in range(self.size)):
-                        continue
-                    out.append((a, b))
-            return tuple(sorted(out))
-        return memo(self, "covers", build)
+        return self.order.covers()
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -205,9 +198,13 @@ class MultLattice:
         return f"MultLattice({self.name!r}, size={self.size})"
 
 
-def memo(L: MultLattice, key, build):
-    """``build()``, computed once per lattice and key and kept on ``L``."""
-    cache = L._cache
+def memo(owner, key, build):
+    """``build()``, computed once per owner and key and kept in
+    ``owner._cache``.  The owner is a :class:`MultLattice`, or an
+    :class:`OrderData` for values that depend on the order alone.  Nothing
+    is stored when ``build()`` raises, so a failure is raised again on the
+    next call."""
+    cache = owner._cache
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -261,15 +258,50 @@ def _check_partial_order(size: int, rel) -> None:
                         f"transitivity fails at ({i}, {j}, {k})", witness=(i, j, k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderData:
-    """The order side of a lattice, before any multiplication is attached."""
+    """The order side of a lattice, before any multiplication is attached.
+
+    One object is shared by every lattice on the same order, so it has
+    identity equality and can key caches.  ``_cache`` holds, through
+    :func:`memo`, what is computed from the order alone: the masks and
+    covers here, the interval and product orders, the maximal and
+    meet-irreducible flags and the order laws of morphisms elsewhere.
+    """
     size: int
     relation: tuple
     join_table: tuple
     meet_table: tuple
     bottom: int
     top: int
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def masks(self) -> tuple:
+        """The down- and up-set of every element as integer bitmasks."""
+        return memo(self, "masks", lambda: _masks(self.size, self.relation))
+
+    def covers(self) -> tuple:
+        """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram."""
+        def build():
+            rel = self.relation
+            out = []
+            for a in range(self.size):
+                for b in range(self.size):
+                    if a == b or not rel[a][b]:
+                        continue
+                    if any(rel[a][c] and rel[c][b]
+                           and c != a and c != b for c in range(self.size)):
+                        continue
+                    out.append((a, b))
+            return tuple(sorted(out))
+        return memo(self, "covers", build)
+
+    def lub(self, xs: Iterable[int]) -> int:
+        """Least upper bound of a set of elements; the empty join is bottom."""
+        out = self.bottom
+        for x in xs:
+            out = self.join_table[out][x]
+        return out
 
 
 def build_order(*, size: int | None = None, covers=None, relation=None) -> OrderData:
@@ -330,9 +362,11 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
     for x in range(size):
         bottom = meet_table[bottom][x]
         top = join_table[top][x]
-    return OrderData(size, tuple(tuple(r) for r in rel),
-                     tuple(tuple(r) for r in join_table),
-                     tuple(tuple(r) for r in meet_table), bottom, top)
+    order = OrderData(size, tuple(tuple(r) for r in rel),
+                      tuple(tuple(r) for r in join_table),
+                      tuple(tuple(r) for r in meet_table), bottom, top)
+    order._cache["masks"] = down_masks, up_masks
+    return order
 
 
 def validate(*, size: int | None = None,
@@ -349,8 +383,9 @@ def validate(*, size: int | None = None,
     (the reflexive-transitive closure is taken), as a full boolean relation
     (which is then verified to be a partial order), or as the
     :class:`OrderData` of a lattice derived from validated ones, which skips
-    the partial-order check and the join/meet search.  The multiplication
-    bound, generators and labels are checked in every case.  ``mult`` is a
+    the partial-order check and the join/meet search; the new lattice shares
+    that object and what is cached on it.  The multiplication bound,
+    generators and labels are checked in every case.  ``mult`` is a
     full ``size x size`` table of indices or a callable ``(x, y) -> index``.
 
     Raises :class:`NotAPartialOrder`, :class:`NotALattice`,
@@ -366,7 +401,6 @@ def validate(*, size: int | None = None,
     join_table = order.join_table
     meet_table = order.meet_table
     bottom = order.bottom
-    top = order.top
 
     table = _bounded_table(size, rel, meet_table, mult)
     gens = frozenset(range(size)) if generators is None else frozenset(generators)
@@ -388,8 +422,7 @@ def validate(*, size: int | None = None,
         if len(labels) != size:
             raise BadParams("labels must match size")
 
-    return MultLattice(size, rel, table, join_table, meet_table,
-                       bottom, top, gens, labels, name)
+    return MultLattice(order, table, gens, labels, name)
 
 
 def _bounded_table(size: int, rel, meet_table, mult) -> tuple:
@@ -418,12 +451,11 @@ def replace_mult(base: MultLattice, mult_table, name: str | None = None) -> Mult
     """A lattice with the same order as ``base`` but a different multiplication.
 
     Used by the table enumerators: only the boundedness of the new table has
-    to be re-checked, the order-side structure is shared.
+    to be re-checked; the new lattice shares ``base.order`` and with it
+    everything cached on the order.
     """
     table = _bounded_table(base.size, base.relation, base.meet_table, mult_table)
-    return MultLattice(base.size, base.relation, table,
-                       base.join_table, base.meet_table, base.bottom, base.top,
-                       base.generators, base.labels,
+    return MultLattice(base.order, table, base.generators, base.labels,
                        base.name if name is None else name)
 
 

@@ -238,7 +238,12 @@ def export_text(L: MultLattice) -> str:
 SCHEMA_VERSION = 1
 
 
+_LEAVES = frozenset({str, int, bool, float, type(None)})
+
+
 def _jsonable(value):
+    if type(value) in _LEAVES:
+        return value
     if isinstance(value, frozenset):
         return sorted(_jsonable(v) for v in value)
     if isinstance(value, (set, tuple, list)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (MDistributivityRequired, MultLattice, NotMaximal,
-                   PrimeElement, HypothesesFail, TheoremViolation,
+                   OrderData, PrimeElement, HypothesesFail, TheoremViolation,
                    check_axioms, memo)
 
 
@@ -189,6 +189,7 @@ def classify_all(L: MultLattice) -> tuple:
 def _classify_all(L: MultLattice) -> tuple:
     n = L.size
     mt = L.mult_table
+    order_flags = memo(L.order, "order_flags", lambda: _order_flags(L.order))
     out = []
     for x in range(n):
         down = L.down_masks[x]
@@ -196,23 +197,37 @@ def _classify_all(L: MultLattice) -> tuple:
         prime = x != L.top and all(
             not down >> mt[a][b] & 1 for a in outside for b in outside)
         semiprime = all(not down >> mt[a][a] & 1 for a in outside)
-        maximal = x != L.top and L.up_masks[x] == (1 << x) | (1 << L.top)
+        out.append(ElementFlags(prime, semiprime, *order_flags[x]))
+    return tuple(out)
+
+
+def _order_flags(order: OrderData) -> tuple:
+    """(maximal, meet-irreducible) for every element: they depend on the
+    order alone, so they are computed once per order."""
+    n = order.size
+    top = order.top
+    up_masks = order.masks()[1]
+    out = []
+    for x in range(n):
+        maximal = x != top and up_masks[x] == (1 << x) | (1 << top)
         meet_irreducible = True
         for y in range(n):
             if y == x:
                 continue
             for z in range(n):
-                if z != x and L.meet_table[y][z] == x:
+                if z != x and order.meet_table[y][z] == x:
                     meet_irreducible = False
                     break
             if not meet_irreducible:
                 break
-        out.append(ElementFlags(prime, semiprime, maximal, meet_irreducible))
+        out.append((maximal, meet_irreducible))
     return tuple(out)
 
 
 def primes_of(L: MultLattice) -> frozenset:
-    return frozenset(x for x in L.elements if classify_all(L)[x].prime)
+    """The prime elements of ``L``, cached on the lattice."""
+    return memo(L, "primes", lambda: frozenset(
+        x for x, flags in enumerate(classify_all(L)) if flags.prime))
 
 
 def v_set(L: MultLattice, x: int, primes: frozenset | None = None) -> frozenset:

@@ -497,8 +497,8 @@ def enumerate_tables(base: MultLattice):
 def corpus_exhaustive_tables(max_size: int = 4):
     """All bounded tables on all lattice shapes of at most ``max_size``
     elements (up to isomorphism of the underlying order)."""
-    if max_size > 4:
-        raise BadParams(f"exhaustive tables go up to 4 elements, not {max_size}")
+    if not 1 <= max_size <= 4:
+        raise BadParams(f"exhaustive tables go from 1 to 4 elements, not {max_size}")
     out = []
     for name, (size, _) in sorted(LATTICE_SHAPES.items()):
         if size > max_size:
@@ -512,6 +512,8 @@ def corpus_exhaustive_tables(max_size: int = 4):
 def corpus_random_tables(count: int = 1000, seed: int = 1729,
                          shapes=("chain5", "pentagon", "m3", "chain6", "grid2x3")):
     """A seeded random sample of bounded tables on 5/6-element shapes."""
+    if count < 1:
+        raise BadParams(f"a random corpus needs at least one table, not {count}")
     out = []
     per = count // len(shapes)
     extra = count - per * len(shapes)

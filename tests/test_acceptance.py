@@ -6,6 +6,7 @@ corpus plus the seeded random sample; tolerances are exact set equalities
 throughout.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -17,9 +18,9 @@ from multlattice.families import residual_left
 from multlattice.ingest import chain, export_text, parse, to_json, zn_ideals
 from multlattice.spectrum import spectrum
 from multlattice.constructions import interval, open_subspace_homeo
-from multlattice.verify import (corpus_exhaustive_tables, corpus_named,
-                                corpus_random_tables, report_to_json,
-                                verify_all)
+from multlattice.verify import (VerifyReport, corpus_exhaustive_tables,
+                                corpus_named, corpus_random_tables,
+                                report_to_json, verify_all)
 
 from conftest import corpus_hundred
 
@@ -158,3 +159,19 @@ def test_criterion_6_determinism_and_round_trip():
     ok = identical and roundtrips and single and len(hundred) == 100
     announce(6, ok, "seeded reports byte-identical; parse(export) is the "
                     "identity on 100 corpus lattices")
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report_to_json(report).encode()).hexdigest()
+
+
+def test_reports_match_recorded_digests(sweep):
+    """The sweep's merged report and the named corpus report are
+    byte-identical to the recorded ones."""
+    expected = json.loads((DATA / "report_digests.json").read_text())
+    results = sorted(sweep["results"], key=lambda r: (r.lattice, r.check))
+    merged = VerifyReport(tuple(results), len(results),
+                          sum(1 for r in results if not r.passed),
+                          sum(1 for r in results if r.skipped))
+    assert _digest(merged) == expected["sweep"]
+    assert _digest(verify_all(corpus_named())) == expected["named"]

@@ -62,6 +62,9 @@ def test_check_exhaustive_corpus_above_four_is_bad_input(capsys):
     ("construct", "interval:(2)", "gen:zn:12"),
     ("check", "nosuch", "gen:zn:12"),
     ("check", "all", "--corpus", "exhaustive:x"),
+    ("check", "all", "--corpus", "random:-5"),
+    ("check", "all", "--corpus", "random:0"),
+    ("check", "all", "--corpus", "exhaustive:0"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -10,12 +10,13 @@ from multlattice.constructions import (closed_subspace_spec,
                                        projection_morphisms,
                                        quotient_morphism, right_adjoint,
                                        spec_map)
-from multlattice.core import (BadParams, HypothesesFail, NotAMorphism,
-                              NotComparable, NotPrimeInInterval, build_order,
-                              check_axioms, validate)
+from multlattice.core import (BadParams, HypothesesFail, LatticeError,
+                              NotAMorphism, NotComparable, NotPrimeInInterval,
+                              build_order, check_axioms, replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import classify_all, hyperabelian_report, spectrum
-from multlattice.verify import corpus_exhaustive_tables
+from multlattice.verify import (corpus_exhaustive_tables, enumerate_tables,
+                                shape_lattice)
 
 from conftest import mk_chain
 
@@ -171,6 +172,94 @@ def test_derived_lattices_match_validation_from_scratch(named_corpus):
                 assert_same_lattice(M, interval_from_scratch(L, x, y))
                 shifted_bottoms += M.bottom != 0
     assert shifted_bottoms  # some interval bottom is not its index 0
+
+
+def test_tables_on_one_shape_share_derived_orders():
+    base = shape_lattice("diamond")
+    tables = list(enumerate_tables(base))
+    A = replace_mult(base, tables[5], name="a")
+    B = replace_mult(base, tables[-5], name="b")
+    partner = chain(2, "meet")
+    assert A.order is B.order
+    assert product(A, partner).lattice.order is product(B, partner).lattice.order
+    for x in A.elements:
+        for y in A.up(x):
+            assert interval(A, x, y).lattice.order is interval(B, x, y).lattice.order
+    # the product order is keyed by the partner's order, not by its table
+    other = replace_mult(partner, [[0, 0], [0, 0]])
+    assert product(A, other).lattice.order is product(B, partner).lattice.order
+    assert product(A, chain(2, "meet")).lattice.order is not product(A, partner).lattice.order
+
+
+def outcome(fn):
+    """What ``fn()`` returns, or the type, message and witness it raises."""
+    try:
+        return fn()
+    except LatticeError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+
+
+def derived_views(L, partners):
+    """Every interval, product, projection spectrum map and quotient morphism
+    of ``L``, as comparable values."""
+    out = {}
+    for x in L.elements:
+        for y in L.up(x):
+            iv = interval(L, x, y)
+            out["interval", x, y] = iv.lattice, iv.embedding
+    for k, partner in enumerate(partners):
+        P = product(L, partner)
+        out["product", k] = P.lattice, None
+        for side, f in enumerate(projection_morphisms(P)):
+            rep = spec_map(f)
+            out["projection", k, side] = rep.adjoint, rep.point_map
+    for l in L.elements:
+        out["quotient", l] = outcome(lambda: quotient_morphism(L, l).mapping), None
+    return out
+
+
+@pytest.mark.parametrize("shape", ["chain3", "diamond", "chain4"])
+def test_order_cache_leaks_nothing_between_tables(shape):
+    """Lattices that share an order, visited in either order, give the same
+    derived lattices and morphisms as lattices validated from scratch."""
+    tables = list(enumerate_tables(shape_lattice(shape)))
+    tables = tables[::len(tables) // 12 + 1]
+    partners = (chain(2, "meet"), chain(2, "zero"))
+    for ordered in (tables, tables[::-1]):
+        base = shape_lattice(shape)
+        shared = [replace_mult(base, t, name=f"{shape}#{i}")
+                  for i, t in enumerate(ordered)]
+        for L in shared:
+            scratch = validate(relation=L.relation, mult=L.mult_table,
+                               generators=L.generators, labels=L.labels,
+                               name=L.name)
+            assert scratch.order is not L.order
+            got, want = derived_views(L, partners), derived_views(scratch, partners)
+            assert got.keys() == want.keys()
+            for key, (value, extra) in got.items():
+                if isinstance(value, type(L)):
+                    assert_same_lattice(value, want[key][0])
+                    assert extra == want[key][1], (L.name, key)
+                else:
+                    assert (value, extra) == want[key], (L.name, key)
+        # derived lattices of every table share one order per construction
+        first, last = shared[0], shared[-1]
+        assert (interval(first, first.bottom, first.top).lattice.order
+                is interval(last, last.bottom, last.top).lattice.order)
+
+
+def test_failed_order_law_fails_on_every_lattice_sharing_the_order():
+    base = shape_lattice("diamond")
+    tables = list(enumerate_tables(base))
+    A = replace_mult(base, tables[0], name="a")
+    B = replace_mult(base, tables[-1], name="b")
+    assert A.order is B.order
+    target = mk_chain(3, min)
+    # f(1) v f(2) = 1, but f(1 v 2) = f(3) = 2
+    for L in (A, B, A):
+        with pytest.raises(NotAMorphism, match="join not preserved") as info:
+            morphism(L, target, (0, 1, 1, 2))
+        assert info.value.witness == (1, 2)
 
 
 @pytest.mark.parametrize("extra", [{"size": 2}, {"covers": [(0, 1)]},

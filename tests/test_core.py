@@ -164,7 +164,9 @@ def test_axiom_implications_hold_exhaustively(small_exhaustive_corpus):
 def test_replace_mult_shares_order():
     base = mk_chain(3, min)
     L = core.replace_mult(base, [[0, 0, 0], [0, 0, 0], [0, 0, 0]], name="z")
+    assert L.order is base.order
     assert L.join_table is base.join_table
+    assert L.down_masks is base.down_masks
     assert L.mult(2, 2) == 0
     with pytest.raises(MultNotBounded):
         core.replace_mult(base, [[0, 0, 0], [0, 0, 2], [0, 0, 0]])
