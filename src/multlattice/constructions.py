@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   TheoremViolation, check_axioms, memo, validate)
+                   TheoremViolation, memo, require, validate)
 from .spectrum import (classify_all, d_set, hyperabelian_report, primes_of,
                        spectrum, v_set)
 from .families import residual_left, residual_right
@@ -53,9 +53,6 @@ class IntervalLattice:
 
     def to_parent_set(self, xs) -> frozenset:
         return frozenset(self.embedding[i] for i in xs)
-
-    def from_parent_set(self, xs) -> frozenset:
-        return frozenset(self.embedding.index(x) for x in xs)
 
 
 def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
@@ -124,11 +121,8 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
     """Identify Spec([l, top]) with the closed set V(l), elementwise through
     the embedding, and check that the interval is a prime lattice (its bottom
     is prime) exactly when ``l`` is prime."""
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        raise MDistributivityRequired("the closed-subspace identification "
-                                      "needs m-distributivity",
-                                      witness=ax.witnesses.get("m_distributive"))
+    require(L, ("m_distributive",), MDistributivityRequired,
+            "the closed-subspace identification needs m-distributivity")
     iv = interval(L, l, L.top)
     spec_iv = iv.to_parent_set(primes_of(iv.lattice))
     vl = v_set(L, l)
@@ -260,11 +254,8 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     they cover the spectrum iff n1*n2 is below the semiprime radical; the
     clopen-partition criterion is the conjunction.  All three equivalences
     are asserted."""
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        raise MDistributivityRequired("the disjointness criterion needs "
-                                      "m-distributivity for its interval leg",
-                                      witness=ax.witnesses.get("m_distributive"))
+    require(L, ("m_distributive",), MDistributivityRequired,
+            "the disjointness criterion needs m-distributivity for its interval leg")
     rep = spectrum(L)
     v1 = v_set(L, n1, rep.primes)
     v2 = v_set(L, n2, rep.primes)
@@ -307,7 +298,7 @@ def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphi
     """Validate the morphism laws; :class:`NotAMorphism` names the violated
     law and a witness.  The order laws are checked once per source order,
     target order and mapping; submultiplicativity on every call."""
-    f = tuple(int(mapping[x]) for x in source.elements)
+    f = tuple(int(v) for v in mapping)
     memo(source.order, ("morphism", target.order, f),
          lambda: _order_laws(source.order, target.order, f))
     rel, tmult = target.relation, target.mult_table
@@ -426,13 +417,6 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
 # Lying over and the open subspace homeomorphism
 
 
-def _require_infinite_m_dist(L: MultLattice, what: str):
-    ax = check_axioms(L)
-    if not ax.infinitely_m_distributive:
-        raise HypothesesFail(f"{what} needs infinite m-distributivity",
-                             witness=ax.witnesses.get("infinitely_m_distributive"))
-
-
 def lying_over(L: MultLattice, n: int, q: int) -> int:
     """The unique prime ``p`` of ``L`` with p ^ n = q, for ``q`` prime in the
     interval [bottom, n].
@@ -442,7 +426,8 @@ def lying_over(L: MultLattice, n: int, q: int) -> int:
     exhaustive scan confirms existence and uniqueness in Spec(L).  Any
     mismatch between the construction and the scan is a hard failure.
     """
-    _require_infinite_m_dist(L, "lying over")
+    require(L, ("infinitely_m_distributive",), HypothesesFail,
+            "lying over needs infinite m-distributivity")
     if not L.relation[q][n]:
         raise NotPrimeInInterval(f"{q} is not an element of [bottom, {n}]",
                                  witness=q)
@@ -487,7 +472,8 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     """The map p -> p ^ n from the open subspace D(n) onto Spec([bottom, n]),
     verified to be a bijective homeomorphism for the subspace topologies,
     together with the open-set identity for every l."""
-    _require_infinite_m_dist(L, "the open subspace identification")
+    require(L, ("infinitely_m_distributive",), HypothesesFail,
+            "the open subspace identification needs infinite m-distributivity")
     rep = spectrum(L)
     dn = d_set(L, n, rep.primes)
     iv = interval(L, L.bottom, n)

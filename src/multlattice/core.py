@@ -510,6 +510,17 @@ def check_axioms(L: MultLattice, *, infinite_cap: int = 6) -> PropertyReport:
     return memo(L, ("axioms", method), lambda: _check_axioms(L, method))
 
 
+def require(L: MultLattice, flags: tuple, exc: type, message: str) -> PropertyReport:
+    """``check_axioms(L)`` when every one of the named ``flags`` holds;
+    otherwise raise ``exc(message)`` carrying the witness of the first
+    failing flag.  This is the one gate for a statement's hypotheses."""
+    ax = check_axioms(L)
+    for flag in flags:
+        if not getattr(ax, flag):
+            raise exc(message, witness=ax.witnesses.get(flag))
+    return ax
+
+
 def _check_axioms(L: MultLattice, method: str) -> PropertyReport:
     n = L.size
     rel = L.relation

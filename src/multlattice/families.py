@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
-                   check_axioms, compact_elements, memo)
+                   check_axioms, compact_elements, memo, require)
 from .spectrum import classify_all
 from .systems import classify_system
 
@@ -26,33 +26,25 @@ def residual_left(L: MultLattice, a: int, b: int) -> int:
     :func:`residual_tables`.
 
     The defining set always contains bottom, so the join exists.  No
-    adjunction is assumed; when the lattice is infinitely m-distributive the
-    bound mult(residual, b) <= a is asserted.
+    adjunction is assumed.
     """
-    out = residual_tables(L)[0][a][b]
-    if check_axioms(L).infinitely_m_distributive:
-        if not L.relation[L.mult_table[out][b]][a]:
-            raise TheoremViolation(
-                f"residual bound fails: ({a} :l {b}) * {b} !<= {a}",
-                witness=(a, b))
-    return out
+    return residual_tables(L)[0][a][b]
 
 
 def residual_right(L: MultLattice, a: int, b: int) -> int:
     """(a :r b): the join of all x with b*x <= a, read from
     :func:`residual_tables`."""
-    out = residual_tables(L)[1][a][b]
-    if check_axioms(L).infinitely_m_distributive:
-        if not L.relation[L.mult_table[b][out]][a]:
-            raise TheoremViolation(
-                f"residual bound fails: {b} * ({a} :r {b}) !<= {a}",
-                witness=(a, b))
-    return out
+    return residual_tables(L)[1][a][b]
 
 
 def residual_tables(L: MultLattice):
     """Both residual tables, indexed [l][a]; cached on the lattice since the
-    family classifiers evaluate them for every (l, a) pair."""
+    family classifiers evaluate them for every (l, a) pair.
+
+    When the lattice is infinitely m-distributive the bounds
+    (l :l a) * a <= l and a * (l :r a) <= l are asserted for every pair,
+    once, when the tables are built.
+    """
     return memo(L, "residual_tables", lambda: _residual_tables(L))
 
 
@@ -61,6 +53,7 @@ def _residual_tables(L: MultLattice):
     mt = L.mult_table
     jt = L.join_table
     dm = L.down_masks
+    bounded = check_axioms(L).infinitely_m_distributive
     left = [[0] * n for _ in range(n)]
     right = [[0] * n for _ in range(n)]
     for l in range(n):
@@ -77,6 +70,12 @@ def _residual_tables(L: MultLattice):
                 if dl >> row[x] & 1:
                     acc = jt[acc][x]
             right[l][a] = acc
+            if bounded and not dl >> mt[left[l][a]][a] & 1:
+                raise TheoremViolation(f"residual bound fails: ({l} :l {a}) * {a} !<= {l}",
+                                       witness=(l, a))
+            if bounded and not dl >> row[acc] & 1:
+                raise TheoremViolation(f"residual bound fails: {a} * ({l} :r {a}) !<= {l}",
+                                       witness=(l, a))
     return tuple(tuple(r) for r in left), tuple(tuple(r) for r in right)
 
 
@@ -208,10 +207,7 @@ def pip_check(L: MultLattice, F, A=None) -> PipReport:
     """
     family = frozenset(F)
     gens = L.generators if A is None else frozenset(A)
-    ax = check_axioms(L)
-    if not ax.monotone:
-        raise HypothesesFail("monotonicity fails",
-                             witness=ax.witnesses.get("monotone"))
+    ax = require(L, ("monotone",), HypothesesFail, "monotonicity fails")
     for x in L.elements:
         if L.lub(a for a in gens if L.relation[a][x]) != x:
             raise HypothesesFail(

@@ -488,22 +488,11 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
         order_attempts += 1
         if order_attempts > max_tries:
             raise BadParams("could not sample a lattice order; try another seed")
-        rel = [[i == j for j in range(size)] for i in range(size)]
-        for i in range(1, size - 1):
-            for j in range(i + 1, size - 1):
-                if rng.random() < 0.35:
-                    rel[i][j] = True
-        for k in range(size):
-            for i in range(size):
-                if rel[i][k]:
-                    for j in range(size):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        for i in range(size):
-            rel[0][i] = True
-            rel[i][size - 1] = True
+        covers = [(i, j) for i in range(1, size - 1) for j in range(i + 1, size - 1)
+                  if rng.random() < 0.35]
+        covers += [(0, i) for i in range(size)] + [(i, size - 1) for i in range(size)]
         try:
-            base = validate(size=size, relation=rel, mult=lambda x, y: 0,
+            base = validate(size=size, covers=covers, mult=lambda x, y: 0,
                             name=name or f"random{size}_s{seed}")
         except LatticeError:
             base = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MultLattice, TheoremViolation,
-                   check_axioms)
+                   check_axioms, require)
 from .spectrum import hyperabelian_report
 
 
@@ -83,10 +83,8 @@ def solvable_witness_chain(L: MultLattice) -> SolvableChainReport:
     """For a hyperabelian lattice, the greedy squaring chain from bottom to
     top; otherwise the smallest semiprime element below top, which blocks the
     chain.  Requires m-distributivity."""
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        raise MDistributivityRequired("the chain criterion needs m-distributivity",
-                                      witness=ax.witnesses.get("m_distributive"))
+    require(L, ("m_distributive",), MDistributivityRequired,
+            "the chain criterion needs m-distributivity")
     rep = hyperabelian_report(L)
     if rep.hyperabelian:
         chain = rep.chain

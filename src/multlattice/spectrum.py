@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .core import (MDistributivityRequired, MultLattice, NotMaximal,
                    OrderData, PrimeElement, HypothesesFail, TheoremViolation,
-                   check_axioms, memo)
+                   check_axioms, memo, require)
 
 
 # --------------------------------------------------------------------------
@@ -68,14 +68,6 @@ class FiniteTopology:
     def point_closure(self, p) -> frozenset:
         return self.closure({p})
 
-    def interior(self, xs) -> frozenset:
-        xs = frozenset(xs)
-        out = frozenset()
-        for u in self.opens:
-            if u <= xs:
-                out = out | u
-        return out
-
     def saturation(self, xs) -> frozenset:
         """Intersection of all open sets containing ``xs``."""
         xs = frozenset(xs)
@@ -100,11 +92,6 @@ class FiniteTopology:
     def subspace(self, ys) -> "FiniteTopology":
         ys = frozenset(ys)
         return FiniteTopology.from_closed_sets(ys, {c & ys for c in self.closed_sets})
-
-    def specialization_pairs(self) -> frozenset:
-        """Pairs (p, q) with q in the closure of p, p != q."""
-        return frozenset((p, q) for p in self.points
-                         for q in self.point_closure(p) if p != q)
 
 
 def close_family(start, members, op) -> frozenset:
@@ -355,10 +342,8 @@ def maximal_prime_criterion(L: MultLattice, m: int) -> MaximalPrimeReport:
     flags = classify_all(L)[m]
     if not flags.maximal:
         raise NotMaximal(f"element {m} is not maximal", witness=m)
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        raise MDistributivityRequired("maximal-prime criterion needs m-distributivity",
-                                      witness=ax.witnesses.get("m_distributive"))
+    require(L, ("m_distributive",), MDistributivityRequired,
+            "maximal-prime criterion needs m-distributivity")
     below = L.relation[L.mult_table[L.top][L.top]][m]
     if below == flags.prime:
         raise TheoremViolation(
@@ -383,11 +368,8 @@ def non_prime_symmetric_witness(L: MultLattice, p: int) -> tuple:
     """
     if p == L.top:
         raise HypothesesFail("p must differ from top", witness=p)
-    ax = check_axioms(L)
-    if not ax.m_distributive or not ax.associative:
-        raise HypothesesFail(
-            "needs m-distributivity and associativity",
-            witness=ax.witnesses.get("m_distributive") or ax.witnesses.get("associative"))
+    require(L, ("m_distributive", "associative"), HypothesesFail,
+            "needs m-distributivity and associativity")
     if classify_all(L)[p].prime:
         raise PrimeElement(f"element {p} is prime; no witness exists", witness=p)
     down = L.down_masks[p]
@@ -461,10 +443,8 @@ def hyperabelian_report(L: MultLattice, *, max_enum: int = 12) -> HyperabelianRe
 def _hyperabelian_report(L: MultLattice, max_enum: int) -> HyperabelianReport:
     from .systems import saturated_m_systems  # local import to avoid a cycle
 
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        raise MDistributivityRequired("the equivalences need m-distributivity",
-                                      witness=ax.witnesses.get("m_distributive"))
+    require(L, ("m_distributive",), MDistributivityRequired,
+            "the equivalences need m-distributivity")
     flags = classify_all(L)
     witnesses: dict = {}
     notes = ["condition (c) is the finite instantiation: only finite chains are built"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MonotonicityRequired, MultLattice,
                    NotAnMSystem, TheoremViolation, check_axioms, compact_elements,
-                   memo)
+                   memo, require)
 from .spectrum import (FiniteTopology, classify_all, close_family, primes_of,
                        spectrum, topology_from_subbasis, v_set)
 
@@ -104,10 +104,7 @@ def saturate(L: MultLattice, S) -> MSystem:
     ms = classify_system(L, S)
     if not ms.is_m:
         raise NotAnMSystem("input is not an m-system", witness=ms.m_witness)
-    ax = check_axioms(L)
-    if not ax.monotone:
-        raise MonotonicityRequired("saturation needs monotonicity",
-                                   witness=ax.witnesses.get("monotone"))
+    require(L, ("monotone",), MonotonicityRequired, "saturation needs monotonicity")
     mask = 0
     for x in ms.members:
         mask |= L.up_masks[x]
@@ -129,10 +126,8 @@ def complement_system(L: MultLattice, x: int) -> MSystem:
     equivalence therefore only applies below top (for any other x the set
     contains top and nonemptiness is automatic).
     """
-    ax = check_axioms(L)
-    if not ax.monotone:
-        raise MonotonicityRequired("the complement-system tests need monotonicity",
-                                   witness=ax.witnesses.get("monotone"))
+    require(L, ("monotone",), MonotonicityRequired,
+            "the complement-system tests need monotonicity")
     ms = classify_system(L, L.set_of(L.full_mask & ~L.down_masks[x]))
     flags = classify_all(L)[x]
     if flags.prime != ms.is_m:
@@ -363,10 +358,8 @@ def correspondence_check(L: MultLattice, *, max_enum: int = 12) -> Correspondenc
     for subsets of the compact elements, and the homeomorphism between the
     upper-Vietoris topology and the membership topology.
     """
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        raise MDistributivityRequired("the correspondence needs m-distributivity",
-                                      witness=ax.witnesses.get("m_distributive"))
+    require(L, ("m_distributive",), MDistributivityRequired,
+            "the correspondence needs m-distributivity")
     rep = spectrum(L)
     zar = rep.zariski
     hs = compact_saturated_subsets(L)

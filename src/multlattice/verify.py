@@ -60,6 +60,12 @@ def _guard(L, check, fn):
         return _fail(L, check, f"{type(exc).__name__}: {exc}")
 
 
+def _gated(L, check, why, fn):
+    """Record ``check`` as skipped for the reason ``why`` (the hypothesis
+    ``L`` lacks), or, when ``why`` is empty, run ``fn`` under :func:`_guard`."""
+    return _skip(L, check, why) if why else _guard(L, check, fn)
+
+
 # --------------------------------------------------------------------------
 # Suites
 
@@ -87,81 +93,70 @@ def suite_axioms(L: MultLattice, max_enum=12) -> list:
 
 
 def suite_spectrum(L: MultLattice, max_enum=12) -> list:
-    out = []
     ax = check_axioms(L)
-    out.append(_guard(L, "spectrum.sober", lambda: spectrum(L)))
-    rep = spectrum(L)
     flags = classify_all(L)
+    mdist = "" if ax.m_distributive else "not m-distributive"
 
     def v_identities():
+        primes = spectrum(L).primes
         for x in L.elements:
             for y in L.elements:
-                if v_set(L, L.mult_table[x][y], rep.primes) != \
-                        v_set(L, x, rep.primes) | v_set(L, y, rep.primes):
+                if v_set(L, L.mult_table[x][y], primes) != \
+                        v_set(L, x, primes) | v_set(L, y, primes):
                     raise TheoremViolation("V(xy) != V(x) u V(y)", witness=(x, y))
         if L.size <= max_enum:
             for mask in range(1 << L.size):
                 xs = [x for x in L.elements if mask >> x & 1]
-                inter = rep.primes
+                inter = primes
                 for x in xs:
-                    inter &= v_set(L, x, rep.primes)
-                if v_set(L, L.lub(xs), rep.primes) != inter:
+                    inter &= v_set(L, x, primes)
+                if v_set(L, L.lub(xs), primes) != inter:
                     raise TheoremViolation("V(lub X) != intersection of V(x)",
                                            witness=tuple(xs))
-    out.append(_guard(L, "spectrum.v_identities", v_identities))
 
     def radical_semiprime():
+        rep = spectrum(L)
         if rep.primes and not flags[rep.semiprime_radical].semiprime:
             raise TheoremViolation("semiprime radical is not semiprime",
                                    witness=rep.semiprime_radical)
         if not rep.primes and rep.semiprime_radical != L.top:
             raise TheoremViolation("empty spectrum must give radical = top",
                                    witness=rep.semiprime_radical)
-    out.append(_guard(L, "spectrum.radical_semiprime", radical_semiprime))
 
-    if ax.m_distributive:
-        def lemma_meet_irreducible():
-            for x in L.elements:
-                expected = (x != L.top and flags[x].semiprime
-                            and flags[x].meet_irreducible)
-                if flags[x].prime != expected:
-                    raise TheoremViolation(
-                        "prime iff meet-irreducible semiprime below top fails",
-                        witness=x)
-        out.append(_guard(L, "spectrum.prime_iff_meet_irred_semiprime",
-                          lemma_meet_irreducible))
+    def lemma_meet_irreducible():
+        for x in L.elements:
+            expected = (x != L.top and flags[x].semiprime
+                        and flags[x].meet_irreducible)
+            if flags[x].prime != expected:
+                raise TheoremViolation(
+                    "prime iff meet-irreducible semiprime below top fails",
+                    witness=x)
 
-        def maximal_prime():
-            for m in L.elements:
-                if flags[m].maximal:
-                    maximal_prime_criterion(L, m)
-        out.append(_guard(L, "spectrum.maximal_prime_criterion", maximal_prime))
-    else:
-        out.append(_skip(L, "spectrum.prime_iff_meet_irred_semiprime",
-                         "not m-distributive"))
-        out.append(_skip(L, "spectrum.maximal_prime_criterion", "not m-distributive"))
+    def maximal_prime():
+        for m in L.elements:
+            if flags[m].maximal:
+                maximal_prime_criterion(L, m)
 
-    if ax.m_distributive and ax.associative:
-        def symmetric_witnesses():
-            for p in L.elements:
-                if p != L.top and not flags[p].prime:
-                    non_prime_symmetric_witness(L, p)
-        out.append(_guard(L, "spectrum.symmetric_nonprime_witness",
-                          symmetric_witnesses))
-    else:
-        out.append(_skip(L, "spectrum.symmetric_nonprime_witness",
-                         "needs m-distributivity and associativity"))
-    return out
+    def symmetric_witnesses():
+        for p in L.elements:
+            if p != L.top and not flags[p].prime:
+                non_prime_symmetric_witness(L, p)
+
+    return [
+        _guard(L, "spectrum.sober", lambda: spectrum(L)),
+        _guard(L, "spectrum.v_identities", v_identities),
+        _guard(L, "spectrum.radical_semiprime", radical_semiprime),
+        _gated(L, "spectrum.prime_iff_meet_irred_semiprime", mdist,
+               lemma_meet_irreducible),
+        _gated(L, "spectrum.maximal_prime_criterion", mdist, maximal_prime),
+        _gated(L, "spectrum.symmetric_nonprime_witness",
+               "" if ax.m_distributive and ax.associative
+               else "needs m-distributivity and associativity", symmetric_witnesses),
+    ]
 
 
 def suite_hyper(L: MultLattice, max_enum=12) -> list:
-    out = []
-    ax = check_axioms(L)
-    if not ax.m_distributive:
-        return [_skip(L, "hyper.six_conditions", "not m-distributive"),
-                _skip(L, "hyper.chain_crosscheck", "not m-distributive")]
-    out.append(_guard(L, "hyper.six_conditions",
-                      lambda: hyperabelian_report(L, max_enum=max_enum)))
+    mdist = "" if check_axioms(L).m_distributive else "not m-distributive"
 
     def crosscheck():
         rep = hyperabelian_report(L, max_enum=max_enum)
@@ -169,82 +164,84 @@ def suite_hyper(L: MultLattice, max_enum=12) -> list:
         if rep.hyperabelian != (chain_rep.chain is not None):
             raise TheoremViolation("hyperabelian iff a squaring chain exists fails",
                                    witness=None)
-    out.append(_guard(L, "hyper.chain_crosscheck", crosscheck))
-    return out
+
+    return [
+        _gated(L, "hyper.six_conditions", mdist,
+               lambda: hyperabelian_report(L, max_enum=max_enum)),
+        _gated(L, "hyper.chain_crosscheck", mdist, crosscheck),
+    ]
+
+
+def _systems(L: MultLattice, max_enum: int) -> list:
+    """Every m-system when the powerset scan is within ``max_enum``,
+    otherwise the saturated ones."""
+    if L.size <= max_enum:
+        return all_m_systems(L, max_enum=max_enum)
+    return saturated_m_systems(L)
 
 
 def suite_systems(L: MultLattice, max_enum=12) -> list:
-    out = []
     ax = check_axioms(L)
+    mono = "" if ax.monotone else "not monotone"
+    mdist = "" if ax.m_distributive else "not m-distributive"
 
-    if ax.monotone:
-        def complement_lemmas():
-            for x in L.elements:
-                sys_mod.complement_system(L, x)
-        out.append(_guard(L, "systems.prime_iff_msystem", complement_lemmas))
+    def complement_lemmas():
+        for x in L.elements:
+            sys_mod.complement_system(L, x)
 
-        def saturation_props():
-            systems = (all_m_systems(L) if L.size <= max_enum
-                       else saturated_m_systems(L))
-            sat_of = {}
-            for s in systems:
-                sat = sys_mod.saturate(L, s)
-                sat_of[s] = sat.members
-                if not s <= sat.members:
-                    raise TheoremViolation("saturation is not extensive",
-                                           witness=tuple(sorted(s)))
-                if sys_mod.saturate(L, sat.members).members != sat.members:
-                    raise TheoremViolation("saturation is not idempotent",
-                                           witness=tuple(sorted(s)))
-            for s in systems:
-                for t in systems:
-                    if s <= t and not sat_of[s] <= sat_of[t]:
-                        raise TheoremViolation("saturation is not monotone",
-                                               witness=(tuple(sorted(s)), tuple(sorted(t))))
-        out.append(_guard(L, "systems.saturation_closure_operator", saturation_props))
-    else:
-        out.append(_skip(L, "systems.prime_iff_msystem", "not monotone"))
-        out.append(_skip(L, "systems.saturation_closure_operator", "not monotone"))
-
-    out.append(_guard(L, "systems.inverse_topology_dual_construction",
-                      lambda: sys_mod.inverse_topology(L)))
+    def saturation_props():
+        systems = _systems(L, max_enum)
+        sat_of = {}
+        for s in systems:
+            sat = sys_mod.saturate(L, s)
+            sat_of[s] = sat.members
+            if not s <= sat.members:
+                raise TheoremViolation("saturation is not extensive",
+                                       witness=tuple(sorted(s)))
+            if sys_mod.saturate(L, sat.members).members != sat.members:
+                raise TheoremViolation("saturation is not idempotent",
+                                       witness=tuple(sorted(s)))
+        for s in systems:
+            for t in systems:
+                if s <= t and not sat_of[s] <= sat_of[t]:
+                    raise TheoremViolation("saturation is not monotone",
+                                           witness=(tuple(sorted(s)), tuple(sorted(t))))
 
     def constructible_discrete():
         if not sys_mod.constructible_topology(L).is_discrete():
             raise TheoremViolation("constructible topology on a finite T0 "
                                    "spectrum must be discrete", witness=None)
-    out.append(_guard(L, "systems.constructible_discrete", constructible_discrete))
 
     pts = sorted(primes_of(L))
-    if len(pts) > max_enum:
-        out.append(_skip(L, "systems.closure_equivalence", "spectrum above max_enum"))
-    else:
-        def closure_equivalence():
-            subsets = [frozenset(c) for r in range(len(pts) + 1)
-                       for c in itertools.combinations(pts, r)]
-            for xs in subsets:
-                for ys in subsets:
-                    sys_mod.equal_saturations(L, xs, ys)
-        out.append(_guard(L, "systems.closure_equivalence", closure_equivalence))
 
-    if ax.m_distributive:
-        out.append(_guard(L, "systems.correspondence",
-                          lambda: sys_mod.correspondence_check(L, max_enum=max_enum)))
+    def closure_equivalence():
+        subsets = [frozenset(c) for r in range(len(pts) + 1)
+                   for c in itertools.combinations(pts, r)]
+        for xs in subsets:
+            for ys in subsets:
+                sys_mod.equal_saturations(L, xs, ys)
 
-        def prop_compact():
-            pts = sorted(spectrum(L).primes)
-            for r in range(len(pts) + 1):
-                for c in itertools.combinations(pts, r):
-                    sys_mod.system_of_points(L, frozenset(c))
-        out.append(_guard(L, "systems.subset_system_saturated", prop_compact))
-    else:
-        out.append(_skip(L, "systems.correspondence", "not m-distributive"))
-        out.append(_skip(L, "systems.subset_system_saturated", "not m-distributive"))
-    return out
+    def prop_compact():
+        for r in range(len(pts) + 1):
+            for c in itertools.combinations(pts, r):
+                sys_mod.system_of_points(L, frozenset(c))
+
+    return [
+        _gated(L, "systems.prime_iff_msystem", mono, complement_lemmas),
+        _gated(L, "systems.saturation_closure_operator", mono, saturation_props),
+        _guard(L, "systems.inverse_topology_dual_construction",
+               lambda: sys_mod.inverse_topology(L)),
+        _guard(L, "systems.constructible_discrete", constructible_discrete),
+        _gated(L, "systems.closure_equivalence",
+               "spectrum above max_enum" if len(pts) > max_enum else "",
+               closure_equivalence),
+        _gated(L, "systems.correspondence", mdist,
+               lambda: sys_mod.correspondence_check(L, max_enum=max_enum)),
+        _gated(L, "systems.subset_system_saturated", mdist, prop_compact),
+    ]
 
 
 def suite_families(L: MultLattice, max_enum=12) -> list:
-    out = []
     ax = check_axioms(L)
 
     def residual_bounds():
@@ -259,84 +256,64 @@ def suite_families(L: MultLattice, max_enum=12) -> list:
                     if L.relation[L.mult_table[b][x]][a] and not L.relation[x][right]:
                         raise TheoremViolation("right residual misses a qualifying element",
                                                witness=(a, b, x))
-    out.append(_guard(L, "families.residual_bounds", residual_bounds))
 
-    out.append(_guard(L, "families.annihilators",
-                      lambda: [fam.annihilators(L, x) for x in L.elements]))
-
-    if ax.monotone and L.size <= max_enum:
-        def pip_all():
-            for mask in range(1 << L.size):
-                F = L.set_of(mask)
-                rep = fam.classify_family(L, F)
-                if rep.left_oka or rep.right_oka or (rep.oka and ax.associative) or rep.ako:
-                    fam.pip_check(L, F)
-        out.append(_guard(L, "families.pip_exhaustive", pip_all))
-    else:
-        out.append(_skip(L, "families.pip_exhaustive",
-                         "not monotone" if not ax.monotone else "size above cap"))
+    def pip_all():
+        for mask in range(1 << L.size):
+            F = L.set_of(mask)
+            rep = fam.classify_family(L, F)
+            if rep.left_oka or rep.right_oka or (rep.oka and ax.associative) or rep.ako:
+                fam.pip_check(L, F)
 
     def prop_max():
-        systems = (all_m_systems(L) if L.size <= max_enum
-                   else saturated_m_systems(L))
-        for s in systems:
+        for s in _systems(L, max_enum):
             fam.sigma_of_system(L, s)
-    out.append(_guard(L, "families.sigma_maximal_prime", prop_max))
 
-    if ax.monotone and ax.associative:
-        def generator_witness_reading():
-            # The workable reading of the generator-level symmetric-witness
-            # statement: for a non-prime p below top there are generators
-            # a, b outside p with both products below p.
-            flags = classify_all(L)
-            gens = sorted(L.generators)
-            for p in L.elements:
-                if p == L.top or flags[p].prime:
-                    continue
-                down = L.down_masks[p]
-                found = any(
-                    not down >> a & 1 and not down >> b & 1
-                    and down >> L.mult_table[a][b] & 1
-                    and down >> L.mult_table[b][a] & 1
-                    for a in gens for b in gens)
-                if not found:
-                    raise TheoremViolation(
-                        "no symmetric generator witness for a non-prime element",
-                        witness=p)
-        out.append(_guard(L, "families.generator_symmetric_witness",
-                          generator_witness_reading))
-    else:
-        out.append(_skip(L, "families.generator_symmetric_witness",
-                         "needs monotonicity and associativity"))
-    return out
+    def generator_witness_reading():
+        # The workable reading of the generator-level symmetric-witness
+        # statement: for a non-prime p below top there are generators
+        # a, b outside p with both products below p.
+        flags = classify_all(L)
+        gens = sorted(L.generators)
+        for p in L.elements:
+            if p == L.top or flags[p].prime:
+                continue
+            down = L.down_masks[p]
+            found = any(
+                not down >> a & 1 and not down >> b & 1
+                and down >> L.mult_table[a][b] & 1
+                and down >> L.mult_table[b][a] & 1
+                for a in gens for b in gens)
+            if not found:
+                raise TheoremViolation(
+                    "no symmetric generator witness for a non-prime element",
+                    witness=p)
+
+    return [
+        _guard(L, "families.residual_bounds", residual_bounds),
+        _guard(L, "families.annihilators",
+               lambda: [fam.annihilators(L, x) for x in L.elements]),
+        _gated(L, "families.pip_exhaustive",
+               "not monotone" if not ax.monotone
+               else "size above cap" if L.size > max_enum else "", pip_all),
+        _guard(L, "families.sigma_maximal_prime", prop_max),
+        _gated(L, "families.generator_symmetric_witness",
+               "" if ax.monotone and ax.associative
+               else "needs monotonicity and associativity", generator_witness_reading),
+    ]
 
 
 PRODUCT_PARTNERS = (chain(2, "meet"), chain(2, "zero"))
 
 
 def suite_constructions(L: MultLattice, max_enum=12) -> list:
-    out = []
     ax = check_axioms(L)
+    mdist = "" if ax.m_distributive else "not m-distributive"
+    infinite = "" if ax.infinitely_m_distributive else "not infinitely m-distributive"
 
     def interval_bottom():
         iv = cons.interval(L, L.bottom, L.top)
         if iv.lattice.size != L.size:
             raise TheoremViolation("full interval changed size", witness=None)
-    out.append(_guard(L, "constructions.interval_bottom_restriction", interval_bottom))
-
-    if ax.m_distributive:
-        out.append(_guard(L, "constructions.closed_subspace",
-                          lambda: [cons.closed_subspace_spec(L, l) for l in L.elements]))
-        out.append(_guard(L, "constructions.disjointness",
-                          lambda: [cons.disjointness_criteria(L, n1, n2)
-                                   for n1 in L.elements for n2 in L.elements]))
-        out.append(_guard(L, "constructions.quotient_spec_map",
-                          lambda: [cons.spec_map(cons.quotient_morphism(L, l))
-                                   for l in L.elements]))
-    else:
-        out.append(_skip(L, "constructions.closed_subspace", "not m-distributive"))
-        out.append(_skip(L, "constructions.disjointness", "not m-distributive"))
-        out.append(_skip(L, "constructions.quotient_spec_map", "not m-distributive"))
 
     def products():
         for partner in PRODUCT_PARTNERS:
@@ -344,70 +321,70 @@ def suite_constructions(L: MultLattice, max_enum=12) -> list:
             left, right = cons.projection_morphisms(P.product)
             cons.spec_map(left)
             cons.spec_map(right)
-    out.append(_guard(L, "constructions.product_spectrum", products))
 
-    out.append(_guard(L, "constructions.identity_adjoint",
-                      lambda: cons.spec_map(cons.identity_morphism(L))))
+    def annihilator_primes():
+        for h in L.elements:
+            sub = cons.interval(L, L.bottom, h)
+            for n_parent in L.elements:
+                if not L.relation[n_parent][h]:
+                    continue
+                base = cons.interval(L, L.bottom, n_parent)
+                if not classify_all(base.lattice)[base.lattice.bottom].prime:
+                    continue
+                M = sub.lattice
+                n_i = sub.from_parent(n_parent)
+                la = fam.residual_left(M, M.bottom, n_i)
+                ra = fam.residual_right(M, M.bottom, n_i)
+                if la != ra:
+                    raise TheoremViolation(
+                        "annihilators differ under a prime interval",
+                        witness=(h, n_parent))
+                mflags = classify_all(M)
+                if not mflags[la].prime or M.meet_table[la][n_i] != M.bottom:
+                    raise TheoremViolation(
+                        "annihilator is not the lying prime", witness=(h, n_parent))
+                others = [p for p in M.elements
+                          if mflags[p].prime and M.meet_table[p][n_i] == M.bottom]
+                if others != [la]:
+                    raise TheoremViolation(
+                        "lying prime is not unique", witness=(h, n_parent))
 
-    if ax.infinitely_m_distributive:
-        def annihilator_primes():
-            for h in L.elements:
-                sub = cons.interval(L, L.bottom, h)
-                for n_parent in L.elements:
-                    if not L.relation[n_parent][h]:
-                        continue
-                    base = cons.interval(L, L.bottom, n_parent)
-                    if not classify_all(base.lattice)[base.lattice.bottom].prime:
-                        continue
-                    M = sub.lattice
-                    n_i = sub.from_parent(n_parent)
-                    la = fam.residual_left(M, M.bottom, n_i)
-                    ra = fam.residual_right(M, M.bottom, n_i)
-                    if la != ra:
-                        raise TheoremViolation(
-                            "annihilators differ under a prime interval",
-                            witness=(h, n_parent))
-                    mflags = classify_all(M)
-                    if not mflags[la].prime or M.meet_table[la][n_i] != M.bottom:
-                        raise TheoremViolation(
-                            "annihilator is not the lying prime", witness=(h, n_parent))
-                    others = [p for p in M.elements
-                              if mflags[p].prime and M.meet_table[p][n_i] == M.bottom]
-                    if others != [la]:
-                        raise TheoremViolation(
-                            "lying prime is not unique", witness=(h, n_parent))
-        out.append(_guard(L, "constructions.annihilator_lying_prime",
-                          annihilator_primes))
+    def lying_over_all():
+        for n in L.elements:
+            base = cons.interval(L, L.bottom, n)
+            for q_i in base.lattice.elements:
+                if classify_all(base.lattice)[q_i].prime:
+                    cons.lying_over(L, n, base.to_parent(q_i))
 
-        def lying_over_all():
-            for n in L.elements:
-                base = cons.interval(L, L.bottom, n)
-                for q_i in base.lattice.elements:
-                    if classify_all(base.lattice)[q_i].prime:
-                        cons.lying_over(L, n, base.to_parent(q_i))
-        out.append(_guard(L, "constructions.lying_over", lying_over_all))
-
-        out.append(_guard(L, "constructions.open_subspace_homeo",
-                          lambda: [cons.open_subspace_homeo(L, n) for n in L.elements]))
-    else:
-        why = "not infinitely m-distributive"
-        out.append(_skip(L, "constructions.annihilator_lying_prime", why))
-        out.append(_skip(L, "constructions.lying_over", why))
-        out.append(_skip(L, "constructions.open_subspace_homeo", why))
-    return out
+    return [
+        _guard(L, "constructions.interval_bottom_restriction", interval_bottom),
+        _gated(L, "constructions.closed_subspace", mdist,
+               lambda: [cons.closed_subspace_spec(L, l) for l in L.elements]),
+        _gated(L, "constructions.disjointness", mdist,
+               lambda: [cons.disjointness_criteria(L, n1, n2)
+                        for n1 in L.elements for n2 in L.elements]),
+        _gated(L, "constructions.quotient_spec_map", mdist,
+               lambda: [cons.spec_map(cons.quotient_morphism(L, l))
+                        for l in L.elements]),
+        _guard(L, "constructions.product_spectrum", products),
+        _guard(L, "constructions.identity_adjoint",
+               lambda: cons.spec_map(cons.identity_morphism(L))),
+        _gated(L, "constructions.annihilator_lying_prime", infinite,
+               annihilator_primes),
+        _gated(L, "constructions.lying_over", infinite, lying_over_all),
+        _gated(L, "constructions.open_subspace_homeo", infinite,
+               lambda: [cons.open_subspace_homeo(L, n) for n in L.elements]),
+    ]
 
 
 def suite_series(L: MultLattice, max_enum=12) -> list:
-    out = []
-    out.append(_guard(L, "series.descending_stabilizing",
-                      lambda: [series(L, x) for x in L.elements]))
-    ax = check_axioms(L)
-    if ax.m_distributive:
-        out.append(_guard(L, "series.solvable_chain",
-                          lambda: solvable_witness_chain(L)))
-    else:
-        out.append(_skip(L, "series.solvable_chain", "not m-distributive"))
-    return out
+    return [
+        _guard(L, "series.descending_stabilizing",
+               lambda: [series(L, x) for x in L.elements]),
+        _gated(L, "series.solvable_chain",
+               "" if check_axioms(L).m_distributive else "not m-distributive",
+               lambda: solvable_witness_chain(L)),
+    ]
 
 
 SUITES = {

@@ -6,7 +6,9 @@ corpus plus the seeded random sample; tolerances are exact set equalities
 throughout.
 """
 
+import ast
 import hashlib
+import importlib
 import json
 import time
 from pathlib import Path
@@ -25,6 +27,7 @@ from multlattice.verify import (VerifyReport, corpus_exhaustive_tables,
 from conftest import corpus_hundred
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 
 def announce(n, ok, detail):
@@ -175,3 +178,17 @@ def test_reports_match_recorded_digests(sweep):
                           sum(1 for r in results if r.skipped))
     assert _digest(merged) == expected["sweep"]
     assert _digest(verify_all(corpus_named())) == expected["named"]
+
+
+def test_traced_names_resolve():
+    """Every function named in the benchmark tracer's ``LAYERS`` table
+    (``perfbench/tracing.py``, parsed rather than imported) still exists
+    under that name in its ``multlattice`` module."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    [layers] = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "LAYERS"]
+    missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
+               if not callable(getattr(importlib.import_module(f"multlattice.{mod}"),
+                                       fn, None))]
+    assert layers and not missing

@@ -298,6 +298,10 @@ def test_morphism_validation_errors():
         morphism(c2, c3, (0, 1))      # top not preserved
     with pytest.raises(NotAMorphism):
         morphism(c2, c3, (1, 2))      # bottom not preserved
+    with pytest.raises(NotAMorphism):
+        morphism(c2, c3, (0, 2, 1))   # longer than the source
+    with pytest.raises(NotAMorphism):
+        morphism(c2, c3, (0,))        # shorter than the source
     zero3 = mk_chain(3, lambda x, y: 0)
     with pytest.raises(NotAMorphism):
         # zero-mult source into meet-mult target: f(1)f(1) = 1 !<= f(1*1) = 0

@@ -1,6 +1,7 @@
 import pytest
 
 from multlattice import families
+from multlattice.cli import main
 from multlattice.core import BadParams, check_axioms
 from multlattice.ingest import chain
 from multlattice.verify import (CorpusSpec, LATTICE_SHAPES,
@@ -127,3 +128,12 @@ def test_closure_equivalence_above_max_enum_is_skipped():
     [result] = [r for r in rep.results if r.check == "systems.closure_equivalence"]
     assert result.skipped and result.detail == "spectrum above max_enum"
     assert rep.failed == 0 and rep.skipped == 1
+
+
+def test_max_enum_reaches_the_m_system_scan(capsys):
+    # At 13 elements the default cap of 12 would refuse the powerset scan;
+    # the run's max_enum must reach every enumeration.
+    rep = verify_all(chain(13, "zero"), ("systems", "families"), max_enum=13)
+    assert rep.failed == 0 and rep.skipped == 0
+    assert main(["--max-enum", "13", "check", "systems", "gen:chain:13:zero"]) == 0
+    assert "failed: 0" in capsys.readouterr().err
