@@ -158,13 +158,16 @@ def _run(args) -> int:
     elif cmd == "series":
         _emit(args, series_op(L, _element(L, args.element)))
     elif cmd == "systems":
-        survey = {"complement_systems":
-                  {L.labels[x]: sys_mod.complement_system(L, x)
-                   for x in L.elements},
-                  "saturated_m_systems":
-                  [sorted(L.labels[c] for c in s)
-                   for s in sys_mod.saturated_m_systems(L)]}
-        if check_axioms(L).m_distributive:
+        ax = check_axioms(L)
+        survey = {}
+        if ax.monotone:
+            survey["complement_systems"] = {
+                L.labels[x]: sys_mod.complement_system(L, x) for x in L.elements}
+        else:
+            survey["skipped"] = {"complement_systems": "not monotone"}
+        survey["saturated_m_systems"] = [sorted(L.labels[c] for c in s)
+                                         for s in sys_mod.saturated_m_systems(L)]
+        if ax.m_distributive:
             survey["correspondence"] = sys_mod.correspondence_check(
                 L, max_enum=args.max_enum)
         _emit(args, survey)
@@ -190,7 +193,8 @@ def _run(args) -> int:
             _emit(args, cons.product_spec_check(L, other))
         elif kind == "disjoint":
             _emit(args, cons.disjointness_criteria(
-                L, _element(L, parts[1]), _element(L, parts[2])))
+                L, _element(L, parts[1]), _element(L, parts[2]),
+                max_enum=args.max_enum))
         elif kind == "lying":
             p = cons.lying_over(L, _element(L, parts[1]), _element(L, parts[2]))
             _emit(args, {"prime": L.labels[p]})

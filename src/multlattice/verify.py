@@ -160,7 +160,7 @@ def suite_hyper(L: MultLattice, max_enum=12) -> list:
 
     def crosscheck():
         rep = hyperabelian_report(L, max_enum=max_enum)
-        chain_rep = solvable_witness_chain(L)
+        chain_rep = solvable_witness_chain(L, max_enum=max_enum)
         if rep.hyperabelian != (chain_rep.chain is not None):
             raise TheoremViolation("hyperabelian iff a squaring chain exists fails",
                                    witness=None)
@@ -361,7 +361,7 @@ def suite_constructions(L: MultLattice, max_enum=12) -> list:
         _gated(L, "constructions.closed_subspace", mdist,
                lambda: [cons.closed_subspace_spec(L, l) for l in L.elements]),
         _gated(L, "constructions.disjointness", mdist,
-               lambda: [cons.disjointness_criteria(L, n1, n2)
+               lambda: [cons.disjointness_criteria(L, n1, n2, max_enum=max_enum)
                         for n1 in L.elements for n2 in L.elements]),
         _gated(L, "constructions.quotient_spec_map", mdist,
                lambda: [cons.spec_map(cons.quotient_morphism(L, l))
@@ -383,7 +383,7 @@ def suite_series(L: MultLattice, max_enum=12) -> list:
                lambda: [series(L, x) for x in L.elements]),
         _gated(L, "series.solvable_chain",
                "" if check_axioms(L).m_distributive else "not m-distributive",
-               lambda: solvable_witness_chain(L)),
+               lambda: solvable_witness_chain(L, max_enum=max_enum)),
     ]
 
 

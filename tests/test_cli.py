@@ -86,6 +86,17 @@ def test_systems_survey(capsys):
     assert len(payload["saturated_m_systems"]) == 3
 
 
+def test_systems_survey_skips_complement_part_when_not_monotone(capsys):
+    # A valid lattice is not bad input: the gated part is reported as
+    # skipped, the rest of the survey still runs.
+    code, out, err = run(capsys, "systems", "gen:random:5")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["skipped"] == {"complement_systems": "not monotone"}
+    assert "complement_systems" not in payload
+    assert payload["saturated_m_systems"]
+
+
 def test_construct_ops(capsys):
     code, out, _ = run(capsys, "construct", "interval:(6):(1)", "gen:zn:12")
     assert code == 0

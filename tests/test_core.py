@@ -1,8 +1,11 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
-from multlattice import core
+from multlattice import core, verify
+from multlattice.constructions import interval, product
 from multlattice.core import (MultNotBounded, NotALattice, NotAPartialOrder,
                               NotGenerated, check_axioms, compact_elements,
                               validate)
@@ -177,3 +180,127 @@ def test_structural_equality_ignores_cache():
     b = mk_chain(3, min, name="x")
     check_axioms(a)
     assert a == b
+
+
+# --------------------------------------------------------------------------
+# Oracle for check_axioms: the direct loops, every pair and triple in full
+# and every subset pair with its right-hand side joined from scratch.
+
+
+def reference_axioms(L, method):
+    """The flags and witnesses of ``check_axioms`` on the route ``method``."""
+    n = L.size
+    rel, mt, jt = L.relation, L.mult_table, L.join_table
+
+    def first(cases):
+        """The first case that fails, or None."""
+        return next((case for case, fails in cases if fails), None)
+
+    flags = {}
+    flags["monotone"] = first(
+        (("left", x, y, z), not rel[mt[x][z]][mt[y][z]]) if side == "left" else
+        (("right", x, y, z), not rel[mt[z][x]][mt[z][y]])
+        for x in range(n) for y in range(n) if rel[x][y]
+        for z in range(n) for side in ("left", "right"))
+    flags["m_distributive"] = first(
+        (("left", x, y, z), mt[jt[x][y]][z] != jt[mt[x][z]][mt[y][z]])
+        if side == "left" else
+        (("right", x, y, z), mt[z][jt[x][y]] != jt[mt[z][x]][mt[z][y]])
+        for x in range(n) for y in range(n)
+        for z in range(n) for side in ("left", "right"))
+    flags["associative"] = first(((x, y, z), mt[mt[x][y]][z] != mt[x][mt[y][z]])
+                                 for x in range(n) for y in range(n)
+                                 for z in range(n))
+    flags["commutative"] = first(((x, y), mt[x][y] != mt[y][x])
+                                 for x in range(n) for y in range(x + 1, n))
+    if method == "exhaustive":
+        subsets = [tuple(x for x in range(n) if m >> x & 1) for m in range(1 << n)]
+
+        def fails(X, Y):
+            rhs = L.bottom
+            for x in X:
+                for y in Y:
+                    rhs = jt[rhs][mt[x][y]]
+            return mt[L.lub(X)][L.lub(Y)] != rhs
+
+        w = first(((X, Y), fails(X, Y)) for X in subsets for Y in subsets)
+    elif flags["m_distributive"] is not None:
+        w = flags["m_distributive"]
+    else:
+        w = first((((L.bottom,), (x,)),
+                   mt[x][L.bottom] != L.bottom or mt[L.bottom][x] != L.bottom)
+                  for x in range(n))
+    flags["infinitely_m_distributive"] = w
+    return ({flag: w is None for flag, w in flags.items()},
+            {flag: w for flag, w in flags.items() if w is not None})
+
+
+FIVE_ELEMENT_SHAPES = (
+    ((0, 1), (1, 2), (2, 3), (3, 4)),            # chain
+    ((0, 1), (1, 2), (2, 4), (0, 3), (3, 4)),    # pentagon
+    ((0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)),    # m3
+    ((0, 1), (1, 2), (1, 3), (2, 4), (3, 4)),    # bottom below a square
+    ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)),    # a square below top
+)
+
+
+def m_distributive_five_element_tables(seed, per_shape):
+    """Seeded m-distributive tables on every 5-element lattice.  A candidate
+    extends random products of join-irreducibles by joins; the reference
+    loops above, not the library, decide which candidates are kept."""
+    rng = random.Random(seed)
+    out = []
+    for covers in FIVE_ELEMENT_SHAPES:
+        base = validate(size=5, covers=covers, mult=lambda x, y: 0)
+        irreducible = [x for x in base.elements if x != base.bottom
+                       and base.lub(y for y in base.elements if base.lt(y, x)) != x]
+        below = [[a for a in irreducible if base.leq(a, x)] for x in base.elements]
+        tables = set()
+        for _ in range(200):
+            value = {(a, b): rng.choice(sorted(base.down(base.meet(a, b))))
+                     for a in irreducible for b in irreducible}
+            table = tuple(tuple(base.lub(value[a, b] for a in below[x] for b in below[y])
+                                for y in base.elements) for x in base.elements)
+            if table not in tables and reference_axioms(
+                    core.replace_mult(base, table), "reduction")[0]["m_distributive"]:
+                tables.add(table)
+            if len(tables) == per_shape:
+                break
+        out += [core.replace_mult(base, t) for t in sorted(tables)]
+    return out
+
+
+def derived_lattices(lattices):
+    """Every interval of each lattice, and its products with the 2-chains,
+    when they have at most 6 elements."""
+    partners = [mk_chain(2, min), mk_chain(2, lambda x, y: 0)]
+    out = []
+    for L in lattices:
+        out += [interval(L, x, y).lattice for x in L.elements for y in L.elements
+                if L.leq(x, y)]
+        if 2 * L.size <= 6:
+            out += [product(L, R).lattice for R in partners]
+    return out
+
+
+def test_check_axioms_matches_the_direct_loops():
+    mdist = m_distributive_five_element_tables(seed=11, per_shape=12)
+    assert len(mdist) >= 30 and all(check_axioms(L).infinitely_m_distributive
+                                    for L in mdist)
+    random_tables = verify.corpus_random_tables(60, seed=5)
+    small = verify.corpus_exhaustive_tables(4)
+    corpus = (small + random_tables + mdist
+              + derived_lattices([L for L in small if L.size <= 3] + small[::40]
+                                 + random_tables[::6] + mdist[::3]))
+    routes = Counter()
+    for L in corpus:
+        for cap in (6, 0):
+            method = "exhaustive" if L.size <= cap else "reduction"
+            report = check_axioms(L, infinite_cap=cap)
+            flags, witnesses = reference_axioms(L, method)
+            assert report.infinite_check_method == method, L.name
+            assert {flag: getattr(report, flag) for flag in flags} == flags, L.name
+            assert report.witnesses == witnesses, L.name
+            routes[method, report.infinitely_m_distributive] += 1
+    # both routes ran on lattices with and without the property
+    assert min(routes.values()) >= 30 and len(routes) == 4

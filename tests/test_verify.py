@@ -137,3 +137,18 @@ def test_max_enum_reaches_the_m_system_scan(capsys):
     assert rep.failed == 0 and rep.skipped == 0
     assert main(["--max-enum", "13", "check", "systems", "gen:chain:13:zero"]) == 0
     assert "failed: 0" in capsys.readouterr().err
+
+
+def test_one_max_enum_per_run():
+    # Every hyperabelian report of a run, on the lattice and on its
+    # intervals, is built under the run's cap.
+    L = chain(13, "zero")
+    verify_all(L, ("hyper",), max_enum=13)
+    assert [k for k in L._cache if k[0] == "hyperabelian"] == [("hyperabelian", 13)]
+
+    L = chain(4, "meet")
+    verify_all(L, ("constructions",), max_enum=3)
+    caches = [L._cache] + [v.lattice._cache for k, v in L._cache.items()
+                           if k[0] == "interval"]
+    keys = {k for cache in caches for k in cache if k[0] == "hyperabelian"}
+    assert keys == {("hyperabelian", 3)}
