@@ -31,6 +31,6 @@ from .ingest import (LatticeDocument, LatticeSyntaxError, chain, export_dot,
                      export_dot_topology, export_text, generate,
                      open_set_lattice, parse, parse_document, poset_space,
                      powerset_lattice, random_lattice, to_json, zn_ideals)
-from .verify import CheckResult, CorpusSpec, VerifyReport, verify_all
+from .verify import CheckResult, VerifyReport, verify_all
 
 __version__ = "0.1.0"

@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import BadParams, LatticeError, check_axioms
+from .core import (BadParams, LatticeError, TheoremViolation, check_axioms,
+                   subset_pair_witness)
 from .ingest import (LatticeSyntaxError, export_dot, export_dot_spectrum,
                      export_text, generate, int_param, parse, to_json)
 from .series import series as series_op
 from .spectrum import spectrum
-from .verify import CorpusSpec, VerifyReport, report_to_json, verify_all
+from .verify import (VerifyReport, corpus_exhaustive_tables, corpus_named,
+                     corpus_random_tables, report_to_json, verify_all)
 
 # Arguments after the kind in ``construct <kind>:<arg>:...``; the last
 # argument keeps any further colons, so ``product:gen:chain:2`` works.
@@ -111,7 +114,7 @@ def main(argv=None) -> int:
         return 2
     except LatticeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, TheoremViolation) else 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -127,16 +130,15 @@ def _run(args) -> int:
         if args.corpus:
             parts = args.corpus.split(":")
             if parts[0] == "named":
-                spec = CorpusSpec("named")
+                lattices = corpus_named()
             elif parts[0] == "exhaustive":
-                spec = CorpusSpec("exhaustive_tables",
-                                  max_size=int_param(parts[1]) if len(parts) > 1 else 4)
+                lattices = corpus_exhaustive_tables(
+                    int_param(parts[1]) if len(parts) > 1 else 4)
             elif parts[0] == "random":
-                spec = CorpusSpec("random_tables", seed=args.seed,
-                                  count=int_param(parts[1]) if len(parts) > 1 else 1000)
+                lattices = corpus_random_tables(
+                    int_param(parts[1]) if len(parts) > 1 else 1000, args.seed)
             else:
                 raise LatticeError(f"unknown corpus {args.corpus!r}")
-            lattices = spec.build()
         elif args.input:
             lattices = [_load(args.input)]
         else:
@@ -148,7 +150,7 @@ def _run(args) -> int:
 
     L = _load(args.input)
     if cmd == "validate":
-        ax = check_axioms(L)
+        ax = _exhaustive_axioms(L) if L.size <= 6 else check_axioms(L)
         payload = {"name": L.name, "size": L.size, "valid": True,
                    "bottom": L.labels[L.bottom], "top": L.labels[L.top],
                    "axioms": ax}
@@ -215,6 +217,20 @@ def _run(args) -> int:
         else:
             print(to_json(L), end="")
     return 0
+
+
+def _exhaustive_axioms(L):
+    """``check_axioms(L)`` with the arbitrary-join law decided, and its
+    witness found, by the subset-pair scan, as ``validate`` prints it."""
+    ax = check_axioms(L)
+    witness = subset_pair_witness(L)
+    if (witness is None) != ax.infinitely_m_distributive:
+        raise TheoremViolation("the subset-pair scan disagrees with "
+                               "m-distributivity", witness=witness)
+    witnesses = dict(ax.witnesses)
+    if witness is not None:
+        witnesses["infinitely_m_distributive"] = witness
+    return replace(ax, witnesses=witnesses, infinite_check_method="exhaustive")
 
 
 def _summary(report: VerifyReport):

@@ -1,9 +1,18 @@
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+from multlattice import cli
 from multlattice.cli import main
+from multlattice.core import TheoremViolation
 from multlattice.ingest import export_text, zn_ideals
+from multlattice.verify import corpus_named
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -70,6 +79,25 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: BadParams: ") and err.count("\n") == 1
+
+
+def test_theorem_violation_exits_1_with_one_error_line(capsys, monkeypatch):
+    def spectrum(L):
+        raise TheoremViolation("planted failure")
+
+    monkeypatch.setattr(cli, "spectrum", spectrum)
+    code, out, err = run(capsys, "spec", "gen:zn:12")
+    assert code == 1 and out == ""
+    assert err == "error: TheoremViolation: planted failure\n"
+
+
+def test_validate_refuses_a_scan_that_disagrees_with_the_flag(capsys, monkeypatch):
+    # zn12 is m-distributive, so a planted subset-pair witness contradicts
+    # the derived arbitrary-join flag: a failed verification, exit 1.
+    monkeypatch.setattr(cli, "subset_pair_witness", lambda L: ((0,), (0,)))
+    code, out, err = run(capsys, "validate", "gen:zn:12")
+    assert code == 1 and out == ""
+    assert err.startswith("error: TheoremViolation: ") and err.count("\n") == 1
 
 
 def test_series_by_label(capsys):
@@ -172,3 +200,35 @@ def test_construct_product(capsys, z12_file):
     code, out, _ = run(capsys, "construct", "product:gen:chain:2:meet", "gen:zn:12")
     assert code == 0
     assert json.loads(out)["partition_ok"]
+
+
+# Generated lattices for the validate pin: non-m-distributive tables of 5
+# and 6 elements, whose output carries the subset-pair witness, and lattices
+# above 6 elements, on both sides of the flag.
+VALIDATE_SPECS = ("gen:random:5", "gen:random:5:seed=1", "gen:random:6",
+                  "gen:random:6:seed=2", "gen:random:6:monotone",
+                  "gen:random:7", "gen:bool:3:zero")
+
+
+def validate_digests(tmp_path):
+    """SHA-256 of ``mlat validate`` stdout for every named-corpus lattice,
+    read back from its ``export_text`` file, and for ``VALIDATE_SPECS``."""
+    inputs = {}
+    for L in corpus_named():
+        path = tmp_path / f"{L.name}.lat"
+        path.write_text(export_text(L), encoding="utf-8")
+        inputs[L.name] = str(path)
+    inputs.update((spec, spec) for spec in VALIDATE_SPECS)
+    out = {}
+    for key, source in inputs.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["validate", source]) == 0, key
+        out[key] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
+def test_validate_output_matches_recorded_digests(tmp_path):
+    expected = json.loads((DATA / "validate_digests.json").read_text())
+    del expected["comment"]
+    assert validate_digests(tmp_path) == expected

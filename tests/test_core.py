@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -139,18 +140,10 @@ def test_non_monotone_table_detected():
 
 def test_infinite_reduction_matches_exhaustive(small_exhaustive_corpus):
     for L in small_exhaustive_corpus:
-        exhaustive = check_axioms(L, infinite_cap=L.size).infinitely_m_distributive
-        reduced = check_axioms(L, infinite_cap=0).infinitely_m_distributive
-        assert exhaustive == reduced, L.name
-        assert check_axioms(L, infinite_cap=0).infinite_check_method == "reduction"
-
-
-def test_check_axioms_cache_is_keyed_by_route():
-    L = mk_chain(3, min)
-    assert check_axioms(L, infinite_cap=L.size) is check_axioms(L)
-    assert check_axioms(L, infinite_cap=0) is check_axioms(L, infinite_cap=2)
-    assert check_axioms(L, infinite_cap=0) is not check_axioms(L)
-    assert check_axioms(L).infinite_check_method == "exhaustive"
+        report = check_axioms(L)
+        assert (core.subset_pair_witness(L) is None) == \
+            report.infinitely_m_distributive, L.name
+        assert report.infinite_check_method == "reduction"
 
 
 def test_axiom_implications_hold_exhaustively(small_exhaustive_corpus):
@@ -188,7 +181,9 @@ def test_structural_equality_ignores_cache():
 
 
 def reference_axioms(L, method):
-    """The flags and witnesses of ``check_axioms`` on the route ``method``."""
+    """The flags and witnesses of the axioms, with the arbitrary-join law
+    decided by ``method``: "reduction" as ``check_axioms`` derives it, or
+    "exhaustive" over every subset pair as ``subset_pair_witness`` reads it."""
     n = L.size
     rel, mt, jt = L.relation, L.mult_table, L.join_table
 
@@ -292,15 +287,35 @@ def test_check_axioms_matches_the_direct_loops():
     corpus = (small + random_tables + mdist
               + derived_lattices([L for L in small if L.size <= 3] + small[::40]
                                  + random_tables[::6] + mdist[::3]))
-    routes = Counter()
+    sides = Counter()
     for L in corpus:
-        for cap in (6, 0):
-            method = "exhaustive" if L.size <= cap else "reduction"
-            report = check_axioms(L, infinite_cap=cap)
-            flags, witnesses = reference_axioms(L, method)
-            assert report.infinite_check_method == method, L.name
-            assert {flag: getattr(report, flag) for flag in flags} == flags, L.name
-            assert report.witnesses == witnesses, L.name
-            routes[method, report.infinitely_m_distributive] += 1
-    # both routes ran on lattices with and without the property
-    assert min(routes.values()) >= 30 and len(routes) == 4
+        report = check_axioms(L)
+        flags, witnesses = reference_axioms(L, "reduction")
+        assert report.infinite_check_method == "reduction", L.name
+        assert {flag: getattr(report, flag) for flag in flags} == flags, L.name
+        assert report.witnesses == witnesses, L.name
+        exhaustive = reference_axioms(L, "exhaustive")[1]
+        assert core.subset_pair_witness(L) == \
+            exhaustive.get("infinitely_m_distributive"), L.name
+        sides[report.infinitely_m_distributive] += 1
+    # the flag and the scan ran on lattices with and without the property
+    assert min(sides[True], sides[False]) >= 30
+
+
+def test_library_suites_never_run_the_subset_pair_scan(monkeypatch):
+    # Only the axioms suite reports the scan; every other suite reads the
+    # derived flag.  Every module's binding of the scan is patched to raise.
+    def scan(L):
+        raise AssertionError(f"subset-pair scan on {L.name}")
+
+    L = m_distributive_five_element_tables(seed=11, per_shape=1)[1]
+    assert check_axioms(L).m_distributive
+    original = core.subset_pair_witness
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("multlattice")
+                and getattr(module, "subset_pair_witness", None) is original):
+            monkeypatch.setattr(module, "subset_pair_witness", scan)
+    rep = verify.verify_all(L, tuple(s for s in verify.SUITES if s != "axioms"))
+    assert rep.checked > 0 and rep.failed == 0
+    with pytest.raises(AssertionError, match="subset-pair scan"):
+        verify.verify_all(L, ("axioms",))

@@ -1,11 +1,12 @@
 import pytest
 
 from multlattice import families
+from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import BadParams, check_axioms
 from multlattice.ingest import chain
-from multlattice.verify import (CorpusSpec, LATTICE_SHAPES,
-                                corpus_exhaustive_tables, corpus_random_tables,
+from multlattice.verify import (LATTICE_SHAPES, corpus_exhaustive_tables,
+                                corpus_named, corpus_random_tables,
                                 enumerate_tables, shape_lattice, verify_all)
 
 
@@ -25,8 +26,6 @@ def test_exhaustive_corpus_refuses_sizes_above_four():
     # the shape list is complete only up to 4 elements
     with pytest.raises(BadParams):
         corpus_exhaustive_tables(5)
-    with pytest.raises(BadParams):
-        CorpusSpec("exhaustive_tables", max_size=5).build()
 
 
 def test_small_shapes_are_all_lattices_up_to_iso():
@@ -79,13 +78,13 @@ def test_random_corpus_deterministic():
 
 
 def test_corpus_spec_dispatch():
-    assert len(CorpusSpec("random_tables", count=10).build()) == 10
-    assert CorpusSpec("named").build()
-    assert len(CorpusSpec("exhaustive_tables", max_size=2).build()) == 3
+    assert len(corpus_random_tables(10)) == 10
+    assert corpus_named()
+    assert len(corpus_exhaustive_tables(2)) == 3
 
 
 def test_verify_all_report_is_sorted_and_green():
-    rep = verify_all(CorpusSpec("exhaustive_tables", max_size=3).build())
+    rep = verify_all(corpus_exhaustive_tables(3))
     assert rep.failed == 0
     keys = [(r.lattice, r.check) for r in rep.results]
     assert keys == sorted(keys)
@@ -128,6 +127,18 @@ def test_closure_equivalence_above_max_enum_is_skipped():
     [result] = [r for r in rep.results if r.check == "systems.closure_equivalence"]
     assert result.skipped and result.detail == "spectrum above max_enum"
     assert rep.failed == 0 and rep.skipped == 1
+
+
+def test_closure_equivalence_fails_when_closures_disagree(monkeypatch):
+    # A constant closure merges every subset, while the 3-chain's systems
+    # S_X tell its subsets of primes apart: the check must fail on a pair.
+    monkeypatch.setattr(sys_mod, "closure_in_inverse", lambda L, X: frozenset())
+    rep = verify_all(chain(3, "meet"), ("systems",))
+    failures = [r for r in rep.results if not r.passed]
+    assert [r.check for r in failures] == ["systems.closure_equivalence"]
+    assert failures[0].detail.startswith(
+        "TheoremViolation: S_X = S_Y must agree with equality of "
+        "inverse-topology closures (witness ")
 
 
 def test_max_enum_reaches_the_m_system_scan(capsys):
