@@ -44,7 +44,8 @@ class FiniteTopology:
         for c in family:
             if not c <= points:
                 raise ValueError(f"closed set {sorted(c)} is not a subset of the points")
-        fam = list(family)
+        # 2^|points| distinct subsets are the whole powerset: closed under both
+        fam = list(family) if len(family) < 2 ** len(points) else ()
         for a in fam:
             for b in fam:
                 if a | b not in family:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import constructions as cons
 from . import families as fam
@@ -20,7 +21,8 @@ from . import systems as sys_mod
 from .core import (BadParams, LatticeError, MultLattice, TheoremViolation,
                    check_axioms, compact_elements, replace_mult,
                    subset_pair_witness, validate)
-from .ingest import chain, powerset_lattice, random_mult_table, to_json, zn_ideals
+from .ingest import (SCHEMA_VERSION, chain, powerset_lattice, random_mult_table,
+                     zn_ideals)
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
                        maximal_prime_criterion, non_prime_symmetric_witness,
@@ -438,8 +440,23 @@ def verify_all(lattices, suites=("all",), *, max_enum: int = 12) -> VerifyReport
     return VerifyReport(tuple(results), len(results), failed, skipped)
 
 
+_ROW = ('    {\n      "check": %s,\n      "detail": %s,\n      "kind": "CheckResult",\n'
+        '      "lattice": %s,\n      "passed": %s,\n      "skipped": %s\n    }')
+
+
 def report_to_json(report: VerifyReport) -> str:
-    return to_json(report)
+    """The bytes of ``ingest.to_json(report)``, written from the report's
+    fixed schema (sorted keys, indent 2, ASCII escapes) instead of through
+    the pure-Python indented encoder; a test holds the two equal."""
+    esc = encode_basestring_ascii
+    rows = ",\n".join([_ROW % (esc(r.check), esc(r.detail), esc(r.lattice),
+                                "true" if r.passed else "false",
+                                "true" if r.skipped else "false")
+                        for r in report.results])
+    start, end = ("[\n", "\n  ]") if rows else ("[", "]")
+    return (f'{{\n  "checked": {report.checked},\n  "failed": {report.failed},\n'
+            f'  "kind": "VerifyReport",\n  "results": {start}{rows}{end},\n'
+            f'  "schema_version": {SCHEMA_VERSION},\n  "skipped": {report.skipped}\n}}\n')
 
 
 # --------------------------------------------------------------------------

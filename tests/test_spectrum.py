@@ -2,11 +2,12 @@ import pytest
 
 from multlattice.core import (MDistributivityRequired, NotMaximal, PrimeElement,
                               check_axioms, validate)
-from multlattice.ingest import zn_ideals
+from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import (FiniteTopology, classify, classify_all,
                                   hyperabelian_report, maximal_prime_criterion,
                                   non_prime_symmetric_witness, sober_check,
                                   spectrum, v_set)
+from multlattice.systems import constructible_topology
 
 from conftest import mk_chain
 
@@ -255,3 +256,20 @@ def test_topology_axioms_rejected_when_violated():
         FiniteTopology.from_closed_sets(
             {0, 1, 2},
             [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2})])
+
+
+def test_powerset_short_cut_keeps_every_closure_check():
+    # Only a family of all 2^|points| subsets skips the pair scan.
+    with pytest.raises(ValueError, match="union of closed sets"):
+        FiniteTopology.from_closed_sets(
+            {0, 1, 2}, [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2})])
+    with pytest.raises(ValueError, match="intersection of closed sets"):
+        FiniteTopology.from_closed_sets(
+            {0, 1, 2}, [frozenset(), frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2})])
+    all_but_one = [frozenset(c) for c in ((), (0,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))]
+    with pytest.raises(ValueError, match="not closed"):
+        FiniteTopology.from_closed_sets({0, 1, 2}, all_but_one)
+    with pytest.raises(ValueError, match="not a subset"):
+        FiniteTopology.from_closed_sets(
+            {0, 1}, [frozenset(), frozenset({0}), frozenset({2}), frozenset({0, 1})])
+    assert constructible_topology(chain(12, "meet")).is_discrete()

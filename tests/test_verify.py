@@ -1,13 +1,16 @@
+import itertools
+
 import pytest
 
 from multlattice import families
 from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import BadParams, check_axioms
-from multlattice.ingest import chain
-from multlattice.verify import (LATTICE_SHAPES, corpus_exhaustive_tables,
-                                corpus_named, corpus_random_tables,
-                                enumerate_tables, shape_lattice, verify_all)
+from multlattice.ingest import chain, to_json
+from multlattice.verify import (LATTICE_SHAPES, CheckResult, VerifyReport,
+                                corpus_exhaustive_tables, corpus_named,
+                                corpus_random_tables, enumerate_tables,
+                                report_to_json, shape_lattice, verify_all)
 
 
 def test_exhaustive_corpus_counts():
@@ -163,3 +166,16 @@ def test_one_max_enum_per_run():
                            if k[0] == "interval"]
     keys = {k for cache in caches for k in cache if k[0] == "hyperabelian"}
     assert keys == {("hyperabelian", 3)}
+
+
+def test_report_writer_matches_the_generic_encoder():
+    # report_to_json writes the report schema by hand; ingest.to_json is the
+    # generic path and must give the same bytes, escapes included.
+    odd = 'q"b\\s\nt\tc\x01 ⊥ é \U0001d400'
+    hand = VerifyReport(tuple(
+        CheckResult(f"L{odd}{i}", f"check.{odd}", passed, skipped, f"detail {odd}")
+        for i, (passed, skipped) in enumerate(itertools.product((True, False), repeat=2))),
+        4, 2, 2)
+    for report in (verify_all(corpus_named()), hand, VerifyReport((), 0, 0, 0)):
+        assert report_to_json(report) == to_json(report)
+    assert "\\ud835\\udc00" in report_to_json(hand)
