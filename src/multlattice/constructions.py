@@ -161,8 +161,18 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
 
     The order tables come componentwise from the factors, once per pair of
     factor orders, so :func:`validate` checks only the multiplication bound,
-    the generators (pairs of factor generators or bottoms) and the labels."""
-    return memo(L1, ("product", id(L2)), lambda: _product(L1, L2))
+    the generators (pairs of factor generators or bottoms) and the labels.
+    Each call builds a new product lattice: no caller reads one twice, and a
+    cached one would keep its caches alive as long as its left factor."""
+    order = memo(L1.order, ("product", L2.order),
+                 lambda: _product_order(L1.order, L2.order))
+    n2 = L2.size
+    labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
+    gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
+                     for b in L2.generators | {L2.bottom})
+    M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
+                 generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
+    return ProductLattice(M, L1, L2)
 
 
 def _pairs(t1, t2) -> tuple:
@@ -179,18 +189,6 @@ def _product_order(o1: OrderData, o2: OrderData) -> OrderData:
     return OrderData(o1.size * n2, relation, _pairs(o1.join_table, o2.join_table),
                      _pairs(o1.meet_table, o2.meet_table),
                      o1.bottom * n2 + o2.bottom, o1.top * n2 + o2.top)
-
-
-def _product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
-    order = memo(L1.order, ("product", L2.order),
-                 lambda: _product_order(L1.order, L2.order))
-    n2 = L2.size
-    labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
-    gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
-                     for b in L2.generators | {L2.bottom})
-    M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
-                 generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
-    return ProductLattice(M, L1, L2)
 
 
 @dataclass
@@ -406,9 +404,10 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
             raise TheoremViolation(
                 f"adjoint image u({p}) = {q} of a prime is not prime", witness=p)
         point_map[p] = q
+    v_of_image = {y: v_set(tgt, y, tgt_primes) for y in set(f.mapping)}
     for x in src.elements:
         preimage = frozenset(p for p in tgt_primes if src.relation[x][point_map[p]])
-        if preimage != v_set(tgt, f.mapping[x], tgt_primes):
+        if preimage != v_of_image[f.mapping[x]]:
             raise TheoremViolation(
                 f"spectrum map preimage of V({x}) is not V(f({x}))", witness=x)
     return SpecMapReport(f, u, point_map, True)

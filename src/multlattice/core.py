@@ -203,11 +203,15 @@ def memo(owner, key, build):
     ``owner._cache``.  The owner is a :class:`MultLattice`, or an
     :class:`OrderData` for values that depend on the order alone.  Nothing
     is stored when ``build()`` raises, so a failure is raised again on the
-    next call."""
+    next call.  A hit is one dict lookup; ``build()`` runs outside the
+    handler, so what it raises is not chained to the ``KeyError``."""
     cache = owner._cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+    try:
+        return cache[key]
+    except KeyError:
+        pass
+    value = cache[key] = build()
+    return value
 
 
 # --------------------------------------------------------------------------

@@ -41,6 +41,17 @@ class MSystem:
 
 
 def _classify_mask(L: MultLattice, mask: int):
+    """The flags and witnesses of the subset ``mask``, classified once per
+    lattice: the cache lives on ``L``, not on ``L.order``, since the answer
+    depends on the multiplication."""
+    known = memo(L, "classified_masks", dict)
+    out = known.get(mask)
+    if out is None:
+        out = known[mask] = _scan_mask(L, mask)
+    return out
+
+
+def _scan_mask(L: MultLattice, mask: int):
     mt = L.mult_table
     dm = L.down_masks
     xs = [x for x in range(L.size) if mask >> x & 1]

@@ -102,18 +102,18 @@ def suite_spectrum(L: MultLattice, max_enum=12) -> list:
 
     def v_identities():
         primes = spectrum(L).primes
+        v = [v_set(L, x, primes) for x in L.elements]
         for x in L.elements:
             for y in L.elements:
-                if v_set(L, L.mult_table[x][y], primes) != \
-                        v_set(L, x, primes) | v_set(L, y, primes):
+                if v[L.mult_table[x][y]] != v[x] | v[y]:
                     raise TheoremViolation("V(xy) != V(x) u V(y)", witness=(x, y))
         if L.size <= max_enum:
             for mask in range(1 << L.size):
                 xs = [x for x in L.elements if mask >> x & 1]
                 inter = primes
                 for x in xs:
-                    inter &= v_set(L, x, primes)
-                if v_set(L, L.lub(xs), primes) != inter:
+                    inter &= v[x]
+                if v[L.lub(xs)] != inter:
                     raise TheoremViolation("V(lub X) != intersection of V(x)",
                                            witness=tuple(xs))
 
@@ -257,10 +257,11 @@ def suite_families(L: MultLattice, max_enum=12) -> list:
     ax = check_axioms(L)
 
     def residual_bounds():
+        left_t, right_t = fam.residual_tables(L)
         for a in L.elements:
             for b in L.elements:
-                left = fam.residual_left(L, a, b)
-                right = fam.residual_right(L, a, b)
+                left = left_t[a][b]
+                right = right_t[a][b]
                 for x in L.elements:
                     if L.relation[L.mult_table[x][b]][a] and not L.relation[x][left]:
                         raise TheoremViolation("left residual misses a qualifying element",

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from multlattice.constructions import (closed_subspace_spec,
@@ -189,6 +192,17 @@ def test_tables_on_one_shape_share_derived_orders():
     other = replace_mult(partner, [[0, 0], [0, 0]])
     assert product(A, other).lattice.order is product(B, partner).lattice.order
     assert product(A, chain(2, "meet")).lattice.order is not product(A, partner).lattice.order
+
+
+def test_products_are_not_pinned():
+    # the factors stay alive; the product orders stay shared, as
+    # test_tables_on_one_shape_share_derived_orders holds
+    L, partner = zn_ideals(12), chain(2, "zero")
+    rep = product_spec_check(L, partner)
+    ref = weakref.ref(rep.product.lattice)
+    del rep
+    gc.collect()
+    assert ref() is None
 
 
 def outcome(fn):

@@ -2,16 +2,19 @@ import itertools
 
 import pytest
 
-from multlattice.core import (MonotonicityRequired, NotAnMSystem, check_axioms,
-                              validate)
+from multlattice import systems
+from multlattice.core import (LatticeError, MonotonicityRequired, NotAnMSystem,
+                              check_axioms, replace_mult, validate)
+from multlattice.families import sigma_of_system
 from multlattice.ingest import zn_ideals
-from multlattice.spectrum import spectrum
+from multlattice.spectrum import primes_of, spectrum
 from multlattice.systems import (all_m_systems, classify_system,
                                  closure_in_inverse, complement_system,
                                  constructible_topology, correspondence_check,
                                  equal_saturations, inverse_topology,
                                  is_compact, primes_avoiding, saturate,
                                  saturated_m_systems, system_of_points)
+from multlattice.verify import corpus_exhaustive_tables
 
 from conftest import mk_chain
 
@@ -227,3 +230,38 @@ def test_is_compact_generic_routine():
     assert is_compact(zar, frozenset())
     with pytest.raises(ValueError):
         is_compact(zar, zar.points, cover=[frozenset()])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatticeError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+
+
+def _system_results(L):
+    """What the four classifying functions give on every subset of ``L``
+    (every subset of the spectrum for ``system_of_points``)."""
+    out = []
+    for mask in range(1 << L.size):
+        S = L.set_of(mask)
+        out += [_outcome(f, L, S) for f in (classify_system, saturate, sigma_of_system)]
+    pts = sorted(primes_of(L))
+    for k in range(1 << len(pts)):
+        out.append(_outcome(system_of_points, L, {p for i, p in enumerate(pts) if k >> i & 1}))
+    return out
+
+
+def test_classification_cache_matches_uncached_reference(named_corpus, monkeypatch):
+    tables = list(named_corpus) + corpus_exhaustive_tables(4)[::40]
+    cached = [_system_results(L) for L in tables]
+    monkeypatch.setattr(systems, "_classify_mask", systems._scan_mask)
+    assert cached == [_system_results(L) for L in tables]
+
+
+def test_tables_on_one_order_keep_their_own_classifications():
+    meet = mk_chain(3, min)
+    zero = replace_mult(meet, [[0] * 3] * 3, name="zero3")
+    assert meet.order is zero.order
+    assert classify_system(meet, {2}).is_m
+    assert classify_system(zero, {2}).m_witness == (2, 2)
