@@ -66,7 +66,6 @@ def main(argv=None) -> int:
     top = argparse.ArgumentParser(prog="mlat",
                                   description="finite multiplicative lattices")
     top.add_argument("--seed", type=int, default=1729)
-    top.add_argument("--max-enum", type=int, default=12)
     top.add_argument("--format", choices=("json", "dot", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -143,7 +142,7 @@ def _run(args) -> int:
             lattices = [_load(args.input)]
         else:
             raise LatticeError("check needs an input or --corpus")
-        report = verify_all(lattices, suites=(args.suite,), max_enum=args.max_enum)
+        report = verify_all(lattices, suites=(args.suite,))
         print(report_to_json(report), end="")
         _summary(report)
         return 0 if report.passed else 1
@@ -170,8 +169,7 @@ def _run(args) -> int:
         survey["saturated_m_systems"] = [sorted(L.labels[c] for c in s)
                                          for s in sys_mod.saturated_m_systems(L)]
         if ax.m_distributive:
-            survey["correspondence"] = sys_mod.correspondence_check(
-                L, max_enum=args.max_enum)
+            survey["correspondence"] = sys_mod.correspondence_check(L)
         _emit(args, survey)
     elif cmd == "families":
         if args.family:
@@ -195,8 +193,7 @@ def _run(args) -> int:
             _emit(args, cons.product_spec_check(L, other))
         elif kind == "disjoint":
             _emit(args, cons.disjointness_criteria(
-                L, _element(L, parts[1]), _element(L, parts[2]),
-                max_enum=args.max_enum))
+                L, _element(L, parts[1]), _element(L, parts[2])))
         elif kind == "lying":
             p = cons.lying_over(L, _element(L, parts[1]), _element(L, parts[2]))
             _emit(args, {"prime": L.labels[p]})

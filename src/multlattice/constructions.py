@@ -247,12 +247,11 @@ class DisjointnessReport:
     clopen_partition: bool
 
 
-def disjointness_criteria(L: MultLattice, n1: int, n2: int, *,
-                          max_enum: int = 12) -> DisjointnessReport:
+def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessReport:
     """V(n1) and V(n2) are disjoint iff [n1 v n2, top] is hyperabelian, and
     they cover the spectrum iff n1*n2 is below the semiprime radical; the
     clopen-partition criterion is the conjunction.  All three equivalences
-    are asserted.  ``max_enum`` is passed to :func:`hyperabelian_report`."""
+    are asserted."""
     require(L, ("m_distributive",), MDistributivityRequired,
             "the disjointness criterion needs m-distributivity for its interval leg")
     rep = spectrum(L)
@@ -261,7 +260,7 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int, *,
 
     disjoint = not (v1 & v2)
     iv = interval(L, L.join_table[n1][n2], L.top)
-    hyper = hyperabelian_report(iv.lattice, max_enum=max_enum).hyperabelian
+    hyper = hyperabelian_report(iv.lattice).hyperabelian
     if disjoint != hyper:
         raise TheoremViolation(
             f"V({n1}) ^ V({n2}) empty is {disjoint}, but the upper interval "

@@ -16,6 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+# The largest lattice on which a check scans all 2^size subsets.  Above it
+# the m-system statements run over the saturated m-systems only.
+POWERSET_LIMIT = 12
+
 
 # --------------------------------------------------------------------------
 # Errors

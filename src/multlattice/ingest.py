@@ -158,7 +158,7 @@ def document_to_lattice(doc: LatticeDocument) -> MultLattice:
                 f"mult is not total: missing {doc.elements[x]} {doc.elements[y]}",
                 len(doc.elements) + 1)
     gens = None if doc.generators is None else [index[g] for g in doc.generators]
-    return validate(size=n, covers=covers, mult=table, generators=gens,
+    return validate(order=order, mult=table, generators=gens,
                     labels=doc.elements, name=doc.name)
 
 
@@ -466,10 +466,15 @@ class RandomLatticeResult:
     table_attempts: int
 
 
+# Rejection-sampling attempts allowed for the order and for the table.
+RANDOM_TRIES = 20000
+
+
 def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
-                   max_tries: int = 20000, name: str | None = None) -> RandomLatticeResult:
+                   name: str | None = None) -> RandomLatticeResult:
     """A random lattice of the given size with a random bounded table,
-    rejection-sampled until the requested axiom flags match.
+    rejection-sampled until the requested axiom flags match, with at most
+    ``RANDOM_TRIES`` attempts at each.
 
     ``axioms`` maps property-report flag names to required booleans, e.g.
     ``{"m_distributive": True}``.  Same seed, same result; the attempt counts
@@ -486,7 +491,7 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
     base = None
     while base is None:
         order_attempts += 1
-        if order_attempts > max_tries:
+        if order_attempts > RANDOM_TRIES:
             raise BadParams("could not sample a lattice order; try another seed")
         covers = [(i, j) for i in range(1, size - 1) for j in range(i + 1, size - 1)
                   if rng.random() < 0.35]
@@ -498,7 +503,7 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
             base = None
     while True:
         table_attempts += 1
-        if table_attempts > max_tries:
+        if table_attempts > RANDOM_TRIES:
             raise BadParams("could not sample a table with the requested axioms")
         L = replace_mult(base, random_mult_table(base, rng))
         report = check_axioms(L)

@@ -79,14 +79,13 @@ class SolvableChainReport:
     blocking_semiprime: int | None
 
 
-def solvable_witness_chain(L: MultLattice, *, max_enum: int = 12) -> SolvableChainReport:
+def solvable_witness_chain(L: MultLattice) -> SolvableChainReport:
     """For a hyperabelian lattice, the greedy squaring chain from bottom to
     top; otherwise the smallest semiprime element below top, which blocks the
-    chain.  Requires m-distributivity.  ``max_enum`` is passed to
-    :func:`hyperabelian_report`."""
+    chain.  Requires m-distributivity."""
     require(L, ("m_distributive",), MDistributivityRequired,
             "the chain criterion needs m-distributivity")
-    rep = hyperabelian_report(L, max_enum=max_enum)
+    rep = hyperabelian_report(L)
     if rep.hyperabelian:
         chain = rep.chain
         for i in range(len(chain) - 1):

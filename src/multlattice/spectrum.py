@@ -8,11 +8,11 @@ equivalences, and checks sobriety of finite topologies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import (MDistributivityRequired, MultLattice, NotMaximal,
-                   OrderData, PrimeElement, HypothesesFail, TheoremViolation,
-                   check_axioms, memo, require)
+from .core import (POWERSET_LIMIT, MDistributivityRequired, MultLattice,
+                   NotMaximal, OrderData, PrimeElement, HypothesesFail,
+                   TheoremViolation, check_axioms, memo, require)
 
 
 # --------------------------------------------------------------------------
@@ -23,18 +23,16 @@ from .core import (MDistributivityRequired, MultLattice, NotMaximal,
 class FiniteTopology:
     """A finite point set with an explicit family of closed sets.
 
-    ``basis_labels`` optionally maps a closed set back to a lattice element
-    generating it.  Build through :meth:`from_closed_sets`, which checks the
-    closed-set axioms (empty set and full space closed, family closed under
-    union and intersection).
+    Build through :meth:`from_closed_sets`, which checks the closed-set
+    axioms (empty set and full space closed, family closed under union and
+    intersection).
     """
 
     points: frozenset
     closed_sets: frozenset
-    basis_labels: dict | None = field(default=None, compare=False)
 
     @classmethod
-    def from_closed_sets(cls, points, closed_sets, basis_labels=None):
+    def from_closed_sets(cls, points, closed_sets):
         points = frozenset(points)
         family = frozenset(frozenset(c) for c in closed_sets)
         if frozenset() not in family:
@@ -52,7 +50,7 @@ class FiniteTopology:
                     raise ValueError(f"union of closed sets {sorted(a)}, {sorted(b)} not closed")
                 if a & b not in family:
                     raise ValueError(f"intersection of closed sets {sorted(a)}, {sorted(b)} not closed")
-        return cls(points, family, basis_labels)
+        return cls(points, family)
 
     @property
     def opens(self) -> frozenset:
@@ -264,7 +262,7 @@ def spectrum(L: MultLattice) -> SpectrumReport:
 
 def _spectrum(L: MultLattice) -> SpectrumReport:
     flags = classify_all(L)
-    primes = frozenset(x for x in L.elements if flags[x].prime)
+    primes = primes_of(L)
     notes = []
 
     ax = check_axioms(L)
@@ -288,14 +286,8 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     else:
         notes.append("generator-pair prime test skipped: monotonicity fails")
 
-    closed = {}
-    for x in L.elements:
-        vx = v_set(L, x, primes)
-        if vx in closed:
-            closed[vx] = L.join_table[closed[vx]][x]
-        else:
-            closed[vx] = x
-    zariski = FiniteTopology.from_closed_sets(primes, closed.keys(), dict(closed))
+    zariski = FiniteTopology.from_closed_sets(
+        primes, {v_set(L, x, primes) for x in L.elements})
 
     radical = L.glb(primes)
     max_primes = [x for x in L.elements if flags[x].maximal and flags[x].prime]
@@ -431,18 +423,20 @@ def _greedy_square_chain(L: MultLattice):
     return tuple(chain), None
 
 
-def hyperabelian_report(L: MultLattice, *, max_enum: int = 12) -> HyperabelianReport:
+def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
-    Condition (f) enumerates every m-system when ``size <= max_enum``;
-    above the cap only saturated m-systems are enumerated, which decides the
-    same condition because upward closure neither adds nor removes bottom.
+    Condition (f) scans every subset up to ``core.POWERSET_LIMIT`` elements
+    and stops at the first m-system without bottom, whose members are the
+    witness; above the limit only saturated m-systems are enumerated, which
+    decides the same condition because upward closure neither adds nor
+    removes bottom.
     """
-    return memo(L, ("hyperabelian", max_enum), lambda: _hyperabelian_report(L, max_enum))
+    return memo(L, "hyperabelian", lambda: _hyperabelian_report(L))
 
 
-def _hyperabelian_report(L: MultLattice, max_enum: int) -> HyperabelianReport:
-    from .systems import saturated_m_systems  # local import to avoid a cycle
+def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
+    from .systems import _scan_mask, saturated_m_systems  # avoids an import cycle
 
     require(L, ("m_distributive",), MDistributivityRequired,
             "the equivalences need m-distributivity")
@@ -485,21 +479,17 @@ def _hyperabelian_report(L: MultLattice, max_enum: int) -> HyperabelianReport:
         witnesses["e"] = radical
 
     bottom_bit = 1 << L.bottom
-    if L.size <= max_enum:
+    if L.size <= POWERSET_LIMIT:
         mode = "all"
         cond_f = True
-        down_masks = L.down_masks
         for mask in range(1, 1 << L.size):
-            if mask & bottom_bit:
-                continue
-            xs = [x for x in L.elements if mask >> x & 1]
-            if all(mask & down_masks[mt[x][y]] for x in xs for y in xs):
+            if not mask & bottom_bit and _scan_mask(L, mask)[0]:
                 cond_f = False
-                witnesses["f"] = tuple(xs)
+                witnesses["f"] = tuple(sorted(L.set_of(mask)))
                 break
     else:
         mode = "saturated_only"
-        notes.append(f"size {L.size} > cap {max_enum}: condition (f) decided over "
+        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
                      "saturated m-systems (bottom membership is saturation-invariant)")
         cond_f = True
         for s in saturated_m_systems(L):

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (MDistributivityRequired, MonotonicityRequired, MultLattice,
-                   NotAnMSystem, TheoremViolation, check_axioms, compact_elements,
-                   memo, require)
+from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
+                   MultLattice, NotAnMSystem, TheoremViolation, check_axioms,
+                   compact_elements, memo, require)
 from .spectrum import (FiniteTopology, classify_all, close_family, primes_of,
                        spectrum, topology_from_subbasis, v_set)
 
@@ -198,10 +198,7 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
 
 def _inverse_topology(L: MultLattice) -> FiniteTopology:
     primes = spectrum(L).primes
-    basis = {}
-    for c in sorted(compact_elements(L)):
-        vc = v_set(L, c, primes)
-        basis.setdefault(vc, c)
+    basis = {v_set(L, c, primes) for c in compact_elements(L)}
     opens = close_family({frozenset()}, basis, frozenset.__or__)
     closed = {primes - u for u in opens}
     d_sets = [primes - v for v in basis]
@@ -209,8 +206,7 @@ def _inverse_topology(L: MultLattice) -> FiniteTopology:
         raise TheoremViolation(
             "inverse topology differs from the intersections of basic opens",
             witness=None)
-    labels = {primes - v: c for v, c in basis.items()}
-    return FiniteTopology.from_closed_sets(primes, closed, labels)
+    return FiniteTopology.from_closed_sets(primes, closed)
 
 
 def constructible_topology(L: MultLattice) -> FiniteTopology:
@@ -244,11 +240,12 @@ def equal_saturations(L: MultLattice, X, Y) -> bool:
 # Enumeration
 
 
-def all_m_systems(L: MultLattice, *, max_enum: int = 12):
-    """Every m-system, by powerset scan.  Guarded by ``max_enum``: above the
-    cap use :func:`saturated_m_systems` instead."""
-    if L.size > max_enum:
-        raise ValueError(f"powerset scan capped at {max_enum} elements; "
+def all_m_systems(L: MultLattice):
+    """Every m-system, by powerset scan.  Refused above
+    ``core.POWERSET_LIMIT`` elements, where :func:`m_systems` falls back to
+    :func:`saturated_m_systems`."""
+    if L.size > POWERSET_LIMIT:
+        raise ValueError(f"powerset scan capped at {POWERSET_LIMIT} elements; "
                          "enumerate saturated systems instead")
     out = []
     for mask in range(1, 1 << L.size):
@@ -294,6 +291,14 @@ def saturated_m_systems(L: MultLattice):
             out.append(L.set_of(mask))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
+
+
+def m_systems(L: MultLattice) -> list:
+    """Every m-system up to ``core.POWERSET_LIMIT`` elements, otherwise the
+    saturated ones."""
+    if L.size <= POWERSET_LIMIT:
+        return all_m_systems(L)
+    return saturated_m_systems(L)
 
 
 # --------------------------------------------------------------------------
@@ -363,11 +368,15 @@ def compact_saturated_subsets(L: MultLattice):
     return out
 
 
-def correspondence_check(L: MultLattice, *, max_enum: int = 12) -> CorrespondenceReport:
+def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     """Verify the bijection between compact saturated subsets of the spectrum
     and saturated m-systems, its inclusion reversal, the fixed-point identity
     for subsets of the compact elements, and the homeomorphism between the
     upper-Vietoris topology and the membership topology.
+
+    The fixed-point identity runs over every subset up to
+    ``core.POWERSET_LIMIT`` elements and over the saturated m-systems above
+    it; a note records the latter.
     """
     require(L, ("m_distributive",), MDistributivityRequired,
             "the correspondence needs m-distributivity")
@@ -403,11 +412,11 @@ def correspondence_check(L: MultLattice, *, max_enum: int = 12) -> Correspondenc
 
     # Saturated m-system iff P(S) compact and S is the fixed point S_{P(S)}.
     checked = 0
-    if L.size <= max_enum:
+    if L.size <= POWERSET_LIMIT:
         subset_iter = (L.set_of(m) for m in range(1 << L.size))
     else:
         subset_iter = iter(ms)
-        notes.append(f"size {L.size} > cap {max_enum}: fixed-point identity "
+        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: fixed-point identity "
                      "checked on saturated m-systems only")
     for s in subset_iter:
         cls = classify_system(L, s)

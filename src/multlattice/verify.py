@@ -18,16 +18,15 @@ from json.encoder import encode_basestring_ascii
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (BadParams, LatticeError, MultLattice, TheoremViolation,
-                   check_axioms, compact_elements, replace_mult,
-                   subset_pair_witness, validate)
+from .core import (POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
+                   TheoremViolation, check_axioms, compact_elements,
+                   replace_mult, subset_pair_witness, validate)
 from .ingest import (SCHEMA_VERSION, chain, powerset_lattice, random_mult_table,
                      zn_ideals)
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
                        maximal_prime_criterion, non_prime_symmetric_witness,
                        primes_of, spectrum, v_set)
-from .systems import all_m_systems, saturated_m_systems
 
 
 @dataclass
@@ -73,7 +72,7 @@ def _gated(L, check, why, fn):
 # Suites
 
 
-def suite_axioms(L: MultLattice, max_enum=12) -> list:
+def suite_axioms(L: MultLattice) -> list:
     out = []
     ax = check_axioms(L)
     bad = [(x, y) for x in L.elements for y in L.elements
@@ -95,7 +94,7 @@ def suite_axioms(L: MultLattice, max_enum=12) -> list:
     return out
 
 
-def suite_spectrum(L: MultLattice, max_enum=12) -> list:
+def suite_spectrum(L: MultLattice) -> list:
     ax = check_axioms(L)
     flags = classify_all(L)
     mdist = "" if ax.m_distributive else "not m-distributive"
@@ -107,7 +106,7 @@ def suite_spectrum(L: MultLattice, max_enum=12) -> list:
             for y in L.elements:
                 if v[L.mult_table[x][y]] != v[x] | v[y]:
                     raise TheoremViolation("V(xy) != V(x) u V(y)", witness=(x, y))
-        if L.size <= max_enum:
+        if L.size <= POWERSET_LIMIT:
             for mask in range(1 << L.size):
                 xs = [x for x in L.elements if mask >> x & 1]
                 inter = primes
@@ -158,32 +157,23 @@ def suite_spectrum(L: MultLattice, max_enum=12) -> list:
     ]
 
 
-def suite_hyper(L: MultLattice, max_enum=12) -> list:
+def suite_hyper(L: MultLattice) -> list:
     mdist = "" if check_axioms(L).m_distributive else "not m-distributive"
 
     def crosscheck():
-        rep = hyperabelian_report(L, max_enum=max_enum)
-        chain_rep = solvable_witness_chain(L, max_enum=max_enum)
+        rep = hyperabelian_report(L)
+        chain_rep = solvable_witness_chain(L)
         if rep.hyperabelian != (chain_rep.chain is not None):
             raise TheoremViolation("hyperabelian iff a squaring chain exists fails",
                                    witness=None)
 
     return [
-        _gated(L, "hyper.six_conditions", mdist,
-               lambda: hyperabelian_report(L, max_enum=max_enum)),
+        _gated(L, "hyper.six_conditions", mdist, lambda: hyperabelian_report(L)),
         _gated(L, "hyper.chain_crosscheck", mdist, crosscheck),
     ]
 
 
-def _systems(L: MultLattice, max_enum: int) -> list:
-    """Every m-system when the powerset scan is within ``max_enum``,
-    otherwise the saturated ones."""
-    if L.size <= max_enum:
-        return all_m_systems(L, max_enum=max_enum)
-    return saturated_m_systems(L)
-
-
-def suite_systems(L: MultLattice, max_enum=12) -> list:
+def suite_systems(L: MultLattice) -> list:
     ax = check_axioms(L)
     mono = "" if ax.monotone else "not monotone"
     mdist = "" if ax.m_distributive else "not m-distributive"
@@ -193,7 +183,7 @@ def suite_systems(L: MultLattice, max_enum=12) -> list:
             sys_mod.complement_system(L, x)
 
     def saturation_props():
-        systems = _systems(L, max_enum)
+        systems = sys_mod.m_systems(L)
         sat_of = {}
         for s in systems:
             sat = sys_mod.saturate(L, s)
@@ -245,15 +235,15 @@ def suite_systems(L: MultLattice, max_enum=12) -> list:
                lambda: sys_mod.inverse_topology(L)),
         _guard(L, "systems.constructible_discrete", constructible_discrete),
         _gated(L, "systems.closure_equivalence",
-               "spectrum above max_enum" if len(pts) > max_enum else "",
+               "spectrum above max_enum" if len(pts) > POWERSET_LIMIT else "",
                closure_equivalence),
         _gated(L, "systems.correspondence", mdist,
-               lambda: sys_mod.correspondence_check(L, max_enum=max_enum)),
+               lambda: sys_mod.correspondence_check(L)),
         _gated(L, "systems.subset_system_saturated", mdist, prop_compact),
     ]
 
 
-def suite_families(L: MultLattice, max_enum=12) -> list:
+def suite_families(L: MultLattice) -> list:
     ax = check_axioms(L)
 
     def residual_bounds():
@@ -278,7 +268,7 @@ def suite_families(L: MultLattice, max_enum=12) -> list:
                 fam.pip_check(L, F)
 
     def prop_max():
-        for s in _systems(L, max_enum):
+        for s in sys_mod.m_systems(L):
             fam.sigma_of_system(L, s)
 
     def generator_witness_reading():
@@ -307,7 +297,7 @@ def suite_families(L: MultLattice, max_enum=12) -> list:
                lambda: [fam.annihilators(L, x) for x in L.elements]),
         _gated(L, "families.pip_exhaustive",
                "not monotone" if not ax.monotone
-               else "size above cap" if L.size > max_enum else "", pip_all),
+               else "size above cap" if L.size > POWERSET_LIMIT else "", pip_all),
         _guard(L, "families.sigma_maximal_prime", prop_max),
         _gated(L, "families.generator_symmetric_witness",
                "" if ax.monotone and ax.associative
@@ -318,7 +308,7 @@ def suite_families(L: MultLattice, max_enum=12) -> list:
 PRODUCT_PARTNERS = (chain(2, "meet"), chain(2, "zero"))
 
 
-def suite_constructions(L: MultLattice, max_enum=12) -> list:
+def suite_constructions(L: MultLattice) -> list:
     ax = check_axioms(L)
     mdist = "" if ax.m_distributive else "not m-distributive"
     infinite = "" if ax.infinitely_m_distributive else "not infinitely m-distributive"
@@ -374,7 +364,7 @@ def suite_constructions(L: MultLattice, max_enum=12) -> list:
         _gated(L, "constructions.closed_subspace", mdist,
                lambda: [cons.closed_subspace_spec(L, l) for l in L.elements]),
         _gated(L, "constructions.disjointness", mdist,
-               lambda: [cons.disjointness_criteria(L, n1, n2, max_enum=max_enum)
+               lambda: [cons.disjointness_criteria(L, n1, n2)
                         for n1 in L.elements for n2 in L.elements]),
         _gated(L, "constructions.quotient_spec_map", mdist,
                lambda: [cons.spec_map(cons.quotient_morphism(L, l))
@@ -390,13 +380,13 @@ def suite_constructions(L: MultLattice, max_enum=12) -> list:
     ]
 
 
-def suite_series(L: MultLattice, max_enum=12) -> list:
+def suite_series(L: MultLattice) -> list:
     return [
         _guard(L, "series.descending_stabilizing",
                lambda: [series(L, x) for x in L.elements]),
         _gated(L, "series.solvable_chain",
                "" if check_axioms(L).m_distributive else "not m-distributive",
-               lambda: solvable_witness_chain(L, max_enum=max_enum)),
+               lambda: solvable_witness_chain(L)),
     ]
 
 
@@ -423,7 +413,7 @@ class VerifyReport:
         return self.failed == 0
 
 
-def verify_all(lattices, suites=("all",), *, max_enum: int = 12) -> VerifyReport:
+def verify_all(lattices, suites=("all",)) -> VerifyReport:
     """Run the selected suites over one lattice or a sequence of lattices."""
     if isinstance(lattices, MultLattice):
         lattices = [lattices]
@@ -434,7 +424,7 @@ def verify_all(lattices, suites=("all",), *, max_enum: int = 12) -> VerifyReport
     results = []
     for L in lattices:
         for s in names:
-            results.extend(SUITES[s](L, max_enum))
+            results.extend(SUITES[s](L))
     results.sort(key=lambda r: (r.lattice, r.check))
     failed = sum(1 for r in results if not r.passed)
     skipped = sum(1 for r in results if r.skipped)
@@ -514,15 +504,18 @@ def corpus_exhaustive_tables(max_size: int = 4):
     return out
 
 
-def corpus_random_tables(count: int = 1000, seed: int = 1729,
-                         shapes=("chain5", "pentagon", "m3", "chain6", "grid2x3")):
-    """A seeded random sample of bounded tables on 5/6-element shapes."""
+RANDOM_SHAPES = ("chain5", "pentagon", "m3", "chain6", "grid2x3")
+
+
+def corpus_random_tables(count: int = 1000, seed: int = 1729):
+    """A seeded random sample of bounded tables on the 5/6-element
+    ``RANDOM_SHAPES``, split evenly between them."""
     if count < 1:
         raise BadParams(f"a random corpus needs at least one table, not {count}")
     out = []
-    per = count // len(shapes)
-    extra = count - per * len(shapes)
-    for k, name in enumerate(shapes):
+    per = count // len(RANDOM_SHAPES)
+    extra = count - per * len(RANDOM_SHAPES)
+    for k, name in enumerate(RANDOM_SHAPES):
         base = shape_lattice(name)
         rng = random.Random(seed + k)
         take = per + (1 if k < extra else 0)

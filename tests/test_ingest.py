@@ -1,6 +1,7 @@
 import pytest
 
-from multlattice.core import MultNotBounded, check_axioms
+from multlattice import core, ingest
+from multlattice.core import MultNotBounded, build_order, check_axioms
 from multlattice.ingest import (LatticeSyntaxError, chain, export_dot,
                                 export_dot_spectrum, export_text, generate,
                                 open_set_lattice, parse, parse_document,
@@ -36,6 +37,19 @@ def test_parse_minimal_two_chain():
     L = parse(MINIMAL)
     assert L.size == 2 and L.name == "two"
     assert L.mult(1, 1) == 1
+
+
+def test_parse_builds_the_order_once(monkeypatch):
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return build_order(**kwargs)
+
+    monkeypatch.setattr(core, "build_order", counting)
+    monkeypatch.setattr(ingest, "build_order", counting)
+    parse(DIAMOND)
+    assert len(calls) == 1
 
 
 def test_parse_diamond_preset_expansion():

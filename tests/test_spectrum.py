@@ -7,7 +7,8 @@ from multlattice.spectrum import (FiniteTopology, classify, classify_all,
                                   hyperabelian_report, maximal_prime_criterion,
                                   non_prime_symmetric_witness, sober_check,
                                   spectrum, v_set)
-from multlattice.systems import constructible_topology
+from multlattice.systems import (all_m_systems, constructible_topology,
+                                 saturated_m_systems)
 
 from conftest import mk_chain
 
@@ -166,10 +167,14 @@ def test_hyperabelian_one_element_lattice():
 
 
 def test_hyperabelian_saturated_only_mode():
-    L = mk_chain(4, lambda x, y: 0)
-    rep = hyperabelian_report(L, max_enum=2)
+    # 13 elements is one above POWERSET_LIMIT
+    rep = hyperabelian_report(chain(13, "zero"))
     assert rep.msystem_mode == "saturated_only"
-    assert rep.hyperabelian
+    assert rep.hyperabelian and "f" not in rep.witnesses
+    rep = hyperabelian_report(chain(13, "meet"))
+    assert rep.msystem_mode == "saturated_only"
+    assert not rep.hyperabelian and rep.witnesses["f"] == (12,)
+    assert rep.notes[-1].startswith("size 13 > cap 12: condition (f) decided")
 
 
 def brute_chain_exists(L):
@@ -192,13 +197,30 @@ def test_greedy_chain_agrees_with_exhaustive_search(small_exhaustive_corpus):
         assert (rep.chain is not None) == brute_chain_exists(L), L.name
 
 
+def brute_m_system_without_bottom(L):
+    """The first subset in mask order that avoids bottom and is an m-system,
+    by the definition: some member lies below x*y for all members x, y."""
+    for mask in range(1, 1 << L.size):
+        xs = [x for x in L.elements if mask >> x & 1]
+        if L.bottom not in xs and all(
+                any(L.leq(z, L.mult(x, y)) for z in xs) for x in xs for y in xs):
+            return tuple(xs)
+    return None
+
+
 def test_condition_f_modes_agree(small_exhaustive_corpus):
+    # Bottom lies in every m-system exactly when it lies in every saturated
+    # one, so the scan above POWERSET_LIMIT decides the same condition (f).
     for L in small_exhaustive_corpus:
         if not check_axioms(L).m_distributive:
             continue
-        full = hyperabelian_report(L, max_enum=12)
-        saturated_only = hyperabelian_report(L, max_enum=0)
-        assert full.conditions == saturated_only.conditions, L.name
+        in_all = all(L.bottom in s for s in all_m_systems(L))
+        assert in_all == all(L.bottom in s for s in saturated_m_systems(L)), L.name
+        rep = hyperabelian_report(L)
+        assert rep.msystem_mode == "all"
+        witness = brute_m_system_without_bottom(L)
+        assert rep.conditions["f"] == in_all == (witness is None), L.name
+        assert rep.witnesses.get("f") == witness, L.name
 
 
 def brute_sober(T):

@@ -1,13 +1,18 @@
+import importlib
+import inspect
 import itertools
+import json
+import pkgutil
 
 import pytest
 
+import multlattice
 from multlattice import families
 from multlattice import systems as sys_mod
 from multlattice.cli import main
-from multlattice.core import BadParams, check_axioms
+from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms
 from multlattice.ingest import chain, to_json
-from multlattice.verify import (LATTICE_SHAPES, CheckResult, VerifyReport,
+from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
                                 report_to_json, shape_lattice, verify_all)
@@ -125,8 +130,9 @@ def test_unexpected_exception_is_a_failure_of_its_lattice(monkeypatch):
     assert {r.lattice for r in rep.results} == {"chain3_meet", "chain3_zero"}
 
 
-def test_closure_equivalence_above_max_enum_is_skipped():
-    rep = verify_all(chain(6, "meet"), ("systems",), max_enum=3)
+def test_closure_equivalence_above_the_powerset_limit_is_skipped():
+    # chain14_meet has 13 primes, one more than POWERSET_LIMIT
+    rep = verify_all(chain(14, "meet"), ("systems",))
     [result] = [r for r in rep.results if r.check == "systems.closure_equivalence"]
     assert result.skipped and result.detail == "spectrum above max_enum"
     assert rep.failed == 0 and rep.skipped == 1
@@ -144,28 +150,36 @@ def test_closure_equivalence_fails_when_closures_disagree(monkeypatch):
         "inverse-topology closures (witness ")
 
 
-def test_max_enum_reaches_the_m_system_scan(capsys):
-    # At 13 elements the default cap of 12 would refuse the powerset scan;
-    # the run's max_enum must reach every enumeration.
-    rep = verify_all(chain(13, "zero"), ("systems", "families"), max_enum=13)
-    assert rep.failed == 0 and rep.skipped == 0
-    assert main(["--max-enum", "13", "check", "systems", "gen:chain:13:zero"]) == 0
-    assert "failed: 0" in capsys.readouterr().err
-
-
-def test_one_max_enum_per_run():
-    # Every hyperabelian report of a run, on the lattice and on its
-    # intervals, is built under the run's cap.
+def test_m_system_checks_above_the_powerset_limit(capsys):
+    # Above POWERSET_LIMIT the m-system statements run over the saturated
+    # m-systems, and only the family scan, which needs every subset, skips.
     L = chain(13, "zero")
-    verify_all(L, ("hyper",), max_enum=13)
-    assert [k for k in L._cache if k[0] == "hyperabelian"] == [("hyperabelian", 13)]
+    assert L.size > POWERSET_LIMIT
+    rep = verify_all(L, ("systems",))
+    assert rep.failed == 0 and rep.skipped == 0
+    assert main(["check", "families", "gen:chain:13:zero"]) == 0
+    out, err = capsys.readouterr()
+    assert "failed: 0" in err
+    skipped = {r["check"]: r["detail"] for r in json.loads(out)["results"]
+               if r["skipped"]}
+    assert skipped == {"families.pip_exhaustive": "size above cap"}
 
-    L = chain(4, "meet")
-    verify_all(L, ("constructions",), max_enum=3)
-    caches = [L._cache] + [v.lattice._cache for k, v in L._cache.items()
-                           if k[0] == "interval"]
-    keys = {k for cache in caches for k in cache if k[0] == "hyperabelian"}
-    assert keys == {("hyperabelian", 3)}
+
+def test_the_powerset_limit_is_no_option():
+    # The limit is chosen from the lattice's size, never by a caller.
+    for info in pkgutil.iter_modules(multlattice.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"multlattice.{info.name}")
+        for fn_name, fn in vars(module).items():
+            if inspect.isfunction(fn):
+                assert "max_enum" not in inspect.signature(fn).parameters, \
+                    f"{info.name}.{fn_name}"
+    for suite in SUITES.values():
+        assert len(inspect.signature(suite).parameters) == 1, suite.__name__
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-enum", "13", "check", "systems", "gen:chain:3:zero"])
+    assert exc.value.code == 2
 
 
 def test_report_writer_matches_the_generic_encoder():
