@@ -114,7 +114,7 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, TheoremViolation) else 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

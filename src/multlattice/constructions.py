@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   TheoremViolation, memo, require, validate)
+                   PropertyReport, TheoremViolation, check_axioms, memo, require,
+                   validate)
 from .spectrum import (classify_all, d_set, hyperabelian_report, primes_of,
                        spectrum, v_set)
 from .families import residual_left, residual_right
@@ -163,7 +164,10 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     factor orders, so :func:`validate` checks only the multiplication bound,
     the generators (pairs of factor generators or bottoms) and the labels.
     Each call builds a new product lattice: no caller reads one twice, and a
-    cached one would keep its caches alive as long as its left factor."""
+    cached one would keep its caches alive as long as its left factor.  Each
+    axiom holds on the product exactly when it holds on both factors, so its
+    :func:`check_axioms` report is derived from theirs, with lifted witnesses
+    (:func:`_product_axioms`), instead of scanned."""
     order = memo(L1.order, ("product", L2.order),
                  lambda: _product_order(L1.order, L2.order))
     n2 = L2.size
@@ -172,7 +176,34 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
                      for b in L2.generators | {L2.bottom})
     M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
                  generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
+    M._cache["axioms"] = _product_axioms(L1, L2)
     return ProductLattice(M, L1, L2)
+
+
+def _product_axioms(L1: MultLattice, L2: MultLattice) -> PropertyReport:
+    """Each flag of ``L1 x L2`` is the conjunction of the factors' flags.  A
+    failing flag's witness is lifted from the first factor that fails it, the
+    other coordinate held at that factor's bottom: a genuine failure on the
+    product, but not necessarily the first in its (x, y, z) order."""
+    a1, a2 = check_axioms(L1), check_axioms(L2)
+    mono = a1.monotone and a2.monotone
+    mdist = a1.m_distributive and a2.m_distributive
+    assoc = a1.associative and a2.associative
+    comm = a1.commutative and a2.commutative
+    witnesses = {}
+    if not (mono and mdist and assoc and comm):
+        n2, w1, w2 = L2.size, a1.witnesses, a2.witnesses
+        b2, b1_row = L2.bottom, L1.bottom * n2
+        for flag in ("monotone", "m_distributive", "associative", "commutative"):
+            if flag in w1:
+                witnesses[flag] = tuple([v if isinstance(v, str) else v * n2 + b2
+                                         for v in w1[flag]])
+            elif flag in w2:
+                witnesses[flag] = tuple([v if isinstance(v, str) else b1_row + v
+                                         for v in w2[flag]])
+        if not mdist:
+            witnesses["infinitely_m_distributive"] = witnesses["m_distributive"]
+    return PropertyReport(mono, mdist, mdist, assoc, comm, witnesses)
 
 
 def _pairs(t1, t2) -> tuple:

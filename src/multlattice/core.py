@@ -495,6 +495,8 @@ class PropertyReport:
     arbitrary joins by induction.  Its witness is the m-distributivity
     witness, and ``infinite_check_method`` names this route.
     :func:`subset_pair_witness` reads the law literally, as a reference.
+    A product's report is derived from its factors' reports; its witnesses
+    are lifted from a factor, so they need not be first in order.
     """
     monotone: bool
     m_distributive: bool

@@ -56,10 +56,13 @@ def _guard(L, check, fn):
     try:
         fn()
         return _ok(L, check)
-    except LatticeError as exc:
-        return _fail(L, check, f"{type(exc).__name__}: {exc} (witness {exc.witness})")
     except Exception as exc:
-        return _fail(L, check, f"{type(exc).__name__}: {exc}")
+        return _raised(L, check, exc)
+
+
+def _raised(L, check, exc):
+    witness = f" (witness {exc.witness})" if isinstance(exc, LatticeError) else ""
+    return _fail(L, check, f"{type(exc).__name__}: {exc}{witness}")
 
 
 def _gated(L, check, why, fn):
@@ -424,7 +427,10 @@ def verify_all(lattices, suites=("all",)) -> VerifyReport:
     results = []
     for L in lattices:
         for s in names:
-            results.extend(SUITES[s](L))
+            try:
+                results.extend(SUITES[s](L))
+            except Exception as exc:    # in a suite's set-up, outside _guard
+                results.append(_raised(L, f"{s}.setup", exc))
     results.sort(key=lambda r: (r.lattice, r.check))
     failed = sum(1 for r in results if not r.passed)
     skipped = sum(1 for r in results if r.skipped)

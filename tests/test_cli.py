@@ -170,6 +170,18 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "non-utf8", "product-directory"])
+def test_unreadable_input_exits_2_with_one_error_line(capsys, tmp_path, kind):
+    binary = tmp_path / "binary.lat"
+    binary.write_bytes(b"element \xff\xfe\n")
+    argv = {"directory": ("validate", str(tmp_path)),
+            "non-utf8": ("validate", str(binary)),
+            "product-directory": ("construct", f"product:{tmp_path}", "gen:zn:12")}
+    code, out, err = run(capsys, *argv[kind])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_identical_invocations_byte_identical(capsys):
     _, out1, _ = run(capsys, "--seed", "5", "check", "spectrum", "--corpus", "random:20")
     _, out2, _ = run(capsys, "--seed", "5", "check", "spectrum", "--corpus", "random:20")

@@ -15,11 +15,12 @@ from multlattice.constructions import (closed_subspace_spec,
                                        spec_map)
 from multlattice.core import (BadParams, HypothesesFail, LatticeError,
                               NotAMorphism, NotComparable, NotPrimeInInterval,
-                              build_order, check_axioms, replace_mult, validate)
+                              _check_axioms, build_order, check_axioms,
+                              replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import classify_all, hyperabelian_report, spectrum
-from multlattice.verify import (corpus_exhaustive_tables, enumerate_tables,
-                                shape_lattice)
+from multlattice.verify import (corpus_exhaustive_tables, corpus_random_tables,
+                                enumerate_tables, shape_lattice)
 
 from conftest import mk_chain
 
@@ -175,6 +176,60 @@ def test_derived_lattices_match_validation_from_scratch(named_corpus):
                 assert_same_lattice(M, interval_from_scratch(L, x, y))
                 shifted_bottoms += M.bottom != 0
     assert shifted_bottoms  # some interval bottom is not its index 0
+
+
+
+AXIOM_FLAGS = ("monotone", "m_distributive", "infinitely_m_distributive",
+               "associative", "commutative")
+
+
+def fails_on(M, flag, w):
+    """Whether the witness ``w`` of ``flag`` is a failure of that axiom on ``M``."""
+    if flag == "monotone":
+        side, x, y, z = w
+        a, b = ((M.mult(x, z), M.mult(y, z)) if side == "left"
+                else (M.mult(z, x), M.mult(z, y)))
+        return x != y and M.leq(x, y) and not M.leq(a, b)
+    if flag in ("m_distributive", "infinitely_m_distributive"):
+        side, x, y, z = w
+        j = M.join(x, y)
+        if side == "left":
+            return x < y and M.mult(j, z) != M.join(M.mult(x, z), M.mult(y, z))
+        return x < y and M.mult(z, j) != M.join(M.mult(z, x), M.mult(z, y))
+    if flag == "associative":
+        x, y, z = w
+        return M.mult(M.mult(x, y), z) != M.mult(x, M.mult(y, z))
+    x, y = w
+    return x < y and M.mult(x, y) != M.mult(y, x)
+
+
+def test_product_axioms_match_a_scan_of_the_product(named_corpus):
+    # the product's report is derived from its factors; its flags must equal
+    # a scan of the product built from scratch, and every lifted witness
+    # must fail on the product, from whichever side it was lifted, with the
+    # other coordinate at that side's bottom
+    partners = (chain(2, "meet"), chain(2, "zero"))
+    corpus = (list(named_corpus) + corpus_exhaustive_tables(4)[::40]
+              + corpus_random_tables(10, seed=3))
+    good = chain(3, "meet")
+    pairs = [pair for L in corpus for p in partners for pair in ((L, p), (p, L))]
+    pairs += [(good, L) for L in corpus[-10:]]              # only the right fails
+    pairs += list(zip(corpus[-10:], corpus[-5:] + corpus[-10:-5]))
+    lifted = {"left": set(), "right": set()}
+    for A, B in pairs:
+        P = product(A, B)
+        ax = check_axioms(P.lattice)
+        ref = _check_axioms(product_from_scratch(A, B))
+        for flag in AXIOM_FLAGS:
+            assert getattr(ax, flag) == getattr(ref, flag), (A.name, B.name, flag)
+        assert ax.witnesses.keys() == ref.witnesses.keys(), (A.name, B.name)
+        for flag, w in ax.witnesses.items():
+            assert fails_on(P.lattice, flag, w), (A.name, B.name, flag, w)
+            side = "left" if not getattr(check_axioms(A), flag) else "right"
+            held = {P.index_to_pair(v)[side == "left"] for v in w if isinstance(v, int)}
+            assert held == {B.bottom if side == "left" else A.bottom}, (A.name, B.name)
+            lifted[side].add(flag)
+    assert lifted["left"] == lifted["right"] == set(AXIOM_FLAGS)
 
 
 def test_tables_on_one_shape_share_derived_orders():

@@ -317,5 +317,8 @@ def test_library_suites_never_run_the_subset_pair_scan(monkeypatch):
             monkeypatch.setattr(module, "subset_pair_witness", scan)
     rep = verify.verify_all(L, tuple(s for s in verify.SUITES if s != "axioms"))
     assert rep.checked > 0 and rep.failed == 0
-    with pytest.raises(AssertionError, match="subset-pair scan"):
-        verify.verify_all(L, ("axioms",))
+    # the axioms suite calls the scan outside its guarded checks, so the
+    # planted error is the suite's one set-up failure
+    rep = verify.verify_all(L, ("axioms",))
+    assert [(r.check, r.detail) for r in rep.results if not r.passed] == [
+        ("axioms.setup", f"AssertionError: subset-pair scan on {L.name}")]

@@ -7,7 +7,7 @@ import pkgutil
 import pytest
 
 import multlattice
-from multlattice import families
+from multlattice import families, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms
@@ -128,6 +128,33 @@ def test_unexpected_exception_is_a_failure_of_its_lattice(monkeypatch):
     failures = [(r.lattice, r.check, r.detail) for r in rep.results if not r.passed]
     assert failures == [("chain3_meet", "families.annihilators", "RuntimeError: boom")]
     assert {r.lattice for r in rep.results} == {"chain3_meet", "chain3_zero"}
+
+
+def test_suite_setup_exception_is_one_failure_of_its_lattice(monkeypatch, capsys):
+    # suite_spectrum calls classify_all(L) before any guarded check
+    lattices = [chain(3, "meet"), chain(3, "zero")]
+    clean = verify_all(lattices)
+    original = verify.classify_all
+
+    def classify_all(L):
+        if L.name == "chain3_meet":
+            raise RuntimeError("boom")
+        return original(L)
+
+    monkeypatch.setattr(verify, "classify_all", classify_all)
+    rep = verify_all(lattices, ("spectrum",))
+    meet = [(r.check, r.passed, r.detail) for r in rep.results
+            if r.lattice == "chain3_meet"]
+    assert meet == [("spectrum.setup", False, "RuntimeError: boom")]
+    # every suite still runs, and the other lattice's rows are untouched
+    rep = verify_all(lattices)
+    failures = [(r.lattice, r.check) for r in rep.results if not r.passed]
+    assert ("chain3_meet", "spectrum.setup") in failures
+    assert all(lattice == "chain3_meet" for lattice, _ in failures)
+    assert ([r for r in rep.results if r.lattice == "chain3_zero"]
+            == [r for r in clean.results if r.lattice == "chain3_zero"])
+    assert main(["check", "spectrum", "gen:chain:3:meet"]) == 1
+    assert "FAIL chain3_meet spectrum.setup: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_closure_equivalence_above_the_powerset_limit_is_skipped():
