@@ -51,6 +51,19 @@ def _element(L, token: str) -> int:
     return idx
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that names none of the parser's options as an argument,
+    not as an unknown option, so a label such as ``-inf`` names an element
+    (argparse itself lets only negative numbers start with "-")."""
+
+    def _parse_optional(self, arg_string):
+        parsed = super()._parse_optional(arg_string)
+        # an unknown option parses as (None, arg_string, None), or, from
+        # Python 3.12 on, as a list holding one such tuple
+        found = parsed[0] if isinstance(parsed, list) else parsed
+        return None if found is not None and found[0] is None else parsed
+
+
 def _emit(args, obj, dot=None):
     if args.format == "dot":
         if dot is None:
@@ -63,8 +76,7 @@ def _emit(args, obj, dot=None):
 
 
 def main(argv=None) -> int:
-    top = argparse.ArgumentParser(prog="mlat",
-                                  description="finite multiplicative lattices")
+    top = _Parser(prog="mlat", description="finite multiplicative lattices")
     top.add_argument("--seed", type=int, default=1729)
     top.add_argument("--format", choices=("json", "dot", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
@@ -90,7 +102,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("families", help="family classification")
     p.add_argument("input")
-    p.add_argument("--family", help="comma-separated labels; default {top}")
+    p.add_argument("--family", help="one label, or comma-separated labels; "
+                                    "default {top}")
 
     p = sub.add_parser("construct", help="interval:<x>:<y> | product:<spec> | "
                                          "disjoint:<n1>:<n2> | lying:<n>:<q> | "
@@ -173,7 +186,8 @@ def _run(args) -> int:
         _emit(args, survey)
     elif cmd == "families":
         if args.family:
-            F = frozenset(_element(L, t) for t in args.family.split(","))
+            tokens = [args.family] if args.family in L.labels else args.family.split(",")
+            F = frozenset(_element(L, t) for t in tokens)
         else:
             F = frozenset({L.top})
         _emit(args, fam.classify_family(L, F))

@@ -188,6 +188,12 @@ class MultLattice:
     def set_of(self, mask: int) -> frozenset:
         return frozenset(x for x in range(self.size) if mask >> x & 1)
 
+    def maximal_in(self, mask: int) -> list:
+        """The maximal elements of the subset ``mask``, in index order."""
+        up = self.up_masks
+        return [x for x in range(self.size)
+                if mask >> x & 1 and not up[x] & mask & ~(1 << x)]
+
     def __eq__(self, other):
         if not isinstance(other, MultLattice):
             return NotImplemented
@@ -274,7 +280,8 @@ class OrderData:
     identity equality and can key caches.  ``_cache`` holds, through
     :func:`memo`, what is computed from the order alone: the masks and
     covers here, the interval and product orders, the maximal and
-    meet-irreducible flags and the order laws of morphisms elsewhere.
+    meet-irreducible flags, the m-system member sets and the order laws of
+    morphisms elsewhere.
     """
     size: int
     relation: tuple
@@ -311,6 +318,33 @@ class OrderData:
             out = self.join_table[out][x]
         return out
 
+    def first_ungenerated(self, gens) -> int | None:
+        """The first element that is not the join of the members of ``gens``
+        below it, or None when ``gens`` generates the lattice."""
+        rel = self.relation
+        join_table = self.join_table
+        for x in range(self.size):
+            acc = self.bottom
+            for a in gens:
+                if rel[a][x]:
+                    acc = join_table[acc][a]
+            if acc != x:
+                return x
+        return None
+
+
+def _bound(masks, x: int, y: int, what: str) -> int:
+    """The member of ``masks[x] & masks[y]`` whose own mask holds all of it:
+    the join of x and y on up-set masks, the meet on down-set masks."""
+    common = masks[x] & masks[y]
+    m = common
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        if common & ~masks[u] == 0:
+            return u
+    raise NotALattice(f"pair ({x}, {y}) has no {what} bound", witness=(x, y))
+
 
 def build_order(*, size: int | None = None, covers=None, relation=None) -> OrderData:
     """Check that the supplied order is a lattice and precompute its tables.
@@ -338,41 +372,14 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
     meet_table = [[0] * size for _ in range(size)]
     for x in range(size):
         for y in range(size):
-            ub = up_masks[x] & up_masks[y]
-            least = None
-            m = ub
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if ub & ~up_masks[u] == 0:
-                    least = u
-                    break
-            if least is None:
-                raise NotALattice(f"pair ({x}, {y}) has no least upper bound",
-                                  witness=(x, y))
-            join_table[x][y] = least
-            lb = down_masks[x] & down_masks[y]
-            greatest = None
-            m = lb
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if lb & ~down_masks[u] == 0:
-                    greatest = u
-                    break
-            if greatest is None:
-                raise NotALattice(f"pair ({x}, {y}) has no greatest lower bound",
-                                  witness=(x, y))
-            meet_table[x][y] = greatest
+            join_table[x][y] = _bound(up_masks, x, y, "least upper")
+            meet_table[x][y] = _bound(down_masks, x, y, "greatest lower")
 
-    bottom = 0
-    top = 0
-    for x in range(size):
-        bottom = meet_table[bottom][x]
-        top = join_table[top][x]
+    full = (1 << size) - 1
     order = OrderData(size, tuple(tuple(r) for r in rel),
                       tuple(tuple(r) for r in join_table),
-                      tuple(tuple(r) for r in meet_table), bottom, top)
+                      tuple(tuple(r) for r in meet_table),
+                      up_masks.index(full), down_masks.index(full))
     order._cache["masks"] = down_masks, up_masks
     return order
 
@@ -405,23 +412,14 @@ def validate(*, size: int | None = None,
     elif size is not None or covers is not None or relation is not None:
         raise BadParams("order excludes size, covers and relation")
     size = order.size
-    rel = order.relation
-    join_table = order.join_table
-    meet_table = order.meet_table
-    bottom = order.bottom
 
-    table = _bounded_table(size, rel, meet_table, mult)
+    table = _bounded_table(size, order.relation, order.meet_table, mult)
     gens = frozenset(range(size)) if generators is None else frozenset(generators)
     if any(not 0 <= g < size for g in gens):
         raise BadParams("generators out of range")
-    for x in range(size):
-        acc = bottom
-        for a in gens:
-            if rel[a][x]:
-                acc = join_table[acc][a]
-        if acc != x:
-            raise NotGenerated(
-                f"element {x} is not a join of generators", witness=x)
+    x = order.first_ungenerated(gens)
+    if x is not None:
+        raise NotGenerated(f"element {x} is not a join of generators", witness=x)
 
     if labels is None:
         labels = tuple(str(i) for i in range(size))
@@ -456,15 +454,11 @@ def _bounded_table(size: int, rel, meet_table, mult) -> tuple:
 
 
 def replace_mult(base: MultLattice, mult_table, name: str | None = None) -> MultLattice:
-    """A lattice with the same order as ``base`` but a different multiplication.
-
-    Used by the table enumerators: only the boundedness of the new table has
-    to be re-checked; the new lattice shares ``base.order`` and with it
-    everything cached on the order.
-    """
-    table = _bounded_table(base.size, base.relation, base.meet_table, mult_table)
-    return MultLattice(base.order, table, base.generators, base.labels,
-                       base.name if name is None else name)
+    """A lattice with the same order, generators and labels as ``base`` but
+    a different multiplication: :func:`validate` on ``base.order``, so the
+    new lattice shares it and everything cached on it."""
+    return validate(order=base.order, mult=mult_table, generators=base.generators,
+                    labels=base.labels, name=base.name if name is None else name)
 
 
 # --------------------------------------------------------------------------

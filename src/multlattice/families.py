@@ -208,11 +208,10 @@ def pip_check(L: MultLattice, F, A=None) -> PipReport:
     family = frozenset(F)
     gens = L.generators if A is None else frozenset(A)
     ax = require(L, ("monotone",), HypothesesFail, "monotonicity fails")
-    for x in L.elements:
-        if L.lub(a for a in gens if L.relation[a][x]) != x:
-            raise HypothesesFail(
-                f"lattice is not generated by the given set: element {x}",
-                witness=x)
+    x = L.order.first_ungenerated(gens)
+    if x is not None:
+        raise HypothesesFail(
+            f"lattice is not generated by the given set: element {x}", witness=x)
     rep = classify_family(L, family, gens)
     cases = []
     if rep.left_oka:
@@ -228,18 +227,15 @@ def pip_check(L: MultLattice, F, A=None) -> PipReport:
             "family satisfies none of the four closure conditions",
             witness=rep.counterexamples)
 
-    outside = [x for x in L.elements if x not in family]
-    omask = L.mask_of(outside)
-    maximal = [m for m in outside
-               if not (L.up_masks[m] & omask & ~(1 << m))]
+    maximal = L.maximal_in(L.full_mask & ~L.mask_of(family))
     flags = classify_all(L)
     for m in maximal:
         if not flags[m].prime:
             raise TheoremViolation(
                 f"maximal element {m} outside a {cases[0]} family is not prime",
                 witness=m)
-    return PipReport(family, tuple(cases), tuple(sorted(maximal)),
-                     {m: flags[m] for m in sorted(maximal)}, True)
+    return PipReport(family, tuple(cases), tuple(maximal),
+                     {m: flags[m] for m in maximal}, True)
 
 
 # --------------------------------------------------------------------------
@@ -267,8 +263,7 @@ def sigma_of_system(L: MultLattice, S) -> SigmaReport:
         raise NotAnMSystem("input is not an m-system", witness=ms.m_witness)
     smask = L.mask_of(ms.members)
     sigma = [l for l in L.elements if not smask & L.down_masks[l]]
-    sigma_mask = L.mask_of(sigma)
-    maximal = [m for m in sigma if not (L.up_masks[m] & sigma_mask & ~(1 << m))]
+    maximal = L.maximal_in(L.mask_of(sigma))
 
     if L.bottom in ms.members:
         if sigma:

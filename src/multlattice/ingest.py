@@ -450,12 +450,15 @@ def open_set_lattice(T: FiniteTopology, name: str = "opens") -> MultLattice:
                     labels=labels, name=name)
 
 
+def cell_choices(L: MultLattice) -> list:
+    """The values that cell [x][y] of a bounded multiplication table on the
+    order of L may take: the elements below x meet y, ascending."""
+    return [[sorted(L.down(m)) for m in row] for row in L.meet_table]
+
+
 def random_mult_table(L: MultLattice, rng: random.Random):
     """A uniformly random bounded multiplication table on the order of L."""
-    n = L.size
-    choices = [[sorted(L.set_of(L.down_masks[L.meet_table[x][y]]))
-                for y in range(n)] for x in range(n)]
-    return [[rng.choice(choices[x][y]) for y in range(n)] for x in range(n)]
+    return [[rng.choice(cell) for cell in row] for row in cell_choices(L)]
 
 
 @dataclass

@@ -412,13 +412,11 @@ def _greedy_square_chain(L: MultLattice):
     x = L.bottom
     while x != L.top:
         down = L.down_masks[x]
-        cand = [y for y in L.elements
-                if y != x and L.relation[x][y] and down >> mt[y][y] & 1]
+        cand = L.mask_of(y for y in L.elements
+                         if y != x and L.relation[x][y] and down >> mt[y][y] & 1)
         if not cand:
             return None, x
-        maximal = [y for y in cand
-                   if not any(z != y and L.relation[y][z] for z in cand)]
-        x = maximal[0]
+        x = L.maximal_in(cand)[0]
         chain.append(x)
     return tuple(chain), None
 
@@ -426,17 +424,17 @@ def _greedy_square_chain(L: MultLattice):
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
-    Condition (f) scans every subset up to ``core.POWERSET_LIMIT`` elements
-    and stops at the first m-system without bottom, whose members are the
-    witness; above the limit only saturated m-systems are enumerated, which
-    decides the same condition because upward closure neither adds nor
-    removes bottom.
+    Condition (f) reads ``systems.m_systems``: every m-system up to
+    ``core.POWERSET_LIMIT`` elements, in mask order, and the saturated ones
+    above it, which decides the same condition because upward closure
+    neither adds nor removes bottom.  The witness is the first m-system
+    without bottom.
     """
     return memo(L, "hyperabelian", lambda: _hyperabelian_report(L))
 
 
 def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
-    from .systems import _scan_mask, saturated_m_systems  # avoids an import cycle
+    from .systems import m_systems  # avoids an import cycle
 
     require(L, ("m_distributive",), MDistributivityRequired,
             "the equivalences need m-distributivity")
@@ -478,25 +476,15 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     if not cond_e:
         witnesses["e"] = radical
 
-    bottom_bit = 1 << L.bottom
-    if L.size <= POWERSET_LIMIT:
-        mode = "all"
-        cond_f = True
-        for mask in range(1, 1 << L.size):
-            if not mask & bottom_bit and _scan_mask(L, mask)[0]:
-                cond_f = False
-                witnesses["f"] = tuple(sorted(L.set_of(mask)))
-                break
-    else:
+    mode = "all"
+    if L.size > POWERSET_LIMIT:
         mode = "saturated_only"
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
                      "saturated m-systems (bottom membership is saturation-invariant)")
-        cond_f = True
-        for s in saturated_m_systems(L):
-            if L.bottom not in s:
-                cond_f = False
-                witnesses["f"] = tuple(sorted(s))
-                break
+    without_bottom = next((s for s in m_systems(L) if L.bottom not in s), None)
+    cond_f = without_bottom is None
+    if not cond_f:
+        witnesses["f"] = tuple(sorted(without_bottom))
 
     conditions = {"a": cond_a, "b": cond_b, "c": cond_c,
                   "d": cond_d, "e": cond_e, "f": cond_f}

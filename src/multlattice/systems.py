@@ -96,7 +96,11 @@ def classify_system(L: MultLattice, S) -> MSystem:
     members = frozenset(S)
     if any(not 0 <= x < L.size for x in members):
         raise ValueError("members must be elements of the lattice")
-    mask = L.mask_of(members)
+    return _system(L, L.mask_of(members), members)
+
+
+def _system(L: MultLattice, mask: int, members: frozenset) -> MSystem:
+    """The classified subset ``mask``, whose members are ``members``."""
     is_m, is_n, sat, m_wit, n_wit, sat_wit = _classify_mask(L, mask)
     if is_m and not is_n:
         raise TheoremViolation("an m-system failed the n-system test",
@@ -119,7 +123,7 @@ def saturate(L: MultLattice, S) -> MSystem:
     mask = 0
     for x in ms.members:
         mask |= L.up_masks[x]
-    out = classify_system(L, L.set_of(mask))
+    out = _system(L, mask, L.set_of(mask))
     if not (out.is_m and out.saturated):
         raise TheoremViolation("upward closure of an m-system in a monotone "
                                "lattice must be a saturated m-system",
@@ -139,7 +143,8 @@ def complement_system(L: MultLattice, x: int) -> MSystem:
     """
     require(L, ("monotone",), MonotonicityRequired,
             "the complement-system tests need monotonicity")
-    ms = classify_system(L, L.set_of(L.full_mask & ~L.down_masks[x]))
+    mask = L.full_mask & ~L.down_masks[x]
+    ms = _system(L, mask, L.set_of(mask))
     flags = classify_all(L)[x]
     if flags.prime != ms.is_m:
         raise TheoremViolation(
@@ -173,7 +178,7 @@ def system_of_points(L: MultLattice, Y) -> MSystem:
     mask = L.full_mask
     for p in ys:
         mask &= ~L.down_masks[p]
-    ms = classify_system(L, L.set_of(mask))
+    ms = _system(L, mask, L.set_of(mask))
     if check_axioms(L).m_distributive:
         if not (ms.is_m and ms.saturated):
             raise TheoremViolation(
@@ -241,18 +246,17 @@ def equal_saturations(L: MultLattice, X, Y) -> bool:
 
 
 def all_m_systems(L: MultLattice):
-    """Every m-system, by powerset scan.  Refused above
+    """Every m-system, by powerset scan, in mask order.  Refused above
     ``core.POWERSET_LIMIT`` elements, where :func:`m_systems` falls back to
-    :func:`saturated_m_systems`."""
+    :func:`saturated_m_systems`.  The scan leaves the per-subset cache alone
+    (an interval read only by its hyperabelian report would keep all 2^n
+    entries), and the tables on one order share the sets via ``L.order``."""
     if L.size > POWERSET_LIMIT:
         raise ValueError(f"powerset scan capped at {POWERSET_LIMIT} elements; "
                          "enumerate saturated systems instead")
-    out = []
-    for mask in range(1, 1 << L.size):
-        is_m, _, sat, _, _, _ = _classify_mask(L, mask)
-        if is_m:
-            out.append(L.set_of(mask))
-    return out
+    sets = memo(L.order, "subsets", dict)
+    return [sets.get(mask) or sets.setdefault(mask, L.set_of(mask))
+            for mask in range(1, 1 << L.size) if _scan_mask(L, mask)[0]]
 
 
 def _antichains(L: MultLattice):
@@ -295,10 +299,10 @@ def saturated_m_systems(L: MultLattice):
 
 def m_systems(L: MultLattice) -> list:
     """Every m-system up to ``core.POWERSET_LIMIT`` elements, otherwise the
-    saturated ones."""
-    if L.size <= POWERSET_LIMIT:
-        return all_m_systems(L)
-    return saturated_m_systems(L)
+    saturated ones; built once per lattice and shared by every statement
+    that ranges over them, so callers must not change the list."""
+    return memo(L, "m_systems", lambda: all_m_systems(L) if L.size <= POWERSET_LIMIT
+                else saturated_m_systems(L))
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from . import systems as sys_mod
 from .core import (POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
                    TheoremViolation, check_axioms, compact_elements,
                    replace_mult, subset_pair_witness, validate)
-from .ingest import (SCHEMA_VERSION, chain, powerset_lattice, random_mult_table,
-                     zn_ideals)
+from .ingest import (SCHEMA_VERSION, cell_choices, chain, powerset_lattice,
+                     random_mult_table, zn_ideals)
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
                        maximal_prime_criterion, non_prime_symmetric_witness,
@@ -238,7 +238,7 @@ def suite_systems(L: MultLattice) -> list:
                lambda: sys_mod.inverse_topology(L)),
         _guard(L, "systems.constructible_discrete", constructible_discrete),
         _gated(L, "systems.closure_equivalence",
-               "spectrum above max_enum" if len(pts) > POWERSET_LIMIT else "",
+               "spectrum above cap" if len(pts) > POWERSET_LIMIT else "",
                closure_equivalence),
         _gated(L, "systems.correspondence", mdist,
                lambda: sys_mod.correspondence_check(L)),
@@ -485,14 +485,8 @@ def shape_lattice(name: str) -> MultLattice:
 def enumerate_tables(base: MultLattice):
     """Every multiplication table bounded by the meet, in a fixed order."""
     n = base.size
-    cells = [(x, y) for x in range(n) for y in range(n)]
-    choices = [sorted(base.set_of(base.down_masks[base.meet_table[x][y]]))
-               for x, y in cells]
-    for combo in itertools.product(*choices):
-        table = [[0] * n for _ in range(n)]
-        for (x, y), z in zip(cells, combo):
-            table[x][y] = z
-        yield table
+    for combo in itertools.product(*(cell for row in cell_choices(base) for cell in row)):
+        yield [list(combo[x * n:(x + 1) * n]) for x in range(n)]
 
 
 def corpus_exhaustive_tables(max_size: int = 4):

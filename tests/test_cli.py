@@ -203,6 +203,40 @@ def test_families_with_explicit_family(capsys):
     assert payload["kind"] == "FamilyReport"
 
 
+@pytest.fixture
+def truncated_file(capsys, tmp_path):
+    # chain(4, "truncated_add") has the labels -inf, -2, -1, 0
+    code, out, _ = run(capsys, "generate", "chain", "4", "truncated_add")
+    assert code == 0
+    path = tmp_path / "t.lat"
+    path.write_text(out, encoding="utf-8")
+    return str(path)
+
+
+def test_series_of_a_label_that_starts_with_a_dash(capsys, truncated_file):
+    code, out, err = run(capsys, "series", "-inf", truncated_file)
+    assert code == 0, err
+    assert json.loads(out)["element"] == 0
+
+
+@pytest.mark.parametrize("family, members", [
+    ("-inf", [0]),                 # a label that starts with a dash
+    ("-inf,-1", [0, 2]),           # a comma list of such labels
+])
+def test_family_of_labels_that_start_with_a_dash(capsys, truncated_file, family, members):
+    code, out, err = run(capsys, "families", truncated_file, "--family", family)
+    assert code == 0, err
+    assert json.loads(out)["family"] == members
+
+
+def test_family_value_that_is_a_label_with_commas(capsys):
+    # the opens of the vee space are labelled like "{0,1,2}"; a value that
+    # is itself a label names that one element instead of a list
+    code, out, err = run(capsys, "families", "gen:open_sets:vee", "--family", "{0,1,2}")
+    assert code == 0, err
+    assert json.loads(out)["family"] == [4]
+
+
 def test_construct_product(capsys, z12_file):
     code, out, _ = run(capsys, "construct", f"product:{z12_file}", "gen:chain:2:meet")
     assert code == 0

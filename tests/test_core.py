@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 from collections import Counter
 
 import pytest
@@ -67,6 +68,20 @@ def test_missing_bounds_rejected():
     with pytest.raises(NotALattice) as exc:
         validate(size=3, covers=[(0, 1), (0, 2)], mult=lambda x, y: 0)
     assert exc.value.witness == (1, 2)
+
+
+@pytest.mark.parametrize("covers, message", [
+    # 0 and 1 are minimal under the top 2: the pair has a join but no meet
+    ([(0, 2), (1, 2)], "pair (0, 1) has no greatest lower bound"),
+    # 0 and 1 are incomparable and alone: both bounds are missing, and the
+    # join is looked for first
+    ([], "pair (0, 1) has no least upper bound"),
+])
+def test_first_missing_bound_is_reported(covers, message):
+    with pytest.raises(NotALattice) as exc:
+        validate(size=3 if covers else 2, covers=covers, mult=lambda x, y: 0)
+    assert str(exc.value) == message
+    assert exc.value.witness == (0, 1)
 
 
 def test_generation_check():
@@ -322,3 +337,13 @@ def test_library_suites_never_run_the_subset_pair_scan(monkeypatch):
     rep = verify.verify_all(L, ("axioms",))
     assert [(r.check, r.detail) for r in rep.results if not r.passed] == [
         ("axioms.setup", f"AssertionError: subset-pair scan on {L.name}")]
+
+
+def test_subsets_are_classified_only_in_systems():
+    # One m-system enumeration: every other module reads systems.m_systems
+    # or classify_system instead of scanning subsets itself.
+    package = Path(core.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in ("_scan_mask", "_classify_mask"):
+            assert path.name == "systems.py" or name not in text, (path.name, name)

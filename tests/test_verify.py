@@ -161,7 +161,7 @@ def test_closure_equivalence_above_the_powerset_limit_is_skipped():
     # chain14_meet has 13 primes, one more than POWERSET_LIMIT
     rep = verify_all(chain(14, "meet"), ("systems",))
     [result] = [r for r in rep.results if r.check == "systems.closure_equivalence"]
-    assert result.skipped and result.detail == "spectrum above max_enum"
+    assert result.skipped and result.detail == "spectrum above cap"
     assert rep.failed == 0 and rep.skipped == 1
 
 
@@ -190,6 +190,19 @@ def test_m_system_checks_above_the_powerset_limit(capsys):
     skipped = {r["check"]: r["detail"] for r in json.loads(out)["results"]
                if r["skipped"]}
     assert skipped == {"families.pip_exhaustive": "size above cap"}
+
+
+def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
+    # The hyper, systems and families suites all range over the m-systems
+    # of L; they read one list, built by one powerset scan.  (Derived
+    # lattices, such as the intervals of the constructions suite, have
+    # their own.)
+    calls = []
+    scan = sys_mod.all_m_systems
+    monkeypatch.setattr(sys_mod, "all_m_systems", lambda M: calls.append(M) or scan(M))
+    L = chain(4, "meet")
+    assert verify_all(L).failed == 0
+    assert [M for M in calls if M is L] == [L]
 
 
 def test_the_powerset_limit_is_no_option():
