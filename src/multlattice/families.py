@@ -142,7 +142,6 @@ def classify_family(L: MultLattice, F, A=None) -> FamilyReport:
 
     left_t, right_t = residual_tables(L)
     jt = L.join_table
-    mt = L.mult_table
     a_sorted = sorted(gens)
 
     left_oka = right_oka = oka = True
@@ -165,24 +164,25 @@ def classify_family(L: MultLattice, F, A=None) -> FamilyReport:
                 oka = False
                 counterexamples["oka"] = (a, l)
 
-    ako = True
+    ako_witness = _ako_witness(L, fmask, a_sorted)
+    if ako_witness:
+        counterexamples["ako"] = ako_witness
+    return FamilyReport(family, gens, left_oka, right_oka, oka, not ako_witness,
+                        counterexamples)
+
+
+def _ako_witness(L: MultLattice, fmask: int, a_sorted) -> tuple | None:
+    """The first (l, a, b), a and b from ``a_sorted``, with l v a and l v b
+    in the family ``fmask`` and l v a*b outside it; None when it is Ako."""
+    jt, mt = L.join_table, L.mult_table
     for l in L.elements:
         row = jt[l]
         for a in a_sorted:
-            if not fmask >> row[a] & 1:
-                continue
-            for b in a_sorted:
-                if fmask >> row[b] & 1 and not fmask >> row[mt[a][b]] & 1:
-                    ako = False
-                    counterexamples["ako"] = (l, a, b)
-                    break
-            if not ako:
-                break
-        if not ako:
-            break
-
-    return FamilyReport(family, gens, left_oka, right_oka, oka, ako,
-                        counterexamples)
+            if fmask >> row[a] & 1:
+                for b in a_sorted:
+                    if fmask >> row[b] & 1 and not fmask >> row[mt[a][b]] & 1:
+                        return l, a, b
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -261,31 +261,37 @@ def sigma_of_system(L: MultLattice, S) -> SigmaReport:
     ms = classify_system(L, S)
     if not ms.is_m:
         raise NotAnMSystem("input is not an m-system", witness=ms.m_witness)
-    smask = L.mask_of(ms.members)
-    sigma = [l for l in L.elements if not smask & L.down_masks[l]]
-    maximal = L.maximal_in(L.mask_of(sigma))
+    return sigma_of_mask(L, L.mask_of(ms.members))
 
-    if L.bottom in ms.members:
-        if sigma:
+
+def sigma_of_mask(L: MultLattice, smask: int) -> SigmaReport:
+    """:func:`sigma_of_system` for the m-system ``smask``.  The Ako and
+    maximal-prime legs read only the avoiding set, so they run once per
+    avoiding set: the per-lattice memo is keyed by its mask."""
+    sigma = sum(1 << l for l in L.elements if not smask & L.down_masks[l])
+    legs = memo(L, "sigma_legs", dict)
+    if sigma not in legs:
+        maximal = L.maximal_in(sigma)
+        ako_ok = bad = None
+        if check_axioms(L).m_distributive:
+            ako_ok = not _ako_witness(L, L.full_mask & ~sigma, sorted(compact_elements(L)))
+            flags = classify_all(L)
+            bad = next((m for m in maximal if not flags[m].prime), None)
+        legs[sigma] = L.set_of(sigma), frozenset(maximal), ako_ok, bad
+    members, maximal, ako_ok, bad = legs[sigma]
+    if smask >> L.bottom & 1:
+        if members:
             raise TheoremViolation("bottom in S forces the avoiding set empty",
-                                   witness=tuple(sigma))
+                                   witness=tuple(sorted(members)))
     elif not maximal:
         raise TheoremViolation(
             "bottom not in S: the avoiding set must have maximal elements",
-            witness=tuple(sorted(ms.members)))
-
-    prime_ok = ako_ok = None
-    if check_axioms(L).m_distributive:
-        complement = frozenset(L.elements) - frozenset(sigma)
-        ako_ok = classify_family(L, complement, compact_elements(L)).ako
-        if not ako_ok:
-            raise TheoremViolation(
-                "complement of the avoiding set must be Ako on an "
-                "m-distributive lattice", witness=tuple(sorted(ms.members)))
-        flags = classify_all(L)
-        prime_ok = all(flags[m].prime for m in maximal)
-        if not prime_ok:
-            bad = next(m for m in maximal if not flags[m].prime)
-            raise TheoremViolation(
-                f"maximal avoiding element {bad} is not prime", witness=bad)
-    return SigmaReport(frozenset(sigma), frozenset(maximal), prime_ok, ako_ok)
+            witness=tuple(sorted(L.set_of(smask))))
+    if ako_ok is False:
+        raise TheoremViolation(
+            "complement of the avoiding set must be Ako on an "
+            "m-distributive lattice", witness=tuple(sorted(L.set_of(smask))))
+    if bad is not None:
+        raise TheoremViolation(f"maximal avoiding element {bad} is not prime",
+                               witness=bad)
+    return SigmaReport(members, maximal, ako_ok, ako_ok)  # both legs passed, or neither ran

@@ -424,7 +424,7 @@ def _greedy_square_chain(L: MultLattice):
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
-    Condition (f) reads ``systems.m_systems``: every m-system up to
+    Condition (f) reads ``systems.m_system_masks``: every m-system up to
     ``core.POWERSET_LIMIT`` elements, in mask order, and the saturated ones
     above it, which decides the same condition because upward closure
     neither adds nor removes bottom.  The witness is the first m-system
@@ -434,7 +434,7 @@ def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 
 
 def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
-    from .systems import m_systems  # avoids an import cycle
+    from .systems import m_system_masks  # avoids an import cycle
 
     require(L, ("m_distributive",), MDistributivityRequired,
             "the equivalences need m-distributivity")
@@ -481,10 +481,10 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
         mode = "saturated_only"
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
                      "saturated m-systems (bottom membership is saturation-invariant)")
-    without_bottom = next((s for s in m_systems(L) if L.bottom not in s), None)
+    without_bottom = next((s for s in m_system_masks(L) if not s >> L.bottom & 1), None)
     cond_f = without_bottom is None
     if not cond_f:
-        witnesses["f"] = tuple(sorted(without_bottom))
+        witnesses["f"] = tuple(sorted(L.set_of(without_bottom)))
 
     conditions = {"a": cond_a, "b": cond_b, "c": cond_c,
                   "d": cond_d, "e": cond_e, "f": cond_f}

@@ -84,6 +84,8 @@ def _scan_mask(L: MultLattice, mask: int):
             c = (extra & -extra).bit_length() - 1
             sat_wit = (x, c)
             break
+    if is_m and not is_n:
+        raise TheoremViolation("an m-system failed the n-system test", witness=n_wit)
     return is_m, is_n, sat, m_wit, n_wit, sat_wit
 
 
@@ -99,14 +101,12 @@ def classify_system(L: MultLattice, S) -> MSystem:
     return _system(L, L.mask_of(members), members)
 
 
-def _system(L: MultLattice, mask: int, members: frozenset) -> MSystem:
-    """The classified subset ``mask``, whose members are ``members``."""
+def _system(L: MultLattice, mask: int, members: frozenset | None = None) -> MSystem:
+    """The classified subset ``mask``, whose members are ``members`` when given."""
     is_m, is_n, sat, m_wit, n_wit, sat_wit = _classify_mask(L, mask)
-    if is_m and not is_n:
-        raise TheoremViolation("an m-system failed the n-system test",
-                               witness=n_wit)
     kind = "both" if is_m else ("n" if is_n else "neither")
-    return MSystem(members, sat, kind, is_m, is_n, m_wit, n_wit, sat_wit)
+    return MSystem(L.set_of(mask) if members is None else members,
+                   sat, kind, is_m, is_n, m_wit, n_wit, sat_wit)
 
 
 def saturate(L: MultLattice, S) -> MSystem:
@@ -120,14 +120,21 @@ def saturate(L: MultLattice, S) -> MSystem:
     if not ms.is_m:
         raise NotAnMSystem("input is not an m-system", witness=ms.m_witness)
     require(L, ("monotone",), MonotonicityRequired, "saturation needs monotonicity")
-    mask = 0
-    for x in ms.members:
-        mask |= L.up_masks[x]
-    out = _system(L, mask, L.set_of(mask))
-    if not (out.is_m and out.saturated):
+    return _system(L, saturation_mask(L, L.mask_of(ms.members)))
+
+
+def saturation_mask(L: MultLattice, mask: int) -> int:
+    """:func:`saturate` on masks, for an m-system ``mask`` of a monotone
+    lattice: its upward closure, asserted to be a saturated m-system."""
+    out = 0
+    for x in range(L.size):
+        if mask >> x & 1:
+            out |= L.up_masks[x]
+    is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, out)
+    if not (is_m and sat):
         raise TheoremViolation("upward closure of an m-system in a monotone "
                                "lattice must be a saturated m-system",
-                               witness=out.m_witness or out.saturation_witness)
+                               witness=m_wit or sat_wit)
     return out
 
 
@@ -143,8 +150,7 @@ def complement_system(L: MultLattice, x: int) -> MSystem:
     """
     require(L, ("monotone",), MonotonicityRequired,
             "the complement-system tests need monotonicity")
-    mask = L.full_mask & ~L.down_masks[x]
-    ms = _system(L, mask, L.set_of(mask))
+    ms = _system(L, L.full_mask & ~L.down_masks[x])
     flags = classify_all(L)[x]
     if flags.prime != ms.is_m:
         raise TheoremViolation(
@@ -163,8 +169,11 @@ def complement_system(L: MultLattice, x: int) -> MSystem:
 def primes_avoiding(L: MultLattice, S) -> frozenset:
     """P(S): the primes p with s !<= p for every s in S (an intersection of
     the basic opens D(s))."""
-    sm = L.mask_of(S)
-    return frozenset(p for p in primes_of(L) if not sm & L.down_masks[p])
+    return L.set_of(_avoiding(L, L.mask_of(S)))
+
+
+def _avoiding(L: MultLattice, mask: int) -> int:
+    return sum(1 << p for p in primes_of(L) if not mask & L.down_masks[p])
 
 
 def system_of_points(L: MultLattice, Y) -> MSystem:
@@ -172,19 +181,23 @@ def system_of_points(L: MultLattice, Y) -> MSystem:
     the spectrum).  On an m-distributive lattice this is asserted to be a
     saturated m-system."""
     ys = frozenset(Y)
-    primes = primes_of(L)
-    if not ys <= primes:
+    if not ys <= primes_of(L):
         raise ValueError("Y must be a set of prime elements")
+    return _system(L, _points_system(L, L.mask_of(ys)))
+
+
+def _points_system(L: MultLattice, ymask: int) -> int:
+    """S_Y as a mask, for the primes in ``ymask``; asserted as above."""
     mask = L.full_mask
-    for p in ys:
-        mask &= ~L.down_masks[p]
-    ms = _system(L, mask, L.set_of(mask))
-    if check_axioms(L).m_distributive:
-        if not (ms.is_m and ms.saturated):
-            raise TheoremViolation(
-                "S_Y must be a saturated m-system on an m-distributive lattice",
-                witness=ms.m_witness or ms.saturation_witness)
-    return ms
+    for p in range(L.size):
+        if ymask >> p & 1:
+            mask &= ~L.down_masks[p]
+    is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, mask)
+    if check_axioms(L).m_distributive and not (is_m and sat):
+        raise TheoremViolation(
+            "S_Y must be a saturated m-system on an m-distributive lattice",
+            witness=m_wit or sat_wit)
+    return mask
 
 
 # --------------------------------------------------------------------------
@@ -250,59 +263,56 @@ def all_m_systems(L: MultLattice):
     ``core.POWERSET_LIMIT`` elements, where :func:`m_systems` falls back to
     :func:`saturated_m_systems`.  The scan leaves the per-subset cache alone
     (an interval read only by its hyperabelian report would keep all 2^n
-    entries), and the tables on one order share the sets via ``L.order``."""
+    entries)."""
     if L.size > POWERSET_LIMIT:
         raise ValueError(f"powerset scan capped at {POWERSET_LIMIT} elements; "
                          "enumerate saturated systems instead")
+    return _shared_sets(L, [mask for mask in range(1, 1 << L.size)
+                            if _scan_mask(L, mask)[0]])
+
+
+def _shared_sets(L: MultLattice, masks) -> list:
+    """The subsets ``masks`` as frozensets, shared by the tables on one order."""
     sets = memo(L.order, "subsets", dict)
-    return [sets.get(mask) or sets.setdefault(mask, L.set_of(mask))
-            for mask in range(1, 1 << L.size) if _scan_mask(L, mask)[0]]
-
-
-def _antichains(L: MultLattice):
-    n = L.size
-    incomparable = [sum(1 << y for y in range(n)
-                        if y != x and not L.relation[x][y] and not L.relation[y][x])
-                    for x in range(n)]
-
-    def rec(start, chosen, allowed):
-        yield frozenset(chosen)
-        for x in range(start, n):
-            if allowed >> x & 1:
-                chosen.append(x)
-                yield from rec(x + 1, chosen, allowed & incomparable[x])
-                chosen.pop()
-
-    yield from rec(0, [], (1 << n) - 1)
+    return [sets.get(mask) or sets.setdefault(mask, L.set_of(mask)) for mask in masks]
 
 
 def saturated_m_systems(L: MultLattice):
     """All saturated m-systems, enumerated through antichains of minimal
     members (a saturated set is the upward closure of its minimal elements)."""
+    return [L.set_of(mask) for mask in _saturated_masks(L)]
+
+
+def _saturated_masks(L: MultLattice) -> list:
+    """The masks of :func:`saturated_m_systems`, in its order; distinct
+    antichains have distinct upward closures."""
     out = []
-    seen = set()
-    for ac in _antichains(L):
-        if not ac:
-            continue
-        mask = 0
-        for x in ac:
-            mask |= L.up_masks[x]
-        if mask in seen:
-            continue
-        seen.add(mask)
-        is_m, _, sat, _, _, _ = _classify_mask(L, mask)
-        if is_m and sat:
-            out.append(L.set_of(mask))
-    out.sort(key=lambda s: (len(s), sorted(s)))
+
+    def rec(start, closure, allowed):
+        for x in range(start, L.size):
+            if allowed >> x & 1:
+                mask = closure | L.up_masks[x]
+                is_m, _, sat, _, _, _ = _classify_mask(L, mask)
+                if is_m and sat:
+                    out.append(mask)
+                rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
+
+    rec(0, 0, L.full_mask)
+    out.sort(key=lambda mask: (mask.bit_count(), sorted(L.set_of(mask))))
     return out
 
 
+def m_system_masks(L: MultLattice) -> list:
+    """The masks of every m-system up to ``core.POWERSET_LIMIT`` elements,
+    in mask order, otherwise of the saturated ones; built once per lattice
+    and shared by every statement over them, so callers must not change it."""
+    return memo(L, "m_systems", lambda: [L.mask_of(s) for s in all_m_systems(L)]
+                if L.size <= POWERSET_LIMIT else _saturated_masks(L))
+
+
 def m_systems(L: MultLattice) -> list:
-    """Every m-system up to ``core.POWERSET_LIMIT`` elements, otherwise the
-    saturated ones; built once per lattice and shared by every statement
-    that ranges over them, so callers must not change the list."""
-    return memo(L, "m_systems", lambda: all_m_systems(L) if L.size <= POWERSET_LIMIT
-                else saturated_m_systems(L))
+    """:func:`m_system_masks` as sets."""
+    return _shared_sets(L, m_system_masks(L))
 
 
 # --------------------------------------------------------------------------
@@ -313,13 +323,11 @@ def has_finite_subcover(T: FiniteTopology, Y, cover) -> bool:
     """Greedy selection of a finite subcover of ``Y`` from ``cover``."""
     ys = frozenset(Y)
     cover = [frozenset(u) for u in cover]
-    chosen = []
     remaining = set(ys)
     while remaining:
         p = remaining.pop()
         for u in cover:
             if p in u:
-                chosen.append(u)
                 remaining -= u
                 break
         else:
@@ -333,12 +341,14 @@ def is_compact(T: FiniteTopology, Y, cover=None) -> bool:
     the same greedy finite subcover."""
     ys = frozenset(Y)
     if cover is None:
-        cover = [u for u in sorted(T.opens, key=lambda u: (len(u), sorted(u)))
-                 if u & ys]
-    covered = frozenset().union(*cover) if cover else frozenset()
-    if not ys <= covered:
+        cover = [u for u in _by_size(T.opens) if u & ys]
+    if not ys <= frozenset().union(*cover):
         raise ValueError("the given family does not cover the subset")
     return has_finite_subcover(T, ys, cover)
+
+
+def _by_size(family) -> list:
+    return sorted(family, key=lambda u: (len(u), sorted(u)))
 
 
 # --------------------------------------------------------------------------
@@ -362,14 +372,14 @@ def compact_saturated_subsets(L: MultLattice):
     (compactness is automatic here but still checked by open covers)."""
     rep = spectrum(L)
     zar = rep.zariski
+    opens = _by_size(zar.opens)
     pts = sorted(rep.primes)
     out = []
     for mask in range(1 << len(pts)):
         ys = frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
-        if zar.saturation(ys) == ys and is_compact(zar, ys):
+        if zar.saturation(ys) == ys and is_compact(zar, ys, [u for u in opens if u & ys]):
             out.append(ys)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return _by_size(out)
 
 
 def correspondence_check(L: MultLattice) -> CorrespondenceReport:
@@ -380,77 +390,69 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
 
     The fixed-point identity runs over every subset up to
     ``core.POWERSET_LIMIT`` elements and over the saturated m-systems above
-    it; a note records the latter.
+    it; a note records the latter.  Sets are masks inside; each subset is
+    read once, so it is scanned without filling the per-subset cache.
     """
     require(L, ("m_distributive",), MDistributivityRequired,
             "the correspondence needs m-distributivity")
-    rep = spectrum(L)
-    zar = rep.zariski
+    zar = spectrum(L).zariski
+    opens = _by_size(zar.opens)
     hs = compact_saturated_subsets(L)
-    ms = saturated_m_systems(L)
+    h_masks = [L.mask_of(x) for x in hs]
+    m_masks = _saturated_masks(L)
     notes = ["compactness checks on a finite spectrum are vacuously true; they "
              "run through the generic open-cover routine"]
 
-    phi = {x: system_of_points(L, x).members for x in hs}
-    psi = {s: primes_avoiding(L, s) for s in ms}
-    inverse_ok = (sorted(phi.values(), key=sorted) == sorted(ms, key=sorted)
-                  and sorted(psi.values(), key=sorted) == sorted(hs, key=sorted)
-                  and all(psi[phi[x]] == x for x in hs)
-                  and all(phi[psi[s]] == s for s in ms))
+    phi = {h: _points_system(L, h) for h in h_masks}
+    psi = {s: _avoiding(L, s) for s in m_masks}
+    inverse_ok = (all(psi.get(phi[h]) == h for h in h_masks)
+                  and all(phi.get(psi[s]) == s for s in m_masks))
     if not inverse_ok:
         raise TheoremViolation("the correspondence maps are not mutually "
                                "inverse bijections", witness=None)
 
-    reversing = True
-    for x1 in hs:
-        for x2 in hs:
-            if x1 <= x2 and not phi[x2] <= phi[x1]:
-                reversing = False
-    for s1 in ms:
-        for s2 in ms:
-            if s1 <= s2 and not psi[s2] <= psi[s1]:
-                reversing = False
+    reversing = (all(not phi[y] & ~phi[x] for x in h_masks for y in h_masks if not x & ~y)
+                 and all(not psi[t] & ~psi[s] for s in m_masks for t in m_masks
+                         if not s & ~t))
     if not reversing:
         raise TheoremViolation("the correspondence maps do not reverse inclusion",
                                witness=None)
 
     # Saturated m-system iff P(S) compact and S is the fixed point S_{P(S)}.
-    checked = 0
     if L.size <= POWERSET_LIMIT:
-        subset_iter = (L.set_of(m) for m in range(1 << L.size))
+        subsets = range(1 << L.size)
     else:
-        subset_iter = iter(ms)
+        subsets = m_masks
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: fixed-point identity "
                      "checked on saturated m-systems only")
-    for s in subset_iter:
-        cls = classify_system(L, s)
-        p_of_s = primes_avoiding(L, s)
-        fixed = system_of_points(L, p_of_s).members == s
-        compact = is_compact(zar, p_of_s)
-        if (cls.is_m and cls.saturated) != (compact and fixed):
+    of_points = {}
+    for s in subsets:
+        is_m, _, sat = _scan_mask(L, s)[:3]
+        pm = _avoiding(L, s)
+        if pm not in of_points:
+            ys = L.set_of(pm)
+            of_points[pm] = (_points_system(L, pm),
+                             is_compact(zar, ys, [u for u in opens if u & ys]))
+        fixed, compact = of_points[pm]
+        if (is_m and sat) != (compact and fixed == s):
             raise TheoremViolation(
                 "saturated m-system iff compact fixed point fails",
-                witness=tuple(sorted(s)))
-        checked += 1
+                witness=tuple(sorted(L.set_of(s))))
 
     # phi as a homeomorphism: upper-Vietoris topology on H versus the
     # membership topology on M.
-    h_index = {x: i for i, x in enumerate(hs)}
-    m_index = {s: i for i, s in enumerate(ms)}
-    compact_opens = sorted(zar.opens, key=lambda u: (len(u), sorted(u)))
-    vietoris_sub = [frozenset(h_index[k] for k in hs if k <= omega)
-                    for omega in compact_opens]
-    t_h = topology_from_subbasis(range(len(hs)), vietoris_sub)
-    member_sub = [frozenset(m_index[s] for s in ms if c in s)
+    vietoris_sub = [frozenset(h for h in h_masks if not h & ~omega)
+                    for omega in map(L.mask_of, opens)]
+    t_h = topology_from_subbasis(h_masks, vietoris_sub)
+    member_sub = [frozenset(s for s in m_masks if s >> c & 1)
                   for c in sorted(compact_elements(L))]
-    t_m = topology_from_subbasis(range(len(ms)), member_sub)
-    phi_idx = {h_index[x]: m_index[phi[x]] for x in hs}
-    mapped = frozenset(frozenset(phi_idx[i] for i in u) for u in t_h.opens)
+    t_m = topology_from_subbasis(m_masks, member_sub)
+    mapped = frozenset(frozenset(map(phi.get, u)) for u in t_h.opens)
     homeo = mapped == t_m.opens
     if not homeo:
         raise TheoremViolation("the correspondence is not a homeomorphism "
                                "between the Vietoris and membership topologies",
                                witness=None)
 
-    return CorrespondenceReport(tuple(hs), tuple(ms), inverse_ok, reversing,
-                                checked, homeo, tuple(notes))
+    return CorrespondenceReport(tuple(hs), tuple(map(L.set_of, m_masks)), inverse_ok,
+                                reversing, len(subsets), homeo, tuple(notes))

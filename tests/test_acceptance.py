@@ -6,9 +6,8 @@ corpus plus the seeded random sample; tolerances are exact set equalities
 throughout.
 """
 
-import ast
 import hashlib
-import importlib
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -17,7 +16,8 @@ import pytest
 
 from multlattice.core import check_axioms
 from multlattice.families import residual_left
-from multlattice.ingest import chain, export_text, parse, to_json, zn_ideals
+from multlattice.ingest import (chain, export_text, parse, powerset_lattice, to_json,
+                               zn_ideals)
 from multlattice.spectrum import spectrum
 from multlattice.constructions import interval, open_subspace_homeo
 from multlattice.verify import (VerifyReport, corpus_exhaustive_tables,
@@ -180,14 +180,26 @@ def test_reports_match_recorded_digests(sweep):
     assert _digest(verify_all(corpus_named())) == expected["named"]
 
 
+def test_large_reports_match_recorded_digests():
+    """Reports on 11- to 16-element lattices, where the m-system statements
+    run over thousands of m-systems or over the saturated list above
+    ``POWERSET_LIMIT``, are byte-identical to the recorded ones."""
+    expected = json.loads((DATA / "large_report_digests.json").read_text())
+    lattices = [chain(12, "meet"), chain(13, "meet"), zn_ideals(60),
+                chain(11, "truncated_add"), powerset_lattice(4, "meet")]
+    assert {L.name: _digest(verify_all(L)) for L in lattices} == {
+        k: v for k, v in expected.items() if k != "comment"}
+
+
 def test_traced_names_resolve():
     """Every function named in the benchmark tracer's ``LAYERS`` table
-    (``perfbench/tracing.py``, parsed rather than imported) still exists
-    under that name in its ``multlattice`` module."""
-    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
-    [layers] = [ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "LAYERS"]
+    (imported from ``perfbench/tracing.py``, which is only read) still
+    exists under that name in its ``multlattice`` module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    layers = tracing.LAYERS
     missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"multlattice.{mod}"),
                                        fn, None))]

@@ -193,6 +193,15 @@ def test_correspondence_meet_chain_counts():
     assert rep.mutually_inverse and rep.inclusion_reversing
 
 
+def test_correspondence_leaves_the_subset_cache_alone():
+    # The fixed-point identity reads each of the 2^n subsets once; scanning
+    # them must not leave a classification of every subset on the lattice.
+    L = mk_chain(5, min)
+    assert check_axioms(L).m_distributive
+    assert correspondence_check(L).subset_identity_checked == 2 ** L.size
+    assert len(L._cache["classified_masks"]) < 2 ** L.size
+
+
 def test_correspondence_zn12():
     L = zn_ideals(12)
     rep = correspondence_check(L)

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import json
 import pkgutil
+import sys
 
 import pytest
 
@@ -203,6 +204,51 @@ def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
     L = chain(4, "meet")
     assert verify_all(L).failed == 0
     assert [M for M in calls if M is L] == [L]
+
+
+def test_mask_route_failures_match_the_pair_scan(monkeypatch):
+    # On six elements the monotonicity test runs as a subset transform and
+    # the sigma legs once per avoiding set.  A planted fault must still be
+    # reported with the detail the pair scan and the per-system legs gave.
+    def failures(suite):
+        rep = verify_all(chain(6, "meet"), (suite,))
+        return [(r.check, r.detail) for r in rep.results if not r.passed]
+
+    # a saturation that drops element 1 from the saturation of {0, 2, 3, 4, 5}
+    s0 = 0b111101
+    saturation = sys_mod.saturation_mask
+    monkeypatch.setattr(sys_mod, "saturation_mask",
+                        lambda L, mask: s0 if mask == s0 else saturation(L, mask))
+    assert failures("systems") == [
+        ("systems.saturation_closure_operator",
+         "TheoremViolation: saturation is not monotone "
+         "(witness ((0,), (0, 2, 3, 4, 5)))")]
+    monkeypatch.undo()
+
+    # an Ako test that fails on the family {3, 4, 5}
+    ako = families._ako_witness
+    monkeypatch.setattr(families, "_ako_witness", lambda L, fmask, gens: (
+        (0, 0, 0) if fmask == 0b111000 else ako(L, fmask, gens)))
+    assert failures("families") == [
+        ("families.sigma_maximal_prime",
+         "TheoremViolation: complement of the avoiding set must be Ako on an "
+         "m-distributive lattice (witness (3,))")]
+
+
+def test_sigma_legs_run_once_per_avoiding_set(monkeypatch):
+    # chain(12, "meet") has 4,095 m-systems and 12 distinct avoiding sets.
+    calls = []
+    ako = families._ako_witness
+
+    def counted(L, fmask, gens):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return ako(L, fmask, gens)
+
+    monkeypatch.setattr(families, "_ako_witness", counted)
+    L = chain(12, "meet")
+    assert len(sys_mod.m_system_masks(L)) == 4095
+    assert verify_all(L, ("families",)).failed == 0
+    assert calls.count("sigma_of_mask") == 12
 
 
 def test_the_powerset_limit_is_no_option():
