@@ -286,8 +286,8 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     require(L, ("m_distributive",), MDistributivityRequired,
             "the disjointness criterion needs m-distributivity for its interval leg")
     rep = spectrum(L)
-    v1 = v_set(L, n1, rep.primes)
-    v2 = v_set(L, n2, rep.primes)
+    v1 = v_set(L, n1)
+    v2 = v_set(L, n2)
 
     disjoint = not (v1 & v2)
     iv = interval(L, L.join_table[n1][n2], L.top)
@@ -434,7 +434,7 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
             raise TheoremViolation(
                 f"adjoint image u({p}) = {q} of a prime is not prime", witness=p)
         point_map[p] = q
-    v_of_image = {y: v_set(tgt, y, tgt_primes) for y in set(f.mapping)}
+    v_of_image = {y: v_set(tgt, y) for y in set(f.mapping)}
     for x in src.elements:
         preimage = frozenset(p for p in tgt_primes if src.relation[x][point_map[p]])
         if preimage != v_of_image[f.mapping[x]]:
@@ -505,7 +505,7 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     require(L, ("infinitely_m_distributive",), HypothesesFail,
             "the open subspace identification needs infinite m-distributivity")
     rep = spectrum(L)
-    dn = d_set(L, n, rep.primes)
+    dn = d_set(L, n)
     iv = interval(L, L.bottom, n)
     M = iv.lattice
     m_rep = spectrum(M)
@@ -526,8 +526,8 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     opens_ok = True
     for l in L.elements:
         ln = L.mult_table[l][n]
-        image = frozenset(point_map[p] for p in d_set(L, ln, rep.primes) & dn)
-        if image != d_set(M, iv.from_parent(ln), m_rep.primes):
+        image = frozenset(point_map[p] for p in d_set(L, ln) & dn)
+        if image != d_set(M, iv.from_parent(ln)):
             opens_ok = False
             raise TheoremViolation(
                 f"image of D({l}*{n}) is not the matching interval open",

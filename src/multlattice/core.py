@@ -280,8 +280,7 @@ class OrderData:
     identity equality and can key caches.  ``_cache`` holds, through
     :func:`memo`, what is computed from the order alone: the masks and
     covers here, the interval and product orders, the maximal and
-    meet-irreducible flags, the m-system member sets and the order laws of
-    morphisms elsewhere.
+    meet-irreducible flags and the order laws of morphisms elsewhere.
     """
     size: int
     relation: tuple
@@ -317,20 +316,6 @@ class OrderData:
         for x in xs:
             out = self.join_table[out][x]
         return out
-
-    def first_ungenerated(self, gens) -> int | None:
-        """The first element that is not the join of the members of ``gens``
-        below it, or None when ``gens`` generates the lattice."""
-        rel = self.relation
-        join_table = self.join_table
-        for x in range(self.size):
-            acc = self.bottom
-            for a in gens:
-                if rel[a][x]:
-                    acc = join_table[acc][a]
-            if acc != x:
-                return x
-        return None
 
 
 def _bound(masks, x: int, y: int, what: str) -> int:
@@ -417,9 +402,14 @@ def validate(*, size: int | None = None,
     gens = frozenset(range(size)) if generators is None else frozenset(generators)
     if any(not 0 <= g < size for g in gens):
         raise BadParams("generators out of range")
-    x = order.first_ungenerated(gens)
-    if x is not None:
-        raise NotGenerated(f"element {x} is not a join of generators", witness=x)
+    rel, join_table = order.relation, order.join_table
+    for x in range(size):
+        acc = order.bottom
+        for g in gens:
+            if rel[g][x]:
+                acc = join_table[acc][g]
+        if acc != x:
+            raise NotGenerated(f"element {x} is not a join of generators", witness=x)
 
     if labels is None:
         labels = tuple(str(i) for i in range(size))

@@ -127,22 +127,21 @@ class FamilyReport:
     counterexamples: dict = field(default_factory=dict)
 
 
-def classify_family(L: MultLattice, F, A=None) -> FamilyReport:
+def classify_family(L: MultLattice, F) -> FamilyReport:
     """Check the left-Oka, right-Oka, Oka and Ako implication schemas
-    exhaustively over (a in A, l in L), resp. (l in L, a, b in A)."""
+    exhaustively over (a in A, l in L), resp. (l in L, a, b in A), A = L.generators."""
     family = frozenset(F)
-    gens = L.generators if A is None else frozenset(A)
     fmask = L.mask_of(family)
     counterexamples: dict = {}
     if L.top not in family:
         for flag in ("left_oka", "right_oka", "oka", "ako"):
             counterexamples[flag] = ("top",)
-        return FamilyReport(family, gens, False, False, False, False,
+        return FamilyReport(family, L.generators, False, False, False, False,
                             counterexamples)
 
     left_t, right_t = residual_tables(L)
     jt = L.join_table
-    a_sorted = sorted(gens)
+    a_sorted = sorted(L.generators)
 
     left_oka = right_oka = oka = True
     for a in a_sorted:
@@ -167,7 +166,7 @@ def classify_family(L: MultLattice, F, A=None) -> FamilyReport:
     ako_witness = _ako_witness(L, fmask, a_sorted)
     if ako_witness:
         counterexamples["ako"] = ako_witness
-    return FamilyReport(family, gens, left_oka, right_oka, oka, not ako_witness,
+    return FamilyReport(family, L.generators, left_oka, right_oka, oka, not ako_witness,
                         counterexamples)
 
 
@@ -198,21 +197,17 @@ class PipReport:
     all_prime: bool
 
 
-def pip_check(L: MultLattice, F, A=None) -> PipReport:
+def pip_check(L: MultLattice, F) -> PipReport:
     """Verify that every maximal element outside a qualifying family is prime.
 
-    The hypotheses are checked first: the lattice must be monotone and
-    A-generated, and F must be left Oka, right Oka, Oka together with
-    associativity, or Ako.  :class:`HypothesesFail` names whichever fails.
+    The hypotheses are checked first: the lattice must be monotone (it is
+    generated by ``L.generators``, which :func:`core.validate` checked), and
+    F must be left Oka, right Oka, Oka together with associativity, or Ako.
+    :class:`HypothesesFail` names whichever fails.
     """
     family = frozenset(F)
-    gens = L.generators if A is None else frozenset(A)
     ax = require(L, ("monotone",), HypothesesFail, "monotonicity fails")
-    x = L.order.first_ungenerated(gens)
-    if x is not None:
-        raise HypothesesFail(
-            f"lattice is not generated by the given set: element {x}", witness=x)
-    rep = classify_family(L, family, gens)
+    rep = classify_family(L, family)
     cases = []
     if rep.left_oka:
         cases.append("left_oka")

@@ -13,8 +13,8 @@ The text format is line oriented and diff friendly::
     generator (1)             # optional; defaults to every element
 
 Elements get indices in declaration order.  ``mult`` is either one preset
-line (``meet`` or ``zero``) or a complete list of triples.  Export reproduces
-a lattice exactly: ``parse(export_text(L)) == L``.
+line (``meet`` or ``zero``) or a complete list of triples, one per pair.
+Export reproduces a lattice exactly: ``parse(export_text(L)) == L``.
 """
 
 from __future__ import annotations
@@ -54,18 +54,6 @@ class LatticeDocument:
 
 
 def parse_document(text: str) -> LatticeDocument:
-    name = "L"
-    elements: list = []
-    seen = set()
-    covers: list = []
-    preset = None
-    triples: list = []
-    generators: list = []
-
-    def err(msg, ln, line, token=None):
-        col = line.find(token) + 1 if token and token in line else 1
-        raise LatticeSyntaxError(msg, ln, col)
-
     def strip_comment(raw):
         # comments start at a '#' that opens the line or follows whitespace,
         # so labels and names may contain '#'
@@ -76,65 +64,89 @@ def parse_document(text: str) -> LatticeDocument:
                 return raw[:i]
         return raw
 
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw).rstrip()
-        if not line.strip():
-            continue
-        tokens = line.split()
-        head = tokens[0]
+    def entries():
+        for ln, raw in enumerate(text.splitlines(), start=1):
+            line = strip_comment(raw).rstrip()
+            if not line.strip():
+                continue
+            head, *args = line.split()
+            if head == "cover":
+                args = args[::2] if len(args) == 3 and args[1] == "<" else None
+            elif head == "mult" and len(args) == 2 and args[0] == "preset":
+                head, args = "mult preset", args[1:]
+            elif head == "mult":
+                args = [args[0], args[1], args[3]] if len(args) == 4 and args[2] == "=" else None
+            yield ln, line, head, args
+
+    return _checked_document(entries(), text.count("\n") + 1)
+
+
+# directive -> (number of labels or strings, the form an error message quotes)
+_MULT_FORM = "mult <x> <y> = <z> or mult preset meet|zero"
+_FORMS = {"name": (1, "name <string>"), "element": (1, "element <label>"),
+          "cover": (2, "cover <a> < <b>"), "mult": (3, _MULT_FORM),
+          "mult preset": (1, _MULT_FORM), "generator": (1, "generator <label>")}
+
+
+def _checked_document(entries, last: int) -> LatticeDocument:
+    """The document of ``entries``, tuples (line number, line, directive,
+    arguments) from either input format, with arguments a list of strings,
+    or None when malformed; both formats meet the same checks and messages."""
+    name = "L"
+    elements: list = []
+    seen = set()
+    covers: list = []
+    preset = None
+    products: dict = {}                # (x, y) -> xy, in input order
+    generators: list = []
+
+    def err(msg, ln, line, token=None):
+        col = line.find(token) + 1 if token and token in line else 1
+        raise LatticeSyntaxError(msg, ln, col)
+
+    for ln, line, head, args in entries:
+        if head not in _FORMS:
+            err(f"unknown directive {head!r}", ln, line, head)
+        arity, form = _FORMS[head]
+        if args is None or len(args) != arity:
+            err(f"expected: {form}", ln, line)
         if head == "name":
-            if len(tokens) != 2:
-                err("expected: name <string>", ln, line)
-            name = tokens[1]
+            name = args[0]
         elif head == "element":
-            if len(tokens) != 2:
-                err("expected: element <label>", ln, line)
-            label = tokens[1]
-            if label in seen:
-                err(f"duplicate label {label!r}", ln, line, label)
-            seen.add(label)
-            elements.append(label)
-        elif head == "cover":
-            if len(tokens) != 4 or tokens[2] != "<":
-                err("expected: cover <a> < <b>", ln, line)
-            for t in (tokens[1], tokens[3]):
+            if args[0] in seen:
+                err(f"duplicate label {args[0]!r}", ln, line, args[0])
+            seen.add(args[0])
+            elements.append(args[0])
+        elif head == "mult preset":
+            if args[0] not in ("meet", "zero"):
+                err(f"unknown preset {args[0]!r}", ln, line, args[0])
+            if products:
+                err("preset cannot be mixed with explicit mult lines", ln, line)
+            if preset:
+                err("duplicate mult preset", ln, line)
+            preset = args[0]
+        else:
+            if head == "mult" and preset:
+                err("explicit mult lines cannot follow a preset", ln, line)
+            for t in args:
                 if t not in seen:
                     err(f"unknown label {t!r}", ln, line, t)
-            covers.append((tokens[1], tokens[3]))
-        elif head == "mult":
-            if len(tokens) == 3 and tokens[1] == "preset":
-                if tokens[2] not in ("meet", "zero"):
-                    err(f"unknown preset {tokens[2]!r}", ln, line, tokens[2])
-                if triples:
-                    err("preset cannot be mixed with explicit mult lines", ln, line)
-                if preset:
-                    err("duplicate mult preset", ln, line)
-                preset = tokens[2]
-            elif len(tokens) == 5 and tokens[3] == "=":
-                if preset:
-                    err("explicit mult lines cannot follow a preset", ln, line)
-                for t in (tokens[1], tokens[2], tokens[4]):
-                    if t not in seen:
-                        err(f"unknown label {t!r}", ln, line, t)
-                triples.append((tokens[1], tokens[2], tokens[4]))
+            if head == "cover":
+                covers.append(tuple(args))
+            elif head == "generator":
+                generators.append(args[0])
+            elif (args[0], args[1]) in products:
+                err(f"mult {args[0]} {args[1]} is already given", ln, line, args[0])
             else:
-                err("expected: mult <x> <y> = <z> or mult preset meet|zero", ln, line)
-        elif head == "generator":
-            if len(tokens) != 2:
-                err("expected: generator <label>", ln, line)
-            if tokens[1] not in seen:
-                err(f"unknown label {tokens[1]!r}", ln, line, tokens[1])
-            generators.append(tokens[1])
-        else:
-            err(f"unknown directive {head!r}", ln, line, head)
+                products[args[0], args[1]] = args[2]
 
-    last = text.count("\n") + 1
     if not elements:
         raise LatticeSyntaxError("no elements declared", last)
-    if preset is None and not triples:
+    if preset is None and not products:
         raise LatticeSyntaxError("no multiplication given", last)
     return LatticeDocument(name, tuple(elements), tuple(covers), preset,
-                           tuple(triples), tuple(generators) or None)
+                           tuple((x, y, z) for (x, y), z in products.items()),
+                           tuple(generators) or None)
 
 
 def document_to_lattice(doc: LatticeDocument) -> MultLattice:
@@ -180,15 +192,28 @@ def _document_from_json(text: str) -> LatticeDocument:
         raise LatticeSyntaxError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
     if payload.get("kind") != "lattice":
         raise LatticeSyntaxError("JSON payload is not a lattice", 1)
-    mult = payload.get("mult", {})
-    gens = payload.get("generators")
-    return LatticeDocument(
-        payload.get("name", "L"),
-        tuple(payload.get("elements", ())),
-        tuple(tuple(c) for c in payload.get("covers", ())),
-        mult.get("preset"),
-        tuple(tuple(t) for t in mult.get("triples", ())),
-        tuple(gens) if gens else None)
+
+    def field(owner, key, kind):
+        value = owner.get(key) or kind()
+        if not isinstance(value, kind):
+            raise LatticeSyntaxError(f"JSON field {key!r} must be a {kind.__name__}", 1)
+        return value
+
+    def strings(args):
+        ok = isinstance(args, list) and all(isinstance(a, str) for a in args)
+        return args if ok else None
+
+    mult = field(payload, "mult", dict)
+    entries = [("name", [payload.get("name", "L")])]
+    entries += [("element", [label]) for label in field(payload, "elements", list)]
+    entries += [("cover", c) for c in field(payload, "covers", list)]
+    if mult.get("preset") is not None:
+        entries.append(("mult preset", [mult["preset"]]))
+    entries += [("mult", t) for t in field(mult, "triples", list)]
+    entries += [("generator", [g]) for g in field(payload, "generators", list)]
+    # each entry as the text format's directive, all on line 1
+    return _checked_document([(1, "", head, strings(args)) for head, args in entries],
+                             text.count("\n") + 1)
 
 
 def lattice_to_document(doc_or_lattice) -> LatticeDocument:

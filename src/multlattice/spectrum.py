@@ -216,17 +216,13 @@ def primes_of(L: MultLattice) -> frozenset:
         x for x, flags in enumerate(classify_all(L)) if flags.prime))
 
 
-def v_set(L: MultLattice, x: int, primes: frozenset | None = None) -> frozenset:
+def v_set(L: MultLattice, x: int) -> frozenset:
     """V(x): the primes above x; the closed sets of the Zariski topology."""
-    if primes is None:
-        primes = primes_of(L)
-    return frozenset(p for p in primes if L.relation[x][p])
+    return frozenset(p for p in primes_of(L) if L.relation[x][p])
 
 
-def d_set(L: MultLattice, x: int, primes: frozenset | None = None) -> frozenset:
-    if primes is None:
-        primes = primes_of(L)
-    return primes - v_set(L, x, primes)
+def d_set(L: MultLattice, x: int) -> frozenset:
+    return primes_of(L) - v_set(L, x)
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
         notes.append("generator-pair prime test skipped: monotonicity fails")
 
     zariski = FiniteTopology.from_closed_sets(
-        primes, {v_set(L, x, primes) for x in L.elements})
+        primes, {v_set(L, x) for x in L.elements})
 
     radical = L.glb(primes)
     max_primes = [x for x in L.elements if flags[x].maximal and flags[x].prime]

@@ -183,11 +183,11 @@ def system_of_points(L: MultLattice, Y) -> MSystem:
     ys = frozenset(Y)
     if not ys <= primes_of(L):
         raise ValueError("Y must be a set of prime elements")
-    return _system(L, _points_system(L, L.mask_of(ys)))
+    return _system(L, points_system_mask(L, L.mask_of(ys)))
 
 
-def _points_system(L: MultLattice, ymask: int) -> int:
-    """S_Y as a mask, for the primes in ``ymask``; asserted as above."""
+def points_system_mask(L: MultLattice, ymask: int) -> int:
+    """:func:`system_of_points` on masks: S_Y for the primes in ``ymask``."""
     mask = L.full_mask
     for p in range(L.size):
         if ymask >> p & 1:
@@ -216,7 +216,7 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
 
 def _inverse_topology(L: MultLattice) -> FiniteTopology:
     primes = spectrum(L).primes
-    basis = {v_set(L, c, primes) for c in compact_elements(L)}
+    basis = {v_set(L, c) for c in compact_elements(L)}
     opens = close_family({frozenset()}, basis, frozenset.__or__)
     closed = {primes - u for u in opens}
     d_sets = [primes - v for v in basis]
@@ -259,22 +259,13 @@ def equal_saturations(L: MultLattice, X, Y) -> bool:
 
 
 def all_m_systems(L: MultLattice):
-    """Every m-system, by powerset scan, in mask order.  Refused above
-    ``core.POWERSET_LIMIT`` elements, where :func:`m_systems` falls back to
-    :func:`saturated_m_systems`.  The scan leaves the per-subset cache alone
-    (an interval read only by its hyperabelian report would keep all 2^n
-    entries)."""
+    """Every m-system, in mask order: :func:`m_system_masks` as sets.
+    Refused above ``core.POWERSET_LIMIT`` elements, where that list holds
+    the saturated m-systems only."""
     if L.size > POWERSET_LIMIT:
         raise ValueError(f"powerset scan capped at {POWERSET_LIMIT} elements; "
                          "enumerate saturated systems instead")
-    return _shared_sets(L, [mask for mask in range(1, 1 << L.size)
-                            if _scan_mask(L, mask)[0]])
-
-
-def _shared_sets(L: MultLattice, masks) -> list:
-    """The subsets ``masks`` as frozensets, shared by the tables on one order."""
-    sets = memo(L.order, "subsets", dict)
-    return [sets.get(mask) or sets.setdefault(mask, L.set_of(mask)) for mask in masks]
+    return [L.set_of(mask) for mask in m_system_masks(L)]
 
 
 def saturated_m_systems(L: MultLattice):
@@ -306,13 +297,16 @@ def m_system_masks(L: MultLattice) -> list:
     """The masks of every m-system up to ``core.POWERSET_LIMIT`` elements,
     in mask order, otherwise of the saturated ones; built once per lattice
     and shared by every statement over them, so callers must not change it."""
-    return memo(L, "m_systems", lambda: [L.mask_of(s) for s in all_m_systems(L)]
-                if L.size <= POWERSET_LIMIT else _saturated_masks(L))
+    return memo(L, "m_systems", lambda: _scan_m_systems(L))
 
 
-def m_systems(L: MultLattice) -> list:
-    """:func:`m_system_masks` as sets."""
-    return _shared_sets(L, m_system_masks(L))
+def _scan_m_systems(L: MultLattice) -> list:
+    """:func:`m_system_masks` by a powerset scan, which leaves the per-subset
+    cache alone (an interval read only by its hyperabelian report would keep
+    all 2^n entries), or by the antichain walk above ``core.POWERSET_LIMIT``."""
+    if L.size > POWERSET_LIMIT:
+        return _saturated_masks(L)
+    return [mask for mask in range(1, 1 << L.size) if _scan_mask(L, mask)[0]]
 
 
 # --------------------------------------------------------------------------
@@ -403,7 +397,7 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     notes = ["compactness checks on a finite spectrum are vacuously true; they "
              "run through the generic open-cover routine"]
 
-    phi = {h: _points_system(L, h) for h in h_masks}
+    phi = {h: points_system_mask(L, h) for h in h_masks}
     psi = {s: _avoiding(L, s) for s in m_masks}
     inverse_ok = (all(psi.get(phi[h]) == h for h in h_masks)
                   and all(phi.get(psi[s]) == s for s in m_masks))
@@ -431,7 +425,7 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
         pm = _avoiding(L, s)
         if pm not in of_points:
             ys = L.set_of(pm)
-            of_points[pm] = (_points_system(L, pm),
+            of_points[pm] = (points_system_mask(L, pm),
                              is_compact(zar, ys, [u for u in opens if u & ys]))
         fixed, compact = of_points[pm]
         if (is_m and sat) != (compact and fixed == s):

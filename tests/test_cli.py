@@ -11,6 +11,7 @@ from multlattice.cli import main
 from multlattice.core import TheoremViolation
 from multlattice.ingest import export_text, zn_ideals
 from multlattice.verify import corpus_named
+from test_ingest import MALFORMED_JSON
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +154,14 @@ def test_syntax_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 2
     assert "syntax error" in err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_on_stdin_exits_2(capsys, monkeypatch, case):
+    monkeypatch.setattr("sys.stdin", io.StringIO(MALFORMED_JSON[case][0]))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("syntax error: ") and err.count("\n") == 1
 
 
 def test_corrupted_table_exit_code(capsys, tmp_path):

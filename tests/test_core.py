@@ -340,7 +340,7 @@ def test_library_suites_never_run_the_subset_pair_scan(monkeypatch):
 
 
 def test_subsets_are_classified_only_in_systems():
-    # One m-system enumeration: every other module reads systems.m_systems
+    # One m-system enumeration: every other module reads systems.m_system_masks
     # or classify_system instead of scanning subsets itself.
     package = Path(core.__file__).parent
     for path in sorted(package.glob("*.py")):

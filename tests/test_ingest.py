@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from multlattice import core, ingest
-from multlattice.core import MultNotBounded, build_order, check_axioms
+from multlattice.core import MultNotBounded, build_order, check_axioms, validate
 from multlattice.ingest import (LatticeSyntaxError, chain, export_dot,
                                 export_dot_spectrum, export_text, generate,
                                 open_set_lattice, parse, parse_document,
@@ -77,6 +79,16 @@ def test_partial_mult_table_rejected():
     text = "element a\nelement b\ncover a < b\nmult a a = a\n"
     with pytest.raises(LatticeSyntaxError):
         parse(text)
+
+
+def test_a_second_mult_line_for_a_pair_is_refused():
+    text = "element 0\nelement 1\ncover 0 < 1\nmult preset meet\n"
+    table = "mult 0 0 = 0\nmult 0 1 = 0\nmult 1 0 = 0\nmult 1 1 = 1\n"
+    parse(text.replace("mult preset meet\n", table))
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse(text.replace("mult preset meet\n", table + "mult 1 1 = 0\n"))
+    assert (exc.value.line, exc.value.column) == (8, 6)
+    assert "mult 1 1 is already given" in str(exc.value)
 
 
 def test_preset_and_triples_cannot_mix():
@@ -192,3 +204,38 @@ def test_document_fields_round_trip():
     assert doc.name == "two"
     assert doc.mult_preset == "meet"
     assert doc.covers == (("0", "1"),)
+
+
+def json_with(**changes):
+    """The JSON payload of chain(2, "meet") with some fields replaced."""
+    payload = json.loads(to_json(chain(2, "meet")))
+    for key, value in changes.items():
+        payload[key] = value
+    return json.dumps(payload)
+
+
+MALFORMED_JSON = {
+    "unknown cover label": (json_with(covers=[["0", "z"]]), "unknown label 'z'"),
+    "short cover": (json_with(covers=[["0"]]), "expected: cover <a> < <b>"),
+    "mult not an object": (json_with(mult="meet"), "JSON field 'mult' must be a dict"),
+    "unknown generator": (json_with(generators=["q"]), "unknown label 'q'"),
+    "unknown triple label": (json_with(mult={"triples": [["0", "0", "q"]]}),
+                             "unknown label 'q'"),
+    "duplicate label": (json_with(elements=["0", "0"]), "duplicate label '0'"),
+    "unknown preset": (json_with(mult={"preset": "bogus"}), "unknown preset 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+def test_malformed_json_is_a_syntax_error(case):
+    text, message = MALFORMED_JSON[case]
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse(text)
+    assert message in str(exc.value)
+
+
+def test_json_round_trip(named_corpus):
+    spaced = validate(size=3, covers=[(0, 1), (1, 2)], mult=lambda x, y: 0,
+                      labels=["the bottom", "a b", "top  two"], name="with spaces")
+    for L in named_corpus + [spaced]:
+        assert parse(to_json(L)) == L, L.name

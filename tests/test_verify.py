@@ -13,6 +13,7 @@ from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms
 from multlattice.ingest import chain, to_json
+from multlattice.spectrum import d_set, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
@@ -193,17 +194,42 @@ def test_m_system_checks_above_the_powerset_limit(capsys):
     assert skipped == {"families.pip_exhaustive": "size above cap"}
 
 
+def test_v_identities_run_above_the_powerset_limit(monkeypatch):
+    # The join law is checked pair by pair at every size, so a corrupted
+    # join-table entry is caught on 13 elements, where no 2^n scan runs.
+    L = chain(13, "meet")
+    assert L.size > POWERSET_LIMIT
+    bad = [list(row) for row in L.join_table]
+    bad[L.bottom][L.top] = L.bottom
+    monkeypatch.setattr(L, "join_table", tuple(map(tuple, bad)))
+    rows = {r.check: r for r in verify_all(L, ("spectrum",)).results}
+    assert rows["spectrum.v_identities"].detail == (
+        f"TheoremViolation: V(x v y) != V(x) n V(y) (witness ({L.bottom}, {L.top}))")
+
+
 def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
     # The hyper, systems and families suites all range over the m-systems
     # of L; they read one list, built by one powerset scan.  (Derived
     # lattices, such as the intervals of the constructions suite, have
     # their own.)
     calls = []
-    scan = sys_mod.all_m_systems
-    monkeypatch.setattr(sys_mod, "all_m_systems", lambda M: calls.append(M) or scan(M))
+    scan = sys_mod._scan_m_systems
+    monkeypatch.setattr(sys_mod, "_scan_m_systems", lambda M: calls.append(M) or scan(M))
     L = chain(4, "meet")
     assert verify_all(L).failed == 0
+    assert sys_mod.all_m_systems(L) == [L.set_of(s) for s in sys_mod.m_system_masks(L)]
     assert [M for M in calls if M is L] == [L]
+
+
+def test_pip_classifies_each_family_once(monkeypatch):
+    # pip_check alone decides whether a family qualifies, so the families
+    # suite classifies each of the 2^n families exactly once.
+    calls = []
+    classify = families.classify_family
+    monkeypatch.setattr(families, "classify_family",
+                        lambda *args: calls.append(args) or classify(*args))
+    assert verify_all(chain(6, "meet"), ("families",)).failed == 0
+    assert len(calls) == 2 ** 6
 
 
 def test_mask_route_failures_match_the_pair_scan(monkeypatch):
@@ -266,6 +292,17 @@ def test_the_powerset_limit_is_no_option():
     with pytest.raises(SystemExit) as exc:
         main(["--max-enum", "13", "check", "systems", "gen:chain:3:zero"])
     assert exc.value.code == 2
+
+
+def test_lattice_facts_are_no_parameters():
+    # The generating set and the prime set are read from the lattice, and
+    # the m-systems have one list, systems.m_system_masks.
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(families.classify_family) == params(families.pip_check) == ["L", "F"]
+    assert params(v_set) == params(d_set) == ["L", "x"]
+    assert not hasattr(sys_mod, "m_systems")
 
 
 def test_report_writer_matches_the_generic_encoder():
