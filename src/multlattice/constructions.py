@@ -380,11 +380,9 @@ def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:
 
 
 def projection_morphisms(P: ProductLattice) -> tuple:
-    left = morphism(P.lattice, P.left,
-                    tuple(P.index_to_pair(k)[0] for k in P.lattice.elements))
-    right = morphism(P.lattice, P.right,
-                     tuple(P.index_to_pair(k)[1] for k in P.lattice.elements))
-    return left, right
+    M, n2 = P.lattice, P.right.size
+    return (morphism(M, P.left, tuple(k // n2 for k in M.elements)),
+            morphism(M, P.right, tuple(k % n2 for k in M.elements)))
 
 
 def right_adjoint(f: LatticeMorphism) -> tuple:
@@ -434,10 +432,16 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
             raise TheoremViolation(
                 f"adjoint image u({p}) = {q} of a prime is not prime", witness=p)
         point_map[p] = q
-    v_of_image = {y: v_set(tgt, y) for y in set(f.mapping)}
-    for x in src.elements:
-        preimage = frozenset(p for p in tgt_primes if src.relation[x][point_map[p]])
-        if preimage != v_of_image[f.mapping[x]]:
+    # The preimage of V(x) is the primes p with x <= u(p), and V(f(x)) is
+    # the primes above f(x), both as masks of target primes.
+    prime_mask = tgt.mask_of(tgt_primes)
+    bits = [(1 << p, q) for p, q in point_map.items()]
+    for x, fx in enumerate(f.mapping):
+        up, preimage = src.up_masks[x], 0
+        for bit, q in bits:
+            if up >> q & 1:
+                preimage |= bit
+        if preimage != tgt.up_masks[fx] & prime_mask:
             raise TheoremViolation(
                 f"spectrum map preimage of V({x}) is not V(f({x}))", witness=x)
     return SpecMapReport(f, u, point_map, True)

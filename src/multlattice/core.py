@@ -398,7 +398,7 @@ def validate(*, size: int | None = None,
         raise BadParams("order excludes size, covers and relation")
     size = order.size
 
-    table = _bounded_table(size, order.relation, order.meet_table, mult)
+    table = _bounded_table(order, mult)
     gens = frozenset(range(size)) if generators is None else frozenset(generators)
     if any(not 0 <= g < size for g in gens):
         raise BadParams("generators out of range")
@@ -421,15 +421,24 @@ def validate(*, size: int | None = None,
     return MultLattice(order, table, gens, labels, name)
 
 
-def _bounded_table(size: int, rel, meet_table, mult) -> tuple:
+def _bounded_table(order: OrderData, mult) -> tuple:
     """``mult`` (a table or a callable) as a tuple of rows, checked to be a
     full table of elements with every product below the meet."""
+    size = order.size
     if callable(mult):
         table = [[int(mult(x, y)) for y in range(size)] for x in range(size)]
     else:
-        table = [[int(v) for v in row] for row in mult]
+        table = [tuple(map(int, row)) for row in mult]
         if len(table) != size or any(len(row) != size for row in table):
             raise BadParams("mult must be a full size x size table")
+    # xy <= x meet y iff row x lies in down(x) and column y in down(y); the
+    # cell loop below runs only to name the first failing cell, row-major.
+    downs = memo(order, "down_sets", lambda: tuple(
+        frozenset(y for y in range(size) if m >> y & 1) for m in order.masks()[0]))
+    if (all(map(frozenset.issuperset, downs, table))
+            and all(map(frozenset.issuperset, downs, zip(*table)))):
+        return tuple(map(tuple, table))
+    rel, meet_table = order.relation, order.meet_table
     for x in range(size):
         for y in range(size):
             z = table[x][y]
@@ -440,7 +449,6 @@ def _bounded_table(size: int, rel, meet_table, mult) -> tuple:
                 raise MultNotBounded(
                     f"mult({x}, {y}) = {z} is not below meet({x}, {y})",
                     witness=(x, y))
-    return tuple(tuple(row) for row in table)
 
 
 def replace_mult(base: MultLattice, mult_table, name: str | None = None) -> MultLattice:

@@ -8,6 +8,7 @@ equivalences, and checks sobriety of finite topologies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MultLattice,
@@ -163,6 +164,10 @@ class ElementFlags:
     meet_irreducible: bool
 
 
+# ElementFlags is frozen, so equal flags share one instance.
+_shared_flags = functools.cache(ElementFlags)
+
+
 def classify(L: MultLattice, x: int) -> ElementFlags:
     return classify_all(L)[x]
 
@@ -173,18 +178,26 @@ def classify_all(L: MultLattice) -> tuple:
 
 
 def _classify_all(L: MultLattice) -> tuple:
-    n = L.size
-    mt = L.mult_table
     order_flags = memo(L.order, "order_flags", lambda: _order_flags(L.order))
-    out = []
-    for x in range(n):
-        down = L.down_masks[x]
-        outside = [a for a in range(n) if not down >> a & 1]
-        prime = x != L.top and all(
-            not down >> mt[a][b] & 1 for a in outside for b in outside)
-        semiprime = all(not down >> mt[a][a] & 1 for a in outside)
-        out.append(ElementFlags(prime, semiprime, *order_flags[x]))
-    return tuple(out)
+    up = L.up_masks
+    nonprime = _nonprime_mask(L, range(L.size)) | 1 << L.top
+    nonsemiprime = 0
+    for a, row in enumerate(L.mult_table):
+        nonsemiprime |= up[row[a]] & ~up[a]
+    return tuple(_shared_flags(not nonprime >> x & 1, not nonsemiprime >> x & 1,
+                               *order_flags[x]) for x in range(L.size))
+
+
+def _nonprime_mask(L: MultLattice, elems) -> int:
+    """The elements x with ab <= x for some a, b of ``elems`` not below x:
+    the OR of up(ab) minus up(a) and up(b) over the pairs of ``elems``."""
+    mt, up = L.mult_table, L.up_masks
+    out = 0
+    for a in elems:
+        row, na = mt[a], ~up[a]
+        for b in elems:
+            out |= up[row[b]] & na & ~up[b]
+    return out
 
 
 def _order_flags(order: OrderData) -> tuple:
@@ -264,17 +277,8 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     ax = check_axioms(L)
     via_gens = None
     if ax.monotone:
-        gens = sorted(L.generators)
-        mt = L.mult_table
-        via = set()
-        for x in L.elements:
-            if x == L.top:
-                continue
-            down = L.down_masks[x]
-            out = [a for a in gens if not down >> a & 1]
-            if all(not down >> mt[a][b] & 1 for a in out for b in out):
-                via.add(x)
-        via_gens = frozenset(via)
+        via_gens = L.set_of(L.full_mask & ~_nonprime_mask(L, L.generators)
+                            & ~(1 << L.top))
         if via_gens != primes:
             raise TheoremViolation(
                 "generator-pair prime test disagrees with the definition on a "
@@ -282,8 +286,10 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     else:
         notes.append("generator-pair prime test skipped: monotonicity fails")
 
+    # One closed set per distinct V(x), read off the up-set masks.
+    prime_mask = L.mask_of(primes)
     zariski = FiniteTopology.from_closed_sets(
-        primes, {v_set(L, x) for x in L.elements})
+        primes, [L.set_of(v) for v in {up & prime_mask for up in L.up_masks}])
 
     radical = L.glb(primes)
     max_primes = [x for x in L.elements if flags[x].maximal and flags[x].prime]
@@ -420,17 +426,17 @@ def _greedy_square_chain(L: MultLattice):
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
-    Condition (f) reads ``systems.m_system_masks``: every m-system up to
-    ``core.POWERSET_LIMIT`` elements, in mask order, and the saturated ones
-    above it, which decides the same condition because upward closure
-    neither adds nor removes bottom.  The witness is the first m-system
-    without bottom.
+    Condition (f) is ``systems.first_m_system_without(L, bottom)``: the
+    first m-system without bottom in mask order up to
+    ``core.POWERSET_LIMIT`` elements, and among the saturated ones above
+    it, which decides the same condition because upward closure neither
+    adds nor removes bottom.  That m-system is the witness.
     """
     return memo(L, "hyperabelian", lambda: _hyperabelian_report(L))
 
 
 def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
-    from .systems import m_system_masks  # avoids an import cycle
+    from .systems import first_m_system_without  # avoids an import cycle
 
     require(L, ("m_distributive",), MDistributivityRequired,
             "the equivalences need m-distributivity")
@@ -477,7 +483,7 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
         mode = "saturated_only"
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
                      "saturated m-systems (bottom membership is saturation-invariant)")
-    without_bottom = next((s for s in m_system_masks(L) if not s >> L.bottom & 1), None)
+    without_bottom = first_m_system_without(L, L.bottom)
     cond_f = without_bottom is None
     if not cond_f:
         witnesses["f"] = tuple(sorted(L.set_of(without_bottom)))

@@ -309,6 +309,17 @@ def _scan_m_systems(L: MultLattice) -> list:
     return [mask for mask in range(1, 1 << L.size) if _scan_mask(L, mask)[0]]
 
 
+def first_m_system_without(L: MultLattice, x: int):
+    """The first mask of :func:`m_system_masks` that lacks ``x``, or None.
+    Up to ``core.POWERSET_LIMIT`` the subsets without ``x`` (each m with a
+    zero put in at bit x) are scanned in mask order, up to the first hit."""
+    if L.size > POWERSET_LIMIT:
+        return next((s for s in m_system_masks(L) if not s >> x & 1), None)
+    low = (1 << x) - 1
+    masks = ((m & ~low) << 1 | m & low for m in range(1, 1 << (L.size - 1)))
+    return next((s for s in masks if _scan_mask(L, s)[0]), None)
+
+
 # --------------------------------------------------------------------------
 # Compactness (vacuous at finite scale, but exercised honestly)
 

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import weakref
 
 import pytest
@@ -19,10 +20,13 @@ from multlattice.core import (BadParams, HypothesesFail, LatticeError,
                               replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import classify_all, hyperabelian_report, spectrum
-from multlattice.verify import (corpus_exhaustive_tables, corpus_random_tables,
-                                enumerate_tables, shape_lattice)
+from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
+                                corpus_random_tables, enumerate_tables,
+                                shape_lattice)
 
 from conftest import mk_chain
+
+constructions_module = importlib.import_module("multlattice.constructions")
 
 
 def test_full_interval_is_the_lattice():
@@ -127,6 +131,20 @@ def test_product_generators_are_pairs_when_bottoms_generate():
                  mult=lambda x, y: 0, generators=[0, 1, 2], name="M2")
     assert product(L, L).lattice.generators == frozenset(
         a * 4 + b for a in (0, 1, 2) for b in (0, 1, 2))
+
+
+def test_each_product_is_validated_once(monkeypatch):
+    # A product shares its factors' orders, but its table is still checked.
+    calls = []
+    real = constructions_module.validate
+    monkeypatch.setattr(constructions_module, "validate",
+                        lambda **kw: calls.append(kw) or real(**kw))
+    for L in (chain(3, "meet"), zn_ideals(12)):
+        for partner in PRODUCT_PARTNERS:
+            calls.clear()
+            M = product(L, partner).lattice
+            assert len(calls) == 1
+            assert calls[0]["order"] is M.order
 
 
 def product_from_scratch(L1, L2):

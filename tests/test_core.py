@@ -8,9 +8,9 @@ import pytest
 
 from multlattice import core, verify
 from multlattice.constructions import interval, product
-from multlattice.core import (MultNotBounded, NotALattice, NotAPartialOrder,
-                              NotGenerated, check_axioms, compact_elements,
-                              validate)
+from multlattice.core import (BadParams, LatticeError, MultNotBounded,
+                              NotALattice, NotAPartialOrder, NotGenerated,
+                              check_axioms, compact_elements, validate)
 
 from conftest import mk_chain
 
@@ -41,6 +41,72 @@ def test_bounded_violation_carries_witness():
     with pytest.raises(MultNotBounded) as exc:
         validate(size=2, covers=[(0, 1)], mult=[[0, 0], [1, 1]])
     assert exc.value.witness == (1, 0)
+
+
+CHAIN3_MEET = ((0, 0, 0), (0, 1, 1), (0, 1, 2))
+
+
+def with_cells(cells):
+    """The meet table of chain3 with the given cells replaced."""
+    table = [list(row) for row in CHAIN3_MEET]
+    for (x, y), z in cells.items():
+        table[x][y] = z
+    return table
+
+
+def first_bad_cell(order, table):
+    """The error of the first failing cell in row-major order, read cell by
+    cell: a value outside 0..n-1, or a product not below the meet."""
+    n = order.size
+    for x in range(n):
+        for y in range(n):
+            z = table[x][y]
+            if not 0 <= z < n:
+                return BadParams, (x, y), f"mult({x}, {y}) = {z} is not an element"
+            if not order.relation[z][order.meet_table[x][y]]:
+                return (MultNotBounded, (x, y),
+                        f"mult({x}, {y}) = {z} is not below meet({x}, {y})")
+    return None
+
+
+BAD_TABLES = {
+    # (1, 2) is the first bad cell; (2, 1) is out of bound after it
+    "outside": with_cells({(1, 2): 3, (2, 0): -1, (2, 1): 2}),
+    # 2 <= x = 2 but 2 !<= y = 1: every row lies in its down-set
+    "below_x_only": with_cells({(2, 1): 2}),
+    # 2 <= y = 2 but 2 !<= x = 1: every column lies in its down-set
+    "below_y_only": with_cells({(1, 2): 2}),
+    "bound_before_outside": with_cells({(0, 2): 1, (2, 2): 7}),
+    "callable": lambda x, y: 2 if (x, y) == (2, 0) else min(x, y),
+    "callable_outside": lambda x, y: -1 if (x, y) == (1, 1) else min(x, y),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bound_check_names_the_first_failing_cell(case):
+    base = mk_chain(3, min)
+    mult = BAD_TABLES[case]
+    table = ([[mult(x, y) for y in range(3)] for x in range(3)] if callable(mult)
+             else mult)
+    expected = first_bad_cell(base.order, table)
+    assert expected is not None
+    for build in (lambda: validate(size=3, covers=[(0, 1), (1, 2)], mult=mult),
+                  lambda: validate(order=base.order, mult=mult)):
+        with pytest.raises(LatticeError) as exc:
+            build()
+        assert (type(exc.value), exc.value.witness, str(exc.value)) == expected
+    if case == "below_x_only":
+        assert all(base.leq(z, x) for x, row in enumerate(table) for z in row)
+    if case == "below_y_only":
+        assert all(base.leq(z, y) for row in table for y, z in enumerate(row))
+
+
+@pytest.mark.parametrize("mult", [[[0, 0, 0], [0, 1], [0, 1, 2]],
+                                  [[0, 0, 0], [0, 1, 1]]])
+def test_bound_check_refuses_a_table_that_is_not_square(mult):
+    with pytest.raises(BadParams, match="full size x size table") as exc:
+        validate(order=mk_chain(3, min).order, mult=mult)
+    assert exc.value.witness is None
 
 
 def test_diamond_meet_table_against_oracle():

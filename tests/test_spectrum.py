@@ -1,7 +1,10 @@
+import importlib
+
 import pytest
 
+from multlattice.constructions import interval, product
 from multlattice.core import (MDistributivityRequired, NotMaximal, PrimeElement,
-                              check_axioms, validate)
+                              TheoremViolation, check_axioms, validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import (FiniteTopology, classify, classify_all,
                                   hyperabelian_report, maximal_prime_criterion,
@@ -9,8 +12,12 @@ from multlattice.spectrum import (FiniteTopology, classify, classify_all,
                                   spectrum, v_set)
 from multlattice.systems import (all_m_systems, constructible_topology,
                                  saturated_m_systems)
+from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
+                                corpus_named, corpus_random_tables)
 
 from conftest import mk_chain
+
+spectrum_module = importlib.import_module("multlattice.spectrum")
 
 
 def brute_prime(L, x):
@@ -49,6 +56,56 @@ def test_classification_matches_oracle_everywhere(small_exhaustive_corpus):
         flags = classify_all(L)
         for x in L.elements:
             assert flags[x].prime == brute_prime(L, x), (L.name, x)
+
+
+def literal_flags(L):
+    """(prime, semiprime) of every element, read off the definitions by a
+    pair scan: x is prime when x != top and no a, b outside down(x) have
+    ab <= x, and semiprime when no a outside down(x) has aa <= x."""
+    rel, mt = L.relation, L.mult_table
+    out = []
+    for x in L.elements:
+        outside = [a for a in L.elements if not rel[a][x]]
+        prime = x != L.top and not any(rel[mt[a][b]][x]
+                                       for a in outside for b in outside)
+        semiprime = not any(rel[mt[a][a]][x] for a in outside)
+        out.append((prime, semiprime))
+    return out
+
+
+ORACLE_CORPORA = {
+    "exhaustive4": lambda: corpus_exhaustive_tables(4),
+    "named": corpus_named,
+    "random1000": lambda: corpus_random_tables(1000, 1),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ORACLE_CORPORA))
+def test_prime_flags_match_a_literal_pair_scan(corpus):
+    # Each lattice, its products with both verify partners and each of its
+    # intervals: the derived lattices are where the mask pass runs most.
+    derived = 0
+    for L in ORACLE_CORPORA[corpus]():
+        family = [L] + [product(L, partner).lattice for partner in PRODUCT_PARTNERS]
+        family += [interval(L, x, y).lattice for x in L.elements
+                   for y in L.elements if L.leq(x, y)]
+        for M in family:
+            assert [(f.prime, f.semiprime) for f in classify_all(M)] == \
+                literal_flags(M), M.name
+        derived += len(family) - 1
+    assert derived
+
+
+def test_generator_cross_check_disagreement_raises(monkeypatch):
+    # chain3 under the zero product is monotone and has no primes; a
+    # generator pass that finds no failing pair calls 0 and 1 prime.
+    L = mk_chain(3, lambda x, y: 0)
+    real = spectrum_module._nonprime_mask
+    monkeypatch.setattr(spectrum_module, "_nonprime_mask", lambda M, elems: (
+        0 if elems is M.generators else real(M, elems)))
+    with pytest.raises(TheoremViolation, match="generator-pair") as err:
+        spectrum(L)
+    assert err.value.witness == (0, 1)
 
 
 def test_specialization_order_of_sierpinski_spectrum():

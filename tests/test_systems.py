@@ -6,7 +6,7 @@ from multlattice import systems
 from multlattice.core import (LatticeError, MonotonicityRequired, NotAnMSystem,
                               check_axioms, replace_mult, validate)
 from multlattice.families import sigma_of_system
-from multlattice.ingest import zn_ideals
+from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
 from multlattice.systems import (all_m_systems, classify_system,
                                  closure_in_inverse, complement_system,
@@ -200,6 +200,30 @@ def test_correspondence_leaves_the_subset_cache_alone():
     assert check_axioms(L).m_distributive
     assert correspondence_check(L).subset_identity_checked == 2 ** L.size
     assert len(L._cache["classified_masks"]) < 2 ** L.size
+
+
+def test_first_m_system_without_reads_the_list_order(small_exhaustive_corpus,
+                                                     named_corpus):
+    for L in small_exhaustive_corpus + [M for M in named_corpus if M.size <= 8]:
+        for x in L.elements:
+            expected = next((s for s in systems.m_system_masks(L)
+                             if not s >> x & 1), None)
+            assert systems.first_m_system_without(L, x) == expected, (L.name, x)
+    L = chain(13, "meet")       # above the limit: the saturated m-systems
+    assert systems.first_m_system_without(L, L.bottom) == next(
+        s for s in systems.m_system_masks(L) if not s >> L.bottom & 1)
+
+
+def test_first_m_system_without_stops_at_the_first_hit(monkeypatch):
+    # On chain12 under meet {1} is an m-system, the first subset without 0.
+    calls = []
+    scan = systems._scan_mask
+    monkeypatch.setattr(systems, "_scan_mask",
+                        lambda L, mask: calls.append(mask) or scan(L, mask))
+    L = chain(12, "meet")
+    assert systems.first_m_system_without(L, L.bottom) == 0b10
+    assert calls == [0b10]
+    assert "m_systems" not in L._cache
 
 
 def test_correspondence_zn12():
