@@ -248,20 +248,16 @@ def product_spec_check(L1: MultLattice, L2: MultLattice) -> ProductSpecReport:
         raise TheoremViolation("product spectrum is not the expected disjoint union",
                                witness=tuple(sorted(rep.primes ^ (left_part | right_part))))
     zar = rep.zariski
-    clopen_ok = all(part in zar.closed_sets and rep.primes - part in zar.closed_sets
-                    for part in (left_part, right_part))
+    clopen_ok = all(zar.closure(part) == part for part in (left_part, right_part))
     if not clopen_ok:
         raise TheoremViolation("product spectrum pieces are not clopen", witness=None)
 
-    homeo = True
-    for part, factor, srep, embed in (
-            (left_part, L1, s1, lambda p: P.pair_to_index(p, L2.top)),
-            (right_part, L2, s2, lambda p: P.pair_to_index(L1.top, p))):
-        sub = zar.subspace(part)
-        mapped = frozenset(frozenset(embed(p) for p in c)
-                           for c in srep.zariski.closed_sets)
-        if mapped != sub.closed_sets:
-            homeo = False
+    # A closed piece holds the closure of each of its points, so that
+    # closure is the point's closure in the subspace.
+    homeo = all(zar.closures[embed(p)] == frozenset(map(embed, c))
+                for srep, embed in ((s1, lambda p: P.pair_to_index(p, L2.top)),
+                                    (s2, lambda p: P.pair_to_index(L1.top, p)))
+                for p, c in srep.zariski.closures.items())
     if not homeo:
         raise TheoremViolation("product spectrum pieces are not homeomorphic "
                                "to the factor spectra", witness=None)
@@ -538,8 +534,8 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
                 witness=l)
 
     sub = rep.zariski.subspace(dn)
-    mapped = frozenset(frozenset(point_map[p] for p in c) for c in sub.closed_sets)
-    homeo = mapped == m_rep.zariski.closed_sets
+    homeo = all(frozenset(map(point_map.get, c)) == m_rep.zariski.closures[point_map[p]]
+                for p, c in sub.closures.items())
     if not homeo:
         raise TheoremViolation("subspace and interval topologies do not match",
                                witness=None)

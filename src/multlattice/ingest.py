@@ -26,7 +26,7 @@ from math import gcd
 
 from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
                    build_order, check_axioms, replace_mult, validate)
-from .spectrum import FiniteTopology, close_family, spectrum
+from .spectrum import FiniteTopology, spectrum
 
 
 class LatticeSyntaxError(LatticeError):
@@ -333,8 +333,7 @@ def export_dot_topology(T: FiniteTopology, labels, name: str) -> str:
     """The specialization digraph of a finite topology: an edge p -> q
     whenever q lies in the closure of p, reduced to covers."""
     pts = sorted(T.points)
-    closure = {p: T.point_closure(p) for p in pts}
-    reach = {p: frozenset(q for q in closure[p] if q != p) for p in pts}
+    reach = {p: T.point_closure(p) - {p} for p in pts}
     lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
     for p in pts:
         lines.append(f'  p{p} [label="{labels[p]}"];')
@@ -357,8 +356,7 @@ def export_dot_homeo_pair(L: MultLattice, n: int) -> tuple:
     from .constructions import open_subspace_homeo
 
     report = open_subspace_homeo(L, n)
-    rep = spectrum(L)
-    sub = rep.zariski.subspace(frozenset(report.point_map))
+    sub = spectrum(L).zariski.subspace(report.point_map)
     left = export_dot_topology(sub, L.labels, f"D({L.labels[n]}) in Spec({L.name})")
     right = export_dot_spectrum(report.interval.lattice)
     return left, right
@@ -443,7 +441,9 @@ def powerset_lattice(n: int, mult: str = "meet") -> MultLattice:
 
 def poset_space(kind: str, n: int = 0) -> FiniteTopology:
     """A finite T0 space presented as the down-set (Alexandrov) topology of a
-    small poset: ``chain(n)``, ``antichain(n)``, ``vee`` or ``diamond``."""
+    small poset: ``chain(n)``, ``antichain(n)``, ``vee`` or ``diamond``.  The
+    poset is its pairs a <= b, and the closure of a point is the points below
+    it."""
     if kind == "chain":
         pts, pairs = list(range(n)), [(i, j) for i in range(n) for j in range(i, n)]
     elif kind == "antichain":
@@ -455,9 +455,8 @@ def poset_space(kind: str, n: int = 0) -> FiniteTopology:
             [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)]
     else:
         raise BadParams(f"unknown poset kind {kind!r}")
-    below = [frozenset(a for a, b in pairs if b == p) | {p} for p in pts]
-    return FiniteTopology.from_closed_sets(
-        pts, close_family({frozenset()}, below, frozenset.__or__))
+    return FiniteTopology(frozenset(pts), {p: frozenset(a for a, b in pairs if b == p)
+                                           for p in pts})
 
 
 def open_set_lattice(T: FiniteTopology, name: str = "opens") -> MultLattice:

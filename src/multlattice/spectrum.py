@@ -1,9 +1,12 @@
 """Prime spectra and the Zariski topology.
 
 Classifies elements (prime, semiprime, maximal, meet-irreducible), builds the
-spectrum of a lattice with its topology of closed sets ``V(x)``, computes the
-semiprime and Jacobson radicals, decides the empty-spectrum ("hyperabelian")
-equivalences, and checks sobriety of finite topologies.
+spectrum of a lattice with its Zariski topology, computes the semiprime and
+Jacobson radicals, and decides the empty-spectrum ("hyperabelian")
+equivalences.  A finite topology is held by the closure of each point; on
+Spec(L) the closure of p is V(p), the primes above p, and the spectrum
+checks that the closed sets ``V(x)`` are exactly the up-sets of the prime
+order.  Sobriety of a finite space is its T0 property.
 """
 
 from __future__ import annotations
@@ -22,15 +25,14 @@ from .core import (POWERSET_LIMIT, MDistributivityRequired, MultLattice,
 
 @dataclass(frozen=True, eq=False)
 class FiniteTopology:
-    """A finite point set with an explicit family of closed sets.
-
-    Build through :meth:`from_closed_sets`, which checks the closed-set
-    axioms (empty set and full space closed, family closed under union and
-    intersection).
-    """
+    """A finite point set with the closure of each point, which holds the
+    point and the closure of each of its members: the specialization
+    preorder, which fixes the topology.  The closed sets are the unions of
+    point closures, derived on request.  :meth:`from_closed_sets` checks a
+    caller's family against the closed-set axioms."""
 
     points: frozenset
-    closed_sets: frozenset
+    closures: dict          # point -> its closure
 
     @classmethod
     def from_closed_sets(cls, points, closed_sets):
@@ -51,74 +53,54 @@ class FiniteTopology:
                     raise ValueError(f"union of closed sets {sorted(a)}, {sorted(b)} not closed")
                 if a & b not in family:
                     raise ValueError(f"intersection of closed sets {sorted(a)}, {sorted(b)} not closed")
-        return cls(points, family)
+        return cls(points, {p: points.intersection(*(c for c in family if p in c))
+                            for p in points})
+
+    @classmethod
+    def from_subbasis(cls, points, subbasis):
+        """The topology generated by a subbasis of open sets: the smallest
+        open set around q is the meet of the members that hold q, and the
+        closure of p is the points whose smallest open set holds p."""
+        points = frozenset(points)
+        around = {q: points.intersection(*(s for s in subbasis if q in s)) for q in points}
+        return cls(points, {p: frozenset(q for q in points if p in around[q])
+                            for p in points})
+
+    @property
+    def closed_sets(self) -> frozenset:
+        """Every union of point closures."""
+        family = {frozenset()}
+        for c in set(self.closures.values()):
+            family |= {d | c for d in family}
+        return frozenset(family)
 
     @property
     def opens(self) -> frozenset:
         return frozenset(self.points - c for c in self.closed_sets)
 
     def closure(self, xs) -> frozenset:
-        xs = frozenset(xs)
-        out = self.points
-        for c in self.closed_sets:
-            if xs <= c:
-                out = out & c
-        return out
+        return frozenset().union(*(self.closures[x] for x in xs))
 
     def point_closure(self, p) -> frozenset:
-        return self.closure({p})
+        return self.closures[p]
 
     def saturation(self, xs) -> frozenset:
-        """Intersection of all open sets containing ``xs``."""
+        """Intersection of all open sets containing ``xs``: the points
+        whose closure meets ``xs``."""
         xs = frozenset(xs)
-        out = self.points
-        for u in self.opens:
-            if xs <= u:
-                out = out & u
-        return out
+        return frozenset(q for q, c in self.closures.items() if c & xs)
 
     def is_t0(self) -> tuple:
-        pts = sorted(self.points)
-        cl = {p: self.point_closure(p) for p in pts}
-        for i, p in enumerate(pts):
-            for q in pts[i + 1:]:
-                if cl[p] == cl[q]:
-                    return False, (p, q)
-        return True, None
+        pts, cl = sorted(self.points), self.closures
+        return next(((False, (p, q)) for i, p in enumerate(pts) for q in pts[i + 1:]
+                     if cl[p] == cl[q]), (True, None))
 
     def is_discrete(self) -> bool:
-        return all(frozenset({p}) in self.closed_sets for p in self.points)
+        return all(len(c) == 1 for c in self.closures.values())
 
     def subspace(self, ys) -> "FiniteTopology":
         ys = frozenset(ys)
-        return FiniteTopology.from_closed_sets(ys, {c & ys for c in self.closed_sets})
-
-
-def close_family(start, members, op) -> frozenset:
-    """The smallest family of sets that contains ``start`` and is closed
-    under ``op(set, member)`` for every one of ``members``."""
-    family = set(start)
-    frontier = list(family)
-    while frontier:
-        cur = frontier.pop()
-        for m in members:
-            w = op(cur, m)
-            if w not in family:
-                family.add(w)
-                frontier.append(w)
-    return frozenset(family)
-
-
-def topology_from_subbasis(points, subbasis) -> FiniteTopology:
-    """The topology generated by a subbasis of open sets.
-
-    Opens are arbitrary unions of finite intersections of subbasis members;
-    the empty intersection contributes the full space.
-    """
-    points = frozenset(points)
-    basis = close_family({points}, [frozenset(s) for s in subbasis], frozenset.__and__)
-    opens = close_family({frozenset()}, basis, frozenset.__or__)
-    return FiniteTopology.from_closed_sets(points, {points - u for u in opens})
+        return FiniteTopology(ys, {y: self.closures[y] & ys for y in ys})
 
 
 @dataclass
@@ -130,25 +112,14 @@ class SoberReport:
 
 
 def sober_check(T: FiniteTopology) -> SoberReport:
-    """T0 plus: every irreducible nonempty closed set is the closure of
-    exactly one point.  The witness is the offending closed set."""
+    """Sobriety of a finite space, which is its T0 property: in a finite
+    space every irreducible closed set is the closure of a point, being the
+    finite union of its points' closures, and T0 makes that point unique.
+    The witness is the closure two points share."""
     t0, pair = T.is_t0()
     if not t0:
         return SoberReport(False, False, T.point_closure(pair[0]),
                            f"points {pair[0]} and {pair[1]} share a closure")
-    family = sorted(T.closed_sets, key=lambda c: (len(c), sorted(c)))
-    closures = {p: T.point_closure(p) for p in T.points}
-    for c in family:
-        if not c:
-            continue
-        reducible = any(a < c and b < c and a | b == c
-                        for a in family for b in family)
-        if reducible:
-            continue
-        generic = [p for p in c if closures[p] == c]
-        if len(generic) != 1:
-            return SoberReport(False, True, c,
-                               f"irreducible closed set with {len(generic)} generic points")
     return SoberReport(True, True)
 
 
@@ -286,10 +257,20 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     else:
         notes.append("generator-pair prime test skipped: monotonicity fails")
 
-    # One closed set per distinct V(x), read off the up-set masks.
+    # V(p) = up(p) ^ Spec is the closure of p.  The distinct V(x) must be the
+    # up-sets of the prime order, so each V(x) | V(p) is some V(y); that fails
+    # when V(xy) != V(x) | V(y), as it does with a non-prime in Spec.
     prime_mask = L.mask_of(primes)
-    zariski = FiniteTopology.from_closed_sets(
-        primes, [L.set_of(v) for v in {up & prime_mask for up in L.up_masks}])
+    v_masks = {up & prime_mask for up in L.up_masks}
+    for p in sorted(primes):
+        vp = L.up_masks[p] & prime_mask
+        for v in sorted(v_masks):
+            if v | vp not in v_masks:
+                raise TheoremViolation(
+                    "the sets V(x) are not the up-sets of the prime order",
+                    witness=(tuple(sorted(L.set_of(v))), p))
+    zariski = FiniteTopology(primes, {p: L.set_of(L.up_masks[p] & prime_mask)
+                                      for p in primes})
 
     radical = L.glb(primes)
     max_primes = [x for x in L.elements if flags[x].maximal and flags[x].prime]
@@ -298,8 +279,7 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
 
     sob = sober_check(zariski)
     if not sob.sober:
-        raise TheoremViolation("Zariski topology is not sober",
-                               witness=sob.witness)
+        raise TheoremViolation("Zariski topology is not sober", witness=sob.witness)
 
     return SpectrumReport(primes, zariski, radical, jrad, jmeet, True,
                           via_gens, tuple(notes))

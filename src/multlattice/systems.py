@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
                    MultLattice, NotAnMSystem, TheoremViolation, check_axioms,
                    compact_elements, memo, require)
-from .spectrum import (FiniteTopology, classify_all, close_family, primes_of,
-                       spectrum, topology_from_subbasis, v_set)
+from .spectrum import FiniteTopology, classify_all, d_set, primes_of, spectrum
 
 
 @dataclass(frozen=True)
@@ -207,33 +206,36 @@ def points_system_mask(L: MultLattice, ymask: int) -> int:
 def inverse_topology(L: MultLattice) -> FiniteTopology:
     """The topology on Spec(L) whose basic opens are the sets V(c), c compact.
 
-    Built by explicit union closure of the basis.  Its closed sets are
-    asserted to be exactly the intersections of the basic Zariski opens D(c),
-    i.e. the construction agrees with inverting the Zariski topology.
+    Its closed sets are the intersections of the basic Zariski opens D(c),
+    so the closure of p is the meet of the D(c) that hold p.  That closure
+    is asserted to be the primes below p: the construction agrees with
+    reversing the Zariski specialization order.
     """
     return memo(L, "inverse_topology", lambda: _inverse_topology(L))
 
 
 def _inverse_topology(L: MultLattice) -> FiniteTopology:
     primes = spectrum(L).primes
-    basis = {v_set(L, c) for c in compact_elements(L)}
-    opens = close_family({frozenset()}, basis, frozenset.__or__)
-    closed = {primes - u for u in opens}
-    d_sets = [primes - v for v in basis]
-    if close_family({primes}, d_sets, frozenset.__and__) != closed:
-        raise TheoremViolation(
-            "inverse topology differs from the intersections of basic opens",
-            witness=None)
-    return FiniteTopology.from_closed_sets(primes, closed)
+    d_sets = [d_set(L, c) for c in sorted(compact_elements(L))]
+    closures = {}
+    for p in sorted(primes):
+        cl = primes.intersection(*(d for d in d_sets if p in d))
+        if cl != primes & L.set_of(L.down_masks[p]):
+            raise TheoremViolation(
+                "inverse closure of a prime differs from the primes below it",
+                witness=p)
+        closures[p] = cl
+    return FiniteTopology(primes, closures)
 
 
 def constructible_topology(L: MultLattice) -> FiniteTopology:
-    """The join of the Zariski and inverse topologies.  On a finite T0
-    spectrum this is discrete."""
-    rep = spectrum(L)
+    """The join of the Zariski and inverse topologies: the closure of a
+    point is the meet of its two closures.  On a finite T0 spectrum this is
+    discrete."""
+    zar = spectrum(L).zariski
     inv = inverse_topology(L)
-    return topology_from_subbasis(rep.primes,
-                                  set(rep.zariski.opens) | set(inv.opens))
+    return FiniteTopology(zar.points, {p: c & inv.closures[p]
+                                       for p, c in zar.closures.items()})
 
 
 def closure_in_inverse(L: MultLattice, X) -> frozenset:
@@ -324,11 +326,10 @@ def first_m_system_without(L: MultLattice, x: int):
 # Compactness (vacuous at finite scale, but exercised honestly)
 
 
-def has_finite_subcover(T: FiniteTopology, Y, cover) -> bool:
+def has_finite_subcover(Y, cover) -> bool:
     """Greedy selection of a finite subcover of ``Y`` from ``cover``."""
-    ys = frozenset(Y)
     cover = [frozenset(u) for u in cover]
-    remaining = set(ys)
+    remaining = set(Y)
     while remaining:
         p = remaining.pop()
         for u in cover:
@@ -349,7 +350,7 @@ def is_compact(T: FiniteTopology, Y, cover=None) -> bool:
         cover = [u for u in _by_size(T.opens) if u & ys]
     if not ys <= frozenset().union(*cover):
         raise ValueError("the given family does not cover the subset")
-    return has_finite_subcover(T, ys, cover)
+    return has_finite_subcover(ys, cover)
 
 
 def _by_size(family) -> list:
@@ -375,10 +376,9 @@ class CorrespondenceReport:
 def compact_saturated_subsets(L: MultLattice):
     """H(Spec L): subsets of the spectrum that are intersections of opens
     (compactness is automatic here but still checked by open covers)."""
-    rep = spectrum(L)
-    zar = rep.zariski
+    zar = spectrum(L).zariski
     opens = _by_size(zar.opens)
-    pts = sorted(rep.primes)
+    pts = sorted(zar.points)
     out = []
     for mask in range(1 << len(pts)):
         ys = frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
@@ -444,16 +444,16 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
                 "saturated m-system iff compact fixed point fails",
                 witness=tuple(sorted(L.set_of(s))))
 
-    # phi as a homeomorphism: upper-Vietoris topology on H versus the
-    # membership topology on M.
+    # phi as a homeomorphism from the upper-Vietoris topology on H to the
+    # membership topology on M: it carries each point closure to one.
     vietoris_sub = [frozenset(h for h in h_masks if not h & ~omega)
                     for omega in map(L.mask_of, opens)]
-    t_h = topology_from_subbasis(h_masks, vietoris_sub)
+    t_h = FiniteTopology.from_subbasis(h_masks, vietoris_sub)
     member_sub = [frozenset(s for s in m_masks if s >> c & 1)
                   for c in sorted(compact_elements(L))]
-    t_m = topology_from_subbasis(m_masks, member_sub)
-    mapped = frozenset(frozenset(map(phi.get, u)) for u in t_h.opens)
-    homeo = mapped == t_m.opens
+    t_m = FiniteTopology.from_subbasis(m_masks, member_sub)
+    homeo = all(frozenset(map(phi.get, c)) == t_m.closures[phi[h]]
+                for h, c in t_h.closures.items())
     if not homeo:
         raise TheoremViolation("the correspondence is not a homeomorphism "
                                "between the Vietoris and membership topologies",

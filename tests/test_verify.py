@@ -12,12 +12,14 @@ from multlattice import families, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms
-from multlattice.ingest import chain, to_json
+from multlattice.ingest import chain, powerset_lattice, to_json
 from multlattice.spectrum import d_set, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
                                 report_to_json, shape_lattice, verify_all)
+
+spectrum_module = importlib.import_module("multlattice.spectrum")
 
 
 def test_exhaustive_corpus_counts():
@@ -177,6 +179,45 @@ def test_closure_equivalence_fails_when_closures_disagree(monkeypatch):
     assert failures[0].detail.startswith(
         "TheoremViolation: S_X = S_Y must agree with equality of "
         "inverse-topology closures (witness ")
+
+
+def _failures(L, suite):
+    return {r.check: r.detail for r in verify_all(L, (suite,)).results if not r.passed}
+
+
+def test_sober_row_fails_when_a_non_prime_enters_the_spectrum(monkeypatch):
+    # Calling the bottom of bool2 prime in both prime passes puts it in Spec.
+    # Then the union of the atoms' sets V({0}) and V({1}) is the two atoms,
+    # which is no V(x), so the V(x) are not the up-sets of the prime order.
+    real = spectrum_module._nonprime_mask
+    monkeypatch.setattr(spectrum_module, "_nonprime_mask",
+                        lambda M, elems: real(M, elems) & ~1)
+    failures = _failures(powerset_lattice(2, "meet"), "spectrum")
+    assert failures["spectrum.sober"].startswith(
+        "TheoremViolation: the sets V(x) are not the up-sets of the prime order")
+
+
+def test_inverse_row_fails_when_one_basic_open_is_wrong(monkeypatch):
+    # D(top) of the 3-chain is both primes; without prime 0 the inverse
+    # closure of prime 1 loses the prime below it.
+    real = sys_mod.d_set
+    monkeypatch.setattr(sys_mod, "d_set", lambda M, c: (
+        real(M, c) - {0} if c == M.top else real(M, c)))
+    failures = _failures(chain(3, "meet"), "systems")
+    assert failures["systems.inverse_topology_dual_construction"] == (
+        "TheoremViolation: inverse closure of a prime differs from the primes "
+        "below it (witness 1)")
+
+
+def test_constructible_row_fails_when_the_inverse_topology_is_zariski(monkeypatch):
+    # The Zariski closure of prime 0 in the 3-chain is {0, 1}; meeting it
+    # with itself leaves the constructible topology non-discrete.
+    monkeypatch.setattr(sys_mod, "inverse_topology",
+                        lambda M: spectrum_module.spectrum(M).zariski)
+    failures = _failures(chain(3, "meet"), "systems")
+    assert failures["systems.constructible_discrete"].startswith(
+        "TheoremViolation: constructible topology on a finite T0 spectrum "
+        "must be discrete")
 
 
 def test_m_system_checks_above_the_powerset_limit(capsys):
