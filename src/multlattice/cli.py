@@ -14,7 +14,7 @@ from dataclasses import replace
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (BadParams, LatticeError, TheoremViolation, check_axioms,
+from .core import (BadParams, LatticeError, TheoremViolation, check_axioms, gap,
                    subset_pair_witness)
 from .ingest import (LatticeSyntaxError, export_dot, export_dot_spectrum,
                      export_text, generate, int_param, parse, to_json)
@@ -172,16 +172,16 @@ def _run(args) -> int:
     elif cmd == "series":
         _emit(args, series_op(L, _element(L, args.element)))
     elif cmd == "systems":
-        ax = check_axioms(L)
         survey = {}
-        if ax.monotone:
+        why = gap(L, "systems.prime_iff_msystem")
+        if why:
+            survey["skipped"] = {"complement_systems": why}
+        else:
             survey["complement_systems"] = {
                 L.labels[x]: sys_mod.complement_system(L, x) for x in L.elements}
-        else:
-            survey["skipped"] = {"complement_systems": "not monotone"}
         survey["saturated_m_systems"] = [sorted(L.labels[c] for c in s)
                                          for s in sys_mod.saturated_m_systems(L)]
-        if ax.m_distributive:
+        if not gap(L, "systems.correspondence"):
             survey["correspondence"] = sys_mod.correspondence_check(L)
         _emit(args, survey)
     elif cmd == "families":

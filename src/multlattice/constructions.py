@@ -122,8 +122,7 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
     """Identify Spec([l, top]) with the closed set V(l), elementwise through
     the embedding, and check that the interval is a prime lattice (its bottom
     is prime) exactly when ``l`` is prime."""
-    require(L, ("m_distributive",), MDistributivityRequired,
-            "the closed-subspace identification needs m-distributivity")
+    require(L, "constructions.closed_subspace", MDistributivityRequired)
     iv = interval(L, l, L.top)
     spec_iv = iv.to_parent_set(primes_of(iv.lattice))
     vl = v_set(L, l)
@@ -279,8 +278,7 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     they cover the spectrum iff n1*n2 is below the semiprime radical; the
     clopen-partition criterion is the conjunction.  All three equivalences
     are asserted."""
-    require(L, ("m_distributive",), MDistributivityRequired,
-            "the disjointness criterion needs m-distributivity for its interval leg")
+    require(L, "constructions.disjointness", MDistributivityRequired)
     rep = spectrum(L)
     v1 = v_set(L, n1)
     v2 = v_set(L, n2)
@@ -456,8 +454,7 @@ def lying_over(L: MultLattice, n: int, q: int) -> int:
     exhaustive scan confirms existence and uniqueness in Spec(L).  Any
     mismatch between the construction and the scan is a hard failure.
     """
-    require(L, ("infinitely_m_distributive",), HypothesesFail,
-            "lying over needs infinite m-distributivity")
+    require(L, "constructions.lying_over", HypothesesFail)
     if not L.relation[q][n]:
         raise NotPrimeInInterval(f"{q} is not an element of [bottom, {n}]",
                                  witness=q)
@@ -502,8 +499,7 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     """The map p -> p ^ n from the open subspace D(n) onto Spec([bottom, n]),
     verified to be a bijective homeomorphism for the subspace topologies,
     together with the open-set identity for every l."""
-    require(L, ("infinitely_m_distributive",), HypothesesFail,
-            "the open subspace identification needs infinite m-distributivity")
+    require(L, "constructions.open_subspace_homeo", HypothesesFail)
     rep = spectrum(L)
     dn = d_set(L, n)
     iv = interval(L, L.bottom, n)

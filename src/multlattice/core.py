@@ -504,14 +504,56 @@ def check_axioms(L: MultLattice) -> PropertyReport:
     return memo(L, "axioms", lambda: _check_axioms(L))
 
 
-def require(L: MultLattice, flags: tuple, exc: type, message: str) -> PropertyReport:
-    """``check_axioms(L)`` when every one of the named ``flags`` holds;
-    otherwise raise ``exc(message)`` carrying the witness of the first
-    failing flag.  This is the one gate for a statement's hypotheses."""
-    ax = check_axioms(L)
+# Each hypothesis-gated statement, named as its verify check, and the check_axioms
+# flags it needs; verify's skips, :func:`require` and ``mlat systems`` read it.
+HYPOTHESES = {
+    "spectrum.prime_iff_meet_irred_semiprime": ("m_distributive",),
+    "spectrum.maximal_prime_criterion": ("m_distributive",),
+    "spectrum.symmetric_nonprime_witness": ("m_distributive", "associative"),
+    "hyper.six_conditions": ("m_distributive",),
+    "hyper.chain_crosscheck": ("m_distributive",),
+    "systems.prime_iff_msystem": ("monotone",),
+    "systems.saturation_closure_operator": ("monotone",),
+    "systems.correspondence": ("m_distributive",),
+    "systems.subset_system_saturated": ("m_distributive",),
+    "families.pip_exhaustive": ("monotone",),
+    "families.generator_symmetric_witness": ("monotone", "associative"),
+    "constructions.closed_subspace": ("m_distributive",),
+    "constructions.disjointness": ("m_distributive",),
+    "constructions.quotient_spec_map": ("m_distributive",),
+    "constructions.annihilator_lying_prime": ("infinitely_m_distributive",),
+    "constructions.lying_over": ("infinitely_m_distributive",),
+    "constructions.open_subspace_homeo": ("infinitely_m_distributive",),
+    "series.solvable_chain": ("m_distributive",),
+}
+
+# What a report says of a lattice that lacks one of the flags.
+SKIP_TEXT = {
+    ("m_distributive",): "not m-distributive",
+    ("monotone",): "not monotone",
+    ("infinitely_m_distributive",): "not infinitely m-distributive",
+    ("m_distributive", "associative"): "needs m-distributivity and associativity",
+    ("monotone", "associative"): "needs monotonicity and associativity",
+}
+
+
+def gap(L: MultLattice, statement: str) -> str:
+    """``""`` when ``L`` has every hypothesis of ``statement``, otherwise the
+    reason a report gives for skipping it."""
+    ax, flags = check_axioms(L), HYPOTHESES[statement]
     for flag in flags:
         if not getattr(ax, flag):
-            raise exc(message, witness=ax.witnesses.get(flag))
+            return SKIP_TEXT[flags]
+    return ""
+
+
+def require(L: MultLattice, statement: str, exc: type) -> PropertyReport:
+    """``check_axioms(L)`` if ``L`` has every hypothesis of ``statement``, else
+    raise ``exc("<statement>: <gap>")`` with the first failing flag's witness."""
+    ax = check_axioms(L)
+    for flag in HYPOTHESES[statement]:
+        if not getattr(ax, flag):
+            raise exc(f"{statement}: {gap(L, statement)}", witness=ax.witnesses.get(flag))
     return ax
 
 

@@ -206,7 +206,7 @@ def pip_check(L: MultLattice, F) -> PipReport:
     :class:`HypothesesFail` names whichever fails.
     """
     family = frozenset(F)
-    ax = require(L, ("monotone",), HypothesesFail, "monotonicity fails")
+    ax = require(L, "families.pip_exhaustive", HypothesesFail)
     rep = classify_family(L, family)
     cases = []
     if rep.left_oka:

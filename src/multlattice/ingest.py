@@ -318,11 +318,16 @@ def to_json(obj) -> str:
 # DOT
 
 
+def _dot_quoted(text: str) -> str:
+    """``text`` as a DOT string, with its backslashes and quotes escaped."""
+    return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def export_dot(L: MultLattice) -> str:
     """The Hasse diagram (cover edges only), bottom-up."""
-    lines = [f'digraph "{L.name}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {_dot_quoted(L.name)} {{", "  rankdir=BT;"]
     for i in L.elements:
-        lines.append(f'  n{i} [label="{L.labels[i]}"];')
+        lines.append(f"  n{i} [label={_dot_quoted(L.labels[i])}];")
     for a, b in L.covers():
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
@@ -334,9 +339,9 @@ def export_dot_topology(T: FiniteTopology, labels, name: str) -> str:
     whenever q lies in the closure of p, reduced to covers."""
     pts = sorted(T.points)
     reach = {p: T.point_closure(p) - {p} for p in pts}
-    lines = [f'digraph "{name}" {{', "  rankdir=BT;"]
+    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=BT;"]
     for p in pts:
-        lines.append(f'  p{p} [label="{labels[p]}"];')
+        lines.append(f"  p{p} [label={_dot_quoted(labels[p])}];")
     for p in pts:
         for q in sorted(reach[p]):
             if not any(q in reach[r] for r in reach[p]):

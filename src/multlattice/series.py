@@ -83,8 +83,7 @@ def solvable_witness_chain(L: MultLattice) -> SolvableChainReport:
     """For a hyperabelian lattice, the greedy squaring chain from bottom to
     top; otherwise the smallest semiprime element below top, which blocks the
     chain.  Requires m-distributivity."""
-    require(L, ("m_distributive",), MDistributivityRequired,
-            "the chain criterion needs m-distributivity")
+    require(L, "series.solvable_chain", MDistributivityRequired)
     rep = hyperabelian_report(L)
     if rep.hyperabelian:
         chain = rep.chain

@@ -317,8 +317,7 @@ def maximal_prime_criterion(L: MultLattice, m: int) -> MaximalPrimeReport:
     flags = classify_all(L)[m]
     if not flags.maximal:
         raise NotMaximal(f"element {m} is not maximal", witness=m)
-    require(L, ("m_distributive",), MDistributivityRequired,
-            "maximal-prime criterion needs m-distributivity")
+    require(L, "spectrum.maximal_prime_criterion", MDistributivityRequired)
     below = L.relation[L.mult_table[L.top][L.top]][m]
     if below == flags.prime:
         raise TheoremViolation(
@@ -343,8 +342,7 @@ def non_prime_symmetric_witness(L: MultLattice, p: int) -> tuple:
     """
     if p == L.top:
         raise HypothesesFail("p must differ from top", witness=p)
-    require(L, ("m_distributive", "associative"), HypothesesFail,
-            "needs m-distributivity and associativity")
+    require(L, "spectrum.symmetric_nonprime_witness", HypothesesFail)
     if classify_all(L)[p].prime:
         raise PrimeElement(f"element {p} is prime; no witness exists", witness=p)
     down = L.down_masks[p]
@@ -418,8 +416,7 @@ def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     from .systems import first_m_system_without  # avoids an import cycle
 
-    require(L, ("m_distributive",), MDistributivityRequired,
-            "the equivalences need m-distributivity")
+    require(L, "hyper.six_conditions", MDistributivityRequired)
     flags = classify_all(L)
     witnesses: dict = {}
     notes = ["condition (c) is the finite instantiation: only finite chains are built"]

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
-                   MultLattice, NotAnMSystem, TheoremViolation, check_axioms,
-                   compact_elements, memo, require)
+                   MultLattice, NotAnMSystem, TheoremViolation, compact_elements,
+                   gap, memo, require)
 from .spectrum import FiniteTopology, classify_all, d_set, primes_of, spectrum
 
 
@@ -118,7 +118,7 @@ def saturate(L: MultLattice, S) -> MSystem:
     ms = classify_system(L, S)
     if not ms.is_m:
         raise NotAnMSystem("input is not an m-system", witness=ms.m_witness)
-    require(L, ("monotone",), MonotonicityRequired, "saturation needs monotonicity")
+    require(L, "systems.saturation_closure_operator", MonotonicityRequired)
     return _system(L, saturation_mask(L, L.mask_of(ms.members)))
 
 
@@ -147,8 +147,7 @@ def complement_system(L: MultLattice, x: int) -> MSystem:
     equivalence therefore only applies below top (for any other x the set
     contains top and nonemptiness is automatic).
     """
-    require(L, ("monotone",), MonotonicityRequired,
-            "the complement-system tests need monotonicity")
+    require(L, "systems.prime_iff_msystem", MonotonicityRequired)
     ms = _system(L, L.full_mask & ~L.down_masks[x])
     flags = classify_all(L)[x]
     if flags.prime != ms.is_m:
@@ -192,7 +191,7 @@ def points_system_mask(L: MultLattice, ymask: int) -> int:
         if ymask >> p & 1:
             mask &= ~L.down_masks[p]
     is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, mask)
-    if check_axioms(L).m_distributive and not (is_m and sat):
+    if not (is_m and sat) and not gap(L, "systems.subset_system_saturated"):
         raise TheoremViolation(
             "S_Y must be a saturated m-system on an m-distributive lattice",
             witness=m_wit or sat_wit)
@@ -398,8 +397,7 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     it; a note records the latter.  Sets are masks inside; each subset is
     read once, so it is scanned without filling the per-subset cache.
     """
-    require(L, ("m_distributive",), MDistributivityRequired,
-            "the correspondence needs m-distributivity")
+    require(L, "systems.correspondence", MDistributivityRequired)
     zar = spectrum(L).zariski
     opens = _by_size(zar.opens)
     hs = compact_saturated_subsets(L)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from multlattice.core import check_axioms
+from multlattice.core import HYPOTHESES, check_axioms
 from multlattice.families import residual_left
 from multlattice.ingest import (chain, export_text, parse, powerset_lattice, to_json,
                                zn_ideals)
@@ -74,7 +74,7 @@ SWEEP_CHECKS = (
     "systems.prime_iff_msystem",                 # m-system and n-system lemmas
     "spectrum.maximal_prime_criterion",          # maximal prime iff 1*1 !<= m
     "hyper.six_conditions",                      # (a)-(f) all agree
-    "hyper.chain_crosscheck",                    # (b) <=> (c) via the chain
+    "hyper.chain_crosscheck",                    # (c) by its own chain search
     "families.pip_exhaustive",                   # prime ideal principle, 4 cases
     "families.sigma_maximal_prime",              # avoiding-set statements (1)-(3)
     "constructions.closed_subspace",             # Spec([l,1]) = V(l)
@@ -88,7 +88,8 @@ SWEEP_CHECKS = (
 
 def test_criterion_2_exhaustive_theorem_sweep(sweep):
     failures = [r for r in sweep["results"] if not r.passed]
-    ran = {c: 0 for c in SWEEP_CHECKS}
+    # every hypothesis-gated statement too, so none is skipped everywhere
+    ran = dict.fromkeys((*SWEEP_CHECKS, *HYPOTHESES), 0)
     for r in sweep["results"]:
         if r.check in ran and not r.skipped:
             ran[r.check] += 1

@@ -199,6 +199,18 @@ def test_dot_exports():
     assert "->" not in sdot   # two incomparable primes: no specialization
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    # DOT reads \" as a quote and \\ as one backslash inside a quoted string
+    L = validate(size=2, covers=[(0, 1)], mult=[[0, 0], [0, 1]],
+                 labels=['a"b', "c\\d"], name='q"n')
+    assert export_dot(L).splitlines()[:4] == [
+        r'digraph "q\"n" {', "  rankdir=BT;",
+        r'  n0 [label="a\"b"];', r'  n1 [label="c\\d"];']
+    # 0 is prime in the 2-chain under meet; the spectrum export escapes too
+    assert export_dot_spectrum(L).splitlines()[:3] == [
+        r'digraph "Spec(q\"n)" {', "  rankdir=BT;", r'  p0 [label="a\"b"];']
+
+
 def test_document_fields_round_trip():
     doc = parse_document(MINIMAL)
     assert doc.name == "two"

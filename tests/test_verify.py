@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -357,3 +358,22 @@ def test_report_writer_matches_the_generic_encoder():
     for report in (verify_all(corpus_named()), hand, VerifyReport((), 0, 0, 0)):
         assert report_to_json(report) == to_json(report)
     assert "\\ud835\\udc00" in report_to_json(hand)
+
+
+def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
+    # Every condition of the report on the zero 3-chain flipped, and its
+    # chain dropped: the row searches for a squaring chain on its own, so
+    # it finds one and refuses the report's "not hyperabelian".
+    real = spectrum_module._hyperabelian_report
+
+    def flipped(M):
+        rep = real(M)
+        return dataclasses.replace(
+            rep, conditions={k: not v for k, v in rep.conditions.items()},
+            hyperabelian=not rep.hyperabelian, chain=None,
+            blocking_semiprime=M.bottom)
+
+    monkeypatch.setattr(spectrum_module, "_hyperabelian_report", flipped)
+    assert _failures(chain(3, "zero"), "hyper") == {
+        "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
+                                  "squaring chain exists fails (witness None)"}
