@@ -9,14 +9,14 @@ from .core import (BadParams, HypothesesFail, LatticeError,
                    TheoremViolation, build_order, check_axioms,
                    compact_elements, replace_mult, validate)
 from .spectrum import (ElementFlags, FiniteTopology, HyperabelianReport,
-                       SoberReport, SpectrumReport, classify, classify_all,
-                       hyperabelian_report, maximal_prime_criterion,
-                       non_prime_symmetric_witness, sober_check, spectrum)
+                       SpectrumReport, classify_all, hyperabelian_report,
+                       maximal_prime_criterion, non_prime_symmetric_witness,
+                       spectrum)
 from .systems import (CorrespondenceReport, MSystem, classify_system,
-                      closure_in_inverse, complement_system,
-                      constructible_topology, correspondence_check,
-                      equal_saturations, inverse_topology, primes_avoiding,
-                      saturate, saturated_m_systems, system_of_points)
+                      complement_system, constructible_topology,
+                      correspondence_check, equal_saturations,
+                      inverse_topology, primes_avoiding, saturate,
+                      saturated_m_systems, system_of_points)
 from .families import (AnnihilatorReport, FamilyReport, PipReport, SigmaReport,
                        annihilators, classify_family, pip_check, residual_left,
                        residual_right, sigma_of_system)

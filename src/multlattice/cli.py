@@ -8,6 +8,7 @@ generator spec like ``gen:chain:5:meet`` / ``gen:zn:12``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -75,7 +76,9 @@ def _emit(args, obj, dot=None):
         print(to_json(obj), end="")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The ``mlat`` parser, built once per process."""
     top = _Parser(prog="mlat", description="finite multiplicative lattices")
     top.add_argument("--seed", type=int, default=1729)
     top.add_argument("--format", choices=("json", "dot", "text"), default="json")
@@ -117,8 +120,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("generate", help="emit a generated lattice as text")
     p.add_argument("kind")
     p.add_argument("params", nargs="*")
+    return top
 
-    args = top.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except LatticeSyntaxError as exc:

@@ -37,8 +37,7 @@ class IntervalLattice:
     """An interval [x, y] of a parent lattice, reindexed densely.
 
     ``embedding[i]`` is the parent element of interval element ``i``;
-    ``to_parent``/``from_parent`` convert single elements, and the
-    ``*_set`` variants convert element sets.
+    ``to_parent``/``from_parent`` convert single elements.
     """
     lattice: MultLattice
     parent: MultLattice
@@ -51,9 +50,6 @@ class IntervalLattice:
 
     def from_parent(self, x: int) -> int:
         return self.embedding.index(x)
-
-    def to_parent_set(self, xs) -> frozenset:
-        return frozenset(self.embedding[i] for i in xs)
 
 
 def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
@@ -124,7 +120,7 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
     is prime) exactly when ``l`` is prime."""
     require(L, "constructions.closed_subspace", MDistributivityRequired)
     iv = interval(L, l, L.top)
-    spec_iv = iv.to_parent_set(primes_of(iv.lattice))
+    spec_iv = frozenset(map(iv.to_parent, primes_of(iv.lattice)))
     vl = v_set(L, l)
     if spec_iv != vl:
         raise TheoremViolation(
@@ -151,9 +147,6 @@ class ProductLattice:
 
     def pair_to_index(self, i: int, j: int) -> int:
         return i * self.right.size + j
-
-    def index_to_pair(self, k: int) -> tuple:
-        return divmod(k, self.right.size)
 
 
 def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
@@ -354,15 +347,6 @@ def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
 
 def identity_morphism(L: MultLattice) -> LatticeMorphism:
     return morphism(L, L, tuple(L.elements))
-
-
-def compose_morphisms(g: LatticeMorphism, f: LatticeMorphism) -> LatticeMorphism:
-    """g after f (validated as a morphism again)."""
-    if f.target is not g.source and f.target != g.source:
-        raise NotAMorphism("morphisms do not compose: mismatched lattices",
-                           witness=None)
-    return morphism(f.source, g.target,
-                    tuple(g.mapping[f.mapping[x]] for x in f.source.elements))
 
 
 def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:

@@ -338,7 +338,7 @@ def export_dot_topology(T: FiniteTopology, labels, name: str) -> str:
     """The specialization digraph of a finite topology: an edge p -> q
     whenever q lies in the closure of p, reduced to covers."""
     pts = sorted(T.points)
-    reach = {p: T.point_closure(p) - {p} for p in pts}
+    reach = {p: T.closures[p] - {p} for p in pts}
     lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=BT;"]
     for p in pts:
         lines.append(f"  p{p} [label={_dot_quoted(labels[p])}];")

@@ -28,33 +28,10 @@ class FiniteTopology:
     """A finite point set with the closure of each point, which holds the
     point and the closure of each of its members: the specialization
     preorder, which fixes the topology.  The closed sets are the unions of
-    point closures, derived on request.  :meth:`from_closed_sets` checks a
-    caller's family against the closed-set axioms."""
+    point closures, derived on request."""
 
     points: frozenset
     closures: dict          # point -> its closure
-
-    @classmethod
-    def from_closed_sets(cls, points, closed_sets):
-        points = frozenset(points)
-        family = frozenset(frozenset(c) for c in closed_sets)
-        if frozenset() not in family:
-            raise ValueError("the empty set must be closed")
-        if points not in family:
-            raise ValueError("the full point set must be closed")
-        for c in family:
-            if not c <= points:
-                raise ValueError(f"closed set {sorted(c)} is not a subset of the points")
-        # 2^|points| distinct subsets are the whole powerset: closed under both
-        fam = list(family) if len(family) < 2 ** len(points) else ()
-        for a in fam:
-            for b in fam:
-                if a | b not in family:
-                    raise ValueError(f"union of closed sets {sorted(a)}, {sorted(b)} not closed")
-                if a & b not in family:
-                    raise ValueError(f"intersection of closed sets {sorted(a)}, {sorted(b)} not closed")
-        return cls(points, {p: points.intersection(*(c for c in family if p in c))
-                            for p in points})
 
     @classmethod
     def from_subbasis(cls, points, subbasis):
@@ -81,9 +58,6 @@ class FiniteTopology:
     def closure(self, xs) -> frozenset:
         return frozenset().union(*(self.closures[x] for x in xs))
 
-    def point_closure(self, p) -> frozenset:
-        return self.closures[p]
-
     def saturation(self, xs) -> frozenset:
         """Intersection of all open sets containing ``xs``: the points
         whose closure meets ``xs``."""
@@ -103,26 +77,6 @@ class FiniteTopology:
         return FiniteTopology(ys, {y: self.closures[y] & ys for y in ys})
 
 
-@dataclass
-class SoberReport:
-    sober: bool
-    t0: bool
-    witness: frozenset | None = None
-    reason: str = ""
-
-
-def sober_check(T: FiniteTopology) -> SoberReport:
-    """Sobriety of a finite space, which is its T0 property: in a finite
-    space every irreducible closed set is the closure of a point, being the
-    finite union of its points' closures, and T0 makes that point unique.
-    The witness is the closure two points share."""
-    t0, pair = T.is_t0()
-    if not t0:
-        return SoberReport(False, False, T.point_closure(pair[0]),
-                           f"points {pair[0]} and {pair[1]} share a closure")
-    return SoberReport(True, True)
-
-
 # --------------------------------------------------------------------------
 # Element classification
 
@@ -137,10 +91,6 @@ class ElementFlags:
 
 # ElementFlags is frozen, so equal flags share one instance.
 _shared_flags = functools.cache(ElementFlags)
-
-
-def classify(L: MultLattice, x: int) -> ElementFlags:
-    return classify_all(L)[x]
 
 
 def classify_all(L: MultLattice) -> tuple:
@@ -277,9 +227,12 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     jrad = L.lub(max_primes)
     jmeet = L.glb(max_primes)
 
-    sob = sober_check(zariski)
-    if not sob.sober:
-        raise TheoremViolation("Zariski topology is not sober", witness=sob.witness)
+    # A finite space is sober exactly when it is T0: an irreducible closed
+    # set, the finite union of its points' closures, is one of them.
+    t0, pair = zariski.is_t0()
+    if not t0:
+        raise TheoremViolation("Zariski topology is not sober",
+                               witness=zariski.closures[pair[0]])
 
     return SpectrumReport(primes, zariski, radical, jrad, jmeet, True,
                           via_gens, tuple(notes))

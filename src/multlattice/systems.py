@@ -97,15 +97,14 @@ def classify_system(L: MultLattice, S) -> MSystem:
     members = frozenset(S)
     if any(not 0 <= x < L.size for x in members):
         raise ValueError("members must be elements of the lattice")
-    return _system(L, L.mask_of(members), members)
+    return _system(L, L.mask_of(members))
 
 
-def _system(L: MultLattice, mask: int, members: frozenset | None = None) -> MSystem:
-    """The classified subset ``mask``, whose members are ``members`` when given."""
+def _system(L: MultLattice, mask: int) -> MSystem:
+    """The classified subset ``mask``."""
     is_m, is_n, sat, m_wit, n_wit, sat_wit = _classify_mask(L, mask)
     kind = "both" if is_m else ("n" if is_n else "neither")
-    return MSystem(L.set_of(mask) if members is None else members,
-                   sat, kind, is_m, is_n, m_wit, n_wit, sat_wit)
+    return MSystem(L.set_of(mask), sat, kind, is_m, is_n, m_wit, n_wit, sat_wit)
 
 
 def saturate(L: MultLattice, S) -> MSystem:
@@ -237,17 +236,14 @@ def constructible_topology(L: MultLattice) -> FiniteTopology:
                                        for p, c in zar.closures.items()})
 
 
-def closure_in_inverse(L: MultLattice, X) -> frozenset:
-    return inverse_topology(L).closure(X)
-
-
 def equal_saturations(L: MultLattice, X, Y) -> bool:
     """Whether S_X = S_Y; asserted equivalent to the two subsets having the
     same closure in the inverse topology."""
     sx = system_of_points(L, X).members
     sy = system_of_points(L, Y).members
     eq = sx == sy
-    closures_eq = closure_in_inverse(L, X) == closure_in_inverse(L, Y)
+    inv = inverse_topology(L)
+    closures_eq = inv.closure(X) == inv.closure(Y)
     if eq != closures_eq:
         raise TheoremViolation(
             "S_X = S_Y must agree with equality of inverse-topology closures",
@@ -325,10 +321,13 @@ def first_m_system_without(L: MultLattice, x: int):
 # Compactness (vacuous at finite scale, but exercised honestly)
 
 
-def has_finite_subcover(Y, cover) -> bool:
-    """Greedy selection of a finite subcover of ``Y`` from ``cover``."""
-    cover = [frozenset(u) for u in cover]
-    remaining = set(Y)
+def is_compact(Y, cover) -> bool:
+    """Whether the open family ``cover`` of the subset ``Y`` has a finite
+    subcover, selected greedily; any open cover on a finite space has one."""
+    ys = frozenset(Y)
+    if not ys <= frozenset().union(*cover):
+        raise ValueError("the given family does not cover the subset")
+    remaining = set(ys)
     while remaining:
         p = remaining.pop()
         for u in cover:
@@ -338,18 +337,6 @@ def has_finite_subcover(Y, cover) -> bool:
         else:
             return False
     return True
-
-
-def is_compact(T: FiniteTopology, Y, cover=None) -> bool:
-    """Open-cover compactness of a subset.  The default cover is the family
-    of all opens meeting the subset; any open cover on a finite space admits
-    the same greedy finite subcover."""
-    ys = frozenset(Y)
-    if cover is None:
-        cover = [u for u in _by_size(T.opens) if u & ys]
-    if not ys <= frozenset().union(*cover):
-        raise ValueError("the given family does not cover the subset")
-    return has_finite_subcover(ys, cover)
 
 
 def _by_size(family) -> list:
@@ -372,20 +359,6 @@ class CorrespondenceReport:
     notes: tuple = ()
 
 
-def compact_saturated_subsets(L: MultLattice):
-    """H(Spec L): subsets of the spectrum that are intersections of opens
-    (compactness is automatic here but still checked by open covers)."""
-    zar = spectrum(L).zariski
-    opens = _by_size(zar.opens)
-    pts = sorted(zar.points)
-    out = []
-    for mask in range(1 << len(pts)):
-        ys = frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
-        if zar.saturation(ys) == ys and is_compact(zar, ys, [u for u in opens if u & ys]):
-            out.append(ys)
-    return _by_size(out)
-
-
 def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     """Verify the bijection between compact saturated subsets of the spectrum
     and saturated m-systems, its inclusion reversal, the fixed-point identity
@@ -400,7 +373,15 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     require(L, "systems.correspondence", MDistributivityRequired)
     zar = spectrum(L).zariski
     opens = _by_size(zar.opens)
-    hs = compact_saturated_subsets(L)
+    # H(Spec L): the saturated subsets, intersections of opens (compactness
+    # is automatic here but still checked by open covers)
+    pts = sorted(zar.points)
+    hs = []
+    for mask in range(1 << len(pts)):
+        ys = frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
+        if zar.saturation(ys) == ys and is_compact(ys, [u for u in opens if u & ys]):
+            hs.append(ys)
+    hs = _by_size(hs)
     h_masks = [L.mask_of(x) for x in hs]
     m_masks = _saturated_masks(L)
     notes = ["compactness checks on a finite spectrum are vacuously true; they "
@@ -435,7 +416,7 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
         if pm not in of_points:
             ys = L.set_of(pm)
             of_points[pm] = (points_system_mask(L, pm),
-                             is_compact(zar, ys, [u for u in opens if u & ys]))
+                             is_compact(ys, [u for u in opens if u & ys]))
         fixed, compact = of_points[pm]
         if (is_m and sat) != (compact and fixed == s):
             raise TheoremViolation(
@@ -447,6 +428,11 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     vietoris_sub = [frozenset(h for h in h_masks if not h & ~omega)
                     for omega in map(L.mask_of, opens)]
     t_h = FiniteTopology.from_subbasis(h_masks, vietoris_sub)
+    # h' is in the closure of h when every open around h' holds h: h <= h'
+    for h, c in t_h.closures.items():
+        if c != frozenset(g for g in h_masks if not h & ~g):
+            raise TheoremViolation("a Vietoris point closure is not the sets "
+                                   "above the point", witness=tuple(sorted(L.set_of(h))))
     member_sub = [frozenset(s for s in m_masks if s >> c & 1)
                   for c in sorted(compact_elements(L))]
     t_m = FiniteTopology.from_subbasis(m_masks, member_sub)

@@ -223,10 +223,11 @@ def suite_systems(L: MultLattice) -> list:
         # the first subset seen with X's system is the first seen with X's
         # closure.  Otherwise equal_saturations raises on one of the pairs.
         first_of_system, first_of_closure = {}, {}
+        inv = sys_mod.inverse_topology(L)
         for c in point_sets():
             xs = frozenset(c)
             ys = first_of_system.setdefault(sys_mod.points_system_mask(L, L.mask_of(c)), xs)
-            zs = first_of_closure.setdefault(sys_mod.closure_in_inverse(L, xs), xs)
+            zs = first_of_closure.setdefault(inv.closure(xs), xs)
             if ys != zs:
                 sys_mod.equal_saturations(L, xs, ys)
                 sys_mod.equal_saturations(L, xs, zs)

@@ -101,6 +101,29 @@ def test_validate_refuses_a_scan_that_disagrees_with_the_flag(capsys, monkeypatc
     assert err.startswith("error: TheoremViolation: ") and err.count("\n") == 1
 
 
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+SOUND_COMMANDS = [("spec", "gen:zn:12"), ("series", "(2)", "gen:zn:12"),
+                  ("--format", "dot", "validate", "gen:chain:3:meet"),
+                  ("families", "--family", "(2),(3)", "gen:zn:12")]
+
+
+def test_a_usage_error_leaves_later_commands_unchanged(capsys):
+    alone = []
+    for argv in SOUND_COMMANDS:
+        cli._parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    for argv in (["bogus"], ["series", "(2)"], ["--format", "xml", "spec", "gen:zn:12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, *argv) for argv in SOUND_COMMANDS] == alone
+    assert all(code == 0 and out for code, out, _ in alone)
+
+
 def test_series_by_label(capsys):
     code, out, _ = run(capsys, "series", "(2)", "gen:zn:12")
     assert code == 0

@@ -9,7 +9,7 @@ from multlattice.ingest import (LatticeSyntaxError, chain, export_dot,
                                 open_set_lattice, parse, parse_document,
                                 poset_space, powerset_lattice, random_lattice,
                                 to_json, zn_ideals)
-from multlattice.spectrum import spectrum
+from multlattice.spectrum import FiniteTopology, spectrum
 
 from conftest import corpus_hundred
 
@@ -149,9 +149,8 @@ def test_open_set_lattice_is_a_frame():
     assert ax.infinitely_m_distributive
     assert sier.size == 3
     with pytest.raises(Exception):
-        open_set_lattice(
-            __import__("multlattice.spectrum", fromlist=["FiniteTopology"])
-            .FiniteTopology.from_closed_sets({0, 1}, [frozenset(), frozenset({0, 1})]))
+        open_set_lattice(FiniteTopology(frozenset({0, 1}),
+                                        {0: frozenset({0, 1}), 1: frozenset({0, 1})}))
 
 
 def test_generate_dispatch():

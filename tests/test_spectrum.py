@@ -6,10 +6,9 @@ from multlattice.constructions import interval, product
 from multlattice.core import (MDistributivityRequired, NotMaximal, PrimeElement,
                               TheoremViolation, check_axioms, validate)
 from multlattice.ingest import chain, zn_ideals
-from multlattice.spectrum import (FiniteTopology, classify, classify_all,
+from multlattice.spectrum import (FiniteTopology, classify_all,
                                   hyperabelian_report, maximal_prime_criterion,
-                                  non_prime_symmetric_witness, sober_check,
-                                  spectrum, v_set)
+                                  non_prime_symmetric_witness, spectrum, v_set)
 from multlattice.systems import (all_m_systems, constructible_topology,
                                  saturated_m_systems)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
@@ -30,15 +29,15 @@ def brute_prime(L, x):
 
 def test_chain_meet_every_proper_element_prime():
     L = mk_chain(3, min)
-    assert classify(L, 1).prime
+    assert classify_all(L)[1].prime
     assert sorted(spectrum(L).primes) == [0, 1]
 
 
 def test_chain_zero_has_no_primes_or_semiprimes_below_top():
     L = mk_chain(3, lambda x, y: 0)
-    flags = classify(L, 1)
+    flags = classify_all(L)[1]
     assert not flags.prime and not flags.semiprime
-    assert not classify(L, 0).semiprime       # a*a = 0 <= 0 but a !<= 0
+    assert not classify_all(L)[0].semiprime       # a*a = 0 <= 0 but a !<= 0
     assert spectrum(L).primes == frozenset()
     assert spectrum(L).semiprime_radical == L.top
 
@@ -111,8 +110,8 @@ def test_generator_cross_check_disagreement_raises(monkeypatch):
 def test_specialization_order_of_sierpinski_spectrum():
     L = mk_chain(3, min)
     rep = spectrum(L)
-    assert rep.zariski.point_closure(0) == frozenset({0, 1})
-    assert rep.zariski.point_closure(1) == frozenset({1})
+    assert rep.zariski.closures[0] == frozenset({0, 1})
+    assert rep.zariski.closures[1] == frozenset({1})
 
 
 def test_closed_set_identities(named_corpus):
@@ -277,6 +276,10 @@ def test_condition_f_modes_agree(small_exhaustive_corpus):
         assert rep.witnesses.get("f") == witness, L.name
 
 
+# Two points whose one closure is both of them.
+INDISCRETE = FiniteTopology(frozenset({1, 2}), {1: frozenset({1, 2}), 2: frozenset({1, 2})})
+
+
 def brute_sober(T):
     """Independent sobriety oracle using the cover formulation of
     irreducibility: C <= A u B forces C <= A or C <= B."""
@@ -290,7 +293,7 @@ def brute_sober(T):
         irreducible = all(not c <= a | b or c <= a or c <= b
                           for a in closed for b in closed)
         if irreducible:
-            generic = [p for p in c if T.point_closure(p) == c]
+            generic = [p for p in c if T.closures[p] == c]
             if len(generic) != 1:
                 return False
     return True
@@ -300,24 +303,28 @@ def test_sober_check_against_cover_oracle(small_exhaustive_corpus):
     seen = 0
     for L in small_exhaustive_corpus:
         rep = spectrum(L)
-        assert sober_check(rep.zariski).sober == brute_sober(rep.zariski)
+        assert rep.zariski.is_t0()[0] == brute_sober(rep.zariski)
         seen += 1
     assert seen
-    indiscrete = FiniteTopology.from_closed_sets({1, 2}, [frozenset(), frozenset({1, 2})])
-    assert sober_check(indiscrete).sober == brute_sober(indiscrete) == False
+    assert INDISCRETE.is_t0()[0] == brute_sober(INDISCRETE) == False
 
 
 def test_sober_check_examples():
-    empty = FiniteTopology.from_closed_sets(frozenset(), [frozenset()])
-    assert sober_check(empty).sober
+    empty = FiniteTopology(frozenset(), {})
+    assert empty.is_t0() == (True, None) and brute_sober(empty)
 
-    sierpinski = FiniteTopology.from_closed_sets(
-        {0, 1}, [frozenset(), frozenset({1}), frozenset({0, 1})])
-    assert sober_check(sierpinski).sober
+    sierpinski = FiniteTopology(frozenset({0, 1}), {0: frozenset({0, 1}), 1: frozenset({1})})
+    assert sierpinski.is_t0() == (True, None) and brute_sober(sierpinski)
 
-    indiscrete = FiniteTopology.from_closed_sets({1, 2}, [frozenset(), frozenset({1, 2})])
-    rep = sober_check(indiscrete)
-    assert not rep.sober and rep.witness == frozenset({1, 2})
+    assert INDISCRETE.is_t0() == (False, (1, 2))
+
+
+def test_spectrum_refuses_a_zariski_topology_that_is_not_t0(monkeypatch):
+    # The witness is the closure the two points share.
+    monkeypatch.setattr(FiniteTopology, "is_t0", lambda T: (False, (0, 1)))
+    with pytest.raises(TheoremViolation, match="Zariski topology is not sober") as err:
+        spectrum(mk_chain(3, min))
+    assert err.value.witness == frozenset({0, 1})
 
 
 def test_every_corpus_spectrum_is_sober(named_corpus, small_exhaustive_corpus):
@@ -325,27 +332,5 @@ def test_every_corpus_spectrum_is_sober(named_corpus, small_exhaustive_corpus):
         assert spectrum(L).sober, L.name
 
 
-def test_topology_axioms_rejected_when_violated():
-    with pytest.raises(ValueError):
-        FiniteTopology.from_closed_sets({0, 1}, [frozenset({0, 1})])  # no empty set
-    with pytest.raises(ValueError):
-        FiniteTopology.from_closed_sets(
-            {0, 1, 2},
-            [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2})])
-
-
-def test_powerset_short_cut_keeps_every_closure_check():
-    # Only a family of all 2^|points| subsets skips the pair scan.
-    with pytest.raises(ValueError, match="union of closed sets"):
-        FiniteTopology.from_closed_sets(
-            {0, 1, 2}, [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1, 2})])
-    with pytest.raises(ValueError, match="intersection of closed sets"):
-        FiniteTopology.from_closed_sets(
-            {0, 1, 2}, [frozenset(), frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2})])
-    all_but_one = [frozenset(c) for c in ((), (0,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))]
-    with pytest.raises(ValueError, match="not closed"):
-        FiniteTopology.from_closed_sets({0, 1, 2}, all_but_one)
-    with pytest.raises(ValueError, match="not a subset"):
-        FiniteTopology.from_closed_sets(
-            {0, 1}, [frozenset(), frozenset({0}), frozenset({2}), frozenset({0, 1})])
+def test_constructible_topology_of_a_long_chain_is_discrete():
     assert constructible_topology(chain(12, "meet")).is_discrete()

@@ -9,8 +9,7 @@ from multlattice.families import sigma_of_system
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
 from multlattice.systems import (all_m_systems, classify_system,
-                                 closure_in_inverse, complement_system,
-                                 constructible_topology, correspondence_check,
+                                 complement_system, constructible_topology, correspondence_check,
                                  equal_saturations, inverse_topology,
                                  is_compact, primes_avoiding, saturate,
                                  saturated_m_systems, system_of_points)
@@ -138,9 +137,9 @@ def test_inverse_topology_reverses_specialization():
     L = mk_chain(3, min)
     zar = spectrum(L).zariski
     inv = inverse_topology(L)
-    assert zar.point_closure(0) == frozenset({0, 1})
-    assert inv.point_closure(1) == frozenset({0, 1})
-    assert inv.point_closure(0) == frozenset({0})
+    assert zar.closures[0] == frozenset({0, 1})
+    assert inv.closures[1] == frozenset({0, 1})
+    assert inv.closures[0] == frozenset({0})
 
 
 def test_inverse_topology_empty_spectrum():
@@ -157,9 +156,9 @@ def test_constructible_topology_discrete(named_corpus):
 
 def test_closure_examples():
     L = mk_chain(3, min)
-    assert closure_in_inverse(L, {0}) == frozenset({0})
-    assert closure_in_inverse(L, {1}) == frozenset({0, 1})
     inv = inverse_topology(L)
+    assert inv.closure({0}) == frozenset({0})
+    assert inv.closure({1}) == frozenset({0, 1})
     for c in inv.closed_sets:
         assert inv.closure(c) == c
 
@@ -259,10 +258,10 @@ def test_saturated_enumeration_matches_powerset(named_corpus):
 def test_is_compact_generic_routine():
     L = mk_chain(3, min)
     zar = spectrum(L).zariski
-    assert is_compact(zar, zar.points)
-    assert is_compact(zar, frozenset())
-    with pytest.raises(ValueError):
-        is_compact(zar, zar.points, cover=[frozenset()])
+    assert is_compact(zar.points, list(zar.opens))
+    assert is_compact(frozenset(), [])
+    with pytest.raises(ValueError, match="does not cover"):
+        is_compact(zar.points, [frozenset()])
 
 
 def _outcome(fn, *args):

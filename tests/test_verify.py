@@ -14,7 +14,7 @@ from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms
 from multlattice.ingest import chain, powerset_lattice, to_json
-from multlattice.spectrum import d_set, v_set
+from multlattice.spectrum import FiniteTopology, d_set, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
@@ -173,7 +173,7 @@ def test_closure_equivalence_above_the_powerset_limit_is_skipped():
 def test_closure_equivalence_fails_when_closures_disagree(monkeypatch):
     # A constant closure merges every subset, while the 3-chain's systems
     # S_X tell its subsets of primes apart: the check must fail on a pair.
-    monkeypatch.setattr(sys_mod, "closure_in_inverse", lambda L, X: frozenset())
+    monkeypatch.setattr(FiniteTopology, "closure", lambda T, xs: frozenset())
     rep = verify_all(chain(3, "meet"), ("systems",))
     failures = [r for r in rep.results if not r.passed]
     assert [r.check for r in failures] == ["systems.closure_equivalence"]
@@ -377,3 +377,20 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
     assert _failures(chain(3, "zero"), "hyper") == {
         "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
                                   "squaring chain exists fails (witness None)"}
+
+
+def test_correspondence_fails_on_transposed_subbasis_closures(monkeypatch):
+    # Transposing both subbasis topologies alike keeps the homeomorphism
+    # check passing; the Vietoris closures, read from inclusion, do not.
+    real = FiniteTopology.from_subbasis.__func__
+
+    def transposed(cls, points, subbasis):
+        T = real(cls, points, subbasis)
+        return cls(T.points, {p: frozenset(q for q in T.points if p in T.closures[q])
+                              for p in T.points})
+
+    monkeypatch.setattr(FiniteTopology, "from_subbasis", classmethod(transposed))
+    failed = [r for r in verify_all(corpus_named(), ("systems",)).results if not r.passed]
+    assert failed and {r.check for r in failed} == {"systems.correspondence"}
+    assert all(r.detail.startswith("TheoremViolation: a Vietoris point closure is "
+                                   "not the sets above the point") for r in failed)
