@@ -17,8 +17,9 @@ from . import families as fam
 from . import systems as sys_mod
 from .core import (BadParams, LatticeError, TheoremViolation, check_axioms, gap,
                    subset_pair_witness)
-from .ingest import (LatticeSyntaxError, export_dot, export_dot_spectrum,
-                     export_text, generate, int_param, parse, to_json)
+from .ingest import (LatticeSyntaxError, export_dot, export_dot_homeo_pair,
+                     export_dot_spectrum, export_text, generate, int_param,
+                     parse, to_json)
 from .series import series as series_op
 from .spectrum import spectrum
 from .verify import (VerifyReport, corpus_exhaustive_tables, corpus_named,
@@ -220,19 +221,13 @@ def _run(args) -> int:
         elif kind == "open_homeo":
             n = _element(L, parts[1])
             if args.format == "dot":
-                from .ingest import export_dot_homeo_pair
                 left, right = export_dot_homeo_pair(L, n)
                 print(left, end="")
                 print(right, end="")
             else:
                 _emit(args, cons.open_subspace_homeo(L, n))
     elif cmd == "export":
-        if args.format == "dot":
-            print(export_dot(L), end="")
-        elif args.format == "text":
-            print(export_text(L), end="")
-        else:
-            print(to_json(L), end="")
+        _emit(args, export_text(L) if args.format == "text" else L, dot=export_dot(L))
     return 0
 
 

@@ -179,9 +179,6 @@ class MultLattice:
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram."""
         return self.order.covers()
 
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
     def mask_of(self, xs: Iterable[int]) -> int:
         return sum(1 << x for x in set(xs))
 
@@ -228,48 +225,15 @@ def memo(owner, key, build):
 # Validation
 
 
-def _masks(size: int, rel) -> tuple:
-    """The down- and up-set of every element as integer bitmasks."""
-    down = tuple(sum(1 << y for y in range(size) if rel[y][x]) for x in range(size))
-    up = tuple(sum(1 << y for y in range(size) if rel[x][y]) for x in range(size))
-    return down, up
+def _up_masks(rows) -> list:
+    """The up-set of every element as an integer bitmask, from relation rows."""
+    return [sum(1 << y for y, v in enumerate(row) if v) for row in rows]
 
 
-def _close_covers(size: int, covers) -> list:
-    """Reflexive-transitive closure of cover pairs as a boolean matrix."""
-    rel = [[i == j for j in range(size)] for i in range(size)]
-    for a, b in covers:
-        if not (0 <= a < size and 0 <= b < size):
-            raise BadParams(f"cover ({a}, {b}) out of range", witness=(a, b))
-        rel[a][b] = True
-    for k in range(size):
-        rk = rel[k]
-        for i in range(size):
-            if rel[i][k]:
-                ri = rel[i]
-                for j in range(size):
-                    if rk[j]:
-                        ri[j] = True
-    return rel
-
-
-def _check_partial_order(size: int, rel) -> None:
-    for i in range(size):
-        if not rel[i][i]:
-            raise NotAPartialOrder(f"relation is not reflexive at {i}", witness=(i, i))
-    for i in range(size):
-        for j in range(size):
-            if i != j and rel[i][j] and rel[j][i]:
-                raise NotAPartialOrder(
-                    f"antisymmetry fails: {i} <= {j} and {j} <= {i}", witness=(i, j))
-    for i in range(size):
-        for j in range(size):
-            if not rel[i][j]:
-                continue
-            for k in range(size):
-                if rel[j][k] and not rel[i][k]:
-                    raise NotAPartialOrder(
-                        f"transitivity fails at ({i}, {j}, {k})", witness=(i, j, k))
+def _masks(size: int, up) -> tuple:
+    """The down-sets of the up-set bitmasks ``up``, and the up-sets."""
+    down = tuple(sum(1 << y for y in range(size) if up[y] >> x & 1) for x in range(size))
+    return down, tuple(up)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,22 +256,16 @@ class OrderData:
 
     def masks(self) -> tuple:
         """The down- and up-set of every element as integer bitmasks."""
-        return memo(self, "masks", lambda: _masks(self.size, self.relation))
+        return memo(self, "masks",
+                    lambda: _masks(self.size, _up_masks(self.relation)))
 
     def covers(self) -> tuple:
-        """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram."""
+        """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram.
+        b covers a exactly when the interval [a, b] is {a, b}."""
         def build():
-            rel = self.relation
-            out = []
-            for a in range(self.size):
-                for b in range(self.size):
-                    if a == b or not rel[a][b]:
-                        continue
-                    if any(rel[a][c] and rel[c][b]
-                           and c != a and c != b for c in range(self.size)):
-                        continue
-                    out.append((a, b))
-            return tuple(sorted(out))
+            down, up = self.masks()
+            return tuple((a, b) for a in range(self.size) for b in range(self.size)
+                         if a != b and up[a] & down[b] == 1 << a | 1 << b)
         return memo(self, "covers", build)
 
     def lub(self, xs: Iterable[int]) -> int:
@@ -335,24 +293,49 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
     """Check that the supplied order is a lattice and precompute its tables.
 
     Accepts either cover pairs (closed reflexively and transitively) or a
-    full relation (verified to be a partial order as given).
+    full relation (verified to be a partial order as given).  Either way it
+    is closed and checked on the up-set bitmasks of its elements, and the
+    boolean relation is written from them.
     """
     if relation is not None:
         size = len(relation) if size is None else size
         if size != len(relation) or any(len(row) != size for row in relation):
             raise BadParams("relation must be a square matrix of the given size")
-        rel = [[bool(v) for v in row] for row in relation]
-        _check_partial_order(size, rel)
+        up = _up_masks(relation)
     else:
         if size is None:
             raise BadParams("size is required when the order is given by covers")
-        rel = _close_covers(size, covers or [])
-        _check_partial_order(size, rel)  # antisymmetry can still fail on cyclic covers
+        up = [1 << i for i in range(size)]
+        for a, b in covers or []:
+            if not (0 <= a < size and 0 <= b < size):
+                raise BadParams(f"cover ({a}, {b}) out of range", witness=(a, b))
+            up[a] |= 1 << b
+        # Warshall's closure; antisymmetry can still fail on cyclic covers
+        for k in range(size):
+            for i in range(size):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+    for i in range(size):
+        if not up[i] >> i & 1:
+            raise NotAPartialOrder(f"relation is not reflexive at {i}", witness=(i, i))
+    down_masks, up_masks = _masks(size, up)
+    for i in range(size):
+        both = up_masks[i] & down_masks[i] & ~(1 << i)
+        if both:
+            j = (both & -both).bit_length() - 1
+            raise NotAPartialOrder(
+                f"antisymmetry fails: {i} <= {j} and {j} <= {i}", witness=(i, j))
+    for i, above in enumerate(up_masks):
+        for j in range(size):
+            missing = up_masks[j] & ~above if above >> j & 1 else 0
+            if missing:
+                k = (missing & -missing).bit_length() - 1
+                raise NotAPartialOrder(
+                    f"transitivity fails at ({i}, {j}, {k})", witness=(i, j, k))
     if size <= 0:
         raise BadParams("a bounded lattice has at least one element")
 
     # Every pair needs a least upper bound and a greatest lower bound.
-    down_masks, up_masks = _masks(size, rel)
     join_table = [[0] * size for _ in range(size)]
     meet_table = [[0] * size for _ in range(size)]
     for x in range(size):
@@ -361,7 +344,8 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
             meet_table[x][y] = _bound(down_masks, x, y, "greatest lower")
 
     full = (1 << size) - 1
-    order = OrderData(size, tuple(tuple(r) for r in rel),
+    rel = tuple(tuple(bool(u >> y & 1) for y in range(size)) for u in up_masks)
+    order = OrderData(size, rel,
                       tuple(tuple(r) for r in join_table),
                       tuple(tuple(r) for r in meet_table),
                       up_masks.index(full), down_masks.index(full))

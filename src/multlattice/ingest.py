@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, fields, is_dataclass
 from math import gcd
 
+from .constructions import open_subspace_homeo
 from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
                    build_order, check_axioms, replace_mult, validate)
 from .spectrum import FiniteTopology, spectrum
@@ -53,20 +54,21 @@ class LatticeDocument:
     generators: tuple | None = None
 
 
-def parse_document(text: str) -> LatticeDocument:
-    def strip_comment(raw):
-        # comments start at a '#' that opens the line or follows whitespace,
-        # so labels and names may contain '#'
-        if raw.lstrip().startswith("#"):
-            return ""
-        for i, ch in enumerate(raw):
-            if ch == "#" and raw[i - 1] in " \t":
-                return raw[:i]
-        return raw
+def _strip_comment(raw: str) -> str:
+    """``raw`` up to its comment, which starts at a '#' that opens the line
+    or follows a space or tab, so labels and names may contain '#'."""
+    if raw.lstrip().startswith("#"):
+        return ""
+    cut, tab = raw.find(" #"), raw.find("\t#")
+    if tab >= 0 and (cut < 0 or tab < cut):
+        cut = tab
+    return raw if cut < 0 else raw[:cut + 1]
 
+
+def parse_document(text: str) -> LatticeDocument:
     def entries():
         for ln, raw in enumerate(text.splitlines(), start=1):
-            line = strip_comment(raw).rstrip()
+            line = _strip_comment(raw).rstrip()
             if not line.strip():
                 continue
             head, *args = line.split()
@@ -358,8 +360,6 @@ def export_dot_spectrum(L: MultLattice) -> str:
 def export_dot_homeo_pair(L: MultLattice, n: int) -> tuple:
     """Paired DOT digraphs for the open-subspace identification: the subspace
     of the spectrum outside V(n), and the spectrum of the interval below n."""
-    from .constructions import open_subspace_homeo
-
     report = open_subspace_homeo(L, n)
     sub = spectrum(L).zariski.subspace(report.point_map)
     left = export_dot_topology(sub, L.labels, f"D({L.labels[n]}) in Spec({L.name})")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
                    MultLattice, NotAnMSystem, TheoremViolation, compact_elements,
-                   gap, memo, require)
+                   memo, require)
 from .spectrum import FiniteTopology, classify_all, d_set, primes_of, spectrum
 
 
@@ -175,8 +175,9 @@ def _avoiding(L: MultLattice, mask: int) -> int:
 
 def system_of_points(L: MultLattice, Y) -> MSystem:
     """S_Y: the compact elements not below any point of ``Y`` (a subset of
-    the spectrum).  On an m-distributive lattice this is asserted to be a
-    saturated m-system."""
+    the spectrum), asserted to be a saturated m-system.  It holds top and is
+    an up-set, and it is closed under products because every point is
+    prime, so the assertion needs no hypothesis on the multiplication."""
     ys = frozenset(Y)
     if not ys <= primes_of(L):
         raise ValueError("Y must be a set of prime elements")
@@ -190,10 +191,9 @@ def points_system_mask(L: MultLattice, ymask: int) -> int:
         if ymask >> p & 1:
             mask &= ~L.down_masks[p]
     is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, mask)
-    if not (is_m and sat) and not gap(L, "systems.subset_system_saturated"):
-        raise TheoremViolation(
-            "S_Y must be a saturated m-system on an m-distributive lattice",
-            witness=m_wit or sat_wit)
+    if not (is_m and sat):
+        raise TheoremViolation("S_Y must be a saturated m-system",
+                               witness=m_wit or sat_wit)
     return mask
 
 
@@ -323,19 +323,10 @@ def first_m_system_without(L: MultLattice, x: int):
 
 def is_compact(Y, cover) -> bool:
     """Whether the open family ``cover`` of the subset ``Y`` has a finite
-    subcover, selected greedily; any open cover on a finite space has one."""
-    ys = frozenset(Y)
-    if not ys <= frozenset().union(*cover):
+    subcover: always, once it covers ``Y``, since a family of subsets of a
+    finite space is finite and so is its own finite subcover."""
+    if not frozenset(Y) <= frozenset().union(*cover):
         raise ValueError("the given family does not cover the subset")
-    remaining = set(ys)
-    while remaining:
-        p = remaining.pop()
-        for u in cover:
-            if p in u:
-                remaining -= u
-                break
-        else:
-            return False
     return True
 
 

@@ -1,8 +1,9 @@
 """The exhaustive verification driver.
 
 ``verify_all`` runs named suites of checks over one lattice or a whole
-corpus.  18 of the 35 checks are gated by ``core.HYPOTHESES``, two by an
-enumeration cap; outside its gate a check is recorded as skipped, not passed.
+corpus.  18 of the 35 checks are gated by ``core.HYPOTHESES``, which the
+row helper ``_guard`` reads by the check's name, and two by an enumeration
+cap; outside its gate a check is recorded as skipped, not passed.
 The corpus builders are deterministic: the same spec (including seed)
 produces the identical corpus, and reports sort by (lattice, check) so that
 equal inputs give byte-identical JSON.
@@ -18,10 +19,11 @@ from json.encoder import encode_basestring_ascii
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (POWERSET_LIMIT, BadParams, HypothesesFail, LatticeError,
+from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, HypothesesFail, LatticeError,
                    MultLattice, TheoremViolation, check_axioms, compact_elements,
                    gap, replace_mult, subset_pair_witness, validate)
-from .ingest import (SCHEMA_VERSION, cell_choices, chain, powerset_lattice,
+from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
+                     poset_space, powerset_lattice, random_lattice,
                      random_mult_table, zn_ideals)
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
@@ -38,8 +40,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _ok(L, check, detail=""):
-    return CheckResult(L.name, check, True, detail=detail)
+def _ok(L, check):
+    return CheckResult(L.name, check, True)
 
 
 def _skip(L, check, why):
@@ -51,8 +53,13 @@ def _fail(L, check, why):
 
 
 def _guard(L, check, fn):
-    """Run ``fn``; any exception is a failure recorded against ``L``, so one
-    lattice cannot abort a corpus run."""
+    """Run ``fn`` as the row ``check`` of ``L``; any exception is a failure
+    recorded against ``L``, so one lattice cannot abort a corpus run.  A
+    ``core.HYPOTHESES`` statement is skipped instead, for ``core.gap``'s
+    reason, when ``L`` lacks one of its hypotheses."""
+    why = check in HYPOTHESES and gap(L, check)
+    if why:
+        return _skip(L, check, why)
     try:
         fn()
         return _ok(L, check)
@@ -63,13 +70,6 @@ def _guard(L, check, fn):
 def _raised(L, check, exc):
     witness = f" (witness {exc.witness})" if isinstance(exc, LatticeError) else ""
     return _fail(L, check, f"{type(exc).__name__}: {exc}{witness}")
-
-
-def _gated(L, check, fn):
-    """Record ``check`` as skipped for ``core.gap``'s reason when ``L`` lacks
-    one of its ``core.HYPOTHESES``; otherwise run ``fn`` under :func:`_guard`."""
-    why = gap(L, check)
-    return _skip(L, check, why) if why else _guard(L, check, fn)
 
 
 # --------------------------------------------------------------------------
@@ -146,9 +146,9 @@ def suite_spectrum(L: MultLattice) -> list:
         _guard(L, "spectrum.sober", lambda: spectrum(L)),
         _guard(L, "spectrum.v_identities", v_identities),
         _guard(L, "spectrum.radical_semiprime", radical_semiprime),
-        _gated(L, "spectrum.prime_iff_meet_irred_semiprime", lemma_meet_irreducible),
-        _gated(L, "spectrum.maximal_prime_criterion", maximal_prime),
-        _gated(L, "spectrum.symmetric_nonprime_witness", symmetric_witnesses),
+        _guard(L, "spectrum.prime_iff_meet_irred_semiprime", lemma_meet_irreducible),
+        _guard(L, "spectrum.maximal_prime_criterion", maximal_prime),
+        _guard(L, "spectrum.symmetric_nonprime_witness", symmetric_witnesses),
     ]
 
 
@@ -166,8 +166,8 @@ def suite_hyper(L: MultLattice) -> list:
                                    witness=None)
 
     return [
-        _gated(L, "hyper.six_conditions", lambda: hyperabelian_report(L)),
-        _gated(L, "hyper.chain_crosscheck", crosscheck),
+        _guard(L, "hyper.six_conditions", lambda: hyperabelian_report(L)),
+        _guard(L, "hyper.chain_crosscheck", crosscheck),
     ]
 
 
@@ -237,15 +237,15 @@ def suite_systems(L: MultLattice) -> list:
             sys_mod.points_system_mask(L, L.mask_of(c))
 
     return [
-        _gated(L, "systems.prime_iff_msystem", complement_lemmas),
-        _gated(L, "systems.saturation_closure_operator", saturation_props),
+        _guard(L, "systems.prime_iff_msystem", complement_lemmas),
+        _guard(L, "systems.saturation_closure_operator", saturation_props),
         _guard(L, "systems.inverse_topology_dual_construction",
                lambda: sys_mod.inverse_topology(L)),
         _guard(L, "systems.constructible_discrete", constructible_discrete),
         _skip(L, "systems.closure_equivalence", "spectrum above cap") if len(pts) > POWERSET_LIMIT
         else _guard(L, "systems.closure_equivalence", closure_equivalence),
-        _gated(L, "systems.correspondence", lambda: sys_mod.correspondence_check(L)),
-        _gated(L, "systems.subset_system_saturated", prop_compact),
+        _guard(L, "systems.correspondence", lambda: sys_mod.correspondence_check(L)),
+        _guard(L, "systems.subset_system_saturated", prop_compact),
     ]
 
 
@@ -303,9 +303,9 @@ def suite_families(L: MultLattice) -> list:
                lambda: [fam.annihilators(L, x) for x in L.elements]),
         # a missing hypothesis is the reason given before the cap
         _skip(L, pip, "size above cap") if L.size > POWERSET_LIMIT and not gap(L, pip)
-        else _gated(L, pip, pip_all),
+        else _guard(L, pip, pip_all),
         _guard(L, "families.sigma_maximal_prime", prop_max),
-        _gated(L, "families.generator_symmetric_witness", generator_witness_reading),
+        _guard(L, "families.generator_symmetric_witness", generator_witness_reading),
     ]
 
 
@@ -361,20 +361,20 @@ def suite_constructions(L: MultLattice) -> list:
 
     return [
         _guard(L, "constructions.interval_bottom_restriction", interval_bottom),
-        _gated(L, "constructions.closed_subspace",
+        _guard(L, "constructions.closed_subspace",
                lambda: [cons.closed_subspace_spec(L, l) for l in L.elements]),
-        _gated(L, "constructions.disjointness",
+        _guard(L, "constructions.disjointness",
                lambda: [cons.disjointness_criteria(L, n1, n2)
                         for n1 in L.elements for n2 in L.elements]),
-        _gated(L, "constructions.quotient_spec_map",
+        _guard(L, "constructions.quotient_spec_map",
                lambda: [cons.spec_map(cons.quotient_morphism(L, l))
                         for l in L.elements]),
         _guard(L, "constructions.product_spectrum", products),
         _guard(L, "constructions.identity_adjoint",
                lambda: cons.spec_map(cons.identity_morphism(L))),
-        _gated(L, "constructions.annihilator_lying_prime", annihilator_primes),
-        _gated(L, "constructions.lying_over", lying_over_all),
-        _gated(L, "constructions.open_subspace_homeo",
+        _guard(L, "constructions.annihilator_lying_prime", annihilator_primes),
+        _guard(L, "constructions.lying_over", lying_over_all),
+        _guard(L, "constructions.open_subspace_homeo",
                lambda: [cons.open_subspace_homeo(L, n) for n in L.elements]),
     ]
 
@@ -383,7 +383,7 @@ def suite_series(L: MultLattice) -> list:
     return [
         _guard(L, "series.descending_stabilizing",
                lambda: [series(L, x) for x in L.elements]),
-        _gated(L, "series.solvable_chain", lambda: solvable_witness_chain(L)),
+        _guard(L, "series.solvable_chain", lambda: solvable_witness_chain(L)),
     ]
 
 
@@ -521,8 +521,6 @@ def corpus_random_tables(count: int = 1000, seed: int = 1729):
 
 def corpus_named():
     """The standing corpus of structured instances used across the tests."""
-    from .ingest import open_set_lattice, poset_space, random_lattice
-
     out = []
     for n in range(1, 7):
         out.append(chain(n, "meet"))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -108,6 +109,28 @@ def test_corrupted_mult_table_surfaces_boundedness_witness():
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nname c\nelement a  # trailing\nmult preset zero\n"
     assert parse(text).name == "c"
+
+
+def reference_strip_comment(raw):
+    """The character scan the parser used before: a comment starts at a '#'
+    that opens the line or follows a space or tab."""
+    if raw.lstrip().startswith("#"):
+        return ""
+    for i, ch in enumerate(raw):
+        if ch == "#" and raw[i - 1] in " \t":
+            return raw[:i]
+    return raw
+
+
+def test_comment_stripping_matches_the_character_scan():
+    rng = random.Random(5)
+    # letters, the two comment separators, and Unicode spaces that lstrip drops
+    alphabet = [" ", "\t", "#", "a", "b", "\u00a0", "\u2003", "\u3000"]
+    lines = ["", "#", " #", "\t#", "a#b", "a #b #c", "a\t#b #c", "a #b\t#c"]
+    lines += ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8)))
+              for _ in range(20000)]
+    for raw in lines:
+        assert ingest._strip_comment(raw) == reference_strip_comment(raw), repr(raw)
 
 
 def test_chain_generators_prime_sets():

@@ -4,7 +4,7 @@ import pytest
 
 from multlattice import systems
 from multlattice.core import (LatticeError, MonotonicityRequired, NotAnMSystem,
-                              check_axioms, replace_mult, validate)
+                              TheoremViolation, check_axioms, replace_mult, validate)
 from multlattice.families import sigma_of_system
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
@@ -125,6 +125,23 @@ def test_primes_avoiding_and_points_system():
 
     assert system_of_points(L, set()).members == frozenset(L.elements)
     assert system_of_points(L, spectrum(L).primes).members == frozenset({2})
+
+
+def test_system_of_points_asserts_saturation_off_m_distributive(monkeypatch):
+    # S_Y is a saturated m-system whatever the multiplication, so the
+    # assertion runs on every lattice: a classifier that calls S_Y
+    # unsaturated must make it raise on one that is not m-distributive.
+    L = next(L for L in corpus_exhaustive_tables(3)
+             if not check_axioms(L).m_distributive and primes_of(L))
+    real = systems._classify_mask
+
+    def unsaturated(M, mask):
+        is_m, is_n, _, m_wit, n_wit, _ = real(M, mask)
+        return is_m, is_n, False, m_wit, n_wit, None
+
+    monkeypatch.setattr(systems, "_classify_mask", unsaturated)
+    with pytest.raises(TheoremViolation, match="S_Y must be a saturated m-system"):
+        system_of_points(L, primes_of(L))
 
 
 def test_hyperabelian_empty_subset_system_contains_bottom():
