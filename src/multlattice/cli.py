@@ -146,6 +146,8 @@ def _run(args) -> int:
         return 0
 
     if cmd == "check":
+        if args.corpus and args.input:
+            raise BadParams("check takes an input or --corpus, not both")
         if args.corpus:
             parts = args.corpus.split(":")
             if parts[0] == "named":

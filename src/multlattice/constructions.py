@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   PropertyReport, TheoremViolation, check_axioms, memo, require,
-                   validate)
+                   PropertyReport, TheoremViolation, axiom_report, check_axioms,
+                   memo, require, validate)
 from .spectrum import (classify_all, d_set, hyperabelian_report, primes_of,
                        spectrum, v_set)
 from .families import residual_left, residual_right
@@ -177,25 +177,17 @@ def _product_axioms(L1: MultLattice, L2: MultLattice) -> PropertyReport:
     failing flag's witness is lifted from the first factor that fails it, the
     other coordinate held at that factor's bottom: a genuine failure on the
     product, but not necessarily the first in its (x, y, z) order."""
-    a1, a2 = check_axioms(L1), check_axioms(L2)
-    mono = a1.monotone and a2.monotone
-    mdist = a1.m_distributive and a2.m_distributive
-    assoc = a1.associative and a2.associative
-    comm = a1.commutative and a2.commutative
+    w1, w2 = check_axioms(L1).witnesses, check_axioms(L2).witnesses
+    n2, b2, b1_row = L2.size, L2.bottom, L1.bottom * L2.size
     witnesses = {}
-    if not (mono and mdist and assoc and comm):
-        n2, w1, w2 = L2.size, a1.witnesses, a2.witnesses
-        b2, b1_row = L2.bottom, L1.bottom * n2
-        for flag in ("monotone", "m_distributive", "associative", "commutative"):
-            if flag in w1:
-                witnesses[flag] = tuple([v if isinstance(v, str) else v * n2 + b2
-                                         for v in w1[flag]])
-            elif flag in w2:
-                witnesses[flag] = tuple([v if isinstance(v, str) else b1_row + v
-                                         for v in w2[flag]])
-        if not mdist:
-            witnesses["infinitely_m_distributive"] = witnesses["m_distributive"]
-    return PropertyReport(mono, mdist, mdist, assoc, comm, witnesses)
+    for flag in ("monotone", "m_distributive", "associative", "commutative"):
+        if flag in w1:
+            witnesses[flag] = tuple([v if isinstance(v, str) else v * n2 + b2
+                                     for v in w1[flag]])
+        elif flag in w2:
+            witnesses[flag] = tuple([v if isinstance(v, str) else b1_row + v
+                                     for v in w2[flag]])
+    return axiom_report(witnesses)
 
 
 def _pairs(t1, t2) -> tuple:
@@ -503,12 +495,10 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
         raise TheoremViolation("p -> p ^ n is not a bijection onto the "
                                "interval spectrum", witness=None)
 
-    opens_ok = True
     for l in L.elements:
         ln = L.mult_table[l][n]
         image = frozenset(point_map[p] for p in d_set(L, ln) & dn)
         if image != d_set(M, iv.from_parent(ln)):
-            opens_ok = False
             raise TheoremViolation(
                 f"image of D({l}*{n}) is not the matching interval open",
                 witness=l)
@@ -519,4 +509,4 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     if not homeo:
         raise TheoremViolation("subspace and interval topologies do not match",
                                witness=None)
-    return OpenSubspaceReport(iv, point_map, bijective, opens_ok, homeo)
+    return OpenSubspaceReport(iv, point_map, bijective, True, homeo)

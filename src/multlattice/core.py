@@ -180,7 +180,14 @@ class MultLattice:
         return self.order.covers()
 
     def mask_of(self, xs: Iterable[int]) -> int:
-        return sum(1 << x for x in set(xs))
+        """The bitmask of ``xs``; ValueError when one of them is not an element."""
+        try:
+            mask = sum(1 << x for x in set(xs))
+        except ValueError:        # a negative member
+            mask = -1
+        if mask >> self.size:
+            raise ValueError("members must be elements of the lattice")
+        return mask
 
     def set_of(self, mask: int) -> frozenset:
         return frozenset(x for x in range(self.size) if mask >> x & 1)
@@ -463,7 +470,7 @@ def compact_elements(L: MultLattice) -> frozenset:
 
 @dataclass
 class PropertyReport:
-    """Which multiplication axioms hold, with one counterexample per failure.
+    """Which axioms hold: a flag fails exactly when ``witnesses`` records a counterexample.
 
     On a finite lattice ``infinitely_m_distributive`` is ``m_distributive``:
     every join is a finite join, and ``x*bottom <= x meet bottom = bottom``
@@ -542,85 +549,77 @@ def require(L: MultLattice, statement: str, exc: type) -> PropertyReport:
 
 
 def _check_axioms(L: MultLattice) -> PropertyReport:
-    n = L.size
-    rel = L.relation
-    mt = L.mult_table
-    jt = L.join_table
-    witnesses: dict = {}
+    return axiom_report({"monotone": _monotone_witness(L),
+                         "m_distributive": _m_distributive_witness(L),
+                         "associative": _associative_witness(L),
+                         "commutative": _commutative_witness(L)})
 
-    # Monotone iff one-sided monotone in each argument.
-    monotone = True
+
+def axiom_report(witnesses: dict) -> PropertyReport:
+    """The report on the laws in ``witnesses``, each mapped to its first
+    counterexample or None: a flag holds exactly when its law has none, and
+    infinite m-distributivity shares the m-distributivity witness."""
+    witnesses = {law: w for law, w in witnesses.items() if w is not None}
+    m_distributive = "m_distributive" not in witnesses
+    if not m_distributive:
+        witnesses["infinitely_m_distributive"] = witnesses["m_distributive"]
+    # Self-check: a theorem about any multiplicative lattice.
+    if m_distributive and "monotone" in witnesses:
+        raise TheoremViolation("m-distributive but not monotone",
+                               witness=witnesses["monotone"])
+    return PropertyReport("monotone" not in witnesses, m_distributive, m_distributive,
+                          "associative" not in witnesses,
+                          "commutative" not in witnesses, witnesses)
+
+
+def _monotone_witness(L: MultLattice):
+    """Monotone iff one-sided monotone in each argument: the first x < y and
+    z with x*z !<= y*z ("left") or z*x !<= z*y ("right")."""
+    n, rel, mt = L.size, L.relation, L.mult_table
     for x in range(n):
         for y in range(n):
             if x == y or not rel[x][y]:
                 continue
             for z in range(n):
                 if not rel[mt[x][z]][mt[y][z]]:
-                    monotone = False
-                    witnesses["monotone"] = ("left", x, y, z)
-                    break
+                    return "left", x, y, z
                 if not rel[mt[z][x]][mt[z][y]]:
-                    monotone = False
-                    witnesses["monotone"] = ("right", x, y, z)
-                    break
-            if not monotone:
-                break
-        if not monotone:
-            break
+                    return "right", x, y, z
+    return None
 
-    # Distributivity at (x, y) and at (y, x) is one test and holds at x = y,
-    # so the first failing triple in (x, y, z) order has x < y.
-    m_distributive = True
+
+def _m_distributive_witness(L: MultLattice):
+    """Distributivity at (x, y) and at (y, x) is one test and holds at x = y,
+    so the first failing triple in (x, y, z) order has x < y."""
+    n, mt, jt = L.size, L.mult_table, L.join_table
     for x in range(n):
         for y in range(x + 1, n):
             j = jt[x][y]
             for z in range(n):
                 if mt[j][z] != jt[mt[x][z]][mt[y][z]]:
-                    m_distributive = False
-                    witnesses["m_distributive"] = ("left", x, y, z)
-                    break
+                    return "left", x, y, z
                 if mt[z][j] != jt[mt[z][x]][mt[z][y]]:
-                    m_distributive = False
-                    witnesses["m_distributive"] = ("right", x, y, z)
-                    break
-            if not m_distributive:
-                break
-        if not m_distributive:
-            break
+                    return "right", x, y, z
+    return None
 
-    associative = True
+
+def _associative_witness(L: MultLattice):
+    n, mt = L.size, L.mult_table
     for x in range(n):
         for y in range(n):
             for z in range(n):
                 if mt[mt[x][y]][z] != mt[x][mt[y][z]]:
-                    associative = False
-                    witnesses["associative"] = (x, y, z)
-                    break
-            if not associative:
-                break
-        if not associative:
-            break
+                    return x, y, z
+    return None
 
-    commutative = True
+
+def _commutative_witness(L: MultLattice):
+    n, mt = L.size, L.mult_table
     for x in range(n):
         for y in range(x + 1, n):
             if mt[x][y] != mt[y][x]:
-                commutative = False
-                witnesses["commutative"] = (x, y)
-                break
-        if not commutative:
-            break
-
-    if not m_distributive:
-        witnesses["infinitely_m_distributive"] = witnesses["m_distributive"]
-
-    # Self-check: a theorem about any multiplicative lattice; a failure here
-    # would mean the checkers above disagree.
-    if m_distributive and not monotone:
-        raise TheoremViolation("m-distributive but not monotone",
-                               witness=witnesses.get("monotone"))
-    return PropertyReport(monotone, m_distributive, m_distributive,
-                          associative, commutative, witnesses)
+                return x, y
+    return None
 
 
 def subset_pair_witness(L: MultLattice):

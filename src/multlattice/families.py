@@ -132,42 +132,31 @@ def classify_family(L: MultLattice, F) -> FamilyReport:
     exhaustively over (a in A, l in L), resp. (l in L, a, b in A), A = L.generators."""
     family = frozenset(F)
     fmask = L.mask_of(family)
-    counterexamples: dict = {}
     if L.top not in family:
-        for flag in ("left_oka", "right_oka", "oka", "ako"):
-            counterexamples[flag] = ("top",)
-        return FamilyReport(family, L.generators, False, False, False, False,
-                            counterexamples)
-
-    left_t, right_t = residual_tables(L)
-    jt = L.join_table
-    a_sorted = sorted(L.generators)
-
-    left_oka = right_oka = oka = True
-    for a in a_sorted:
-        for l in L.elements:
-            if fmask >> l & 1:
-                continue
-            join_in = fmask >> jt[a][l] & 1
-            if not join_in:
-                continue
-            lres_in = fmask >> left_t[l][a] & 1
-            rres_in = fmask >> right_t[l][a] & 1
-            if left_oka and lres_in:
-                left_oka = False
-                counterexamples["left_oka"] = (a, l)
-            if right_oka and rres_in:
-                right_oka = False
-                counterexamples["right_oka"] = (a, l)
-            if oka and lres_in and rres_in:
-                oka = False
-                counterexamples["oka"] = (a, l)
-
-    ako_witness = _ako_witness(L, fmask, a_sorted)
-    if ako_witness:
-        counterexamples["ako"] = ako_witness
-    return FamilyReport(family, L.generators, left_oka, right_oka, oka, not ako_witness,
-                        counterexamples)
+        counterexamples = dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
+    else:
+        left_t, right_t = residual_tables(L)
+        jt = L.join_table
+        a_sorted = sorted(L.generators)
+        counterexamples = {}
+        for a in a_sorted:
+            for l in L.elements:
+                if fmask >> l & 1 or not fmask >> jt[a][l] & 1:
+                    continue
+                lres_in = fmask >> left_t[l][a] & 1
+                rres_in = fmask >> right_t[l][a] & 1
+                if lres_in and "left_oka" not in counterexamples:
+                    counterexamples["left_oka"] = (a, l)
+                if rres_in and "right_oka" not in counterexamples:
+                    counterexamples["right_oka"] = (a, l)
+                if lres_in and rres_in and "oka" not in counterexamples:
+                    counterexamples["oka"] = (a, l)
+        ako_witness = _ako_witness(L, fmask, a_sorted)
+        if ako_witness:
+            counterexamples["ako"] = ako_witness
+    return FamilyReport(family, L.generators, "left_oka" not in counterexamples,
+                        "right_oka" not in counterexamples, "oka" not in counterexamples,
+                        "ako" not in counterexamples, counterexamples)
 
 
 def _ako_witness(L: MultLattice, fmask: int, a_sorted) -> tuple | None:

@@ -14,7 +14,8 @@ The text format is line oriented and diff friendly::
 
 Elements get indices in declaration order.  ``mult`` is either one preset
 line (``meet`` or ``zero``) or a complete list of triples, one per pair.
-Export reproduces a lattice exactly: ``parse(export_text(L)) == L``.
+Export reproduces a lattice exactly, ``parse(export_text(L)) == L``, or
+refuses a name or label that is empty, holds whitespace or starts with '#'.
 """
 
 from __future__ import annotations
@@ -247,6 +248,11 @@ def export_text(L: MultLattice) -> str:
         raise BadParams("the text format cannot carry whitespace in names or "
                         "labels; use the JSON export instead",
                         witness=spacey[:1] or doc.name)
+    unreadable = [lab for lab in doc.elements if lab[:1] in ("", "#")]
+    if unreadable or doc.name[:1] in ("", "#"):
+        raise BadParams("the text format cannot carry an empty name or label, or "
+                        "one that starts with '#'; use the JSON export instead",
+                        witness=unreadable[:1] or doc.name)
     lines = [f"name {doc.name}"]
     lines += [f"element {lab}" for lab in doc.elements]
     lines += [f"cover {a} < {b}" for a, b in doc.covers]

@@ -122,26 +122,16 @@ def _nonprime_mask(L: MultLattice, elems) -> int:
 
 
 def _order_flags(order: OrderData) -> tuple:
-    """(maximal, meet-irreducible) for every element: they depend on the
-    order alone, so they are computed once per order."""
-    n = order.size
+    """(maximal, meet-irreducible) for every element, once per order.  x is
+    meet-irreducible exactly when at most one element covers it: two covers
+    meet in x, and everything above x lies above a sole cover."""
     top = order.top
     up_masks = order.masks()[1]
-    out = []
-    for x in range(n):
-        maximal = x != top and up_masks[x] == (1 << x) | (1 << top)
-        meet_irreducible = True
-        for y in range(n):
-            if y == x:
-                continue
-            for z in range(n):
-                if z != x and order.meet_table[y][z] == x:
-                    meet_irreducible = False
-                    break
-            if not meet_irreducible:
-                break
-        out.append((maximal, meet_irreducible))
-    return tuple(out)
+    cover_counts = [0] * order.size
+    for a, _ in order.covers():
+        cover_counts[a] += 1
+    return tuple((x != top and up_masks[x] == (1 << x) | (1 << top), count <= 1)
+                 for x, count in enumerate(cover_counts))
 
 
 def primes_of(L: MultLattice) -> frozenset:
@@ -371,57 +361,31 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 
     require(L, "hyper.six_conditions", MDistributivityRequired)
     flags = classify_all(L)
-    witnesses: dict = {}
-    notes = ["condition (c) is the finite instantiation: only finite chains are built"]
-
-    semiprimes = [x for x in L.elements if flags[x].semiprime]
-    cond_a = semiprimes == [L.top]
-    blocking = None
-    if not cond_a:
-        blocking = next(x for x in semiprimes if x != L.top)
-        witnesses["a"] = blocking
-
-    cond_b = True
-    mt = L.mult_table
-    for x in L.elements:
-        if x == L.top:
-            continue
-        down = L.down_masks[x]
-        if not any(y != x and L.relation[x][y] and down >> mt[y][y] & 1
-                   for y in L.elements):
-            cond_b = False
-            witnesses["b"] = x
-            break
-
+    rel, dm, mt = L.relation, L.down_masks, L.mult_table
     chain, blocker = _greedy_square_chain(L)
-    cond_c = chain is not None
-    if not cond_c:
-        witnesses["c"] = blocker
-
     primes = primes_of(L)
-    cond_d = not primes
-    if primes:
-        witnesses["d"] = min(primes)
-
     radical = L.glb(primes)
-    cond_e = radical == L.top
-    if not cond_e:
-        witnesses["e"] = radical
-
-    mode = "all"
-    if L.size > POWERSET_LIMIT:
-        mode = "saturated_only"
-        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
-                     "saturated m-systems (bottom membership is saturation-invariant)")
     without_bottom = first_m_system_without(L, L.bottom)
-    cond_f = without_bottom is None
-    if not cond_f:
-        witnesses["f"] = tuple(sorted(L.set_of(without_bottom)))
-
-    conditions = {"a": cond_a, "b": cond_b, "c": cond_c,
-                  "d": cond_d, "e": cond_e, "f": cond_f}
+    # The first witness against each condition, or None where it holds.
+    found = {
+        "a": next((x for x in L.elements if flags[x].semiprime and x != L.top), None),
+        "b": next((x for x in L.elements if x != L.top and not any(
+            y != x and rel[x][y] and dm[x] >> mt[y][y] & 1 for y in L.elements)), None),
+        "c": blocker,
+        "d": min(primes) if primes else None,
+        "e": None if radical == L.top else radical,
+        "f": None if without_bottom is None else tuple(sorted(L.set_of(without_bottom))),
+    }
+    conditions = {c: w is None for c, w in found.items()}
+    witnesses = {c: w for c, w in found.items() if w is not None}
     if len(set(conditions.values())) != 1:
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",
                                witness=witnesses)
-    return HyperabelianReport(conditions, cond_a, chain, blocking, mode,
+
+    notes = ["condition (c) is the finite instantiation: only finite chains are built"]
+    mode = "all" if L.size <= POWERSET_LIMIT else "saturated_only"
+    if mode != "all":
+        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
+                     "saturated m-systems (bottom membership is saturation-invariant)")
+    return HyperabelianReport(conditions, conditions["a"], chain, found["a"], mode,
                               witnesses, tuple(notes))

@@ -94,10 +94,7 @@ def classify_system(L: MultLattice, S) -> MSystem:
     The empty set is classified as kind "neither" (systems must be
     nonempty).  Every m-system is an n-system; this implication is asserted.
     """
-    members = frozenset(S)
-    if any(not 0 <= x < L.size for x in members):
-        raise ValueError("members must be elements of the lattice")
-    return _system(L, L.mask_of(members))
+    return _system(L, L.mask_of(S))
 
 
 def _system(L: MultLattice, mask: int) -> MSystem:

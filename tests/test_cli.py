@@ -66,6 +66,13 @@ def test_check_exhaustive_corpus_above_four_is_bad_input(capsys):
     assert "BadParams" in err
 
 
+def test_check_refuses_an_input_together_with_a_corpus(capsys):
+    code, out, err = run(capsys, "check", "axioms", "gen:chain:2", "--corpus",
+                         "exhaustive:1")
+    assert (code, out) == (2, "")
+    assert err == "error: BadParams: check takes an input or --corpus, not both\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("spec", "gen:chain:abc"),
     ("spec", "gen:random:5:bogus"),

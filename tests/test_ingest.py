@@ -197,6 +197,36 @@ def test_roundtrip_on_hundred_lattices():
         assert parse(export_text(L)) == L, L.name
 
 
+@pytest.mark.parametrize("labels, name, witness", [
+    (["#a", "b"], "n", ["#a"]),
+    (["a", ""], "n", [""]),
+    (["a", "b"], "#n", "#n"),
+    (["a", "b"], "", ""),
+    # duplicate labels are written as "<label>#<index>", so "" becomes "#0"
+    (["", ""], "n", ["#0"]),
+])
+def test_export_text_refuses_names_and_labels_parse_cannot_read(labels, name, witness):
+    L = validate(size=2, covers=[(0, 1)], mult=[[0, 0], [0, 1]], labels=labels,
+                 name=name)
+    with pytest.raises(core.BadParams, match="starts with '#'; use the JSON export") as exc:
+        export_text(L)
+    assert exc.value.witness == witness
+    if len(set(labels)) == len(labels):
+        assert parse(to_json(L)) == L
+
+
+@pytest.mark.parametrize("labels, name, witness", [
+    (["a b", "c"], "n", ["a b"]),
+    (["a", "c"], "x\ty", "x\ty"),
+])
+def test_export_text_refuses_whitespace(labels, name, witness):
+    L = validate(size=2, covers=[(0, 1)], mult=[[0, 0], [0, 1]], labels=labels,
+                 name=name)
+    with pytest.raises(core.BadParams, match="cannot carry whitespace") as exc:
+        export_text(L)
+    assert exc.value.witness == witness
+
+
 def test_roundtrip_explicit_triples():
     # a table that is neither meet nor zero forces triple emission
     L = chain(3, "truncated_add")

@@ -5,7 +5,7 @@ import pytest
 from multlattice import systems
 from multlattice.core import (LatticeError, MonotonicityRequired, NotAnMSystem,
                               TheoremViolation, check_axioms, replace_mult, validate)
-from multlattice.families import sigma_of_system
+from multlattice.families import classify_family, pip_check, sigma_of_system
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
 from multlattice.systems import (all_m_systems, classify_system,
@@ -314,3 +314,14 @@ def test_tables_on_one_order_keep_their_own_classifications():
     assert meet.order is zero.order
     assert classify_system(meet, {2}).is_m
     assert classify_system(zero, {2}).m_witness == (2, 2)
+
+
+@pytest.mark.parametrize("edge", [classify_system, saturate, sigma_of_system,
+                                  classify_family, pip_check, primes_avoiding])
+@pytest.mark.parametrize("stray", ["size", "negative"])
+def test_element_sets_with_a_non_element_are_refused(edge, stray):
+    # every edge converts its set with MultLattice.mask_of, which checks it
+    L = chain(3, "meet")
+    bad = {L.top, L.size if stray == "size" else -1}
+    with pytest.raises(ValueError, match="^members must be elements of the lattice$"):
+        edge(L, bad)
