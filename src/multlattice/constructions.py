@@ -141,6 +141,11 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
 
 @dataclass(frozen=True, eq=False)
 class ProductLattice:
+    """``left x right`` with its componentwise tables; pair (i, j) is
+    element ``i * right.size + j`` of ``lattice``.  Only :func:`product`
+    makes one, and :func:`projection_morphisms` relies on that: the
+    projections are morphisms because the multiplication is componentwise.
+    """
     lattice: MultLattice
     left: MultLattice
     right: MultLattice
@@ -218,35 +223,41 @@ class ProductSpecReport:
 
 def product_spec_check(L1: MultLattice, L2: MultLattice) -> ProductSpecReport:
     """The spectrum of a product is the disjoint union of two clopen pieces,
-    each homeomorphic to a factor spectrum; all three facts are verified."""
+    each homeomorphic to a factor spectrum; all three facts are verified on
+    masks of the product's elements.  A prime p of ``L1`` sits at bit
+    p * n2 + t2 of the product and a prime p of ``L2`` at bit t1 * n2 + p,
+    so a mask of ``L2`` moves into the product by a shift."""
     P = product(L1, L2)
     M = P.lattice
-    rep = spectrum(M)
-    s1 = spectrum(L1)
-    s2 = spectrum(L2)
-    left_part = frozenset(P.pair_to_index(p, L2.top) for p in s1.primes)
-    right_part = frozenset(P.pair_to_index(L1.top, p) for p in s2.primes)
-    partition_ok = (rep.primes == left_part | right_part
-                    and not left_part & right_part)
-    if not partition_ok:
+    n2, t2, shift = L2.size, L2.top, L1.top * L2.size
+    s1, s2 = spectrum(L1), spectrum(L2)
+    # (bit of p in L1, bit of (p, t2) in the product), per prime p of L1
+    bits = [(1 << p, 1 << (p * n2 + t2)) for p in s1.primes]
+    prime = sum([1 << x for x in spectrum(M).primes])
+    prime2 = sum([1 << p for p in s2.primes])
+    left, right = sum([b for _, b in bits]), prime2 << shift
+    if prime != left | right or left & right:
         raise TheoremViolation("product spectrum is not the expected disjoint union",
-                               witness=tuple(sorted(rep.primes ^ (left_part | right_part))))
-    zar = rep.zariski
-    clopen_ok = all(zar.closure(part) == part for part in (left_part, right_part))
-    if not clopen_ok:
+                               witness=tuple(sorted(M.set_of(prime ^ (left | right)))))
+    # The closure of a point x of the spectrum is up(x) & Spec.  A piece is
+    # closed when it holds the closures of its points, and two closed pieces
+    # that partition the spectrum are clopen.
+    up, up1, up2 = M.up_masks, L1.up_masks, L2.up_masks
+    lefts = [up[p * n2 + t2] & prime for p in s1.primes]
+    rights = [up[shift + p] & prime for p in s2.primes]
+    if any(c & ~left for c in lefts) or any(c & ~right for c in rights):
         raise TheoremViolation("product spectrum pieces are not clopen", witness=None)
 
     # A closed piece holds the closure of each of its points, so that
-    # closure is the point's closure in the subspace.
-    homeo = all(zar.closures[embed(p)] == frozenset(map(embed, c))
-                for srep, embed in ((s1, lambda p: P.pair_to_index(p, L2.top)),
-                                    (s2, lambda p: P.pair_to_index(L1.top, p)))
-                for p, c in srep.zariski.closures.items())
-    if not homeo:
+    # closure is the point's closure in the subspace: it must be the
+    # factor's closure of the point, moved into the product.
+    if (lefts != [sum([b for q, b in bits if up1[p] & q]) for p in s1.primes]
+            or rights != [(up2[p] & prime2) << shift for p in s2.primes]):
         raise TheoremViolation("product spectrum pieces are not homeomorphic "
                                "to the factor spectra", witness=None)
-    return ProductSpecReport(P, left_part, right_part, partition_ok,
-                             clopen_ok, homeo)
+    return ProductSpecReport(P, frozenset([p * n2 + t2 for p in s1.primes]),
+                             frozenset([shift + p for p in s2.primes]),
+                             True, True, True)
 
 
 @dataclass
@@ -305,10 +316,11 @@ class LatticeMorphism:
 def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphism:
     """Validate the morphism laws; :class:`NotAMorphism` names the violated
     law and a witness.  The order laws are checked once per source order,
-    target order and mapping; submultiplicativity on every call."""
-    f = tuple(int(v) for v in mapping)
-    memo(source.order, ("morphism", target.order, f),
-         lambda: _order_laws(source.order, target.order, f))
+    target order and mapping; submultiplicativity on every call.  This is
+    the only route that checks submultiplicativity: the identity and the
+    projections of a product are built without it (their mappings respect
+    the multiplication by construction)."""
+    f = _order_checked(source.order, target.order, tuple(int(v) for v in mapping))
     rel, tmult = target.relation, target.mult_table
     for x, row in enumerate(source.mult_table):
         fx_row = tmult[f[x]]
@@ -317,6 +329,13 @@ def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphi
                 raise NotAMorphism(
                     f"submultiplicativity fails at ({x}, {y})", witness=(x, y))
     return LatticeMorphism(source, target, f)
+
+
+def _order_checked(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
+    """``f``, once :func:`_order_laws` has passed on it, which runs once per
+    source order, target order and mapping."""
+    memo(src, ("morphism", tgt, f), lambda: _order_laws(src, tgt, f))
+    return f
 
 
 def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
@@ -338,7 +357,11 @@ def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
 
 
 def identity_morphism(L: MultLattice) -> LatticeMorphism:
-    return morphism(L, L, tuple(L.elements))
+    """x -> x, which respects every multiplication; the mapping, with its
+    order laws checked, is kept per order."""
+    order = L.order
+    f = memo(order, "identity", lambda: _order_checked(order, order, tuple(L.elements)))
+    return LatticeMorphism(L, L, f)
 
 
 def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:
@@ -350,9 +373,16 @@ def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:
 
 
 def projection_morphisms(P: ProductLattice) -> tuple:
-    M, n2 = P.lattice, P.right.size
-    return (morphism(M, P.left, tuple(k // n2 for k in M.elements)),
-            morphism(M, P.right, tuple(k % n2 for k in M.elements)))
+    """(i, j) -> i and (i, j) -> j.  The product's multiplication is
+    componentwise, so each projection takes xy to the product of the images
+    of x and y.  The mappings, with their order laws checked, are kept per
+    order."""
+    M, o1, o2 = P.lattice, P.left.order, P.right.order
+    n2 = o2.size
+    f1, f2 = memo(M.order, ("projections", o1, o2), lambda: (
+        _order_checked(M.order, o1, tuple(k // n2 for k in M.elements)),
+        _order_checked(M.order, o2, tuple(k % n2 for k in M.elements))))
+    return LatticeMorphism(M, P.left, f1), LatticeMorphism(M, P.right, f2)
 
 
 def right_adjoint(f: LatticeMorphism) -> tuple:

@@ -283,19 +283,6 @@ class OrderData:
         return out
 
 
-def _bound(masks, x: int, y: int, what: str) -> int:
-    """The member of ``masks[x] & masks[y]`` whose own mask holds all of it:
-    the join of x and y on up-set masks, the meet on down-set masks."""
-    common = masks[x] & masks[y]
-    m = common
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        if common & ~masks[u] == 0:
-            return u
-    raise NotALattice(f"pair ({x}, {y}) has no {what} bound", witness=(x, y))
-
-
 def build_order(*, size: int | None = None, covers=None, relation=None) -> OrderData:
     """Check that the supplied order is a lattice and precompute its tables.
 
@@ -342,20 +329,23 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
     if size <= 0:
         raise BadParams("a bounded lattice has at least one element")
 
-    # Every pair needs a least upper bound and a greatest lower bound.
-    join_table = [[0] * size for _ in range(size)]
-    meet_table = [[0] * size for _ in range(size)]
-    for x in range(size):
-        for y in range(size):
-            join_table[x][y] = _bound(up_masks, x, y, "least upper")
-            meet_table[x][y] = _bound(down_masks, x, y, "greatest lower")
+    # The join of x and y is the element whose up-set is up(x) & up(y), if
+    # one is; the meet likewise on down-sets.
+    by_up = {u: i for i, u in enumerate(up_masks)}
+    by_down = {d: i for i, d in enumerate(down_masks)}
+    join_table = tuple([tuple([by_up.get(u & v) for v in up_masks]) for u in up_masks])
+    meet_table = tuple([tuple([by_down.get(d & e) for e in down_masks])
+                        for d in down_masks])
+    if any(None in row for row in join_table + meet_table):
+        x, y, what = next((x, y, what) for x in range(size) for y in range(size)
+                          for what, table in (("least upper", join_table),
+                                              ("greatest lower", meet_table))
+                          if table[x][y] is None)
+        raise NotALattice(f"pair ({x}, {y}) has no {what} bound", witness=(x, y))
 
     full = (1 << size) - 1
     rel = tuple(tuple(bool(u >> y & 1) for y in range(size)) for u in up_masks)
-    order = OrderData(size, rel,
-                      tuple(tuple(r) for r in join_table),
-                      tuple(tuple(r) for r in meet_table),
-                      up_masks.index(full), down_masks.index(full))
+    order = OrderData(size, rel, join_table, meet_table, by_up[full], by_down[full])
     order._cache["masks"] = down_masks, up_masks
     return order
 
@@ -376,8 +366,12 @@ def validate(*, size: int | None = None,
     :class:`OrderData` of a lattice derived from validated ones, which skips
     the partial-order check and the join/meet search; the new lattice shares
     that object and what is cached on it.  The multiplication bound,
-    generators and labels are checked in every case.  ``mult`` is a
-    full ``size x size`` table of indices or a callable ``(x, y) -> index``.
+    generators and labels are checked in every case.  The generators default
+    to every element; each element must be the join of the generators below
+    it, which is tested element by element only when the generating set is
+    a proper subset (an element that is a generator is such a join).
+    ``mult`` is a full ``size x size`` table of indices or a callable
+    ``(x, y) -> index``.
 
     Raises :class:`NotAPartialOrder`, :class:`NotALattice`,
     :class:`MultNotBounded` or :class:`NotGenerated`, each carrying a
@@ -391,21 +385,25 @@ def validate(*, size: int | None = None,
 
     table = _bounded_table(order, mult)
     gens = frozenset(range(size)) if generators is None else frozenset(generators)
-    if any(not 0 <= g < size for g in gens):
+    if gens and (min(gens) < 0 or max(gens) >= size):
         raise BadParams("generators out of range")
-    rel, join_table = order.relation, order.join_table
-    for x in range(size):
-        acc = order.bottom
-        for g in gens:
-            if rel[g][x]:
-                acc = join_table[acc][g]
-        if acc != x:
-            raise NotGenerated(f"element {x} is not a join of generators", witness=x)
+    # Every element is the join of the generators below it; that needs a
+    # loop only when some element is not a generator itself.
+    if len(gens) < size:
+        rel, join_table = order.relation, order.join_table
+        for x in range(size):
+            acc = order.bottom
+            for g in gens:
+                if rel[g][x]:
+                    acc = join_table[acc][g]
+            if acc != x:
+                raise NotGenerated(f"element {x} is not a join of generators",
+                                   witness=x)
 
     if labels is None:
-        labels = tuple(str(i) for i in range(size))
+        labels = tuple(map(str, range(size)))
     else:
-        labels = tuple(str(l) for l in labels)
+        labels = tuple(map(str, labels))
         if len(labels) != size:
             raise BadParams("labels must match size")
 
@@ -417,10 +415,11 @@ def _bounded_table(order: OrderData, mult) -> tuple:
     full table of elements with every product below the meet."""
     size = order.size
     if callable(mult):
-        table = [[int(mult(x, y)) for y in range(size)] for x in range(size)]
+        table = tuple([tuple([int(mult(x, y)) for y in range(size)])
+                       for x in range(size)])
     else:
-        table = [tuple(map(int, row)) for row in mult]
-        if len(table) != size or any(len(row) != size for row in table):
+        table = tuple([tuple(map(int, row)) for row in mult])
+        if len(table) != size or {*map(len, table)} != {size}:
             raise BadParams("mult must be a full size x size table")
     # xy <= x meet y iff row x lies in down(x) and column y in down(y); the
     # cell loop below runs only to name the first failing cell, row-major.
@@ -428,7 +427,7 @@ def _bounded_table(order: OrderData, mult) -> tuple:
         frozenset(y for y in range(size) if m >> y & 1) for m in order.masks()[0]))
     if (all(map(frozenset.issuperset, downs, table))
             and all(map(frozenset.issuperset, downs, zip(*table)))):
-        return tuple(map(tuple, table))
+        return table
     rel, meet_table = order.relation, order.meet_table
     for x in range(size):
         for y in range(size):

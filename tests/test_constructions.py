@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import weakref
@@ -15,6 +16,7 @@ from multlattice.constructions import (closed_subspace_spec,
                                        spec_map)
 from multlattice.core import (BadParams, HypothesesFail, LatticeError,
                               NotAMorphism, NotComparable, NotPrimeInInterval,
+                              TheoremViolation,
                               _check_axioms, build_order, check_axioms,
                               replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
@@ -130,6 +132,67 @@ def test_product_generators_are_pairs_when_bottoms_generate():
                  mult=lambda x, y: 0, generators=[0, 1, 2], name="M2")
     assert product(L, L).lattice.generators == frozenset(
         a * 4 + b for a in (0, 1, 2) for b in (0, 1, 2))
+
+
+def ref_product_spec(L1, L2):
+    """``product_spec_check`` on frozensets: the pieces as sets of pairs,
+    the Zariski closures of the spectrum reports and lambda embeddings.
+    Returns the two pieces, or raises what the library raises."""
+    spec = constructions_module.spectrum
+    P = product(L1, L2)
+    rep, s1, s2 = spec(P.lattice), spec(L1), spec(L2)
+    left_part = frozenset(P.pair_to_index(p, L2.top) for p in s1.primes)
+    right_part = frozenset(P.pair_to_index(L1.top, p) for p in s2.primes)
+    if rep.primes != left_part | right_part or left_part & right_part:
+        raise TheoremViolation("product spectrum is not the expected disjoint union",
+                               witness=tuple(sorted(rep.primes ^ (left_part | right_part))))
+    zar = rep.zariski
+    if not all(zar.closure(part) == part for part in (left_part, right_part)):
+        raise TheoremViolation("product spectrum pieces are not clopen", witness=None)
+    if not all(zar.closures[embed(p)] == frozenset(map(embed, c))
+               for srep, embed in ((s1, lambda p: P.pair_to_index(p, L2.top)),
+                                   (s2, lambda p: P.pair_to_index(L1.top, p)))
+               for p, c in srep.zariski.closures.items()):
+        raise TheoremViolation("product spectrum pieces are not homeomorphic "
+                               "to the factor spectra", witness=None)
+    return left_part, right_part
+
+
+def _drop_product_prime(rep, L):
+    return (dataclasses.replace(rep, primes=rep.primes - {max(rep.primes)})
+            if "x" in L.name and rep.primes else rep)
+
+
+def _add_product_top(rep, L):
+    return dataclasses.replace(rep, primes=rep.primes | {L.top}) if "x" in L.name else rep
+
+
+def _drop_factor_prime(rep, L):
+    return (dataclasses.replace(rep, primes=rep.primes - {min(rep.primes)})
+            if "x" not in L.name and rep.primes else rep)
+
+
+@pytest.mark.parametrize("fault", [None, _drop_product_prime, _add_product_top,
+                                   _drop_factor_prime])
+def test_product_spec_check_agrees_with_the_set_reference(fault, named_corpus,
+                                                          small_exhaustive_corpus,
+                                                          monkeypatch):
+    """The mask checks give the pieces, or the message and witness, that the
+    frozenset checks give, on true spectra and on planted wrong ones."""
+    if fault is not None:
+        real = constructions_module.spectrum
+        monkeypatch.setattr(constructions_module, "spectrum",
+                            lambda L: fault(real(L), L))
+    outcomes = set()
+    for L in list(small_exhaustive_corpus) + list(named_corpus):
+        for partner in PRODUCT_PARTNERS:
+            for L1, L2 in ((L, partner), (partner, L)):
+                got = outcome(lambda: product_spec_check(L1, L2))
+                if not isinstance(got, tuple):
+                    got = got.left_part, got.right_part
+                assert got == outcome(lambda: ref_product_spec(L1, L2)), (L1.name, L2.name)
+                outcomes.add(got[0] if isinstance(got[0], str) else "ok")
+    assert outcomes == {"ok"} if fault is None else "TheoremViolation" in outcomes
 
 
 def test_each_product_is_validated_once(monkeypatch):
@@ -392,6 +455,26 @@ def test_morphism_validation_errors():
     with pytest.raises(NotAMorphism):
         # zero-mult source into meet-mult target: f(1)f(1) = 1 !<= f(1*1) = 0
         morphism(zero3, mk_chain(3, min), (0, 1, 2))
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive4", "named"])
+def test_morphisms_by_construction_agree_with_morphism(corpus, named_corpus):
+    """The identity and the projections of each product with a verify
+    partner are built without the submultiplicativity loop; ``morphism``
+    accepts each mapping and gives it back unchanged."""
+    lattices = corpus_exhaustive_tables(4) if corpus == "exhaustive4" else named_corpus
+    for L in lattices:
+        f = identity_morphism(L)
+        assert (f.source, f.target, f.mapping) == (L, L, tuple(L.elements))
+        assert morphism(L, L, f.mapping).mapping == f.mapping
+        for partner in PRODUCT_PARTNERS:
+            P = product(L, partner)
+            left, right = projection_morphisms(P)
+            assert [(left(k), right(k)) for k in P.lattice.elements] == \
+                [(i, j) for i in L.elements for j in partner.elements]
+            for f, target in ((left, L), (right, partner)):
+                assert (f.source, f.target) == (P.lattice, target)
+                assert morphism(P.lattice, target, f.mapping).mapping == f.mapping
 
 
 def test_identity_adjoint_and_spec_map():

@@ -7,7 +7,9 @@ Warshall's closure of the cover pairs, the reflexivity, antisymmetry and
 transitivity loops that name the first failure in (i, j, k) order, the
 bounds of each pair by scanning its common bounds, and the covers as the
 pairs with nothing strictly between them.  Both must give the same fields and
-covers, or the same exception class, message and witness.
+covers, or the same exception class, message and witness.  The join and meet
+tables, which the library reads off a dict keyed by up-set (down-set) mask,
+are also held to the earlier mask scan of the common bounds, ``scan_bound``.
 """
 
 import random
@@ -65,6 +67,35 @@ def ref_bound(rel, x, y, upper):
             return u
     what = "least upper" if upper else "greatest lower"
     raise NotALattice(f"pair ({x}, {y}) has no {what} bound", witness=(x, y))
+
+
+def scan_bound(masks, x: int, y: int, what: str) -> int:
+    """The member of ``masks[x] & masks[y]`` whose own mask holds all of it:
+    the join of x and y on up-set masks, the meet on down-set masks, found
+    by scanning the common bounds from the lowest index."""
+    common = masks[x] & masks[y]
+    m = common
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        if common & ~masks[u] == 0:
+            return u
+    raise NotALattice(f"pair ({x}, {y}) has no {what} bound", witness=(x, y))
+
+
+def scan_tables(rel):
+    """The join and meet tables by ``scan_bound``, the first missing bound
+    raised in (x, y) order with the join before the meet."""
+    n = len(rel)
+    up = [sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)]
+    down = [sum(1 << j for j in range(n) if rel[j][i]) for i in range(n)]
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            join[x][y] = scan_bound(up, x, y, "least upper")
+            meet[x][y] = scan_bound(down, x, y, "greatest lower")
+    return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
 def ref_covers(rel):
@@ -217,3 +248,30 @@ def test_malformed_arguments_agree_with_the_matrix_reference():
                    {"size": -1}, {"relation": []}, {"size": 3, "relation": [[1]]},
                    {"relation": [[1, 0], [1]]}, {"size": 2, "covers": [(0, 2)]}):
         assert agree(**kwargs)[0] == "BadParams"
+
+
+def test_bound_tables_agree_with_the_common_bound_scan(named_corpus):
+    """Tables of lattices, and the first missing bound of posets that are not
+    lattices, as the common-bound scan finds them."""
+    rng = random.Random(3)
+    rels = [L.relation for L in named_corpus]
+    rels += [ref_close_covers(size, covers) for size, covers in LATTICE_SHAPES.values()]
+    rels += [random_poset(rng, rng.randint(1, 7)) for _ in range(1500)]
+    failures = 0
+    for rel in rels:
+        got = outcome(lambda: build_order(relation=rel))
+        want = outcome(lambda: scan_tables(rel))
+        if want[0] == "ok":
+            assert got[0] == "ok"
+            assert (got[1].join_table, got[1].meet_table) == want[1]
+        else:
+            assert got == want, rel
+            failures += 1
+    assert failures > 500
+
+
+def test_chain_tables_are_max_and_min():
+    n = 300
+    order = build_order(size=n, covers=[(i, i + 1) for i in range(n - 1)])
+    assert order.join_table == tuple(tuple(max(x, y) for y in range(n)) for x in range(n))
+    assert order.meet_table == tuple(tuple(min(x, y) for y in range(n)) for x in range(n))

@@ -3,8 +3,9 @@ import importlib
 import pytest
 
 from multlattice.constructions import interval, product
-from multlattice.core import (MDistributivityRequired, NotMaximal, PrimeElement,
-                              TheoremViolation, check_axioms, validate)
+from multlattice.core import (MDistributivityRequired, NotGenerated, NotMaximal,
+                              PrimeElement, TheoremViolation, check_axioms,
+                              validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import (FiniteTopology, classify_all,
                                   hyperabelian_report, maximal_prime_criterion,
@@ -130,6 +131,34 @@ def test_generator_shortcut_agrees_or_is_skipped(small_exhaustive_corpus):
         else:
             assert rep.primes_via_generators is None
             assert any("skipped" in n for n in rep.notes)
+
+
+def test_join_irreducibles_generate_and_give_the_primes():
+    """Every corpus lattice is generated by all its elements, so verify never
+    runs validate's generation loop or a generator-pair pass that differs
+    from the full one.  Here each exhaustive table is validated again with
+    its join-irreducibles (one lower cover each) as generators: they
+    generate, no smaller set of them does, and on a monotone table the
+    generator-pair prime test agrees with the definition."""
+    monotone = 0
+    for L in corpus_exhaustive_tables(4):
+        lower = [0] * L.size
+        for _, b in L.covers():
+            lower[b] += 1
+        gens = frozenset(x for x in L.elements if lower[x] == 1)
+        M = validate(order=L.order, mult=L.mult_table, generators=gens,
+                     labels=L.labels, name=L.name)
+        assert M.generators == gens and len(gens) < M.size
+        for g in gens:
+            with pytest.raises(NotGenerated) as err:
+                validate(order=L.order, mult=L.mult_table, generators=gens - {g})
+            assert L.leq(g, err.value.witness)
+        rep = spectrum(M)
+        assert rep.primes == spectrum(L).primes, L.name
+        if check_axioms(M).monotone:
+            assert rep.primes_via_generators == rep.primes, L.name
+            monotone += 1
+    assert monotone > 200
 
 
 def test_jacobson_radical_both_conventions():
