@@ -42,13 +42,14 @@ def _load(spec: str):
 
 
 def _element(L, token: str) -> int:
+    """The element labelled ``token``, else the element whose index it
+    spells in ASCII digits."""
     if token in L.labels:
         return L.labels.index(token)
-    try:
-        idx = int(token)
-    except ValueError:
+    if not (token.isascii() and token.isdigit()):
         raise LatticeError(f"unknown element {token!r}")
-    if not 0 <= idx < L.size:
+    idx = int(token)
+    if idx >= L.size:
         raise LatticeError(f"element index {idx} out of range")
     return idx
 

@@ -107,10 +107,11 @@ def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
 
 @dataclass
 class ClosedSubspaceReport:
+    """Spec([l, top]) as parent elements, which is V(l), and whether ``l`` is
+    prime, which is whether the interval is a prime lattice (its bottom is
+    prime there); :func:`closed_subspace_spec` raises on either mismatch."""
     interval: IntervalLattice
     spec_in_parent: frozenset     # Spec([l, top]) pushed through the embedding
-    v_of_l: frozenset
-    prime_lattice: bool           # bottom of the interval is prime there
     l_is_prime: bool
 
 
@@ -126,13 +127,12 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
         raise TheoremViolation(
             f"Spec([{l}, top]) differs from V({l})",
             witness=tuple(sorted(spec_iv ^ vl)))
-    prime_lattice = classify_all(iv.lattice)[iv.lattice.bottom].prime
     l_prime = classify_all(L)[l].prime
-    if prime_lattice != l_prime:
+    if classify_all(iv.lattice)[iv.lattice.bottom].prime != l_prime:
         raise TheoremViolation(
             f"[l, top] prime-lattice status must match primality of l={l}",
             witness=l)
-    return ClosedSubspaceReport(iv, spec_iv, vl, prime_lattice, l_prime)
+    return ClosedSubspaceReport(iv, spec_iv, l_prime)
 
 
 # --------------------------------------------------------------------------
@@ -213,20 +213,20 @@ def _product_order(o1: OrderData, o2: OrderData) -> OrderData:
 
 @dataclass
 class ProductSpecReport:
+    """The two pieces of Spec(L1 x L2); :func:`product_spec_check` raises
+    unless they partition it and each is a clopen copy of a factor
+    spectrum."""
     product: ProductLattice
     left_part: frozenset       # primes of the form (p1, top)
     right_part: frozenset      # primes of the form (top, p2)
-    partition_ok: bool
-    clopen_ok: bool
-    homeomorphic_ok: bool
 
 
 def product_spec_check(L1: MultLattice, L2: MultLattice) -> ProductSpecReport:
     """The spectrum of a product is the disjoint union of two clopen pieces,
-    each homeomorphic to a factor spectrum; all three facts are verified on
-    masks of the product's elements.  A prime p of ``L1`` sits at bit
-    p * n2 + t2 of the product and a prime p of ``L2`` at bit t1 * n2 + p,
-    so a mask of ``L2`` moves into the product by a shift."""
+    each homeomorphic to a factor spectrum, verified on masks of the
+    product's elements.  A prime p of ``L1`` sits at bit p * n2 + t2 of the
+    product and a prime p of ``L2`` at bit t1 * n2 + p, so a mask of ``L2``
+    moves into the product by a shift."""
     P = product(L1, L2)
     M = P.lattice
     n2, t2, shift = L2.size, L2.top, L1.top * L2.size
@@ -239,41 +239,34 @@ def product_spec_check(L1: MultLattice, L2: MultLattice) -> ProductSpecReport:
     if prime != left | right or left & right:
         raise TheoremViolation("product spectrum is not the expected disjoint union",
                                witness=tuple(sorted(M.set_of(prime ^ (left | right)))))
-    # The closure of a point x of the spectrum is up(x) & Spec.  A piece is
-    # closed when it holds the closures of its points, and two closed pieces
-    # that partition the spectrum are clopen.
+    # The closure of a point x of the spectrum is up(x) & Spec.  It must be
+    # the factor's closure of the point, moved into the product.  That mask
+    # has bits of the point's own piece only, so the test also makes each
+    # piece closed, and two closed pieces that partition the spectrum are
+    # clopen.
     up, up1, up2 = M.up_masks, L1.up_masks, L2.up_masks
     lefts = [up[p * n2 + t2] & prime for p in s1.primes]
     rights = [up[shift + p] & prime for p in s2.primes]
-    if any(c & ~left for c in lefts) or any(c & ~right for c in rights):
-        raise TheoremViolation("product spectrum pieces are not clopen", witness=None)
-
-    # A closed piece holds the closure of each of its points, so that
-    # closure is the point's closure in the subspace: it must be the
-    # factor's closure of the point, moved into the product.
     if (lefts != [sum([b for q, b in bits if up1[p] & q]) for p in s1.primes]
             or rights != [(up2[p] & prime2) << shift for p in s2.primes]):
         raise TheoremViolation("product spectrum pieces are not homeomorphic "
                                "to the factor spectra", witness=None)
     return ProductSpecReport(P, frozenset([p * n2 + t2 for p in s1.primes]),
-                             frozenset([shift + p for p in s2.primes]),
-                             True, True, True)
+                             frozenset([shift + p for p in s2.primes]))
 
 
 @dataclass
 class DisjointnessReport:
+    """Whether V(n1) and V(n2) are disjoint and whether they cover the
+    spectrum; they partition it into clopen sets when both hold."""
     v1_v2_disjoint: bool
-    upper_interval_hyperabelian: bool
     cover: bool
-    product_below_radical: bool
-    clopen_partition: bool
 
 
 def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessReport:
     """V(n1) and V(n2) are disjoint iff [n1 v n2, top] is hyperabelian, and
-    they cover the spectrum iff n1*n2 is below the semiprime radical; the
-    clopen-partition criterion is the conjunction.  All three equivalences
-    are asserted."""
+    they cover the spectrum iff n1*n2 is below the semiprime radical.  Both
+    equivalences are asserted."""
     require(L, "constructions.disjointness", MDistributivityRequired)
     rep = spectrum(L)
     v1 = v_set(L, n1)
@@ -294,8 +287,7 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
             f"V({n1}) u V({n2}) = Spec is {cover}, but n1*n2 <= radical is {below}",
             witness=(n1, n2))
 
-    partition = disjoint and cover
-    return DisjointnessReport(disjoint, hyper, cover, below, partition)
+    return DisjointnessReport(disjoint, cover)
 
 
 # --------------------------------------------------------------------------
@@ -409,17 +401,18 @@ def _right_adjoint(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
 
 @dataclass
 class SpecMapReport:
+    """The spectrum map of a morphism, which :func:`spec_map` has checked
+    to be continuous."""
     morphism: LatticeMorphism
     adjoint: tuple
     point_map: dict            # prime of the target -> prime of the source
-    continuous: bool
 
 
 def spec_map(f: LatticeMorphism) -> SpecMapReport:
     """The spectrum map p -> u(p) against the Zariski topologies.
 
     Asserts that the adjoint sends primes to primes and that the preimage of
-    every closed set V(x) is V(f(x)).
+    every closed set V(x) is V(f(x)), so the map is continuous.
     """
     u = right_adjoint(f)
     src, tgt = f.source, f.target
@@ -444,7 +437,7 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
         if preimage != tgt.up_masks[fx] & prime_mask:
             raise TheoremViolation(
                 f"spectrum map preimage of V({x}) is not V(f({x}))", witness=x)
-    return SpecMapReport(f, u, point_map, True)
+    return SpecMapReport(f, u, point_map)
 
 
 # --------------------------------------------------------------------------
@@ -494,11 +487,11 @@ def lying_over(L: MultLattice, n: int, q: int) -> int:
 
 @dataclass
 class OpenSubspaceReport:
+    """The map D(n) -> Spec([bottom, n]), which :func:`open_subspace_homeo`
+    has checked to be a homeomorphism taking each D(l*n) to the matching
+    open set of the interval."""
     interval: IntervalLattice
     point_map: dict            # p in D(n) -> p ^ n, prime in [bottom, n]
-    bijective: bool
-    opens_identity_ok: bool    # the image of D(l*n) is D(l*n) in the interval
-    homeomorphism: bool
 
 
 def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
@@ -519,9 +512,7 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
             raise TheoremViolation(
                 f"p ^ n is not prime in [bottom, n] for p = {p}", witness=p)
         point_map[p] = img
-    bijective = (len(set(point_map.values())) == len(point_map)
-                 and frozenset(point_map.values()) == m_rep.primes)
-    if not bijective:
+    if sorted(point_map.values()) != sorted(m_rep.primes):
         raise TheoremViolation("p -> p ^ n is not a bijection onto the "
                                "interval spectrum", witness=None)
 
@@ -534,9 +525,8 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
                 witness=l)
 
     sub = rep.zariski.subspace(dn)
-    homeo = all(frozenset(map(point_map.get, c)) == m_rep.zariski.closures[point_map[p]]
-                for p, c in sub.closures.items())
-    if not homeo:
+    if not all(frozenset(map(point_map.get, c)) == m_rep.zariski.closures[point_map[p]]
+               for p, c in sub.closures.items()):
         raise TheoremViolation("subspace and interval topologies do not match",
                                witness=None)
-    return OpenSubspaceReport(iv, point_map, bijective, True, homeo)
+    return OpenSubspaceReport(iv, point_map)

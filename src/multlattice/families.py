@@ -179,11 +179,12 @@ def _ako_witness(L: MultLattice, fmask: int, a_sorted) -> tuple | None:
 
 @dataclass
 class PipReport:
+    """The maximal elements outside a qualifying family, each of which
+    :func:`pip_check` has checked to be prime."""
     family: frozenset
     qualifying_cases: tuple      # which of the four hypotheses F satisfies
     maximal_outside: tuple       # maximal elements of L \ F, sorted
     classifications: dict        # each maximal element -> its element flags
-    all_prime: bool
 
 
 def pip_check(L: MultLattice, F) -> PipReport:
@@ -219,7 +220,7 @@ def pip_check(L: MultLattice, F) -> PipReport:
                 f"maximal element {m} outside a {cases[0]} family is not prime",
                 witness=m)
     return PipReport(family, tuple(cases), tuple(maximal),
-                     {m: flags[m] for m in maximal}, True)
+                     {m: flags[m] for m in maximal})
 
 
 # --------------------------------------------------------------------------
@@ -228,10 +229,11 @@ def pip_check(L: MultLattice, F) -> PipReport:
 
 @dataclass
 class SigmaReport:
+    """The elements avoiding an m-system and their maximal elements.  On an
+    m-distributive lattice :func:`sigma_of_system` has checked that the
+    maximal ones are prime and that the complement is Ako."""
     sigma: frozenset             # elements with no member of S below them
     maximal_elements: frozenset
-    maximal_are_prime: bool | None   # None when m-distributivity is missing
-    complement_is_ako: bool | None
 
 
 def sigma_of_system(L: MultLattice, S) -> SigmaReport:
@@ -278,4 +280,4 @@ def sigma_of_mask(L: MultLattice, smask: int) -> SigmaReport:
     if bad is not None:
         raise TheoremViolation(f"maximal avoiding element {bad} is not prime",
                                witness=bad)
-    return SigmaReport(members, maximal, ako_ok, ako_ok)  # both legs passed, or neither ran
+    return SigmaReport(members, maximal)

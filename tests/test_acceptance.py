@@ -128,13 +128,17 @@ def test_criterion_4_zn12_golden_fixture():
                                for q in spectrum(oh.interval.lattice).primes)
     got_map = {L.labels[p]: oh.interval.lattice.labels[q]
                for p, q in oh.point_map.items()}
+    # the map takes each closure in D(2) onto the closure of its image
+    iv_closures = spectrum(oh.interval.lattice).zariski.closures
+    homeomorphism = all({oh.point_map[q] for q in c} == iv_closures[oh.point_map[p]]
+                        for p, c in rep.zariski.subspace(oh.point_map).closures.items())
     ok = (got_primes == expected["primes"]
           and got_radical == expected["semiprime_radical"]
           and got_residual == expected["residual_4_colon_2"]
           and got_d2 == expected["d_of_2"]
           and got_interval_spec == expected["spec_of_interval_below_2"]
           and got_map == expected["open_subspace_map"]
-          and oh.homeomorphism)
+          and homeomorphism)
     announce(4, ok, f"zn12 primes {got_primes}, radical {got_radical}, "
                     f"residual {got_residual}, homeomorphism {got_map}")
 

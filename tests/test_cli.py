@@ -258,6 +258,23 @@ def test_series_of_a_label_that_starts_with_a_dash(capsys, truncated_file):
     assert json.loads(out)["element"] == 0
 
 
+@pytest.mark.parametrize("token", ["\u0663", "1_0", "+1", " 1", "-0", "12"])
+def test_element_index_is_ascii_digits(capsys, token):
+    # int() reads an Arabic-Indic three, digits with an underscore, a sign
+    # or surrounding spaces; an index is ASCII digits only, and below size
+    code, out, err = run(capsys, "series", token, "gen:chain:12:meet")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: LatticeError: ") and err.count("\n") == 1
+
+
+def test_element_label_comes_before_index(capsys, truncated_file):
+    # the labels are -inf, -2, -1, 0: "0" names the top, "1" the index
+    for token, element in (("-1", 2), ("0", 3), ("1", 1)):
+        code, out, err = run(capsys, "series", token, truncated_file)
+        assert code == 0, err
+        assert json.loads(out)["element"] == element
+
+
 @pytest.mark.parametrize("family, members", [
     ("-inf", [0]),                 # a label that starts with a dash
     ("-inf,-1", [0, 2]),           # a comma list of such labels
@@ -277,14 +294,19 @@ def test_family_value_that_is_a_label_with_commas(capsys):
 
 
 def test_construct_product(capsys, z12_file):
+    # chain 2 has the prime 0 below its top 1; z12 has the primes (2) = 1
+    # and (3) = 2 below its top (1) = 0.  Pair (i, j) is element i * n2 + j.
     code, out, _ = run(capsys, "construct", f"product:{z12_file}", "gen:chain:2:meet")
     assert code == 0
-    assert json.loads(out)["partition_ok"]
+    payload = json.loads(out)
+    assert (payload["left_part"], payload["right_part"]) == ([0], [7, 8])
+    assert {"partition_ok", "clopen_ok", "homeomorphic_ok"}.isdisjoint(payload)
 
     # the factor may be a generator spec, colons included
     code, out, _ = run(capsys, "construct", "product:gen:chain:2:meet", "gen:zn:12")
     assert code == 0
-    assert json.loads(out)["partition_ok"]
+    payload = json.loads(out)
+    assert (payload["left_part"], payload["right_part"]) == ([3, 5], [0])
 
 
 # Generated lattices for the validate pin: non-m-distributive tables of 5

@@ -20,7 +20,8 @@ from multlattice.core import (BadParams, HypothesesFail, LatticeError,
                               _check_axioms, build_order, check_axioms,
                               replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
-from multlattice.spectrum import classify_all, hyperabelian_report, spectrum
+from multlattice.spectrum import (classify_all, hyperabelian_report, spectrum,
+                                  v_set)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
                                 corpus_random_tables, enumerate_tables,
                                 shape_lattice)
@@ -81,11 +82,14 @@ def test_closed_subspace_bottom_gives_whole_spectrum():
 def test_closed_subspace_prime_interval():
     L = mk_chain(3, min)
     rep = closed_subspace_spec(L, 1)      # a is prime
-    assert rep.prime_lattice and rep.l_is_prime
+    M = rep.interval.lattice
+    assert rep.l_is_prime and classify_all(M)[M.bottom].prime
+    assert rep.spec_in_parent == v_set(L, 1) == frozenset({1})
 
     zero = mk_chain(3, lambda x, y: 0)
     rep = closed_subspace_spec(zero, 1)   # a is not prime
-    assert not rep.prime_lattice and not rep.l_is_prime
+    M = rep.interval.lattice
+    assert not rep.l_is_prime and not classify_all(M)[M.bottom].prime
 
 
 def test_closed_subspace_zn12_golden():
@@ -422,14 +426,15 @@ def test_validate_order_excludes_other_order_arguments(extra):
 def test_disjointness_bottom_pair():
     L = mk_chain(3, min)
     rep = disjointness_criteria(L, L.bottom, L.bottom)
-    assert rep.cover and rep.product_below_radical
+    assert rep.cover and L.leq(L.mult(L.bottom, L.bottom), spectrum(L).semiprime_radical)
     assert not rep.v1_v2_disjoint
 
 
 def test_disjointness_with_top():
     L = mk_chain(3, min)
     rep = disjointness_criteria(L, L.top, 0)
-    assert rep.v1_v2_disjoint and rep.upper_interval_hyperabelian
+    assert rep.v1_v2_disjoint and rep.cover      # V(top) is empty, V(0) is Spec
+    assert hyperabelian_report(interval(L, L.top, L.top).lattice).hyperabelian
 
 
 def test_disjointness_on_product_coordinates():
@@ -438,7 +443,9 @@ def test_disjointness_on_product_coordinates():
     n1 = 1 * unit.size + 0   # (1, 0)
     n2 = 0 * unit.size + 1   # (0, 1)
     rep = disjointness_criteria(P.lattice, n1, n2)
-    assert rep.v1_v2_disjoint and rep.cover and rep.clopen_partition
+    # V(n1) and V(n2) are closed, so disjoint and covering they are clopen
+    assert rep.v1_v2_disjoint and rep.cover
+    assert v_set(P.lattice, n1) | v_set(P.lattice, n2) == spectrum(P.lattice).primes
 
 
 def test_morphism_validation_errors():
@@ -499,8 +506,12 @@ def test_projection_spec_maps_land_in_matching_parts():
     c3 = mk_chain(3, min)
     P = product(unit, c3)
     left, right = projection_morphisms(P)
-    for rep in (spec_map(left), spec_map(right)):
-        assert rep.continuous
+    for f in (left, right):
+        # continuous: the preimage of each V(x) is V(f(x))
+        rep = spec_map(f)
+        for x in f.source.elements:
+            assert {p for p, q in rep.point_map.items() if q in v_set(f.source, x)} \
+                == v_set(f.target, f(x))
     # the left projection's spectrum map sends p1 to (p1, top)
     lrep = spec_map(left)
     for p1 in spectrum(unit).primes:
@@ -569,7 +580,9 @@ def test_open_subspace_top_is_identity():
     assert rep.point_map == {p: iv_p for p, iv_p in
                              ((p, rep.interval.from_parent(p))
                               for p in spectrum(L).primes)}
-    assert rep.homeomorphism
+    # [bottom, top] is L itself, so the two topologies are the same
+    assert rep.interval.embedding == tuple(L.elements)
+    assert spectrum(rep.interval.lattice).zariski.closures == spectrum(L).zariski.closures
 
 
 def test_open_subspace_bottom_is_empty():
@@ -586,4 +599,4 @@ def test_open_subspace_zn12_golden():
     src = L.labels.index("(3)")
     assert set(rep.point_map) == {src}
     assert rep.interval.lattice.labels[rep.point_map[src]] == "(6)"
-    assert rep.bijective and rep.homeomorphism
+    assert list(rep.point_map.values()) == list(spectrum(rep.interval.lattice).primes)

@@ -107,7 +107,7 @@ def test_pip_on_two_chain():
     L = mk_chain(2, min)
     rep = pip_check(L, {L.top})
     assert rep.maximal_outside == (0,)
-    assert rep.all_prime
+    assert rep.classifications[0].prime
 
 
 def test_pip_rejects_unqualified_family():
@@ -132,7 +132,11 @@ def test_pip_exhaustive_families_never_leave_nonprime_maximal(small_exhaustive_c
             F = L.set_of(mask)
             rep = classify_family(L, F)
             if rep.left_oka or rep.right_oka or (rep.oka and ax.associative) or rep.ako:
-                assert pip_check(L, F).all_prime
+                outside = [x for x in L.elements if x not in F]
+                pip = pip_check(L, F)
+                assert pip.maximal_outside == tuple(
+                    x for x in outside if not any(x != y and L.leq(x, y) for y in outside))
+                assert all(pip.classifications[m].prime for m in pip.maximal_outside)
 
 
 def test_sigma_examples():
@@ -140,7 +144,9 @@ def test_sigma_examples():
     rep = sigma_of_system(L, {2})
     assert rep.sigma == frozenset({0, 1})
     assert rep.maximal_elements == frozenset({1})
-    assert rep.maximal_are_prime and rep.complement_is_ako
+    # the lattice is m-distributive, so both legs ran and passed
+    assert check_axioms(L).m_distributive and classify_all(L)[1].prime
+    assert classify_family(L, frozenset(L.elements) - rep.sigma).ako
 
     assert sigma_of_system(L, {0}).sigma == frozenset()
 

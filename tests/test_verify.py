@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import multlattice
+from multlattice import constructions as cons
 from multlattice import families, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
-from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms
+from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms, validate
 from multlattice.ingest import chain, powerset_lattice, to_json
 from multlattice.spectrum import FiniteTopology, d_set, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
@@ -394,3 +395,58 @@ def test_correspondence_fails_on_transposed_subbasis_closures(monkeypatch):
     assert failed and {r.check for r in failed} == {"systems.correspondence"}
     assert all(r.detail.startswith("TheoremViolation: a Vietoris point closure is "
                                    "not the sets above the point") for r in failed)
+
+
+# The report classes of the construction and family checks, by module.
+CHECK_REPORTS = {cons: ("ClosedSubspaceReport", "ProductSpecReport", "DisjointnessReport",
+                        "SpecMapReport", "OpenSubspaceReport"),
+                 families: ("PipReport", "SigmaReport")}
+
+
+def test_check_report_flags_take_both_values(monkeypatch, named_corpus):
+    """A checking function raises on what it refutes, so a flag it returns
+    must be able to read False.  Each bool field of the construction and
+    family reports takes both values over the named corpus and the
+    exhaustive tables of at most 4 elements."""
+    made = {}
+    for module, names in CHECK_REPORTS.items():
+        for name in names:
+            cls, reports = getattr(module, name), []
+            made[cls] = reports
+            monkeypatch.setattr(module, name,
+                                lambda *a, cls=cls, out=reports: out.append(cls(*a)) or out[-1])
+    rep = verify_all(list(named_corpus) + corpus_exhaustive_tables(4),
+                     suites=("constructions", "families"))
+    assert rep.failed == 0 and all(made.values())
+    flags = {(cls.__name__, f.name): {getattr(r, f.name) for r in reports}
+             for cls, reports in made.items()
+             for f in dataclasses.fields(cls) if "bool" in f.type}
+    assert flags == {("ClosedSubspaceReport", "l_is_prime"): {False, True},
+                     ("DisjointnessReport", "v1_v2_disjoint"): {False, True},
+                     ("DisjointnessReport", "cover"): {False, True}}
+
+
+def test_join_irreducible_generators_give_the_same_rows(named_corpus):
+    """Every corpus lattice is generated by all its elements.  The named
+    corpus and the monotone exhaustive tables, validated again with their
+    join-irreducibles (one lower cover each) as generators, give every
+    verify row the status and detail they give with all elements."""
+    lattices = list(named_corpus) + [L for L in corpus_exhaustive_tables(4)
+                                     if check_axioms(L).monotone]
+    proper = []
+    for L in lattices:
+        lower = [0] * L.size
+        for _, b in L.covers():
+            lower[b] += 1
+        gens = frozenset(x for x in L.elements if lower[x] == 1)
+        proper.append(validate(order=L.order, mult=L.mult_table, generators=gens,
+                               labels=L.labels, name=L.name))
+        assert len(gens) < L.size
+
+    def rows(corpus):
+        return [(r.lattice, r.check, r.passed, r.skipped, r.detail)
+                for r in verify_all(corpus).results]
+
+    full = rows(lattices)
+    assert len(lattices) == 251 and len(full) > 8000
+    assert rows(proper) == full
