@@ -18,8 +18,8 @@ from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
                    PropertyReport, TheoremViolation, axiom_report, check_axioms,
                    memo, require, validate)
-from .spectrum import (classify_all, d_set, hyperabelian_report, primes_of,
-                       spectrum, v_set)
+from .spectrum import (classify_all, hyperabelian_report, prime_mask, primes_of,
+                       spectrum)
 from .families import residual_left, residual_right
 
 
@@ -121,18 +121,18 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
     is prime) exactly when ``l`` is prime."""
     require(L, "constructions.closed_subspace", MDistributivityRequired)
     iv = interval(L, l, L.top)
-    spec_iv = frozenset(map(iv.to_parent, primes_of(iv.lattice)))
-    vl = v_set(L, l)
+    spec_iv = L.mask_of(map(iv.to_parent, primes_of(iv.lattice)))
+    vl = L.up_masks[l] & prime_mask(L)
     if spec_iv != vl:
         raise TheoremViolation(
             f"Spec([{l}, top]) differs from V({l})",
-            witness=tuple(sorted(spec_iv ^ vl)))
+            witness=tuple(sorted(L.set_of(spec_iv ^ vl))))
     l_prime = classify_all(L)[l].prime
     if classify_all(iv.lattice)[iv.lattice.bottom].prime != l_prime:
         raise TheoremViolation(
             f"[l, top] prime-lattice status must match primality of l={l}",
             witness=l)
-    return ClosedSubspaceReport(iv, spec_iv, l_prime)
+    return ClosedSubspaceReport(iv, L.set_of(spec_iv), l_prime)
 
 
 # --------------------------------------------------------------------------
@@ -269,10 +269,11 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     equivalences are asserted."""
     require(L, "constructions.disjointness", MDistributivityRequired)
     rep = spectrum(L)
-    v1 = v_set(L, n1)
-    v2 = v_set(L, n2)
+    spec = prime_mask(L)
+    v1 = L.up_masks[n1] & spec
+    v2 = L.up_masks[n2] & spec
 
-    disjoint = not (v1 & v2)
+    disjoint = not v1 & v2
     iv = interval(L, L.join_table[n1][n2], L.top)
     hyper = hyperabelian_report(iv.lattice).hyperabelian
     if disjoint != hyper:
@@ -280,7 +281,7 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
             f"V({n1}) ^ V({n2}) empty is {disjoint}, but the upper interval "
             f"hyperabelian is {hyper}", witness=(n1, n2))
 
-    cover = (v1 | v2) == rep.primes
+    cover = (v1 | v2) == spec
     below = L.relation[L.mult_table[n1][n2]][rep.semiprime_radical]
     if cover != below:
         raise TheoremViolation(
@@ -427,14 +428,14 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
         point_map[p] = q
     # The preimage of V(x) is the primes p with x <= u(p), and V(f(x)) is
     # the primes above f(x), both as masks of target primes.
-    prime_mask = tgt.mask_of(tgt_primes)
+    spec = prime_mask(tgt)
     bits = [(1 << p, q) for p, q in point_map.items()]
     for x, fx in enumerate(f.mapping):
         up, preimage = src.up_masks[x], 0
         for bit, q in bits:
             if up >> q & 1:
                 preimage |= bit
-        if preimage != tgt.up_masks[fx] & prime_mask:
+        if preimage != tgt.up_masks[fx] & spec:
             raise TheoremViolation(
                 f"spectrum map preimage of V({x}) is not V(f({x}))", witness=x)
     return SpecMapReport(f, u, point_map)
@@ -500,7 +501,8 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     together with the open-set identity for every l."""
     require(L, "constructions.open_subspace_homeo", HypothesesFail)
     rep = spectrum(L)
-    dn = d_set(L, n)
+    spec, up = prime_mask(L), L.up_masks
+    dn = L.set_of(spec & ~up[n])
     iv = interval(L, L.bottom, n)
     M = iv.lattice
     m_rep = spectrum(M)
@@ -516,10 +518,13 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
         raise TheoremViolation("p -> p ^ n is not a bijection onto the "
                                "interval spectrum", witness=None)
 
+    # D(l*n) within D(n): the points of D(n) not above l*n; images as masks
+    bits = [(1 << p, 1 << q) for p, q in point_map.items()]
+    m_spec = prime_mask(M)
     for l in L.elements:
         ln = L.mult_table[l][n]
-        image = frozenset(point_map[p] for p in d_set(L, ln) & dn)
-        if image != d_set(M, iv.from_parent(ln)):
+        image = sum([q for p, q in bits if not up[ln] & p])
+        if image != m_spec & ~M.up_masks[iv.from_parent(ln)]:
             raise TheoremViolation(
                 f"image of D({l}*{n}) is not the matching interval open",
                 witness=l)

@@ -129,34 +129,39 @@ class FamilyReport:
 
 def classify_family(L: MultLattice, F) -> FamilyReport:
     """Check the left-Oka, right-Oka, Oka and Ako implication schemas
-    exhaustively over (a in A, l in L), resp. (l in L, a, b in A), A = L.generators."""
+    exhaustively over (a in A, l in L), resp. (l in L, a, b in A), A = L.generators.
+    The family is a mask inside and a frozenset in the report."""
     family = frozenset(F)
-    fmask = L.mask_of(family)
-    if L.top not in family:
-        counterexamples = dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
-    else:
-        left_t, right_t = residual_tables(L)
-        jt = L.join_table
-        a_sorted = sorted(L.generators)
-        counterexamples = {}
-        for a in a_sorted:
-            for l in L.elements:
-                if fmask >> l & 1 or not fmask >> jt[a][l] & 1:
-                    continue
-                lres_in = fmask >> left_t[l][a] & 1
-                rres_in = fmask >> right_t[l][a] & 1
-                if lres_in and "left_oka" not in counterexamples:
-                    counterexamples["left_oka"] = (a, l)
-                if rres_in and "right_oka" not in counterexamples:
-                    counterexamples["right_oka"] = (a, l)
-                if lres_in and rres_in and "oka" not in counterexamples:
-                    counterexamples["oka"] = (a, l)
-        ako_witness = _ako_witness(L, fmask, a_sorted)
-        if ako_witness:
-            counterexamples["ako"] = ako_witness
+    counterexamples = _counterexamples(L, L.mask_of(family))
     return FamilyReport(family, L.generators, "left_oka" not in counterexamples,
                         "right_oka" not in counterexamples, "oka" not in counterexamples,
                         "ako" not in counterexamples, counterexamples)
+
+
+def _counterexamples(L: MultLattice, fmask: int) -> dict:
+    """The first counterexample to each closure schema that the family
+    ``fmask`` fails, keyed by the flag it refutes."""
+    if not fmask >> L.top & 1:
+        return dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
+    left_t, right_t = residual_tables(L)
+    jt = L.join_table
+    a_sorted = sorted(L.generators)
+    counterexamples = {}
+    for a in a_sorted:
+        for l in L.elements:
+            if fmask >> l & 1 or not fmask >> jt[a][l] & 1:
+                continue
+            lres_in = fmask >> left_t[l][a] & 1
+            rres_in = fmask >> right_t[l][a] & 1
+            if lres_in and "left_oka" not in counterexamples:
+                counterexamples["left_oka"] = (a, l)
+            if rres_in and "right_oka" not in counterexamples:
+                counterexamples["right_oka"] = (a, l)
+            if lres_in and rres_in and "oka" not in counterexamples:
+                counterexamples["oka"] = (a, l)
+    if ako := _ako_witness(L, fmask, a_sorted):
+        counterexamples["ako"] = ako
+    return counterexamples
 
 
 def _ako_witness(L: MultLattice, fmask: int, a_sorted) -> tuple | None:
@@ -193,34 +198,45 @@ def pip_check(L: MultLattice, F) -> PipReport:
     The hypotheses are checked first: the lattice must be monotone (it is
     generated by ``L.generators``, which :func:`core.validate` checked), and
     F must be left Oka, right Oka, Oka together with associativity, or Ako.
-    :class:`HypothesesFail` names whichever fails.
+    :class:`HypothesesFail` names whichever fails.  The family is a mask
+    inside, as in :func:`pip_exhaustive`, and a frozenset in the report.
     """
     family = frozenset(F)
     ax = require(L, "families.pip_exhaustive", HypothesesFail)
-    rep = classify_family(L, family)
-    cases = []
-    if rep.left_oka:
-        cases.append("left_oka")
-    if rep.right_oka:
-        cases.append("right_oka")
-    if rep.oka and ax.associative:
-        cases.append("oka_associative")
-    if rep.ako:
-        cases.append("ako")
+    counterexamples, cases, maximal = _pip(L, L.mask_of(family), ax.associative)
     if not cases:
         raise HypothesesFail(
             "family satisfies none of the four closure conditions",
-            witness=rep.counterexamples)
+            witness=counterexamples)
+    flags = classify_all(L)
+    return PipReport(family, tuple(cases), tuple(maximal),
+                     {m: flags[m] for m in maximal})
 
-    maximal = L.maximal_in(L.full_mask & ~L.mask_of(family))
+
+def pip_exhaustive(L: MultLattice) -> None:
+    """:func:`pip_check` on every family of ``L``, each a mask; a family that
+    meets none of the four closure conditions is passed over, unreported."""
+    associative = require(L, "families.pip_exhaustive", HypothesesFail).associative
+    for fmask in range(1 << L.size):
+        _pip(L, fmask, associative)
+
+
+def _pip(L: MultLattice, fmask: int, associative: bool) -> tuple:
+    """The counterexamples of the family ``fmask``, the hypotheses it meets
+    in :class:`PipReport`'s order, and, when it meets one, the maximal
+    elements outside it, each checked to be prime."""
+    counterexamples = _counterexamples(L, fmask)
+    cases = [case for case, flag in (("left_oka", "left_oka"), ("right_oka", "right_oka"),
+                                     ("oka_associative", "oka"), ("ako", "ako"))
+             if flag not in counterexamples and (associative or flag != "oka")]
+    maximal = L.maximal_in(L.full_mask & ~fmask) if cases else []
     flags = classify_all(L)
     for m in maximal:
         if not flags[m].prime:
             raise TheoremViolation(
                 f"maximal element {m} outside a {cases[0]} family is not prime",
                 witness=m)
-    return PipReport(family, tuple(cases), tuple(maximal),
-                     {m: flags[m] for m in maximal})
+    return counterexamples, cases, maximal
 
 
 # --------------------------------------------------------------------------

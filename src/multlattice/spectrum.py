@@ -136,17 +136,26 @@ def _order_flags(order: OrderData) -> tuple:
 
 def primes_of(L: MultLattice) -> frozenset:
     """The prime elements of ``L``, cached on the lattice."""
-    return memo(L, "primes", lambda: frozenset(
-        x for x, flags in enumerate(classify_all(L)) if flags.prime))
+    return memo(L, "primes", lambda: L.set_of(prime_mask(L)))
+
+
+def prime_mask(L: MultLattice) -> int:
+    """Spec(L) as a mask, cached on the lattice.  Inside the package V(x) is
+    ``L.up_masks[x] & prime_mask(L)`` and D(x) is its complement in it."""
+    return memo(L, "prime_mask", lambda: sum(
+        1 << x for x, flags in enumerate(classify_all(L)) if flags.prime))
 
 
 def v_set(L: MultLattice, x: int) -> frozenset:
-    """V(x): the primes above x; the closed sets of the Zariski topology."""
-    return frozenset(p for p in primes_of(L) if L.relation[x][p])
+    """V(x): the primes above x; the closed sets of the Zariski topology.
+    A mask inside the package (:func:`prime_mask`), a frozenset here."""
+    return L.set_of(L.up_masks[x] & prime_mask(L))
 
 
 def d_set(L: MultLattice, x: int) -> frozenset:
-    return primes_of(L) - v_set(L, x)
+    """D(x): the primes not above x, the open complement of V(x).  A mask
+    inside the package (:func:`prime_mask`), a frozenset here."""
+    return L.set_of(prime_mask(L) & ~L.up_masks[x])
 
 
 # --------------------------------------------------------------------------
@@ -200,17 +209,16 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     # V(p) = up(p) ^ Spec is the closure of p.  The distinct V(x) must be the
     # up-sets of the prime order, so each V(x) | V(p) is some V(y); that fails
     # when V(xy) != V(x) | V(y), as it does with a non-prime in Spec.
-    prime_mask = L.mask_of(primes)
-    v_masks = {up & prime_mask for up in L.up_masks}
+    spec = prime_mask(L)
+    v_masks = {up & spec for up in L.up_masks}
     for p in sorted(primes):
-        vp = L.up_masks[p] & prime_mask
+        vp = L.up_masks[p] & spec
         for v in sorted(v_masks):
             if v | vp not in v_masks:
                 raise TheoremViolation(
                     "the sets V(x) are not the up-sets of the prime order",
                     witness=(tuple(sorted(L.set_of(v))), p))
-    zariski = FiniteTopology(primes, {p: L.set_of(L.up_masks[p] & prime_mask)
-                                      for p in primes})
+    zariski = FiniteTopology(primes, {p: L.set_of(L.up_masks[p] & spec) for p in primes})
 
     radical = L.glb(primes)
     max_primes = [x for x in L.elements if flags[x].maximal and flags[x].prime]
@@ -244,8 +252,7 @@ def _nonprime_pair(L: MultLattice, p: int) -> tuple:
 @dataclass
 class MaximalPrimeReport:
     element: int
-    top_square_below: bool     # whether mult(top, top) <= m
-    prime: bool
+    top_square_below: bool     # whether mult(top, top) <= m, so m is not prime
     witness: tuple | None      # (x v m, y v m) from the non-primality proof
     raw_pair: tuple | None     # the underlying (x, y) with xy <= m
 
@@ -273,7 +280,7 @@ def maximal_prime_criterion(L: MultLattice, m: int) -> MaximalPrimeReport:
         if witness != (L.top, L.top):
             raise TheoremViolation(
                 "joins with a maximal element did not reach top", witness=witness)
-    return MaximalPrimeReport(m, below, flags.prime, witness, raw)
+    return MaximalPrimeReport(m, below, witness, raw)
 
 
 def non_prime_symmetric_witness(L: MultLattice, p: int) -> tuple:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
                    MultLattice, NotAnMSystem, TheoremViolation, compact_elements,
                    memo, require)
-from .spectrum import FiniteTopology, classify_all, d_set, primes_of, spectrum
+from .spectrum import FiniteTopology, classify_all, prime_mask, primes_of, spectrum
 
 
 @dataclass(frozen=True)
@@ -210,16 +210,19 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
 
 
 def _inverse_topology(L: MultLattice) -> FiniteTopology:
-    primes = spectrum(L).primes
-    d_sets = [d_set(L, c) for c in sorted(compact_elements(L))]
+    primes, spec = spectrum(L).primes, prime_mask(L)
+    d_masks = [spec & ~L.up_masks[c] for c in sorted(compact_elements(L))]
     closures = {}
     for p in sorted(primes):
-        cl = primes.intersection(*(d for d in d_sets if p in d))
-        if cl != primes & L.set_of(L.down_masks[p]):
+        cl = spec
+        for d in d_masks:
+            if d >> p & 1:
+                cl &= d
+        if cl != spec & L.down_masks[p]:
             raise TheoremViolation(
                 "inverse closure of a prime differs from the primes below it",
                 witness=p)
-        closures[p] = cl
+        closures[p] = L.set_of(cl)
     return FiniteTopology(primes, closures)
 
 

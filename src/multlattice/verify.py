@@ -19,16 +19,16 @@ from json.encoder import encode_basestring_ascii
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, HypothesesFail, LatticeError,
-                   MultLattice, TheoremViolation, check_axioms, compact_elements,
-                   gap, replace_mult, subset_pair_witness, validate)
+from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
+                   TheoremViolation, check_axioms, compact_elements, gap,
+                   replace_mult, subset_pair_witness, validate)
 from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
                      poset_space, powerset_lattice, random_lattice,
                      random_mult_table, zn_ideals)
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
                        maximal_prime_criterion, non_prime_symmetric_witness,
-                       primes_of, spectrum, v_set)
+                       prime_mask, primes_of, spectrum)
 
 
 @dataclass
@@ -104,8 +104,9 @@ def suite_spectrum(L: MultLattice) -> list:
     def v_identities():
         # V(lub X) = the intersection of the V(x) follows by induction from
         # V(bottom) = Spec and the pairwise law, since lub folds the join table.
-        v = [v_set(L, x) for x in L.elements]
-        if v[L.bottom] != primes_of(L):
+        spec = prime_mask(L)
+        v = [up & spec for up in L.up_masks]
+        if v[L.bottom] != spec:
             raise TheoremViolation("V(bottom) != Spec", witness=L.bottom)
         for x in L.elements:
             for y in L.elements:
@@ -266,13 +267,6 @@ def suite_families(L: MultLattice) -> list:
                         raise TheoremViolation("right residual misses a qualifying element",
                                                witness=(a, b, x))
 
-    def pip_all():
-        for mask in range(1 << L.size):
-            try:
-                fam.pip_check(L, L.set_of(mask))
-            except HypothesesFail:
-                pass    # the family meets none of the four closure conditions
-
     def prop_max():
         for s in sys_mod.m_system_masks(L):
             fam.sigma_of_mask(L, s)
@@ -303,7 +297,7 @@ def suite_families(L: MultLattice) -> list:
                lambda: [fam.annihilators(L, x) for x in L.elements]),
         # a missing hypothesis is the reason given before the cap
         _skip(L, pip, "size above cap") if L.size > POWERSET_LIMIT and not gap(L, pip)
-        else _guard(L, pip, pip_all),
+        else _guard(L, pip, lambda: fam.pip_exhaustive(L)),
         _guard(L, "families.sigma_maximal_prime", prop_max),
         _guard(L, "families.generator_symmetric_witness", generator_witness_reading),
     ]

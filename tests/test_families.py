@@ -1,12 +1,17 @@
+import dataclasses
+
 import pytest
 
-from multlattice.core import HypothesesFail, check_axioms, validate
-from multlattice.families import (annihilators, classify_family, pip_check,
-                                  residual_left, residual_right,
-                                  sigma_of_system)
+from multlattice import families
+from multlattice.core import (POWERSET_LIMIT, HypothesesFail, TheoremViolation,
+                              check_axioms, validate)
+from multlattice.families import (PipReport, annihilators, classify_family,
+                                  pip_check, pip_exhaustive, residual_left,
+                                  residual_right, sigma_of_system)
 from multlattice.ingest import zn_ideals
-from multlattice.spectrum import classify_all
+from multlattice.spectrum import classify_all, d_set, primes_of, v_set
 from multlattice.systems import all_m_systems, complement_system
+from multlattice.verify import corpus_exhaustive_tables, verify_all
 
 from conftest import mk_chain
 
@@ -235,3 +240,76 @@ def test_literal_generator_reading_fails_somewhere():
                    and L.leq(L.mult(a, b), p) and L.leq(L.mult(b, a), p)
                    for a in gens for b in gens)
     assert workable
+
+
+def test_mask_route_matches_the_set_route(monkeypatch, named_corpus):
+    """Families, V(x) and D(x) are masks inside the package and frozensets
+    at its edge.  On the named corpus and the exhaustive tables of at most 4
+    elements, ``pip_exhaustive`` finds each family's counterexamples as
+    ``classify_family`` does, qualifies the families that ``pip_check``
+    qualifies, for the same cases and with the same maximal elements, and
+    skips those that ``pip_check`` refuses.  V(x) is the primes above x and
+    D(x) the other primes."""
+    assert not [f.name for f in dataclasses.fields(PipReport) if "bool" in f.type]
+    row = {}
+    real = families._pip
+
+    def recorded(L, fmask, associative):
+        row[fmask] = real(L, fmask, associative)
+        return row[fmask]
+
+    monkeypatch.setattr(families, "_pip", recorded)
+    runs = 0
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        primes = primes_of(L)
+        for x in L.elements:
+            above = frozenset(p for p in primes if L.leq(x, p))
+            assert v_set(L, x) == above and d_set(L, x) == primes - above
+        ax = check_axioms(L)
+        if not ax.monotone or L.size > POWERSET_LIMIT:
+            continue
+        row.clear()
+        pip_exhaustive(L)
+        scanned = dict(row)
+        assert list(scanned) == list(range(1 << L.size))
+        for fmask, (counterexamples, cases, maximal) in scanned.items():
+            F = L.set_of(fmask)
+            rep = classify_family(L, F)
+            assert counterexamples == rep.counterexamples
+            expected = [case for case, ok in (("left_oka", rep.left_oka),
+                                              ("right_oka", rep.right_oka),
+                                              ("oka_associative", rep.oka and ax.associative),
+                                              ("ako", rep.ako)) if ok]
+            assert cases == expected
+            try:
+                pip = pip_check(L, F)
+            except HypothesesFail as exc:
+                assert not cases and maximal == [] and exc.witness == counterexamples
+                continue
+            outside = [y for y in L.elements if y not in F]
+            assert pip.qualifying_cases == tuple(cases)
+            assert pip.maximal_outside == tuple(maximal) == tuple(
+                y for y in outside if not any(y != z and L.leq(y, z) for z in outside))
+        runs += 1
+    assert runs > 200
+
+
+def test_planted_nonprime_maximal_fails_the_pip_row(monkeypatch):
+    # Calling the coatom of the 3-chain non-prime: the family {top} is left
+    # Oka, and the coatom is its maximal outsider.  The row reports what
+    # pip_check on every family, as sets, raises.
+    L = mk_chain(3, min)
+    planted = tuple(dataclasses.replace(f, prime=False) if x == 1 else f
+                    for x, f in enumerate(classify_all(L)))
+    monkeypatch.setattr(families, "classify_all", lambda M: planted)
+    rows = {r.check: r.detail for r in verify_all(L, ("families",)).results}
+    detail = ("TheoremViolation: maximal element 1 outside a left_oka family "
+              "is not prime (witness 1)")
+    assert rows["families.pip_exhaustive"] == detail
+    with pytest.raises(TheoremViolation) as exc:
+        for mask in range(1 << L.size):
+            try:
+                pip_check(L, L.set_of(mask))
+            except HypothesesFail:
+                pass
+    assert f"TheoremViolation: {exc.value} (witness {exc.value.witness})" == detail

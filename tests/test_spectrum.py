@@ -175,11 +175,12 @@ def test_jacobson_radical_both_conventions():
 def test_maximal_prime_criterion_two_chains():
     unit = mk_chain(2, min)       # 1*1 = 1
     rep = maximal_prime_criterion(unit, 0)
-    assert rep.prime and not rep.top_square_below and rep.witness is None
+    assert not rep.top_square_below and rep.witness is None
+    assert classify_all(unit)[0].prime
 
     zero = mk_chain(2, lambda x, y: 0)
     rep = maximal_prime_criterion(zero, 0)
-    assert not rep.prime and rep.top_square_below
+    assert rep.top_square_below and not classify_all(zero)[0].prime
     assert rep.witness == (zero.top, zero.top)
 
 
@@ -187,7 +188,7 @@ def test_maximal_prime_criterion_z4():
     L = zn_ideals(4)              # chain (4) < (2) < (1)
     m = L.labels.index("(2)")
     rep = maximal_prime_criterion(L, m)
-    assert rep.prime and not rep.top_square_below
+    assert not rep.top_square_below and classify_all(L)[m].prime
 
 
 def test_maximal_prime_criterion_guards():

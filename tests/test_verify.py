@@ -200,12 +200,15 @@ def test_sober_row_fails_when_a_non_prime_enters_the_spectrum(monkeypatch):
 
 
 def test_inverse_row_fails_when_one_basic_open_is_wrong(monkeypatch):
-    # D(top) of the 3-chain is both primes; without prime 0 the inverse
-    # closure of prime 1 loses the prime below it.
-    real = sys_mod.d_set
-    monkeypatch.setattr(sys_mod, "d_set", lambda M, c: (
-        real(M, c) - {0} if c == M.top else real(M, c)))
-    failures = _failures(chain(3, "meet"), "systems")
+    # D(top) of the 3-chain is both primes, the primes outside up(top).  With
+    # prime 0 put into up(top) once Spec is known, D(top) loses it, and the
+    # inverse closure of prime 1 loses the prime below it.
+    L = chain(3, "meet")
+    spectrum_module.spectrum(L)
+    up = list(L.up_masks)
+    up[L.top] |= 1 << 0
+    monkeypatch.setattr(L, "up_masks", up)
+    failures = _failures(L, "systems")
     assert failures["systems.inverse_topology_dual_construction"] == (
         "TheoremViolation: inverse closure of a prime differs from the primes "
         "below it (witness 1)")
@@ -265,14 +268,20 @@ def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
 
 
 def test_pip_classifies_each_family_once(monkeypatch):
-    # pip_check alone decides whether a family qualifies, so the families
-    # suite classifies each of the 2^n families exactly once.
+    # The families suite runs the scan that classify_family and pip_check
+    # share once on each of the 2^n family masks, and builds no report.
     calls = []
-    classify = families.classify_family
-    monkeypatch.setattr(families, "classify_family",
-                        lambda *args: calls.append(args) or classify(*args))
+    scan = families._counterexamples
+    monkeypatch.setattr(families, "_counterexamples",
+                        lambda L, fmask: calls.append(fmask) or scan(L, fmask))
+
+    def refused(*args):
+        raise AssertionError("the families suite built a report")
+
+    for name in ("classify_family", "pip_check", "FamilyReport", "PipReport"):
+        monkeypatch.setattr(families, name, refused)
     assert verify_all(chain(6, "meet"), ("families",)).failed == 0
-    assert len(calls) == 2 ** 6
+    assert calls == list(range(2 ** 6))
 
 
 def test_mask_route_failures_match_the_pair_scan(monkeypatch):
@@ -400,14 +409,16 @@ def test_correspondence_fails_on_transposed_subbasis_closures(monkeypatch):
 # The report classes of the construction and family checks, by module.
 CHECK_REPORTS = {cons: ("ClosedSubspaceReport", "ProductSpecReport", "DisjointnessReport",
                         "SpecMapReport", "OpenSubspaceReport"),
-                 families: ("PipReport", "SigmaReport")}
+                 families: ("SigmaReport",)}
 
 
 def test_check_report_flags_take_both_values(monkeypatch, named_corpus):
     """A checking function raises on what it refutes, so a flag it returns
     must be able to read False.  Each bool field of the construction and
     family reports takes both values over the named corpus and the
-    exhaustive tables of at most 4 elements."""
+    exhaustive tables of at most 4 elements.  ``PipReport``, which has no
+    bool field and which the families suite no longer builds, is covered in
+    ``test_families``."""
     made = {}
     for module, names in CHECK_REPORTS.items():
         for name in names:
