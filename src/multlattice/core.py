@@ -384,7 +384,8 @@ def validate(*, size: int | None = None,
     size = order.size
 
     table = _bounded_table(order, mult)
-    gens = frozenset(range(size)) if generators is None else frozenset(generators)
+    gens = (memo(order, "all_elements", lambda: frozenset(range(size)))
+            if generators is None else frozenset(generators))
     if gens and (min(gens) < 0 or max(gens) >= size):
         raise BadParams("generators out of range")
     # Every element is the join of the generators below it; that needs a

@@ -144,12 +144,11 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
     if not fmask >> L.top & 1:
         return dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
     left_t, right_t = residual_tables(L)
-    jt = L.join_table
-    a_sorted = sorted(L.generators)
+    a_sorted = memo(L, "sorted_generators", lambda: sorted(L.generators))
     counterexamples = {}
     for a in a_sorted:
-        for l in L.elements:
-            if fmask >> l & 1 or not fmask >> jt[a][l] & 1:
+        for l, al in enumerate(L.join_table[a]):
+            if fmask >> l & 1 or not fmask >> al & 1:
                 continue
             lres_in = fmask >> left_t[l][a] & 1
             rres_in = fmask >> right_t[l][a] & 1
@@ -167,9 +166,8 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
 def _ako_witness(L: MultLattice, fmask: int, a_sorted) -> tuple | None:
     """The first (l, a, b), a and b from ``a_sorted``, with l v a and l v b
     in the family ``fmask`` and l v a*b outside it; None when it is Ako."""
-    jt, mt = L.join_table, L.mult_table
-    for l in L.elements:
-        row = jt[l]
+    mt = L.mult_table
+    for l, row in enumerate(L.join_table):
         for a in a_sorted:
             if fmask >> row[a] & 1:
                 for b in a_sorted:

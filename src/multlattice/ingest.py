@@ -20,6 +20,7 @@ refuses a name or label that is empty, holds whitespace or starts with '#'.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass, fields, is_dataclass
@@ -292,8 +293,12 @@ def _jsonable(value):
         return json_payload(value)
     if is_dataclass(value) and not isinstance(value, type):
         return {"kind": type(value).__name__,
-                **{k: _jsonable(v) for k, v in vars(value).items()}}
+                **{k: _jsonable(getattr(value, k)) for k in _field_names(type(value))}}
     return value
+
+
+# A dataclass's field names; read through fields() since rows are slotted.
+_field_names = functools.cache(lambda cls: tuple(f.name for f in fields(cls)))
 
 
 def _key(k):

@@ -5,6 +5,7 @@ import itertools
 import json
 import pkgutil
 import sys
+import tracemalloc
 
 import pytest
 
@@ -365,9 +366,49 @@ def test_report_writer_matches_the_generic_encoder():
         CheckResult(f"L{odd}{i}", f"check.{odd}", passed, skipped, f"detail {odd}")
         for i, (passed, skipped) in enumerate(itertools.product((True, False), repeat=2))),
         4, 2, 2)
-    for report in (verify_all(corpus_named()), hand, VerifyReport((), 0, 0, 0)):
+    # The writer shares a row's pieces: one (check, detail) head across
+    # lattices, and two details of one check on one lattice kept apart.
+    shared = VerifyReport(tuple(
+        CheckResult(lattice, "spectrum.v_identities", True, skipped, detail)
+        for lattice in ("a", "b", odd)
+        for skipped, detail in ((True, "needs m-distributive"), (False, ""),
+                                (True, f"needs {odd}"))), 9, 0, 6)
+    one = VerifyReport((CheckResult("L", "axioms.bounds", False, False, odd),), 1, 1, 0)
+    for report in (verify_all(corpus_named()), hand, shared, one,
+                   VerifyReport((), 0, 0, 0)):
         assert report_to_json(report) == to_json(report)
     assert "\\ud835\\udc00" in report_to_json(hand)
+
+
+def test_check_rows_are_slotted_and_serialize_as_before():
+    row = CheckResult("chain3", "spectrum.v_identities", True, True, "needs m-distributive")
+    assert not hasattr(row, "__dict__")
+    assert to_json(row) == (
+        '{\n  "check": "spectrum.v_identities",\n  "detail": "needs m-distributive",\n'
+        '  "kind": "CheckResult",\n  "lattice": "chain3",\n  "passed": true,\n'
+        '  "schema_version": 1,\n  "skipped": true\n}\n')
+    failed = dataclasses.replace(row, passed=False, skipped=False, detail="boom")
+    assert failed == CheckResult("chain3", "spectrum.v_identities", False, False, "boom")
+    assert row.passed and row.skipped and row.detail == "needs m-distributive"
+
+
+def test_report_writer_peak_memory_is_near_its_output():
+    # The report text is one join of shared pieces, so writing it holds little
+    # beyond the text itself; a string per row and a second copy for the
+    # frame put the peak at two to three times the output's length.
+    rows = tuple(CheckResult(f"L{i:04d}", f"suite.check{j:02d}", j % 7 != 3, j % 3 == 0,
+                             f"needs hypothesis {j % 5}" if j % 3 == 0 else "")
+                 for i in range(600) for j in range(34))
+    report = VerifyReport(rows, len(rows), sum(not r.passed for r in rows),
+                          sum(r.skipped for r in rows))
+    tracemalloc.start()
+    try:
+        text = report_to_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20_400
+    assert peak < 1.5 * len(text)
 
 
 def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
