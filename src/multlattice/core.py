@@ -250,8 +250,9 @@ class OrderData:
     One object is shared by every lattice on the same order, so it has
     identity equality and can key caches.  ``_cache`` holds, through
     :func:`memo`, what is computed from the order alone: the masks and
-    covers here, the interval and product orders, the maximal and
-    meet-irreducible flags and the order laws of morphisms elsewhere.
+    covers here and, elsewhere, the full generating set, the interval and
+    product orders, the maximal and meet-irreducible flags and the order
+    laws of morphisms.
     """
     size: int
     relation: tuple
@@ -367,9 +368,10 @@ def validate(*, size: int | None = None,
     the partial-order check and the join/meet search; the new lattice shares
     that object and what is cached on it.  The multiplication bound,
     generators and labels are checked in every case.  The generators default
-    to every element; each element must be the join of the generators below
-    it, which is tested element by element only when the generating set is
-    a proper subset (an element that is a generator is such a join).
+    to every element, one frozenset kept on the order; each element must be
+    the join of the generators below it, which is tested element by element
+    only when the generating set is a proper subset (an element that is a
+    generator is such a join).
     ``mult`` is a full ``size x size`` table of indices or a callable
     ``(x, y) -> index``.
 
