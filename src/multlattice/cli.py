@@ -68,10 +68,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(args, obj, dot=None):
+    """Print ``obj`` in the chosen format; ``dot()`` builds the DOT form."""
     if args.format == "dot":
         if dot is None:
             raise LatticeError("no DOT form for this output")
-        print(dot, end="")
+        print(dot(), end="")
     elif args.format == "text":
         print(obj if isinstance(obj, str) else to_json(obj), end="")
     else:
@@ -176,9 +177,9 @@ def _run(args) -> int:
         payload = {"name": L.name, "size": L.size, "valid": True,
                    "bottom": L.labels[L.bottom], "top": L.labels[L.top],
                    "axioms": ax}
-        _emit(args, payload, dot=export_dot(L))
+        _emit(args, payload, dot=lambda: export_dot(L))
     elif cmd == "spec":
-        _emit(args, spectrum(L), dot=export_dot_spectrum(L))
+        _emit(args, spectrum(L), dot=lambda: export_dot_spectrum(L))
     elif cmd == "series":
         _emit(args, series_op(L, _element(L, args.element)))
     elif cmd == "systems":
@@ -211,7 +212,7 @@ def _run(args) -> int:
             raise BadParams(f"{kind} takes {arity} argument(s)")
         if kind == "interval":
             iv = cons.interval(L, _element(L, parts[1]), _element(L, parts[2]))
-            _emit(args, iv.lattice, dot=export_dot(iv.lattice))
+            _emit(args, iv.lattice, dot=lambda: export_dot(iv.lattice))
         elif kind == "product":
             other = _load(parts[1])
             _emit(args, cons.product_spec_check(L, other))
@@ -230,7 +231,7 @@ def _run(args) -> int:
             else:
                 _emit(args, cons.open_subspace_homeo(L, n))
     elif cmd == "export":
-        _emit(args, export_text(L) if args.format == "text" else L, dot=export_dot(L))
+        _emit(args, export_text(L) if args.format == "text" else L, dot=lambda: export_dot(L))
     return 0
 
 

@@ -183,11 +183,11 @@ def _ako_witness(L: MultLattice, fmask: int, a_sorted) -> tuple | None:
 @dataclass
 class PipReport:
     """The maximal elements outside a qualifying family, each of which
-    :func:`pip_check` has checked to be prime."""
+    :func:`pip_check` has checked to be prime; their flags are
+    :func:`spectrum.classify_all`'s."""
     family: frozenset
     qualifying_cases: tuple      # which of the four hypotheses F satisfies
     maximal_outside: tuple       # maximal elements of L \ F, sorted
-    classifications: dict        # each maximal element -> its element flags
 
 
 def pip_check(L: MultLattice, F) -> PipReport:
@@ -206,9 +206,7 @@ def pip_check(L: MultLattice, F) -> PipReport:
         raise HypothesesFail(
             "family satisfies none of the four closure conditions",
             witness=counterexamples)
-    flags = classify_all(L)
-    return PipReport(family, tuple(cases), tuple(maximal),
-                     {m: flags[m] for m in maximal})
+    return PipReport(family, tuple(cases), tuple(maximal))
 
 
 def pip_exhaustive(L: MultLattice) -> None:

@@ -501,27 +501,18 @@ def random_mult_table(L: MultLattice, rng: random.Random):
     return [[rng.choice(cell) for cell in row] for row in cell_choices(L)]
 
 
-@dataclass
-class RandomLatticeResult:
-    lattice: MultLattice
-    seed: int
-    order_attempts: int
-    table_attempts: int
-
-
 # Rejection-sampling attempts allowed for the order and for the table.
 RANDOM_TRIES = 20000
 
 
 def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
-                   name: str | None = None) -> RandomLatticeResult:
+                   name: str | None = None) -> MultLattice:
     """A random lattice of the given size with a random bounded table,
     rejection-sampled until the requested axiom flags match, with at most
     ``RANDOM_TRIES`` attempts at each.
 
     ``axioms`` maps property-report flag names to required booleans, e.g.
-    ``{"m_distributive": True}``.  Same seed, same result; the attempt counts
-    are reported for reproducibility.
+    ``{"m_distributive": True}``.  Same seed, same lattice.
     """
     if size < 1:
         raise BadParams("size must be positive")
@@ -551,7 +542,7 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
         L = replace_mult(base, random_mult_table(base, rng))
         report = check_axioms(L)
         if all(getattr(report, flag) == want for flag, want in axioms.items()):
-            return RandomLatticeResult(L, seed, order_attempts, table_attempts)
+            return L
 
 
 def int_param(text: str) -> int:
@@ -584,5 +575,5 @@ def generate(kind: str, *args) -> MultLattice:
                 seed = int_param(a[5:])
             else:
                 axioms[a] = True
-        return random_lattice(size, axioms, seed).lattice
+        return random_lattice(size, axioms, seed)
     raise BadParams(f"unknown generator {kind!r}")

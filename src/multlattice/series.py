@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MultLattice, TheoremViolation,
                    check_axioms, require)
-from .spectrum import hyperabelian_report
+from .spectrum import HyperabelianReport, hyperabelian_report
 
 
 @dataclass
@@ -73,24 +73,16 @@ def series(L: MultLattice, x: int) -> SeriesReport:
     return report
 
 
-@dataclass
-class SolvableChainReport:
-    chain: tuple | None          # 0 = x0 < ... < xk = top with x_{i+1}^2 <= x_i
-    blocking_semiprime: int | None
-
-
-def solvable_witness_chain(L: MultLattice) -> SolvableChainReport:
-    """For a hyperabelian lattice, the greedy squaring chain from bottom to
-    top; otherwise the smallest semiprime element below top, which blocks the
-    chain.  Requires m-distributivity."""
+def solvable_witness_chain(L: MultLattice) -> HyperabelianReport:
+    """The hyperabelian report of ``L``, once its greedy squaring chain from
+    bottom to top, 0 = x0 < ... < xk = top with x_{i+1}^2 <= x_i, has been
+    checked step by step.  A lattice that is not hyperabelian has no chain;
+    ``witnesses["a"]``, its smallest semiprime element below top, blocks
+    one.  Requires m-distributivity."""
     require(L, "series.solvable_chain", MDistributivityRequired)
     rep = hyperabelian_report(L)
-    if rep.hyperabelian:
-        chain = rep.chain
-        for i in range(len(chain) - 1):
-            a, b = chain[i], chain[i + 1]
-            if not (L.lt(a, b) and L.relation[L.mult_table[b][b]][a]):
-                raise TheoremViolation("squaring chain fails to validate",
-                                       witness=(a, b))
-        return SolvableChainReport(chain, None)
-    return SolvableChainReport(None, rep.blocking_semiprime)
+    chain = rep.chain or ()
+    for a, b in zip(chain, chain[1:]):
+        if not (L.lt(a, b) and L.relation[L.mult_table[b][b]][a]):
+            raise TheoremViolation("squaring chain fails to validate", witness=(a, b))
+    return rep

@@ -58,12 +58,6 @@ class FiniteTopology:
     def closure(self, xs) -> frozenset:
         return frozenset().union(*(self.closures[x] for x in xs))
 
-    def saturation(self, xs) -> frozenset:
-        """Intersection of all open sets containing ``xs``: the points
-        whose closure meets ``xs``."""
-        xs = frozenset(xs)
-        return frozenset(q for q, c in self.closures.items() if c & xs)
-
     def is_t0(self) -> tuple:
         pts, cl = sorted(self.points), self.closures
         return next(((False, (p, q)) for i, p in enumerate(pts) for q in pts[i + 1:]
@@ -253,16 +247,16 @@ def _nonprime_pair(L: MultLattice, p: int) -> tuple:
 class MaximalPrimeReport:
     element: int
     top_square_below: bool     # whether mult(top, top) <= m, so m is not prime
-    witness: tuple | None      # (x v m, y v m) from the non-primality proof
-    raw_pair: tuple | None     # the underlying (x, y) with xy <= m
+    raw_pair: tuple | None     # (x, y) with x, y !<= m and xy <= m
 
 
 def maximal_prime_criterion(L: MultLattice, m: int) -> MaximalPrimeReport:
     """For maximal ``m`` in an m-distributive lattice: prime iff ``1*1 !<= m``.
 
     The equivalence with the definitional primality test is asserted.  When
-    ``m`` is not prime the returned witness is the joined pair
-    ``(x v m, y v m)``, both of which must equal top.
+    ``m`` is not prime the report holds the pair ``(x, y)`` of the
+    non-primality proof, and the joined pair ``(x v m, y v m)`` is asserted
+    to be ``(top, top)``.
     """
     flags = classify_all(L)[m]
     if not flags.maximal:
@@ -273,14 +267,14 @@ def maximal_prime_criterion(L: MultLattice, m: int) -> MaximalPrimeReport:
         raise TheoremViolation(
             f"maximal element {m}: 1*1 <= m is {below} but prime is {flags.prime}",
             witness=m)
-    witness = raw = None
+    raw = None
     if not flags.prime:
         raw = _nonprime_pair(L, m)
-        witness = (L.join_table[raw[0]][m], L.join_table[raw[1]][m])
-        if witness != (L.top, L.top):
+        joined = (L.join_table[raw[0]][m], L.join_table[raw[1]][m])
+        if joined != (L.top, L.top):
             raise TheoremViolation(
-                "joins with a maximal element did not reach top", witness=witness)
-    return MaximalPrimeReport(m, below, witness, raw)
+                "joins with a maximal element did not reach top", witness=joined)
+    return MaximalPrimeReport(m, below, raw)
 
 
 def non_prime_symmetric_witness(L: MultLattice, p: int) -> tuple:
@@ -317,18 +311,20 @@ def non_prime_symmetric_witness(L: MultLattice, p: int) -> tuple:
 
 @dataclass
 class HyperabelianReport:
-    """Six equivalent conditions, each evaluated independently.
+    """Six equivalent conditions, each evaluated independently.  They must
+    agree, so the report holds their one value, ``hyperabelian``, and the
+    first witness against each: ``witnesses`` is empty exactly when the
+    lattice is hyperabelian, and otherwise has all six keys.
 
     (a) top is the only semiprime element; (b) every x != top has some y > x
     with y*y <= x; (c) a chain 0 = x0 < ... < xk = top with each successor
     squaring below its predecessor exists (built greedily, finite chains
     only); (d) there are no primes; (e) the semiprime radical is top;
-    (f) every m-system contains bottom.
+    (f) every m-system contains bottom.  ``witnesses["a"]`` is the smallest
+    semiprime element below top, which blocks every squaring chain.
     """
-    conditions: dict
     hyperabelian: bool
     chain: tuple | None
-    blocking_semiprime: int | None
     msystem_mode: str
     witnesses: dict
     notes: tuple = ()
@@ -394,5 +390,4 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     if mode != "all":
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
                      "saturated m-systems (bottom membership is saturation-invariant)")
-    return HyperabelianReport(conditions, conditions["a"], chain, found["a"], mode,
-                              witnesses, tuple(notes))
+    return HyperabelianReport(conditions["a"], chain, mode, witnesses, tuple(notes))

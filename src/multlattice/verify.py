@@ -544,10 +544,10 @@ def corpus_named():
     # lattices without a closed-form description; m-distributive tables are
     # too sparse to sample at size 6, so those stay at size 5
     out.append(random_lattice(5, {"m_distributive": True}, seed=7,
-                              name="random5_mdist_s7").lattice)
+                              name="random5_mdist_s7"))
     out.append(random_lattice(5, {"m_distributive": True}, seed=21,
-                              name="random5_mdist_s21").lattice)
+                              name="random5_mdist_s21"))
     out.append(random_lattice(6, {"monotone": True}, seed=3,
-                              name="random6_mono_s3").lattice)
+                              name="random6_mono_s3"))
     return out
 

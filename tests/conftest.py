@@ -54,6 +54,6 @@ def corpus_hundred():
     tables4 = list(verify.enumerate_tables(base4))
     out += [replace_mult(base4, t, name=f"chain4#t{i}")
             for i, t in enumerate(tables4[:19])]           # 19
-    out += [random_lattice(5, seed=s).lattice for s in range(10)]   # 10
+    out += [random_lattice(5, seed=s) for s in range(10)]   # 10
     assert len(out) == 100
     return out

@@ -9,7 +9,8 @@ import pytest
 from multlattice import cli
 from multlattice.cli import main
 from multlattice.core import TheoremViolation
-from multlattice.ingest import export_text, zn_ideals
+from multlattice.constructions import interval
+from multlattice.ingest import export_dot, export_dot_spectrum, export_text, zn_ideals
 from multlattice.verify import corpus_named
 from test_ingest import MALFORMED_JSON
 
@@ -164,6 +165,28 @@ def test_construct_ops(capsys):
     code, out, _ = run(capsys, "construct", "lying:(2):(6)", "gen:zn:12")
     assert code == 0
     assert json.loads(out)["prime"] == "(3)"
+
+
+DOT_COMMANDS = [("validate", "gen:zn:12"), ("spec", "gen:zn:12"),
+                ("construct", "interval:(6):(1)", "gen:zn:12"), ("export", "gen:zn:12")]
+
+
+def test_dot_text_is_built_only_under_format_dot(capsys, monkeypatch):
+    Z = zn_ideals(12)
+    expected = [export_dot(Z), export_dot_spectrum(Z),
+                export_dot(interval(Z, 4, 0).lattice), export_dot(Z)]
+    assert [run(capsys, "--format", "dot", *argv) for argv in DOT_COMMANDS] == [
+        (0, dot, "") for dot in expected]
+    others = DOT_COMMANDS + [("--format", "text", "export", "gen:zn:12")]
+    before = [run(capsys, *argv) for argv in others]
+
+    def refuse(L):
+        raise AssertionError(f"DOT text of {L.name} built for another format")
+
+    monkeypatch.setattr(cli, "export_dot", refuse)
+    monkeypatch.setattr(cli, "export_dot_spectrum", refuse)
+    assert [run(capsys, *argv) for argv in others] == before
+    assert all(code == 0 for code, _, _ in before)
 
 
 def test_export_roundtrip_via_cli(capsys, z12_file):

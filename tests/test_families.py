@@ -112,7 +112,7 @@ def test_pip_on_two_chain():
     L = mk_chain(2, min)
     rep = pip_check(L, {L.top})
     assert rep.maximal_outside == (0,)
-    assert rep.classifications[0].prime
+    assert classify_all(L)[0].prime
 
 
 def test_pip_rejects_unqualified_family():
@@ -141,7 +141,7 @@ def test_pip_exhaustive_families_never_leave_nonprime_maximal(small_exhaustive_c
                 pip = pip_check(L, F)
                 assert pip.maximal_outside == tuple(
                     x for x in outside if not any(x != y and L.leq(x, y) for y in outside))
-                assert all(pip.classifications[m].prime for m in pip.maximal_outside)
+                assert all(classify_all(L)[m].prime for m in pip.maximal_outside)
 
 
 def test_sigma_examples():

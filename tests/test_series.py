@@ -75,14 +75,14 @@ def test_solvable_chain_zero_mult_is_one_step():
         L = mk_chain(n, lambda x, y: 0)
         rep = solvable_witness_chain(L)
         assert rep.chain == (L.bottom, L.top)
-        assert rep.blocking_semiprime is None
+        assert "a" not in rep.witnesses
 
 
 def test_solvable_chain_blocked_by_semiprime():
     L = mk_chain(2, min)
     rep = solvable_witness_chain(L)
     assert rep.chain is None
-    assert rep.blocking_semiprime == 0
+    assert rep.witnesses["a"] == 0
 
 
 def test_solvable_chain_requires_mdist():
@@ -100,4 +100,4 @@ def test_chain_iff_hyperabelian(small_exhaustive_corpus):
         hyper = hyperabelian_report(L).hyperabelian
         assert (rep.chain is not None) == hyper, L.name
         if rep.chain is None:
-            assert rep.blocking_semiprime is not None
+            assert rep.witnesses.get("a") is not None

@@ -175,13 +175,13 @@ def test_jacobson_radical_both_conventions():
 def test_maximal_prime_criterion_two_chains():
     unit = mk_chain(2, min)       # 1*1 = 1
     rep = maximal_prime_criterion(unit, 0)
-    assert not rep.top_square_below and rep.witness is None
+    assert not rep.top_square_below and rep.raw_pair is None
     assert classify_all(unit)[0].prime
 
     zero = mk_chain(2, lambda x, y: 0)
     rep = maximal_prime_criterion(zero, 0)
     assert rep.top_square_below and not classify_all(zero)[0].prime
-    assert rep.witness == (zero.top, zero.top)
+    assert tuple(zero.join(x, 0) for x in rep.raw_pair) == (zero.top, zero.top)
 
 
 def test_maximal_prime_criterion_z4():
@@ -225,7 +225,7 @@ def test_symmetric_witness_rejects_primes():
 def test_hyperabelian_chain_zero_mult():
     L = mk_chain(3, lambda x, y: 0)
     rep = hyperabelian_report(L)
-    assert rep.hyperabelian and all(rep.conditions.values())
+    assert rep.hyperabelian and not rep.witnesses
     assert rep.chain == (0, 2)
     # the chain certifies condition (c): each successor squares below its
     # predecessor
@@ -236,8 +236,8 @@ def test_hyperabelian_chain_zero_mult():
 def test_hyperabelian_false_cases():
     meets = mk_chain(3, min)
     rep = hyperabelian_report(meets)
-    assert not any(rep.conditions.values())
-    assert rep.blocking_semiprime == 0
+    assert not rep.hyperabelian and sorted(rep.witnesses) == list("abcdef")
+    assert rep.witnesses["a"] == 0
 
     unit2 = mk_chain(2, min)
     assert not hyperabelian_report(unit2).hyperabelian
@@ -302,7 +302,7 @@ def test_condition_f_modes_agree(small_exhaustive_corpus):
         rep = hyperabelian_report(L)
         assert rep.msystem_mode == "all"
         witness = brute_m_system_without_bottom(L)
-        assert rep.conditions["f"] == in_all == (witness is None), L.name
+        assert ("f" not in rep.witnesses) == in_all == (witness is None), L.name
         assert rep.witnesses.get("f") == witness, L.name
 
 

@@ -7,7 +7,12 @@ family of all V(x) (checked to hold the empty set and Spec and to be closed
 under union and intersection), the inverse topology by De Morgan from the basis V(c) (checked against the
 intersections of the D(c)), and the topology generated by a subbasis as the
 unions of finite meets of its members.  Closure, saturation and subspaces
-are read off those families.
+are read off those families.  Saturation, the intersection of the opens
+around a set, is computed here only: the points whose closure meets the
+set.  The library reads H(Spec), the saturated subsets, as the opens, since
+on a finite space every intersection of opens is open (Stong, "Finite
+topological spaces", 1966); the correspondence check is held to the subsets
+this saturation fixes.
 """
 
 import itertools
@@ -61,6 +66,11 @@ def inverse_family(L):
     return closed
 
 
+def saturation(T, xs):
+    """The points of ``T`` whose closure meets ``xs``."""
+    return frozenset(q for q, c in T.closures.items() if c & xs)
+
+
 def subsets(points):
     pts = sorted(points)
     return [frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
@@ -75,7 +85,7 @@ def assert_matches_family(T, points, closed):
     assert T.closed_sets == closed and T.opens == opens
     for xs in subsets(points):
         assert T.closure(xs) == points.intersection(*(c for c in closed if xs <= c))
-        assert T.saturation(xs) == points.intersection(*(u for u in opens if xs <= u))
+        assert saturation(T, xs) == points.intersection(*(u for u in opens if xs <= u))
         assert T.subspace(xs).closed_sets == frozenset(c & xs for c in closed)
 
 
@@ -83,9 +93,13 @@ def assert_correspondence_matches(L):
     """The Vietoris and membership topologies of the correspondence, from
     their subbases, and the homeomorphism as a map of open families."""
     rep = correspondence_check(L)
+    zariski = spectrum(L).zariski
+    fixed = [xs for xs in subsets(zariski.points) if saturation(zariski, xs) == xs]
+    assert rep.compact_saturated_sets == tuple(
+        sorted(fixed, key=lambda u: (len(u), sorted(u))))
     hs, ms = frozenset(rep.compact_saturated_sets), frozenset(rep.saturated_systems)
     phi = {h: system_of_points(L, h).members for h in hs}
-    vietoris = [frozenset(h for h in hs if h <= omega) for omega in spectrum(L).zariski.opens]
+    vietoris = [frozenset(h for h in hs if h <= omega) for omega in zariski.opens]
     membership = [frozenset(s for s in ms if c in s) for c in compact_elements(L)]
     t_h = FiniteTopology.from_subbasis(hs, vietoris)
     t_m = FiniteTopology.from_subbasis(ms, membership)

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import pkgutil
+import random
 import sys
 import tracemalloc
 
@@ -14,7 +15,8 @@ from multlattice import constructions as cons
 from multlattice import families, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
-from multlattice.core import POWERSET_LIMIT, BadParams, check_axioms, validate
+from multlattice.core import (POWERSET_LIMIT, BadParams, check_axioms, replace_mult,
+                              validate)
 from multlattice.ingest import chain, powerset_lattice, to_json
 from multlattice.spectrum import FiniteTopology, d_set, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
@@ -412,17 +414,17 @@ def test_report_writer_peak_memory_is_near_its_output():
 
 
 def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
-    # Every condition of the report on the zero 3-chain flipped, and its
-    # chain dropped: the row searches for a squaring chain on its own, so
-    # it finds one and refuses the report's "not hyperabelian".
+    # The report on the zero 3-chain flipped, with a witness against every
+    # condition and its chain dropped: the row searches for a squaring chain
+    # on its own, so it finds one and refuses the report's "not
+    # hyperabelian".
     real = spectrum_module._hyperabelian_report
 
     def flipped(M):
         rep = real(M)
         return dataclasses.replace(
-            rep, conditions={k: not v for k, v in rep.conditions.items()},
-            hyperabelian=not rep.hyperabelian, chain=None,
-            blocking_semiprime=M.bottom)
+            rep, hyperabelian=not rep.hyperabelian, chain=None,
+            witnesses=dict.fromkeys("abcdef", M.bottom))
 
     monkeypatch.setattr(spectrum_module, "_hyperabelian_report", flipped)
     assert _failures(chain(3, "zero"), "hyper") == {
@@ -502,3 +504,50 @@ def test_join_irreducible_generators_give_the_same_rows(named_corpus):
     full = rows(lattices)
     assert len(lattices) == 251 and len(full) > 8000
     assert rows(proper) == full
+
+
+@pytest.fixture(scope="module")
+def invariance_slice():
+    """The named corpus, every 7th exhaustive table of at most 4 elements and
+    every 4th of 200 random tables: 616 lattices."""
+    lattices = (corpus_named() + corpus_exhaustive_tables(4)[::7]
+                + corpus_random_tables(200, 1729)[::4])
+    assert len(lattices) == 616
+    return lattices
+
+
+def _rows(lattices):
+    return [(r.lattice, r.check, r.passed, r.skipped, r.detail)
+            for r in verify_all(lattices).results]
+
+
+def _relabelled(L, rng):
+    """``L`` with element i moved to index pi(i) for a seeded permutation
+    pi; each element keeps its label, and the lattice keeps its name."""
+    pi = list(L.elements)
+    rng.shuffle(pi)
+    relation = [[False] * L.size for _ in L.elements]
+    mult = [[0] * L.size for _ in L.elements]
+    labels = [""] * L.size
+    for a in L.elements:
+        labels[pi[a]] = L.labels[a]
+        for b in L.elements:
+            relation[pi[a]][pi[b]] = L.relation[a][b]
+            mult[pi[a]][pi[b]] = pi[L.mult_table[a][b]]
+    return validate(relation=relation, mult=mult, labels=labels, name=L.name,
+                    generators=[pi[g] for g in L.generators])
+
+
+def test_rows_do_not_depend_on_the_element_indices(invariance_slice):
+    rng = random.Random(1729)
+    moved = [_relabelled(L, rng) for L in invariance_slice]
+    assert any(M.relation != L.relation for L, M in zip(invariance_slice, moved))
+    assert _rows(moved) == _rows(invariance_slice)
+
+
+def test_rows_do_not_change_when_the_table_is_transposed(invariance_slice):
+    # xy |-> yx swaps left and right, and every row reads both sides alike
+    transposed = [replace_mult(L, [list(col) for col in zip(*L.mult_table)], name=L.name)
+                  for L in invariance_slice]
+    assert any(not check_axioms(L).commutative for L in invariance_slice)
+    assert _rows(transposed) == _rows(invariance_slice)

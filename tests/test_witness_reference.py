@@ -174,10 +174,8 @@ def ref_hyperabelian_report(L):
 
     semiprimes = [x for x in L.elements if flags[x].semiprime]
     cond_a = semiprimes == [L.top]
-    blocking = None
     if not cond_a:
-        blocking = next(x for x in semiprimes if x != L.top)
-        witnesses["a"] = blocking
+        witnesses["a"] = next(x for x in semiprimes if x != L.top)
 
     cond_b = True
     mt = L.mult_table
@@ -221,8 +219,7 @@ def ref_hyperabelian_report(L):
     if len(set(conditions.values())) != 1:
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",
                                witness=witnesses)
-    return HyperabelianReport(conditions, cond_a, chain, blocking, mode,
-                              witnesses, tuple(notes))
+    return HyperabelianReport(cond_a, chain, mode, witnesses, tuple(notes))
 
 
 def ref_order_flags(order):

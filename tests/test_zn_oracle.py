@@ -1,9 +1,13 @@
 """Cross-validation of the modular-ideal generator against a from-scratch
 ring model: ideals as literal residue subsets, products as generated ideals,
-everything recomputed without the divisor shortcut."""
+everything recomputed without the divisor shortcut; and the Chinese
+remainder theorem as a known isomorphism of products."""
+
+from math import gcd
 
 import pytest
 
+from multlattice.constructions import morphism, product
 from multlattice.ingest import zn_ideals
 from multlattice.spectrum import spectrum
 
@@ -82,3 +86,29 @@ def test_primes_match_ring_model(n):
             ring_primes.add(p)
     lattice_primes = {ideal_of(x) for x in spectrum(L).primes}
     assert lattice_primes == ring_primes
+
+
+@pytest.mark.parametrize("a, b", [(4, 9), (3, 4), (8, 9), (5, 12), (4, 15)])
+def test_crt_map_is_an_isomorphism_of_products(a, b):
+    """For coprime a and b, Z/ab is Z/a x Z/b, so ((d1), (d2)) |-> (gcd(d, ab))
+    with d = d1 mod a and d = d2 mod b, found by search, is an isomorphism
+    from the product of the ideal lattices onto that of Z/ab."""
+    A, B, Z = zn_ideals(a), zn_ideals(b), zn_ideals(a * b)
+    P = product(A, B)
+    by_label = {label: z for z, label in enumerate(Z.labels)}
+
+    def generator(L, x):
+        return int(L.labels[x].strip("()"))
+
+    f = [None] * P.lattice.size
+    for i in A.elements:
+        for j in B.elements:
+            d1, d2 = generator(A, i), generator(B, j)
+            d = next(d for d in range(a * b) if d % a == d1 % a and d % b == d2 % b)
+            f[P.pair_to_index(i, j)] = by_label[f"({gcd(d, a * b)})"]
+    assert sorted(f) == list(Z.elements)
+    inverse = [f.index(z) for z in Z.elements]
+    M = P.lattice
+    assert all(f[M.mult(x, y)] == Z.mult(f[x], f[y]) for x in M.elements for y in M.elements)
+    assert morphism(M, Z, f).mapping == tuple(f)
+    assert morphism(Z, M, inverse).mapping == tuple(inverse)
