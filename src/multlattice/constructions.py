@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
                    PropertyReport, TheoremViolation, axiom_report, check_axioms,
-                   memo, require, validate)
+                   memo, require)
 from .spectrum import (classify_all, hyperabelian_report, prime_mask, primes_of,
                        spectrum)
 from .families import residual_left, residual_right
@@ -55,12 +55,12 @@ class IntervalLattice:
 def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     """The multiplicative lattice on {z : x <= z <= y} with z * z' = (zz') v x.
 
-    The sublattice keeps the parent's order tables, restricted, so
-    :func:`validate` checks only the multiplication bound and the labels.
-    The restricted order, the element list and the shift z -> z v x are
-    computed once per parent order and shared by every lattice on it.
-    When ``x`` is bottom the new multiplication agrees with the restriction
-    of the parent multiplication; this is asserted.
+    Built directly, without :func:`validate`: the restricted order, the
+    element list and the shift z -> z v x are computed once per parent order
+    and shared by every lattice on it, and the table is bounded by
+    construction, since (zz') v x <= z ^ z' whenever x <= z, z'.  Every
+    element generates.  When ``x`` is bottom the new multiplication agrees
+    with the restriction of the parent multiplication; this is asserted.
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
@@ -92,9 +92,8 @@ def _interval_order(order: OrderData, x: int, y: int) -> tuple:
 def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     elems, shifted, order = memo(L.order, ("interval", x, y),
                                  lambda: _interval_order(L.order, x, y))
-    M = validate(order=order, mult=_restrict(L.mult_table, elems, shifted),
-                 labels=[L.labels[z] for z in elems],
-                 name=f"{L.name}[{L.labels[x]},{L.labels[y]}]")
+    M = MultLattice(order, _restrict(L.mult_table, elems, shifted), order.all_elements(),
+                    tuple([L.labels[z] for z in elems]), f"{L.name}[{L.labels[x]},{L.labels[y]}]")
     if x == L.bottom:
         for i in range(order.size):
             for j in range(order.size):
@@ -157,9 +156,9 @@ class ProductLattice:
 def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     """Componentwise order and multiplication on pairs, indexed row-major.
 
-    The order tables come componentwise from the factors, once per pair of
-    factor orders, so :func:`validate` checks only the multiplication bound,
-    the generators (pairs of factor generators or bottoms) and the labels.
+    Built without :func:`validate`: the order comes componentwise from the
+    factors' orders, once per pair of them, the table is bounded as theirs
+    are, and the pairs of factor generators or bottoms generate.
     Each call builds a new product lattice: no caller reads one twice, and a
     cached one would keep its caches alive as long as its left factor.  Each
     axiom holds on the product exactly when it holds on both factors, so its
@@ -168,11 +167,11 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     order = memo(L1.order, ("product", L2.order),
                  lambda: _product_order(L1.order, L2.order))
     n2 = L2.size
-    labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
+    labels = tuple([f"({a},{b})" for a in L1.labels for b in L2.labels])
     gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
                      for b in L2.generators | {L2.bottom})
-    M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
-                 generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
+    M = MultLattice(order, _pairs(L1.mult_table, L2.mult_table), gens, labels,
+                    f"{L1.name}x{L2.name}")
     M._cache["axioms"] = _product_axioms(L1, L2)
     return ProductLattice(M, L1, L2)
 
@@ -226,15 +225,14 @@ def product_spec_check(L1: MultLattice, L2: MultLattice) -> ProductSpecReport:
     each homeomorphic to a factor spectrum, verified on masks of the
     product's elements.  A prime p of ``L1`` sits at bit p * n2 + t2 of the
     product and a prime p of ``L2`` at bit t1 * n2 + p, so a mask of ``L2``
-    moves into the product by a shift."""
+    moves into the product by a shift.  The product's Spec is its :func:`prime_mask`."""
     P = product(L1, L2)
     M = P.lattice
     n2, t2, shift = L2.size, L2.top, L1.top * L2.size
     s1, s2 = spectrum(L1), spectrum(L2)
     # (bit of p in L1, bit of (p, t2) in the product), per prime p of L1
     bits = [(1 << p, 1 << (p * n2 + t2)) for p in s1.primes]
-    prime = sum([1 << x for x in spectrum(M).primes])
-    prime2 = sum([1 << p for p in s2.primes])
+    prime, prime2 = prime_mask(M), sum([1 << p for p in s2.primes])
     left, right = sum([b for _, b in bits]), prime2 << shift
     if prime != left | right or left & right:
         raise TheoremViolation("product spectrum is not the expected disjoint union",
@@ -245,12 +243,12 @@ def product_spec_check(L1: MultLattice, L2: MultLattice) -> ProductSpecReport:
     # piece closed, and two closed pieces that partition the spectrum are
     # clopen.
     up, up1, up2 = M.up_masks, L1.up_masks, L2.up_masks
-    lefts = [up[p * n2 + t2] & prime for p in s1.primes]
-    rights = [up[shift + p] & prime for p in s2.primes]
-    if (lefts != [sum([b for q, b in bits if up1[p] & q]) for p in s1.primes]
-            or rights != [(up2[p] & prime2) << shift for p in s2.primes]):
+    closures = ([(p * n2 + t2, sum([b for q, b in bits if up1[p] & q])) for p in s1.primes]
+                + [(shift + p, (up2[p] & prime2) << shift) for p in s2.primes])
+    moved = [x for x, closure in closures if up[x] & prime != closure]
+    if moved:
         raise TheoremViolation("product spectrum pieces are not homeomorphic "
-                               "to the factor spectra", witness=None)
+                               "to the factor spectra", witness=min(moved))
     return ProductSpecReport(P, frozenset([p * n2 + t2 for p in s1.primes]),
                              frozenset([shift + p for p in s2.primes]))
 
@@ -514,9 +512,10 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
             raise TheoremViolation(
                 f"p ^ n is not prime in [bottom, n] for p = {p}", witness=p)
         point_map[p] = img
-    if sorted(point_map.values()) != sorted(m_rep.primes):
+    odd = [q for q in sorted(m_rep.primes) if list(point_map.values()).count(q) != 1]
+    if odd:   # every image is an interval prime, so this is the bijection test
         raise TheoremViolation("p -> p ^ n is not a bijection onto the "
-                               "interval spectrum", witness=None)
+                               "interval spectrum", witness=iv.to_parent(odd[0]))
 
     # D(l*n) within D(n): the points of D(n) not above l*n; images as masks
     bits = [(1 << p, 1 << q) for p, q in point_map.items()]
@@ -529,9 +528,9 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
                 f"image of D({l}*{n}) is not the matching interval open",
                 witness=l)
 
-    sub = rep.zariski.subspace(dn)
-    if not all(frozenset(map(point_map.get, c)) == m_rep.zariski.closures[point_map[p]]
-               for p, c in sub.closures.items()):
+    moved = [p for p, c in rep.zariski.subspace(dn).closures.items()
+             if frozenset(map(point_map.get, c)) != m_rep.zariski.closures[point_map[p]]]
+    if moved:
         raise TheoremViolation("subspace and interval topologies do not match",
-                               witness=None)
+                               witness=min(moved))
     return OpenSubspaceReport(iv, point_map)

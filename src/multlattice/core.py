@@ -7,7 +7,7 @@ dense indices ``0..size-1``, the order is stored as a full boolean relation,
 and join/meet tables are precomputed at validation time so that all order
 and algebra queries cost O(1).
 
-Instances of :class:`MultLattice` are immutable after :func:`validate`; every
+Instances of :class:`MultLattice` are immutable once built; every
 operation in this package is a pure function of its inputs.
 """
 
@@ -118,7 +118,7 @@ class MultLattice:
     depends on the multiplication, generators or labels is cached per
     lattice in ``_cache``.
 
-    Do not construct directly; use :func:`validate`.
+    Built by :func:`validate`, or by ``constructions`` from validated parents.
     """
 
     def __init__(self, order, mult_table, generators, labels, name):
@@ -249,8 +249,8 @@ class OrderData:
 
     One object is shared by every lattice on the same order, so it has
     identity equality and can key caches.  ``_cache`` holds, through
-    :func:`memo`, what is computed from the order alone: the masks and
-    covers here and, elsewhere, the full generating set, the interval and
+    :func:`memo`, what is computed from the order alone: the masks, the
+    covers and the full generating set here and, elsewhere, the interval and
     product orders, the maximal and meet-irreducible flags and the order
     laws of morphisms.
     """
@@ -266,6 +266,10 @@ class OrderData:
         """The down- and up-set of every element as integer bitmasks."""
         return memo(self, "masks",
                     lambda: _masks(self.size, _up_masks(self.relation)))
+
+    def all_elements(self) -> frozenset:
+        """Every element: the default generating set, one frozenset per order."""
+        return memo(self, "all_elements", lambda: frozenset(range(self.size)))
 
     def covers(self) -> tuple:
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram.
@@ -366,12 +370,12 @@ def validate(*, size: int | None = None,
     (which is then verified to be a partial order), or as the
     :class:`OrderData` of a lattice derived from validated ones, which skips
     the partial-order check and the join/meet search; the new lattice shares
-    that object and what is cached on it.  The multiplication bound,
-    generators and labels are checked in every case.  The generators default
-    to every element, one frozenset kept on the order; each element must be
-    the join of the generators below it, which is tested element by element
-    only when the generating set is a proper subset (an element that is a
-    generator is such a join).
+    that object and what is cached on it.  Either way the multiplication
+    bound, generators and labels are checked.  The generators default to
+    :meth:`OrderData.all_elements`; each element must be the join of the
+    generators below it, which is tested element by element only when the
+    generating set is a proper subset (an element that is a generator is
+    such a join).
     ``mult`` is a full ``size x size`` table of indices or a callable
     ``(x, y) -> index``.
 
@@ -386,8 +390,7 @@ def validate(*, size: int | None = None,
     size = order.size
 
     table = _bounded_table(order, mult)
-    gens = (memo(order, "all_elements", lambda: frozenset(range(size)))
-            if generators is None else frozenset(generators))
+    gens = order.all_elements() if generators is None else frozenset(generators)
     if gens and (min(gens) < 0 or max(gens) >= size):
         raise BadParams("generators out of range")
     # Every element is the join of the generators below it; that needs a

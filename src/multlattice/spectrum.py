@@ -172,9 +172,10 @@ def spectrum(L: MultLattice) -> SpectrumReport:
     """Spec(L) with its Zariski topology, radicals, and a sobriety check.
 
     Primes are computed from the full-pair definition.  When the lattice is
-    monotone they are recomputed by the generator-pair shortcut over the
-    generating set and the two answers are asserted equal; when monotonicity
-    fails the shortcut is skipped and the report says so.
+    monotone they are recomputed by the generator-pair shortcut over a proper
+    generating set and the two answers are asserted equal (over every element
+    it is the same pass); when monotonicity fails the shortcut is skipped and
+    the report says so.
 
     The Jacobson radical is reported twice: ``jacobson_radical`` is the join
     of the maximal prime elements, ``jacobson_meet`` the meet of the same
@@ -186,19 +187,16 @@ def spectrum(L: MultLattice) -> SpectrumReport:
 def _spectrum(L: MultLattice) -> SpectrumReport:
     flags = classify_all(L)
     primes = primes_of(L)
-    notes = []
 
     ax = check_axioms(L)
     via_gens = None
     if ax.monotone:
-        via_gens = L.set_of(L.full_mask & ~_nonprime_mask(L, L.generators)
-                            & ~(1 << L.top))
+        via_gens = primes if len(L.generators) == L.size else L.set_of(
+            L.full_mask & ~_nonprime_mask(L, L.generators) & ~(1 << L.top))
         if via_gens != primes:
             raise TheoremViolation(
                 "generator-pair prime test disagrees with the definition on a "
                 "monotone lattice", witness=tuple(sorted(via_gens ^ primes)))
-    else:
-        notes.append("generator-pair prime test skipped: monotonicity fails")
 
     # V(p) = up(p) ^ Spec is the closure of p.  The distinct V(x) must be the
     # up-sets of the prime order, so each V(x) | V(p) is some V(y); that fails
@@ -226,8 +224,8 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
         raise TheoremViolation("Zariski topology is not sober",
                                witness=zariski.closures[pair[0]])
 
-    return SpectrumReport(primes, zariski, radical, jrad, jmeet, True,
-                          via_gens, tuple(notes))
+    notes = () if ax.monotone else ("generator-pair prime test skipped: monotonicity fails",)
+    return SpectrumReport(primes, zariski, radical, jrad, jmeet, True, via_gens, notes)
 
 
 # --------------------------------------------------------------------------

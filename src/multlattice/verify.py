@@ -310,9 +310,9 @@ PRODUCT_PARTNERS = (chain(2, "meet"), chain(2, "zero"))
 
 def suite_constructions(L: MultLattice) -> list:
     def interval_bottom():
-        iv = cons.interval(L, L.bottom, L.top)
-        if iv.lattice.size != L.size:
-            raise TheoremViolation("full interval changed size", witness=None)
+        n = cons.interval(L, L.bottom, L.top).lattice.size
+        if n != L.size:
+            raise TheoremViolation("full interval changed size", witness=(L.size, n))
 
     def products():
         for partner in PRODUCT_PARTNERS:

@@ -139,36 +139,40 @@ def test_product_generators_are_pairs_when_bottoms_generate():
 
 
 def ref_product_spec(L1, L2):
-    """``product_spec_check`` on frozensets: the pieces as sets of pairs,
-    the Zariski closures of the spectrum reports and lambda embeddings.
-    Returns the two pieces, or raises what the library raises."""
+    """``product_spec_check`` on frozensets: the pieces as sets of pairs, the
+    product's Zariski closures read from its prime mask and its order, the
+    factors' from their spectrum reports, and lambda embeddings.  Returns the
+    two pieces, or raises what the library raises."""
     spec = constructions_module.spectrum
     P = product(L1, L2)
-    rep, s1, s2 = spec(P.lattice), spec(L1), spec(L2)
+    M = P.lattice
+    primes = M.set_of(constructions_module.prime_mask(M))
+    s1, s2 = spec(L1), spec(L2)
     left_part = frozenset(P.pair_to_index(p, L2.top) for p in s1.primes)
     right_part = frozenset(P.pair_to_index(L1.top, p) for p in s2.primes)
-    if rep.primes != left_part | right_part or left_part & right_part:
+    if primes != left_part | right_part or left_part & right_part:
         raise TheoremViolation("product spectrum is not the expected disjoint union",
-                               witness=tuple(sorted(rep.primes ^ (left_part | right_part))))
-    zar = rep.zariski
-    if not all(zar.closure(part) == part for part in (left_part, right_part)):
-        raise TheoremViolation("product spectrum pieces are not clopen", witness=None)
-    if not all(zar.closures[embed(p)] == frozenset(map(embed, c))
-               for srep, embed in ((s1, lambda p: P.pair_to_index(p, L2.top)),
-                                   (s2, lambda p: P.pair_to_index(L1.top, p)))
-               for p, c in srep.zariski.closures.items()):
+                               witness=tuple(sorted(primes ^ (left_part | right_part))))
+    closures = {x: frozenset(y for y in primes if M.leq(x, y)) for x in primes}
+    moved = [embed(p) for srep, embed in ((s1, lambda p: P.pair_to_index(p, L2.top)),
+                                          (s2, lambda p: P.pair_to_index(L1.top, p)))
+             for p, c in srep.zariski.closures.items()
+             if closures[embed(p)] != frozenset(map(embed, c))]
+    if moved:
         raise TheoremViolation("product spectrum pieces are not homeomorphic "
-                               "to the factor spectra", witness=None)
+                               "to the factor spectra", witness=min(moved))
+    # a piece whose points keep their factor closures is closed, hence clopen
+    assert all(frozenset().union(*map(closures.get, part)) == part
+               for part in (left_part, right_part))
     return left_part, right_part
 
 
-def _drop_product_prime(rep, L):
-    return (dataclasses.replace(rep, primes=rep.primes - {max(rep.primes)})
-            if "x" in L.name and rep.primes else rep)
+def _drop_product_prime(mask, L):
+    return mask & ~(1 << mask.bit_length() - 1) if "x" in L.name and mask else mask
 
 
-def _add_product_top(rep, L):
-    return dataclasses.replace(rep, primes=rep.primes | {L.top}) if "x" in L.name else rep
+def _add_product_top(mask, L):
+    return mask | 1 << L.top if "x" in L.name else mask
 
 
 def _drop_factor_prime(rep, L):
@@ -182,11 +186,13 @@ def test_product_spec_check_agrees_with_the_set_reference(fault, named_corpus,
                                                           small_exhaustive_corpus,
                                                           monkeypatch):
     """The mask checks give the pieces, or the message and witness, that the
-    frozenset checks give, on true spectra and on planted wrong ones."""
+    frozenset checks give, on true spectra and on planted wrong ones: the
+    product's primes are planted at its prime mask, a factor's at its
+    spectrum report."""
     if fault is not None:
-        real = constructions_module.spectrum
-        monkeypatch.setattr(constructions_module, "spectrum",
-                            lambda L: fault(real(L), L))
+        where = "spectrum" if fault is _drop_factor_prime else "prime_mask"
+        real = getattr(constructions_module, where)
+        monkeypatch.setattr(constructions_module, where, lambda L: fault(real(L), L))
     outcomes = set()
     for L in list(small_exhaustive_corpus) + list(named_corpus):
         for partner in PRODUCT_PARTNERS:
@@ -199,18 +205,45 @@ def test_product_spec_check_agrees_with_the_set_reference(fault, named_corpus,
     assert outcomes == {"ok"} if fault is None else "TheoremViolation" in outcomes
 
 
-def test_each_product_is_validated_once(monkeypatch):
-    # A product shares its factors' orders, but its table is still checked.
-    calls = []
-    real = constructions_module.validate
-    monkeypatch.setattr(constructions_module, "validate",
-                        lambda **kw: calls.append(kw) or real(**kw))
-    for L in (chain(3, "meet"), zn_ideals(12)):
+def test_product_check_names_the_point_whose_closure_moved(monkeypatch):
+    # In chain3 x chain2 the primes (0,1) and (a,1) are bits 1 and 3, and the
+    # closure of (0,1) is {(0,1), (a,1)}.  Taking (a,1) out of the product's
+    # up((0,1)) once its primes are known leaves the partition intact but
+    # moves that closure.
+    real, built = constructions_module.product, []
+
+    def planted(L1, L2):
+        P = real(L1, L2)
+        M = P.lattice
+        constructions_module.prime_mask(M)
+        M.up_masks = M.up_masks[:1] + (M.up_masks[1] & ~(1 << 3),) + M.up_masks[2:]
+        built.append(M)
+        return P
+
+    monkeypatch.setattr(constructions_module, "product", planted)
+    with pytest.raises(TheoremViolation, match="not homeomorphic") as info:
+        product_spec_check(chain(3, "meet"), chain(2, "meet"))
+    assert built[0].labels[info.value.witness] == "(0,1)"
+
+
+def test_products_and_intervals_are_never_validated(monkeypatch):
+    # Derived lattices are bounded by construction; only their parents' tables
+    # are checked.
+    lattices, calls = (chain(3, "meet"), zn_ideals(12)), []
+    core_module = importlib.import_module("multlattice.core")
+    for module, name in ((core_module, "validate"), (core_module, "_bounded_table"),
+                         (constructions_module, "validate")):
+        real = getattr(module, name, None)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw), raising=False)
+    for L in lattices:
         for partner in PRODUCT_PARTNERS:
-            calls.clear()
-            M = product(L, partner).lattice
-            assert len(calls) == 1
-            assert calls[0]["order"] is M.order
+            product(L, partner)
+            product(partner, L)
+        for x in L.elements:
+            for y in L.up(x):
+                interval(L, x, y)
+    assert calls == []
 
 
 def product_from_scratch(L1, L2):
@@ -244,6 +277,23 @@ def assert_same_lattice(M, R):
                  "bottom", "top", "generators", "labels", "name"):
         assert getattr(M, attr) == getattr(R, attr), (R.name, attr)
     assert all(type(v) is bool for row in M.relation for v in row), R.name
+
+
+def test_every_derived_lattice_passes_validation(named_corpus):
+    """Every product (both partners, both sides) and every interval of the
+    exhaustive <= 4 and named corpora is the lattice that ``validate`` builds
+    from its order, table, generators, labels and name."""
+    count = 0
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        derived = [product(A, B).lattice for partner in PRODUCT_PARTNERS
+                   for A, B in ((L, partner), (partner, L))]
+        derived += [interval(L, x, y).lattice for x in L.elements for y in L.up(x)]
+        for M in derived:
+            assert_same_lattice(M, validate(order=M.order, mult=M.mult_table,
+                                            generators=M.generators, labels=M.labels,
+                                            name=M.name))
+        count += len(derived)
+    assert count > 40_000
 
 
 def test_derived_lattices_match_validation_from_scratch(named_corpus):
@@ -600,3 +650,40 @@ def test_open_subspace_zn12_golden():
     assert set(rep.point_map) == {src}
     assert rep.interval.lattice.labels[rep.point_map[src]] == "(6)"
     assert list(rep.point_map.values()) == list(spectrum(rep.interval.lattice).primes)
+
+
+def _plant_interval_spectrum(monkeypatch, iv, fault):
+    real = constructions_module.spectrum
+    monkeypatch.setattr(constructions_module, "spectrum",
+                        lambda M: fault(real(M)) if M is iv.lattice else real(M))
+
+
+def test_open_subspace_bijection_names_the_missed_interval_prime(monkeypatch):
+    # [bottom, top] of zn12 is zn12 itself; calling its bottom (12) prime
+    # there gives the interval a prime that no p ^ top reaches.
+    L = zn_ideals(12)
+    iv = interval(L, L.bottom, L.top)
+    M = iv.lattice
+    _plant_interval_spectrum(monkeypatch, iv, lambda rep: dataclasses.replace(
+        rep, primes=rep.primes | {M.bottom}))
+    with pytest.raises(TheoremViolation, match="not a bijection") as info:
+        open_subspace_homeo(L, L.top)
+    assert L.labels[info.value.witness] == "(12)"
+
+
+def test_open_subspace_topology_names_the_point_whose_closure_moved(monkeypatch):
+    # D(top) of zn12 is the discrete {(2), (3)}; putting (3) into the interval
+    # closure of (2) moves the image of (2) alone.
+    L = zn_ideals(12)
+    iv = interval(L, L.bottom, L.top)
+    two, three = L.labels.index("(2)"), L.labels.index("(3)")
+
+    def fault(rep):
+        closures = dict(rep.zariski.closures)
+        closures[two] = closures[two] | {three}
+        return dataclasses.replace(rep, zariski=type(rep.zariski)(rep.primes, closures))
+
+    _plant_interval_spectrum(monkeypatch, iv, fault)
+    with pytest.raises(TheoremViolation, match="topologies do not match") as info:
+        open_subspace_homeo(L, L.top)
+    assert L.labels[info.value.witness] == "(2)"

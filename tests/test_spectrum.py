@@ -98,8 +98,10 @@ def test_prime_flags_match_a_literal_pair_scan(corpus):
 
 def test_generator_cross_check_disagreement_raises(monkeypatch):
     # chain3 under the zero product is monotone and has no primes; a
-    # generator pass that finds no failing pair calls 0 and 1 prime.
-    L = mk_chain(3, lambda x, y: 0)
+    # generator pass that finds no failing pair calls 0 and 1 prime.  The
+    # pass runs only on a proper generating set, here the join-irreducibles.
+    L = validate(size=3, covers=[(0, 1), (1, 2)], mult=lambda x, y: 0,
+                 generators=[1, 2], name="c3")
     real = spectrum_module._nonprime_mask
     monkeypatch.setattr(spectrum_module, "_nonprime_mask", lambda M, elems: (
         0 if elems is M.generators else real(M, elems)))
@@ -135,11 +137,12 @@ def test_generator_shortcut_agrees_or_is_skipped(small_exhaustive_corpus):
 
 def test_join_irreducibles_generate_and_give_the_primes():
     """Every corpus lattice is generated by all its elements, so verify never
-    runs validate's generation loop or a generator-pair pass that differs
-    from the full one.  Here each exhaustive table is validated again with
-    its join-irreducibles (one lower cover each) as generators: they
-    generate, no smaller set of them does, and on a monotone table the
-    generator-pair prime test agrees with the definition."""
+    runs validate's generation loop or the generator-pair pass, which runs
+    on a proper generating set only.  Here each exhaustive table is
+    validated again with its join-irreducibles (one lower cover each) as
+    generators: they generate, no smaller set of them does, and on a
+    monotone table the generator-pair prime test agrees with the
+    definition."""
     monotone = 0
     for L in corpus_exhaustive_tables(4):
         lower = [0] * L.size

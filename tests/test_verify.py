@@ -217,6 +217,16 @@ def test_inverse_row_fails_when_one_basic_open_is_wrong(monkeypatch):
         "below it (witness 1)")
 
 
+def test_full_interval_row_names_both_sizes(monkeypatch):
+    # [bottom, top] of the 3-chain planted as [bottom, 1] has two elements.
+    real = cons.interval
+    monkeypatch.setattr(cons, "interval", lambda L, x, y: real(
+        L, x, 1 if (x, y) == (L.bottom, L.top) else y))
+    failures = _failures(chain(3, "meet"), "constructions")
+    assert failures["constructions.interval_bottom_restriction"] == (
+        "TheoremViolation: full interval changed size (witness (3, 2))")
+
+
 def test_constructible_row_fails_when_the_inverse_topology_is_zariski(monkeypatch):
     # The Zariski closure of prime 0 in the 3-chain is {0, 1}; meeting it
     # with itself leaves the constructible topology non-discrete.
