@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
                    PropertyReport, TheoremViolation, axiom_report, check_axioms,
-                   memo, require)
+                   memo, require, validate)
 from .spectrum import (classify_all, hyperabelian_report, prime_mask, primes_of,
                        spectrum)
 from .families import residual_left, residual_right
@@ -55,11 +55,10 @@ class IntervalLattice:
 def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     """The multiplicative lattice on {z : x <= z <= y} with z * z' = (zz') v x.
 
-    Built directly, without :func:`validate`: the restricted order, the
-    element list and the shift z -> z v x are computed once per parent order
-    and shared by every lattice on it, and the table is bounded by
-    construction, since (zz') v x <= z ^ z' whenever x <= z, z'.  Every
-    element generates.  When ``x`` is bottom the new multiplication agrees
+    Built without :func:`validate`: the restricted order, the element list
+    and the shift z -> z v x are computed once per parent order and shared;
+    every element generates, and (zz') v x <= z ^ z' whenever x <= z, z'
+    bounds the table.  When ``x`` is bottom the new multiplication agrees
     with the restriction of the parent multiplication; this is asserted.
     """
     if not L.relation[x][y]:
@@ -156,9 +155,9 @@ class ProductLattice:
 def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     """Componentwise order and multiplication on pairs, indexed row-major.
 
-    Built without :func:`validate`: the order comes componentwise from the
-    factors' orders, once per pair of them, the table is bounded as theirs
-    are, and the pairs of factor generators or bottoms generate.
+    The order tables come componentwise from the factors, once per pair of
+    factor orders, so :func:`validate` checks only the multiplication bound,
+    the generators (pairs of factor generators or bottoms) and the labels.
     Each call builds a new product lattice: no caller reads one twice, and a
     cached one would keep its caches alive as long as its left factor.  Each
     axiom holds on the product exactly when it holds on both factors, so its
@@ -167,11 +166,11 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     order = memo(L1.order, ("product", L2.order),
                  lambda: _product_order(L1.order, L2.order))
     n2 = L2.size
-    labels = tuple([f"({a},{b})" for a in L1.labels for b in L2.labels])
+    labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
     gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
                      for b in L2.generators | {L2.bottom})
-    M = MultLattice(order, _pairs(L1.mult_table, L2.mult_table), gens, labels,
-                    f"{L1.name}x{L2.name}")
+    M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
+                 generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
     M._cache["axioms"] = _product_axioms(L1, L2)
     return ProductLattice(M, L1, L2)
 
@@ -512,10 +511,10 @@ def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
             raise TheoremViolation(
                 f"p ^ n is not prime in [bottom, n] for p = {p}", witness=p)
         point_map[p] = img
-    odd = [q for q in sorted(m_rep.primes) if list(point_map.values()).count(q) != 1]
-    if odd:   # every image is an interval prime, so this is the bijection test
+    if sorted(point_map.values()) != sorted(m_rep.primes):
+        odd = [q for q in m_rep.primes if list(point_map.values()).count(q) != 1]
         raise TheoremViolation("p -> p ^ n is not a bijection onto the "
-                               "interval spectrum", witness=iv.to_parent(odd[0]))
+                               "interval spectrum", witness=iv.to_parent(min(odd)))
 
     # D(l*n) within D(n): the points of D(n) not above l*n; images as masks
     bits = [(1 << p, 1 << q) for p, q in point_map.items()]

@@ -118,7 +118,7 @@ class MultLattice:
     depends on the multiplication, generators or labels is cached per
     lattice in ``_cache``.
 
-    Built by :func:`validate`, or by ``constructions`` from validated parents.
+    Built by :func:`validate`, or by ``constructions.interval`` from a validated parent.
     """
 
     def __init__(self, order, mult_table, generators, labels, name):
@@ -370,12 +370,11 @@ def validate(*, size: int | None = None,
     (which is then verified to be a partial order), or as the
     :class:`OrderData` of a lattice derived from validated ones, which skips
     the partial-order check and the join/meet search; the new lattice shares
-    that object and what is cached on it.  Either way the multiplication
+    that object and what is cached on it.  On each route the multiplication
     bound, generators and labels are checked.  The generators default to
     :meth:`OrderData.all_elements`; each element must be the join of the
-    generators below it, which is tested element by element only when the
-    generating set is a proper subset (an element that is a generator is
-    such a join).
+    generators below it, tested element by element only when the generating
+    set is a proper subset (an element that is a generator is such a join).
     ``mult`` is a full ``size x size`` table of indices or a callable
     ``(x, y) -> index``.
 

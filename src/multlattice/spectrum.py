@@ -173,9 +173,8 @@ def spectrum(L: MultLattice) -> SpectrumReport:
 
     Primes are computed from the full-pair definition.  When the lattice is
     monotone they are recomputed by the generator-pair shortcut over a proper
-    generating set and the two answers are asserted equal (over every element
-    it is the same pass); when monotonicity fails the shortcut is skipped and
-    the report says so.
+    generating set and asserted equal (on every element it is the same pass);
+    when monotonicity fails the shortcut is skipped and the report says so.
 
     The Jacobson radical is reported twice: ``jacobson_radical`` is the join
     of the maximal prime elements, ``jacobson_meet`` the meet of the same
@@ -187,6 +186,7 @@ def spectrum(L: MultLattice) -> SpectrumReport:
 def _spectrum(L: MultLattice) -> SpectrumReport:
     flags = classify_all(L)
     primes = primes_of(L)
+    notes = []
 
     ax = check_axioms(L)
     via_gens = None
@@ -197,6 +197,8 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
             raise TheoremViolation(
                 "generator-pair prime test disagrees with the definition on a "
                 "monotone lattice", witness=tuple(sorted(via_gens ^ primes)))
+    else:
+        notes.append("generator-pair prime test skipped: monotonicity fails")
 
     # V(p) = up(p) ^ Spec is the closure of p.  The distinct V(x) must be the
     # up-sets of the prime order, so each V(x) | V(p) is some V(y); that fails
@@ -224,8 +226,8 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
         raise TheoremViolation("Zariski topology is not sober",
                                witness=zariski.closures[pair[0]])
 
-    notes = () if ax.monotone else ("generator-pair prime test skipped: monotonicity fails",)
-    return SpectrumReport(primes, zariski, radical, jrad, jmeet, True, via_gens, notes)
+    return SpectrumReport(primes, zariski, radical, jrad, jmeet, True,
+                          via_gens, tuple(notes))
 
 
 # --------------------------------------------------------------------------

@@ -226,20 +226,31 @@ def test_product_check_names_the_point_whose_closure_moved(monkeypatch):
     assert built[0].labels[info.value.witness] == "(0,1)"
 
 
-def test_products_and_intervals_are_never_validated(monkeypatch):
-    # Derived lattices are bounded by construction; only their parents' tables
-    # are checked.
+def test_each_product_is_validated_once(monkeypatch):
+    # A product shares its factors' orders, but its table is still checked.
+    calls = []
+    real = constructions_module.validate
+    monkeypatch.setattr(constructions_module, "validate",
+                        lambda **kw: calls.append(kw) or real(**kw))
+    for L in (chain(3, "meet"), zn_ideals(12)):
+        for partner in PRODUCT_PARTNERS:
+            calls.clear()
+            M = product(L, partner).lattice
+            assert len(calls) == 1
+            assert calls[0]["order"] is M.order
+
+
+def test_intervals_are_never_validated(monkeypatch):
+    # An interval is bounded by construction; only its parent's table is
+    # checked.
     lattices, calls = (chain(3, "meet"), zn_ideals(12)), []
     core_module = importlib.import_module("multlattice.core")
     for module, name in ((core_module, "validate"), (core_module, "_bounded_table"),
                          (constructions_module, "validate")):
-        real = getattr(module, name, None)
+        real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, name=name, **kw:
-                            calls.append(name) or real(*a, **kw), raising=False)
+                            calls.append(name) or real(*a, **kw))
     for L in lattices:
-        for partner in PRODUCT_PARTNERS:
-            product(L, partner)
-            product(partner, L)
         for x in L.elements:
             for y in L.up(x):
                 interval(L, x, y)
