@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
                    check_axioms, compact_elements, memo, require)
 from .spectrum import classify_all
-from .systems import classify_system
+from .systems import bit_indices, classify_system, subset_columns
 
 
 # --------------------------------------------------------------------------
@@ -210,11 +210,59 @@ def pip_check(L: MultLattice, F) -> PipReport:
 
 
 def pip_exhaustive(L: MultLattice) -> None:
-    """:func:`pip_check` on every family of ``L``, each a mask; a family that
-    meets none of the four closure conditions is passed over, unreported."""
+    """:func:`pip_check` on every family of ``L`` at once, from
+    :func:`_case_masks` and the columns of :func:`systems.subset_columns`; a
+    family that meets none of the four closure conditions is passed over.
+    When a qualifying family leaves a non-prime element maximal outside,
+    :func:`_pip` runs on the lowest such family and raises there."""
     associative = require(L, "families.pip_exhaustive", HypothesesFail).associative
-    for fmask in range(1 << L.size):
+    flags = classify_all(L)
+    qualifying = 0
+    for meeting in _case_masks(L, associative):
+        qualifying |= meeting
+    col = subset_columns(L.size)
+    everything = (1 << (1 << L.size)) - 1
+    trapping = 0        # the families leaving a non-prime maximal outside
+    for m in L.elements:
+        if not flags[m].prime:
+            trapped = everything & ~col[m]
+            for c in bit_indices(L.up_masks[m] ^ 1 << m):
+                trapped &= col[c]
+            trapping |= trapped
+    if bad := qualifying & trapping:
+        fmask = (bad & -bad).bit_length() - 1
         _pip(L, fmask, associative)
+        raise TheoremViolation("the family kernel and the family scan disagree",
+                               witness=tuple(sorted(L.set_of(fmask))))
+
+
+def _case_masks(L: MultLattice, associative: bool) -> tuple:
+    """For each hypothesis of :class:`PipReport`, in its order, a 2^n-bit
+    integer whose bit f is set when the family f meets it.  A schema fails
+    on the OR, over its instances, of ANDs of :func:`systems.subset_columns`,
+    and on the families without top."""
+    col = subset_columns(L.size)
+    everything = (1 << (1 << L.size)) - 1
+    jt, mt = L.join_table, L.mult_table
+    left_t, right_t = residual_tables(L)
+    gens = memo(L, "sorted_generators", lambda: sorted(L.generators))
+    left = right = oka = ako = everything & ~col[L.top]
+    for a in gens:
+        for l, al in enumerate(jt[a]):
+            escapes = col[al] & ~col[l]     # l outside, a v l inside
+            in_left = escapes & col[left_t[l][a]]
+            in_right = escapes & col[right_t[l][a]]
+            left |= in_left
+            right |= in_right
+            oka |= in_left & in_right
+    for row in jt:
+        for a in gens:
+            fails = 0
+            for b in gens:
+                fails |= col[row[b]] & ~col[row[mt[a][b]]]
+            ako |= col[row[a]] & fails
+    return (everything & ~left, everything & ~right,
+            everything & ~oka if associative else 0, everything & ~ako)
 
 
 def _pip(L: MultLattice, fmask: int, associative: bool) -> tuple:

@@ -11,6 +11,7 @@ the induced homeomorphism on every instance it is given.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
@@ -39,10 +40,73 @@ class MSystem:
     saturation_witness: tuple | None = None
 
 
+def bit_indices(bits: int) -> list:
+    """The positions of the set bits of ``bits``, in increasing order."""
+    return [i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1"]
+
+
+@functools.cache
+def subset_columns(n: int) -> tuple:
+    """For each x < n, one 2^n-bit integer whose bit m is set when the
+    subset m holds x: ANDs and ORs of these columns decide a statement
+    about members for every subset at once."""
+    everything = (1 << (1 << n)) - 1
+    # 2^x zeros, then 2^x ones, repeated over the 2^n bits
+    return tuple(((1 << (1 << x)) - 1 << (1 << x)) * (everything // ((1 << (2 << x)) - 1))
+                 for x in range(n))
+
+
+def subset_flags(L: MultLattice) -> tuple:
+    """Three 2^n-bit integers (m, n, up) whose bit ``mask`` is set when the
+    subset ``mask`` is an m-system, an n-system or an up-set, from about n^2
+    ANDs and ORs of :func:`subset_columns`; for ``L`` of at most
+    ``core.POWERSET_LIMIT`` elements.  Kept on ``L``, not on ``L.order``,
+    since they depend on the multiplication.  Every m-system is asserted to
+    be an n-system."""
+    return memo(L, "subset_flags", lambda: _subset_flags(L))
+
+
+def _subset_flags(L: MultLattice) -> tuple:
+    col = subset_columns(L.size)
+    everything = (1 << (1 << L.size)) - 1
+    # meets[z]: the subsets with a member below z
+    meets = []
+    for down in L.down_masks:
+        acc = 0
+        for x, c in enumerate(col):
+            if down >> x & 1:
+                acc |= c
+        meets.append(acc)
+    misses = [everything & ~acc for acc in meets]
+    m_fail = n_fail = up_fail = 0
+    for x, row in enumerate(L.mult_table):
+        fail = 0
+        for c, xy in zip(col, row):
+            fail |= c & misses[xy]
+        m_fail |= col[x] & fail
+        n_fail |= col[x] & misses[row[x]]
+        up_fail |= meets[x] & ~col[x]       # a member below x, but not x
+    nonempty = everything - 1
+    m, n = nonempty & ~m_fail, nonempty & ~n_fail
+    if bad := m & ~n:
+        mask = (bad & -bad).bit_length() - 1
+        _scan_mask(L, mask)
+        raise TheoremViolation("the subset kernel and the subset scan disagree",
+                               witness=mask)
+    return m, n, everything & ~up_fail
+
+
 def _classify_mask(L: MultLattice, mask: int):
-    """The flags and witnesses of the subset ``mask``, classified once per
-    lattice: the cache lives on ``L``, not on ``L.order``, since the answer
-    depends on the multiplication."""
+    """The flags and witnesses of the subset ``mask``: up to
+    ``core.POWERSET_LIMIT`` elements the flags of :func:`subset_flags`, with
+    a scan only for the witnesses of a failed flag; above it one scan per
+    subset, kept on ``L``."""
+    if L.size <= POWERSET_LIMIT:
+        m, n, up = subset_flags(L)
+        if m >> mask & up >> mask & 1:     # an n-system too
+            return True, True, True, None, None, None
+        return (m >> mask & 1 == 1, n >> mask & 1 == 1, up >> mask & 1 == 1,
+                *_scan_mask(L, mask)[3:])
     known = memo(L, "classified_masks", dict)
     out = known.get(mask)
     if out is None:
@@ -51,6 +115,9 @@ def _classify_mask(L: MultLattice, mask: int):
 
 
 def _scan_mask(L: MultLattice, mask: int):
+    """The flags of the subset ``mask`` and the first witness against each,
+    by a scan of its members: what :func:`subset_flags` decides for every
+    subset at once, run to find witnesses."""
     mt = L.mult_table
     dm = L.down_masks
     xs = [x for x in range(L.size) if mask >> x & 1]
@@ -272,49 +339,55 @@ def saturated_m_systems(L: MultLattice):
 
 
 def _saturated_masks(L: MultLattice) -> list:
-    """The masks of :func:`saturated_m_systems`, in its order; distinct
-    antichains have distinct upward closures."""
-    out = []
+    """The masks of :func:`saturated_m_systems`, in its order: the m-system
+    and up-set flags of :func:`subset_flags` up to ``core.POWERSET_LIMIT``,
+    and above it the upward closures of antichains (distinct for distinct
+    antichains) that classify as saturated m-systems."""
+    if L.size <= POWERSET_LIMIT:
+        m, _, up = subset_flags(L)
+        out = bit_indices(m & up)
+    else:
+        out = []
 
-    def rec(start, closure, allowed):
-        for x in range(start, L.size):
-            if allowed >> x & 1:
-                mask = closure | L.up_masks[x]
-                is_m, _, sat, _, _, _ = _classify_mask(L, mask)
-                if is_m and sat:
-                    out.append(mask)
-                rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
+        def rec(start, closure, allowed):
+            for x in range(start, L.size):
+                if allowed >> x & 1:
+                    mask = closure | L.up_masks[x]
+                    is_m, _, sat, _, _, _ = _classify_mask(L, mask)
+                    if is_m and sat:
+                        out.append(mask)
+                    rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
 
-    rec(0, 0, L.full_mask)
+        rec(0, 0, L.full_mask)
     out.sort(key=lambda mask: (mask.bit_count(), sorted(L.set_of(mask))))
     return out
 
 
 def m_system_masks(L: MultLattice) -> list:
     """The masks of every m-system up to ``core.POWERSET_LIMIT`` elements,
-    in mask order, otherwise of the saturated ones; built once per lattice
-    and shared by every statement over them, so callers must not change it."""
+    in mask order, as :func:`subset_flags` decides them, otherwise of the
+    saturated ones; built once per lattice and shared by every statement
+    over them, so callers must not change it."""
     return memo(L, "m_systems", lambda: _scan_m_systems(L))
 
 
 def _scan_m_systems(L: MultLattice) -> list:
-    """:func:`m_system_masks` by a powerset scan, which leaves the per-subset
-    cache alone (an interval read only by its hyperabelian report would keep
-    all 2^n entries), or by the antichain walk above ``core.POWERSET_LIMIT``."""
+    """:func:`m_system_masks`: the set bits of the m-system flags of
+    :func:`subset_flags`, in mask order, or the saturated m-systems above
+    ``core.POWERSET_LIMIT``."""
     if L.size > POWERSET_LIMIT:
         return _saturated_masks(L)
-    return [mask for mask in range(1, 1 << L.size) if _scan_mask(L, mask)[0]]
+    return bit_indices(subset_flags(L)[0])
 
 
 def first_m_system_without(L: MultLattice, x: int):
     """The first mask of :func:`m_system_masks` that lacks ``x``, or None.
-    Up to ``core.POWERSET_LIMIT`` the subsets without ``x`` (each m with a
-    zero put in at bit x) are scanned in mask order, up to the first hit."""
+    Up to ``core.POWERSET_LIMIT`` it is the lowest m-system flag of
+    :func:`subset_flags` outside ``x``'s column, so the list is not built."""
     if L.size > POWERSET_LIMIT:
         return next((s for s in m_system_masks(L) if not s >> x & 1), None)
-    low = (1 << x) - 1
-    masks = ((m & ~low) << 1 | m & low for m in range(1, 1 << (L.size - 1)))
-    return next((s for s in masks if _scan_mask(L, s)[0]), None)
+    without = subset_flags(L)[0] & ~subset_columns(L.size)[x]
+    return (without & -without).bit_length() - 1 if without else None
 
 
 # --------------------------------------------------------------------------
@@ -358,8 +431,11 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
 
     The fixed-point identity runs over every subset up to
     ``core.POWERSET_LIMIT`` elements and over the saturated m-systems above
-    it; a note records the latter.  Sets are masks inside; each subset is
-    read once, so it is scanned without filling the per-subset cache.
+    it; a note records the latter.  Sets are masks inside, and a subset is
+    a saturated m-system when it is in the list of them, which up to the
+    limit is read from :func:`subset_flags`, so no subset is scanned.  A
+    failure names the first offending member of H(Spec L) or M(L), or pair
+    of members, as sorted elements.
     """
     require(L, "systems.correspondence", MDistributivityRequired)
     zar = spectrum(L).zariski
@@ -374,20 +450,26 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     notes = ["compactness checks on a finite spectrum are vacuously true; they "
              "run through the generic open-cover routine"]
 
+    def members(mask):
+        return tuple(sorted(L.set_of(mask)))
+
     phi = {h: points_system_mask(L, h) for h in h_masks}
     psi = {s: _avoiding(L, s) for s in m_masks}
-    inverse_ok = (all(psi.get(phi[h]) == h for h in h_masks)
-                  and all(phi.get(psi[s]) == s for s in m_masks))
+    bad = next((h for h in h_masks if psi.get(phi[h]) != h),
+               next((s for s in m_masks if phi.get(psi[s]) != s), None))
+    inverse_ok = bad is None
     if not inverse_ok:
         raise TheoremViolation("the correspondence maps are not mutually "
-                               "inverse bijections", witness=None)
+                               "inverse bijections", witness=members(bad))
 
-    reversing = (all(not phi[y] & ~phi[x] for x in h_masks for y in h_masks if not x & ~y)
-                 and all(not psi[t] & ~psi[s] for s in m_masks for t in m_masks
-                         if not s & ~t))
+    pair = next(((x, y) for x in h_masks for y in h_masks
+                 if not x & ~y and phi[y] & ~phi[x]),
+                next(((s, t) for s in m_masks for t in m_masks
+                      if not s & ~t and psi[t] & ~psi[s]), None))
+    reversing = pair is None
     if not reversing:
         raise TheoremViolation("the correspondence maps do not reverse inclusion",
-                               witness=None)
+                               witness=tuple(map(members, pair)))
 
     # Saturated m-system iff P(S) compact and S is the fixed point S_{P(S)}.
     if L.size <= POWERSET_LIMIT:
@@ -396,19 +478,18 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
         subsets = m_masks
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: fixed-point identity "
                      "checked on saturated m-systems only")
+    saturated = set(m_masks)
     of_points = {}
     for s in subsets:
-        is_m, _, sat = _scan_mask(L, s)[:3]
         pm = _avoiding(L, s)
         if pm not in of_points:
             ys = L.set_of(pm)
             of_points[pm] = (points_system_mask(L, pm),
                              is_compact(ys, [u for u in opens if u & ys]))
         fixed, compact = of_points[pm]
-        if (is_m and sat) != (compact and fixed == s):
+        if (s in saturated) != (compact and fixed == s):
             raise TheoremViolation(
-                "saturated m-system iff compact fixed point fails",
-                witness=tuple(sorted(L.set_of(s))))
+                "saturated m-system iff compact fixed point fails", witness=members(s))
 
     # phi as a homeomorphism from the upper-Vietoris topology on H to the
     # membership topology on M: it carries each point closure to one.
@@ -419,16 +500,17 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     for h, c in t_h.closures.items():
         if c != frozenset(g for g in h_masks if not h & ~g):
             raise TheoremViolation("a Vietoris point closure is not the sets "
-                                   "above the point", witness=tuple(sorted(L.set_of(h))))
+                                   "above the point", witness=members(h))
     member_sub = [frozenset(s for s in m_masks if s >> c & 1)
                   for c in sorted(compact_elements(L))]
     t_m = FiniteTopology.from_subbasis(m_masks, member_sub)
-    homeo = all(frozenset(map(phi.get, c)) == t_m.closures[phi[h]]
-                for h, c in t_h.closures.items())
+    bad = next((h for h in h_masks
+                if frozenset(map(phi.get, t_h.closures[h])) != t_m.closures[phi[h]]), None)
+    homeo = bad is None
     if not homeo:
         raise TheoremViolation("the correspondence is not a homeomorphism "
                                "between the Vietoris and membership topologies",
-                               witness=None)
+                               witness=members(bad))
 
     return CorrespondenceReport(tuple(hs), tuple(map(L.set_of, m_masks)), inverse_ok,
                                 reversing, len(subsets), homeo, tuple(notes))

@@ -164,9 +164,13 @@ def suite_hyper(L: MultLattice) -> list:
         for y in sorted(L.elements, key=lambda y: bin(L.down_masks[y]).count("1")):
             if reached & L.down_masks[y] & L.up_masks[L.mult_table[y][y]]:
                 reached |= 1 << y
-        if hyperabelian_report(L).hyperabelian != bool(reached >> L.top & 1):
+        report = hyperabelian_report(L)
+        if report.hyperabelian != bool(reached >> L.top & 1):
+            # what the crosscheck reached short of top, or the report's blocker
+            witness = (tuple(sorted(L.set_of(reached))) if report.hyperabelian
+                       else report.witnesses.get("c"))
             raise TheoremViolation("hyperabelian iff a squaring chain exists fails",
-                                   witness=None)
+                                   witness=witness)
 
     return [
         _guard(L, "hyper.six_conditions", lambda: hyperabelian_report(L)),
@@ -210,9 +214,12 @@ def suite_systems(L: MultLattice) -> list:
                                            witness=(members(s), members(t)))
 
     def constructible_discrete():
-        if not sys_mod.constructible_topology(L).is_discrete():
+        closures = sys_mod.constructible_topology(L).closures
+        p = next((p for p in sorted(closures) if len(closures[p]) != 1), None)
+        if p is not None:
             raise TheoremViolation("constructible topology on a finite T0 "
-                                   "spectrum must be discrete", witness=None)
+                                   "spectrum must be discrete",
+                                   witness=(p, tuple(sorted(closures[p]))))
 
     pts = sorted(primes_of(L))
 

@@ -242,23 +242,16 @@ def test_literal_generator_reading_fails_somewhere():
     assert workable
 
 
-def test_mask_route_matches_the_set_route(monkeypatch, named_corpus):
+def test_mask_route_matches_the_set_route(named_corpus):
     """Families, V(x) and D(x) are masks inside the package and frozensets
     at its edge.  On the named corpus and the exhaustive tables of at most 4
-    elements, ``pip_exhaustive`` finds each family's counterexamples as
-    ``classify_family`` does, qualifies the families that ``pip_check``
-    qualifies, for the same cases and with the same maximal elements, and
-    skips those that ``pip_check`` refuses.  V(x) is the primes above x and
+    elements, the families that ``pip_exhaustive`` qualifies, read from
+    ``_case_masks``, are those that ``pip_check`` qualifies, for the same
+    cases, and the others are those that ``pip_check`` refuses with
+    ``classify_family``'s counterexamples.  V(x) is the primes above x and
     D(x) the other primes."""
     assert not [f.name for f in dataclasses.fields(PipReport) if "bool" in f.type]
-    row = {}
-    real = families._pip
-
-    def recorded(L, fmask, associative):
-        row[fmask] = real(L, fmask, associative)
-        return row[fmask]
-
-    monkeypatch.setattr(families, "_pip", recorded)
+    names = ("left_oka", "right_oka", "oka_associative", "ako")
     runs = 0
     for L in list(named_corpus) + corpus_exhaustive_tables(4):
         primes = primes_of(L)
@@ -268,27 +261,25 @@ def test_mask_route_matches_the_set_route(monkeypatch, named_corpus):
         ax = check_axioms(L)
         if not ax.monotone or L.size > POWERSET_LIMIT:
             continue
-        row.clear()
         pip_exhaustive(L)
-        scanned = dict(row)
-        assert list(scanned) == list(range(1 << L.size))
-        for fmask, (counterexamples, cases, maximal) in scanned.items():
+        case_masks = families._case_masks(L, ax.associative)
+        for fmask in range(1 << L.size):
             F = L.set_of(fmask)
+            cases = tuple(name for name, bits in zip(names, case_masks) if bits >> fmask & 1)
             rep = classify_family(L, F)
-            assert counterexamples == rep.counterexamples
-            expected = [case for case, ok in (("left_oka", rep.left_oka),
-                                              ("right_oka", rep.right_oka),
-                                              ("oka_associative", rep.oka and ax.associative),
-                                              ("ako", rep.ako)) if ok]
+            expected = tuple(case for case, ok in (("left_oka", rep.left_oka),
+                                                   ("right_oka", rep.right_oka),
+                                                   ("oka_associative", rep.oka and ax.associative),
+                                                   ("ako", rep.ako)) if ok)
             assert cases == expected
             try:
                 pip = pip_check(L, F)
             except HypothesesFail as exc:
-                assert not cases and maximal == [] and exc.witness == counterexamples
+                assert not cases and exc.witness == rep.counterexamples
                 continue
             outside = [y for y in L.elements if y not in F]
-            assert pip.qualifying_cases == tuple(cases)
-            assert pip.maximal_outside == tuple(maximal) == tuple(
+            assert pip.qualifying_cases == cases
+            assert pip.maximal_outside == tuple(
                 y for y in outside if not any(y != z and L.leq(y, z) for z in outside))
         runs += 1
     assert runs > 200
@@ -313,3 +304,43 @@ def test_planted_nonprime_maximal_fails_the_pip_row(monkeypatch):
             except HypothesesFail:
                 pass
     assert f"TheoremViolation: {exc.value} (witness {exc.value.witness})" == detail
+
+
+def test_planted_nonprime_fails_pip_exhaustive_on_the_first_family(monkeypatch, named_corpus):
+    # With one prime called non-prime, pip_exhaustive raises what the
+    # per-family loop raises, on the same first family: the lowest family
+    # that qualifies and leaves that element maximal outside.
+    def per_family(L, associative):
+        for fmask in range(1 << L.size):
+            try:
+                families._pip(L, fmask, associative)
+            except TheoremViolation as exc:
+                return fmask, str(exc), exc.witness
+        return None
+
+    real_pip = families._pip
+    failing = 0
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        ax = check_axioms(L)
+        if not ax.monotone or L.size > POWERSET_LIMIT:
+            continue
+        flags = classify_all(L)
+        for p in sorted(primes_of(L)):
+            planted = tuple(dataclasses.replace(f, prime=False) if x == p else f
+                            for x, f in enumerate(flags))
+            with monkeypatch.context() as m:
+                m.setattr(families, "classify_all", lambda M: planted)
+                expected = per_family(L, ax.associative)
+                calls = []
+                m.setattr(families, "_pip", lambda M, fmask, associative: (
+                    calls.append(fmask) or real_pip(M, fmask, associative)))
+                if expected is None:
+                    pip_exhaustive(L)
+                    assert calls == [], (L.name, p)
+                    continue
+                with pytest.raises(TheoremViolation) as exc:
+                    pip_exhaustive(L)
+            assert (calls, str(exc.value), exc.value.witness) == (
+                [expected[0]], *expected[1:]), (L.name, p)
+            failing += 1
+    assert failing > 100

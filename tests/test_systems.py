@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from multlattice import systems
-from multlattice.core import (LatticeError, MonotonicityRequired, NotAnMSystem,
-                              TheoremViolation, check_axioms, replace_mult, validate)
+from multlattice.core import (POWERSET_LIMIT, LatticeError, MonotonicityRequired,
+                              NotAnMSystem, TheoremViolation, check_axioms, replace_mult,
+                              validate)
 from multlattice.families import classify_family, pip_check, sigma_of_system
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
@@ -13,7 +14,7 @@ from multlattice.systems import (all_m_systems, classify_system,
                                  equal_saturations, inverse_topology,
                                  is_compact, primes_avoiding, saturate,
                                  saturated_m_systems, system_of_points)
-from multlattice.verify import corpus_exhaustive_tables
+from multlattice.verify import corpus_exhaustive_tables, corpus_random_tables
 
 from conftest import mk_chain
 
@@ -210,12 +211,36 @@ def test_correspondence_meet_chain_counts():
 
 
 def test_correspondence_leaves_the_subset_cache_alone():
-    # The fixed-point identity reads each of the 2^n subsets once; scanning
-    # them must not leave a classification of every subset on the lattice.
+    # The fixed-point identity reads each of the 2^n subsets once, from the
+    # kernel's flags: the lattice keeps one integer per flag and no
+    # classification per subset.
     L = mk_chain(5, min)
     assert check_axioms(L).m_distributive
     assert correspondence_check(L).subset_identity_checked == 2 ** L.size
-    assert len(L._cache["classified_masks"]) < 2 ** L.size
+    assert "classified_masks" not in L._cache
+    assert [type(bits) for bits in L._cache["subset_flags"]] == [int] * 3
+
+
+def test_subset_columns_hold_each_subsets_members():
+    for n in range(7):
+        col = systems.subset_columns(n)
+        assert [[c >> m & 1 for c in col] for m in range(1 << n)] == [
+            [m >> x & 1 for x in range(n)] for m in range(1 << n)]
+
+
+def test_kernel_matches_the_subset_scan(named_corpus):
+    # The kernel decides the m-system, n-system and up-set flags of all
+    # subsets at once; on every subset they are the per-subset scan's.
+    tables = ([L for L in named_corpus if L.size <= POWERSET_LIMIT]
+              + corpus_exhaustive_tables(4) + corpus_random_tables(200, 1729)
+              + [chain(12, "meet")])
+    for L in tables:
+        flags = systems.subset_flags(L)
+        assert all(bits >> (1 << L.size) == 0 for bits in flags), L.name
+        for mask in range(1 << L.size):
+            assert (tuple(bits >> mask & 1 == 1 for bits in flags)
+                    == systems._scan_mask(L, mask)[:3]), (L.name, mask)
+    assert tables[-1].size == 12 and len(tables) > 3900
 
 
 def test_first_m_system_without_reads_the_list_order(small_exhaustive_corpus,
@@ -231,15 +256,69 @@ def test_first_m_system_without_reads_the_list_order(small_exhaustive_corpus,
 
 
 def test_first_m_system_without_stops_at_the_first_hit(monkeypatch):
-    # On chain12 under meet {1} is an m-system, the first subset without 0.
-    calls = []
-    scan = systems._scan_mask
-    monkeypatch.setattr(systems, "_scan_mask",
-                        lambda L, mask: calls.append(mask) or scan(L, mask))
-    L = chain(12, "meet")
-    assert systems.first_m_system_without(L, L.bottom) == 0b10
-    assert calls == [0b10]
-    assert "m_systems" not in L._cache
+    # The answer is the first m-system without x in mask order, as the
+    # per-subset scan finds it, read from the kernel's flags: no subset is
+    # scanned and the list of m-systems is not built.  On chain12 under
+    # meet {1} is the first m-system without 0.
+    def first_by_scan(L, x):
+        return next((s for s in range(1, 1 << L.size)
+                     if not s >> x & 1 and systems._scan_mask(L, s)[0]), None)
+
+    lattices = [chain(12, "meet"), chain(5, "zero"), zn_ideals(12), zn_ideals(36)]
+    expected = [[first_by_scan(L, x) for x in L.elements] for L in lattices]
+
+    def refused(L, mask):
+        raise AssertionError(f"subset {mask} was scanned")
+
+    monkeypatch.setattr(systems, "_scan_mask", refused)
+    assert [[systems.first_m_system_without(L, x) for x in L.elements]
+            for L in lattices] == expected
+    assert expected[0][lattices[0].bottom] == 0b10
+    assert not any("m_systems" in L._cache for L in lattices)
+
+
+def _correspondence_failure(L):
+    with pytest.raises(TheoremViolation) as exc:
+        correspondence_check(L)
+    return str(exc.value), exc.value.witness
+
+
+def test_correspondence_names_the_first_member_the_maps_do_not_invert(monkeypatch):
+    # P({a, 1}) on the meet 3-chain read as {0, a}: S_{0} = {a, 1} no longer
+    # maps back to {0}.
+    L = chain(3, "meet")
+    avoiding = systems._avoiding
+    monkeypatch.setattr(systems, "_avoiding",
+                        lambda M, mask: avoiding(M, mask) ^ (0b10 if mask == 0b110 else 0))
+    assert _correspondence_failure(L) == (
+        "the correspondence maps are not mutually inverse bijections", (0,))
+
+
+def test_correspondence_names_the_first_pair_whose_inclusion_is_kept(monkeypatch):
+    # Swapping {0} and {0, a} in H on both sides keeps the maps mutually
+    # inverse, but the image of {0, a}, now {a, 1}, is not inside the image
+    # of {0}, now {1}.
+    L = chain(3, "meet")
+    def swapped(h):
+        return {0b01: 0b11, 0b11: 0b01}.get(h, h)
+
+    points_system, avoiding = systems.points_system_mask, systems._avoiding
+    monkeypatch.setattr(systems, "points_system_mask",
+                        lambda M, h: points_system(M, swapped(h)))
+    monkeypatch.setattr(systems, "_avoiding", lambda M, s: swapped(avoiding(M, s)))
+    assert _correspondence_failure(L) == (
+        "the correspondence maps do not reverse inclusion", ((0,), (0, 1)))
+
+
+def test_correspondence_names_the_first_point_that_is_not_carried(monkeypatch):
+    # With no compact elements the membership topology is indiscrete, so
+    # the closure of {0} in H, which misses the empty set, is not carried
+    # onto a closure.
+    L = chain(3, "meet")
+    monkeypatch.setattr(systems, "compact_elements", lambda M: frozenset())
+    assert _correspondence_failure(L) == (
+        "the correspondence is not a homeomorphism between the Vietoris and "
+        "membership topologies", (0,))
 
 
 def test_correspondence_zn12():

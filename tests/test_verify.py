@@ -233,9 +233,9 @@ def test_constructible_row_fails_when_the_inverse_topology_is_zariski(monkeypatc
     monkeypatch.setattr(sys_mod, "inverse_topology",
                         lambda M: spectrum_module.spectrum(M).zariski)
     failures = _failures(chain(3, "meet"), "systems")
-    assert failures["systems.constructible_discrete"].startswith(
+    assert failures["systems.constructible_discrete"] == (
         "TheoremViolation: constructible topology on a finite T0 spectrum "
-        "must be discrete")
+        "must be discrete (witness (0, (0, 1)))")
 
 
 def test_m_system_checks_above_the_powerset_limit(capsys):
@@ -281,20 +281,23 @@ def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
 
 
 def test_pip_classifies_each_family_once(monkeypatch):
-    # The families suite runs the scan that classify_family and pip_check
-    # share once on each of the 2^n family masks, and builds no report.
+    # The families suite classifies the 2^n families once, all at once, in
+    # families._case_masks: it scans no family on its own and builds no
+    # report.
     calls = []
-    scan = families._counterexamples
-    monkeypatch.setattr(families, "_counterexamples",
-                        lambda L, fmask: calls.append(fmask) or scan(L, fmask))
+    case_masks = families._case_masks
+    monkeypatch.setattr(families, "_case_masks",
+                        lambda L, associative: calls.append(L) or case_masks(L, associative))
 
     def refused(*args):
-        raise AssertionError("the families suite built a report")
+        raise AssertionError("the families suite scanned a family or built a report")
 
-    for name in ("classify_family", "pip_check", "FamilyReport", "PipReport"):
+    for name in ("_counterexamples", "_pip", "classify_family", "pip_check",
+                 "FamilyReport", "PipReport"):
         monkeypatch.setattr(families, name, refused)
-    assert verify_all(chain(6, "meet"), ("families",)).failed == 0
-    assert calls == list(range(2 ** 6))
+    L = chain(6, "meet")
+    assert verify_all(L, ("families",)).failed == 0
+    assert calls == [L]
 
 
 def test_mask_route_failures_match_the_pair_scan(monkeypatch):
@@ -426,8 +429,8 @@ def test_report_writer_peak_memory_is_near_its_output():
 def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
     # The report on the zero 3-chain flipped, with a witness against every
     # condition and its chain dropped: the row searches for a squaring chain
-    # on its own, so it finds one and refuses the report's "not
-    # hyperabelian".
+    # on its own, so it finds one, refuses the report's "not hyperabelian"
+    # and names the report's blocker.
     real = spectrum_module._hyperabelian_report
 
     def flipped(M):
@@ -439,7 +442,18 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
     monkeypatch.setattr(spectrum_module, "_hyperabelian_report", flipped)
     assert _failures(chain(3, "zero"), "hyper") == {
         "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
-                                  "squaring chain exists fails (witness None)"}
+                                  "squaring chain exists fails (witness 0)"}
+
+
+def test_chain_row_names_what_it_reached_against_a_hyperabelian_report(monkeypatch):
+    # The report on the meet 3-chain flipped to hyperabelian: the row's own
+    # search reaches only the bottom, since a*a = a, and names that set.
+    real = spectrum_module._hyperabelian_report
+    monkeypatch.setattr(spectrum_module, "_hyperabelian_report", lambda M: dataclasses.replace(
+        real(M), hyperabelian=True, chain=(0, 1, 2), witnesses={}))
+    assert _failures(chain(3, "meet"), "hyper") == {
+        "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
+                                  "squaring chain exists fails (witness (0,))"}
 
 
 def test_correspondence_fails_on_transposed_subbasis_closures(monkeypatch):
