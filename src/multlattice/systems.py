@@ -107,6 +107,11 @@ def _classify_mask(L: MultLattice, mask: int):
             return True, True, True, None, None, None
         return (m >> mask & 1 == 1, n >> mask & 1 == 1, up >> mask & 1 == 1,
                 *_scan_mask(L, mask)[3:])
+    return _scanned(L, mask)
+
+
+def _scanned(L: MultLattice, mask: int):
+    """:func:`_scan_mask` of ``mask``, kept on ``L`` by bitmask."""
     known = memo(L, "classified_masks", dict)
     out = known.get(mask)
     if out is None:
@@ -341,25 +346,33 @@ def saturated_m_systems(L: MultLattice):
 def _saturated_masks(L: MultLattice) -> list:
     """The masks of :func:`saturated_m_systems`, in its order: the m-system
     and up-set flags of :func:`subset_flags` up to ``core.POWERSET_LIMIT``,
-    and above it the upward closures of antichains (distinct for distinct
-    antichains) that classify as saturated m-systems."""
+    and above it :func:`_antichain_masks`."""
     if L.size <= POWERSET_LIMIT:
         m, _, up = subset_flags(L)
         out = bit_indices(m & up)
     else:
-        out = []
-
-        def rec(start, closure, allowed):
-            for x in range(start, L.size):
-                if allowed >> x & 1:
-                    mask = closure | L.up_masks[x]
-                    is_m, _, sat, _, _, _ = _classify_mask(L, mask)
-                    if is_m and sat:
-                        out.append(mask)
-                    rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
-
-        rec(0, 0, L.full_mask)
+        out = _antichain_masks(L)
     out.sort(key=lambda mask: (mask.bit_count(), sorted(L.set_of(mask))))
+    return out
+
+
+def _antichain_masks(L: MultLattice) -> list:
+    """The upward closures of the antichains of ``L`` (distinct for distinct
+    antichains) that a scan of their members (:func:`_scan_mask`, kept on
+    ``L``) finds to be saturated m-systems, in walk order.  It reads no
+    kernel flag, so on small lattices the two check each other."""
+    out = []
+
+    def rec(start, closure, allowed):
+        for x in range(start, L.size):
+            if allowed >> x & 1:
+                mask = closure | L.up_masks[x]
+                is_m, _, sat, _, _, _ = _scanned(L, mask)
+                if is_m and sat:
+                    out.append(mask)
+                rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
+
+    rec(0, 0, L.full_mask)
     return out
 
 

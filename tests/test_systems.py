@@ -9,12 +9,12 @@ from multlattice.core import (POWERSET_LIMIT, LatticeError, MonotonicityRequired
 from multlattice.families import classify_family, pip_check, sigma_of_system
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
-from multlattice.systems import (all_m_systems, classify_system,
+from multlattice.systems import (classify_system,
                                  complement_system, constructible_topology, correspondence_check,
                                  equal_saturations, inverse_topology,
                                  is_compact, primes_avoiding, saturate,
                                  saturated_m_systems, system_of_points)
-from multlattice.verify import corpus_exhaustive_tables, corpus_random_tables
+from multlattice.verify import corpus_exhaustive_tables, corpus_named, corpus_random_tables
 
 from conftest import mk_chain
 
@@ -341,14 +341,27 @@ def test_fixed_point_identity_all_subsets(small_exhaustive_corpus):
             assert (ms.is_m and ms.saturated) == fixed, (L.name, sorted(S))
 
 
-def test_saturated_enumeration_matches_powerset(named_corpus):
-    for L in named_corpus:
-        if L.size > 8:
-            continue
-        via_antichains = {frozenset(s) for s in saturated_m_systems(L)}
-        via_powerset = {frozenset(s) for s in all_m_systems(L)
-                        if classify_system(L, s).saturated}
-        assert via_antichains == via_powerset, L.name
+def test_saturated_enumeration_matches_powerset():
+    # The antichain walk, which alone lists the saturated m-systems above
+    # POWERSET_LIMIT, scans its subsets member by member; on every small
+    # lattice it must give the kernel's m-system and up-set bits, in the
+    # same order once sorted.  Fresh lattices, so the walk's per-subset
+    # cache stays off the shared corpus.
+    tables = ([L for L in corpus_named() if L.size <= 8]
+              + corpus_exhaustive_tables(4))
+    for L in tables:
+        m, _, up = systems.subset_flags(L)
+        kernel = systems.bit_indices(m & up)
+        walk = systems._antichain_masks(L)
+        assert len(walk) == len(set(walk)), L.name
+        key = lambda mask: (mask.bit_count(), sorted(L.set_of(mask)))
+        assert sorted(walk, key=key) == sorted(kernel, key=key), L.name
+        assert systems._saturated_masks(L) == sorted(kernel, key=key), L.name
+    # Above the limit: on a meet chain every nonempty up-set is a principal
+    # filter and an m-system.
+    L = chain(POWERSET_LIMIT + 1, "meet")
+    walk = systems._antichain_masks(L)
+    assert sorted(walk) == sorted(L.up_masks)
 
 
 def test_is_compact_generic_routine():
