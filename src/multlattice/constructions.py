@@ -60,10 +60,17 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     every element generates, and (zz') v x <= z ^ z' whenever x <= z, z'
     bounds the table.  When ``x`` is bottom the new multiplication agrees
     with the restriction of the parent multiplication; this is asserted.
+    It is kept under ``L``'s memo key ``"intervals"``, which
+    ``verify.verify_all`` drops once ``L``'s suites have run, for the
+    reason :func:`product` gives for keeping no product.
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
-    return memo(L, ("interval", x, y), lambda: _interval(L, x, y))
+    ivs = memo(L, "intervals", dict)
+    iv = ivs.get((x, y))
+    if iv is None:
+        iv = ivs[x, y] = _interval(L, x, y)
+    return iv
 
 
 def _restrict(table, elems, cell) -> tuple:

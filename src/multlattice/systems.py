@@ -190,13 +190,19 @@ def saturate(L: MultLattice, S) -> MSystem:
     return _system(L, saturation_mask(L, L.mask_of(ms.members)))
 
 
-def saturation_mask(L: MultLattice, mask: int) -> int:
-    """:func:`saturate` on masks, for an m-system ``mask`` of a monotone
-    lattice: its upward closure, asserted to be a saturated m-system."""
+def up_closure(L: MultLattice, mask: int) -> int:
+    """The upward closure of ``mask``: the OR of its members' up-sets."""
     out = 0
     for x in range(L.size):
         if mask >> x & 1:
             out |= L.up_masks[x]
+    return out
+
+
+def saturation_mask(L: MultLattice, mask: int) -> int:
+    """:func:`saturate` on masks, for an m-system ``mask`` of a monotone
+    lattice: its upward closure, asserted to be a saturated m-system."""
+    out = up_closure(L, mask)
     is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, out)
     if not (is_m and sat):
         raise TheoremViolation("upward closure of an m-system in a monotone "

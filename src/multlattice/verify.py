@@ -193,7 +193,7 @@ def suite_systems(L: MultLattice) -> list:
             sat = sat_of[s] = sys_mod.saturation_mask(L, s)
             if s & ~sat:
                 raise TheoremViolation("saturation is not extensive", witness=members(s))
-            if sys_mod.saturation_mask(L, sat) != sat:
+            if sys_mod.up_closure(L, sat) != sat:
                 raise TheoremViolation("saturation is not idempotent", witness=members(s))
         if L.size <= POWERSET_LIMIT:
             # below[t]: the union of sat(s) over the m-systems s <= t, by a
@@ -414,7 +414,10 @@ class VerifyReport:
 
 
 def verify_all(lattices, suites=("all",)) -> VerifyReport:
-    """Run the selected suites over one lattice or a sequence of lattices."""
+    """Run the selected suites over one lattice or a sequence of lattices.
+    A lattice's intervals are shared by its rows and dropped once its suites
+    have run, for the reason ``constructions.product`` keeps no product;
+    the rest of its cache stays for the caller."""
     if isinstance(lattices, MultLattice):
         lattices = [lattices]
     names = list(SUITES) if "all" in suites else [s for s in suites if s in SUITES]
@@ -428,6 +431,7 @@ def verify_all(lattices, suites=("all",)) -> VerifyReport:
                 results.extend(SUITES[s](L))
             except Exception as exc:    # in a suite's set-up, outside _guard
                 results.append(_raised(L, f"{s}.setup", exc))
+        L._cache.pop("intervals", None)
     results.sort(key=lambda r: (r.lattice, r.check))
     failed = sum(1 for r in results if not r.passed)
     skipped = sum(1 for r in results if r.skipped)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import inspect
 import itertools
@@ -7,6 +8,7 @@ import pkgutil
 import random
 import sys
 import tracemalloc
+import types
 
 import pytest
 
@@ -280,6 +282,56 @@ def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
     assert [M for M in calls if M is L] == [L]
 
 
+def _intervals_reachable(root) -> list:
+    """The interval lattices reachable from ``root`` through containers and
+    instance attributes; types, modules and functions are not followed."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, cons.IntervalLattice):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+@pytest.mark.parametrize("name", ["zn36", "random5_mdist_s7"])
+def test_verify_all_releases_the_intervals_it_built(name):
+    # The constructions rows build intervals of L; they would hold their
+    # own caches as long as L if kept.  The analyses callers read stay.
+    L = next(M for M in corpus_named() if M.name == name)
+    assert check_axioms(L).m_distributive
+    assert verify_all(L).failed == 0
+    assert _intervals_reachable(L._cache) == []
+    assert {"axioms", "classify", "spectrum"} <= L._cache.keys()
+
+
+def test_verify_all_builds_each_interval_once_per_run(monkeypatch):
+    # Every row of one run shares an interval, and none is released before
+    # the last suite: a probe suite run after the others still finds them.
+    requested, built, held = [], [], []
+    interval, build = cons.interval, cons._interval
+    monkeypatch.setattr(cons, "interval", lambda L, x, y: (
+        requested.append((id(L), x, y)) or interval(L, x, y)))
+    monkeypatch.setattr(cons, "_interval", lambda L, x, y: (
+        built.append((id(L), x, y)) or build(L, x, y)))
+    monkeypatch.setitem(SUITES, "probe", lambda L: held.append(
+        len(L._cache.get("intervals", ()))) or [])
+    L = next(M for M in corpus_named() if M.name == "zn36")
+    assert verify_all(L).failed == 0
+    assert sorted(built) == sorted(set(requested))
+    assert len(requested) > len(built)
+    assert held == [len(built)] and "intervals" not in L._cache
+
+
+def test_corpus_run_leaves_no_interval_on_any_lattice():
+    lattices = corpus_exhaustive_tables(3) + corpus_named()
+    assert verify_all(lattices).failed == 0
+    assert not any(_intervals_reachable(L._cache) for L in lattices)
+
+
 def test_pip_classifies_each_family_once(monkeypatch):
     # The families suite classifies the 2^n families once, all at once, in
     # families._case_masks: it scans no family on its own and builds no
@@ -308,15 +360,25 @@ def test_mask_route_failures_match_the_pair_scan(monkeypatch):
         rep = verify_all(chain(6, "meet"), (suite,))
         return [(r.check, r.detail) for r in rep.results if not r.passed]
 
-    # a saturation that drops element 1 from the saturation of {0, 2, 3, 4, 5}
-    s0 = 0b111101
+    # a saturation that raises the saturation of {5} to the up-set {2, 3, 4, 5}:
+    # still extensive and idempotent, but {5} <= {3, 5} whose saturation is
+    # {3, 4, 5}
+    s0, raised = 0b100000, 0b111100
     saturation = sys_mod.saturation_mask
+    monkeypatch.setattr(sys_mod, "saturation_mask",
+                        lambda L, mask: raised if mask == s0 else saturation(L, mask))
+    assert failures("systems") == [
+        ("systems.saturation_closure_operator",
+         "TheoremViolation: saturation is not monotone "
+         "(witness ((5,), (3, 5)))")]
+    # a saturation of {0, 2, 3, 4, 5} that leaves out element 1 is not an up-set
+    s0 = 0b111101
     monkeypatch.setattr(sys_mod, "saturation_mask",
                         lambda L, mask: s0 if mask == s0 else saturation(L, mask))
     assert failures("systems") == [
         ("systems.saturation_closure_operator",
-         "TheoremViolation: saturation is not monotone "
-         "(witness ((0,), (0, 2, 3, 4, 5)))")]
+         "TheoremViolation: saturation is not idempotent "
+         "(witness (0, 2, 3, 4, 5))")]
     monkeypatch.undo()
 
     # an Ako test that fails on the family {3, 4, 5}
