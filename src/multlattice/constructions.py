@@ -18,9 +18,9 @@ from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
                    PropertyReport, TheoremViolation, axiom_report, check_axioms,
                    memo, require, validate)
-from .spectrum import (classify_all, hyperabelian_report, prime_mask, primes_of,
-                       spectrum)
+from .spectrum import hyperabelian_report, prime_mask, spectrum
 from .families import residual_left, residual_right
+from .systems import bit_indices
 
 
 def _rows(cells, n: int) -> tuple:
@@ -126,14 +126,15 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
     is prime) exactly when ``l`` is prime."""
     require(L, "constructions.closed_subspace", MDistributivityRequired)
     iv = interval(L, l, L.top)
-    spec_iv = L.mask_of(map(iv.to_parent, primes_of(iv.lattice)))
-    vl = L.up_masks[l] & prime_mask(L)
+    m_spec, spec = prime_mask(iv.lattice), prime_mask(L)
+    spec_iv = sum([1 << z for i, z in enumerate(iv.embedding) if m_spec >> i & 1])
+    vl = L.up_masks[l] & spec
     if spec_iv != vl:
         raise TheoremViolation(
             f"Spec([{l}, top]) differs from V({l})",
             witness=tuple(sorted(L.set_of(spec_iv ^ vl))))
-    l_prime = classify_all(L)[l].prime
-    if classify_all(iv.lattice)[iv.lattice.bottom].prime != l_prime:
+    l_prime = spec >> l & 1 == 1
+    if (m_spec >> iv.lattice.bottom & 1 == 1) != l_prime:
         raise TheoremViolation(
             f"[l, top] prime-lattice status must match primality of l={l}",
             witness=l)
@@ -421,18 +422,16 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
     """
     u = right_adjoint(f)
     src, tgt = f.source, f.target
-    src_primes = primes_of(src)
-    tgt_primes = primes_of(tgt)
+    src_spec, spec = prime_mask(src), prime_mask(tgt)
     point_map = {}
-    for p in sorted(tgt_primes):
+    for p in bit_indices(spec):
         q = u[p]
-        if q not in src_primes:
+        if not src_spec >> q & 1:
             raise TheoremViolation(
                 f"adjoint image u({p}) = {q} of a prime is not prime", witness=p)
         point_map[p] = q
     # The preimage of V(x) is the primes p with x <= u(p), and V(f(x)) is
     # the primes above f(x), both as masks of target primes.
-    spec = prime_mask(tgt)
     bits = [(1 << p, q) for p, q in point_map.items()]
     for x, fx in enumerate(f.mapping):
         up, preimage = src.up_masks[x], 0
@@ -463,7 +462,7 @@ def lying_over(L: MultLattice, n: int, q: int) -> int:
         raise NotPrimeInInterval(f"{q} is not an element of [bottom, {n}]",
                                  witness=q)
     base = interval(L, L.bottom, n)
-    if not classify_all(base.lattice)[base.from_parent(q)].prime:
+    if not prime_mask(base.lattice) >> base.from_parent(q) & 1:
         raise NotPrimeInInterval(f"{q} is not prime in [bottom, {n}]", witness=q)
 
     upper = interval(L, q, L.top)
@@ -477,13 +476,12 @@ def lying_over(L: MultLattice, n: int, q: int) -> int:
             witness=(upper.to_parent(la), upper.to_parent(ra)))
     p = upper.to_parent(la)
 
-    flags = classify_all(L)
-    if not flags[p].prime or L.meet_table[p][n] != q:
+    spec = prime_mask(L)
+    if not spec >> p & 1 or L.meet_table[p][n] != q:
         raise TheoremViolation(
             f"constructed element {p} is not a prime meeting n back to q",
             witness=p)
-    matches = [r for r in L.elements
-               if flags[r].prime and L.meet_table[r][n] == q]
+    matches = [r for r in bit_indices(spec) if L.meet_table[r][n] == q]
     if matches != [p]:
         raise TheoremViolation(
             f"lying over is not unique: candidates {matches}", witness=tuple(matches))
@@ -502,41 +500,44 @@ class OpenSubspaceReport:
 def open_subspace_homeo(L: MultLattice, n: int) -> OpenSubspaceReport:
     """The map p -> p ^ n from the open subspace D(n) onto Spec([bottom, n]),
     verified to be a bijective homeomorphism for the subspace topologies,
-    together with the open-set identity for every l."""
+    together with the open-set identity for every l.  Both spectra are
+    masks (:func:`prime_mask`), and the closure of a point is its up-set in
+    its spectrum, so no spectrum report of the interval is built."""
     require(L, "constructions.open_subspace_homeo", HypothesesFail)
-    rep = spectrum(L)
-    spec, up = prime_mask(L), L.up_masks
-    dn = L.set_of(spec & ~up[n])
+    up = L.up_masks
+    dn = prime_mask(L) & ~up[n]
     iv = interval(L, L.bottom, n)
     M = iv.lattice
-    m_rep = spectrum(M)
+    m_spec = prime_mask(M)
 
     point_map = {}
-    for p in sorted(dn):
+    for p in bit_indices(dn):
         img = iv.from_parent(L.meet_table[p][n])
-        if img not in m_rep.primes:
+        if not m_spec >> img & 1:
             raise TheoremViolation(
                 f"p ^ n is not prime in [bottom, n] for p = {p}", witness=p)
         point_map[p] = img
-    if sorted(point_map.values()) != sorted(m_rep.primes):
-        odd = [q for q in m_rep.primes if list(point_map.values()).count(q) != 1]
+    images = list(point_map.values())
+    odd = [q for q in bit_indices(m_spec) if images.count(q) != 1]
+    if odd:
         raise TheoremViolation("p -> p ^ n is not a bijection onto the "
-                               "interval spectrum", witness=iv.to_parent(min(odd)))
+                               "interval spectrum", witness=iv.to_parent(odd[0]))
 
-    # D(l*n) within D(n): the points of D(n) not above l*n; images as masks
     bits = [(1 << p, 1 << q) for p, q in point_map.items()]
-    m_spec = prime_mask(M)
+
+    def image(mask):    # the images of the points of D(n) in ``mask``
+        return sum([q for p, q in bits if mask & p])
+
+    moved = next((p for p, q in point_map.items()
+                  if image(up[p]) != M.up_masks[q] & m_spec), None)
+    if moved is not None:
+        raise TheoremViolation("subspace and interval topologies do not match",
+                               witness=moved)
+    # D(l*n) within D(n): the points of D(n) not above l*n
     for l in L.elements:
         ln = L.mult_table[l][n]
-        image = sum([q for p, q in bits if not up[ln] & p])
-        if image != m_spec & ~M.up_masks[iv.from_parent(ln)]:
+        if image(~up[ln]) != m_spec & ~M.up_masks[iv.from_parent(ln)]:
             raise TheoremViolation(
                 f"image of D({l}*{n}) is not the matching interval open",
                 witness=l)
-
-    moved = [p for p, c in rep.zariski.subspace(dn).closures.items()
-             if frozenset(map(point_map.get, c)) != m_rep.zariski.closures[point_map[p]]]
-    if moved:
-        raise TheoremViolation("subspace and interval topologies do not match",
-                               witness=min(moved))
     return OpenSubspaceReport(iv, point_map)

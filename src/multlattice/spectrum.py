@@ -94,12 +94,11 @@ def classify_all(L: MultLattice) -> tuple:
 
 def _classify_all(L: MultLattice) -> tuple:
     order_flags = memo(L.order, "order_flags", lambda: _order_flags(L.order))
-    up = L.up_masks
-    nonprime = _nonprime_mask(L, range(L.size)) | 1 << L.top
+    up, spec = L.up_masks, prime_mask(L)
     nonsemiprime = 0
     for a, row in enumerate(L.mult_table):
         nonsemiprime |= up[row[a]] & ~up[a]
-    return tuple(_shared_flags(not nonprime >> x & 1, not nonsemiprime >> x & 1,
+    return tuple(_shared_flags(spec >> x & 1 == 1, not nonsemiprime >> x & 1,
                                *order_flags[x]) for x in range(L.size))
 
 
@@ -134,10 +133,11 @@ def primes_of(L: MultLattice) -> frozenset:
 
 
 def prime_mask(L: MultLattice) -> int:
-    """Spec(L) as a mask, cached on the lattice.  Inside the package V(x) is
+    """Spec(L) as a mask, cached on the lattice: the nonprime pass alone,
+    which :func:`classify_all` reads.  Inside the package V(x) is
     ``L.up_masks[x] & prime_mask(L)`` and D(x) is its complement in it."""
-    return memo(L, "prime_mask", lambda: sum(
-        1 << x for x, flags in enumerate(classify_all(L)) if flags.prime))
+    return memo(L, "prime_mask", lambda: L.full_mask & ~(
+        _nonprime_mask(L, range(L.size)) | 1 << L.top))
 
 
 def v_set(L: MultLattice, x: int) -> frozenset:

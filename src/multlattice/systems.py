@@ -248,6 +248,28 @@ def _avoiding(L: MultLattice, mask: int) -> int:
     return sum(1 << p for p in primes_of(L) if not mask & L.down_masks[p])
 
 
+def _avoiding_classes(L: MultLattice) -> dict:
+    """:func:`_avoiding` of every subset at once, up to
+    ``core.POWERSET_LIMIT`` elements: each P(S) to the 2^n-bit integer of
+    the subsets S it is P(S) of.  The subsets start as one class with no
+    prime, and each prime p splits every class by the OR of the columns
+    (:func:`subset_columns`) below p: the subsets that miss them gain p."""
+    col = subset_columns(L.size)
+    classes = {0: (1 << (1 << L.size)) - 1}
+    for p in bit_indices(prime_mask(L)):
+        meets = 0
+        for x in bit_indices(L.down_masks[p]):
+            meets |= col[x]
+        split = {}
+        for pm, subsets in classes.items():
+            if subsets & ~meets:
+                split[pm | 1 << p] = subsets & ~meets
+            if subsets & meets:
+                split[pm] = subsets & meets
+        classes = split
+    return classes
+
+
 def system_of_points(L: MultLattice, Y) -> MSystem:
     """S_Y: the compact elements not below any point of ``Y`` (a subset of
     the spectrum), asserted to be a saturated m-system.  It holds top and is
@@ -450,11 +472,12 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
 
     The fixed-point identity runs over every subset up to
     ``core.POWERSET_LIMIT`` elements and over the saturated m-systems above
-    it; a note records the latter.  Sets are masks inside, and a subset is
-    a saturated m-system when it is in the list of them, which up to the
-    limit is read from :func:`subset_flags`, so no subset is scanned.  A
-    failure names the first offending member of H(Spec L) or M(L), or pair
-    of members, as sorted elements.
+    it; a note records the latter.  Sets are masks inside.  Up to the limit
+    the identity is decided once per class of subsets with one P(S)
+    (:func:`_avoiding_classes`) against the saturated m-system bits of
+    :func:`subset_flags`, so no subset is scanned and P(S) is computed for
+    the members of M(L) only.  A failure names the first offending member
+    of H(Spec L) or M(L), pair of members, or subset, as sorted elements.
     """
     require(L, "systems.correspondence", MDistributivityRequired)
     zar = spectrum(L).zariski
@@ -491,24 +514,25 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
                                witness=tuple(map(members, pair)))
 
     # Saturated m-system iff P(S) compact and S is the fixed point S_{P(S)}.
+    def of_points(pm):
+        ys = L.set_of(pm)
+        return points_system_mask(L, pm), is_compact(ys, [u for u in opens if u & ys])
+
     if L.size <= POWERSET_LIMIT:
-        subsets = range(1 << L.size)
+        checked, failing = 1 << L.size, 0
+        m, _, up = subset_flags(L)
+        for pm, subsets in _avoiding_classes(L).items():
+            fixed, compact = of_points(pm)
+            failing |= subsets & ((m & up) ^ (1 << fixed if compact else 0))
+        bad = (failing & -failing).bit_length() - 1 if failing else None
     else:
-        subsets = m_masks
+        checked = len(m_masks)
         notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: fixed-point identity "
                      "checked on saturated m-systems only")
-    saturated = set(m_masks)
-    of_points = {}
-    for s in subsets:
-        pm = _avoiding(L, s)
-        if pm not in of_points:
-            ys = L.set_of(pm)
-            of_points[pm] = (points_system_mask(L, pm),
-                             is_compact(ys, [u for u in opens if u & ys]))
-        fixed, compact = of_points[pm]
-        if (s in saturated) != (compact and fixed == s):
-            raise TheoremViolation(
-                "saturated m-system iff compact fixed point fails", witness=members(s))
+        bad = next((s for s in m_masks if of_points(psi[s]) != (s, True)), None)
+    if bad is not None:
+        raise TheoremViolation(
+            "saturated m-system iff compact fixed point fails", witness=members(bad))
 
     # phi as a homeomorphism from the upper-Vietoris topology on H to the
     # membership topology on M: it carries each point closure to one.
@@ -532,4 +556,4 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
                                witness=members(bad))
 
     return CorrespondenceReport(tuple(hs), tuple(map(L.set_of, m_masks)), inverse_ok,
-                                reversing, len(subsets), homeo, tuple(notes))
+                                reversing, checked, homeo, tuple(notes))

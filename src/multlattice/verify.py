@@ -334,8 +334,8 @@ def suite_constructions(L: MultLattice) -> list:
             for n_parent in L.elements:
                 if not L.relation[n_parent][h]:
                     continue
-                base = cons.interval(L, L.bottom, n_parent)
-                if not classify_all(base.lattice)[base.lattice.bottom].prime:
+                base = cons.interval(L, L.bottom, n_parent).lattice
+                if not prime_mask(base) >> base.bottom & 1:
                     continue
                 M = sub.lattice
                 n_i = sub.from_parent(n_parent)
@@ -345,12 +345,12 @@ def suite_constructions(L: MultLattice) -> list:
                     raise TheoremViolation(
                         "annihilators differ under a prime interval",
                         witness=(h, n_parent))
-                mflags = classify_all(M)
-                if not mflags[la].prime or M.meet_table[la][n_i] != M.bottom:
+                mspec = prime_mask(M)
+                if not mspec >> la & 1 or M.meet_table[la][n_i] != M.bottom:
                     raise TheoremViolation(
                         "annihilator is not the lying prime", witness=(h, n_parent))
-                others = [p for p in M.elements
-                          if mflags[p].prime and M.meet_table[p][n_i] == M.bottom]
+                others = [p for p in sys_mod.bit_indices(mspec)
+                          if M.meet_table[p][n_i] == M.bottom]
                 if others != [la]:
                     raise TheoremViolation(
                         "lying prime is not unique", witness=(h, n_parent))
@@ -358,9 +358,8 @@ def suite_constructions(L: MultLattice) -> list:
     def lying_over_all():
         for n in L.elements:
             base = cons.interval(L, L.bottom, n)
-            for q_i in base.lattice.elements:
-                if classify_all(base.lattice)[q_i].prime:
-                    cons.lying_over(L, n, base.to_parent(q_i))
+            for q_i in sys_mod.bit_indices(prime_mask(base.lattice)):
+                cons.lying_over(L, n, base.to_parent(q_i))
 
     return [
         _guard(L, "constructions.interval_bottom_restriction", interval_bottom),

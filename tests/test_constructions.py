@@ -20,8 +20,8 @@ from multlattice.core import (BadParams, HypothesesFail, LatticeError,
                               _check_axioms, build_order, check_axioms,
                               replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
-from multlattice.spectrum import (classify_all, hyperabelian_report, spectrum,
-                                  v_set)
+from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
+                                  spectrum, v_set)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
                                 corpus_random_tables, enumerate_tables,
                                 shape_lattice)
@@ -663,38 +663,28 @@ def test_open_subspace_zn12_golden():
     assert list(rep.point_map.values()) == list(spectrum(rep.interval.lattice).primes)
 
 
-def _plant_interval_spectrum(monkeypatch, iv, fault):
-    real = constructions_module.spectrum
-    monkeypatch.setattr(constructions_module, "spectrum",
-                        lambda M: fault(real(M)) if M is iv.lattice else real(M))
-
-
 def test_open_subspace_bijection_names_the_missed_interval_prime(monkeypatch):
     # [bottom, top] of zn12 is zn12 itself; calling its bottom (12) prime
-    # there gives the interval a prime that no p ^ top reaches.
+    # in the interval's prime mask gives it a prime that no p ^ top reaches.
     L = zn_ideals(12)
-    iv = interval(L, L.bottom, L.top)
-    M = iv.lattice
-    _plant_interval_spectrum(monkeypatch, iv, lambda rep: dataclasses.replace(
-        rep, primes=rep.primes | {M.bottom}))
+    M = interval(L, L.bottom, L.top).lattice
+    monkeypatch.setitem(M._cache, "prime_mask", prime_mask(M) | 1 << M.bottom)
     with pytest.raises(TheoremViolation, match="not a bijection") as info:
         open_subspace_homeo(L, L.top)
     assert L.labels[info.value.witness] == "(12)"
 
 
 def test_open_subspace_topology_names_the_point_whose_closure_moved(monkeypatch):
-    # D(top) of zn12 is the discrete {(2), (3)}; putting (3) into the interval
-    # closure of (2) moves the image of (2) alone.
+    # D(top) of zn12 is the discrete {(2), (3)}; putting (3) into the
+    # interval's up-set of (2), so into the closure of (2) there, moves the
+    # image of (2) alone.
     L = zn_ideals(12)
-    iv = interval(L, L.bottom, L.top)
+    M = interval(L, L.bottom, L.top).lattice
     two, three = L.labels.index("(2)"), L.labels.index("(3)")
-
-    def fault(rep):
-        closures = dict(rep.zariski.closures)
-        closures[two] = closures[two] | {three}
-        return dataclasses.replace(rep, zariski=type(rep.zariski)(rep.primes, closures))
-
-    _plant_interval_spectrum(monkeypatch, iv, fault)
+    prime_mask(M)       # kept before the plant, which it would read
+    up = list(M.up_masks)
+    up[two] |= 1 << three
+    monkeypatch.setattr(M, "up_masks", up)
     with pytest.raises(TheoremViolation, match="topologies do not match") as info:
         open_subspace_homeo(L, L.top)
     assert L.labels[info.value.witness] == "(2)"

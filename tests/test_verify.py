@@ -332,6 +332,44 @@ def test_corpus_run_leaves_no_interval_on_any_lattice():
     assert not any(_intervals_reachable(L._cache) for L in lattices)
 
 
+@pytest.mark.parametrize("name", ["zn36", "random5_mdist_s7"])
+def test_verify_all_reads_derived_lattices_on_their_prime_masks(name, monkeypatch):
+    # A run builds a spectrum report for L alone, and flag tables for L and
+    # the upper intervals [x, top] that hyperabelian_report reads; every
+    # product and [bottom, n] interval is read on its prime mask.  P(S) is
+    # computed only for the saturated m-systems the maps invert.
+    L = next(M for M in corpus_named() if M.name == name)
+    assert check_axioms(L).m_distributive
+    for partner in verify.PRODUCT_PARTNERS:     # factors kept for the process
+        spectrum_module.spectrum(partner)
+    spectra, classified, avoided, products, intervals = [], [], [], [], []
+
+    def record(log, fn):
+        return lambda *args: log.append(args) or fn(*args)
+
+    def built(log, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            log.append((out.lattice, args))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(spectrum_module, "_spectrum", record(spectra, spectrum_module._spectrum))
+    monkeypatch.setattr(spectrum_module, "_classify_all",
+                        record(classified, spectrum_module._classify_all))
+    monkeypatch.setattr(sys_mod, "_avoiding", record(avoided, sys_mod._avoiding))
+    monkeypatch.setattr(cons, "product", built(products, cons.product))
+    monkeypatch.setattr(cons, "_interval", built(intervals, cons._interval))
+    assert verify_all(L).failed == 0
+    assert [M for M, in spectra] == [L]
+    assert products and not any(M is P for (M,) in classified for P, _ in products)
+    upper = [M for M, (_, x, y) in intervals if y == L.top]
+    assert any(x == L.bottom and y != L.top for _, (_, x, y) in intervals)
+    assert all(M is L or any(M is U for U in upper) for (M,) in classified)
+    saturated = set(sys_mod._saturated_masks(L))
+    assert avoided and all(M is L and s in saturated for M, s in avoided)
+
+
 def test_pip_classifies_each_family_once(monkeypatch):
     # The families suite classifies the 2^n families once, all at once, in
     # families._case_masks: it scans no family on its own and builds no
