@@ -681,7 +681,7 @@ def test_open_subspace_topology_names_the_point_whose_closure_moved(monkeypatch)
     L = zn_ideals(12)
     M = interval(L, L.bottom, L.top).lattice
     two, three = L.labels.index("(2)"), L.labels.index("(3)")
-    prime_mask(M)       # kept before the plant, which it would read
+    prime_mask(M)       # cached first: the nonprime pass reads up_masks
     up = list(M.up_masks)
     up[two] |= 1 << three
     monkeypatch.setattr(M, "up_masks", up)
