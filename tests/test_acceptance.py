@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from multlattice import verify
 from multlattice.core import HYPOTHESES, check_axioms
 from multlattice.families import residual_left
 from multlattice.ingest import (chain, export_text, parse, powerset_lattice, to_json,
@@ -209,3 +210,7 @@ def test_traced_names_resolve():
                if not callable(getattr(importlib.import_module(f"multlattice.{mod}"),
                                        fn, None))]
     assert layers and not missing
+    # The tracer patches the module names and the SUITES values by identity,
+    # so each suite must be one object under both.
+    assert all(getattr(verify, f"suite_{s}") is verify.SUITES[s] for s in verify.SUITES)
+    assert {f"suite_{s}" for s in verify.SUITES} <= set(layers["verify"])

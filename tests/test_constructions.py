@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from multlattice.constructions import (closed_subspace_spec,
+from multlattice.constructions import (LatticeMorphism, closed_subspace_spec,
                                        disjointness_criteria,
                                        identity_morphism, interval,
                                        lying_over, morphism,
@@ -551,6 +551,24 @@ def test_identity_adjoint_and_spec_map():
     assert right_adjoint(f) == tuple(L.elements)
     rep = spec_map(f)
     assert rep.point_map == {p: p for p in spectrum(L).primes}
+
+
+def test_spec_map_fails_on_a_broken_adjunction_or_a_non_prime_image():
+    # Continuity is not checked apart: it follows from the adjunction.  Each
+    # of the two checks that remain fails on its own plant.
+    L = zn_ideals(12)
+    top_to_3 = (L.labels.index("(3)"), *L.elements[1:])   # joins not preserved
+    assert L.top == 0
+    with pytest.raises(TheoremViolation, match=r"^adjunction biconditional fails at \(1, 2\)$"):
+        spec_map(LatticeMorphism(L, L, top_to_3))
+    # the identity onto L from a copy whose lowest prime is planted away
+    source = zn_ideals(12)
+    spec = prime_mask(source)
+    source._cache["prime_mask"] = spec & (spec - 1)
+    with pytest.raises(TheoremViolation,
+                       match=r"^adjoint image u\(1\) = 1 of a prime is not prime$") as exc:
+        spec_map(LatticeMorphism(source, L, tuple(L.elements)))
+    assert exc.value.witness == 1
 
 
 def test_two_chain_into_three_chain_adjoint():

@@ -398,11 +398,15 @@ def test_library_suites_never_run_the_subset_pair_scan(monkeypatch):
             monkeypatch.setattr(module, "subset_pair_witness", scan)
     rep = verify.verify_all(L, tuple(s for s in verify.SUITES if s != "axioms"))
     assert rep.checked > 0 and rep.failed == 0
-    # the axioms suite calls the scan outside its guarded checks, so the
-    # planted error is the suite's one set-up failure
+    # in the axioms suite the planted error fails the one row that runs the
+    # scan, and the other three rows pass
     rep = verify.verify_all(L, ("axioms",))
-    assert [(r.check, r.detail) for r in rep.results if not r.passed] == [
-        ("axioms.setup", f"AssertionError: subset-pair scan on {L.name}")]
+    assert [(r.check, r.passed, r.detail) for r in rep.results] == [
+        ("axioms.compact_all", True, ""),
+        ("axioms.dist_implies_mono", True, ""),
+        ("axioms.infinite_reduction_agrees", False,
+         f"AssertionError: subset-pair scan on {L.name}"),
+        ("axioms.mult_bounded", True, "")]
 
 
 def test_subsets_are_classified_only_in_systems():

@@ -17,14 +17,16 @@ from multlattice import constructions as cons
 from multlattice import families, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
-from multlattice.core import (POWERSET_LIMIT, BadParams, check_axioms, replace_mult,
-                              validate)
+from multlattice.core import (HYPOTHESES, POWERSET_LIMIT, BadParams, check_axioms,
+                              replace_mult, validate)
 from multlattice.ingest import chain, powerset_lattice, to_json
 from multlattice.spectrum import FiniteTopology, d_set, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
                                 report_to_json, shape_lattice, verify_all)
+
+from test_acceptance import SWEEP_CHECKS
 
 spectrum_module = importlib.import_module("multlattice.spectrum")
 
@@ -141,8 +143,9 @@ def test_unexpected_exception_is_a_failure_of_its_lattice(monkeypatch):
     assert {r.lattice for r in rep.results} == {"chain3_meet", "chain3_zero"}
 
 
-def test_suite_setup_exception_is_one_failure_of_its_lattice(monkeypatch, capsys):
-    # suite_spectrum calls classify_all(L) before any guarded check
+def test_a_raising_library_call_fails_the_rows_that_make_it(monkeypatch, capsys):
+    # Four spectrum rows and one families row call classify_all(L); each of
+    # them fails on its own, and the rows that do not call it still pass.
     lattices = [chain(3, "meet"), chain(3, "zero")]
     clean = verify_all(lattices)
     original = verify.classify_all
@@ -156,16 +159,65 @@ def test_suite_setup_exception_is_one_failure_of_its_lattice(monkeypatch, capsys
     rep = verify_all(lattices, ("spectrum",))
     meet = [(r.check, r.passed, r.detail) for r in rep.results
             if r.lattice == "chain3_meet"]
-    assert meet == [("spectrum.setup", False, "RuntimeError: boom")]
+    boom = "RuntimeError: boom"
+    assert meet == [("spectrum.maximal_prime_criterion", False, boom),
+                    ("spectrum.prime_iff_meet_irred_semiprime", False, boom),
+                    ("spectrum.radical_semiprime", False, boom),
+                    ("spectrum.sober", True, ""),
+                    ("spectrum.symmetric_nonprime_witness", False, boom),
+                    ("spectrum.v_identities", True, "")]
     # every suite still runs, and the other lattice's rows are untouched
     rep = verify_all(lattices)
     failures = [(r.lattice, r.check) for r in rep.results if not r.passed]
-    assert ("chain3_meet", "spectrum.setup") in failures
-    assert all(lattice == "chain3_meet" for lattice, _ in failures)
+    assert failures == [("chain3_meet", "families.generator_symmetric_witness")] + [
+        ("chain3_meet", check) for check, passed, _ in meet if not passed]
     assert ([r for r in rep.results if r.lattice == "chain3_zero"]
             == [r for r in clean.results if r.lattice == "chain3_zero"])
     assert main(["check", "spectrum", "gen:chain:3:meet"]) == 1
-    assert "FAIL chain3_meet spectrum.setup: RuntimeError: boom" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "FAIL chain3_meet spectrum.radical_semiprime: RuntimeError: boom" in err
+    assert [line.split(":")[0] for line in err.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL chain3_meet {check}" for check, passed, _ in meet if not passed]
+
+
+def test_each_row_run_alone_gives_the_full_report():
+    # ROWS is the report: run_row on one row, with the lattice's cache
+    # cleared before it, gives that row of the full run, and the rows that
+    # their cap leaves out are the only rows missing from it.
+    full = verify_all(corpus_named()).results
+    alone = []
+    for L in corpus_named():
+        for check in verify.ROWS:
+            L._cache.clear()
+            if row := verify.run_row(L, check):
+                alone.append(row)
+    alone.sort(key=lambda r: (r.lattice, r.check))
+    assert len(full) > 1000 and tuple(alone) == full
+    # every gated statement and every statement acceptance criterion 2 lists
+    assert set(HYPOTHESES) | set(SWEEP_CHECKS) <= set(verify.ROWS)
+
+
+def test_axioms_rows_fail_with_a_witness(monkeypatch):
+    # Each axioms row raises, like every other row, so its failure names a
+    # witness and leaves the other axioms rows in the report.
+    L = chain(3, "meet")
+    ax = check_axioms(L)
+    table = [list(row) for row in L.mult_table]
+    table[1][2] = L.top                     # 1 * top above 1 = 1 meet top
+    monkeypatch.setattr(L, "mult_table", tuple(map(tuple, table)))
+    monkeypatch.setattr(verify, "compact_elements", lambda M: frozenset(M.elements) - {M.top})
+    monkeypatch.setattr(verify, "subset_pair_witness", lambda M: ((1,), (2,)))
+    monkeypatch.setattr(verify, "check_axioms", lambda M: dataclasses.replace(
+        ax, monotone=False, witnesses={"monotone": (0, 1)}))
+    assert _failures(L, "axioms") == {
+        "axioms.compact_all":
+            "TheoremViolation: finite lattice with a non-compact element (witness 2)",
+        "axioms.dist_implies_mono":
+            "TheoremViolation: m-distributive but not monotone (witness (0, 1))",
+        "axioms.infinite_reduction_agrees":
+            "TheoremViolation: exhaustive=False reduction=True (witness ((1,), (2,)))",
+        "axioms.mult_bounded":
+            "TheoremViolation: a product is not below the meet (witness (1, 2))"}
 
 
 def test_closure_equivalence_above_the_powerset_limit_is_skipped():
