@@ -1,10 +1,10 @@
 """Residuals, annihilators, Oka/Ako families, and the prime ideal principle.
 
-A family here is any subset F of the lattice containing top.  The four
-closure schemas (left Oka, right Oka, Oka, Ako) are implication shapes over
-residuals and joins; ``pip_check`` verifies that the maximal elements outside
-a qualifying family are prime.  ``sigma_of_system`` builds the elements
-avoiding an m-system and checks the maximality/primality statements for it.
+A family here is any subset of the lattice containing top.  The four closure
+schemas (left Oka, right Oka, Oka, Ako) are written once, as the scans for
+their first counterexamples.  ``pip_check`` checks that the maximal elements
+outside a qualifying family are prime; ``pip_exhaustive`` checks every family
+by closures.  ``sigma_of_system`` checks the avoiding set of an m-system.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
                    check_axioms, compact_elements, memo, require)
 from .spectrum import classify_all
-from .systems import bit_indices, classify_system, subset_columns
+from .systems import classify_system
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +143,16 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
     ``fmask`` fails, keyed by the flag it refutes."""
     if not fmask >> L.top & 1:
         return dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
-    left_t, right_t = residual_tables(L)
     a_sorted = memo(L, "sorted_generators", lambda: sorted(L.generators))
+    counterexamples = _oka_counterexamples(L, fmask, a_sorted)
+    if ako := _ako_witness(L, fmask, a_sorted):
+        counterexamples["ako"] = ako
+    return counterexamples
+
+
+def _oka_counterexamples(L: MultLattice, fmask: int, a_sorted) -> dict:
+    """:func:`_counterexamples` for the Oka shapes, a from ``a_sorted``."""
+    left_t, right_t = residual_tables(L)
     counterexamples = {}
     for a in a_sorted:
         for l, al in enumerate(L.join_table[a]):
@@ -158,8 +166,6 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
                 counterexamples["right_oka"] = (a, l)
             if lres_in and rres_in and "oka" not in counterexamples:
                 counterexamples["oka"] = (a, l)
-    if ako := _ako_witness(L, fmask, a_sorted):
-        counterexamples["ako"] = ako
     return counterexamples
 
 
@@ -210,59 +216,38 @@ def pip_check(L: MultLattice, F) -> PipReport:
 
 
 def pip_exhaustive(L: MultLattice) -> None:
-    """:func:`pip_check` on every family of ``L`` at once, from
-    :func:`_case_masks` and the columns of :func:`systems.subset_columns`; a
-    family that meets none of the four closure conditions is passed over.
-    When a qualifying family leaves a non-prime element maximal outside,
-    :func:`_pip` runs on the lowest such family and raises there."""
+    """:func:`pip_check` on every family of ``L`` at once.  A schema's clauses
+    are Horn, so its families are closed under intersection: a non-prime m
+    is maximal outside one exactly when :func:`_closure` leaves m out.  Left
+    and right Oka families are Oka, so under associativity only Oka and Ako
+    run.  :func:`_pip` raises on the lowest family that leaves some m out."""
     associative = require(L, "families.pip_exhaustive", HypothesesFail).associative
-    flags = classify_all(L)
-    qualifying = 0
-    for meeting in _case_masks(L, associative):
-        qualifying |= meeting
-    col = subset_columns(L.size)
-    everything = (1 << (1 << L.size)) - 1
-    trapping = 0        # the families leaving a non-prime maximal outside
-    for m in L.elements:
-        if not flags[m].prime:
-            trapped = everything & ~col[m]
-            for c in bit_indices(L.up_masks[m] ^ 1 << m):
-                trapped &= col[c]
-            trapping |= trapped
-    if bad := qualifying & trapping:
-        fmask = (bad & -bad).bit_length() - 1
-        _pip(L, fmask, associative)
-        raise TheoremViolation("the family kernel and the family scan disagree",
-                               witness=tuple(sorted(L.set_of(fmask))))
+    schemas = ("oka", "ako") if associative else ("left_oka", "right_oka", "ako")
+    trapping = [fmask for m, flag in enumerate(classify_all(L)) if m != L.top and not flag.prime
+                for schema in schemas
+                if not (fmask := _closure(L, schema, L.up_masks[m] ^ 1 << m, m)) >> m & 1]
+    if trapping:
+        _pip(L, min(trapping), associative)
+        raise TheoremViolation("the family closure and the family scan disagree",
+                               witness=tuple(sorted(L.set_of(min(trapping)))))
 
 
-def _case_masks(L: MultLattice, associative: bool) -> tuple:
-    """For each hypothesis of :class:`PipReport`, in its order, a 2^n-bit
-    integer whose bit f is set when the family f meets it.  A schema fails
-    on the OR, over its instances, of ANDs of :func:`systems.subset_columns`,
-    and on the families without top."""
-    col = subset_columns(L.size)
-    everything = (1 << (1 << L.size)) - 1
-    jt, mt = L.join_table, L.mult_table
-    left_t, right_t = residual_tables(L)
+def _closure(L: MultLattice, schema: str, start: int, m: int) -> int:
+    """The least family holding ``start`` (and top) that meets ``schema``, or
+    one holding ``m`` once m is forced in.  Each round adds what the first
+    counterexample leaves out: l for the Oka shapes, l v ab for Ako."""
     gens = memo(L, "sorted_generators", lambda: sorted(L.generators))
-    left = right = oka = ako = everything & ~col[L.top]
-    for a in gens:
-        for l, al in enumerate(jt[a]):
-            escapes = col[al] & ~col[l]     # l outside, a v l inside
-            in_left = escapes & col[left_t[l][a]]
-            in_right = escapes & col[right_t[l][a]]
-            left |= in_left
-            right |= in_right
-            oka |= in_left & in_right
-    for row in jt:
-        for a in gens:
-            fails = 0
-            for b in gens:
-                fails |= col[row[b]] & ~col[row[mt[a][b]]]
-            ako |= col[row[a]] & fails
-    return (everything & ~left, everything & ~right,
-            everything & ~oka if associative else 0, everything & ~ako)
+    fmask = start
+    while not fmask >> m & 1:
+        if schema != "ako":
+            witness = _oka_counterexamples(L, fmask, gens).get(schema)
+            forced = witness and witness[1]
+        elif witness := _ako_witness(L, fmask, gens):
+            forced = L.join_table[witness[0]][L.mult_table[witness[1]][witness[2]]]
+        if not witness:
+            break
+        fmask |= 1 << forced
+    return fmask
 
 
 def _pip(L: MultLattice, fmask: int, associative: bool) -> tuple:

@@ -214,3 +214,23 @@ def test_traced_names_resolve():
     # so each suite must be one object under both.
     assert all(getattr(verify, f"suite_{s}") is verify.SUITES[s] for s in verify.SUITES)
     assert {f"suite_{s}" for s in verify.SUITES} <= set(layers["verify"])
+
+
+def test_large_round_matches_its_recorded_digest(monkeypatch):
+    """One seed-1 round of the benchmark's ``large`` workload (from
+    ``perfbench/workloads.py``, which is only read) passes every known-answer
+    check, and its report has the digest recorded for it in
+    ``perfbench/digests.json``.  ``large`` is the one benchmark input above
+    ``core.POWERSET_LIMIT``, so this pins what the capped rows do there."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))     # for its ``import mdist``
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.Large()
+    items, problems = wl.setup(1, None)
+    assert not problems and len(items) == 7
+    values = [wl.op(item) for item in items]
+    assert all(wl.check(item, value).wrong is None for item, value in zip(items, values))
+    recorded = json.loads((ROOT / "perfbench" / "digests.json").read_text())["large"]["*"]
+    assert wl.digest(items, values, wl.round_end(values)) == recorded

@@ -14,6 +14,7 @@ from multlattice.systems import all_m_systems, complement_system
 from multlattice.verify import corpus_exhaustive_tables, verify_all
 
 from conftest import mk_chain
+from test_mask_reference import reference_case_masks
 
 
 def brute_residual_left(L, a, b):
@@ -245,10 +246,10 @@ def test_literal_generator_reading_fails_somewhere():
 def test_mask_route_matches_the_set_route(named_corpus):
     """Families, V(x) and D(x) are masks inside the package and frozensets
     at its edge.  On the named corpus and the exhaustive tables of at most 4
-    elements, the families that ``pip_exhaustive`` qualifies, read from
-    ``_case_masks``, are those that ``pip_check`` qualifies, for the same
-    cases, and the others are those that ``pip_check`` refuses with
-    ``classify_family``'s counterexamples.  V(x) is the primes above x and
+    elements, the families that the 2^n family kernel qualifies
+    (``test_mask_reference.reference_case_masks``) are those that
+    ``pip_check`` qualifies, for the same cases, and the others are those
+    that ``pip_check`` refuses with ``classify_family``'s counterexamples.  V(x) is the primes above x and
     D(x) the other primes."""
     assert not [f.name for f in dataclasses.fields(PipReport) if "bool" in f.type]
     names = ("left_oka", "right_oka", "oka_associative", "ako")
@@ -262,7 +263,7 @@ def test_mask_route_matches_the_set_route(named_corpus):
         if not ax.monotone or L.size > POWERSET_LIMIT:
             continue
         pip_exhaustive(L)
-        case_masks = families._case_masks(L, ax.associative)
+        case_masks = reference_case_masks(L, ax.associative)
         for fmask in range(1 << L.size):
             F = L.set_of(fmask)
             cases = tuple(name for name, bits in zip(names, case_masks) if bits >> fmask & 1)

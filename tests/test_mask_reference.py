@@ -1,20 +1,27 @@
-"""Reference routes for the readers of prime masks and for the P(S) classes.
+"""Reference routes for the readers of prime masks, for the P(S) classes
+and for the family closures.
 
 ``spectrum.prime_mask`` is the nonprime pass alone, ``open_subspace_homeo``
-reads both spectra as masks, and ``systems.correspondence_check`` decides
-its fixed-point identity once per class of subsets with one P(S).  Each is
-held here to a route written in the test: a pair scan of the definition,
-the interval's ``spectrum(M).zariski``, grouping by ``systems._avoiding``
-and the per-subset loop the classes replaced.
+reads both spectra as masks, ``systems.correspondence_check`` decides its
+fixed-point identity once per class of subsets with one P(S), and
+``families.pip_exhaustive`` decides the prime ideal principle by one closure
+per element and schema.  Each is held here to a route written in the test: a
+pair scan of the definition, the interval's ``spectrum(M).zariski``,
+grouping by ``systems._avoiding``, the per-subset loop the classes replaced
+and the 2^n family kernel the closures replaced.
 """
+
+import dataclasses
 
 import pytest
 
-from multlattice import systems
+from multlattice import families, systems
 from multlattice.constructions import interval, open_subspace_homeo
 from multlattice.core import (POWERSET_LIMIT, HypothesesFail, TheoremViolation,
-                              check_axioms, require)
-from multlattice.spectrum import classify_all, prime_mask, spectrum
+                              check_axioms, memo, require)
+from multlattice.families import pip_exhaustive, residual_tables
+from multlattice.ingest import chain, powerset_lattice, zn_ideals
+from multlattice.spectrum import classify_all, prime_mask, primes_of, spectrum
 from multlattice.verify import (corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables)
 
@@ -146,3 +153,126 @@ def test_planted_saturated_flags_fail_where_the_per_subset_loop_does(corpus, mon
         monkeypatch.undo()
         planted += 1
     assert planted > 50
+
+
+def reference_case_masks(L, associative):
+    """For each hypothesis of ``families.PipReport``, in its order, a
+    2^n-bit integer whose bit f is set when the family f meets it.  A schema
+    fails on the OR, over its instances, of ANDs of
+    :func:`systems.subset_columns`, and on the families without top."""
+    col = systems.subset_columns(L.size)
+    everything = (1 << (1 << L.size)) - 1
+    jt, mt = L.join_table, L.mult_table
+    left_t, right_t = residual_tables(L)
+    gens = memo(L, "sorted_generators", lambda: sorted(L.generators))
+    left = right = oka = ako = everything & ~col[L.top]
+    for a in gens:
+        for l, al in enumerate(jt[a]):
+            escapes = col[al] & ~col[l]     # l outside, a v l inside
+            in_left = escapes & col[left_t[l][a]]
+            in_right = escapes & col[right_t[l][a]]
+            left |= in_left
+            right |= in_right
+            oka |= in_left & in_right
+    for row in jt:
+        for a in gens:
+            fails = 0
+            for b in gens:
+                fails |= col[row[b]] & ~col[row[mt[a][b]]]
+            ako |= col[row[a]] & fails
+    return (everything & ~left, everything & ~right,
+            everything & ~oka if associative else 0, everything & ~ako)
+
+
+SCHEMAS = ("left_oka", "right_oka", "oka", "ako")
+
+
+def reference_trapped(L, m):
+    """The families that leave m maximal outside: not the column of m, and
+    the column of every element above it."""
+    col = systems.subset_columns(L.size)
+    trapped = (1 << (1 << L.size)) - 1 & ~col[m]
+    for c in systems.bit_indices(L.up_masks[m] ^ 1 << m):
+        trapped &= col[c]
+    return trapped
+
+
+def reference_pairs(L, case_masks, nonprime):
+    """The (m, schema) pairs, m in ``nonprime``, for which some family
+    meeting the schema leaves m maximal outside."""
+    return {(m, s) for m in systems.bit_indices(nonprime)
+            for s, meeting in zip(SCHEMAS, case_masks) if meeting & reference_trapped(L, m)}
+
+
+def closure_pairs(L, nonprime):
+    """The same pairs, read off ``families._closure``."""
+    return {(m, s) for m in systems.bit_indices(nonprime) for s in SCHEMAS
+            if not families._closure(L, s, L.up_masks[m] ^ 1 << m, m) >> m & 1}
+
+
+def test_closures_trap_what_the_family_kernel_traps(corpus):
+    # Every non-prime below top, and then each prime called non-prime in
+    # turn: the complement of the down-set of a prime is Ako, so each
+    # planted prime must be trapped.
+    lattices = planted = 0
+    for L in corpus:
+        if L.size > POWERSET_LIMIT:
+            continue
+        case_masks = reference_case_masks(L, True)
+        primes = prime_mask(L)
+        nonprime = L.full_mask & ~primes & ~(1 << L.top)
+        assert closure_pairs(L, nonprime) == reference_pairs(L, case_masks, nonprime), L.name
+        for p in systems.bit_indices(primes):
+            got = closure_pairs(L, 1 << p)
+            assert got and got == reference_pairs(L, case_masks, 1 << p), (L.name, p)
+            planted += 1
+        lattices += 1
+    assert lattices > 3900 and planted > 1000
+
+
+def test_pip_exhaustive_fails_on_the_lowest_trapping_family(corpus, monkeypatch):
+    # With every prime called non-prime, closures for several elements leave
+    # them out, and _pip must run on the lowest family that the kernel finds
+    # qualifying and leaving a non-prime maximal outside.
+    real_pip = families._pip
+    failing = 0
+    for L in corpus:
+        ax = check_axioms(L)
+        if L.size > POWERSET_LIMIT or not ax.monotone or not prime_mask(L):
+            continue
+        qualifying = trapping = 0
+        for meeting in reference_case_masks(L, ax.associative):
+            qualifying |= meeting
+        for m in systems.bit_indices(L.full_mask ^ 1 << L.top):
+            trapping |= reference_trapped(L, m)
+        bad = qualifying & trapping
+        flags = tuple(dataclasses.replace(f, prime=False) for f in classify_all(L))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(families, "classify_all", lambda M: flags)
+            patch.setattr(families, "_pip", lambda M, fmask, associative: (
+                calls.append(fmask) or real_pip(M, fmask, associative)))
+            with pytest.raises(TheoremViolation, match="is not prime"):
+                pip_exhaustive(L)
+        assert calls == [(bad & -bad).bit_length() - 1], L.name
+        failing += 1
+    assert failing > 150
+
+
+@pytest.mark.parametrize("make", [lambda: powerset_lattice(4, "meet"), lambda: zn_ideals(210),
+                                  lambda: chain(13, "meet"), lambda: powerset_lattice(5, "meet")],
+                         ids=["bool4_meet", "zn210", "chain13_meet", "bool5_meet"])
+def test_pip_exhaustive_runs_above_the_cap(make, monkeypatch):
+    # No 2^n kernel can run here; the closures decide the principle, and a
+    # planted non-prime (the highest prime) is maximal outside a left Oka
+    # family.
+    L = make()
+    assert L.size > POWERSET_LIMIT
+    pip_exhaustive(L)
+    p = max(primes_of(L))
+    flags = tuple(dataclasses.replace(f, prime=False) if x == p else f
+                  for x, f in enumerate(classify_all(L)))
+    monkeypatch.setattr(families, "classify_all", lambda M: flags)
+    with pytest.raises(TheoremViolation,
+                       match=r"maximal element \d+ outside a left_oka family is not prime"):
+        pip_exhaustive(L)

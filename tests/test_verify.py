@@ -221,11 +221,13 @@ def test_axioms_rows_fail_with_a_witness(monkeypatch):
 
 
 def test_closure_equivalence_above_the_powerset_limit_is_skipped():
-    # chain14_meet has 13 primes, one more than POWERSET_LIMIT
+    # chain14_meet has 13 primes, one more than POWERSET_LIMIT: both rows
+    # that walk every subset of the spectrum skip
     rep = verify_all(chain(14, "meet"), ("systems",))
-    [result] = [r for r in rep.results if r.check == "systems.closure_equivalence"]
-    assert result.skipped and result.detail == "spectrum above cap"
-    assert rep.failed == 0 and rep.skipped == 1
+    skipped = {r.check: r.detail for r in rep.results if r.skipped}
+    assert skipped == {"systems.closure_equivalence": "spectrum above cap",
+                       "systems.subset_system_saturated": "spectrum above cap"}
+    assert rep.failed == 0 and rep.skipped == 2
 
 
 def test_closure_equivalence_fails_when_closures_disagree(monkeypatch):
@@ -422,24 +424,23 @@ def test_verify_all_reads_derived_lattices_on_their_prime_masks(name, monkeypatc
     assert avoided and all(M is L and s in saturated for M, s in avoided)
 
 
-def test_pip_classifies_each_family_once(monkeypatch):
-    # The families suite classifies the 2^n families once, all at once, in
-    # families._case_masks: it scans no family on its own and builds no
-    # report.
+def test_pip_row_builds_no_family_report(monkeypatch):
+    # On a lattice that passes, the families suite decides the principle by
+    # one closure per non-prime below top and schema: it builds no report
+    # and runs no per-family check.
     calls = []
-    case_masks = families._case_masks
-    monkeypatch.setattr(families, "_case_masks",
-                        lambda L, associative: calls.append(L) or case_masks(L, associative))
+    closure = families._closure
+    monkeypatch.setattr(families, "_closure", lambda L, schema, start, m: (
+        calls.append((m, schema)) or closure(L, schema, start, m)))
 
     def refused(*args):
-        raise AssertionError("the families suite scanned a family or built a report")
+        raise AssertionError("the families suite built a report or checked a family")
 
-    for name in ("_counterexamples", "_pip", "classify_family", "pip_check",
-                 "FamilyReport", "PipReport"):
+    for name in ("_pip", "classify_family", "pip_check", "FamilyReport", "PipReport"):
         monkeypatch.setattr(families, name, refused)
-    L = chain(6, "meet")
+    L = chain(6, "zero")
     assert verify_all(L, ("families",)).failed == 0
-    assert calls == [L]
+    assert calls == [(m, s) for m in range(5) for s in ("oka", "ako")]
 
 
 def test_mask_route_failures_match_the_pair_scan(monkeypatch):

@@ -17,8 +17,7 @@ from multlattice.core import (LatticeError, MDistributivityRequired,
                               POWERSET_LIMIT, PropertyReport, TheoremViolation,
                               _check_axioms, axiom_report, check_axioms,
                               require)
-from multlattice.families import (FamilyReport, _ako_witness, classify_family,
-                                  residual_tables)
+from multlattice.families import FamilyReport, classify_family, residual_tables
 from multlattice.spectrum import (HyperabelianReport, _greedy_square_chain,
                                   _hyperabelian_report, _order_flags,
                                   classify_all, primes_of)
@@ -159,10 +158,22 @@ def ref_classify_family(L, F):
                 oka = False
                 counterexamples["oka"] = (a, l)
 
-    ako_witness = _ako_witness(L, fmask, a_sorted)
-    if ako_witness:
-        counterexamples["ako"] = ako_witness
-    return FamilyReport(family, L.generators, left_oka, right_oka, oka, not ako_witness,
+    ako = True
+    mt = L.mult_table
+    for l in L.elements:
+        for a in a_sorted:
+            if not fmask >> jt[l][a] & 1:
+                continue
+            for b in a_sorted:
+                if fmask >> jt[l][b] & 1 and not fmask >> jt[l][mt[a][b]] & 1:
+                    ako = False
+                    counterexamples["ako"] = (l, a, b)
+                    break
+            if not ako:
+                break
+        if not ako:
+            break
+    return FamilyReport(family, L.generators, left_oka, right_oka, oka, ako,
                         counterexamples)
 
 
