@@ -553,10 +553,16 @@ def int_param(text: str) -> int:
         raise BadParams(f"expected an integer, got {text!r}") from None
 
 
+# The most parameters each generator takes; "random" takes any flags and a seed.
+_ARITY = {"chain": 2, "zn": 1, "zn_ideals": 1, "bool": 2, "powerset": 2, "open_sets": 2}
+
+
 def generate(kind: str, *args) -> MultLattice:
     """Dispatch for the named generators, as used by the CLI ``gen:`` specs."""
     if not args:
         raise BadParams(f"generator {kind!r} needs a parameter")
+    if len(args) > _ARITY.get(kind, len(args)):
+        raise BadParams(f"generator {kind!r} takes at most {_ARITY[kind]} parameter(s)")
     if kind == "chain":
         return chain(int_param(args[0]), args[1] if len(args) > 1 else "meet")
     if kind in ("zn", "zn_ideals"):

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .core import (POWERSET_LIMIT, MDistributivityRequired, MultLattice,
-                   NotMaximal, OrderData, PrimeElement, HypothesesFail,
-                   TheoremViolation, check_axioms, memo, require)
+from .core import (MDistributivityRequired, MultLattice, NotMaximal, OrderData,
+                   PrimeElement, HypothesesFail, TheoremViolation, check_axioms,
+                   memo, require)
 
 
 # --------------------------------------------------------------------------
@@ -325,7 +325,6 @@ class HyperabelianReport:
     """
     hyperabelian: bool
     chain: tuple | None
-    msystem_mode: str
     witnesses: dict
     notes: tuple = ()
 
@@ -350,11 +349,11 @@ def _greedy_square_chain(L: MultLattice):
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
-    Condition (f) is ``systems.first_m_system_without(L, bottom)``: the
-    first m-system without bottom in mask order up to
-    ``core.POWERSET_LIMIT`` elements, and among the saturated ones above
-    it, which decides the same condition because upward closure neither
-    adds nor removes bottom.  That m-system is the witness.
+    Condition (f) is ``systems.first_m_system_without(L, bottom)``, and
+    that m-system is the witness.  Above ``core.POWERSET_LIMIT`` elements it
+    is the first saturated one, which decides the same truth value: on an
+    m-distributive (so monotone) lattice the upward closure of an m-system
+    is one, and upward closure neither adds nor removes bottom.
     """
     return memo(L, "hyperabelian", lambda: _hyperabelian_report(L))
 
@@ -385,9 +384,5 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",
                                witness=witnesses)
 
-    notes = ["condition (c) is the finite instantiation: only finite chains are built"]
-    mode = "all" if L.size <= POWERSET_LIMIT else "saturated_only"
-    if mode != "all":
-        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
-                     "saturated m-systems (bottom membership is saturation-invariant)")
-    return HyperabelianReport(conditions["a"], chain, mode, witnesses, tuple(notes))
+    notes = ("condition (c) is the finite instantiation: only finite chains are built",)
+    return HyperabelianReport(conditions["a"], chain, witnesses, notes)

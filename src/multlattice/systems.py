@@ -248,28 +248,6 @@ def _avoiding(L: MultLattice, mask: int) -> int:
     return sum(1 << p for p in primes_of(L) if not mask & L.down_masks[p])
 
 
-def _avoiding_classes(L: MultLattice) -> dict:
-    """:func:`_avoiding` of every subset at once, up to
-    ``core.POWERSET_LIMIT`` elements: each P(S) to the 2^n-bit integer of
-    the subsets S it is P(S) of.  The subsets start as one class with no
-    prime, and each prime p splits every class by the OR of the columns
-    (:func:`subset_columns`) below p: the subsets that miss them gain p."""
-    col = subset_columns(L.size)
-    classes = {0: (1 << (1 << L.size)) - 1}
-    for p in bit_indices(prime_mask(L)):
-        meets = 0
-        for x in bit_indices(L.down_masks[p]):
-            meets |= col[x]
-        split = {}
-        for pm, subsets in classes.items():
-            if subsets & ~meets:
-                split[pm | 1 << p] = subsets & ~meets
-            if subsets & meets:
-                split[pm] = subsets & meets
-        classes = split
-    return classes
-
-
 def system_of_points(L: MultLattice, Y) -> MSystem:
     """S_Y: the compact elements not below any point of ``Y`` (a subset of
     the spectrum), asserted to be a saturated m-system.  It holds top and is
@@ -458,8 +436,8 @@ class CorrespondenceReport:
     saturated_systems: tuple          # members of M(L), sorted
     mutually_inverse: bool
     inclusion_reversing: bool
-    subset_identity_checked: int      # how many S <= C(L) went through the
-                                      # saturated-iff-fixed-point test
+    subset_identity_checked: int      # 2^n: the bijection check decides the
+                                      # fixed-point identity for every S <= C(L)
     homeomorphism: bool
     notes: tuple = ()
 
@@ -470,14 +448,16 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     for subsets of the compact elements, and the homeomorphism between the
     upper-Vietoris topology and the membership topology.
 
-    The fixed-point identity runs over every subset up to
-    ``core.POWERSET_LIMIT`` elements and over the saturated m-systems above
-    it; a note records the latter.  Sets are masks inside.  Up to the limit
-    the identity is decided once per class of subsets with one P(S)
-    (:func:`_avoiding_classes`) against the saturated m-system bits of
-    :func:`subset_flags`, so no subset is scanned and P(S) is computed for
-    the members of M(L) only.  A failure names the first offending member
-    of H(Spec L) or M(L), pair of members, or subset, as sorted elements.
+    The fixed-point identity (S is a saturated m-system exactly when P(S)
+    is compact and S = S_{P(S)}) holds for every subset S once the maps are
+    checked, so no subset is scanned for it.  A saturated m-system S is in
+    M(L), where the bijection check asserts S = S_{P(S)} with P(S) a compact
+    open.  Conversely P(S), the spectrum minus the union of the V(s), is
+    always a Zariski open, so a fixed point S = S_{P(S)} is the image of an
+    open, which ``phi`` asserts through :func:`points_system_mask` to be a
+    saturated m-system.  Sets are masks inside.  A failure names the first
+    offending member of H(Spec L) or M(L), or pair of members, as sorted
+    elements.
     """
     require(L, "systems.correspondence", MDistributivityRequired)
     zar = spectrum(L).zariski
@@ -489,8 +469,8 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
         is_compact(ys, [u for u in opens if u & ys])
     h_masks = [L.mask_of(x) for x in hs]
     m_masks = _saturated_masks(L)
-    notes = ["compactness checks on a finite spectrum are vacuously true; they "
-             "run through the generic open-cover routine"]
+    notes = ("compactness checks on a finite spectrum are vacuously true; they "
+             "run through the generic open-cover routine",)
 
     def members(mask):
         return tuple(sorted(L.set_of(mask)))
@@ -512,27 +492,6 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
     if not reversing:
         raise TheoremViolation("the correspondence maps do not reverse inclusion",
                                witness=tuple(map(members, pair)))
-
-    # Saturated m-system iff P(S) compact and S is the fixed point S_{P(S)}.
-    def of_points(pm):
-        ys = L.set_of(pm)
-        return points_system_mask(L, pm), is_compact(ys, [u for u in opens if u & ys])
-
-    if L.size <= POWERSET_LIMIT:
-        checked, failing = 1 << L.size, 0
-        m, _, up = subset_flags(L)
-        for pm, subsets in _avoiding_classes(L).items():
-            fixed, compact = of_points(pm)
-            failing |= subsets & ((m & up) ^ (1 << fixed if compact else 0))
-        bad = (failing & -failing).bit_length() - 1 if failing else None
-    else:
-        checked = len(m_masks)
-        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: fixed-point identity "
-                     "checked on saturated m-systems only")
-        bad = next((s for s in m_masks if of_points(psi[s]) != (s, True)), None)
-    if bad is not None:
-        raise TheoremViolation(
-            "saturated m-system iff compact fixed point fails", witness=members(bad))
 
     # phi as a homeomorphism from the upper-Vietoris topology on H to the
     # membership topology on M: it carries each point closure to one.
@@ -556,4 +515,4 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
                                witness=members(bad))
 
     return CorrespondenceReport(tuple(hs), tuple(map(L.set_of, m_masks)), inverse_ok,
-                                reversing, checked, homeo, tuple(notes))
+                                reversing, 1 << L.size, homeo, notes)

@@ -21,8 +21,8 @@ from json.encoder import encode_basestring_ascii
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (HYPOTHESES, POWERSET_LIMIT, SKIP_TEXT, BadParams, LatticeError,
-                   MultLattice, TheoremViolation, check_axioms, compact_elements,
+from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
+                   TheoremViolation, check_axioms, compact_elements, gap,
                    replace_mult, subset_pair_witness, validate)
 from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
                      poset_space, powerset_lattice, random_lattice,
@@ -370,16 +370,14 @@ ROWS = {
 
 def run_row(L: MultLattice, check: str):
     """Row ``check`` of ``L``, or None when its cap leaves it out.  A
-    ``core.HYPOTHESES`` statement is skipped, with its ``core.SKIP_TEXT``,
-    when ``check_axioms(L)`` lacks one of its flags, before any cap.  Any
-    exception, the gate's included, is the row's failure, recorded against
-    ``L``, so one lattice cannot abort a corpus run."""
+    ``core.HYPOTHESES`` statement is skipped, with the reason
+    :func:`core.gap` gives, when ``L`` lacks one of its flags, before any
+    cap.  Any exception, the gate's included, is the row's failure, recorded
+    against ``L``, so one lattice cannot abort a corpus run."""
     run, cap = ROWS[check]
     try:
-        flags = HYPOTHESES.get(check, ())
-        for flag in flags:
-            if not getattr(check_axioms(L), flag):
-                return CheckResult(L.name, check, True, True, SKIP_TEXT[flags])
+        if check in HYPOTHESES and (why := gap(L, check)):
+            return CheckResult(L.name, check, True, True, why)
         if cap and cap[0](L):
             return cap[1] and CheckResult(L.name, check, True, True, cap[1])
         run(L)

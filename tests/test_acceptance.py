@@ -6,6 +6,7 @@ corpus plus the seeded random sample; tolerances are exact set equalities
 throughout.
 """
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -214,6 +215,23 @@ def test_traced_names_resolve():
     # so each suite must be one object under both.
     assert all(getattr(verify, f"suite_{s}") is verify.SUITES[s] for s in verify.SUITES)
     assert {f"suite_{s}" for s in verify.SUITES} <= set(layers["verify"])
+
+
+def test_every_theorem_violation_names_a_witness():
+    """Every ``TheoremViolation(...)`` call in ``src/multlattice`` passes a
+    ``witness=`` that is not the constant None, so every failed statement
+    carries its counterexample."""
+    sites, bare = 0, []
+    for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) == "TheoremViolation"):
+                continue
+            sites += 1
+            witness = next((k.value for k in node.keywords if k.arg == "witness"), None)
+            if witness is None or (isinstance(witness, ast.Constant) and witness.value is None):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert sites > 0 and bare == []
 
 
 def test_large_round_matches_its_recorded_digest(monkeypatch):

@@ -1,14 +1,13 @@
-"""Reference routes for the readers of prime masks, for the P(S) classes
-and for the family closures.
+"""Reference routes for the readers of prime masks and for the family
+closures, and a planted fault for the correspondence.
 
 ``spectrum.prime_mask`` is the nonprime pass alone, ``open_subspace_homeo``
-reads both spectra as masks, ``systems.correspondence_check`` decides its
-fixed-point identity once per class of subsets with one P(S), and
-``families.pip_exhaustive`` decides the prime ideal principle by one closure
-per element and schema.  Each is held here to a route written in the test: a
-pair scan of the definition, the interval's ``spectrum(M).zariski``,
-grouping by ``systems._avoiding``, the per-subset loop the classes replaced
-and the 2^n family kernel the closures replaced.
+reads both spectra as masks, and ``families.pip_exhaustive`` decides the
+prime ideal principle by one closure per element and schema.  Each is held
+here to a route written in the test: a pair scan of the definition, the
+interval's ``spectrum(M).zariski`` and the 2^n family kernel the closures
+replaced.  ``systems.correspondence_check`` decides its fixed-point identity
+by its bijection check, which planted saturated flags must fail.
 """
 
 import dataclasses
@@ -99,60 +98,26 @@ def test_open_subspace_matches_the_spectrum_report_route(corpus):
     assert ran > 1000
 
 
-def test_avoiding_classes_partition_the_subsets_as_avoiding_does(corpus):
-    for L in corpus:
-        if L.size > POWERSET_LIMIT:
-            continue
-        classes = systems._avoiding_classes(L)
-        assert sum(c.bit_count() for c in classes.values()) == 1 << L.size, L.name
-        grouped = {}
-        for s in range(1 << L.size):
-            pm = systems._avoiding(L, s)
-            grouped[pm] = grouped.get(pm, 0) | 1 << s
-        assert classes == grouped, L.name
-
-
-def per_subset_witness(L, saturated):
-    """The first subset, in mask order, that the per-subset loop finds to be
-    in ``saturated`` exactly when it is not a compact fixed point S_P(S)."""
-    opens = spectrum(L).zariski.opens
-    of_points = {}
-    for s in range(1 << L.size):
-        pm = systems._avoiding(L, s)
-        if pm not in of_points:
-            ys = L.set_of(pm)
-            of_points[pm] = (systems.points_system_mask(L, pm),
-                             systems.is_compact(ys, [u for u in opens if u & ys]))
-        fixed, compact = of_points[pm]
-        if (s in saturated) != (compact and fixed == s):
-            return tuple(sorted(L.set_of(s)))
-    return None
-
-
-def test_planted_saturated_flags_fail_where_the_per_subset_loop_does(corpus, monkeypatch):
-    # Every m-system that is not an up-set but the lowest is flagged
-    # saturated in the kernel, while the list the maps invert stays true:
-    # only the fixed-point identity reads the flags, and it must name the
-    # subset the per-subset loop names, the lowest over all classes.
+def test_planted_saturated_flags_fail_the_bijection_check(corpus, monkeypatch):
+    # Every m-system that is not an up-set is flagged saturated in the
+    # kernel, and the list the maps invert reads those flags.  S_P(S) is an
+    # up-set, so no planted S is a fixed point: the bijection check names
+    # one, which is why the fixed-point identity needs no pass of its own.
     planted = 0
     for L in corpus:
         if L.size > POWERSET_LIMIT or not check_axioms(L).m_distributive:
             continue
         m, n, up = systems.subset_flags(L)
-        extra = systems.bit_indices(m & ~up)[1:]
-        if not extra:
+        if not m & ~up:
             continue
-        true_list = systems._saturated_masks(L)
-        flags = m, n, up | sum(1 << s for s in extra)
-        monkeypatch.setattr(systems, "_saturated_masks", lambda M: list(true_list))
-        monkeypatch.setitem(L._cache, "subset_flags", flags)
-        with pytest.raises(TheoremViolation, match="compact fixed point fails") as info:
+        monkeypatch.setitem(L._cache, "subset_flags", (m, n, up | m))
+        with pytest.raises(TheoremViolation,
+                           match="the correspondence maps are not mutually inverse") as info:
             systems.correspondence_check(L)
-        witness = per_subset_witness(L, set(systems.bit_indices(flags[0] & flags[2])))
-        assert witness is not None and info.value.witness == witness, L.name
+        assert not up >> L.mask_of(info.value.witness) & 1, L.name
         monkeypatch.undo()
         planted += 1
-    assert planted > 50
+    assert planted > 200
 
 
 def reference_case_masks(L, associative):

@@ -252,15 +252,15 @@ def test_hyperabelian_one_element_lattice():
     assert rep.hyperabelian and rep.chain == (0,)
 
 
-def test_hyperabelian_saturated_only_mode():
-    # 13 elements is one above POWERSET_LIMIT
+def test_hyperabelian_above_the_powerset_limit():
+    # 13 elements is one above POWERSET_LIMIT: condition (f) reads the
+    # saturated m-systems, which decide it, so the report carries no cap note
     rep = hyperabelian_report(chain(13, "zero"))
-    assert rep.msystem_mode == "saturated_only"
     assert rep.hyperabelian and "f" not in rep.witnesses
     rep = hyperabelian_report(chain(13, "meet"))
-    assert rep.msystem_mode == "saturated_only"
     assert not rep.hyperabelian and rep.witnesses["f"] == (12,)
-    assert rep.notes[-1].startswith("size 13 > cap 12: condition (f) decided")
+    assert rep.notes == ("condition (c) is the finite instantiation: only finite "
+                         "chains are built",)
 
 
 def brute_chain_exists(L):
@@ -303,7 +303,6 @@ def test_condition_f_modes_agree(small_exhaustive_corpus):
         in_all = all(L.bottom in s for s in all_m_systems(L))
         assert in_all == all(L.bottom in s for s in saturated_m_systems(L)), L.name
         rep = hyperabelian_report(L)
-        assert rep.msystem_mode == "all"
         witness = brute_m_system_without_bottom(L)
         assert ("f" not in rep.witnesses) == in_all == (witness is None), L.name
         assert rep.witnesses.get("f") == witness, L.name

@@ -14,7 +14,7 @@ import pytest
 
 import multlattice
 from multlattice import constructions as cons
-from multlattice import families, verify
+from multlattice import core, families, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import (HYPOTHESES, POWERSET_LIMIT, BadParams, check_axioms,
@@ -141,6 +141,21 @@ def test_unexpected_exception_is_a_failure_of_its_lattice(monkeypatch):
     failures = [(r.lattice, r.check, r.detail) for r in rep.results if not r.passed]
     assert failures == [("chain3_meet", "families.annihilators", "RuntimeError: boom")]
     assert {r.lattice for r in rep.results} == {"chain3_meet", "chain3_zero"}
+
+
+def test_a_raising_gate_fails_its_row(monkeypatch):
+    # The hypothesis gate reads check_axioms through core.gap, inside the
+    # row: an exception there fails the gated row, and an ungated row still
+    # runs.
+    L = chain(3, "meet")
+
+    def check_axioms(M):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(core, "check_axioms", check_axioms)
+    row = verify.run_row(L, "systems.correspondence")
+    assert (row.passed, row.skipped, row.detail) == (False, False, "RuntimeError: boom")
+    assert verify.run_row(L, "spectrum.sober").passed
 
 
 def test_a_raising_library_call_fails_the_rows_that_make_it(monkeypatch, capsys):

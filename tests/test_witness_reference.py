@@ -13,10 +13,9 @@ order, or the same exception class, message and witness.
 import pytest
 
 from multlattice import constructions as cons
-from multlattice.core import (LatticeError, MDistributivityRequired,
-                              POWERSET_LIMIT, PropertyReport, TheoremViolation,
-                              _check_axioms, axiom_report, check_axioms,
-                              require)
+from multlattice.core import (LatticeError, MDistributivityRequired, PropertyReport,
+                              TheoremViolation, _check_axioms, axiom_report,
+                              check_axioms, require)
 from multlattice.families import FamilyReport, classify_family, residual_tables
 from multlattice.spectrum import (HyperabelianReport, _greedy_square_chain,
                                   _hyperabelian_report, _order_flags,
@@ -215,11 +214,6 @@ def ref_hyperabelian_report(L):
     if not cond_e:
         witnesses["e"] = radical
 
-    mode = "all"
-    if L.size > POWERSET_LIMIT:
-        mode = "saturated_only"
-        notes.append(f"size {L.size} > cap {POWERSET_LIMIT}: condition (f) decided over "
-                     "saturated m-systems (bottom membership is saturation-invariant)")
     without_bottom = first_m_system_without(L, L.bottom)
     cond_f = without_bottom is None
     if not cond_f:
@@ -230,7 +224,7 @@ def ref_hyperabelian_report(L):
     if len(set(conditions.values())) != 1:
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",
                                witness=witnesses)
-    return HyperabelianReport(cond_a, chain, mode, witnesses, tuple(notes))
+    return HyperabelianReport(cond_a, chain, witnesses, tuple(notes))
 
 
 def ref_order_flags(order):
