@@ -61,8 +61,8 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     bounds the table.  When ``x`` is bottom the new multiplication agrees
     with the restriction of the parent multiplication; this is asserted.
     It is kept under ``L``'s memo key ``"intervals"``, which
-    ``verify.verify_all`` drops once ``L``'s suites have run, for the
-    reason :func:`product` gives for keeping no product.
+    ``verify.verify_all`` releases with the rest of what ``L``'s suites
+    cached, for the reason :func:`product` gives for keeping no product.
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
@@ -167,7 +167,8 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     factor orders, so :func:`validate` checks only the multiplication bound,
     the generators (pairs of factor generators or bottoms) and the labels.
     Each call builds a new product lattice: no caller reads one twice, and a
-    cached one would keep its caches alive as long as its left factor.  Each
+    cached one would keep its caches alive as long as its left factor.  The
+    int tuple table from :func:`_pairs` is kept without a copy.  Each
     axiom holds on the product exactly when it holds on both factors, so its
     :func:`check_axioms` report is derived from theirs, with lifted witnesses
     (:func:`_product_axioms`), instead of scanned."""

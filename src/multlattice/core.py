@@ -13,6 +13,7 @@ operation in this package is a pure function of its inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -378,7 +379,8 @@ def validate(*, size: int | None = None,
     generators below it, tested element by element only when the generating
     set is a proper subset (an element that is a generator is such a join).
     ``mult`` is a full ``size x size`` table of indices or a callable
-    ``(x, y) -> index``.
+    ``(x, y) -> index``; a tuple of tuples of ``int`` becomes the lattice's
+    table as given, its rows shared with the caller.
 
     Raises :class:`NotAPartialOrder`, :class:`NotALattice`,
     :class:`MultNotBounded` or :class:`NotGenerated`, each carrying a
@@ -419,15 +421,19 @@ def validate(*, size: int | None = None,
 
 def _bounded_table(order: OrderData, mult) -> tuple:
     """``mult`` (a table or a callable) as a tuple of rows, checked to be a
-    full table of elements with every product below the meet."""
+    full table of elements with every product below the meet.  A tuple of
+    ``int`` tuples is kept as given; any other table is copied as ints."""
     size = order.size
     if callable(mult):
         table = tuple([tuple([int(mult(x, y)) for y in range(size)])
                        for x in range(size)])
+    elif (type(mult) is tuple and {*map(type, mult)} == {tuple}
+          and {*map(type, itertools.chain.from_iterable(mult))} == {int}):
+        table = mult
     else:
         table = tuple([tuple(map(int, row)) for row in mult])
-        if len(table) != size or {*map(len, table)} != {size}:
-            raise BadParams("mult must be a full size x size table")
+    if len(table) != size or {*map(len, table)} != {size}:
+        raise BadParams("mult must be a full size x size table")
     # xy <= x meet y iff row x lies in down(x) and column y in down(y); the
     # cell loop below runs only to name the first failing cell, row-major.
     downs = memo(order, "down_sets", lambda: tuple(

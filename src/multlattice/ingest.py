@@ -553,7 +553,7 @@ def int_param(text: str) -> int:
         raise BadParams(f"expected an integer, got {text!r}") from None
 
 
-# The most parameters each generator takes; "random" takes any flags and a seed.
+# The most parameters each generator takes; "random" takes flags and a seed, each once.
 _ARITY = {"chain": 2, "zn": 1, "zn_ideals": 1, "bool": 2, "powerset": 2, "open_sets": 2}
 
 
@@ -574,12 +574,9 @@ def generate(kind: str, *args) -> MultLattice:
         return open_set_lattice(space, name=f"opens_{args[0]}{args[1] if len(args) > 1 else ''}")
     if kind == "random":
         size = int_param(args[0])
-        seed = 0
-        axioms = {}
-        for a in args[1:]:
-            if a.startswith("seed="):
-                seed = int_param(a[5:])
-            else:
-                axioms[a] = True
-        return random_lattice(size, axioms, seed)
+        seeds = [int_param(a[5:]) for a in args[1:] if a.startswith("seed=")]
+        axioms = dict.fromkeys((a for a in args[1:] if not a.startswith("seed=")), True)
+        if len(seeds) > 1 or len(seeds) + len(axioms) < len(args) - 1:
+            raise BadParams("generator 'random' takes each parameter at most once")
+        return random_lattice(size, axioms, seeds[0] if seeds else 0)
     raise BadParams(f"unknown generator {kind!r}")

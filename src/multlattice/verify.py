@@ -416,11 +416,14 @@ class VerifyReport:
         return self.failed == 0
 
 
+# The analyses a caller reads of a lattice; the rest a run caches is its rows' own.
+KEPT = frozenset({"axioms", "classify", "spectrum", "prime_mask", "primes"})
+
+
 def verify_all(lattices, suites=("all",)) -> VerifyReport:
     """Run the selected suites over one lattice or a sequence of lattices.
-    A lattice's intervals are shared by its rows and dropped once its suites
-    have run, for the reason ``constructions.product`` keeps no product;
-    the rest of its cache stays for the caller."""
+    A lattice's rows share its cache; once they have run, it keeps in a new
+    dict only what it held before the run and the analyses in ``KEPT``."""
     if isinstance(lattices, MultLattice):
         lattices = [lattices]
     names = list(SUITES) if "all" in suites else [s for s in suites if s in SUITES]
@@ -429,9 +432,10 @@ def verify_all(lattices, suites=("all",)) -> VerifyReport:
         raise BadParams(f"unknown suites: {unknown}")
     results = []
     for L in lattices:
+        kept = KEPT.union(L._cache)
         for s in names:
             results.extend(SUITES[s](L))
-        L._cache.pop("intervals", None)
+        L._cache = {k: v for k, v in L._cache.items() if k in kept}
     results.sort(key=lambda r: (r.lattice, r.check))
     failed = sum(1 for r in results if not r.passed)
     skipped = sum(1 for r in results if r.skipped)

@@ -85,6 +85,8 @@ def test_check_refuses_an_input_together_with_a_corpus(capsys):
     ("check", "all", "--corpus", "exhaustive:0"),
     ("validate", "gen:zn:4:x"),
     ("validate", "gen:chain:3:meet:extra"),
+    ("validate", "gen:random:4:seed=1:seed=2"),
+    ("validate", "gen:random:4:monotone:monotone"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)

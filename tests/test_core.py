@@ -90,11 +90,14 @@ def test_bound_check_names_the_first_failing_cell(case):
              else mult)
     expected = first_bad_cell(base.order, table)
     assert expected is not None
-    for build in (lambda: validate(size=3, covers=[(0, 1), (1, 2)], mult=mult),
-                  lambda: validate(order=base.order, mult=mult)):
-        with pytest.raises(LatticeError) as exc:
-            build()
-        assert (type(exc.value), exc.value.witness, str(exc.value)) == expected
+    # A list table is copied and a tuple of int tuples kept as given; the
+    # bound check names the same cell on both.
+    for given in [mult] if callable(mult) else [mult, tuple(map(tuple, mult))]:
+        for build in (lambda: validate(size=3, covers=[(0, 1), (1, 2)], mult=given),
+                      lambda: validate(order=base.order, mult=given)):
+            with pytest.raises(LatticeError) as exc:
+                build()
+            assert (type(exc.value), exc.value.witness, str(exc.value)) == expected
     if case == "below_x_only":
         assert all(base.leq(z, x) for x, row in enumerate(table) for z in row)
     if case == "below_y_only":
@@ -247,6 +250,25 @@ def test_replace_mult_shares_order():
     assert L.mult(2, 2) == 0
     with pytest.raises(MultNotBounded):
         core.replace_mult(base, [[0, 0, 0], [0, 0, 2], [0, 0, 0]])
+
+
+def test_replace_mult_keeps_an_int_tuple_table_as_given():
+    L = mk_chain(3, min)
+    M = core.replace_mult(L, L.mult_table)
+    assert M.mult_table is L.mult_table and M.order is L.order
+
+
+@pytest.mark.parametrize("mult", [
+    ((0, 0, 0), (0, 1, True), (0, 1, 2)),
+    ((0, 0, 0), (0, 1.0, 1), (0, 1, 2)),
+    ([0, 0, 0], [0, 1, 1], [0, 1, 2]),
+    [(0, 0, 0), (0, 1, 1), (0, 1, 2)],
+], ids=["bool_cell", "float_cell", "list_rows", "list_of_rows"])
+def test_any_other_table_is_copied_with_int_cells(mult):
+    for L in (mk_chain(3, mult), core.replace_mult(mk_chain(3, min), mult)):
+        assert L.mult_table == CHAIN3_MEET and L.mult_table is not mult
+        assert type(L.mult_table) is tuple and {*map(type, L.mult_table)} == {tuple}
+        assert {type(z) for row in L.mult_table for z in row} == {int}
 
 
 def test_structural_equality_ignores_cache():

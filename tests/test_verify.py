@@ -339,15 +339,17 @@ def test_v_identities_run_above_the_powerset_limit(monkeypatch):
 
 def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
     # The hyper, systems and families suites all range over the m-systems
-    # of L; they read one list, built by one powerset scan.  (Derived
-    # lattices, such as the intervals of the constructions suite, have
-    # their own.)
-    calls = []
+    # of L; they read one list, built by one powerset scan per run: a probe
+    # suite run after the others still finds it.  (Derived lattices, such
+    # as the intervals of the constructions suite, have their own.)
+    calls, probed = [], []
     scan = sys_mod._scan_m_systems
     monkeypatch.setattr(sys_mod, "_scan_m_systems", lambda M: calls.append(M) or scan(M))
+    monkeypatch.setitem(SUITES, "probe", lambda M: probed.append(
+        sys_mod.all_m_systems(M) == [M.set_of(s) for s in sys_mod.m_system_masks(M)]) or [])
     L = chain(4, "meet")
     assert verify_all(L).failed == 0
-    assert sys_mod.all_m_systems(L) == [L.set_of(s) for s in sys_mod.m_system_masks(L)]
+    assert probed == [True]
     assert [M for M in calls if M is L] == [L]
 
 
@@ -399,6 +401,40 @@ def test_corpus_run_leaves_no_interval_on_any_lattice():
     lattices = corpus_exhaustive_tables(3) + corpus_named()
     assert verify_all(lattices).failed == 0
     assert not any(_intervals_reachable(L._cache) for L in lattices)
+
+
+# The analyses a caller reads through the public API; a run keeps them.
+READ_ANALYSES = {"axioms", "classify", "spectrum", "prime_mask", "primes"}
+
+
+def test_verify_all_keeps_what_the_lattice_held_before_the_run():
+    L = chain(4, "meet")
+    sentinel = object()
+    L._cache["sentinel"] = sentinel
+    held = L._cache
+    assert verify_all(L).failed == 0
+    assert L._cache["sentinel"] is sentinel
+    assert L._cache is not held         # a new dict: the run's table is freed
+    assert verify.KEPT == READ_ANALYSES
+
+
+@pytest.mark.parametrize("corpus", ["zn36", "random5_mdist_s7", "exhaustive3+named"])
+def test_verify_all_keeps_only_prior_entries_and_read_analyses(corpus):
+    lattices = (corpus_exhaustive_tables(3) + corpus_named() if corpus == "exhaustive3+named"
+                else [next(M for M in corpus_named() if M.name == corpus)])
+    for L in lattices[::7]:
+        sys_mod.m_system_masks(L)       # an entry no run keeps of its own
+    before = [set(L._cache) for L in lattices]
+    assert verify_all(lattices).failed == 0
+    for L, keys in zip(lattices, before):
+        assert keys <= L._cache.keys() <= keys | READ_ANALYSES, L.name
+        assert "axioms" in L._cache and "spectrum" in L._cache, L.name
+
+
+def test_a_second_run_reports_the_same_bytes():
+    lattices = corpus_named()
+    first = report_to_json(verify_all(lattices))
+    assert report_to_json(verify_all(lattices)) == first
 
 
 @pytest.mark.parametrize("name", ["zn36", "random5_mdist_s7"])
