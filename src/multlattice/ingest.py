@@ -574,9 +574,14 @@ def generate(kind: str, *args) -> MultLattice:
         return open_set_lattice(space, name=f"opens_{args[0]}{args[1] if len(args) > 1 else ''}")
     if kind == "random":
         size = int_param(args[0])
-        seeds = [int_param(a[5:]) for a in args[1:] if a.startswith("seed=")]
-        axioms = dict.fromkeys((a for a in args[1:] if not a.startswith("seed=")), True)
-        if len(seeds) > 1 or len(seeds) + len(axioms) < len(args) - 1:
-            raise BadParams("generator 'random' takes each parameter at most once")
-        return random_lattice(size, axioms, seeds[0] if seeds else 0)
+        seed = None
+        axioms = {}
+        for a in args[1:]:
+            if a in axioms or seed is not None and a.startswith("seed="):
+                raise BadParams("generator 'random' takes each parameter at most once")
+            if a.startswith("seed="):
+                seed = int_param(a[5:])
+            else:
+                axioms[a] = True
+        return random_lattice(size, axioms, seed or 0)
     raise BadParams(f"unknown generator {kind!r}")
