@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (BadParams, LatticeError, TheoremViolation, check_axioms, gap,
-                   subset_pair_witness)
+from .core import (BadParams, LatticeError, TheoremViolation, check_axioms,
+                   exhaustive_axioms, gap)
 from .ingest import (LatticeSyntaxError, export_dot, export_dot_homeo_pair,
                      export_dot_spectrum, export_text, generate, int_param,
                      parse, to_json)
@@ -173,7 +172,7 @@ def _run(args) -> int:
 
     L = _load(args.input)
     if cmd == "validate":
-        ax = _exhaustive_axioms(L) if L.size <= 6 else check_axioms(L)
+        ax = exhaustive_axioms(L) if L.size <= 6 else check_axioms(L)
         payload = {"name": L.name, "size": L.size, "valid": True,
                    "bottom": L.labels[L.bottom], "top": L.labels[L.top],
                    "axioms": ax}
@@ -233,20 +232,6 @@ def _run(args) -> int:
     elif cmd == "export":
         _emit(args, export_text(L) if args.format == "text" else L, dot=lambda: export_dot(L))
     return 0
-
-
-def _exhaustive_axioms(L):
-    """``check_axioms(L)`` with the arbitrary-join law decided, and its
-    witness found, by the subset-pair scan, as ``validate`` prints it."""
-    ax = check_axioms(L)
-    witness = subset_pair_witness(L)
-    if (witness is None) != ax.infinitely_m_distributive:
-        raise TheoremViolation("the subset-pair scan disagrees with "
-                               "m-distributivity", witness=witness)
-    witnesses = dict(ax.witnesses)
-    if witness is not None:
-        witnesses["infinitely_m_distributive"] = witness
-    return replace(ax, witnesses=witnesses, infinite_check_method="exhaustive")
 
 
 def _summary(report: VerifyReport):

@@ -114,7 +114,7 @@ def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
 class ClosedSubspaceReport:
     """Spec([l, top]) as parent elements, which is V(l), and whether ``l`` is
     prime, which is whether the interval is a prime lattice (its bottom is
-    prime there); :func:`closed_subspace_spec` raises on either mismatch."""
+    prime there); :func:`closed_subspace_spec` raises on a mismatch."""
     interval: IntervalLattice
     spec_in_parent: frozenset     # Spec([l, top]) pushed through the embedding
     l_is_prime: bool
@@ -122,8 +122,8 @@ class ClosedSubspaceReport:
 
 def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
     """Identify Spec([l, top]) with the closed set V(l), elementwise through
-    the embedding, and check that the interval is a prime lattice (its bottom
-    is prime) exactly when ``l`` is prime."""
+    the embedding.  At ``l``, the interval's bottom, this says that the
+    interval is a prime lattice exactly when ``l`` is prime."""
     require(L, "constructions.closed_subspace", MDistributivityRequired)
     iv = interval(L, l, L.top)
     m_spec, spec = prime_mask(iv.lattice), prime_mask(L)
@@ -133,12 +133,7 @@ def closed_subspace_spec(L: MultLattice, l: int) -> ClosedSubspaceReport:
         raise TheoremViolation(
             f"Spec([{l}, top]) differs from V({l})",
             witness=tuple(sorted(L.set_of(spec_iv ^ vl))))
-    l_prime = spec >> l & 1 == 1
-    if (m_spec >> iv.lattice.bottom & 1 == 1) != l_prime:
-        raise TheoremViolation(
-            f"[l, top] prime-lattice status must match primality of l={l}",
-            witness=l)
-    return ClosedSubspaceReport(iv, L.set_of(spec_iv), l_prime)
+    return ClosedSubspaceReport(iv, L.set_of(spec_iv), spec >> l & 1 == 1)
 
 
 # --------------------------------------------------------------------------

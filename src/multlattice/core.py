@@ -672,3 +672,18 @@ def subset_pair_witness(L: MultLattice):
             return (tuple(x for x in range(n) if mx >> x & 1),
                     tuple(y for y in range(n) if my >> y & 1))
     return None
+
+
+def exhaustive_axioms(L: MultLattice) -> PropertyReport:
+    """``check_axioms(L)`` with the arbitrary-join law and its witness read
+    by :func:`subset_pair_witness`, raising when the scan disagrees with the
+    flag: ``mlat validate`` prints it, ``axioms.infinite_reduction_agrees`` runs it."""
+    pair = subset_pair_witness(L)
+    ax = check_axioms(L)
+    if (pair is None) != ax.infinitely_m_distributive:
+        raise TheoremViolation(
+            f"exhaustive={pair is None} reduction={ax.infinitely_m_distributive}",
+            witness=pair or ax.witnesses["infinitely_m_distributive"])
+    witnesses = {**ax.witnesses, "infinitely_m_distributive": pair} if pair else ax.witnesses
+    return PropertyReport(ax.monotone, ax.m_distributive, ax.infinitely_m_distributive,
+                          ax.associative, ax.commutative, witnesses, "exhaustive")

@@ -336,15 +336,19 @@ def _dot_quoted(text: str) -> str:
     return '"%s"' % text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def export_dot(L: MultLattice) -> str:
-    """The Hasse diagram (cover edges only), bottom-up."""
-    lines = [f"digraph {_dot_quoted(L.name)} {{", "  rankdir=BT;"]
-    for i in L.elements:
-        lines.append(f"  n{i} [label={_dot_quoted(L.labels[i])}];")
-    for a, b in L.covers():
-        lines.append(f"  n{a} -> n{b};")
+def _dot(name: str, prefix: str, labels, nodes, edges) -> str:
+    """A bottom-up DOT digraph: node ``prefix + str(i)`` labelled
+    ``labels[i]`` for each i in ``nodes``, then one line per edge (a, b)."""
+    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=BT;"]
+    lines += [f"  {prefix}{i} [label={_dot_quoted(labels[i])}];" for i in nodes]
+    lines += [f"  {prefix}{a} -> {prefix}{b};" for a, b in edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def export_dot(L: MultLattice) -> str:
+    """The Hasse diagram (cover edges only), bottom-up."""
+    return _dot(L.name, "n", L.labels, L.elements, L.covers())
 
 
 def export_dot_topology(T: FiniteTopology, labels, name: str) -> str:
@@ -352,15 +356,9 @@ def export_dot_topology(T: FiniteTopology, labels, name: str) -> str:
     whenever q lies in the closure of p, reduced to covers."""
     pts = sorted(T.points)
     reach = {p: T.closures[p] - {p} for p in pts}
-    lines = [f"digraph {_dot_quoted(name)} {{", "  rankdir=BT;"]
-    for p in pts:
-        lines.append(f"  p{p} [label={_dot_quoted(labels[p])}];")
-    for p in pts:
-        for q in sorted(reach[p]):
-            if not any(q in reach[r] for r in reach[p]):
-                lines.append(f"  p{p} -> p{q};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(name, "p", labels, pts,
+                [(p, q) for p in pts for q in sorted(reach[p])
+                 if not any(q in reach[r] for r in reach[p])])
 
 
 def export_dot_spectrum(L: MultLattice) -> str:
@@ -457,9 +455,11 @@ def powerset_lattice(n: int, mult: str = "meet") -> MultLattice:
 
 def poset_space(kind: str, n: int = 0) -> FiniteTopology:
     """A finite T0 space presented as the down-set (Alexandrov) topology of a
-    small poset: ``chain(n)``, ``antichain(n)``, ``vee`` or ``diamond``.  The
-    poset is its pairs a <= b, and the closure of a point is the points below
-    it."""
+    small poset: ``chain(n)``, ``antichain(n)``, ``vee`` or ``diamond`` (n 0).
+    The poset is its pairs a <= b, and the closure of a point is the points
+    below it."""
+    if n < 0 or n and kind in ("vee", "diamond"):
+        raise BadParams(f"poset {kind!r} cannot have size {n}")
     if kind == "chain":
         pts, pairs = list(range(n)), [(i, j) for i in range(n) for j in range(i, n)]
     elif kind == "antichain":

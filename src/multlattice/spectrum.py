@@ -329,21 +329,22 @@ class HyperabelianReport:
     notes: tuple = ()
 
 
-def _greedy_square_chain(L: MultLattice):
+def _square_steps(L: MultLattice) -> list:
+    """For each x, the mask of the y > x with y*y <= x: the steps that
+    conditions (b) and (c) take up from x."""
+    mt, dm = L.mult_table, L.down_masks
+    return [sum(1 << y for y in L.elements
+                if y != x and L.relation[x][y] and dm[x] >> mt[y][y] & 1)
+            for x in L.elements]
+
+
+def _greedy_square_chain(L: MultLattice, steps: list):
     """Ascending chain from bottom where each step squares below the previous
-    element, taking a maximal candidate each time.  Returns (chain, blocker)."""
-    mt = L.mult_table
+    element, taking a maximal one of ``steps``.  Returns (chain, blocker)."""
     chain = [L.bottom]
-    x = L.bottom
-    while x != L.top:
-        down = L.down_masks[x]
-        cand = L.mask_of(y for y in L.elements
-                         if y != x and L.relation[x][y] and down >> mt[y][y] & 1)
-        if not cand:
-            return None, x
-        x = L.maximal_in(cand)[0]
-        chain.append(x)
-    return tuple(chain), None
+    while chain[-1] != L.top and steps[chain[-1]]:
+        chain.append(L.maximal_in(steps[chain[-1]])[0])
+    return (tuple(chain), None) if chain[-1] == L.top else (None, chain[-1])
 
 
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
@@ -363,16 +364,15 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 
     require(L, "hyper.six_conditions", MDistributivityRequired)
     flags = classify_all(L)
-    rel, dm, mt = L.relation, L.down_masks, L.mult_table
-    chain, blocker = _greedy_square_chain(L)
+    steps = _square_steps(L)
+    chain, blocker = _greedy_square_chain(L, steps)
     primes = primes_of(L)
     radical = L.glb(primes)
     without_bottom = first_m_system_without(L, L.bottom)
     # The first witness against each condition, or None where it holds.
     found = {
         "a": next((x for x in L.elements if flags[x].semiprime and x != L.top), None),
-        "b": next((x for x in L.elements if x != L.top and not any(
-            y != x and rel[x][y] and dm[x] >> mt[y][y] & 1 for y in L.elements)), None),
+        "b": next((x for x in L.elements if x != L.top and not steps[x]), None),
         "c": blocker,
         "d": min(primes) if primes else None,
         "e": None if radical == L.top else radical,

@@ -98,15 +98,14 @@ def _subset_flags(L: MultLattice) -> tuple:
 
 def _classify_mask(L: MultLattice, mask: int):
     """The flags and witnesses of the subset ``mask``: up to
-    ``core.POWERSET_LIMIT`` elements the flags of :func:`subset_flags`, with
-    a scan only for the witnesses of a failed flag; above it one scan per
-    subset, kept on ``L``."""
+    ``core.POWERSET_LIMIT`` elements a saturated m-system is read from
+    :func:`subset_flags` and any other subset is scanned, as the scan
+    decides the same flags; above it one scan per subset, kept on ``L``."""
     if L.size <= POWERSET_LIMIT:
-        m, n, up = subset_flags(L)
+        m, _, up = subset_flags(L)
         if m >> mask & up >> mask & 1:     # an n-system too
             return True, True, True, None, None, None
-        return (m >> mask & 1 == 1, n >> mask & 1 == 1, up >> mask & 1 == 1,
-                *_scan_mask(L, mask)[3:])
+        return _scan_mask(L, mask)
     return _scanned(L, mask)
 
 
@@ -202,13 +201,18 @@ def up_closure(L: MultLattice, mask: int) -> int:
 def saturation_mask(L: MultLattice, mask: int) -> int:
     """:func:`saturate` on masks, for an m-system ``mask`` of a monotone
     lattice: its upward closure, asserted to be a saturated m-system."""
-    out = up_closure(L, mask)
-    is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, out)
+    return _saturated_m_system(L, up_closure(L, mask), "upward closure of an "
+                               "m-system in a monotone lattice must be a "
+                               "saturated m-system")
+
+
+def _saturated_m_system(L: MultLattice, mask: int, message: str) -> int:
+    """``mask``, asserted to be a saturated m-system: else raise
+    ``TheoremViolation(message)`` with its m-system or saturation witness."""
+    is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, mask)
     if not (is_m and sat):
-        raise TheoremViolation("upward closure of an m-system in a monotone "
-                               "lattice must be a saturated m-system",
-                               witness=m_wit or sat_wit)
-    return out
+        raise TheoremViolation(message, witness=m_wit or sat_wit)
+    return mask
 
 
 def complement_system(L: MultLattice, x: int) -> MSystem:
@@ -265,11 +269,7 @@ def points_system_mask(L: MultLattice, ymask: int) -> int:
     for p in range(L.size):
         if ymask >> p & 1:
             mask &= ~L.down_masks[p]
-    is_m, _, sat, m_wit, _, sat_wit = _classify_mask(L, mask)
-    if not (is_m and sat):
-        raise TheoremViolation("S_Y must be a saturated m-system",
-                               witness=m_wit or sat_wit)
-    return mask
+    return _saturated_m_system(L, mask, "S_Y must be a saturated m-system")
 
 
 # --------------------------------------------------------------------------

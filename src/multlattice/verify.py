@@ -22,8 +22,8 @@ from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
 from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
-                   TheoremViolation, check_axioms, compact_elements, gap,
-                   replace_mult, subset_pair_witness, validate)
+                   TheoremViolation, check_axioms, compact_elements,
+                   exhaustive_axioms, gap, replace_mult, validate)
 from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
                      poset_space, powerset_lattice, random_lattice,
                      random_mult_table, zn_ideals)
@@ -56,27 +56,11 @@ def _mult_bounded(L):
         raise TheoremViolation("a product is not below the meet", witness=bad[0])
 
 
-def _dist_implies_mono(L):
-    ax = check_axioms(L)
-    if ax.m_distributive and not ax.monotone:
-        raise TheoremViolation("m-distributive but not monotone",
-                               witness=ax.witnesses["monotone"])
-
-
 def _compact_all(L):
     missing = set(L.elements) - compact_elements(L)
     if missing:
         raise TheoremViolation("finite lattice with a non-compact element",
                                witness=min(missing))
-
-
-def _infinite_reduction_agrees(L):
-    pair = subset_pair_witness(L)
-    ax = check_axioms(L)
-    if (pair is None) != ax.infinitely_m_distributive:
-        raise TheoremViolation(
-            f"exhaustive={pair is None} reduction={ax.infinitely_m_distributive}",
-            witness=pair or ax.witnesses["infinitely_m_distributive"])
 
 
 def _v_identities(L):
@@ -322,9 +306,9 @@ def _lying_over_all(L):
 _SPECTRUM_CAP = (lambda L: len(primes_of(L)) > POWERSET_LIMIT, "spectrum above cap")
 ROWS = {
     "axioms.mult_bounded": (_mult_bounded, None),
-    "axioms.dist_implies_mono": (_dist_implies_mono, None),
+    "axioms.dist_implies_mono": (lambda L: check_axioms(L), None),
     "axioms.compact_all": (_compact_all, None),
-    "axioms.infinite_reduction_agrees": (_infinite_reduction_agrees,
+    "axioms.infinite_reduction_agrees": (lambda L: exhaustive_axioms(L),
                                          (lambda L: L.size > 5, None)),
     "spectrum.sober": (lambda L: spectrum(L), None),
     "spectrum.v_identities": (_v_identities, None),

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from multlattice import cli
+from multlattice import cli, core
 from multlattice.cli import main
 from multlattice.core import TheoremViolation
 from multlattice.constructions import interval
@@ -87,6 +87,9 @@ def test_check_refuses_an_input_together_with_a_corpus(capsys):
     ("validate", "gen:chain:3:meet:extra"),
     ("validate", "gen:random:4:seed=1:seed=2"),
     ("validate", "gen:random:4:monotone:monotone"),
+    ("validate", "gen:open_sets:vee:7"),
+    ("validate", "gen:open_sets:antichain:-2"),
+    ("validate", "gen:open_sets:diamond:1"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -107,7 +110,7 @@ def test_theorem_violation_exits_1_with_one_error_line(capsys, monkeypatch):
 def test_validate_refuses_a_scan_that_disagrees_with_the_flag(capsys, monkeypatch):
     # zn12 is m-distributive, so a planted subset-pair witness contradicts
     # the derived arbitrary-join flag: a failed verification, exit 1.
-    monkeypatch.setattr(cli, "subset_pair_witness", lambda L: ((0,), (0,)))
+    monkeypatch.setattr(core, "subset_pair_witness", lambda L: ((0,), (0,)))
     code, out, err = run(capsys, "validate", "gen:zn:12")
     assert code == 1 and out == ""
     assert err.startswith("error: TheoremViolation: ") and err.count("\n") == 1
@@ -169,6 +172,16 @@ def test_construct_ops(capsys):
     code, out, _ = run(capsys, "construct", "lying:(2):(6)", "gen:zn:12")
     assert code == 0
     assert json.loads(out)["prime"] == "(3)"
+
+    for op, disjoint in (("disjoint:(2):(3)", True), ("disjoint:(4):(6)", False)):
+        code, out, _ = run(capsys, "construct", op, "gen:zn:12")
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["v1_v2_disjoint"], payload["cover"]) == (disjoint, True)
+
+    code, out, _ = run(capsys, "construct", "open_homeo:(2)", "gen:zn:12")
+    assert code == 0
+    assert json.loads(out)["point_map"] == {"2": 2}
 
 
 DOT_COMMANDS = [("validate", "gen:zn:12"), ("spec", "gen:zn:12"),
@@ -260,6 +273,14 @@ def test_open_homeo_emits_paired_digraphs(capsys):
     assert code == 0
     assert out.count("digraph") == 2
     assert 'label="(3)"' in out and 'label="(6)"' in out
+
+
+def test_families_default_to_the_family_of_top(capsys):
+    code, out, _ = run(capsys, "families", "gen:zn:12")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family"] == [0]
+    assert all(payload[flag] for flag in ("left_oka", "right_oka", "oka", "ako"))
 
 
 def test_families_with_explicit_family(capsys):

@@ -181,6 +181,7 @@ def test_generate_dispatch():
     assert generate("zn", "30").size == 8
     assert generate("bool", "2").size == 4
     assert generate("open_sets", "vee").size > 1
+    assert generate("open_sets", "chain", "0").size == 1
     assert generate("random", "5", "seed=3", "m_distributive").size == 5
 
 

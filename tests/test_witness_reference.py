@@ -18,7 +18,7 @@ from multlattice.core import (LatticeError, MDistributivityRequired, PropertyRep
                               check_axioms, require)
 from multlattice.families import FamilyReport, classify_family, residual_tables
 from multlattice.spectrum import (HyperabelianReport, _greedy_square_chain,
-                                  _hyperabelian_report, _order_flags,
+                                  _hyperabelian_report, _order_flags, _square_steps,
                                   classify_all, primes_of)
 from multlattice.systems import first_m_system_without
 from multlattice.verify import (LATTICE_SHAPES, PRODUCT_PARTNERS,
@@ -199,7 +199,7 @@ def ref_hyperabelian_report(L):
             witnesses["b"] = x
             break
 
-    chain, blocker = _greedy_square_chain(L)
+    chain, blocker = _greedy_square_chain(L, _square_steps(L))
     cond_c = chain is not None
     if not cond_c:
         witnesses["c"] = blocker
