@@ -195,7 +195,7 @@ def _run(args) -> int:
             survey["correspondence"] = sys_mod.correspondence_check(L)
         _emit(args, survey)
     elif cmd == "families":
-        if args.family:
+        if args.family is not None:
             tokens = [args.family] if args.family in L.labels else args.family.split(",")
             F = frozenset(_element(L, t) for t in tokens)
         else:

@@ -19,7 +19,7 @@ from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    PropertyReport, TheoremViolation, axiom_report, check_axioms,
                    memo, require, validate)
 from .spectrum import hyperabelian_report, prime_mask, spectrum
-from .families import residual_left, residual_right
+from .families import annihilators
 from .systems import bit_indices
 
 
@@ -389,9 +389,7 @@ def right_adjoint(f: LatticeMorphism) -> tuple:
 
 
 def _right_adjoint(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
-    down = tgt.masks()[0]
-    u = tuple(src.lub(x for x in range(src.size) if down[y] >> f[x] & 1)
-              for y in range(tgt.size))
+    u = src.adjoint(f, tgt.masks()[0])
     for x in range(src.size):
         for y in range(tgt.size):
             if tgt.relation[f[x]][y] != src.relation[x][u[y]]:
@@ -436,12 +434,12 @@ def spec_map(f: LatticeMorphism) -> SpecMapReport:
 
 def lying_over(L: MultLattice, n: int, q: int) -> int:
     """The unique prime ``p`` of ``L`` with p ^ n = q, for ``q`` prime in the
-    interval [bottom, n].
+    interval [bottom, n]: :func:`lying_prime` in [q, top].
 
-    Computed constructively: inside [q, top] the left annihilator of ``n``
-    (asserted equal to the right annihilator) is the prime; then an
-    exhaustive scan confirms existence and uniqueness in Spec(L).  Any
-    mismatch between the construction and the scan is a hard failure.
+    Every prime r of ``L`` with r ^ n = q lies above q, and under this
+    function's hypothesis :func:`closed_subspace_spec` identifies the primes
+    of [q, top] with those of ``L`` above q, so the uniqueness asserted
+    there is uniqueness in Spec(L).
     """
     require(L, "constructions.lying_over", HypothesesFail)
     if not L.relation[q][n]:
@@ -450,28 +448,30 @@ def lying_over(L: MultLattice, n: int, q: int) -> int:
     base = interval(L, L.bottom, n)
     if not prime_mask(base.lattice) >> base.from_parent(q) & 1:
         raise NotPrimeInInterval(f"{q} is not prime in [bottom, {n}]", witness=q)
+    return lying_prime(interval(L, q, L.top), n)
 
-    upper = interval(L, q, L.top)
-    n_up = upper.from_parent(n)
-    M = upper.lattice
-    la = residual_left(M, M.bottom, n_up)
-    ra = residual_right(M, M.bottom, n_up)
-    if la != ra:
-        raise TheoremViolation(
-            "left and right annihilators of n in [q, top] differ",
-            witness=(upper.to_parent(la), upper.to_parent(ra)))
-    p = upper.to_parent(la)
 
-    spec = prime_mask(L)
-    if not spec >> p & 1 or L.meet_table[p][n] != q:
+def lying_prime(iv: IntervalLattice, n: int) -> int:
+    """The annihilator of the parent element ``n`` in the interval ``iv``,
+    asserted to be the same on both sides, to be a prime of the interval
+    meeting ``n`` at its bottom, and to be the only such prime.  Elements,
+    witnesses included, are the parent's."""
+    M, n_i, up = iv.lattice, iv.from_parent(n), iv.to_parent
+    ann = annihilators(M, n_i)
+    if ann.lann != ann.rann:
         raise TheoremViolation(
-            f"constructed element {p} is not a prime meeting n back to q",
-            witness=p)
-    matches = [r for r in bit_indices(spec) if L.meet_table[r][n] == q]
-    if matches != [p]:
+            f"left and right annihilators of {n} in [{iv.low}, {iv.high}] differ",
+            witness=(up(ann.lann), up(ann.rann)))
+    spec = prime_mask(M)
+    if not spec >> ann.lann & 1 or ann.left_center != M.bottom:
         raise TheoremViolation(
-            f"lying over is not unique: candidates {matches}", witness=tuple(matches))
-    return p
+            f"annihilator {up(ann.lann)} is not a prime of [{iv.low}, {iv.high}] "
+            f"meeting {n} at {iv.low}", witness=up(ann.lann))
+    matches = [up(p) for p in bit_indices(spec) if M.meet_table[p][n_i] == M.bottom]
+    if len(matches) != 1:
+        raise TheoremViolation(
+            f"the lying prime is not unique: candidates {matches}", witness=tuple(matches))
+    return matches[0]
 
 
 @dataclass

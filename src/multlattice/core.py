@@ -19,8 +19,9 @@ from typing import Iterable, Sequence
 
 # The largest lattice on which a check scans all 2^size subsets.  Above it
 # m-systems are listed as the saturated ones only: that decides condition
-# (f) and the correspondence alike, but saturation_closure_operator and
-# sigma_maximal_prime then check less.
+# (f), the correspondence and the avoiding sets alike (sigma_maximal_prime
+# reads that list at every size), but saturation_closure_operator then
+# checks less.
 POWERSET_LIMIT = 12
 
 
@@ -290,6 +291,19 @@ class OrderData:
             out = self.join_table[out][x]
         return out
 
+    def adjoint(self, f, downs) -> tuple:
+        """For each down-set mask in ``downs``, the join of the x whose
+        image ``f[x]`` lies in it: the residuals and the right adjoints of
+        morphisms are all read this way."""
+        jt, out = self.join_table, []
+        for d in downs:
+            acc = self.bottom
+            for x, fx in enumerate(f):
+                if d >> fx & 1:
+                    acc = jt[acc][x]
+            out.append(acc)
+        return tuple(out)
+
 
 def build_order(*, size: int | None = None, covers=None, relation=None) -> OrderData:
     """Check that the supplied order is a lattice and precompute its tables.
@@ -399,13 +413,8 @@ def validate(*, size: int | None = None,
     # Every element is the join of the generators below it; that needs a
     # loop only when some element is not a generator itself.
     if len(gens) < size:
-        rel, join_table = order.relation, order.join_table
         for x in range(size):
-            acc = order.bottom
-            for g in gens:
-                if rel[g][x]:
-                    acc = join_table[acc][g]
-            if acc != x:
+            if order.lub([g for g in gens if order.relation[g][x]]) != x:
                 raise NotGenerated(f"element {x} is not a join of generators",
                                    witness=x)
 

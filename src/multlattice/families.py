@@ -49,34 +49,21 @@ def residual_tables(L: MultLattice):
 
 
 def _residual_tables(L: MultLattice):
-    n = L.size
-    mt = L.mult_table
-    jt = L.join_table
-    dm = L.down_masks
-    bounded = check_axioms(L).infinitely_m_distributive
-    left = [[0] * n for _ in range(n)]
-    right = [[0] * n for _ in range(n)]
-    for l in range(n):
-        dl = dm[l]
-        for a in range(n):
-            acc = L.bottom
-            for x in range(n):
-                if dl >> mt[x][a] & 1:
-                    acc = jt[acc][x]
-            left[l][a] = acc
-            acc = L.bottom
-            row = mt[a]
-            for x in range(n):
-                if dl >> row[x] & 1:
-                    acc = jt[acc][x]
-            right[l][a] = acc
-            if bounded and not dl >> mt[left[l][a]][a] & 1:
-                raise TheoremViolation(f"residual bound fails: ({l} :l {a}) * {a} !<= {l}",
-                                       witness=(l, a))
-            if bounded and not dl >> row[acc] & 1:
-                raise TheoremViolation(f"residual bound fails: {a} * ({l} :r {a}) !<= {l}",
-                                       witness=(l, a))
-    return tuple(tuple(r) for r in left), tuple(tuple(r) for r in right)
+    """(l :l a) is the adjoint of x -> x*a at l, and (l :r a) that of
+    x -> a*x, each computed for every l at once and transposed to [l][a]."""
+    dm, mt = L.down_masks, L.mult_table
+    left = tuple(zip(*[L.order.adjoint(col, dm) for col in zip(*mt)]))
+    right = tuple(zip(*[L.order.adjoint(row, dm) for row in mt]))
+    if check_axioms(L).infinitely_m_distributive:
+        for l, dl in enumerate(dm):
+            for a in range(L.size):
+                if not dl >> mt[left[l][a]][a] & 1:
+                    raise TheoremViolation(f"residual bound fails: ({l} :l {a}) * {a} !<= {l}",
+                                           witness=(l, a))
+                if not dl >> mt[a][right[l][a]] & 1:
+                    raise TheoremViolation(f"residual bound fails: {a} * ({l} :r {a}) !<= {l}",
+                                           witness=(l, a))
+    return left, right
 
 
 @dataclass(frozen=True)
@@ -292,20 +279,9 @@ def sigma_of_system(L: MultLattice, S) -> SigmaReport:
 
 
 def sigma_of_mask(L: MultLattice, smask: int) -> SigmaReport:
-    """:func:`sigma_of_system` for the m-system ``smask``.  The Ako and
-    maximal-prime legs read only the avoiding set, so they run once per
-    avoiding set: the per-lattice memo is keyed by its mask."""
+    """:func:`sigma_of_system` for the m-system ``smask``."""
     sigma = sum(1 << l for l in L.elements if not smask & L.down_masks[l])
-    legs = memo(L, "sigma_legs", dict)
-    if sigma not in legs:
-        maximal = L.maximal_in(sigma)
-        ako_ok = bad = None
-        if check_axioms(L).m_distributive:
-            ako_ok = not _ako_witness(L, L.full_mask & ~sigma, sorted(compact_elements(L)))
-            flags = classify_all(L)
-            bad = next((m for m in maximal if not flags[m].prime), None)
-        legs[sigma] = L.set_of(sigma), frozenset(maximal), ako_ok, bad
-    members, maximal, ako_ok, bad = legs[sigma]
+    members, maximal = L.set_of(sigma), L.maximal_in(sigma)
     if smask >> L.bottom & 1:
         if members:
             raise TheoremViolation("bottom in S forces the avoiding set empty",
@@ -314,11 +290,14 @@ def sigma_of_mask(L: MultLattice, smask: int) -> SigmaReport:
         raise TheoremViolation(
             "bottom not in S: the avoiding set must have maximal elements",
             witness=tuple(sorted(L.set_of(smask))))
-    if ako_ok is False:
-        raise TheoremViolation(
-            "complement of the avoiding set must be Ako on an "
-            "m-distributive lattice", witness=tuple(sorted(L.set_of(smask))))
-    if bad is not None:
-        raise TheoremViolation(f"maximal avoiding element {bad} is not prime",
-                               witness=bad)
-    return SigmaReport(members, maximal)
+    if check_axioms(L).m_distributive:
+        if _ako_witness(L, L.full_mask & ~sigma, sorted(compact_elements(L))):
+            raise TheoremViolation(
+                "complement of the avoiding set must be Ako on an "
+                "m-distributive lattice", witness=tuple(sorted(L.set_of(smask))))
+        flags = classify_all(L)
+        bad = next((m for m in maximal if not flags[m].prime), None)
+        if bad is not None:
+            raise TheoremViolation(f"maximal avoiding element {bad} is not prime",
+                                   witness=bad)
+    return SigmaReport(members, frozenset(maximal))

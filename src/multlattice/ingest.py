@@ -546,11 +546,12 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
 
 
 def int_param(text: str) -> int:
-    """An integer parameter given as text; anything else is bad input."""
-    try:
-        return int(text)
-    except ValueError:
-        raise BadParams(f"expected an integer, got {text!r}") from None
+    """An integer parameter: an optional ``-`` and ASCII digits, nothing
+    else (no sign ``+``, space, underscore or non-ASCII digit)."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise BadParams(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 # The most parameters each generator takes; "random" takes flags and a seed, each once.
@@ -570,8 +571,8 @@ def generate(kind: str, *args) -> MultLattice:
     if kind in ("bool", "powerset"):
         return powerset_lattice(int_param(args[0]), args[1] if len(args) > 1 else "meet")
     if kind == "open_sets":
-        space = poset_space(args[0], int_param(args[1]) if len(args) > 1 else 0)
-        return open_set_lattice(space, name=f"opens_{args[0]}{args[1] if len(args) > 1 else ''}")
+        size = int_param(args[1]) if len(args) > 1 else 0
+        return open_set_lattice(poset_space(args[0], size), name=f"opens_{args[0]}{size or ''}")
     if kind == "random":
         size = int_param(args[0])
         seed = None

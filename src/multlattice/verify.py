@@ -219,7 +219,9 @@ def _residual_bounds(L):
 
 
 def _prop_max(L):
-    for s in sys_mod.m_system_masks(L):
+    # Sigma(S) = Sigma(up S), and on the monotone lattices where the legs
+    # run, up S is a saturated m-system (systems.saturation_mask).
+    for s in sys_mod._saturated_masks(L):
         fam.sigma_of_mask(L, s)
 
 
@@ -262,31 +264,13 @@ def _products(L):
 
 
 def _annihilator_primes(L):
+    bases = [cons.interval(L, L.bottom, n).lattice for n in L.elements]
+    over = [n for n, M in zip(L.elements, bases) if prime_mask(M) >> M.bottom & 1]
     for h in L.elements:
         sub = cons.interval(L, L.bottom, h)
-        for n_parent in L.elements:
-            if not L.relation[n_parent][h]:
-                continue
-            base = cons.interval(L, L.bottom, n_parent).lattice
-            if not prime_mask(base) >> base.bottom & 1:
-                continue
-            M = sub.lattice
-            n_i = sub.from_parent(n_parent)
-            la = fam.residual_left(M, M.bottom, n_i)
-            ra = fam.residual_right(M, M.bottom, n_i)
-            if la != ra:
-                raise TheoremViolation(
-                    "annihilators differ under a prime interval",
-                    witness=(h, n_parent))
-            mspec = prime_mask(M)
-            if not mspec >> la & 1 or M.meet_table[la][n_i] != M.bottom:
-                raise TheoremViolation(
-                    "annihilator is not the lying prime", witness=(h, n_parent))
-            others = [p for p in sys_mod.bit_indices(mspec)
-                      if M.meet_table[p][n_i] == M.bottom]
-            if others != [la]:
-                raise TheoremViolation(
-                    "lying prime is not unique", witness=(h, n_parent))
+        for n in over:
+            if L.relation[n][h]:
+                cons.lying_prime(sub, n)
 
 
 def _lying_over_all(L):

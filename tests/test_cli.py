@@ -90,11 +90,18 @@ def test_check_refuses_an_input_together_with_a_corpus(capsys):
     ("validate", "gen:open_sets:vee:7"),
     ("validate", "gen:open_sets:antichain:-2"),
     ("validate", "gen:open_sets:diamond:1"),
+    ("families", "--family", "", "gen:zn:12"),
+    ("validate", "gen:chain:1_0"),
+    ("validate", "gen:zn:\u0661\u0662"),
+    ("validate", "gen:chain:+3"),
+    ("validate", "gen:chain: 3"),
 ])
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    # an empty element token is an unknown element, as any other would be
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: BadParams: ") and err.count("\n") == 1
+    kind = "LatticeError: unknown element ''" if "" in argv else "BadParams: "
+    assert err.startswith(f"error: {kind}") and err.count("\n") == 1
 
 
 def test_theorem_violation_exits_1_with_one_error_line(capsys, monkeypatch):

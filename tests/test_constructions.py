@@ -24,7 +24,7 @@ from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
                                   spectrum, v_set)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
                                 corpus_random_tables, enumerate_tables,
-                                shape_lattice)
+                                run_row, shape_lattice)
 
 from conftest import mk_chain
 
@@ -651,6 +651,33 @@ def test_lying_over_requires_infinite_mdist():
     assert not check_axioms(skewed).infinitely_m_distributive
     with pytest.raises(HypothesesFail):
         lying_over(skewed, skewed.top, 0)
+
+
+def test_each_lying_prime_fault_fails_both_rows(monkeypatch):
+    # lying_prime asserts each fact once; lying_over reaches it in [q, top]
+    # and the annihilator row in [bottom, h], and both name parent elements.
+    # zn12's elements are (1), (2), (3), (4), (6), (12) in index order.
+    def details():
+        return [run_row(zn_ideals(12), check).detail for check in
+                ("constructions.lying_over", "constructions.annihilator_lying_prime")]
+
+    annihilators, masks = constructions_module.annihilators, constructions_module.prime_mask
+    monkeypatch.setattr(constructions_module, "annihilators", lambda M, x: dataclasses.replace(
+        annihilators(M, x), rann=M.top))
+    assert details() == [
+        "TheoremViolation: left and right annihilators of 0 in [1, 0] differ (witness (1, 0))",
+        "TheoremViolation: left and right annihilators of 3 in [5, 0] differ (witness (2, 0))"]
+    monkeypatch.setattr(constructions_module, "annihilators", lambda M, x: dataclasses.replace(
+        annihilators(M, x), lann=M.top, rann=M.top))
+    assert details() == [
+        "TheoremViolation: annihilator 0 is not a prime of [1, 0] meeting 0 at 1 (witness 0)",
+        "TheoremViolation: annihilator 0 is not a prime of [5, 0] meeting 3 at 5 (witness 0)"]
+    monkeypatch.setattr(constructions_module, "annihilators", annihilators)
+    # the bottom of every interval read as prime: it meets n there too
+    monkeypatch.setattr(constructions_module, "prime_mask", lambda M: masks(M) | 1 << M.bottom)
+    assert details() == [
+        "TheoremViolation: the lying prime is not unique: candidates [2, 4] (witness (2, 4))",
+        "TheoremViolation: the lying prime is not unique: candidates [2, 5] (witness (2, 5))"]
 
 
 def test_open_subspace_top_is_identity():

@@ -3,15 +3,16 @@ import dataclasses
 import pytest
 
 from multlattice import families
-from multlattice.core import (POWERSET_LIMIT, HypothesesFail, TheoremViolation,
-                              check_axioms, validate)
+from multlattice.core import (POWERSET_LIMIT, HypothesesFail, OrderData,
+                              TheoremViolation, check_axioms, validate)
 from multlattice.families import (PipReport, annihilators, classify_family,
                                   pip_check, pip_exhaustive, residual_left,
                                   residual_right, sigma_of_system)
 from multlattice.ingest import zn_ideals
 from multlattice.spectrum import classify_all, d_set, primes_of, v_set
-from multlattice.systems import all_m_systems, complement_system
-from multlattice.verify import corpus_exhaustive_tables, verify_all
+from multlattice.systems import (_saturated_masks, all_m_systems, complement_system,
+                                 m_system_masks)
+from multlattice.verify import corpus_exhaustive_tables, run_row, verify_all
 
 from conftest import mk_chain
 from test_mask_reference import reference_case_masks
@@ -43,6 +44,26 @@ def test_zn12_residual_golden():
     i4, i2 = L.labels.index("(4)"), L.labels.index("(2)")
     assert L.labels[residual_left(L, i4, i2)] == "(2)"
     assert L.labels[residual_right(L, i4, i2)] == "(2)"
+
+
+def test_each_residual_bound_fails_the_row(monkeypatch):
+    # On this non-commutative chain x -> x*1 is (0, 0, 1) and x -> 2*x is
+    # (0, 1, 2), and no other left or right map equals either.  An adjoint
+    # that sends one of them to top everywhere breaks the residual bound on
+    # that side; one that sends it to bottom misses a qualifying element.
+    table = ((0, 0, 0), (0, 0, 0), (0, 1, 2))
+    adjoint = OrderData.adjoint
+    for f, bound, missed in (
+            ((0, 0, 1), "residual bound fails: (0 :l 1) * 1 !<= 0 (witness (0, 1))",
+             "left residual misses a qualifying element (witness (0, 1, 1))"),
+            ((0, 1, 2), "residual bound fails: 2 * (0 :r 2) !<= 0 (witness (0, 2))",
+             "right residual misses a qualifying element (witness (1, 2, 1))")):
+        for at, detail in (("top", bound), ("bottom", missed)):
+            monkeypatch.setattr(OrderData, "adjoint", lambda self, g, downs, f=f, at=at: (
+                (getattr(self, at),) * len(downs) if tuple(g) == f else adjoint(self, g, downs)))
+            L = mk_chain(3, lambda x, y: table[x][y])
+            assert check_axioms(L).infinitely_m_distributive
+            assert run_row(L, "families.residual_bounds").detail == "TheoremViolation: " + detail
 
 
 def test_residuals_match_oracle(small_exhaustive_corpus):
@@ -345,3 +366,17 @@ def test_planted_nonprime_fails_pip_exhaustive_on_the_first_family(monkeypatch, 
                 [expected[0]], *expected[1:]), (L.name, p)
             failing += 1
     assert failing > 100
+
+
+def test_saturated_m_systems_give_every_avoiding_set(named_corpus):
+    # Sigma(S) = Sigma(up S), and on a monotone lattice up S is a saturated
+    # m-system, so the sigma row reads the saturated ones alone.
+    def avoiding(L, masks):
+        return {sum(1 << l for l in L.elements if not s & L.down_masks[l]) for s in masks}
+
+    monotone = 0
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        if check_axioms(L).monotone and L.size <= POWERSET_LIMIT:
+            assert avoiding(L, m_system_masks(L)) == avoiding(L, _saturated_masks(L)), L.name
+            monotone += 1
+    assert monotone > 200

@@ -185,6 +185,12 @@ def test_generate_dispatch():
     assert generate("random", "5", "seed=3", "m_distributive").size == 5
 
 
+def test_an_open_set_frame_has_one_name():
+    # the name reads the parsed size and leaves out the default size 0
+    assert {generate("open_sets", *a).name for a in (("vee",), ("vee", "0"))} == {"opens_vee"}
+    assert {generate("open_sets", "chain", s).name for s in ("2", "02")} == {"opens_chain2"}
+
+
 def test_random_lattice_deterministic():
     a = random_lattice(6, {"monotone": True}, seed=11)
     b = random_lattice(6, {"monotone": True}, seed=11)

@@ -501,9 +501,10 @@ def test_pip_row_builds_no_family_report(monkeypatch):
 
 
 def test_mask_route_failures_match_the_pair_scan(monkeypatch):
-    # On six elements the monotonicity test runs as a subset transform and
-    # the sigma legs once per avoiding set.  A planted fault must still be
-    # reported with the detail the pair scan and the per-system legs gave.
+    # On six elements the monotonicity test runs as a subset transform, and
+    # a planted fault must still be reported with the detail the pair scan
+    # gave.  The sigma legs run once per saturated m-system, so a fault on
+    # an avoiding set is reported against the saturated system that gives it.
     def failures(suite):
         rep = verify_all(chain(6, "meet"), (suite,))
         return [(r.check, r.detail) for r in rep.results if not r.passed]
@@ -536,11 +537,12 @@ def test_mask_route_failures_match_the_pair_scan(monkeypatch):
     assert failures("families") == [
         ("families.sigma_maximal_prime",
          "TheoremViolation: complement of the avoiding set must be Ako on an "
-         "m-distributive lattice (witness (3,))")]
+         "m-distributive lattice (witness (3, 4, 5))")]
 
 
 def test_sigma_legs_run_once_per_avoiding_set(monkeypatch):
-    # chain(12, "meet") has 4,095 m-systems and 12 distinct avoiding sets.
+    # chain(12, "meet") has 4,095 m-systems and 12 distinct avoiding sets,
+    # one per saturated m-system, which is all the row reads.
     calls = []
     ako = families._ako_witness
 
