@@ -66,7 +66,7 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
-    ivs = memo(L, "intervals", dict)
+    ivs = L._cache["intervals"] if "intervals" in L._cache else memo(L, "intervals", dict)
     iv = ivs.get((x, y))
     if iv is None:
         iv = ivs[x, y] = _interval(L, x, y)
@@ -267,7 +267,8 @@ class DisjointnessReport:
 def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessReport:
     """V(n1) and V(n2) are disjoint iff [n1 v n2, top] is hyperabelian, and
     they cover the spectrum iff n1*n2 is below the semiprime radical.  Both
-    equivalences are asserted."""
+    equivalences are asserted.  [bottom, top] is read as ``L`` itself: the
+    interval has ``L``'s relation and table and the identity embedding."""
     require(L, "constructions.disjointness", MDistributivityRequired)
     rep = spectrum(L)
     spec = prime_mask(L)
@@ -275,8 +276,9 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     v2 = L.up_masks[n2] & spec
 
     disjoint = not v1 & v2
-    iv = interval(L, L.join_table[n1][n2], L.top)
-    hyper = hyperabelian_report(iv.lattice).hyperabelian
+    j = L.join_table[n1][n2]
+    M = L if j == L.bottom else interval(L, j, L.top).lattice
+    hyper = hyperabelian_report(M).hyperabelian
     if disjoint != hyper:
         raise TheoremViolation(
             f"V({n1}) ^ V({n2}) empty is {disjoint}, but the upper interval "
@@ -354,7 +356,8 @@ def identity_morphism(L: MultLattice) -> LatticeMorphism:
     """x -> x, which respects every multiplication; the mapping, with its
     order laws checked, is kept per order."""
     order = L.order
-    f = memo(order, "identity", lambda: _order_checked(order, order, tuple(L.elements)))
+    f = order._cache["identity"] if "identity" in order._cache else memo(
+        order, "identity", lambda: _order_checked(order, order, tuple(L.elements)))
     return LatticeMorphism(L, L, f)
 
 

@@ -139,6 +139,7 @@ class MultLattice:
         self.name = name
         self.down_masks, self.up_masks = order.masks()
         self.full_mask = (1 << self.size) - 1
+        self.elements = range(self.size)
         self._cache = {}
 
     # -- order and algebra queries
@@ -174,10 +175,6 @@ class MultLattice:
 
     def up(self, x: int) -> frozenset:
         return self.set_of(self.up_masks[x])
-
-    @property
-    def elements(self) -> range:
-        return range(self.size)
 
     def covers(self):
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram."""
@@ -221,7 +218,9 @@ def memo(owner, key, build):
     ``owner._cache``.  The owner is a :class:`MultLattice`, or an
     :class:`OrderData` for values that depend on the order alone.  Nothing
     is stored when ``build()`` raises, so a failure is raised again on the
-    next call.  A hit is one dict lookup; ``build()`` runs outside the
+    next call.  An accessor with a constant key reads a hit in its own frame,
+    ``cache[key] if key in cache else memo(...)``, and comes here to build;
+    a tuple key comes here for hits too.  ``build()`` runs outside the
     handler, so what it raises is not chained to the ``KeyError``."""
     cache = owner._cache
     try:
@@ -268,12 +267,13 @@ class OrderData:
 
     def masks(self) -> tuple:
         """The down- and up-set of every element as integer bitmasks."""
-        return memo(self, "masks",
-                    lambda: _masks(self.size, _up_masks(self.relation)))
+        return self._cache["masks"] if "masks" in self._cache else memo(
+            self, "masks", lambda: _masks(self.size, _up_masks(self.relation)))
 
     def all_elements(self) -> frozenset:
         """Every element: the default generating set, one frozenset per order."""
-        return memo(self, "all_elements", lambda: frozenset(range(self.size)))
+        return self._cache["all_elements"] if "all_elements" in self._cache else memo(
+            self, "all_elements", lambda: frozenset(range(self.size)))
 
     def covers(self) -> tuple:
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram.
@@ -282,7 +282,7 @@ class OrderData:
             down, up = self.masks()
             return tuple((a, b) for a in range(self.size) for b in range(self.size)
                          if a != b and up[a] & down[b] == 1 << a | 1 << b)
-        return memo(self, "covers", build)
+        return self._cache["covers"] if "covers" in self._cache else memo(self, "covers", build)
 
     def lub(self, xs: Iterable[int]) -> int:
         """Least upper bound of a set of elements; the empty join is bottom."""
@@ -445,8 +445,9 @@ def _bounded_table(order: OrderData, mult) -> tuple:
         raise BadParams("mult must be a full size x size table")
     # xy <= x meet y iff row x lies in down(x) and column y in down(y); the
     # cell loop below runs only to name the first failing cell, row-major.
-    downs = memo(order, "down_sets", lambda: tuple(
-        frozenset(y for y in range(size) if m >> y & 1) for m in order.masks()[0]))
+    downs = order._cache["down_sets"] if "down_sets" in order._cache else memo(
+        order, "down_sets", lambda: tuple(
+            frozenset(y for y in range(size) if m >> y & 1) for m in order.masks()[0]))
     if (all(map(frozenset.issuperset, downs, table))
             and all(map(frozenset.issuperset, downs, zip(*table)))):
         return table
@@ -513,7 +514,8 @@ class PropertyReport:
 
 def check_axioms(L: MultLattice) -> PropertyReport:
     """Decide the monotonicity, distributivity and symmetry axioms exhaustively."""
-    return memo(L, "axioms", lambda: _check_axioms(L))
+    return L._cache["axioms"] if "axioms" in L._cache else memo(
+        L, "axioms", lambda: _check_axioms(L))
 
 
 # Each hypothesis-gated statement, named as its verify check, and the check_axioms
@@ -577,17 +579,18 @@ def axiom_report(witnesses: dict) -> PropertyReport:
     """The report on the laws in ``witnesses``, each mapped to its first
     counterexample or None: a flag holds exactly when its law has none, and
     infinite m-distributivity shares the m-distributivity witness."""
-    witnesses = {law: w for law, w in witnesses.items() if w is not None}
-    m_distributive = "m_distributive" not in witnesses
+    found = {}
+    for law, w in witnesses.items():
+        if w is not None:
+            found[law] = w
+    m_distributive = "m_distributive" not in found
     if not m_distributive:
-        witnesses["infinitely_m_distributive"] = witnesses["m_distributive"]
+        found["infinitely_m_distributive"] = found["m_distributive"]
     # Self-check: a theorem about any multiplicative lattice.
-    if m_distributive and "monotone" in witnesses:
-        raise TheoremViolation("m-distributive but not monotone",
-                               witness=witnesses["monotone"])
-    return PropertyReport("monotone" not in witnesses, m_distributive, m_distributive,
-                          "associative" not in witnesses,
-                          "commutative" not in witnesses, witnesses)
+    if m_distributive and "monotone" in found:
+        raise TheoremViolation("m-distributive but not monotone", witness=found["monotone"])
+    return PropertyReport("monotone" not in found, m_distributive, m_distributive,
+                          "associative" not in found, "commutative" not in found, found)
 
 
 def _monotone_witness(L: MultLattice):

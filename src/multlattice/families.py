@@ -45,7 +45,8 @@ def residual_tables(L: MultLattice):
     (l :l a) * a <= l and a * (l :r a) <= l are asserted for every pair,
     once, when the tables are built.
     """
-    return memo(L, "residual_tables", lambda: _residual_tables(L))
+    return L._cache["residual_tables"] if "residual_tables" in L._cache else memo(
+        L, "residual_tables", lambda: _residual_tables(L))
 
 
 def _residual_tables(L: MultLattice):
@@ -126,7 +127,8 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
     ``fmask`` fails, keyed by the flag it refutes."""
     if not fmask >> L.top & 1:
         return dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
-    a_sorted = memo(L, "sorted_generators", lambda: sorted(L.generators))
+    a_sorted = L._cache["sorted_generators"] if "sorted_generators" in L._cache else memo(
+        L, "sorted_generators", lambda: sorted(L.generators))
     counterexamples = _oka_counterexamples(L, fmask, a_sorted)
     if ako := _ako_witness(L, fmask, a_sorted):
         counterexamples["ako"] = ako
@@ -219,7 +221,8 @@ def _closure(L: MultLattice, schema: str, start: int, m: int) -> int:
     """The least family holding ``start`` (and top) that meets ``schema``, or
     one holding ``m`` once m is forced in.  Each round adds what the first
     counterexample leaves out: l for the Oka shapes, l v ab for Ako."""
-    gens = memo(L, "sorted_generators", lambda: sorted(L.generators))
+    gens = L._cache["sorted_generators"] if "sorted_generators" in L._cache else memo(
+        L, "sorted_generators", lambda: sorted(L.generators))
     fmask = start
     while not fmask >> m & 1:
         if schema != "ako":

@@ -24,7 +24,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass, fields, is_dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .constructions import open_subspace_homeo
 from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
@@ -425,7 +425,8 @@ def zn_ideals(n: int) -> MultLattice:
     (d) <= (e) iff e divides d, and (d)(e) = (gcd(de, n))."""
     if n < 2:
         raise BadParams("modulus must be at least 2")
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = sorted({*small, *(n // d for d in small)})
     index = {d: i for i, d in enumerate(divisors)}
     relation = [[divisors[i] % divisors[j] == 0 for j in range(len(divisors))]
                 for i in range(len(divisors))]

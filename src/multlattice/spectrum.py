@@ -89,11 +89,14 @@ _shared_flags = functools.cache(ElementFlags)
 
 def classify_all(L: MultLattice) -> tuple:
     """Flags for every element, computed once and cached on the lattice."""
-    return memo(L, "classify", lambda: _classify_all(L))
+    return L._cache["classify"] if "classify" in L._cache else memo(
+        L, "classify", lambda: _classify_all(L))
 
 
 def _classify_all(L: MultLattice) -> tuple:
-    order_flags = memo(L.order, "order_flags", lambda: _order_flags(L.order))
+    order = L.order
+    order_flags = order._cache["order_flags"] if "order_flags" in order._cache else memo(
+        order, "order_flags", lambda: _order_flags(order))
     up, spec = L.up_masks, prime_mask(L)
     nonsemiprime = 0
     for a, row in enumerate(L.mult_table):
@@ -129,15 +132,16 @@ def _order_flags(order: OrderData) -> tuple:
 
 def primes_of(L: MultLattice) -> frozenset:
     """The prime elements of ``L``, cached on the lattice."""
-    return memo(L, "primes", lambda: L.set_of(prime_mask(L)))
+    return L._cache["primes"] if "primes" in L._cache else memo(
+        L, "primes", lambda: L.set_of(prime_mask(L)))
 
 
 def prime_mask(L: MultLattice) -> int:
     """Spec(L) as a mask, cached on the lattice: the nonprime pass alone,
     which :func:`classify_all` reads.  Inside the package V(x) is
     ``L.up_masks[x] & prime_mask(L)`` and D(x) is its complement in it."""
-    return memo(L, "prime_mask", lambda: L.full_mask & ~(
-        _nonprime_mask(L, range(L.size)) | 1 << L.top))
+    return L._cache["prime_mask"] if "prime_mask" in L._cache else memo(
+        L, "prime_mask", lambda: L.full_mask & ~(_nonprime_mask(L, L.elements) | 1 << L.top))
 
 
 def v_set(L: MultLattice, x: int) -> frozenset:
@@ -180,7 +184,8 @@ def spectrum(L: MultLattice) -> SpectrumReport:
     of the maximal prime elements, ``jacobson_meet`` the meet of the same
     set, so callers can pick either convention.
     """
-    return memo(L, "spectrum", lambda: _spectrum(L))
+    return L._cache["spectrum"] if "spectrum" in L._cache else memo(
+        L, "spectrum", lambda: _spectrum(L))
 
 
 def _spectrum(L: MultLattice) -> SpectrumReport:
@@ -356,7 +361,8 @@ def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     m-distributive (so monotone) lattice the upward closure of an m-system
     is one, and upward closure neither adds nor removes bottom.
     """
-    return memo(L, "hyperabelian", lambda: _hyperabelian_report(L))
+    return L._cache["hyperabelian"] if "hyperabelian" in L._cache else memo(
+        L, "hyperabelian", lambda: _hyperabelian_report(L))
 
 
 def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
@@ -378,11 +384,14 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
         "e": None if radical == L.top else radical,
         "f": None if without_bottom is None else tuple(sorted(L.set_of(without_bottom))),
     }
-    conditions = {c: w is None for c, w in found.items()}
-    witnesses = {c: w for c, w in found.items() if w is not None}
-    if len(set(conditions.values())) != 1:
+    witnesses = {}
+    for c, w in found.items():
+        if w is not None:
+            witnesses[c] = w
+    if 0 < len(witnesses) < len(found):
+        conditions = {c: w is None for c, w in found.items()}
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",
                                witness=witnesses)
 
     notes = ("condition (c) is the finite instantiation: only finite chains are built",)
-    return HyperabelianReport(conditions["a"], chain, witnesses, notes)
+    return HyperabelianReport(not witnesses, chain, witnesses, notes)

@@ -63,7 +63,8 @@ def subset_flags(L: MultLattice) -> tuple:
     ``core.POWERSET_LIMIT`` elements.  Kept on ``L``, not on ``L.order``,
     since they depend on the multiplication.  Every m-system is asserted to
     be an n-system."""
-    return memo(L, "subset_flags", lambda: _subset_flags(L))
+    return L._cache["subset_flags"] if "subset_flags" in L._cache else memo(
+        L, "subset_flags", lambda: _subset_flags(L))
 
 
 def _subset_flags(L: MultLattice) -> tuple:
@@ -111,7 +112,8 @@ def _classify_mask(L: MultLattice, mask: int):
 
 def _scanned(L: MultLattice, mask: int):
     """:func:`_scan_mask` of ``mask``, kept on ``L`` by bitmask."""
-    known = memo(L, "classified_masks", dict)
+    known = L._cache["classified_masks"] if "classified_masks" in L._cache else memo(
+        L, "classified_masks", dict)
     out = known.get(mask)
     if out is None:
         out = known[mask] = _scan_mask(L, mask)
@@ -122,41 +124,16 @@ def _scan_mask(L: MultLattice, mask: int):
     """The flags of the subset ``mask`` and the first witness against each,
     by a scan of its members: what :func:`subset_flags` decides for every
     subset at once, run to find witnesses."""
-    mt = L.mult_table
-    dm = L.down_masks
-    xs = [x for x in range(L.size) if mask >> x & 1]
-    m_wit = n_wit = None
-    if not xs:
-        is_m = is_n = False
-    else:
-        is_m = True
-        for x in xs:
-            row = mt[x]
-            for y in xs:
-                if not mask & dm[row[y]]:
-                    is_m = False
-                    m_wit = (x, y)
-                    break
-            if not is_m:
-                break
-        is_n = True
-        for x in xs:
-            if not mask & dm[mt[x][x]]:
-                is_n = False
-                n_wit = x
-                break
-    sat = True
-    sat_wit = None
-    for x in xs:
-        extra = L.up_masks[x] & ~mask
-        if extra:
-            sat = False
-            c = (extra & -extra).bit_length() - 1
-            sat_wit = (x, c)
-            break
+    mt, dm = L.mult_table, L.down_masks
+    xs = [x for x in L.elements if mask >> x & 1]
+    m_wit = next(((x, y) for x in xs for y in xs if not mask & dm[mt[x][y]]), None)
+    n_wit = next((x for x in xs if not mask & dm[mt[x][x]]), None)
+    sat_wit = next(((x, (extra & -extra).bit_length() - 1) for x in xs
+                    if (extra := L.up_masks[x] & ~mask)), None)
+    is_m, is_n = bool(xs) and m_wit is None, bool(xs) and n_wit is None
     if is_m and not is_n:
         raise TheoremViolation("an m-system failed the n-system test", witness=n_wit)
-    return is_m, is_n, sat, m_wit, n_wit, sat_wit
+    return is_m, is_n, sat_wit is None, m_wit, n_wit, sat_wit
 
 
 def classify_system(L: MultLattice, S) -> MSystem:
@@ -284,7 +261,8 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
     is asserted to be the primes below p: the construction agrees with
     reversing the Zariski specialization order.
     """
-    return memo(L, "inverse_topology", lambda: _inverse_topology(L))
+    return L._cache["inverse_topology"] if "inverse_topology" in L._cache else memo(
+        L, "inverse_topology", lambda: _inverse_topology(L))
 
 
 def _inverse_topology(L: MultLattice) -> FiniteTopology:
@@ -387,7 +365,8 @@ def m_system_masks(L: MultLattice) -> list:
     in mask order, as :func:`subset_flags` decides them, otherwise of the
     saturated ones; built once per lattice and shared by every statement
     over them, so callers must not change it."""
-    return memo(L, "m_systems", lambda: _scan_m_systems(L))
+    return L._cache["m_systems"] if "m_systems" in L._cache else memo(
+        L, "m_systems", lambda: _scan_m_systems(L))
 
 
 def _scan_m_systems(L: MultLattice) -> list:

@@ -491,6 +491,54 @@ def test_disjointness_bottom_pair():
     assert not rep.v1_v2_disjoint
 
 
+def test_the_whole_interval_has_the_lattices_six_conditions(named_corpus):
+    # disjointness_criteria reads the report of [bottom, top] off L itself:
+    # the interval has L's relation and table and the identity embedding.
+    checked = 0
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        if check_axioms(L).m_distributive:
+            whole = interval(L, L.bottom, L.top).lattice
+            assert hyperabelian_report(whole) == hyperabelian_report(L), L.name
+            checked += 1
+    assert checked == 30 + 188
+
+
+def test_disjointness_at_the_bottom_pair_builds_no_interval():
+    L = zn_ideals(12)
+    disjointness_criteria(L, L.bottom, L.bottom)
+    assert "intervals" not in L._cache and "hyperabelian" in L._cache
+
+
+def test_each_disjointness_fault_fails_the_row(monkeypatch):
+    # zn12's elements are (1), (2), (3), (4), (6), (12) in index order, so
+    # top is 0 and bottom 5.  A six-condition report flipped on the lattices
+    # of zn12's size lands on the one pair (5, 5) whose join is bottom, and
+    # the flipped report is the one read off zn12 itself.
+    hyper, spec = constructions_module.hyperabelian_report, constructions_module.spectrum
+    L, flipped = zn_ideals(12), []
+
+    def flip(M):
+        rep = hyper(M)
+        if M.size != L.size:
+            return rep
+        flipped.append(M)
+        return dataclasses.replace(rep, hyperabelian=not rep.hyperabelian)
+
+    monkeypatch.setattr(constructions_module, "hyperabelian_report", flip)
+    assert run_row(L, "constructions.disjointness").detail == (
+        "TheoremViolation: V(5) ^ V(5) empty is False, but the upper interval "
+        "hyperabelian is True (witness (5, 5))")
+    assert len(flipped) == 1 and flipped[0] is L
+    monkeypatch.setattr(constructions_module, "hyperabelian_report", hyper)
+    # the semiprime radical (6) read as bottom (12): then (1)*(6) = (6) is
+    # not below it, although V((1)) u V((6)) is the whole spectrum
+    monkeypatch.setattr(constructions_module, "spectrum", lambda M: dataclasses.replace(
+        spec(M), semiprime_radical=M.bottom))
+    assert run_row(zn_ideals(12), "constructions.disjointness").detail == (
+        "TheoremViolation: V(0) u V(4) = Spec is True, but n1*n2 <= radical is False "
+        "(witness (0, 4))")
+
+
 def test_disjointness_with_top():
     L = mk_chain(3, min)
     rep = disjointness_criteria(L, L.top, 0)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 import sys
@@ -11,6 +12,7 @@ from multlattice.constructions import interval, product
 from multlattice.core import (BadParams, LatticeError, MultNotBounded,
                               NotALattice, NotAPartialOrder, NotGenerated,
                               check_axioms, compact_elements, validate)
+from multlattice.ingest import chain
 
 from conftest import mk_chain
 
@@ -439,3 +441,47 @@ def test_subsets_are_classified_only_in_systems():
         text = path.read_text(encoding="utf-8")
         for name in ("_scan_mask", "_classify_mask"):
             assert path.name == "systems.py" or name not in text, (path.name, name)
+
+
+def test_a_falsy_analysis_is_built_once(monkeypatch):
+    # chain3_zero has no primes: its prime mask is 0 and its prime set is
+    # empty, and a hit on either is read as a hit, not built again.
+    spectrum_module = importlib.import_module("multlattice.spectrum")
+    real, calls = spectrum_module._nonprime_mask, []
+    monkeypatch.setattr(spectrum_module, "_nonprime_mask",
+                        lambda M, elems: calls.append(M.name) or real(M, elems))
+    L = chain(3, "zero")
+    for _ in range(3):
+        assert spectrum_module.prime_mask(L) == 0
+        assert spectrum_module.primes_of(L) == frozenset()
+    assert calls == ["chain3_zero"]
+
+
+@pytest.mark.parametrize("module, accessor, builder, key", [
+    ("core", "check_axioms", "_check_axioms", "axioms"),
+    ("spectrum", "classify_all", "_classify_all", "classify"),
+    ("spectrum", "prime_mask", "_nonprime_mask", "prime_mask"),
+    ("spectrum", "primes_of", "_nonprime_mask", "primes"),
+    ("spectrum", "spectrum", "_spectrum", "spectrum"),
+    ("spectrum", "hyperabelian_report", "_hyperabelian_report", "hyperabelian"),
+    ("systems", "subset_flags", "_subset_flags", "subset_flags"),
+    ("systems", "inverse_topology", "_inverse_topology", "inverse_topology"),
+    ("systems", "m_system_masks", "_scan_m_systems", "m_systems"),
+    ("families", "residual_tables", "_residual_tables", "residual_tables"),
+])
+def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, accessor,
+                                                       builder, key):
+    # memo stores a value only once its build returns, so the next read
+    # builds again and raises again.
+    mod, calls = importlib.import_module(f"multlattice.{module}"), []
+
+    def broken(*args):
+        calls.append(args[0].name)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(mod, builder, broken)
+    L = chain(3, "meet")
+    for attempt in (1, 2):
+        with pytest.raises(RuntimeError, match="boom"):
+            getattr(mod, accessor)(L)
+        assert key not in L._cache and calls == ["chain3_meet"] * attempt

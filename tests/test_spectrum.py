@@ -13,7 +13,7 @@ from multlattice.spectrum import (FiniteTopology, classify_all,
 from multlattice.systems import (all_m_systems, constructible_topology,
                                  saturated_m_systems)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
-                                corpus_named, corpus_random_tables)
+                                corpus_named, corpus_random_tables, run_row)
 
 from conftest import mk_chain
 
@@ -244,6 +244,17 @@ def test_hyperabelian_false_cases():
 
     unit2 = mk_chain(2, min)
     assert not hyperabelian_report(unit2).hyperabelian
+
+
+def test_disagreeing_conditions_fail_the_row(monkeypatch):
+    # Condition (f) read as holding on chain3_meet, where the other five
+    # fail: the report names each condition and the witnesses it found.
+    systems_module = importlib.import_module("multlattice.systems")
+    monkeypatch.setattr(systems_module, "first_m_system_without", lambda M, x: None)
+    assert run_row(chain(3, "meet"), "hyper.six_conditions").detail == (
+        "TheoremViolation: empty-spectrum conditions disagree: {'a': False, 'b': False, "
+        "'c': False, 'd': False, 'e': False, 'f': True} "
+        "(witness {'a': 0, 'b': 0, 'c': 0, 'd': 0, 'e': 0})")
 
 
 def test_hyperabelian_one_element_lattice():

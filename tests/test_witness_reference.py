@@ -5,8 +5,9 @@ of a report off those witnesses: a flag holds exactly when its law has none.
 The references here are the earlier builders, which thread a boolean per law
 through nested ``break`` chains and record the witness beside it: the axiom
 scan, the product's lifted axiom report, the family classifier, the
-empty-spectrum report, and the meet-irreducible flag as a triple loop over
-the meet table.  Both must give the same report, with witnesses in the same
+empty-spectrum report, the meet-irreducible flag as a triple loop over the
+meet table, and the scan of one subset's m-system, n-system and saturation
+flags.  Both must give the same report, with witnesses in the same
 order, or the same exception class, message and witness.
 """
 
@@ -20,7 +21,7 @@ from multlattice.families import FamilyReport, classify_family, residual_tables
 from multlattice.spectrum import (HyperabelianReport, _greedy_square_chain,
                                   _hyperabelian_report, _order_flags, _square_steps,
                                   classify_all, primes_of)
-from multlattice.systems import first_m_system_without
+from multlattice.systems import _scan_mask, first_m_system_without
 from multlattice.verify import (LATTICE_SHAPES, PRODUCT_PARTNERS,
                                 corpus_exhaustive_tables, corpus_random_tables,
                                 shape_lattice)
@@ -248,6 +249,44 @@ def ref_order_flags(order):
     return tuple(out)
 
 
+def ref_scan_mask(L, mask):
+    mt = L.mult_table
+    dm = L.down_masks
+    xs = [x for x in range(L.size) if mask >> x & 1]
+    m_wit = n_wit = None
+    if not xs:
+        is_m = is_n = False
+    else:
+        is_m = True
+        for x in xs:
+            row = mt[x]
+            for y in xs:
+                if not mask & dm[row[y]]:
+                    is_m = False
+                    m_wit = (x, y)
+                    break
+            if not is_m:
+                break
+        is_n = True
+        for x in xs:
+            if not mask & dm[mt[x][x]]:
+                is_n = False
+                n_wit = x
+                break
+    sat = True
+    sat_wit = None
+    for x in xs:
+        extra = L.up_masks[x] & ~mask
+        if extra:
+            sat = False
+            c = (extra & -extra).bit_length() - 1
+            sat_wit = (x, c)
+            break
+    if is_m and not is_n:
+        raise TheoremViolation("an m-system failed the n-system test", witness=n_wit)
+    return is_m, is_n, sat, m_wit, n_wit, sat_wit
+
+
 def outcome(build, *args):
     """What ``build(*args)`` gives: the report with its witness dict's items
     in order, or the exception class, message and witness."""
@@ -363,3 +402,21 @@ def test_axiom_report_refuses_m_distributivity_without_monotonicity():
     with pytest.raises(TheoremViolation, match="m-distributive but not monotone") as info:
         axiom_report({"monotone": ("left", 0, 1, 2), "m_distributive": None})
     assert info.value.witness == ("left", 0, 1, 2)
+
+
+def test_every_subset_scan_of_the_exhaustive_corpus_agrees_with_the_reference():
+    def scan(build, L, mask):
+        try:
+            return build(L, mask)
+        except LatticeError as exc:
+            return type(exc).__name__, str(exc), exc.witness
+
+    kinds = set()
+    for L in corpus_exhaustive_tables(4):
+        for mask in range(1 << L.size):
+            got = scan(_scan_mask, L, mask)
+            assert got == scan(ref_scan_mask, L, mask), (L.name, mask)
+            kinds.add(got[:3])
+    # every combination of the three flags that a subset can have turns up
+    assert kinds == {(False, False, True), (False, False, False), (False, True, True),
+                     (False, True, False), (True, True, True), (True, True, False)}

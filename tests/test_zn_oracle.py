@@ -112,3 +112,18 @@ def test_crt_map_is_an_isomorphism_of_products(a, b):
     assert all(f[M.mult(x, y)] == Z.mult(f[x], f[y]) for x in M.elements for y in M.elements)
     assert morphism(M, Z, f).mapping == tuple(f)
     assert morphism(Z, M, inverse).mapping == tuple(inverse)
+
+
+def test_zn_ideals_of_a_large_modulus():
+    # 99999999999 = 3^2 * 21649 * 513239 has 12 divisors, found by trial
+    # division up to its square root
+    L = zn_ideals(99999999999)
+    assert L.size == 12
+    assert L.labels[:4] == ("(1)", "(3)", "(9)", "(21649)")
+    assert len(spectrum(L).primes) == 3
+
+
+def test_zn_ideals_lists_every_divisor_in_ascending_order():
+    for n in range(2, 500):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert zn_ideals(n).labels == tuple(f"({d})" for d in divisors), n
