@@ -318,6 +318,9 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
         if size != len(relation) or any(len(row) != size for row in relation):
             raise BadParams("relation must be a square matrix of the given size")
         up = _up_masks(relation)
+        for i in range(size):
+            if not up[i] >> i & 1:
+                raise NotAPartialOrder(f"relation is not reflexive at {i}", witness=(i, i))
     else:
         if size is None:
             raise BadParams("size is required when the order is given by covers")
@@ -326,14 +329,11 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
             if not (0 <= a < size and 0 <= b < size):
                 raise BadParams(f"cover ({a}, {b}) out of range", witness=(a, b))
             up[a] |= 1 << b
-        # Warshall's closure; antisymmetry can still fail on cyclic covers
+        # Warshall's closure is reflexive and transitive; cyclic covers break antisymmetry
         for k in range(size):
             for i in range(size):
                 if up[i] >> k & 1:
                     up[i] |= up[k]
-    for i in range(size):
-        if not up[i] >> i & 1:
-            raise NotAPartialOrder(f"relation is not reflexive at {i}", witness=(i, i))
     down_masks, up_masks = _masks(size, up)
     for i in range(size):
         both = up_masks[i] & down_masks[i] & ~(1 << i)
@@ -341,7 +341,7 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
             j = (both & -both).bit_length() - 1
             raise NotAPartialOrder(
                 f"antisymmetry fails: {i} <= {j} and {j} <= {i}", witness=(i, j))
-    for i, above in enumerate(up_masks):
+    for i, above in enumerate(up_masks if relation is not None else ()):
         for j in range(size):
             missing = up_masks[j] & ~above if above >> j & 1 else 0
             if missing:

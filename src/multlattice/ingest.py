@@ -59,12 +59,12 @@ class LatticeDocument:
 def _strip_comment(raw: str) -> str:
     """``raw`` up to its comment, which starts at a '#' that opens the line
     or follows a space or tab, so labels and names may contain '#'."""
+    if "#" not in raw:
+        return raw
     if raw.lstrip().startswith("#"):
         return ""
-    cut, tab = raw.find(" #"), raw.find("\t#")
-    if tab >= 0 and (cut < 0 or tab < cut):
-        cut = tab
-    return raw if cut < 0 else raw[:cut + 1]
+    cuts = [cut for cut in (raw.find(" #"), raw.find("\t#")) if cut >= 0]
+    return raw[:min(cuts) + 1] if cuts else raw
 
 
 def parse_document(text: str) -> LatticeDocument:
@@ -161,18 +161,17 @@ def document_to_lattice(doc: LatticeDocument) -> MultLattice:
     if doc.mult_preset == "meet":
         table = order.meet_table
     elif doc.mult_preset == "zero":
-        table = [[order.bottom] * n for _ in range(n)]
+        table = ((order.bottom,) * n,) * n
     else:
-        table = [[None] * n for _ in range(n)]
+        cells = [None] * (n * n)           # row-major
         for x, y, z in doc.mult_triples:
-            table[index[x]][index[y]] = index[z]
-        missing = [(x, y) for x in range(n) for y in range(n)
-                   if table[x][y] is None]
-        if missing:
-            x, y = missing[0]
+            cells[index[x] * n + index[y]] = index[z]
+        if None in cells:
+            x, y = divmod(cells.index(None), n)
             raise LatticeSyntaxError(
                 f"mult is not total: missing {doc.elements[x]} {doc.elements[y]}",
                 len(doc.elements) + 1)
+        table = tuple(tuple(cells[i:i + n]) for i in range(0, n * n, n))  # kept as given
     gens = None if doc.generators is None else [index[g] for g in doc.generators]
     return validate(order=order, mult=table, generators=gens,
                     labels=doc.elements, name=doc.name)
@@ -184,6 +183,7 @@ def parse(text: str) -> MultLattice:
     Accepts the line-oriented format or the canonical JSON payload emitted by
     :func:`json_payload`, so both export formats round trip through here.
     """
+    text = text.removeprefix("\ufeff")       # one UTF-8 byte-order mark
     if text.lstrip().startswith("{"):
         return document_to_lattice(_document_from_json(text))
     return document_to_lattice(parse_document(text))
@@ -220,8 +220,7 @@ def _document_from_json(text: str) -> LatticeDocument:
                              text.count("\n") + 1)
 
 
-def lattice_to_document(doc_or_lattice) -> LatticeDocument:
-    L = doc_or_lattice
+def lattice_to_document(L) -> LatticeDocument:
     labels = list(L.labels)
     if len(set(labels)) != len(labels):
         labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
@@ -273,6 +272,7 @@ SCHEMA_VERSION = 1
 
 
 _LEAVES = frozenset({str, int, bool, float, type(None)})
+_quote = json.encoder.encode_basestring_ascii
 
 
 def _jsonable(value):
@@ -324,7 +324,32 @@ def json_payload(obj) -> dict:
 
 
 def to_json(obj) -> str:
-    return json.dumps(json_payload(obj), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(json_payload(obj), sort_keys=True, indent=2)`` and a
+    newline, byte for byte, without the stdlib's pure-Python encoder."""
+    out = []
+    _write(json_payload(obj), "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(value, pad: str, out: list) -> None:
+    """Append ``value`` to ``out``, indented by ``pad``; by type, as 1 == True."""
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append("null" if value is None else "true" if value else "false")
+    elif kind is dict or kind is list or kind is tuple:
+        inner, keyed = pad + "  ", kind is dict
+        out.append("{" if keyed else "[")
+        for item in sorted(value) if keyed else value:
+            out += (inner, _quote(item), ": ") if keyed else (inner,)
+            _write(value[item] if keyed else item, inner, out)
+            out.append(",")
+        out[-1] = (pad if value else out[-1]) + ("}" if keyed else "]")  # last "," or opener
+    else:
+        out.append(json.dumps(value))
 
 
 # --------------------------------------------------------------------------

@@ -234,6 +234,22 @@ def test_every_theorem_violation_names_a_witness():
     assert sites > 0 and bare == []
 
 
+def test_no_module_writes_indented_json():
+    """No ``json.dump`` or ``json.dumps`` call in ``src/multlattice`` passes
+    ``indent=``: CPython encodes indented JSON in pure Python, so the CLI's
+    JSON goes through ``ingest.to_json``'s writer instead."""
+    sites, indented = 0, []
+    for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")):
+                continue
+            sites += 1
+            if any(k.arg == "indent" for k in node.keywords):
+                indented.append(f"{path.name}:{node.lineno}")
+    assert sites > 0 and indented == []
+
+
 def test_large_round_matches_its_recorded_digest(monkeypatch):
     """One seed-1 round of the benchmark's ``large`` workload (from
     ``perfbench/workloads.py``, which is only read) passes every known-answer

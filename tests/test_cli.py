@@ -10,7 +10,8 @@ from multlattice import cli, core
 from multlattice.cli import main
 from multlattice.core import TheoremViolation
 from multlattice.constructions import interval
-from multlattice.ingest import export_dot, export_dot_spectrum, export_text, zn_ideals
+from multlattice.ingest import (export_dot, export_dot_spectrum, export_text, to_json,
+                                zn_ideals)
 from multlattice.verify import corpus_named
 from test_ingest import MALFORMED_JSON
 
@@ -239,6 +240,21 @@ def test_malformed_json_on_stdin_exits_2(capsys, monkeypatch, case):
     code, out, err = run(capsys, "validate", "-")
     assert code == 2 and out == ""
     assert err.startswith("syntax error: ") and err.count("\n") == 1
+
+
+def test_a_byte_order_mark_is_accepted(capsys, monkeypatch, tmp_path):
+    # an editor's UTF-8 byte-order mark, before either export format, in a
+    # file or on stdin: the same output as without it
+    L = zn_ideals(12)
+    for text in (export_text(L), to_json(L)):
+        plain, marked = tmp_path / "plain.lat", tmp_path / "marked.lat"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected = run(capsys, "validate", str(plain))
+        assert expected[0] == 0 and json.loads(expected[1])["size"] == 6
+        assert run(capsys, "validate", str(marked)) == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert run(capsys, "validate", "-") == expected
 
 
 def test_corrupted_table_exit_code(capsys, tmp_path):

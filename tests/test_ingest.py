@@ -92,6 +92,27 @@ def test_a_second_mult_line_for_a_pair_is_refused():
     assert "mult 1 1 is already given" in str(exc.value)
 
 
+def test_the_first_missing_product_is_named():
+    text = "element a\nelement b\ncover a < b\nmult a a = a\nmult b b = b\nmult b a = a\n"
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == "line 3, column 1: mult is not total: missing a b"
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse(text.replace("mult b a = a", "mult a b = a"))
+    assert str(exc.value) == "line 3, column 1: mult is not total: missing b a"
+
+
+def test_a_byte_order_mark_is_read_as_nothing(named_corpus):
+    for L in named_corpus:
+        texts = [to_json(L)] + ([export_text(L)] if " " not in "".join(L.labels) else [])
+        for text in texts:
+            assert parse("\ufeff" + text) == parse(text) == L, L.name
+    # one mark, as an editor writes it, and no more
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse("\ufeff\ufeff" + MINIMAL)
+    assert "unknown directive '\\ufeffname'" in str(exc.value)
+
+
 def test_preset_and_triples_cannot_mix():
     text = "element a\nmult preset meet\nmult a a = a\n"
     with pytest.raises(LatticeSyntaxError):

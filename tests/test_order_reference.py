@@ -10,6 +10,8 @@ pairs with nothing strictly between them.  Both must give the same fields and
 covers, or the same exception class, message and witness.  The join and meet
 tables, which the library reads off a dict keyed by up-set (down-set) mask,
 are also held to the earlier mask scan of the common bounds, ``scan_bound``.
+On the cover route the library checks antisymmetry alone, since the closure
+is reflexive and transitive; that route must give the relation route's order.
 """
 
 import random
@@ -275,3 +277,38 @@ def test_chain_tables_are_max_and_min():
     order = build_order(size=n, covers=[(i, i + 1) for i in range(n - 1)])
     assert order.join_table == tuple(tuple(max(x, y) for y in range(n)) for x in range(n))
     assert order.meet_table == tuple(tuple(min(x, y) for y in range(n)) for x in range(n))
+
+
+def order_tables(order):
+    return (order.relation, order.join_table, order.meet_table, order.bottom, order.top)
+
+
+def test_the_cover_route_gives_the_relation_routes_order(named_corpus):
+    """Warshall's closure of the cover pairs is reflexive and transitive by
+    construction, so the cover route checks only antisymmetry; it must still
+    give the order the fully checked relation route gives."""
+    cases = [(size, covers, ref_close_covers(size, covers))
+             for size, covers in LATTICE_SHAPES.values()]
+    cases += [(L.size, L.covers(), L.relation) for L in named_corpus]
+    for size, covers, relation in cases:
+        assert (order_tables(build_order(size=size, covers=covers))
+                == order_tables(build_order(relation=relation)))
+
+
+@pytest.mark.parametrize("kwargs, error, message, witness", [
+    # cyclic covers: the closure relates 0, 1 and 2 both ways
+    ({"size": 3, "covers": [(0, 1), (1, 2), (2, 0)]}, NotAPartialOrder,
+     "antisymmetry fails: 0 <= 1 and 1 <= 0", (0, 1)),
+    ({"size": 4, "covers": [(0, 1), (2, 3), (3, 2)]}, NotAPartialOrder,
+     "antisymmetry fails: 2 <= 3 and 3 <= 2", (2, 3)),
+    ({"relation": [[1, 1], [0, 0]]}, NotAPartialOrder,
+     "relation is not reflexive at 1", (1, 1)),
+    ({"relation": [[1, 1, 0], [0, 1, 1], [0, 0, 1]]}, NotAPartialOrder,
+     "transitivity fails at (0, 1, 2)", (0, 1, 2)),
+    ({"size": 2, "covers": [(0, 1), (1, 2)]}, BadParams, "cover (1, 2) out of range", (1, 2)),
+    ({"size": 2, "covers": [(-1, 0)]}, BadParams, "cover (-1, 0) out of range", (-1, 0)),
+])
+def test_each_route_still_names_its_first_failure(kwargs, error, message, witness):
+    with pytest.raises(error) as exc:
+        build_order(**kwargs)
+    assert (str(exc.value), exc.value.witness) == (message, witness)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import pytest
@@ -377,3 +378,27 @@ def test_every_corpus_spectrum_is_sober(named_corpus, small_exhaustive_corpus):
 
 def test_constructible_topology_of_a_long_chain_is_discrete():
     assert constructible_topology(chain(12, "meet")).is_discrete()
+
+
+def test_each_spectrum_row_fault_fails_the_row(monkeypatch):
+    # zn12: top (1) is 0, bottom (12) is 5, Spec = {(2), (3)} and the
+    # semiprime radical is (6), index 4
+    verify_module = importlib.import_module("multlattice.verify")
+    mask, report = verify_module.prime_mask, verify_module.spectrum
+
+    def detail(check, L=None):
+        return run_row(L or zn_ideals(12), check).detail
+
+    # a prime bit past the last element, which V(bottom) = up(bottom) cannot hold
+    monkeypatch.setattr(verify_module, "prime_mask", lambda M: mask(M) | 1 << M.size)
+    assert detail("spectrum.v_identities") == "TheoremViolation: V(bottom) != Spec (witness 5)"
+    monkeypatch.setattr(verify_module, "prime_mask", mask)
+    # the radical read as bottom (12), which is not semiprime: (6)(6) = (12)
+    monkeypatch.setattr(verify_module, "spectrum", lambda M: dataclasses.replace(
+        report(M), semiprime_radical=M.bottom))
+    assert detail("spectrum.radical_semiprime") == (
+        "TheoremViolation: semiprime radical is not semiprime (witness 5)")
+    # ... and on chain3_zero, whose spectrum is empty, the radical must be top
+    assert not report(chain(3, "zero")).primes
+    assert detail("spectrum.radical_semiprime", chain(3, "zero")) == (
+        "TheoremViolation: empty spectrum must give radical = top (witness 0)")

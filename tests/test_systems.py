@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -14,7 +15,8 @@ from multlattice.systems import (classify_system,
                                  equal_saturations, inverse_topology,
                                  is_compact, primes_avoiding, saturate,
                                  saturated_m_systems, system_of_points)
-from multlattice.verify import corpus_exhaustive_tables, corpus_named, corpus_random_tables
+from multlattice.verify import (corpus_exhaustive_tables, corpus_named, corpus_random_tables,
+                                run_row)
 
 from conftest import mk_chain
 
@@ -439,3 +441,33 @@ def test_element_sets_with_a_non_element_are_refused(edge, stray):
     bad = {L.top, L.size if stray == "size" else -1}
     with pytest.raises(ValueError, match="^members must be elements of the lattice$"):
         edge(L, bad)
+
+
+def test_each_complement_system_fault_fails_the_row(monkeypatch):
+    # zn12's elements are (1), (2), (3), (4), (6), (12) in index order: top 0,
+    # primes (2) and (3), and (4) the one element below top that is neither
+    # prime nor semiprime and comes before bottom
+    flags_of = systems.classify_all
+
+    def flipped(x, **flags):
+        def read(M):
+            return tuple(dataclasses.replace(f, **flags) if i == x else f
+                         for i, f in enumerate(flags_of(M)))
+        return read
+
+    def detail():
+        return run_row(zn_ideals(12), "systems.prime_iff_msystem").detail
+
+    # (6) read as prime: S_(6) holds (2) and (3), whose product (6) is not above it
+    monkeypatch.setattr(systems, "classify_all", flipped(4, prime=True))
+    assert detail() == ("TheoremViolation: element 4: prime=True but S_x "
+                        "m-system=False (witness (1, 2))")
+    # (4) read as semiprime: S_(4) holds (2), whose square (4) is not above it
+    monkeypatch.setattr(systems, "classify_all", flipped(3, semiprime=True))
+    assert detail() == ("TheoremViolation: element 3: semiprime=True but S_x "
+                        "n-system=False (witness 1)")
+    monkeypatch.setattr(systems, "classify_all", flags_of)
+    # S_top, the empty mask, read as {(2)}: not an m-system, as top is not prime
+    system = systems._system
+    monkeypatch.setattr(systems, "_system", lambda M, mask: system(M, mask or 1 << 1))
+    assert detail() == "TheoremViolation: S_top must be empty (witness (1,))"

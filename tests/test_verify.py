@@ -27,6 +27,7 @@ from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyRepor
                                 report_to_json, shape_lattice, verify_all)
 
 from test_acceptance import SWEEP_CHECKS
+from test_json_reference import reference_to_json
 
 spectrum_module = importlib.import_module("multlattice.spectrum")
 
@@ -586,8 +587,9 @@ def test_lattice_facts_are_no_parameters():
 
 
 def test_report_writer_matches_the_generic_encoder():
-    # report_to_json writes the report schema by hand; ingest.to_json is the
-    # generic path and must give the same bytes, escapes included.
+    # report_to_json writes the report schema by hand; the stdlib's indented
+    # encoder, kept as test_json_reference's reference, is the generic path
+    # and must give the same bytes, escapes included.
     odd = 'q"b\\s\nt\tc\x01 ⊥ é \U0001d400'
     hand = VerifyReport(tuple(
         CheckResult(f"L{odd}{i}", f"check.{odd}", passed, skipped, f"detail {odd}")
@@ -603,7 +605,7 @@ def test_report_writer_matches_the_generic_encoder():
     one = VerifyReport((CheckResult("L", "axioms.bounds", False, False, odd),), 1, 1, 0)
     for report in (verify_all(corpus_named()), hand, shared, one,
                    VerifyReport((), 0, 0, 0)):
-        assert report_to_json(report) == to_json(report)
+        assert report_to_json(report) == reference_to_json(report)
     assert "\\ud835\\udc00" in report_to_json(hand)
 
 
