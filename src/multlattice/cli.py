@@ -150,17 +150,20 @@ def _run(args) -> int:
         if args.corpus and args.input:
             raise BadParams("check takes an input or --corpus, not both")
         if args.corpus:
-            parts = args.corpus.split(":")
-            if parts[0] == "named":
-                lattices = corpus_named()
-            elif parts[0] == "exhaustive":
-                lattices = corpus_exhaustive_tables(
-                    int_param(parts[1]) if len(parts) > 1 else 4)
-            elif parts[0] == "random":
-                lattices = corpus_random_tables(
-                    int_param(parts[1]) if len(parts) > 1 else 1000, args.seed)
-            else:
+            kind, *params = args.corpus.split(":")
+            if kind not in ("named", "exhaustive", "random"):
                 raise LatticeError(f"unknown corpus {args.corpus!r}")
+            takes = int(kind != "named")
+            if len(params) > takes:
+                raise BadParams(f"corpus {kind!r} takes at most {takes} parameter(s), "
+                                f"got extra {':'.join(params[takes:])!r}")
+            if kind == "named":
+                lattices = corpus_named()
+            elif kind == "exhaustive":
+                lattices = corpus_exhaustive_tables(int_param(params[0]) if params else 4)
+            else:
+                lattices = corpus_random_tables(int_param(params[0]) if params else 1000,
+                                                args.seed)
         elif args.input:
             lattices = [_load(args.input)]
         else:

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   PropertyReport, TheoremViolation, axiom_report, check_axioms,
-                   memo, require, validate)
+                   TheoremViolation, memo, require, validate)
 from .spectrum import hyperabelian_report, prime_mask, spectrum
 from .families import annihilators
 from .systems import bit_indices
@@ -161,40 +160,28 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     The order tables come componentwise from the factors, once per pair of
     factor orders, so :func:`validate` checks only the multiplication bound,
     the generators (pairs of factor generators or bottoms) and the labels.
-    Each call builds a new product lattice: no caller reads one twice, and a
-    cached one would keep its caches alive as long as its left factor.  The
-    int tuple table from :func:`_pairs` is kept without a copy.  Each
-    axiom holds on the product exactly when it holds on both factors, so its
-    :func:`check_axioms` report is derived from theirs, with lifted witnesses
-    (:func:`_product_axioms`), instead of scanned."""
+    The labels and generators depend only on the factors' labels and
+    generators, so they too are built once, in a memo on the product order,
+    and shared.  Each call builds a new product lattice: no caller reads one
+    twice, and a cached one would keep its caches alive as long as its left
+    factor.  The int tuple table from :func:`_pairs` is kept without a copy.
+    No row reads a product's :func:`check_axioms` report, so none is built
+    unless asked for."""
     order = memo(L1.order, ("product", L2.order),
                  lambda: _product_order(L1.order, L2.order))
-    n2 = L2.size
-    labels = [f"({a},{b})" for a in L1.labels for b in L2.labels]
-    gens = frozenset(a * n2 + b for a in L1.generators | {L1.bottom}
-                     for b in L2.generators | {L2.bottom})
+    labels, gens = memo(order, ("names", L1.labels, L1.generators, L2.labels, L2.generators),
+                        lambda: _product_names(L1, L2))
     M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
                  generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
-    M._cache["axioms"] = _product_axioms(L1, L2)
     return ProductLattice(M, L1, L2)
 
 
-def _product_axioms(L1: MultLattice, L2: MultLattice) -> PropertyReport:
-    """Each flag of ``L1 x L2`` is the conjunction of the factors' flags.  A
-    failing flag's witness is lifted from the first factor that fails it, the
-    other coordinate held at that factor's bottom: a genuine failure on the
-    product, but not necessarily the first in its (x, y, z) order."""
-    w1, w2 = check_axioms(L1).witnesses, check_axioms(L2).witnesses
-    n2, b2, b1_row = L2.size, L2.bottom, L1.bottom * L2.size
-    witnesses = {}
-    for flag in ("monotone", "m_distributive", "associative", "commutative"):
-        if flag in w1:
-            witnesses[flag] = tuple([v if isinstance(v, str) else v * n2 + b2
-                                     for v in w1[flag]])
-        elif flag in w2:
-            witnesses[flag] = tuple([v if isinstance(v, str) else b1_row + v
-                                     for v in w2[flag]])
-    return axiom_report(witnesses)
+def _product_names(L1: MultLattice, L2: MultLattice) -> tuple:
+    """The labels of ``L1 x L2`` and its generating set."""
+    n2 = L2.size
+    return (tuple([f"({a},{b})" for a in L1.labels for b in L2.labels]),
+            frozenset([a * n2 + b for a in L1.generators | {L1.bottom}
+                       for b in L2.generators | {L2.bottom}]))
 
 
 def _pairs(t1, t2) -> tuple:

@@ -394,7 +394,8 @@ def validate(*, size: int | None = None,
     set is a proper subset (an element that is a generator is such a join).
     ``mult`` is a full ``size x size`` table of indices or a callable
     ``(x, y) -> index``; a tuple of tuples of ``int`` becomes the lattice's
-    table as given, its rows shared with the caller.
+    table as given, its rows shared with the caller, as a tuple of ``str``
+    labels and a frozenset of generators do.
 
     Raises :class:`NotAPartialOrder`, :class:`NotALattice`,
     :class:`MultNotBounded` or :class:`NotGenerated`, each carrying a
@@ -421,7 +422,8 @@ def validate(*, size: int | None = None,
     if labels is None:
         labels = tuple(map(str, range(size)))
     else:
-        labels = tuple(map(str, labels))
+        if type(labels) is not tuple or {*map(type, labels)} != {str}:
+            labels = tuple(map(str, labels))
         if len(labels) != size:
             raise BadParams("labels must match size")
 
@@ -500,8 +502,6 @@ class PropertyReport:
     arbitrary joins by induction.  Its witness is the m-distributivity
     witness, and ``infinite_check_method`` names this route.
     :func:`subset_pair_witness` reads the law literally, as a reference.
-    A product's report is derived from its factors' reports; its witnesses
-    are lifted from a factor, so they need not be first in order.
     """
     monotone: bool
     m_distributive: bool
@@ -555,7 +555,10 @@ def gap(L: MultLattice, statement: str) -> str:
     """``""`` when ``L`` has every hypothesis of ``statement``, otherwise the
     reason a report gives for skipping it."""
     ax, flags = check_axioms(L), HYPOTHESES[statement]
-    return "" if all(getattr(ax, flag) for flag in flags) else SKIP_TEXT[flags]
+    for flag in flags:
+        if not getattr(ax, flag):
+            return SKIP_TEXT[flags]
+    return ""
 
 
 def require(L: MultLattice, statement: str, exc: type) -> PropertyReport:

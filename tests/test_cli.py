@@ -68,6 +68,17 @@ def test_check_exhaustive_corpus_above_four_is_bad_input(capsys):
     assert "BadParams" in err
 
 
+@pytest.mark.parametrize("spec, takes, extra", [("named:foo", 0, "foo"),
+                                                ("exhaustive:2:9", 1, "9"),
+                                                ("random:3:x:y", 1, "x:y")])
+def test_a_corpus_refuses_extra_parameters_by_name(capsys, spec, takes, extra):
+    code, out, err = run(capsys, "check", "axioms", "--corpus", spec)
+    assert (code, out) == (2, "")
+    kind = spec.partition(":")[0]
+    assert err == (f"error: BadParams: corpus {kind!r} takes at most {takes} "
+                   f"parameter(s), got extra {extra!r}\n")
+
+
 def test_check_refuses_an_input_together_with_a_corpus(capsys):
     code, out, err = run(capsys, "check", "axioms", "gen:chain:2", "--corpus",
                          "exhaustive:1")
@@ -84,6 +95,9 @@ def test_check_refuses_an_input_together_with_a_corpus(capsys):
     ("check", "all", "--corpus", "random:-5"),
     ("check", "all", "--corpus", "random:0"),
     ("check", "all", "--corpus", "exhaustive:0"),
+    ("check", "axioms", "--corpus", "named:foo"),
+    ("check", "axioms", "--corpus", "exhaustive:2:9"),
+    ("check", "axioms", "--corpus", "random:3:x"),
     ("validate", "gen:zn:4:x"),
     ("validate", "gen:chain:3:meet:extra"),
     ("validate", "gen:random:4:seed=1:seed=2"),

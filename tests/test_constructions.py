@@ -23,7 +23,7 @@ from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
                                   spectrum, v_set)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
-                                corpus_random_tables, enumerate_tables,
+                                corpus_named, corpus_random_tables, enumerate_tables,
                                 run_row, shape_lattice)
 
 from conftest import mk_chain
@@ -240,6 +240,33 @@ def test_each_product_is_validated_once(monkeypatch):
             assert calls[0]["order"] is M.order
 
 
+def test_the_product_row_builds_no_axiom_report(monkeypatch):
+    # no row reads a product's axiom report, so the product row builds none
+    real, built = constructions_module.product, []
+    monkeypatch.setattr(constructions_module, "product",
+                        lambda L1, L2: built.append(real(L1, L2)) or built[-1])
+    corpus = corpus_named()
+    for L in corpus:
+        assert run_row(L, "constructions.product_spectrum").passed, L.name
+    assert len(built) == 2 * len(corpus)
+    assert [P.lattice.name for P in built if "axioms" in P.lattice._cache] == []
+
+
+def test_a_shift_off_bottom_fails_the_interval_restriction(monkeypatch):
+    # [bottom, top] of chain3_meet with the shift z -> z v bottom read as
+    # sending bottom to a: the product 0 * 0 = 0 comes out as a
+    real = constructions_module._interval_order
+
+    def planted(order, x, y):
+        elems, shifted, restricted = real(order, x, y)
+        return elems, {**shifted, order.bottom: 1}, restricted
+
+    monkeypatch.setattr(constructions_module, "_interval_order", planted)
+    assert run_row(mk_chain(3, min), "constructions.interval_bottom_restriction").detail == (
+        "TheoremViolation: interval from bottom must restrict the multiplication "
+        "(witness (0, 0))")
+
+
 def test_intervals_are_never_validated(monkeypatch):
     # An interval is bounded by construction; only its parent's table is
     # checked.
@@ -349,10 +376,9 @@ def fails_on(M, flag, w):
 
 
 def test_product_axioms_match_a_scan_of_the_product(named_corpus):
-    # the product's report is derived from its factors; its flags must equal
-    # a scan of the product built from scratch, and every lifted witness
-    # must fail on the product, from whichever side it was lifted, with the
-    # other coordinate at that side's bottom
+    # a product's report is the scan of the product: flags and witnesses
+    # equal those of the product built from scratch, and each flag is the
+    # conjunction of the factors' flags, failing from either side
     partners = (chain(2, "meet"), chain(2, "zero"))
     corpus = (list(named_corpus) + corpus_exhaustive_tables(4)[::40]
               + corpus_random_tables(10, seed=3))
@@ -360,21 +386,19 @@ def test_product_axioms_match_a_scan_of_the_product(named_corpus):
     pairs = [pair for L in corpus for p in partners for pair in ((L, p), (p, L))]
     pairs += [(good, L) for L in corpus[-10:]]              # only the right fails
     pairs += list(zip(corpus[-10:], corpus[-5:] + corpus[-10:-5]))
-    lifted = {"left": set(), "right": set()}
+    failing = {"left": set(), "right": set()}
     for A, B in pairs:
         P = product(A, B)
         ax = check_axioms(P.lattice)
-        ref = _check_axioms(product_from_scratch(A, B))
+        assert ax == _check_axioms(product_from_scratch(A, B)), (A.name, B.name)
+        a, b = check_axioms(A), check_axioms(B)
         for flag in AXIOM_FLAGS:
-            assert getattr(ax, flag) == getattr(ref, flag), (A.name, B.name, flag)
-        assert ax.witnesses.keys() == ref.witnesses.keys(), (A.name, B.name)
+            assert getattr(ax, flag) == (getattr(a, flag) and getattr(b, flag)), (
+                A.name, B.name, flag)
         for flag, w in ax.witnesses.items():
             assert fails_on(P.lattice, flag, w), (A.name, B.name, flag, w)
-            side = "left" if not getattr(check_axioms(A), flag) else "right"
-            held = {divmod(v, B.size)[side == "left"] for v in w if isinstance(v, int)}
-            assert held == {B.bottom if side == "left" else A.bottom}, (A.name, B.name)
-            lifted[side].add(flag)
-    assert lifted["left"] == lifted["right"] == set(AXIOM_FLAGS)
+            failing["left" if not getattr(a, flag) else "right"].add(flag)
+    assert failing["left"] == failing["right"] == set(AXIOM_FLAGS)
 
 
 def test_tables_on_one_shape_share_derived_orders():
@@ -385,6 +409,9 @@ def test_tables_on_one_shape_share_derived_orders():
     partner = chain(2, "meet")
     assert A.order is B.order
     assert product(A, partner).lattice.order is product(B, partner).lattice.order
+    # and so are the product's names, which depend only on the factors' names
+    PA, PB = product(A, partner).lattice, product(B, partner).lattice
+    assert PA.labels is PB.labels and PA.generators is PB.generators
     for x in A.elements:
         for y in A.up(x):
             assert interval(A, x, y).lattice.order is interval(B, x, y).lattice.order

@@ -1,11 +1,17 @@
+import dataclasses
+import importlib
+
 import pytest
 
 from multlattice.core import MDistributivityRequired, check_axioms, validate
 from multlattice.ingest import chain
 from multlattice.series import series, solvable_witness_chain
 from multlattice.spectrum import hyperabelian_report
+from multlattice.verify import run_row
 
 from conftest import mk_chain
+
+series_module = importlib.import_module("multlattice.series")
 
 
 def test_bottom_is_everything_at_once():
@@ -101,3 +107,53 @@ def test_chain_iff_hyperabelian(small_exhaustive_corpus):
         assert (rep.chain is not None) == hyper, L.name
         if rep.chain is None:
             assert rep.witnesses.get("a") is not None
+
+
+def series_detail(L):
+    return run_row(L, "series.descending_stabilizing").detail
+
+
+def test_a_product_above_its_factor_fails_the_descent():
+    # chain3_meet with a * a planted at top: the lower central series of a
+    # climbs from a to top
+    L = mk_chain(3, min)
+    L.mult_table = ((0, 0, 0), (0, 2, 1), (0, 1, 2))
+    assert series_detail(L) == "TheoremViolation: series failed to descend (witness (1, 2))"
+
+
+def test_a_series_without_its_second_term_fails_the_derived_identity(monkeypatch):
+    # in the zero chain a * a = bottom, the second term of a's series; a
+    # descent that loses its second term stops at a
+    descend = series_module._descend
+    monkeypatch.setattr(series_module, "_descend",
+                        lambda L, x, step: (lambda s: s[:1] + s[2:])(descend(L, x, step)))
+    assert series_detail(mk_chain(3, lambda x, y: 0)) == (
+        "TheoremViolation: derived element identity fails (witness 1)")
+
+
+def test_unequal_nilpotency_flags_fail_under_associativity(monkeypatch):
+    # top's lower central series is top, a, bottom and its right series is
+    # top, a, as top * a = a.  The table is not associative ((top * top) * a
+    # = bottom, top * (top * a) = a); read as associative, the flags must
+    # coincide, and they do not
+    L = validate(size=3, covers=[(0, 1), (1, 2)], mult=[[0, 0, 0], [0, 0, 0], [0, 1, 1]],
+                 name="skew3")
+    assert series_detail(L) == ""
+    axioms = series_module.check_axioms
+    monkeypatch.setattr(series_module, "check_axioms",
+                        lambda M: dataclasses.replace(axioms(M), associative=True))
+    assert series_detail(L) == (
+        "TheoremViolation: nilpotency flags must coincide under associativity (witness 2)")
+
+
+def test_a_chain_with_a_missing_step_fails_to_validate(monkeypatch):
+    # x * y = max(0, x + y - 4) on chain4 squares top to 2 and 2 to bottom:
+    # the chain is 0 < 2 < 3.  Without its middle step, top's square 2 is not
+    # below bottom
+    L = mk_chain(4, lambda x, y: max(0, x + y - 4))
+    assert hyperabelian_report(L).chain == (0, 2, 3)
+    report = series_module.hyperabelian_report
+    monkeypatch.setattr(series_module, "hyperabelian_report",
+                        lambda M: dataclasses.replace(report(M), chain=(0, 3)))
+    assert run_row(L, "series.solvable_chain").detail == (
+        "TheoremViolation: squaring chain fails to validate (witness (0, 3))")
