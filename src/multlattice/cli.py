@@ -152,7 +152,7 @@ def _run(args) -> int:
         if args.corpus:
             kind, *params = args.corpus.split(":")
             if kind not in ("named", "exhaustive", "random"):
-                raise LatticeError(f"unknown corpus {args.corpus!r}")
+                raise BadParams(f"unknown corpus {args.corpus!r}")
             takes = int(kind != "named")
             if len(params) > takes:
                 raise BadParams(f"corpus {kind!r} takes at most {takes} parameter(s), "
@@ -167,7 +167,7 @@ def _run(args) -> int:
         elif args.input:
             lattices = [_load(args.input)]
         else:
-            raise LatticeError("check needs an input or --corpus")
+            raise BadParams("check needs an input or --corpus")
         report = verify_all(lattices, suites=(args.suite,))
         print(report_to_json(report), end="")
         _summary(report)

@@ -255,30 +255,42 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     """V(n1) and V(n2) are disjoint iff [n1 v n2, top] is hyperabelian, and
     they cover the spectrum iff n1*n2 is below the semiprime radical.  Both
     equivalences are asserted.  [bottom, top] is read as ``L`` itself: the
-    interval has ``L``'s relation and table and the identity embedding."""
-    require(L, "constructions.disjointness", MDistributivityRequired)
-    rep = spectrum(L)
-    spec = prime_mask(L)
+    interval has ``L``'s relation and table and the identity embedding.
+    What a pair reads of ``L`` is kept under its memo key ``"disjointness"``:
+    Spec and the radical, built once the gate has passed, and the
+    hyperabelian value of each upper interval, filled as pairs ask for it."""
+    spec, radical, hyper_at = L._cache["disjointness"] if "disjointness" in L._cache else memo(
+        L, "disjointness", lambda: _disjointness_reads(L))
     v1 = L.up_masks[n1] & spec
     v2 = L.up_masks[n2] & spec
 
     disjoint = not v1 & v2
     j = L.join_table[n1][n2]
-    M = L if j == L.bottom else interval(L, j, L.top).lattice
-    hyper = hyperabelian_report(M).hyperabelian
+    hyper = hyper_at.get(j)
+    if hyper is None:
+        M = L if j == L.bottom else interval(L, j, L.top).lattice
+        hyper = hyper_at[j] = hyperabelian_report(M).hyperabelian
     if disjoint != hyper:
         raise TheoremViolation(
             f"V({n1}) ^ V({n2}) empty is {disjoint}, but the upper interval "
             f"hyperabelian is {hyper}", witness=(n1, n2))
 
     cover = (v1 | v2) == spec
-    below = L.relation[L.mult_table[n1][n2]][rep.semiprime_radical]
+    below = L.relation[L.mult_table[n1][n2]][radical]
     if cover != below:
         raise TheoremViolation(
             f"V({n1}) u V({n2}) = Spec is {cover}, but n1*n2 <= radical is {below}",
             witness=(n1, n2))
 
     return DisjointnessReport(disjoint, cover)
+
+
+def _disjointness_reads(L: MultLattice) -> tuple:
+    """Spec, the semiprime radical and an empty join -> hyperabelian dict,
+    once ``L`` has passed the gate of :func:`disjointness_criteria`."""
+    require(L, "constructions.disjointness", MDistributivityRequired)
+    radical = spectrum(L).semiprime_radical
+    return prime_mask(L), radical, {}
 
 
 # --------------------------------------------------------------------------
@@ -350,10 +362,11 @@ def identity_morphism(L: MultLattice) -> LatticeMorphism:
 
 def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:
     """x -> x v l, onto the interval [l, top].  Submultiplicative whenever
-    the source is m-distributive."""
+    the source is m-distributive.  The map depends on the order alone, so
+    it is kept per order."""
     iv = interval(L, l, L.top)
-    return morphism(L, iv.lattice,
-                    tuple(iv.from_parent(L.join_table[x][l]) for x in L.elements))
+    return morphism(L, iv.lattice, memo(L.order, ("quotient", l), lambda: tuple(
+        iv.from_parent(L.join_table[x][l]) for x in L.elements)))
 
 
 def projection_morphisms(P: ProductLattice) -> tuple:

@@ -220,15 +220,15 @@ def memo(owner, key, build):
     is stored when ``build()`` raises, so a failure is raised again on the
     next call.  An accessor with a constant key reads a hit in its own frame,
     ``cache[key] if key in cache else memo(...)``, and comes here to build;
-    a tuple key comes here for hits too.  ``build()`` runs outside the
-    handler, so what it raises is not chained to the ``KeyError``."""
+    a tuple key comes here for hits too.  A miss raises no ``KeyError``."""
     cache = owner._cache
-    try:
-        return cache[key]
-    except KeyError:
-        pass
-    value = cache[key] = build()
+    value = cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = cache[key] = build()
     return value
+
+
+_MISSING = object()     # memo's marker for a key not in the cache
 
 
 # --------------------------------------------------------------------------
@@ -550,32 +550,65 @@ SKIP_TEXT = {
     ("monotone", "associative"): "needs monotonicity and associativity",
 }
 
+# A flag decided by another law's scan; every other flag names its own law.
+LAW_OF = {"infinitely_m_distributive": "m_distributive"}   # see PropertyReport
+
 
 def gap(L: MultLattice, statement: str) -> str:
     """``""`` when ``L`` has every hypothesis of ``statement``, otherwise the
-    reason a report gives for skipping it."""
-    ax, flags = check_axioms(L), HYPOTHESES[statement]
+    reason a report gives for skipping it.  Only the statement's laws are
+    scanned (:func:`law_witness`)."""
+    flags = HYPOTHESES[statement]
     for flag in flags:
-        if not getattr(ax, flag):
+        if law_witness(L, flag) is not None:
             return SKIP_TEXT[flags]
     return ""
 
 
-def require(L: MultLattice, statement: str, exc: type) -> PropertyReport:
-    """``check_axioms(L)`` if ``L`` has every hypothesis of ``statement``, else
-    raise ``exc("<statement>: <gap>")`` with the first failing flag's witness."""
-    ax = check_axioms(L)
+def require(L: MultLattice, statement: str, exc: type) -> None:
+    """Raise ``exc("<statement>: <gap>")`` with the first failing flag's
+    witness unless ``L`` has every hypothesis of ``statement``; only the
+    statement's laws are scanned (:func:`law_witness`)."""
     for flag in HYPOTHESES[statement]:
-        if not getattr(ax, flag):
-            raise exc(f"{statement}: {gap(L, statement)}", witness=ax.witnesses.get(flag))
-    return ax
+        if (witness := law_witness(L, flag)) is not None:
+            raise exc(f"{statement}: {gap(L, statement)}", witness=witness)
+
+
+def law_witness(L: MultLattice, flag: str):
+    """The first counterexample to the law behind the :class:`PropertyReport`
+    flag ``flag`` (``LAW_OF``), or None when it holds: one scan per law,
+    kept in ``L._cache`` under the law's name, which :func:`check_axioms`
+    reads too.  A scan finding ``L`` m-distributive runs the monotone scan
+    as well, for the self-check of :func:`axiom_report`."""
+    law = LAW_OF.get(flag, flag)
+    return L._cache[law] if law in L._cache else memo(L, law, lambda: _scan_law(L, law))
+
+
+def _scan_law(L: MultLattice, law: str):
+    if "axioms" in L._cache:     # a report kept from an earlier run holds every law
+        return L._cache["axioms"].witnesses.get(law)
+    witness = _law_scans()[law](L)
+    if law == "m_distributive" and witness is None:
+        axiom_report({"monotone": law_witness(L, "monotone"), "m_distributive": None})
+    return witness
+
+
+def _law_scans() -> dict:
+    """Each law's scan, read from the module when called."""
+    return {"monotone": _monotone_witness, "m_distributive": _m_distributive_witness,
+            "associative": _associative_witness, "commutative": _commutative_witness}
 
 
 def _check_axioms(L: MultLattice) -> PropertyReport:
-    return axiom_report({"monotone": _monotone_witness(L),
-                         "m_distributive": _m_distributive_witness(L),
-                         "associative": _associative_witness(L),
-                         "commutative": _commutative_witness(L)})
+    """The report on the four laws, each read from its :func:`law_witness`
+    entry or scanned; the scans are kept only once the report's
+    self-check has passed."""
+    cache = L._cache
+    witnesses = {law: cache[law] if law in cache else scan(L)
+                 for law, scan in _law_scans().items()}
+    report = axiom_report(witnesses)
+    cache.update(witnesses)
+    return report
 
 
 def axiom_report(witnesses: dict) -> PropertyReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
-                   check_axioms, compact_elements, memo, require)
+                   check_axioms, compact_elements, law_witness, memo, require)
 from .spectrum import classify_all
 from .systems import classify_system
 
@@ -43,7 +43,8 @@ def residual_tables(L: MultLattice):
 
     When the lattice is infinitely m-distributive the bounds
     (l :l a) * a <= l and a * (l :r a) <= l are asserted for every pair,
-    once, when the tables are built.
+    once, when the tables are built; that reads the m-distributivity scan
+    alone (:func:`core.law_witness`), not the full axiom report.
     """
     return L._cache["residual_tables"] if "residual_tables" in L._cache else memo(
         L, "residual_tables", lambda: _residual_tables(L))
@@ -55,7 +56,7 @@ def _residual_tables(L: MultLattice):
     dm, mt = L.down_masks, L.mult_table
     left = tuple(zip(*[L.order.adjoint(col, dm) for col in zip(*mt)]))
     right = tuple(zip(*[L.order.adjoint(row, dm) for row in mt]))
-    if check_axioms(L).infinitely_m_distributive:
+    if law_witness(L, "infinitely_m_distributive") is None:
         for l, dl in enumerate(dm):
             for a in range(L.size):
                 if not dl >> mt[left[l][a]][a] & 1:
@@ -151,6 +152,7 @@ def _oka_counterexamples(L: MultLattice, fmask: int, a_sorted) -> dict:
                 counterexamples["right_oka"] = (a, l)
             if lres_in and rres_in and "oka" not in counterexamples:
                 counterexamples["oka"] = (a, l)
+                return counterexamples      # no side fails later than both: all found
     return counterexamples
 
 
@@ -191,8 +193,8 @@ def pip_check(L: MultLattice, F) -> PipReport:
     inside, as in :func:`pip_exhaustive`, and a frozenset in the report.
     """
     family = frozenset(F)
-    ax = require(L, "families.pip_exhaustive", HypothesesFail)
-    counterexamples, cases, maximal = _pip(L, L.mask_of(family), ax.associative)
+    require(L, "families.pip_exhaustive", HypothesesFail)
+    counterexamples, cases, maximal = _pip(L, L.mask_of(family), check_axioms(L).associative)
     if not cases:
         raise HypothesesFail(
             "family satisfies none of the four closure conditions",
@@ -206,7 +208,8 @@ def pip_exhaustive(L: MultLattice) -> None:
     is maximal outside one exactly when :func:`_closure` leaves m out.  Left
     and right Oka families are Oka, so under associativity only Oka and Ako
     run.  :func:`_pip` raises on the lowest family that leaves some m out."""
-    associative = require(L, "families.pip_exhaustive", HypothesesFail).associative
+    require(L, "families.pip_exhaustive", HypothesesFail)
+    associative = check_axioms(L).associative
     schemas = ("oka", "ako") if associative else ("left_oka", "right_oka", "ako")
     trapping = [fmask for m, flag in enumerate(classify_all(L)) if m != L.top and not flag.prime
                 for schema in schemas

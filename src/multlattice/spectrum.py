@@ -366,15 +366,13 @@ def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 
 
 def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
-    from .systems import first_m_system_without  # avoids an import cycle
-
     require(L, "hyper.six_conditions", MDistributivityRequired)
     flags = classify_all(L)
     steps = _square_steps(L)
     chain, blocker = _greedy_square_chain(L, steps)
     primes = primes_of(L)
     radical = L.glb(primes)
-    without_bottom = first_m_system_without(L, L.bottom)
+    without_bottom = systems.first_m_system_without(L, L.bottom)
     # The first witness against each condition, or None where it holds.
     found = {
         "a": next((x for x in L.elements if flags[x].semiprime and x != L.top), None),
@@ -395,3 +393,8 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 
     notes = ("condition (c) is the finite instantiation: only finite chains are built",)
     return HyperabelianReport(not witnesses, chain, witnesses, notes)
+
+
+# systems imports this module, so it is imported here, once this module's
+# names are defined.
+from . import systems  # noqa: E402

@@ -336,7 +336,7 @@ def _saturated_masks(L: MultLattice) -> list:
         out = bit_indices(m & up)
     else:
         out = _antichain_masks(L)
-    out.sort(key=lambda mask: (mask.bit_count(), sorted(L.set_of(mask))))
+    out.sort(key=lambda mask: (mask.bit_count(), bit_indices(mask)))   # by size, then members
     return out
 
 

@@ -250,6 +250,20 @@ def test_no_module_writes_indented_json():
     assert sites > 0 and indented == []
 
 
+def test_no_function_in_the_package_imports():
+    """Every ``import`` in ``src/multlattice`` is at module level.  An import
+    inside a function runs again on every call, and the functions that a
+    verify run calls once per lattice are where calls add up."""
+    inside = []
+    for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inside += [f"{path.name}:{node.lineno} in {getattr(fn, 'name', 'lambda')}"
+                           for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []
+
+
 def test_large_round_matches_its_recorded_digest(monkeypatch):
     """One seed-1 round of the benchmark's ``large`` workload (from
     ``perfbench/workloads.py``, which is only read) passes every known-answer

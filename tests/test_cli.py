@@ -98,6 +98,8 @@ def test_check_refuses_an_input_together_with_a_corpus(capsys):
     ("check", "axioms", "--corpus", "named:foo"),
     ("check", "axioms", "--corpus", "exhaustive:2:9"),
     ("check", "axioms", "--corpus", "random:3:x"),
+    ("check", "axioms", "--corpus", "foo:1:2"),
+    ("check", "axioms"),
     ("validate", "gen:zn:4:x"),
     ("validate", "gen:chain:3:meet:extra"),
     ("validate", "gen:random:4:seed=1:seed=2"),

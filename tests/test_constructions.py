@@ -5,8 +5,8 @@ import weakref
 
 import pytest
 
-from multlattice.constructions import (LatticeMorphism, closed_subspace_spec,
-                                       disjointness_criteria,
+from multlattice.constructions import (DisjointnessReport, LatticeMorphism,
+                                       closed_subspace_spec, disjointness_criteria,
                                        identity_morphism, interval,
                                        lying_over, morphism,
                                        open_subspace_homeo, product,
@@ -15,7 +15,7 @@ from multlattice.constructions import (LatticeMorphism, closed_subspace_spec,
                                        quotient_morphism, right_adjoint,
                                        spec_map)
 from multlattice.core import (BadParams, HypothesesFail, LatticeError,
-                              NotAMorphism, NotComparable, NotPrimeInInterval,
+                              MDistributivityRequired, NotAMorphism, NotComparable, NotPrimeInInterval,
                               TheoremViolation,
                               _check_axioms, build_order, check_axioms,
                               replace_mult, validate)
@@ -24,7 +24,7 @@ from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
                                   spectrum, v_set)
 from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
                                 corpus_named, corpus_random_tables, enumerate_tables,
-                                run_row, shape_lattice)
+                                run_row, shape_lattice, verify_all)
 
 from conftest import mk_chain
 
@@ -564,6 +564,74 @@ def test_each_disjointness_fault_fails_the_row(monkeypatch):
     assert run_row(zn_ideals(12), "constructions.disjointness").detail == (
         "TheoremViolation: V(0) u V(4) = Spec is True, but n1*n2 <= radical is False "
         "(witness (0, 4))")
+
+
+def test_disjointness_refuses_or_reports_every_pair_as_defined(named_corpus):
+    # Off its gate every pair is refused with the gate's message and the
+    # m-distributivity witness, and nothing is kept; on it every pair's
+    # report is read off Spec: V(n1), V(n2) disjoint, and covering Spec.
+    refused = reported = 0
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        pairs = [(n1, n2) for n1 in L.elements for n2 in L.elements]
+        if not check_axioms(replace_mult(L, L.mult_table)).m_distributive:
+            for n1, n2 in pairs:
+                with pytest.raises(MDistributivityRequired) as info:
+                    disjointness_criteria(L, n1, n2)
+                assert (str(info.value), info.value.witness) == (
+                    "constructions.disjointness: not m-distributive",
+                    check_axioms(L).witnesses["m_distributive"]), L.name
+                refused += 1
+            assert "disjointness" not in L._cache
+            continue
+        primes = spectrum(L).primes
+        for n1, n2 in pairs:
+            v1, v2 = primes & L.up(n1), primes & L.up(n2)
+            assert disjointness_criteria(L, n1, n2) == DisjointnessReport(
+                not v1 & v2, v1 | v2 == primes), (L.name, n1, n2)
+            reported += 1
+    assert refused > 10000 and reported > 1000
+
+
+def test_the_disjointness_row_builds_no_axiom_report_on_its_intervals(named_corpus):
+    # Each upper interval [n1 v n2, top] is gated on m-distributivity alone,
+    # which is all its six conditions read.
+    seen = 0
+    for L in named_corpus:
+        if not check_axioms(L).m_distributive:
+            continue
+        M = replace_mult(L, L.mult_table)
+        assert run_row(M, "constructions.disjointness").passed, L.name
+        uppers = [iv.lattice for (x, y), iv in M._cache.get("intervals", {}).items()
+                  if y == M.top and x != M.bottom]
+        assert [N.name for N in uppers if "axioms" in N._cache] == [], L.name
+        seen += len(uppers)
+    assert seen > 50
+
+
+def test_a_verify_run_builds_one_axiom_report_per_lattice(named_corpus, monkeypatch):
+    # No derived lattice of a run is given a full axiom report: its gates
+    # read the laws they name (the product partners' reports are built once,
+    # before the count).
+    core_module, built = importlib.import_module("multlattice.core"), []
+    real = core_module._check_axioms
+    for partner in PRODUCT_PARTNERS:
+        check_axioms(partner)
+    monkeypatch.setattr(core_module, "_check_axioms",
+                        lambda M: built.append(M.name) or real(M))
+    lattices = [replace_mult(L, L.mult_table) for L in named_corpus]
+    assert verify_all(lattices).failed == 0
+    assert built == [L.name for L in lattices]
+
+
+def test_quotient_maps_are_the_joins_read_in_the_interval(named_corpus):
+    # x -> x v l depends on the order alone and is kept per order; on every
+    # lattice it is the from_parent map, and morphism() judges it as before.
+    for L in list(named_corpus) + corpus_exhaustive_tables(4):
+        for l in L.elements:
+            iv = interval(L, l, L.top)
+            join = tuple(iv.from_parent(L.join(x, l)) for x in L.elements)
+            assert outcome(lambda: quotient_morphism(L, l).mapping) == outcome(
+                lambda: morphism(L, iv.lattice, join).mapping), (L.name, l)
 
 
 def test_disjointness_with_top():

@@ -13,6 +13,7 @@ from multlattice.core import (BadParams, LatticeError, MultNotBounded,
                               NotALattice, NotAPartialOrder, NotGenerated,
                               check_axioms, compact_elements, validate)
 from multlattice.ingest import chain
+from multlattice.spectrum import hyperabelian_report
 
 from conftest import mk_chain
 
@@ -485,3 +486,65 @@ def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, acce
         with pytest.raises(RuntimeError, match="boom"):
             getattr(mod, accessor)(L)
         assert key not in L._cache and calls == ["chain3_meet"] * attempt
+
+
+def scanned_report(L):
+    """The axiom report read off the four law scans, each run directly."""
+    found = {law: w for law, w in (("monotone", core._monotone_witness(L)),
+                                   ("m_distributive", core._m_distributive_witness(L)),
+                                   ("associative", core._associative_witness(L)),
+                                   ("commutative", core._commutative_witness(L)))
+             if w is not None}
+    if "m_distributive" in found:
+        found["infinitely_m_distributive"] = found["m_distributive"]
+    return core.PropertyReport("monotone" not in found, "m_distributive" not in found,
+                               "m_distributive" not in found, "associative" not in found,
+                               "commutative" not in found, found)
+
+
+@pytest.mark.parametrize("gates", [
+    (), ("systems.prime_iff_msystem",), ("hyper.six_conditions",),
+    ("constructions.lying_over", "spectrum.symmetric_nonprime_witness"), tuple(core.HYPOTHESES)])
+def test_check_axioms_is_the_four_scans_whatever_a_gate_read_first(gates):
+    # A gate scans only the laws its statement names and keeps each scan;
+    # the report built afterwards reads those scans and scans the rest.
+    for base in verify.corpus_named() + verify.corpus_exhaustive_tables(4):
+        L = core.replace_mult(base, base.mult_table)       # a fresh cache
+        for statement in gates:
+            core.gap(L, statement)
+        assert check_axioms(L) == scanned_report(L), (L.name, gates)
+
+
+def test_a_gate_scans_only_the_laws_it_names():
+    L = chain(4, "meet")
+    assert core.gap(L, "systems.prime_iff_msystem") == ""
+    assert set(L._cache) == {"monotone"}
+    # infinite m-distributivity is the m-distributivity scan
+    assert core.gap(L, "constructions.lying_over") == ""
+    assert set(L._cache) == {"monotone", "m_distributive"}
+    assert core.gap(L, "spectrum.symmetric_nonprime_witness") == ""
+    assert set(L._cache) == {"monotone", "m_distributive", "associative"}
+
+
+def test_an_m_distributive_scan_runs_the_monotone_scan_too():
+    # the self-check of an m-distributive lattice needs its monotone scan
+    L = chain(4, "meet")
+    assert core.gap(L, "hyper.six_conditions") == ""
+    assert set(L._cache) == {"monotone", "m_distributive"}
+
+
+def test_an_m_distributive_interval_still_runs_the_monotone_self_check(monkeypatch):
+    # [1, top] of chain4_meet is m-distributive, so the six-condition gate on
+    # it runs the monotone scan, here planted to fail on intervals alone: the
+    # self-check refuses it although no full axiom report is built.
+    real = core._monotone_witness
+    monkeypatch.setattr(core, "_monotone_witness",
+                        lambda M: ("left", 0, 1, 0) if M.name.endswith("]") else real(M))
+    L = chain(4, "meet")
+    M = interval(L, 1, L.top).lattice
+    with pytest.raises(core.TheoremViolation, match="m-distributive but not monotone") as info:
+        hyperabelian_report(M)
+    assert info.value.witness == ("left", 0, 1, 0) and "axioms" not in M._cache
+    # the disjointness row reaches the same interval through the same gate
+    assert verify.run_row(chain(4, "meet"), "constructions.disjointness").detail == (
+        "TheoremViolation: m-distributive but not monotone (witness ('left', 0, 1, 0))")

@@ -8,7 +8,7 @@ from multlattice.core import (POWERSET_LIMIT, HypothesesFail, OrderData,
 from multlattice.families import (PipReport, annihilators, classify_family,
                                   pip_check, pip_exhaustive, residual_left,
                                   residual_right, sigma_of_system)
-from multlattice.ingest import zn_ideals
+from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import classify_all, d_set, primes_of, v_set
 from multlattice.systems import (_saturated_masks, all_m_systems, complement_system,
                                  m_system_masks)
@@ -380,3 +380,13 @@ def test_saturated_m_systems_give_every_avoiding_set(named_corpus):
             assert avoiding(L, m_system_masks(L)) == avoiding(L, _saturated_masks(L)), L.name
             monotone += 1
     assert monotone > 200
+
+
+def test_a_closure_that_drops_top_fails_the_pip_row(monkeypatch):
+    # A closure planted to return every element but top and m leaves m out,
+    # yet the family scan finds that family meets no schema (it lacks top):
+    # the row names the lowest such family.  chain3_zero has no primes.
+    monkeypatch.setattr(families, "_closure", lambda L, schema, start, m:
+                        L.full_mask & ~(1 << L.top) & ~(1 << m))
+    assert run_row(chain(3, "zero"), "families.pip_exhaustive").detail == (
+        "TheoremViolation: the family closure and the family scan disagree (witness (0,))")

@@ -402,3 +402,32 @@ def test_each_spectrum_row_fault_fails_the_row(monkeypatch):
     assert not report(chain(3, "zero")).primes
     assert detail("spectrum.radical_semiprime", chain(3, "zero")) == (
         "TheoremViolation: empty spectrum must give radical = top (witness 0)")
+
+
+def test_a_flipped_prime_flag_on_a_maximal_element_fails_the_row(monkeypatch):
+    # chain3_meet's maximal element 1 is prime and 1*1 = top is not below
+    # it; read as not prime, the criterion and the flag disagree.
+    real = spectrum_module.classify_all
+    monkeypatch.setattr(spectrum_module, "classify_all", lambda M: tuple(
+        dataclasses.replace(f, prime=not f.prime) if f.maximal else f for f in real(M)))
+    assert run_row(chain(3, "meet"), "spectrum.maximal_prime_criterion").detail == (
+        "TheoremViolation: maximal element 1: 1*1 <= m is False but prime is False "
+        "(witness 1)")
+
+
+def test_a_nonprime_pair_whose_joins_miss_top_fails_the_row(monkeypatch):
+    # chain3_zero's maximal element 1 is not prime; a pair planted at (1, 1)
+    # joins with 1 to (1, 1), not to (top, top).
+    monkeypatch.setattr(spectrum_module, "_nonprime_pair", lambda M, p: (p, p))
+    assert run_row(chain(3, "zero"), "spectrum.maximal_prime_criterion").detail == (
+        "TheoremViolation: joins with a maximal element did not reach top (witness (1, 1))")
+
+
+def test_a_constructed_pair_that_is_no_symmetric_witness_fails_the_row(monkeypatch):
+    # chain3_zero is m-distributive and associative and 0 is not prime; a
+    # one-sided pair planted at (0, 0) leads the construction to (0, 0),
+    # which lies below 0.
+    monkeypatch.setattr(spectrum_module, "_nonprime_pair", lambda M, p: (p, p))
+    assert run_row(chain(3, "zero"), "spectrum.symmetric_nonprime_witness").detail == (
+        "TheoremViolation: constructed pair (0, 0) is not a symmetric witness for 0 "
+        "(witness (0, 0))")

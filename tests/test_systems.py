@@ -471,3 +471,14 @@ def test_each_complement_system_fault_fails_the_row(monkeypatch):
     system = systems._system
     monkeypatch.setattr(systems, "_system", lambda M, mask: system(M, mask or 1 << 1))
     assert detail() == "TheoremViolation: S_top must be empty (witness (1,))"
+
+
+def test_saturated_masks_sort_by_size_then_member_list(named_corpus):
+    # The sort key reads the members off the mask's bits; it orders the
+    # masks as the sorted member sets did, on the kernel's list and, above
+    # the powerset cap, on the antichain walk's.
+    lattices = list(named_corpus) + corpus_exhaustive_tables(4) + [chain(13, "meet")]
+    for L in lattices:
+        masks = systems._saturated_masks(L)
+        assert masks == sorted(masks, key=lambda m: (m.bit_count(), sorted(L.set_of(m)))), L.name
+    assert lattices[-1].size > POWERSET_LIMIT
