@@ -357,9 +357,9 @@ def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
 
     Condition (f) is ``systems.first_m_system_without(L, bottom)``, and
     that m-system is the witness.  Above ``core.POWERSET_LIMIT`` elements it
-    is the first saturated one, which decides the same truth value: on an
-    m-distributive (so monotone) lattice the upward closure of an m-system
-    is one, and upward closure neither adds nor removes bottom.
+    is the first saturated one (a closure of one element, no list is built),
+    which decides the same truth value: on an m-distributive (so monotone)
+    lattice the upward closure of an m-system is one without adding bottom.
     """
     return L._cache["hyperabelian"] if "hyperabelian" in L._cache else memo(
         L, "hyperabelian", lambda: _hyperabelian_report(L))

@@ -100,24 +100,12 @@ def _subset_flags(L: MultLattice) -> tuple:
 def _classify_mask(L: MultLattice, mask: int):
     """The flags and witnesses of the subset ``mask``: up to
     ``core.POWERSET_LIMIT`` elements a saturated m-system is read from
-    :func:`subset_flags` and any other subset is scanned, as the scan
-    decides the same flags; above it one scan per subset, kept on ``L``."""
+    :func:`subset_flags`; any other subset is scanned (same flags)."""
     if L.size <= POWERSET_LIMIT:
         m, _, up = subset_flags(L)
         if m >> mask & up >> mask & 1:     # an n-system too
             return True, True, True, None, None, None
-        return _scan_mask(L, mask)
-    return _scanned(L, mask)
-
-
-def _scanned(L: MultLattice, mask: int):
-    """:func:`_scan_mask` of ``mask``, kept on ``L`` by bitmask."""
-    known = L._cache["classified_masks"] if "classified_masks" in L._cache else memo(
-        L, "classified_masks", dict)
-    out = known.get(mask)
-    if out is None:
-        out = known[mask] = _scan_mask(L, mask)
-    return out
+    return _scan_mask(L, mask)
 
 
 def _scan_mask(L: MultLattice, mask: int):
@@ -322,41 +310,52 @@ def all_m_systems(L: MultLattice):
 
 
 def saturated_m_systems(L: MultLattice):
-    """All saturated m-systems, enumerated through antichains of minimal
-    members (a saturated set is the upward closure of its minimal elements)."""
+    """All saturated m-systems: the nonempty up-sets closed under the
+    product, by size, then members."""
     return [L.set_of(mask) for mask in _saturated_masks(L)]
 
 
+def _by_size_then_members(mask: int) -> tuple:
+    return mask.bit_count(), bit_indices(mask)
+
+
 def _saturated_masks(L: MultLattice) -> list:
-    """The masks of :func:`saturated_m_systems`, in its order: the m-system
-    and up-set flags of :func:`subset_flags` up to ``core.POWERSET_LIMIT``,
-    and above it :func:`_antichain_masks`."""
-    if L.size <= POWERSET_LIMIT:
-        m, _, up = subset_flags(L)
-        out = bit_indices(m & up)
-    else:
-        out = _antichain_masks(L)
-    out.sort(key=lambda mask: (mask.bit_count(), bit_indices(mask)))   # by size, then members
-    return out
+    """The masks of :func:`saturated_m_systems`, in its order: read off :func:`subset_flags`
+    up to ``core.POWERSET_LIMIT``, above it :func:`m_system_masks` (do not change it)."""
+    if L.size > POWERSET_LIMIT:
+        return m_system_masks(L)
+    m, _, up = subset_flags(L)
+    return sorted(bit_indices(m & up), key=_by_size_then_members)
 
 
-def _antichain_masks(L: MultLattice) -> list:
-    """The upward closures of the antichains of ``L`` (distinct for distinct
-    antichains) that a scan of their members (:func:`_scan_mask`, kept on
-    ``L``) finds to be saturated m-systems, in walk order.  It reads no
-    kernel flag, so on small lattices the two check each other."""
-    out = []
+def _closure(L: MultLattice, mask: int) -> int:
+    """The least up-set over ``mask`` closed under the product: an up-set has a member
+    below x*y iff it holds x*y, so the nonempty closed sets are the saturated m-systems."""
+    mt, up, out = L.mult_table, L.up_masks, up_closure(L, mask)
+    while True:
+        xs, grown = bit_indices(out), out
+        for xy in set().union(*(map(mt[x].__getitem__, xs) for x in xs)):
+            grown |= up[xy]
+        if grown == out:
+            return out
+        out = grown
 
-    def rec(start, closure, allowed):
-        for x in range(start, L.size):
-            if allowed >> x & 1:
-                mask = closure | L.up_masks[x]
-                is_m, _, sat, _, _, _ = _scanned(L, mask)
-                if is_m and sat:
-                    out.append(mask)
-                rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
 
-    rec(0, 0, L.full_mask)
+def _closed_masks(L: MultLattice) -> list:
+    """The nonempty closed sets of :func:`_closure` by Ganter's NextClosure over
+    the elements by up-set size, top first: after ``mask`` (first the empty set)
+    comes the closure of i and mask's members before i, for the last i outside
+    mask that adds none before i (an i whose up-set adds one is skipped unclosed)."""
+    order = sorted(L.elements, key=lambda x: L.up_masks[x].bit_count())
+    before = [sum(1 << y for y in order[:k]) for k in range(L.size)]
+    out, mask = [], 0
+    while mask != L.full_mask:
+        for i, ahead in zip(reversed(order), reversed(before)):
+            low = mask & ahead
+            if not (mask >> i & 1 or L.up_masks[i] & ahead & ~mask) and (
+                    nxt := _closure(L, low | 1 << i)) & ahead == low:
+                break
+        out.append(mask := nxt)
     return out
 
 
@@ -370,20 +369,21 @@ def m_system_masks(L: MultLattice) -> list:
 
 
 def _scan_m_systems(L: MultLattice) -> list:
-    """:func:`m_system_masks`: the set bits of the m-system flags of
-    :func:`subset_flags`, in mask order, or the saturated m-systems above
-    ``core.POWERSET_LIMIT``."""
+    """:func:`m_system_masks`: the m-system flags of :func:`subset_flags` in mask order,
+    or above ``core.POWERSET_LIMIT`` :func:`_closed_masks` by size, then members."""
     if L.size > POWERSET_LIMIT:
-        return _saturated_masks(L)
+        return sorted(_closed_masks(L), key=_by_size_then_members)
     return bit_indices(subset_flags(L)[0])
 
 
 def first_m_system_without(L: MultLattice, x: int):
-    """The first mask of :func:`m_system_masks` that lacks ``x``, or None.
-    Up to ``core.POWERSET_LIMIT`` it is the lowest m-system flag of
-    :func:`subset_flags` outside ``x``'s column, so the list is not built."""
+    """The first mask of :func:`m_system_masks` that lacks ``x``, or None, without
+    the list: the lowest m-system flag of :func:`subset_flags` outside ``x``'s column,
+    or above ``core.POWERSET_LIMIT`` the first :func:`_closure` of one y lacking x
+    (the first saturated S lacking x holds, so is, the closure of each member)."""
     if L.size > POWERSET_LIMIT:
-        return next((s for s in m_system_masks(L) if not s >> x & 1), None)
+        return min((c for y in L.elements if not (c := _closure(L, 1 << y)) >> x & 1),
+                   key=_by_size_then_members, default=None)
     without = subset_flags(L)[0] & ~subset_columns(L.size)[x]
     return (without & -without).bit_length() - 1 if without else None
 

@@ -187,15 +187,37 @@ def test_reports_match_recorded_digests(sweep):
     assert _digest(verify_all(corpus_named())) == expected["named"]
 
 
-def test_large_reports_match_recorded_digests():
-    """Reports on 11- to 16-element lattices, where the m-system statements
+@pytest.fixture(scope="module")
+def scaling_wall():
+    """``verify_all`` of the two 64-element lattices above
+    ``POWERSET_LIMIT``, each with its wall time in seconds."""
+    out = {}
+    for L in (powerset_lattice(6, "meet"), zn_ideals(30030)):
+        start = time.perf_counter()
+        out[L.name] = verify_all(L), time.perf_counter() - start
+    return out
+
+
+def test_large_reports_match_recorded_digests(scaling_wall):
+    """Reports on 11- to 64-element lattices, where the m-system statements
     run over thousands of m-systems or over the saturated list above
     ``POWERSET_LIMIT``, are byte-identical to the recorded ones."""
     expected = json.loads((DATA / "large_report_digests.json").read_text())
     lattices = [chain(12, "meet"), chain(13, "meet"), zn_ideals(60),
-                chain(11, "truncated_add"), powerset_lattice(4, "meet")]
-    assert {L.name: _digest(verify_all(L)) for L in lattices} == {
-        k: v for k, v in expected.items() if k != "comment"}
+                chain(11, "truncated_add"), powerset_lattice(4, "meet"), zn_ideals(420),
+                powerset_lattice(5, "meet"), zn_ideals(2520)]
+    got = {L.name: _digest(verify_all(L)) for L in lattices}
+    got["bool6_meet"] = _digest(scaling_wall["bool6_meet"][0])
+    assert got == {k: v for k, v in expected.items() if k != "comment"}
+
+
+def test_lattices_above_the_cap_verify_within_the_bound(scaling_wall):
+    """The saturated m-systems of a 64-element lattice are listed by
+    closures, not by a walk over its up-sets (7,828,354 on ``bool6_meet``):
+    each report has no failure and took under 60 s."""
+    assert {name: (report.failed, seconds < 60)
+            for name, (report, seconds) in scaling_wall.items()} == {
+        "bool6_meet": (0, True), "zn30030": (0, True)}
 
 
 def test_traced_names_resolve():

@@ -177,6 +177,14 @@ def test_systems_survey(capsys):
     assert len(payload["saturated_m_systems"]) == 3
 
 
+def test_systems_survey_above_the_cap(capsys):
+    # 64 elements: the 64 principal filters, each listed once.
+    code, out, _ = run(capsys, "systems", "gen:bool:6")
+    assert code == 0
+    systems = json.loads(out)["saturated_m_systems"]
+    assert len(systems) == len(set(map(tuple, systems))) == 64
+
+
 def test_systems_survey_skips_complement_part_when_not_monotone(capsys):
     # A valid lattice is not bad input: the gated part is reported as
     # skipped, the rest of the survey still runs.

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from multlattice import families
-from multlattice.core import (POWERSET_LIMIT, HypothesesFail, OrderData,
+from multlattice.core import (POWERSET_LIMIT, HypothesesFail, MultLattice, OrderData,
                               TheoremViolation, check_axioms, validate)
 from multlattice.families import (PipReport, annihilators, classify_family,
                                   pip_check, pip_exhaustive, residual_left,
@@ -390,3 +390,24 @@ def test_a_closure_that_drops_top_fails_the_pip_row(monkeypatch):
                         L.full_mask & ~(1 << L.top) & ~(1 << m))
     assert run_row(chain(3, "zero"), "families.pip_exhaustive").detail == (
         "TheoremViolation: the family closure and the family scan disagree (witness (0,))")
+
+
+def test_planted_faults_fail_the_bottom_legs_of_the_sigma_row(monkeypatch):
+    # Sigma(S) is read off the down-sets, so its bottom legs hold on every
+    # lattice; each is reached by one library routine planted to lie.  On
+    # zn12 (bottom (12), index 5) the first saturated m-system holding
+    # bottom is the whole lattice, and the first one lacking it is {(1)}.
+    L = zn_ideals(12)
+    set_of = MultLattice.set_of
+    with monkeypatch.context() as patch:
+        # the empty avoiding set read as {bottom}
+        patch.setattr(MultLattice, "set_of", lambda M, mask: set_of(M, mask or 1 << M.bottom))
+        assert run_row(L, "families.sigma_maximal_prime").detail == (
+            "TheoremViolation: bottom in S forces the avoiding set empty (witness (5,))")
+    with monkeypatch.context() as patch:
+        # no avoiding set has a maximal element
+        patch.setattr(MultLattice, "maximal_in", lambda M, mask: [])
+        assert run_row(L, "families.sigma_maximal_prime").detail == (
+            "TheoremViolation: bottom not in S: the avoiding set must have maximal "
+            "elements (witness (0,))")
+    assert run_row(L, "families.sigma_maximal_prime").passed

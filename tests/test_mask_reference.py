@@ -7,7 +7,10 @@ prime ideal principle by one closure per element and schema.  Each is held
 here to a route written in the test: a pair scan of the definition, the
 interval's ``spectrum(M).zariski`` and the 2^n family kernel the closures
 replaced.  ``systems.correspondence_check`` decides its fixed-point identity
-by its bijection check, which planted saturated flags must fail.
+by its bijection check, which planted saturated flags must fail.  Above
+``core.POWERSET_LIMIT`` the saturated m-systems are the closed sets of
+``systems._closure``, held to a walk over every up-set and, below the cap,
+to the subset kernel.
 """
 
 import dataclasses
@@ -241,3 +244,64 @@ def test_pip_exhaustive_runs_above_the_cap(make, monkeypatch):
     with pytest.raises(TheoremViolation,
                        match=r"maximal element \d+ outside a left_oka family is not prime"):
         pip_exhaustive(L)
+
+
+def reference_antichain_masks(L):
+    """The upward closures of the antichains of ``L`` (distinct for distinct
+    antichains, so every up-set once) that have a member below x*y for any
+    two members x, y: the saturated m-systems, in walk order, by a scan
+    that reads no kernel flag and no closure."""
+    mt, out = L.mult_table, []
+
+    def rec(start, closure, allowed):
+        for x in range(start, L.size):
+            if allowed >> x & 1:
+                mask = closure | L.up_masks[x]
+                members = [y for y in L.elements if mask >> y & 1]
+                if all(mask & L.down_masks[mt[a][b]] for a in members for b in members):
+                    out.append(mask)
+                rec(x + 1, mask, allowed & ~L.up_masks[x] & ~L.down_masks[x])
+
+    rec(0, 0, L.full_mask)
+    return out
+
+
+def by_size_then_members(mask):
+    return mask.bit_count(), systems.bit_indices(mask)
+
+
+ABOVE_CAP = {"zn210": lambda: zn_ideals(210), "bool4_meet": lambda: powerset_lattice(4, "meet"),
+             "chain13_meet": lambda: chain(13, "meet"), "zn420": lambda: zn_ideals(420),
+             "bool5_meet": lambda: powerset_lattice(5, "meet"), "zn2520": lambda: zn_ideals(2520),
+             "chain16_truncated_add": lambda: chain(16, "truncated_add"),
+             "chain30_meet": lambda: chain(30, "meet")}
+
+
+@pytest.mark.parametrize("name", ABOVE_CAP)
+def test_closed_sets_are_the_walks_saturated_masks_above_the_cap(name):
+    # The closures list each saturated m-system once, in the walk's sorted
+    # order, and the first one lacking x is the first principal closure.
+    L = ABOVE_CAP[name]()
+    assert L.name == name and L.size > POWERSET_LIMIT
+    walk = sorted(reference_antichain_masks(L), key=by_size_then_members)
+    assert systems._saturated_masks(L) == walk
+    assert [systems.first_m_system_without(L, x) for x in L.elements] == [
+        next((s for s in walk if not s >> x & 1), None) for x in L.elements]
+
+
+def test_closed_sets_are_the_kernels_saturated_masks(monkeypatch):
+    # With the cap at -1 every lattice takes the closure route; on each
+    # lattice of at most POWERSET_LIMIT elements it must list the kernel's
+    # saturated masks and find the kernel's first one without each x.
+    lattices = ([L for L in corpus_named() if L.size <= POWERSET_LIMIT]
+                + corpus_exhaustive_tables(4) + corpus_random_tables(1000, 1729))
+    expected = [systems._saturated_masks(L) for L in lattices]
+    monkeypatch.setattr(systems, "POWERSET_LIMIT", -1)
+    pairs = 0
+    for L, masks in zip(lattices, expected):
+        assert systems._saturated_masks(L) == masks, L.name
+        for x in L.elements:
+            assert systems.first_m_system_without(L, x) == next(
+                (s for s in masks if not s >> x & 1), None), (L.name, x)
+            pairs += 1
+    assert len(lattices) == 4770 and pairs == 20462

@@ -8,7 +8,7 @@ from multlattice.core import (POWERSET_LIMIT, LatticeError, MonotonicityRequired
                               NotAnMSystem, TheoremViolation, check_axioms, replace_mult,
                               validate)
 from multlattice.families import classify_family, pip_check, sigma_of_system
-from multlattice.ingest import chain, zn_ideals
+from multlattice.ingest import chain, powerset_lattice, zn_ideals
 from multlattice.spectrum import primes_of, spectrum
 from multlattice.systems import (classify_system,
                                  complement_system, constructible_topology, correspondence_check,
@@ -19,6 +19,7 @@ from multlattice.verify import (corpus_exhaustive_tables, corpus_named, corpus_r
                                 run_row)
 
 from conftest import mk_chain
+from test_mask_reference import reference_antichain_masks
 
 
 def brute_is_m_system(L, S):
@@ -214,13 +215,20 @@ def test_correspondence_meet_chain_counts():
 
 def test_correspondence_leaves_the_subset_cache_alone():
     # The maps read the kernel's flags, and the fixed-point identity is
-    # decided by the bijection check for all 2^n subsets without a scan: the
-    # lattice keeps one integer per flag and no classification per subset.
-    L = mk_chain(5, min)
-    assert check_axioms(L).m_distributive
-    assert correspondence_check(L).subset_identity_checked == 2 ** L.size
-    assert "classified_masks" not in L._cache
-    assert [type(bits) for bits in L._cache["subset_flags"]] == [int] * 3
+    # decided by the bijection check for all 2^n subsets without a scan:
+    # below the cap the lattice keeps one integer per flag, and on either
+    # side of it no cache entry is a table of subsets or longer than the
+    # element list.
+    for L in (mk_chain(5, min), chain(POWERSET_LIMIT + 1, "meet")):
+        assert check_axioms(L).m_distributive
+        assert correspondence_check(L).subset_identity_checked == 2 ** L.size
+        sizes = {key: len(value) for key, value in L._cache.items()
+                 if isinstance(value, (dict, list, tuple, set, frozenset))}
+        if L.size <= POWERSET_LIMIT:
+            assert [type(bits) for bits in L._cache["subset_flags"]] == [int] * 3
+            del sizes["subset_flags"]
+        assert not any(isinstance(L._cache[key], dict) for key in sizes), L.name
+        assert max(sizes.values()) <= L.size, (L.name, sizes)
 
 
 def test_subset_columns_hold_each_subsets_members():
@@ -366,17 +374,16 @@ def test_fixed_point_identity_above_the_powerset_limit(mult):
 
 
 def test_saturated_enumeration_matches_powerset():
-    # The antichain walk, which alone lists the saturated m-systems above
-    # POWERSET_LIMIT, scans its subsets member by member; on every small
-    # lattice it must give the kernel's m-system and up-set bits, in the
-    # same order once sorted.  Fresh lattices, so the walk's per-subset
-    # cache stays off the shared corpus.
+    # The reference walk over every up-set, which scans its subsets member
+    # by member, must give the kernel's m-system and up-set bits on every
+    # small lattice, in the same order once sorted.  Fresh lattices, so the
+    # kernel's flags stay off the shared corpus.
     tables = ([L for L in corpus_named() if L.size <= 8]
               + corpus_exhaustive_tables(4))
     for L in tables:
         m, _, up = systems.subset_flags(L)
         kernel = systems.bit_indices(m & up)
-        walk = systems._antichain_masks(L)
+        walk = reference_antichain_masks(L)
         assert len(walk) == len(set(walk)), L.name
         key = lambda mask: (mask.bit_count(), sorted(L.set_of(mask)))
         assert sorted(walk, key=key) == sorted(kernel, key=key), L.name
@@ -384,8 +391,78 @@ def test_saturated_enumeration_matches_powerset():
     # Above the limit: on a meet chain every nonempty up-set is a principal
     # filter and an m-system.
     L = chain(POWERSET_LIMIT + 1, "meet")
-    walk = systems._antichain_masks(L)
+    walk = reference_antichain_masks(L)
     assert sorted(walk) == sorted(L.up_masks)
+
+
+def _meet_filters(kind, n):
+    """The principal filters of the meet powerset of n points or of the
+    meet n-chain, as label sets, from what the labels mean alone: "{0,2}"
+    is a subset, and "0" < "a" < ... < "1" on a chain."""
+    if kind == "chain":
+        labels = ["0", *"abcdefghijklmnopqrstuvwxyz"[:n - 2], "1"]
+        return {frozenset(labels[i:]) for i in range(n)}
+    subsets = [set(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
+    label = lambda a: "{" + ",".join(map(str, sorted(a))) + "}"
+    return {frozenset(label(b) for b in subsets if a <= b) for a in subsets}
+
+
+@pytest.mark.parametrize("kind, n", [("bool", 4), ("bool", 5), ("bool", 6),
+                                     ("chain", 13), ("chain", 20)])
+def test_saturated_m_systems_above_the_cap_are_the_principal_filters(kind, n):
+    # Under meet, a nonempty up-set closed under the product holds the meet
+    # of its members, so it is that meet's filter, and every filter is one:
+    # one system per element.
+    L = powerset_lattice(n, "meet") if kind == "bool" else chain(n, "meet")
+    assert L.size > POWERSET_LIMIT
+    got = [frozenset(L.labels[c] for c in s) for s in saturated_m_systems(L)]
+    assert len(got) == L.size and set(got) == _meet_filters(kind, n)
+
+
+def test_kernel_disagreeing_with_the_scan_fails_the_row(monkeypatch):
+    # The kernel's m-failures hold its n-failures (the pair x, x), so the
+    # kernel and the scan can disagree only when the kernel misreads its
+    # columns: here they iterate backwards but index forwards.  The row
+    # names the first subset the kernel calls an m-system but no n-system,
+    # {2}, which the scan finds to be neither.
+    columns = systems.subset_columns
+
+    class Backwards(tuple):
+        def __iter__(self):
+            return iter(self[::-1])
+
+    monkeypatch.setattr(systems, "subset_columns", lambda n: Backwards(columns(n)))
+    L = mk_chain(4, lambda x, y: 1 if (x, y) == (2, 1) else 0)
+    assert systems._scan_mask(L, 1 << 2)[:2] == (False, False)
+    assert run_row(L, "families.sigma_maximal_prime").detail == (
+        "TheoremViolation: the subset kernel and the subset scan disagree (witness 4)")
+
+
+def test_scan_disagreeing_with_itself_fails_the_row(monkeypatch):
+    # The scan's pair test reads each square x*x too, so it can find an
+    # m-system that is no n-system only when a square reads differently
+    # the second time.  Above the cap S_bottom is scanned: on the meet
+    # chain every square reads right once and as bottom after, so S_bottom
+    # passes the pair test and fails the square test at its first member.
+    L = chain(POWERSET_LIMIT + 1, "meet")
+    check_axioms(L)             # the gate's laws, read before the table changes
+
+    class SquareReadOnce(tuple):
+        reads = 0
+
+        def __getitem__(self, y):
+            if y == self.x:
+                self.reads += 1
+                if self.reads > 1:
+                    return L.bottom
+            return tuple.__getitem__(self, y)
+
+    rows = tuple(map(SquareReadOnce, L.mult_table))
+    for x, row in enumerate(rows):
+        row.x = x
+    monkeypatch.setattr(L, "mult_table", rows)
+    assert run_row(L, "systems.prime_iff_msystem").detail == (
+        "TheoremViolation: an m-system failed the n-system test (witness 1)")
 
 
 def test_is_compact_generic_routine():
