@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 # The largest lattice on which a check scans all 2^size subsets.  Above it
 # m-systems are listed as the saturated ones only: that decides condition
 # (f), the correspondence and the avoiding sets alike (sigma_maximal_prime
-# reads that list at every size), but saturation_closure_operator then
-# checks less.
+# reads that list at every size); saturation_closure_operator, which asserts
+# that up S is a saturated m-system, there only re-checks the list (up S = S).
 POWERSET_LIMIT = 12
 
 

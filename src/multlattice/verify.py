@@ -3,7 +3,7 @@
 ``verify_all`` runs named suites of checks over one lattice or a whole
 corpus.  Every check is one row of ``ROWS`` (35 of them), and ``run_row`` is
 the one place a row becomes a :class:`CheckResult`.  18 rows are gated by
-``core.HYPOTHESES`` and three by an enumeration cap; outside its gate a row
+``core.HYPOTHESES`` and one by an enumeration cap; outside its gate a row
 is recorded as skipped, not passed.  One size rule leaves
 ``axioms.infinite_reduction_agrees`` out of the report above 5 elements.
 The corpus builders are deterministic: the same spec (including seed)
@@ -137,34 +137,11 @@ def _complement_lemmas(L):
 
 
 def _saturation_props(L):
-    def members(mask):
-        return tuple(sorted(L.set_of(mask)))
-
-    systems = sys_mod.m_system_masks(L)
-    sat_of = {}
-    for s in systems:
-        sat = sat_of[s] = sys_mod.saturation_mask(L, s)
-        if s & ~sat:
-            raise TheoremViolation("saturation is not extensive", witness=members(s))
-        if sys_mod.up_closure(L, sat) != sat:
-            raise TheoremViolation("saturation is not idempotent", witness=members(s))
-    if L.size <= POWERSET_LIMIT:
-        # below[t]: the union of sat(s) over the m-systems s <= t, by a
-        # subset-OR transform in n * 2^n steps.  Monotone iff below[t] <=
-        # sat(t) for every t; the pair scan only locates a failure.
-        below = [sat_of.get(m, 0) for m in range(1 << L.size)]
-        for i in range(L.size):
-            bit = 1 << i
-            for m in range(1 << L.size):
-                if m & bit:
-                    below[m] |= below[m ^ bit]
-        if not any(below[t] & ~sat for t, sat in sat_of.items()):
-            return
-    for s in systems:
-        for t in systems:
-            if not s & ~t and sat_of[s] & ~sat_of[t]:
-                raise TheoremViolation("saturation is not monotone",
-                                       witness=(members(s), members(t)))
+    # Saturation is up_closure, so extensive, idempotent and monotone by
+    # construction; what the statement needs is that on a monotone lattice
+    # up S is a saturated m-system, which saturation_mask asserts.
+    for s in sys_mod.m_system_masks(L):
+        sys_mod.saturation_mask(L, s)
 
 
 def _constructible_discrete(L):
@@ -176,31 +153,23 @@ def _constructible_discrete(L):
                                witness=(p, tuple(sorted(closures[p]))))
 
 
-def _point_sets(L):
-    # every subset of the spectrum, by size, then lexicographically
-    pts = sorted(primes_of(L))
-    for r in range(len(pts) + 1):
-        yield from itertools.combinations(pts, r)
-
-
 def _closure_equivalence(L):
-    # S_X = S_Y iff cl X = cl Y: the two keys part the subsets alike, so
-    # the first subset seen with X's system is the first seen with X's
-    # closure.  Otherwise equal_saturations raises on one of the pairs.
-    first_of_system, first_of_closure = {}, {}
-    inv = sys_mod.inverse_topology(L)
-    for c in _point_sets(L):
-        xs = frozenset(c)
-        ys = first_of_system.setdefault(sys_mod.points_system_mask(L, L.mask_of(c)), xs)
-        zs = first_of_closure.setdefault(inv.closure(xs), xs)
-        if ys != zs:
-            sys_mod.equal_saturations(L, xs, ys)
-            sys_mod.equal_saturations(L, xs, zs)
+    # cl X is the union of the cl{p}, and S_X the meet of the S_{p}, p in X.
+    # So S_X = S_Y iff cl X = cl Y holds for all X, Y exactly when, for all
+    # primes p, q, S_{p} = S_{p, q} iff cl{p} = cl{p, q}; equal_saturations
+    # asserts that pair fact.
+    pts = sorted(primes_of(L))
+    for p in pts:
+        for q in pts:
+            sys_mod.equal_saturations(L, {p}, {p, q})
 
 
 def _prop_compact(L):
-    for c in _point_sets(L):
-        sys_mod.points_system_mask(L, L.mask_of(c))
+    # S_X is the meet of the S_{p}, p in X, and a meet of saturated
+    # m-systems is one, so S_{} = L and the points decide every S_X.
+    sys_mod.points_system_mask(L, 0)
+    for p in sorted(primes_of(L)):
+        sys_mod.points_system_mask(L, 1 << p)
 
 
 def _residual_bounds(L):
@@ -287,7 +256,6 @@ def _lying_over_all(L):
 # check name -> (function of L, cap), in run order.  A cap is None or
 # (over, detail): on a lattice with over(L) the row is skipped with that
 # detail, or, when the detail is None, left out of the report.
-_SPECTRUM_CAP = (lambda L: len(primes_of(L)) > POWERSET_LIMIT, "spectrum above cap")
 ROWS = {
     "axioms.mult_bounded": (_mult_bounded, None),
     "axioms.dist_implies_mono": (lambda L: check_axioms(L), None),
@@ -307,9 +275,9 @@ ROWS = {
     "systems.inverse_topology_dual_construction": (
         lambda L: sys_mod.inverse_topology(L), None),
     "systems.constructible_discrete": (_constructible_discrete, None),
-    "systems.closure_equivalence": (_closure_equivalence, _SPECTRUM_CAP),
+    "systems.closure_equivalence": (_closure_equivalence, None),
     "systems.correspondence": (lambda L: sys_mod.correspondence_check(L), None),
-    "systems.subset_system_saturated": (_prop_compact, _SPECTRUM_CAP),
+    "systems.subset_system_saturated": (_prop_compact, None),
     "families.residual_bounds": (_residual_bounds, None),
     "families.annihilators": (lambda L: [fam.annihilators(L, x) for x in L.elements], None),
     "families.pip_exhaustive": (lambda L: fam.pip_exhaustive(L),

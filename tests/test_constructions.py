@@ -876,3 +876,22 @@ def test_open_subspace_topology_names_the_point_whose_closure_moved(monkeypatch)
     with pytest.raises(TheoremViolation, match="topologies do not match") as info:
         open_subspace_homeo(L, L.top)
     assert L.labels[info.value.witness] == "(2)"
+
+
+def test_open_subspace_row_fails_on_a_misplaced_bottom_in_the_full_interval(monkeypatch):
+    # [bottom, top] of zn12 reindexed with the parent's bottom sent to the
+    # interval's top: no point of D(top) meets top at bottom, so the point
+    # map and both topologies pass, and only D(bottom * top) = D(bottom),
+    # empty in L but all of the interval's spectrum, tells them apart.
+    L = zn_ideals(12)
+    from_parent = constructions_module.IntervalLattice.from_parent
+
+    def misplaced(iv, x):
+        if iv.high == L.top and x == L.bottom:
+            return from_parent(iv, L.top)
+        return from_parent(iv, x)
+
+    monkeypatch.setattr(constructions_module.IntervalLattice, "from_parent", misplaced)
+    assert run_row(L, "constructions.open_subspace_homeo").detail == (
+        f"TheoremViolation: image of D({L.bottom}*{L.top}) is not the matching "
+        f"interval open (witness {L.bottom})")

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from multlattice import families
+from multlattice import families, verify
 from multlattice.core import (POWERSET_LIMIT, HypothesesFail, MultLattice, OrderData,
                               TheoremViolation, check_axioms, validate)
 from multlattice.families import (PipReport, annihilators, classify_family,
@@ -411,3 +411,16 @@ def test_planted_faults_fail_the_bottom_legs_of_the_sigma_row(monkeypatch):
             "TheoremViolation: bottom not in S: the avoiding set must have maximal "
             "elements (witness (0,))")
     assert run_row(L, "families.sigma_maximal_prime").passed
+
+
+def test_generator_witness_row_fails_on_a_prime_read_as_non_prime(monkeypatch):
+    # The 3-chain under meet is monotone and associative, and its prime 1
+    # read as non-prime has no generators a, b outside it with ab <= 1:
+    # only 2 is outside, and 2 * 2 = 2.
+    L = chain(3, "meet")
+    flags = tuple(dataclasses.replace(f, prime=False) if x == 1 else f
+                  for x, f in enumerate(classify_all(L)))
+    monkeypatch.setattr(verify, "classify_all", lambda M: flags)
+    assert run_row(L, "families.generator_symmetric_witness").detail == (
+        "TheoremViolation: no symmetric generator witness for a non-prime "
+        "element (witness 1)")

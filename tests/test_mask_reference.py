@@ -10,22 +10,26 @@ replaced.  ``systems.correspondence_check`` decides its fixed-point identity
 by its bijection check, which planted saturated flags must fail.  Above
 ``core.POWERSET_LIMIT`` the saturated m-systems are the closed sets of
 ``systems._closure``, held to a walk over every up-set and, below the cap,
-to the subset kernel.
+to the subset kernel.  The three m-system rows of ``verify`` read the
+points of the spectrum, its pairs of points and each m-system once; they
+are held to the walks over every subset of the spectrum and over every
+pair of m-systems that they replaced.
 """
 
 import dataclasses
+import itertools
 
 import pytest
 
-from multlattice import families, systems
+from multlattice import families, systems, verify
 from multlattice.constructions import interval, open_subspace_homeo
 from multlattice.core import (POWERSET_LIMIT, HypothesesFail, TheoremViolation,
                               check_axioms, memo, require)
 from multlattice.families import pip_exhaustive, residual_tables
 from multlattice.ingest import chain, powerset_lattice, zn_ideals
 from multlattice.spectrum import classify_all, prime_mask, primes_of, spectrum
-from multlattice.verify import (corpus_exhaustive_tables, corpus_named,
-                                corpus_random_tables)
+from multlattice.verify import (CheckResult, corpus_exhaustive_tables, corpus_named,
+                                corpus_random_tables, run_row)
 
 from test_core import m_distributive_five_element_tables
 
@@ -305,3 +309,161 @@ def test_closed_sets_are_the_kernels_saturated_masks(monkeypatch):
                 (s for s in masks if not s >> x & 1), None), (L.name, x)
             pairs += 1
     assert len(lattices) == 4770 and pairs == 20462
+
+
+def reference_saturation_props(L):
+    """Saturation held to the three closure laws: extensive and idempotent
+    for each m-system, and monotone over all pairs, by a subset-OR
+    transform up to ``core.POWERSET_LIMIT`` and a pair scan that names the
+    first failing pair."""
+    def members(mask):
+        return tuple(sorted(L.set_of(mask)))
+
+    m_systems = systems.m_system_masks(L)
+    sat_of = {}
+    for s in m_systems:
+        sat = sat_of[s] = systems.saturation_mask(L, s)
+        if s & ~sat:
+            raise TheoremViolation("saturation is not extensive", witness=members(s))
+        if systems.up_closure(L, sat) != sat:
+            raise TheoremViolation("saturation is not idempotent", witness=members(s))
+    if L.size <= POWERSET_LIMIT:
+        # below[t]: the union of sat(s) over the m-systems s <= t
+        below = [sat_of.get(m, 0) for m in range(1 << L.size)]
+        for i in range(L.size):
+            bit = 1 << i
+            for m in range(1 << L.size):
+                if m & bit:
+                    below[m] |= below[m ^ bit]
+        if not any(below[t] & ~sat for t, sat in sat_of.items()):
+            return
+    for s in m_systems:
+        for t in m_systems:
+            if not s & ~t and sat_of[s] & ~sat_of[t]:
+                raise TheoremViolation("saturation is not monotone",
+                                       witness=(members(s), members(t)))
+
+
+def reference_point_sets(L):
+    """Every subset of the spectrum, by size, then lexicographically."""
+    pts = sorted(primes_of(L))
+    for r in range(len(pts) + 1):
+        yield from itertools.combinations(pts, r)
+
+
+def reference_closure_equivalence(L):
+    """S_X = S_Y iff cl X = cl Y, over every subset: the two keys part the
+    subsets alike, so the first subset seen with X's system is the first
+    seen with X's closure, and otherwise ``equal_saturations`` raises on
+    one of the pairs."""
+    first_of_system, first_of_closure = {}, {}
+    inv = systems.inverse_topology(L)
+    for c in reference_point_sets(L):
+        xs = frozenset(c)
+        ys = first_of_system.setdefault(systems.points_system_mask(L, L.mask_of(c)), xs)
+        zs = first_of_closure.setdefault(inv.closure(xs), xs)
+        if ys != zs:
+            systems.equal_saturations(L, xs, ys)
+            systems.equal_saturations(L, xs, zs)
+
+
+def reference_prop_compact(L):
+    """S_Y, asserted a saturated m-system, for every subset Y of the spectrum."""
+    for c in reference_point_sets(L):
+        systems.points_system_mask(L, L.mask_of(c))
+
+
+REFERENCE_ROWS = {"systems.saturation_closure_operator": reference_saturation_props,
+                  "systems.closure_equivalence": reference_closure_equivalence,
+                  "systems.subset_system_saturated": reference_prop_compact}
+
+
+def both_routes(L, monkeypatch):
+    """The three rows of ``L`` through ``verify.run_row``, then again with
+    each row's body replaced by its reference walk."""
+    rows = [run_row(L, check) for check in REFERENCE_ROWS]
+    with monkeypatch.context() as patch:
+        for check, reference in REFERENCE_ROWS.items():
+            patch.setitem(verify.ROWS, check, (reference, None))
+        return rows, [run_row(L, check) for check in REFERENCE_ROWS]
+
+
+def test_m_system_rows_decide_as_the_subset_walks(corpus, monkeypatch):
+    # Every lattice here has at most POWERSET_LIMIT primes, so the walk over
+    # every subset of its spectrum runs; each row must give the walk's row.
+    ran = 0
+    for L in corpus:
+        assert len(primes_of(L)) <= POWERSET_LIMIT, L.name
+        rows, walked = both_routes(L, monkeypatch)
+        assert rows == walked, L.name
+        ran += sum(not r.skipped for r in rows)
+    assert ran > 4500
+
+
+def test_a_faulty_point_system_fails_both_routes(corpus, monkeypatch):
+    # S_{p} planted on one prime p that has a prime below it.  Left without
+    # top it is no up-set, so the assertion in points_system_mask fails the
+    # closure row and, where its gate lets it run, the subset row, with the
+    # same detail by both routes.  Read as S_{} = L, a saturated m-system, it
+    # passes the subset row by both routes and fails the closure row by
+    # both: the walk finds {p} with the system of {}, the pairs find {p}
+    # with the system of {p, q} for a prime q below p.
+    real = systems.points_system_mask
+
+    def without_top(M, ymask):
+        if ymask != 1 << p:
+            return real(M, ymask)
+        return systems._saturated_m_system(M, real(M, ymask) & ~(1 << M.top),
+                                           "S_Y must be a saturated m-system")
+
+    def as_empty(M, ymask):
+        return M.full_mask if ymask == 1 << p else real(M, ymask)
+
+    planted = both = 0
+    for L in corpus:
+        spec = prime_mask(L)
+        above = [p for p in systems.bit_indices(spec) if spec & L.down_masks[p] & ~(1 << p)]
+        if not above:
+            continue
+        p = above[-1]
+        with monkeypatch.context() as patch:
+            patch.setattr(systems, "points_system_mask", without_top)
+            rows, walked = both_routes(L, monkeypatch)
+        assert rows == walked and not rows[1].passed, L.name
+        assert rows[1].detail.startswith("TheoremViolation: S_Y must be a saturated m-system")
+        both += not rows[2].passed
+        with monkeypatch.context() as patch:
+            patch.setattr(systems, "points_system_mask", as_empty)
+            rows, walked = both_routes(L, monkeypatch)
+        assert [r.passed for r in rows] == [r.passed for r in walked], L.name
+        assert not rows[1].passed and rows[2].passed, L.name
+        planted += 1
+    assert planted > 50 and both > 25, (planted, both)
+
+
+def test_planted_saturations_break_the_closure_laws(monkeypatch):
+    # Saturation is up_closure, extensive, idempotent and monotone by
+    # construction, and the row asserts only that up S is a saturated
+    # m-system.  A saturation planted to break a law passes the row, and
+    # the walk over all pairs of m-systems names it as the row once did.
+    L = chain(6, "meet")
+    saturation = systems.saturation_mask
+    check = "systems.saturation_closure_operator"
+    # a saturation that raises the saturation of {5} to the up-set {2, 3, 4, 5}:
+    # still extensive and idempotent, but {5} <= {3, 5} whose saturation is
+    # {3, 4, 5}
+    s0, raised = 0b100000, 0b111100
+    monkeypatch.setattr(systems, "saturation_mask",
+                        lambda M, mask: raised if mask == s0 else saturation(M, mask))
+    rows, walked = both_routes(L, monkeypatch)
+    assert rows[0].passed and walked[0] == CheckResult(
+        L.name, check, False, detail="TheoremViolation: saturation is not monotone "
+                                     "(witness ((5,), (3, 5)))")
+    # a saturation of {0, 2, 3, 4, 5} that leaves out element 1 is not an up-set
+    s0 = 0b111101
+    monkeypatch.setattr(systems, "saturation_mask",
+                        lambda M, mask: s0 if mask == s0 else saturation(M, mask))
+    rows, walked = both_routes(L, monkeypatch)
+    assert rows[0].passed and walked[0] == CheckResult(
+        L.name, check, False, detail="TheoremViolation: saturation is not idempotent "
+                                     "(witness (0, 2, 3, 4, 5))")

@@ -7,6 +7,7 @@ import json
 import pkgutil
 import random
 import sys
+import time
 import tracemalloc
 import types
 
@@ -20,7 +21,7 @@ from multlattice.cli import main
 from multlattice.core import (HYPOTHESES, POWERSET_LIMIT, BadParams, check_axioms,
                               replace_mult, validate)
 from multlattice.ingest import chain, powerset_lattice, to_json
-from multlattice.spectrum import FiniteTopology, d_set, v_set
+from multlattice.spectrum import FiniteTopology, d_set, primes_of, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
@@ -243,14 +244,25 @@ def test_axioms_rows_fail_with_a_witness(monkeypatch):
             "TheoremViolation: a product is not below the meet (witness (1, 2))"}
 
 
-def test_closure_equivalence_above_the_powerset_limit_is_skipped():
-    # chain14_meet has 13 primes, one more than POWERSET_LIMIT: both rows
-    # that walk every subset of the spectrum skip
-    rep = verify_all(chain(14, "meet"), ("systems",))
-    skipped = {r.check: r.detail for r in rep.results if r.skipped}
-    assert skipped == {"systems.closure_equivalence": "spectrum above cap",
-                       "systems.subset_system_saturated": "spectrum above cap"}
-    assert rep.failed == 0 and rep.skipped == 2
+def test_spectrum_rows_run_unskipped_above_the_powerset_limit():
+    # chain14_meet has 13 primes and chain30_meet 29, more than
+    # POWERSET_LIMIT: the two rows over subsets of the spectrum read only
+    # its points and pairs of points, so both run and pass at any size.
+    for L in (chain(14, "meet"), chain(30, "meet")):
+        assert len(primes_of(L)) > POWERSET_LIMIT
+        for check in ("systems.closure_equivalence", "systems.subset_system_saturated"):
+            assert verify.run_row(L, check) == CheckResult(L.name, check, True)
+
+
+def test_only_two_rows_have_a_cap():
+    # A cap is declared here: every other row runs at every size, and the
+    # systems suite decides a 29-point spectrum in well under a second.
+    assert {check for check, (_, cap) in verify.ROWS.items() if cap} == {
+        "families.pip_exhaustive", "axioms.infinite_reduction_agrees"}
+    start = time.perf_counter()
+    rep = verify_all(chain(30, "meet"), ("systems",))
+    assert time.perf_counter() - start < 5
+    assert rep.failed == 0 and rep.skipped == 0
 
 
 def test_closure_equivalence_fails_when_closures_disagree(monkeypatch):
@@ -502,41 +514,15 @@ def test_pip_row_builds_no_family_report(monkeypatch):
     assert calls == [(m, s) for m in range(5) for s in ("oka", "ako")]
 
 
-def test_mask_route_failures_match_the_pair_scan(monkeypatch):
-    # On six elements the monotonicity test runs as a subset transform, and
-    # a planted fault must still be reported with the detail the pair scan
-    # gave.  The sigma legs run once per saturated m-system, so a fault on
-    # an avoiding set is reported against the saturated system that gives it.
-    def failures(suite):
-        rep = verify_all(chain(6, "meet"), (suite,))
-        return [(r.check, r.detail) for r in rep.results if not r.passed]
-
-    # a saturation that raises the saturation of {5} to the up-set {2, 3, 4, 5}:
-    # still extensive and idempotent, but {5} <= {3, 5} whose saturation is
-    # {3, 4, 5}
-    s0, raised = 0b100000, 0b111100
-    saturation = sys_mod.saturation_mask
-    monkeypatch.setattr(sys_mod, "saturation_mask",
-                        lambda L, mask: raised if mask == s0 else saturation(L, mask))
-    assert failures("systems") == [
-        ("systems.saturation_closure_operator",
-         "TheoremViolation: saturation is not monotone "
-         "(witness ((5,), (3, 5)))")]
-    # a saturation of {0, 2, 3, 4, 5} that leaves out element 1 is not an up-set
-    s0 = 0b111101
-    monkeypatch.setattr(sys_mod, "saturation_mask",
-                        lambda L, mask: s0 if mask == s0 else saturation(L, mask))
-    assert failures("systems") == [
-        ("systems.saturation_closure_operator",
-         "TheoremViolation: saturation is not idempotent "
-         "(witness (0, 2, 3, 4, 5))")]
-    monkeypatch.undo()
-
-    # an Ako test that fails on the family {3, 4, 5}
+def test_sigma_row_reports_a_failed_avoiding_set_against_its_system(monkeypatch):
+    # The sigma legs run once per saturated m-system, so a fault on an
+    # avoiding set is reported against the saturated system that gives it.
+    # Here an Ako test fails on the family {3, 4, 5}.
     ako = families._ako_witness
     monkeypatch.setattr(families, "_ako_witness", lambda L, fmask, gens: (
         (0, 0, 0) if fmask == 0b111000 else ako(L, fmask, gens)))
-    assert failures("families") == [
+    rep = verify_all(chain(6, "meet"), ("families",))
+    assert [(r.check, r.detail) for r in rep.results if not r.passed] == [
         ("families.sigma_maximal_prime",
          "TheoremViolation: complement of the avoiding set must be Ako on an "
          "m-distributive lattice (witness (3, 4, 5))")]
