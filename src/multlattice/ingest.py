@@ -28,7 +28,7 @@ from math import gcd, isqrt
 
 from .constructions import open_subspace_homeo
 from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
-                   build_order, check_axioms, replace_mult, validate)
+                   build_order, check_axioms, memo, replace_mult, validate)
 from .spectrum import FiniteTopology, spectrum
 
 
@@ -516,14 +516,26 @@ def open_set_lattice(T: FiniteTopology, name: str = "opens") -> MultLattice:
                     labels=labels, name=name)
 
 
-def cell_choices(L: MultLattice) -> list:
+def cell_choices(L: MultLattice) -> tuple:
     """The values that cell [x][y] of a bounded multiplication table on the
-    order of L may take: the elements below x meet y, ascending."""
-    return [[sorted(L.down(m)) for m in row] for row in L.meet_table]
+    order of L may take: the elements below x meet y, ascending.  Built once
+    per order and shared by every table drawn or listed on it, so it is
+    immutable: a tuple of rows of tuples."""
+    order = L.order
+    return order._cache["cell_choices"] if "cell_choices" in order._cache else memo(
+        order, "cell_choices", lambda: _cell_choices(order))
+
+
+def _cell_choices(order) -> tuple:
+    below = tuple(tuple(y for y in range(order.size) if d >> y & 1)
+                  for d in order.masks()[0])
+    return tuple(tuple(below[m] for m in row) for row in order.meet_table)
 
 
 def random_mult_table(L: MultLattice, rng: random.Random):
-    """A uniformly random bounded multiplication table on the order of L."""
+    """A uniformly random bounded multiplication table on the order of L:
+    one ``rng.choice`` per cell, row-major, from the order's shared,
+    immutable :func:`cell_choices`."""
     return [[rng.choice(cell) for cell in row] for row in cell_choices(L)]
 
 

@@ -222,10 +222,16 @@ def system_of_points(L: MultLattice, Y) -> MSystem:
     the spectrum), asserted to be a saturated m-system.  It holds top and is
     an up-set, and it is closed under products because every point is
     prime, so the assertion needs no hypothesis on the multiplication."""
+    return _system(L, _points_of(L, Y))
+
+
+def _points_of(L: MultLattice, Y) -> int:
+    """:func:`points_system_mask` of the set ``Y``, refused unless every
+    member is prime."""
     ys = frozenset(Y)
     if not ys <= primes_of(L):
         raise ValueError("Y must be a set of prime elements")
-    return _system(L, points_system_mask(L, L.mask_of(ys)))
+    return points_system_mask(L, L.mask_of(ys))
 
 
 def points_system_mask(L: MultLattice, ymask: int) -> int:
@@ -282,10 +288,9 @@ def constructible_topology(L: MultLattice) -> FiniteTopology:
 
 def equal_saturations(L: MultLattice, X, Y) -> bool:
     """Whether S_X = S_Y; asserted equivalent to the two subsets having the
-    same closure in the inverse topology."""
-    sx = system_of_points(L, X).members
-    sy = system_of_points(L, Y).members
-    eq = sx == sy
+    same closure in the inverse topology.  S_X and S_Y are compared as
+    masks, each asserted to be a saturated m-system."""
+    eq = _points_of(L, X) == _points_of(L, Y)
     inv = inverse_topology(L)
     closures_eq = inv.closure(X) == inv.closure(Y)
     if eq != closures_eq:

@@ -434,7 +434,8 @@ def shape_lattice(name: str) -> MultLattice:
 
 
 def enumerate_tables(base: MultLattice):
-    """Every multiplication table bounded by the meet, in a fixed order."""
+    """Every multiplication table bounded by the meet, in a fixed order:
+    the product of the order's shared, immutable :func:`cell_choices`."""
     n = base.size
     for combo in itertools.product(*(cell for row in cell_choices(base) for cell in row)):
         yield [list(combo[x * n:(x + 1) * n]) for x in range(n)]

@@ -1,9 +1,10 @@
+import itertools
 import json
 import random
 
 import pytest
 
-from multlattice import core, ingest
+from multlattice import core, ingest, verify
 from multlattice.core import MultNotBounded, build_order, check_axioms, validate
 from multlattice.ingest import (LatticeSyntaxError, chain, export_dot,
                                 export_dot_spectrum, export_text, generate,
@@ -217,6 +218,65 @@ def test_random_lattice_deterministic():
     b = random_lattice(6, {"monotone": True}, seed=11)
     assert a == b
     assert check_axioms(a).monotone
+
+
+def test_random_lattice_raises_when_no_table_has_the_requested_laws():
+    # m-distributivity implies monotonicity, so every draw is rejected
+    with pytest.raises(core.BadParams,
+                       match="^could not sample a table with the requested axioms$"):
+        random_lattice(3, {"m_distributive": True, "monotone": False}, seed=0)
+
+
+def reference_cell_choices(L):
+    """The per-draw choices the sampler built before they were kept per
+    order: the sorted down-set of x meet y for each cell."""
+    return [[sorted(L.down(m)) for m in row] for row in L.meet_table]
+
+
+def reference_random_mult_table(L, rng):
+    return [[rng.choice(cell) for cell in row] for row in reference_cell_choices(L)]
+
+
+@pytest.mark.parametrize("name", sorted(verify.LATTICE_SHAPES))
+def test_cell_choices_and_draws_match_the_per_draw_reference(name):
+    base = verify.shape_lattice(name)
+    choices = ingest.cell_choices(base)
+    assert choices == tuple(tuple(map(tuple, row)) for row in reference_cell_choices(base))
+    assert all(type(cell) is tuple for row in choices for cell in row)
+    # shared by every lattice on the order
+    assert ingest.cell_choices(core.replace_mult(base, base.meet_table)) is choices
+    ours, theirs = random.Random(name), random.Random(name)
+    for _ in range(50):
+        assert (ingest.random_mult_table(base, ours)
+                == reference_random_mult_table(base, theirs))
+    assert ours.getstate() == theirs.getstate()
+    if base.size <= 4:
+        n = base.size
+        reference = [[list(combo[x * n:(x + 1) * n]) for x in range(n)]
+                     for combo in itertools.product(
+                         *(cell for row in reference_cell_choices(base) for cell in row))]
+        assert list(verify.enumerate_tables(base)) == reference
+
+
+def test_cell_choices_are_built_once_per_order(monkeypatch):
+    # each cell_choices build is counted against the order it is built for
+    builds = {}
+    memo = ingest.memo
+
+    def counting(owner, key, build):
+        def counted():
+            builds[owner] = builds.get(owner, 0) + 1
+            return build()
+        return memo(owner, key, counted if key == "cell_choices" else build)
+
+    monkeypatch.setattr(ingest, "memo", counting)
+    corpus = verify.corpus_random_tables(1000, 1729)
+    assert len(corpus) == 1000
+    assert sorted(builds.values()) == [1] * len(verify.RANDOM_SHAPES)
+    assert set(builds) == {L.order for L in corpus}
+    builds.clear()
+    L = random_lattice(5, {"m_distributive": True}, seed=7)
+    assert builds == {L.order: 1}
 
 
 def test_roundtrip_on_hundred_lattices():
