@@ -513,7 +513,10 @@ class PropertyReport:
 
 
 def check_axioms(L: MultLattice) -> PropertyReport:
-    """Decide the monotonicity, distributivity and symmetry axioms exhaustively."""
+    """Decide the monotonicity, distributivity and symmetry axioms exhaustively:
+    the full report, built where it is shown (:func:`exhaustive_axioms`, the
+    ``axioms.dist_implies_mono`` row, ``mlat validate``).  A reader of one
+    flag calls ``law_witness(L, flag) is None``, which scans that law alone."""
     return L._cache["axioms"] if "axioms" in L._cache else memo(
         L, "axioms", lambda: _check_axioms(L))
 
@@ -587,25 +590,19 @@ def law_witness(L: MultLattice, flag: str):
 def _scan_law(L: MultLattice, law: str):
     if "axioms" in L._cache:     # a report kept from an earlier run holds every law
         return L._cache["axioms"].witnesses.get(law)
-    witness = _law_scans()[law](L)
+    witness = globals()[f"_{law}_witness"](L)     # read when called, so a patch takes effect
     if law == "m_distributive" and witness is None:
         axiom_report({"monotone": law_witness(L, "monotone"), "m_distributive": None})
     return witness
 
 
-def _law_scans() -> dict:
-    """Each law's scan, read from the module when called."""
-    return {"monotone": _monotone_witness, "m_distributive": _m_distributive_witness,
-            "associative": _associative_witness, "commutative": _commutative_witness}
-
-
 def _check_axioms(L: MultLattice) -> PropertyReport:
     """The report on the four laws, each read from its :func:`law_witness`
-    entry or scanned; the scans are kept only once the report's
-    self-check has passed."""
+    entry or scanned by ``_<law>_witness``; the scans are kept only once
+    the report's self-check has passed."""
     cache = L._cache
-    witnesses = {law: cache[law] if law in cache else scan(L)
-                 for law, scan in _law_scans().items()}
+    witnesses = {law: cache[law] if law in cache else globals()[f"_{law}_witness"](L)
+                 for law in ("monotone", "m_distributive", "associative", "commutative")}
     report = axiom_report(witnesses)
     cache.update(witnesses)
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
-                   check_axioms, compact_elements, law_witness, memo, require)
+                   compact_elements, law_witness, memo, require)
 from .spectrum import classify_all
 from .systems import classify_system
 
@@ -194,7 +194,8 @@ def pip_check(L: MultLattice, F) -> PipReport:
     """
     family = frozenset(F)
     require(L, "families.pip_exhaustive", HypothesesFail)
-    counterexamples, cases, maximal = _pip(L, L.mask_of(family), check_axioms(L).associative)
+    counterexamples, cases, maximal = _pip(L, L.mask_of(family),
+                                            law_witness(L, "associative") is None)
     if not cases:
         raise HypothesesFail(
             "family satisfies none of the four closure conditions",
@@ -209,7 +210,7 @@ def pip_exhaustive(L: MultLattice) -> None:
     and right Oka families are Oka, so under associativity only Oka and Ako
     run.  :func:`_pip` raises on the lowest family that leaves some m out."""
     require(L, "families.pip_exhaustive", HypothesesFail)
-    associative = check_axioms(L).associative
+    associative = law_witness(L, "associative") is None
     schemas = ("oka", "ako") if associative else ("left_oka", "right_oka", "ako")
     trapping = [fmask for m, flag in enumerate(classify_all(L)) if m != L.top and not flag.prime
                 for schema in schemas
@@ -296,7 +297,7 @@ def sigma_of_mask(L: MultLattice, smask: int) -> SigmaReport:
         raise TheoremViolation(
             "bottom not in S: the avoiding set must have maximal elements",
             witness=tuple(sorted(L.set_of(smask))))
-    if check_axioms(L).m_distributive:
+    if law_witness(L, "m_distributive") is None:
         if _ako_witness(L, L.full_mask & ~sigma, sorted(compact_elements(L))):
             raise TheoremViolation(
                 "complement of the avoiding set must be Ako on an "

@@ -28,7 +28,7 @@ from math import gcd, isqrt
 
 from .constructions import open_subspace_homeo
 from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
-                   build_order, check_axioms, memo, replace_mult, validate)
+                   build_order, law_witness, memo, replace_mult, validate)
 from .spectrum import FiniteTopology, spectrum
 
 
@@ -547,10 +547,12 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
                    name: str | None = None) -> MultLattice:
     """A random lattice of the given size with a random bounded table,
     rejection-sampled until the requested axiom flags match, with at most
-    ``RANDOM_TRIES`` attempts at each.
+    ``RANDOM_TRIES`` attempts at each.  A draw scans the requested flags'
+    laws alone (:func:`core.law_witness`), up to the first flag that fails.
 
     ``axioms`` maps property-report flag names to required booleans, e.g.
-    ``{"m_distributive": True}``.  Same seed, same lattice.
+    ``{"m_distributive": True}``; any other value is refused before a draw.
+    Same seed, same lattice.
     """
     if size < 1:
         raise BadParams("size must be positive")
@@ -558,6 +560,8 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
     unknown = set(axioms) - {f.name for f in fields(PropertyReport) if f.type == "bool"}
     if unknown:
         raise BadParams(f"unknown axiom flags {sorted(unknown)}")
+    if not_bool := {flag: want for flag, want in axioms.items() if want not in (True, False)}:
+        raise BadParams(f"axiom flags take True or False, got {not_bool}")
     rng = random.Random(seed)
     order_attempts = table_attempts = 0
     base = None
@@ -578,8 +582,7 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
         if table_attempts > RANDOM_TRIES:
             raise BadParams("could not sample a table with the requested axioms")
         L = replace_mult(base, random_mult_table(base, rng))
-        report = check_axioms(L)
-        if all(getattr(report, flag) == want for flag, want in axioms.items()):
+        if all((law_witness(L, flag) is None) == want for flag, want in axioms.items()):
             return L
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MultLattice, TheoremViolation,
-                   check_axioms, require)
+                   law_witness, require)
 from .spectrum import HyperabelianReport, hyperabelian_report
 
 
@@ -66,7 +66,7 @@ def series(L: MultLattice, x: int) -> SeriesReport:
         stabilization_index={"lower_central": len(lower),
                              "right_series": len(right),
                              "derived": len(derived)})
-    if check_axioms(L).associative:
+    if law_witness(L, "associative") is None:
         if not (report.left_nilpotent == report.right_nilpotent == report.solvable):
             raise TheoremViolation(
                 "nilpotency flags must coincide under associativity", witness=x)

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MultLattice, NotMaximal, OrderData,
-                   PrimeElement, HypothesesFail, TheoremViolation, check_axioms,
+                   PrimeElement, HypothesesFail, TheoremViolation, law_witness,
                    memo, require)
 
 
@@ -193,9 +193,8 @@ def _spectrum(L: MultLattice) -> SpectrumReport:
     primes = primes_of(L)
     notes = []
 
-    ax = check_axioms(L)
     via_gens = None
-    if ax.monotone:
+    if law_witness(L, "monotone") is None:
         via_gens = primes if len(L.generators) == L.size else L.set_of(
             L.full_mask & ~_nonprime_mask(L, L.generators) & ~(1 << L.top))
         if via_gens != primes:

@@ -286,6 +286,36 @@ def test_no_function_in_the_package_imports():
     assert inside == []
 
 
+def test_the_full_axiom_report_is_built_only_where_it_is_shown():
+    """``check_axioms(`` is called in ``src/multlattice`` only by
+    ``core.exhaustive_axioms``, the ``axioms.dist_implies_mono`` entry of
+    ``verify.ROWS`` and ``cli``'s ``validate`` branch, which print or check
+    the whole report.  Every other reader of one flag reads its own law scan
+    (``core.law_witness``, ``gap`` or ``require``), so a flag is read one way."""
+    def calls(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "check_axioms"]
+
+    allowed, found = [], []
+    for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, line) for line in calls(tree)]
+        for node in ast.walk(tree):
+            if path.name == "core.py" and isinstance(node, ast.FunctionDef) and (
+                    node.name == "exhaustive_axioms"):
+                allowed += [(path.name, line) for line in calls(node)]
+            elif path.name == "verify.py" and isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "ROWS" for t in node.targets):
+                allowed += [(path.name, line) for key, value in zip(node.value.keys,
+                                                                    node.value.values)
+                            if getattr(key, "value", None) == "axioms.dist_implies_mono"
+                            for line in calls(value)]
+            elif path.name == "cli.py" and isinstance(node, ast.If) and ast.unparse(
+                    node.test) == "cmd == 'validate'":
+                allowed += [(path.name, line) for stmt in node.body for line in calls(stmt)]
+    assert len(allowed) == 3 and sorted(found) == sorted(allowed)
+
+
 def test_large_round_matches_its_recorded_digest(monkeypatch):
     """One seed-1 round of the benchmark's ``large`` workload (from
     ``perfbench/workloads.py``, which is only read) passes every known-answer

@@ -11,7 +11,10 @@ from multlattice.ingest import (LatticeSyntaxError, chain, export_dot,
                                 open_set_lattice, parse, parse_document,
                                 poset_space, powerset_lattice, random_lattice,
                                 to_json, zn_ideals)
+from multlattice.families import pip_check, pip_exhaustive, sigma_of_mask
+from multlattice.series import series
 from multlattice.spectrum import FiniteTopology, spectrum
+from multlattice.systems import m_system_masks
 
 from conftest import corpus_hundred
 
@@ -225,6 +228,124 @@ def test_random_lattice_raises_when_no_table_has_the_requested_laws():
     with pytest.raises(core.BadParams,
                        match="^could not sample a table with the requested axioms$"):
         random_lattice(3, {"m_distributive": True, "monotone": False}, seed=0)
+
+
+def test_random_lattice_refuses_a_requested_value_other_than_true_or_false(monkeypatch):
+    # refused before any table is drawn
+    monkeypatch.setattr(ingest, "random_mult_table", None)
+    with pytest.raises(core.BadParams, match="^axiom flags take True or False"):
+        random_lattice(4, {"m_distributive": "yes"}, seed=1)
+    with pytest.raises(core.BadParams, match="None"):
+        random_lattice(4, {"monotone": True, "commutative": None}, seed=1)
+    monkeypatch.undo()
+    # 1 and 0 compare equal to True and False
+    assert random_lattice(4, {"monotone": 1, "commutative": 0}, seed=1) == random_lattice(
+        4, {"monotone": True, "commutative": False}, seed=1)
+
+
+def reference_random_lattice(size, axioms, seed, rng_states):
+    """The sampler as it was when each draw built the full ``check_axioms``
+    report and read the requested flags off it; the generator's final state
+    is appended to ``rng_states``."""
+    rng = random.Random(seed)
+    order_attempts = table_attempts = 0
+    base = None
+    while base is None:
+        order_attempts += 1
+        if order_attempts > ingest.RANDOM_TRIES:
+            raise core.BadParams("could not sample a lattice order; try another seed")
+        covers = [(i, j) for i in range(1, size - 1) for j in range(i + 1, size - 1)
+                  if rng.random() < 0.35]
+        covers += [(0, i) for i in range(size)] + [(i, size - 1) for i in range(size)]
+        try:
+            base = validate(size=size, covers=covers, mult=lambda x, y: 0,
+                            name=f"random{size}_s{seed}")
+        except core.LatticeError:
+            base = None
+    while True:
+        table_attempts += 1
+        if table_attempts > ingest.RANDOM_TRIES:
+            rng_states.append(rng.getstate())
+            raise core.BadParams("could not sample a table with the requested axioms")
+        L = core.replace_mult(base, ingest.random_mult_table(base, rng))
+        report = check_axioms(L)
+        if all(getattr(report, flag) == want for flag, want in axioms.items()):
+            rng_states.append(rng.getstate())
+            return L
+
+
+SAMPLER_FLAGS = [
+    {}, {"m_distributive": True}, {"m_distributive": False}, {"monotone": False},
+    {"infinitely_m_distributive": True}, {"commutative": True}, {"commutative": False},
+    {"associative": True, "commutative": False}, {"monotone": True, "associative": False},
+    {"commutative": True, "m_distributive": True},
+]
+
+
+@pytest.mark.parametrize("size, cases", [
+    *(pytest.param(size, [(flags, seed) for seed in range(3) for flags in SAMPLER_FLAGS],
+                   id=f"grid{size}") for size in range(1, 7)),
+    pytest.param(5, [({"m_distributive": True}, 7), ({"m_distributive": True}, 21)],
+                 id="named5"),
+    pytest.param(6, [({"monotone": True}, 3)], id="named6"),
+])
+def test_random_lattice_draws_what_the_full_report_sampler_drew(monkeypatch, size, cases):
+    # Reading each requested flag from its own law scan changes no draw: the
+    # same lattice, or the same refusal, and the generator left in the same
+    # state.  The generator is caught as it is passed to random_mult_table.
+    # The flag grid runs on 400 attempts a table, so that each refusal (on
+    # one and two elements most flag sets cannot be met) stays cheap; the
+    # named corpus's three samples run on the full budget.
+    if len(cases) > 3:
+        monkeypatch.setattr(ingest, "RANDOM_TRIES", 400)
+    draw, rngs = ingest.random_mult_table, []
+    monkeypatch.setattr(ingest, "random_mult_table",
+                        lambda L, rng: rngs.append(rng) or draw(L, rng))
+
+    def outcome(sample, *args):
+        try:
+            return sample(*args)
+        except core.BadParams as exc:
+            return str(exc)
+
+    found = 0
+    for flags, seed in cases:
+        states = []
+        theirs = outcome(reference_random_lattice, size, flags, seed, states)
+        ours = outcome(random_lattice, size, flags, seed)
+        # a lattice equals another in order, table, generators, labels and name
+        assert ours == theirs, (size, seed, flags)
+        assert rngs[-1].getstate() == states[-1], (size, seed, flags)
+        found += not isinstance(ours, str)
+    assert found
+
+
+def test_one_flag_is_read_from_its_own_law_scan(monkeypatch, named_corpus):
+    # The sampler scans only the laws it is asked for, and the readers of one
+    # flag build no full report.
+    scans = []
+    for law in ("associative", "commutative"):
+        real = getattr(core, f"_{law}_witness")
+        monkeypatch.setattr(core, f"_{law}_witness",
+                            lambda M, law=law, real=real: scans.append(law) or real(M))
+    L = random_lattice(5, {"m_distributive": True}, seed=7)
+    assert scans == [] and "axioms" not in L._cache
+    assert L._cache["monotone"] is None       # scanned for the self-check
+    monkeypatch.undo()
+    for L in named_corpus:
+        M = core.replace_mult(L, L.mult_table)
+        spectrum(M)
+        for x in M.elements:
+            series(M, x)
+        if core.law_witness(M, "monotone") is None:
+            try:
+                pip_check(M, {M.top})
+            except core.HypothesesFail:
+                pass
+            pip_exhaustive(M)
+        for smask in m_system_masks(M)[:8]:
+            sigma_of_mask(M, smask)
+        assert "axioms" not in M._cache, M.name
 
 
 def reference_cell_choices(L):
