@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 # The largest lattice on which a check scans all 2^size subsets.  Above it
-# m-systems are listed as the saturated ones only: that decides condition
-# (f), the correspondence and the avoiding sets alike (sigma_maximal_prime
-# reads that list at every size); saturation_closure_operator, which asserts
-# that up S is a saturated m-system, there only re-checks the list (up S = S).
+# m-systems are listed as the saturated ones only, which decides the
+# correspondence and the avoiding sets alike; saturation_closure_operator
+# there only re-checks the list (up S = S).  Condition (f) reads the least
+# saturated m-system, one closure at every size.
 POWERSET_LIMIT = 12
 
 
@@ -182,9 +182,10 @@ class MultLattice:
 
     def mask_of(self, xs: Iterable[int]) -> int:
         """The bitmask of ``xs``; ValueError when one of them is not an element."""
+        members = set(xs)
         try:
-            mask = sum(1 << x for x in set(xs))
-        except ValueError:        # a negative member
+            mask = sum(1 << x for x in members)
+        except (TypeError, ValueError):     # a member that is not an int, or is negative
             mask = -1
         if mask >> self.size:
             raise ValueError("members must be elements of the lattice")
@@ -513,12 +514,11 @@ class PropertyReport:
 
 
 def check_axioms(L: MultLattice) -> PropertyReport:
-    """Decide the monotonicity, distributivity and symmetry axioms exhaustively:
-    the full report, built where it is shown (:func:`exhaustive_axioms`, the
-    ``axioms.dist_implies_mono`` row, ``mlat validate``).  A reader of one
-    flag calls ``law_witness(L, flag) is None``, which scans that law alone."""
+    """The full report on the four laws, read off their :func:`law_witness` scans
+    and built where it is shown (:func:`exhaustive_axioms`, the ``axioms.dist_implies_mono``
+    row, ``mlat validate``); one flag is read as ``law_witness(L, flag) is None``."""
     return L._cache["axioms"] if "axioms" in L._cache else memo(
-        L, "axioms", lambda: _check_axioms(L))
+        L, "axioms", lambda: axiom_report({law: law_witness(L, law) for law in LAWS}))
 
 
 # Each hypothesis-gated statement, named as its verify check, and the check_axioms
@@ -553,6 +553,7 @@ SKIP_TEXT = {
     ("monotone", "associative"): "needs monotonicity and associativity",
 }
 
+LAWS = ("monotone", "m_distributive", "associative", "commutative")   # each by _<law>_witness
 # A flag decided by another law's scan; every other flag names its own law.
 LAW_OF = {"infinitely_m_distributive": "m_distributive"}   # see PropertyReport
 
@@ -579,43 +580,26 @@ def require(L: MultLattice, statement: str, exc: type) -> None:
 
 def law_witness(L: MultLattice, flag: str):
     """The first counterexample to the law behind the :class:`PropertyReport`
-    flag ``flag`` (``LAW_OF``), or None when it holds: one scan per law,
-    kept in ``L._cache`` under the law's name, which :func:`check_axioms`
-    reads too.  A scan finding ``L`` m-distributive runs the monotone scan
-    as well, for the self-check of :func:`axiom_report`."""
+    flag ``flag`` (``LAW_OF``), or None when it holds: the one site that
+    scans a law, once per law, kept in ``L._cache`` under the law's name.
+    A scan finding ``L`` m-distributive runs the monotone scan as well, for
+    the self-check of :func:`axiom_report`."""
     law = LAW_OF.get(flag, flag)
     return L._cache[law] if law in L._cache else memo(L, law, lambda: _scan_law(L, law))
 
 
 def _scan_law(L: MultLattice, law: str):
-    if "axioms" in L._cache:     # a report kept from an earlier run holds every law
-        return L._cache["axioms"].witnesses.get(law)
     witness = globals()[f"_{law}_witness"](L)     # read when called, so a patch takes effect
     if law == "m_distributive" and witness is None:
         axiom_report({"monotone": law_witness(L, "monotone"), "m_distributive": None})
     return witness
 
 
-def _check_axioms(L: MultLattice) -> PropertyReport:
-    """The report on the four laws, each read from its :func:`law_witness`
-    entry or scanned by ``_<law>_witness``; the scans are kept only once
-    the report's self-check has passed."""
-    cache = L._cache
-    witnesses = {law: cache[law] if law in cache else globals()[f"_{law}_witness"](L)
-                 for law in ("monotone", "m_distributive", "associative", "commutative")}
-    report = axiom_report(witnesses)
-    cache.update(witnesses)
-    return report
-
-
 def axiom_report(witnesses: dict) -> PropertyReport:
     """The report on the laws in ``witnesses``, each mapped to its first
     counterexample or None: a flag holds exactly when its law has none, and
     infinite m-distributivity shares the m-distributivity witness."""
-    found = {}
-    for law, w in witnesses.items():
-        if w is not None:
-            found[law] = w
+    found = {law: w for law, w in witnesses.items() if w is not None}
     m_distributive = "m_distributive" not in found
     if not m_distributive:
         found["infinitely_m_distributive"] = found["m_distributive"]

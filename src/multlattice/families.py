@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
-                   compact_elements, law_witness, memo, require)
+                   law_witness, memo, require)
 from .spectrum import classify_all
 from .systems import classify_system
 
@@ -128,12 +128,17 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
     ``fmask`` fails, keyed by the flag it refutes."""
     if not fmask >> L.top & 1:
         return dict.fromkeys(("left_oka", "right_oka", "oka", "ako"), ("top",))
-    a_sorted = L._cache["sorted_generators"] if "sorted_generators" in L._cache else memo(
-        L, "sorted_generators", lambda: sorted(L.generators))
+    a_sorted = _sorted_generators(L)
     counterexamples = _oka_counterexamples(L, fmask, a_sorted)
     if ako := _ako_witness(L, fmask, a_sorted):
         counterexamples["ako"] = ako
     return counterexamples
+
+
+def _sorted_generators(L: MultLattice) -> list:
+    """``L.generators`` in increasing order, kept per lattice."""
+    return L._cache["sorted_generators"] if "sorted_generators" in L._cache else memo(
+        L, "sorted_generators", lambda: sorted(L.generators))
 
 
 def _oka_counterexamples(L: MultLattice, fmask: int, a_sorted) -> dict:
@@ -225,8 +230,7 @@ def _closure(L: MultLattice, schema: str, start: int, m: int) -> int:
     """The least family holding ``start`` (and top) that meets ``schema``, or
     one holding ``m`` once m is forced in.  Each round adds what the first
     counterexample leaves out: l for the Oka shapes, l v ab for Ako."""
-    gens = L._cache["sorted_generators"] if "sorted_generators" in L._cache else memo(
-        L, "sorted_generators", lambda: sorted(L.generators))
+    gens = _sorted_generators(L)
     fmask = start
     while not fmask >> m & 1:
         if schema != "ako":
@@ -298,7 +302,7 @@ def sigma_of_mask(L: MultLattice, smask: int) -> SigmaReport:
             "bottom not in S: the avoiding set must have maximal elements",
             witness=tuple(sorted(L.set_of(smask))))
     if law_witness(L, "m_distributive") is None:
-        if _ako_witness(L, L.full_mask & ~sigma, sorted(compact_elements(L))):
+        if _ako_witness(L, L.full_mask & ~sigma, L.elements):     # C(L) = L
             raise TheoremViolation(
                 "complement of the avoiding set must be Ako on an "
                 "m-distributive lattice", witness=tuple(sorted(L.set_of(smask))))

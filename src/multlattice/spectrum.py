@@ -354,11 +354,10 @@ def _greedy_square_chain(L: MultLattice, steps: list):
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
-    Condition (f) is ``systems.first_m_system_without(L, bottom)``, and
-    that m-system is the witness.  Above ``core.POWERSET_LIMIT`` elements it
-    is the first saturated one (a closure of one element, no list is built),
-    which decides the same truth value: on an m-distributive (so monotone)
-    lattice the upward closure of an m-system is one without adding bottom.
+    Condition (f), some m-system lacks bottom, is read at every size from
+    ``systems.first_m_system_without(L, bottom)``: the least saturated
+    m-system, the witness, when it lacks bottom.  On an m-distributive (so
+    monotone) lattice an m-system's upward closure is one without bottom.
     """
     return L._cache["hyperabelian"] if "hyperabelian" in L._cache else memo(
         L, "hyperabelian", lambda: _hyperabelian_report(L))
@@ -381,10 +380,7 @@ def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
         "e": None if radical == L.top else radical,
         "f": None if without_bottom is None else tuple(sorted(L.set_of(without_bottom))),
     }
-    witnesses = {}
-    for c, w in found.items():
-        if w is not None:
-            witnesses[c] = w
+    witnesses = {c: w for c, w in found.items() if w is not None}
     if 0 < len(witnesses) < len(found):
         conditions = {c: w is None for c, w in found.items()}
         raise TheoremViolation(f"empty-spectrum conditions disagree: {conditions}",

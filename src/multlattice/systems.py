@@ -15,8 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
-                   MultLattice, NotAnMSystem, TheoremViolation, compact_elements,
-                   memo, require)
+                   MultLattice, NotAnMSystem, TheoremViolation, memo, require)
 from .spectrum import FiniteTopology, classify_all, prime_mask, primes_of, spectrum
 
 
@@ -261,7 +260,7 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
 
 def _inverse_topology(L: MultLattice) -> FiniteTopology:
     primes, spec = spectrum(L).primes, prime_mask(L)
-    d_masks = [spec & ~L.up_masks[c] for c in sorted(compact_elements(L))]
+    d_masks = [spec & ~up for up in L.up_masks]      # every element is compact
     closures = {}
     for p in sorted(primes):
         cl = spec
@@ -339,8 +338,10 @@ def _closure(L: MultLattice, mask: int) -> int:
     mt, up, out = L.mult_table, L.up_masks, up_closure(L, mask)
     while True:
         xs, grown = bit_indices(out), out
-        for xy in set().union(*(map(mt[x].__getitem__, xs) for x in xs)):
-            grown |= up[xy]
+        for x in xs:
+            row = mt[x]
+            for y in xs:
+                grown |= up[row[y]]
         if grown == out:
             return out
         out = grown
@@ -382,15 +383,11 @@ def _scan_m_systems(L: MultLattice) -> list:
 
 
 def first_m_system_without(L: MultLattice, x: int):
-    """The first mask of :func:`m_system_masks` that lacks ``x``, or None, without
-    the list: the lowest m-system flag of :func:`subset_flags` outside ``x``'s column,
-    or above ``core.POWERSET_LIMIT`` the first :func:`_closure` of one y lacking x
-    (the first saturated S lacking x holds, so is, the closure of each member)."""
-    if L.size > POWERSET_LIMIT:
-        return min((c for y in L.elements if not (c := _closure(L, 1 << y)) >> x & 1),
-                   key=_by_size_then_members, default=None)
-    without = subset_flags(L)[0] & ~subset_columns(L.size)[x]
-    return (without & -without).bit_length() - 1 if without else None
+    """The least saturated m-system, the :func:`_closure` of {top}, when it lacks
+    ``x``, otherwise None: every saturated m-system holds top and is closed, so
+    holds this one, and holds ``x`` whenever this one does."""
+    least = _closure(L, 1 << L.top)
+    return None if least >> x & 1 else least
 
 
 # --------------------------------------------------------------------------
@@ -487,8 +484,7 @@ def correspondence_check(L: MultLattice) -> CorrespondenceReport:
         if c != frozenset(g for g in h_masks if not h & ~g):
             raise TheoremViolation("a Vietoris point closure is not the sets "
                                    "above the point", witness=members(h))
-    member_sub = [frozenset(s for s in m_masks if s >> c & 1)
-                  for c in sorted(compact_elements(L))]
+    member_sub = [frozenset(s for s in m_masks if s >> c & 1) for c in L.elements]
     t_m = FiniteTopology.from_subbasis(m_masks, member_sub)
     bad = next((h for h in h_masks
                 if frozenset(map(phi.get, t_h.closures[h])) != t_m.closures[phi[h]]), None)

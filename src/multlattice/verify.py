@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
+from .core import (HYPOTHESES, LAWS, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
                    TheoremViolation, check_axioms, compact_elements,
                    exhaustive_axioms, gap, replace_mult, validate)
 from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
@@ -352,8 +352,8 @@ class VerifyReport:
         return self.failed == 0
 
 
-# The analyses a caller reads of a lattice; the rest a run caches is its rows' own.
-KEPT = frozenset({"axioms", "classify", "spectrum", "prime_mask", "primes"})
+# The analyses a caller reads of a lattice and the law scans the report and gates read.
+KEPT = frozenset({"axioms", *LAWS, "classify", "spectrum", "prime_mask", "primes"})
 
 
 def verify_all(lattices, suites=("all",)) -> VerifyReport:

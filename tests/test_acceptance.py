@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from multlattice import verify
-from multlattice.core import HYPOTHESES, check_axioms
+from multlattice.core import HYPOTHESES, LAWS, check_axioms
 from multlattice.families import residual_left
 from multlattice.ingest import (chain, export_text, parse, powerset_lattice, to_json,
                                zn_ideals)
@@ -314,6 +314,36 @@ def test_the_full_axiom_report_is_built_only_where_it_is_shown():
                     node.test) == "cmd == 'validate'":
                 allowed += [(path.name, line) for stmt in node.body for line in calls(stmt)]
     assert len(allowed) == 3 and sorted(found) == sorted(allowed)
+
+
+def test_a_law_is_scanned_at_one_site_and_condition_f_reads_no_cap():
+    """The four law scans ``core._<law>_witness`` are reached from one site,
+    ``core._scan_law``, which looks each up by name: no code in
+    ``src/multlattice`` names a scan, and no other function builds the name.
+    Neither ``systems.first_m_system_without`` nor ``spectrum`` reads
+    ``POWERSET_LIMIT``: condition (f) is one closure at every size."""
+    scans = {f"_{law}_witness" for law in LAWS}
+
+    def names(node):
+        return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} | {
+            a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names}
+
+    named, building, capped = [], set(), []
+    for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        named += [(path.name, name) for name in names(tree) & scans]
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            building |= {(path.name, fn.name) for n in ast.walk(fn)
+                         if isinstance(n, ast.JoinedStr) and any(
+                             str(getattr(v, "value", "")).endswith("_witness")
+                             for v in n.values)}
+            if path.name == "systems.py" and fn.name == "first_m_system_without":
+                capped += ["first_m_system_without"] * ("POWERSET_LIMIT" in names(fn))
+        if path.name == "spectrum.py":
+            capped += ["spectrum"] * ("POWERSET_LIMIT" in names(tree))
+    assert named == [] and building == {("core.py", "_scan_law")} and capped == []
 
 
 def test_large_round_matches_its_recorded_digest(monkeypatch):

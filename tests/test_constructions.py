@@ -16,8 +16,7 @@ from multlattice.constructions import (DisjointnessReport, LatticeMorphism,
                                        spec_map)
 from multlattice.core import (BadParams, HypothesesFail, LatticeError,
                               MDistributivityRequired, NotAMorphism, NotComparable, NotPrimeInInterval,
-                              TheoremViolation,
-                              _check_axioms, build_order, check_axioms,
+                              TheoremViolation, build_order, check_axioms,
                               replace_mult, validate)
 from multlattice.ingest import chain, zn_ideals
 from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
@@ -390,7 +389,7 @@ def test_product_axioms_match_a_scan_of_the_product(named_corpus):
     for A, B in pairs:
         P = product(A, B)
         ax = check_axioms(P.lattice)
-        assert ax == _check_axioms(product_from_scratch(A, B)), (A.name, B.name)
+        assert ax == check_axioms(product_from_scratch(A, B)), (A.name, B.name)
         a, b = check_axioms(A), check_axioms(B)
         for flag in AXIOM_FLAGS:
             assert getattr(ax, flag) == (getattr(a, flag) and getattr(b, flag)), (
@@ -611,13 +610,13 @@ def test_the_disjointness_row_builds_no_axiom_report_on_its_intervals(named_corp
 def test_a_verify_run_builds_one_axiom_report_per_lattice(named_corpus, monkeypatch):
     # No derived lattice of a run is given a full axiom report: its gates
     # read the laws they name (the product partners' reports are built once,
-    # before the count).
+    # before the count).  A report is built where memo stores it.
     core_module, built = importlib.import_module("multlattice.core"), []
-    real = core_module._check_axioms
+    real = core_module.memo
     for partner in PRODUCT_PARTNERS:
         check_axioms(partner)
-    monkeypatch.setattr(core_module, "_check_axioms",
-                        lambda M: built.append(M.name) or real(M))
+    monkeypatch.setattr(core_module, "memo", lambda owner, key, build: (
+        key == "axioms" and built.append(owner.name)) or real(owner, key, build))
     lattices = [replace_mult(L, L.mult_table) for L in named_corpus]
     assert verify_all(lattices).failed == 0
     assert built == [L.name for L in lattices]

@@ -459,7 +459,7 @@ def test_a_falsy_analysis_is_built_once(monkeypatch):
 
 
 @pytest.mark.parametrize("module, accessor, builder, key", [
-    ("core", "check_axioms", "_check_axioms", "axioms"),
+    ("core", "check_axioms", "_monotone_witness", "axioms"),
     ("spectrum", "classify_all", "_classify_all", "classify"),
     ("spectrum", "prime_mask", "_nonprime_mask", "prime_mask"),
     ("spectrum", "primes_of", "_nonprime_mask", "primes"),

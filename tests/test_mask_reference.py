@@ -27,7 +27,8 @@ from multlattice.core import (POWERSET_LIMIT, HypothesesFail, TheoremViolation,
                               check_axioms, memo, require)
 from multlattice.families import pip_exhaustive, residual_tables
 from multlattice.ingest import chain, powerset_lattice, zn_ideals
-from multlattice.spectrum import classify_all, prime_mask, primes_of, spectrum
+from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
+                                  primes_of, spectrum)
 from multlattice.verify import (CheckResult, corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, run_row)
 
@@ -291,6 +292,44 @@ def test_closed_sets_are_the_walks_saturated_masks_above_the_cap(name):
     assert systems._saturated_masks(L) == walk
     assert [systems.first_m_system_without(L, x) for x in L.elements] == [
         next((s for s in walk if not s >> x & 1), None) for x in L.elements]
+
+
+def brute_saturated_masks(L):
+    """Every saturated m-system: up to the cap each subset that is an up-set
+    with a member below x*y for any two members x, y, by the definition;
+    above it the walk over every up-set."""
+    if L.size > POWERSET_LIMIT:
+        return reference_antichain_masks(L)
+    mt = L.mult_table
+    return [mask for mask in range(1, 1 << L.size)
+            if all(L.up_masks[x] & ~mask == 0 and all(
+                mask & L.down_masks[mt[x][y]] for y in systems.bit_indices(mask))
+                   for x in systems.bit_indices(mask))]
+
+
+def test_condition_f_witness_is_the_least_saturated_m_system():
+    # The (f) witness lacks bottom, is a saturated m-system and lies inside
+    # every saturated m-system; without a witness every saturated m-system
+    # holds bottom.  first_m_system_without(L, x) is that least one when it
+    # lacks x, on any lattice and for every x.
+    lattices = (corpus_exhaustive_tables(4) + corpus_named()
+                + [make() for make in ABOVE_CAP.values()])
+    held = {True: 0, False: 0}        # m-distributive lattices, by condition (f)
+    for L in lattices:
+        masks = brute_saturated_masks(L)
+        least = next(m for m in masks if all(m & ~s == 0 for s in masks))
+        assert [systems.first_m_system_without(L, x) for x in L.elements] == [
+            None if least >> x & 1 else least for x in L.elements], L.name
+        if check_axioms(L).m_distributive:
+            witness = hyperabelian_report(L).witnesses.get("f")
+            held[witness is None] += 1
+            if witness is None:
+                assert all(s >> L.bottom & 1 for s in masks), L.name
+            else:
+                wmask = L.mask_of(witness)
+                assert not wmask >> L.bottom & 1 and wmask in masks, L.name
+                assert all(wmask & ~s == 0 for s in masks), L.name
+    assert held[True] > 50 and held[False] > 100, held
 
 
 def test_closed_sets_are_the_kernels_saturated_masks(monkeypatch):

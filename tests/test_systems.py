@@ -255,24 +255,26 @@ def test_kernel_matches_the_subset_scan(named_corpus):
 
 def test_first_m_system_without_reads_the_list_order(small_exhaustive_corpus,
                                                      named_corpus):
-    for L in small_exhaustive_corpus + [M for M in named_corpus if M.size <= 8]:
+    # The answer is the first saturated m-system without x in the list's
+    # order (by size): the least one, which every other one holds, or None
+    # when that one holds x.  The same below and above the limit.
+    for L in (small_exhaustive_corpus + [M for M in named_corpus if M.size <= 8]
+              + [chain(13, "meet")]):
         for x in L.elements:
-            expected = next((s for s in systems.m_system_masks(L)
+            expected = next((s for s in systems._saturated_masks(L)
                              if not s >> x & 1), None)
             assert systems.first_m_system_without(L, x) == expected, (L.name, x)
-    L = chain(13, "meet")       # above the limit: the saturated m-systems
-    assert systems.first_m_system_without(L, L.bottom) == next(
-        s for s in systems.m_system_masks(L) if not s >> L.bottom & 1)
 
 
 def test_first_m_system_without_stops_at_the_first_hit(monkeypatch):
-    # The answer is the first m-system without x in mask order, as the
-    # per-subset scan finds it, read from the kernel's flags: no subset is
-    # scanned and the list of m-systems is not built.  On chain12 under
-    # meet {1} is the first m-system without 0.
+    # The answer is the first saturated m-system without x in mask order, as
+    # the per-subset scan finds it (the least one lies in every other, so has
+    # the lowest mask), read as one closure: no subset is scanned and neither
+    # the kernel's flags nor the list of m-systems is built.  On chain12
+    # under meet {top} is the first saturated m-system without 0.
     def first_by_scan(L, x):
-        return next((s for s in range(1, 1 << L.size)
-                     if not s >> x & 1 and systems._scan_mask(L, s)[0]), None)
+        return next((s for s in range(1, 1 << L.size) if not s >> x & 1
+                     and (flags := systems._scan_mask(L, s))[0] and flags[2]), None)
 
     lattices = [chain(12, "meet"), chain(5, "zero"), zn_ideals(12), zn_ideals(36)]
     expected = [[first_by_scan(L, x) for x in L.elements] for L in lattices]
@@ -283,8 +285,8 @@ def test_first_m_system_without_stops_at_the_first_hit(monkeypatch):
     monkeypatch.setattr(systems, "_scan_mask", refused)
     assert [[systems.first_m_system_without(L, x) for x in L.elements]
             for L in lattices] == expected
-    assert expected[0][lattices[0].bottom] == 0b10
-    assert not any("m_systems" in L._cache for L in lattices)
+    assert expected[0][lattices[0].bottom] == 1 << lattices[0].top
+    assert not any("m_systems" in L._cache or "subset_flags" in L._cache for L in lattices)
 
 
 def _correspondence_failure(L):
@@ -321,11 +323,13 @@ def test_correspondence_names_the_first_pair_whose_inclusion_is_kept(monkeypatch
 
 
 def test_correspondence_names_the_first_point_that_is_not_carried(monkeypatch):
-    # With no compact elements the membership topology is indiscrete, so
-    # the closure of {0} in H, which misses the empty set, is not carried
-    # onto a closure.
+    # With the membership subbasis read over no element the membership
+    # topology is indiscrete, so the closure of {0} in H, which misses the
+    # empty set, is not carried onto a closure.  The first run builds every
+    # analysis the check reads, so only the subbasis reads the planted list.
     L = chain(3, "meet")
-    monkeypatch.setattr(systems, "compact_elements", lambda M: frozenset())
+    assert correspondence_check(L).homeomorphism
+    monkeypatch.setattr(L, "elements", range(0))
     assert _correspondence_failure(L) == (
         "the correspondence is not a homeomorphism between the Vietoris and "
         "membership topologies", (0,))
@@ -511,11 +515,13 @@ def test_tables_on_one_order_keep_their_own_classifications():
 
 @pytest.mark.parametrize("edge", [classify_system, saturate, sigma_of_system,
                                   classify_family, pip_check, primes_avoiding])
-@pytest.mark.parametrize("stray", ["size", "negative"])
+@pytest.mark.parametrize("stray", ["size", "negative", "str", "float", "None"])
 def test_element_sets_with_a_non_element_are_refused(edge, stray):
-    # every edge converts its set with MultLattice.mask_of, which checks it
+    # every edge converts its set with MultLattice.mask_of, which checks it;
+    # a member that is not an int is no element either
     L = chain(3, "meet")
-    bad = {L.top, L.size if stray == "size" else -1}
+    bad = {L.top, {"size": L.size, "negative": -1, "str": "a", "float": 1.0,
+                   "None": None}[stray]}
     with pytest.raises(ValueError, match="^members must be elements of the lattice$"):
         edge(L, bad)
 

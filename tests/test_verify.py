@@ -423,8 +423,10 @@ def test_corpus_run_leaves_no_interval_on_any_lattice():
     assert not any(_intervals_reachable(L._cache) for L in lattices)
 
 
-# The analyses a caller reads through the public API; a run keeps them.
-READ_ANALYSES = {"axioms", "classify", "spectrum", "prime_mask", "primes"}
+# The analyses a caller reads through the public API and the four law scans
+# that the report and the gates read; a run keeps them.
+READ_ANALYSES = {"axioms", "monotone", "m_distributive", "associative", "commutative",
+                 "classify", "spectrum", "prime_mask", "primes"}
 
 
 def test_verify_all_keeps_what_the_lattice_held_before_the_run():
@@ -448,7 +450,28 @@ def test_verify_all_keeps_only_prior_entries_and_read_analyses(corpus):
     assert verify_all(lattices).failed == 0
     for L, keys in zip(lattices, before):
         assert keys <= L._cache.keys() <= keys | READ_ANALYSES, L.name
-        assert "axioms" in L._cache and "spectrum" in L._cache, L.name
+        assert {"axioms", *core.LAWS, "spectrum"} <= L._cache.keys(), L.name
+
+
+def test_a_gate_read_after_a_run_scans_no_law(monkeypatch):
+    # A run keeps the four law scans beside the report, so every gate and
+    # the report read afterwards find each law in the cache; the counting
+    # wrapper sees the scans of a fresh lattice.
+    lattices = corpus_exhaustive_tables(3) + corpus_named()
+    assert verify_all(lattices).failed == 0
+    scans = []
+    for law in core.LAWS:
+        real = getattr(core, f"_{law}_witness")
+        monkeypatch.setattr(core, f"_{law}_witness", lambda M, law=law, real=real: (
+            scans.append((M.name, law)) or real(M)))
+    for L in lattices:
+        for statement in HYPOTHESES:
+            core.gap(L, statement)
+        check_axioms(L)
+    assert scans == []
+    fresh = chain(4, "meet")
+    check_axioms(fresh)
+    assert sorted(scans) == sorted(("chain4_meet", law) for law in core.LAWS)
 
 
 def test_a_second_run_reports_the_same_bytes():
