@@ -14,6 +14,10 @@ The text format is line oriented and diff friendly::
 
 Elements get indices in declaration order.  ``mult`` is either one preset
 line (``meet`` or ``zero``) or a complete list of triples, one per pair.
+:func:`parse` reads both this format and the JSON export as rows of these
+tokens, in one pass.  An error names its line and the column where the
+offending token starts (1 for a line-wide error and in JSON, read as line 1);
+one about the whole input, such as a missing product, names the line it ends on.
 Export reproduces a lattice exactly, ``parse(export_text(L)) == L``, or
 refuses a name or label that is empty, holds whitespace or starts with '#'.
 """
@@ -68,113 +72,11 @@ def _strip_comment(raw: str) -> str:
 
 
 def parse_document(text: str) -> LatticeDocument:
-    def entries():
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = _strip_comment(raw).rstrip()
-            if not line.strip():
-                continue
-            head, *args = line.split()
-            if head == "cover":
-                args = args[::2] if len(args) == 3 and args[1] == "<" else None
-            elif head == "mult" and len(args) == 2 and args[0] == "preset":
-                head, args = "mult preset", args[1:]
-            elif head == "mult":
-                args = [args[0], args[1], args[3]] if len(args) == 4 and args[2] == "=" else None
-            yield ln, line, head, args
-
-    return _checked_document(entries(), text.count("\n") + 1)
-
-
-# directive -> (number of labels or strings, the form an error message quotes)
-_MULT_FORM = "mult <x> <y> = <z> or mult preset meet|zero"
-_FORMS = {"name": (1, "name <string>"), "element": (1, "element <label>"),
-          "cover": (2, "cover <a> < <b>"), "mult": (3, _MULT_FORM),
-          "mult preset": (1, _MULT_FORM), "generator": (1, "generator <label>")}
-
-
-def _checked_document(entries, last: int) -> LatticeDocument:
-    """The document of ``entries``, tuples (line number, line, directive,
-    arguments) from either input format, with arguments a list of strings,
-    or None when malformed; both formats meet the same checks and messages."""
-    name = "L"
-    elements: list = []
-    seen = set()
-    covers: list = []
-    preset = None
-    products: dict = {}                # (x, y) -> xy, in input order
-    generators: list = []
-
-    def err(msg, ln, line, token=None):
-        col = line.find(token) + 1 if token and token in line else 1
-        raise LatticeSyntaxError(msg, ln, col)
-
-    for ln, line, head, args in entries:
-        if head not in _FORMS:
-            err(f"unknown directive {head!r}", ln, line, head)
-        arity, form = _FORMS[head]
-        if args is None or len(args) != arity:
-            err(f"expected: {form}", ln, line)
-        if head == "name":
-            name = args[0]
-        elif head == "element":
-            if args[0] in seen:
-                err(f"duplicate label {args[0]!r}", ln, line, args[0])
-            seen.add(args[0])
-            elements.append(args[0])
-        elif head == "mult preset":
-            if args[0] not in ("meet", "zero"):
-                err(f"unknown preset {args[0]!r}", ln, line, args[0])
-            if products:
-                err("preset cannot be mixed with explicit mult lines", ln, line)
-            if preset:
-                err("duplicate mult preset", ln, line)
-            preset = args[0]
-        else:
-            if head == "mult" and preset:
-                err("explicit mult lines cannot follow a preset", ln, line)
-            for t in args:
-                if t not in seen:
-                    err(f"unknown label {t!r}", ln, line, t)
-            if head == "cover":
-                covers.append(tuple(args))
-            elif head == "generator":
-                generators.append(args[0])
-            elif (args[0], args[1]) in products:
-                err(f"mult {args[0]} {args[1]} is already given", ln, line, args[0])
-            else:
-                products[args[0], args[1]] = args[2]
-
-    if not elements:
-        raise LatticeSyntaxError("no elements declared", last)
-    if preset is None and not products:
-        raise LatticeSyntaxError("no multiplication given", last)
-    return LatticeDocument(name, tuple(elements), tuple(covers), preset,
-                           tuple((x, y, z) for (x, y), z in products.items()),
-                           tuple(generators) or None)
-
-
-def document_to_lattice(doc: LatticeDocument) -> MultLattice:
-    index = {label: i for i, label in enumerate(doc.elements)}
-    n = len(doc.elements)
-    covers = [(index[a], index[b]) for a, b in doc.covers]
-    order = build_order(size=n, covers=covers)
-    if doc.mult_preset == "meet":
-        table = order.meet_table
-    elif doc.mult_preset == "zero":
-        table = ((order.bottom,) * n,) * n
-    else:
-        cells = [None] * (n * n)           # row-major
-        for x, y, z in doc.mult_triples:
-            cells[index[x] * n + index[y]] = index[z]
-        if None in cells:
-            x, y = divmod(cells.index(None), n)
-            raise LatticeSyntaxError(
-                f"mult is not total: missing {doc.elements[x]} {doc.elements[y]}",
-                len(doc.elements) + 1)
-        table = tuple(tuple(cells[i:i + n]) for i in range(0, n * n, n))  # kept as given
-    gens = None if doc.generators is None else [index[g] for g in doc.generators]
-    return validate(order=order, mult=table, generators=gens,
-                    labels=doc.elements, name=doc.name)
+    """The document of a text-format description, read by :func:`parse`'s pass."""
+    name, labels, covers, preset, products, gens = _read(_text_rows(text), text.count("\n") + 1)
+    triples = tuple((labels[x], labels[y], labels[z]) for (x, y), z in products.items())
+    return LatticeDocument(name, tuple(labels), tuple((labels[a], labels[b]) for a, b in covers),
+                           preset, triples, tuple(labels[g] for g in gens) or None)
 
 
 def parse(text: str) -> MultLattice:
@@ -184,12 +86,33 @@ def parse(text: str) -> MultLattice:
     :func:`json_payload`, so both export formats round trip through here.
     """
     text = text.removeprefix("\ufeff")       # one UTF-8 byte-order mark
-    if text.lstrip().startswith("{"):
-        return document_to_lattice(_document_from_json(text))
-    return document_to_lattice(parse_document(text))
+    last = text.count("\n") + 1
+    rows = _json_rows(text) if text.lstrip().startswith("{") else _text_rows(text)
+    name, labels, covers, preset, products, gens = _read(rows, last)
+    n = len(labels)
+    order = build_order(size=n, covers=covers)
+    if preset == "meet":
+        table = order.meet_table
+    elif preset == "zero":
+        table = ((order.bottom,) * n,) * n
+    elif len(products) < n * n:
+        x, y = next((x, y) for x in range(n) for y in range(n) if (x, y) not in products)
+        raise LatticeSyntaxError(f"mult is not total: missing {labels[x]} {labels[y]}", last)
+    else:
+        table = tuple(tuple(products[x, y] for y in range(n)) for x in range(n))  # kept as given
+    return validate(order=order, mult=table, generators=gens or None,
+                    labels=tuple(labels), name=name)
 
 
-def _document_from_json(text: str) -> LatticeDocument:
+def _text_rows(text: str) -> list:
+    """The rows (line number, line, tokens) of the text format's non-blank lines."""
+    return [(ln, line, tokens) for ln, raw in enumerate(text.splitlines(), start=1)
+            if (tokens := (line := _strip_comment(raw)).split())]
+
+
+def _json_rows(text: str) -> list:
+    """The JSON payload as the rows of its text-format lines, all on line 1 with
+    no text; a field of the wrong shape is a row that has only its directive."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -203,21 +126,96 @@ def _document_from_json(text: str) -> LatticeDocument:
             raise LatticeSyntaxError(f"JSON field {key!r} must be a {kind.__name__}", 1)
         return value
 
-    def strings(args):
-        ok = isinstance(args, list) and all(isinstance(a, str) for a in args)
-        return args if ok else None
+    def row(head, args, *shape):   # shape: the tokens after head, an int k for args[k]
+        ok = isinstance(args, list) and all(type(a) is str for a in args) \
+            and len(args) == sum(type(t) is int for t in shape)
+        return 1, "", [head, *(args[t] if type(t) is int else t for t in shape)] if ok else [head]
 
     mult = field(payload, "mult", dict)
-    entries = [("name", [payload.get("name", "L")])]
-    entries += [("element", [label]) for label in field(payload, "elements", list)]
-    entries += [("cover", c) for c in field(payload, "covers", list)]
+    rows = [row("name", [payload.get("name", "L")], 0)]
+    rows += [row("element", [label], 0) for label in field(payload, "elements", list)]
+    rows += [row("cover", c, 0, "<", 1) for c in field(payload, "covers", list)]
     if mult.get("preset") is not None:
-        entries.append(("mult preset", [mult["preset"]]))
-    entries += [("mult", t) for t in field(mult, "triples", list)]
-    entries += [("generator", [g]) for g in field(payload, "generators", list)]
-    # each entry as the text format's directive, all on line 1
-    return _checked_document([(1, "", head, strings(args)) for head, args in entries],
-                             text.count("\n") + 1)
+        rows.append(row("mult", [mult["preset"]], "preset", 0))
+    rows += [row("mult", t, 0, 1, "=", 2) for t in field(mult, "triples", list)]
+    return rows + [row("generator", [g], 0) for g in field(payload, "generators", list)]
+
+
+# The form an error message quotes for each directive.
+_FORMS = {"name": "name <string>", "element": "element <label>", "cover": "cover <a> < <b>",
+          "mult": "mult <x> <y> = <z> or mult preset meet|zero",
+          "generator": "generator <label>"}
+
+
+def _read(rows, last: int) -> tuple:
+    """Check ``rows``, each (line number, line, tokens in the text grammar),
+    and read them as (name, labels, covers, preset, products, generators):
+    labels in declaration order, covers as index pairs, products as a dict
+    (x, y) -> xy of indices in input order, generators as a list of indices.
+    Each label is mapped to its index by one lookup as its row is read."""
+    name, labels, index, covers, preset, products, gens = "L", [], {}, [], None, {}, []
+    get = index.get
+    for ln, line, tokens in rows:
+        head, k = tokens[0], len(tokens)
+        if head == "mult" and k == 5 and tokens[3] == "=":
+            if preset:
+                raise LatticeSyntaxError("explicit mult lines cannot follow a preset", ln)
+            x, y, z = ids = get(tokens[1]), get(tokens[2]), get(tokens[4])
+            if None in ids:
+                _unknown(ln, line, tokens, ids, (1, 2, 4))
+            if (x, y) in products:
+                raise LatticeSyntaxError(f"mult {tokens[1]} {tokens[2]} is already given",
+                                         ln, _column(line, tokens, 1))
+            products[x, y] = z
+        elif head == "cover" and k == 4 and tokens[2] == "<":
+            ids = get(tokens[1]), get(tokens[3])
+            if None in ids:
+                _unknown(ln, line, tokens, ids, (1, 3))
+            covers.append(ids)
+        elif head == "element" and k == 2:
+            if index.setdefault(tokens[1], len(labels)) != len(labels):
+                raise LatticeSyntaxError(f"duplicate label {tokens[1]!r}", ln,
+                                         _column(line, tokens, 1))
+            labels.append(tokens[1])
+        elif head == "generator" and k == 2:
+            g = get(tokens[1])
+            if g is None:
+                _unknown(ln, line, tokens, (g,), (1,))
+            gens.append(g)
+        elif head == "name" and k == 2:
+            name = tokens[1]
+        elif head == "mult" and k == 3 and tokens[1] == "preset":
+            if tokens[2] not in ("meet", "zero"):
+                raise LatticeSyntaxError(f"unknown preset {tokens[2]!r}", ln,
+                                         _column(line, tokens, 2))
+            if products or preset:
+                raise LatticeSyntaxError("duplicate mult preset" if preset else
+                                         "preset cannot be mixed with explicit mult lines", ln)
+            preset = tokens[2]
+        elif head in _FORMS:
+            raise LatticeSyntaxError(f"expected: {_FORMS[head]}", ln)
+        else:
+            raise LatticeSyntaxError(f"unknown directive {head!r}", ln, _column(line, tokens, 0))
+    if not labels:
+        raise LatticeSyntaxError("no elements declared", last)
+    if preset is None and not products:
+        raise LatticeSyntaxError("no multiplication given", last)
+    return name, labels, covers, preset, products, gens
+
+
+def _unknown(ln: int, line: str, tokens: list, ids: tuple, at: tuple):
+    """Refuse the first of the labels ``tokens[k]``, k in ``at``, whose index in ``ids`` is None."""
+    k = at[ids.index(None)]
+    raise LatticeSyntaxError(f"unknown label {tokens[k]!r}", ln, _column(line, tokens, k))
+
+
+def _column(line: str, tokens: list, k: int) -> int:
+    """The 1-based column of ``tokens[k]`` in ``line``, or 1 for a row with no text."""
+    start = end = 0
+    for token in tokens[:k + 1] if line else ():
+        start = line.find(token, end)
+        end = start + len(token)
+    return start + 1
 
 
 def lattice_to_document(L) -> LatticeDocument:

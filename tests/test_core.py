@@ -536,10 +536,12 @@ def test_an_m_distributive_scan_runs_the_monotone_scan_too():
 def test_an_m_distributive_interval_still_runs_the_monotone_self_check(monkeypatch):
     # [1, top] of chain4_meet is m-distributive, so the six-condition gate on
     # it runs the monotone scan, here planted to fail on intervals alone: the
-    # self-check refuses it although no full axiom report is built.
-    real = core._monotone_witness
+    # self-check refuses it although no axiom report is built, not even a
+    # throwaway one through axiom_report.
+    real, reports = core._monotone_witness, []
     monkeypatch.setattr(core, "_monotone_witness",
                         lambda M: ("left", 0, 1, 0) if M.name.endswith("]") else real(M))
+    monkeypatch.setattr(core, "axiom_report", reports.append)
     L = chain(4, "meet")
     M = interval(L, 1, L.top).lattice
     with pytest.raises(core.TheoremViolation, match="m-distributive but not monotone") as info:
@@ -548,3 +550,4 @@ def test_an_m_distributive_interval_still_runs_the_monotone_self_check(monkeypat
     # the disjointness row reaches the same interval through the same gate
     assert verify.run_row(chain(4, "meet"), "constructions.disjointness").detail == (
         "TheoremViolation: m-distributive but not monotone (witness ('left', 0, 1, 0))")
+    assert reports == []

@@ -47,16 +47,23 @@ def test_parse_minimal_two_chain():
 
 
 def test_parse_builds_the_order_once(monkeypatch):
-    calls = []
+    """One pass: one order, one validate call and no label-form document."""
+    calls = {"build_order": 0, "validate": 0, "LatticeDocument": 0}
 
-    def counting(**kwargs):
-        calls.append(kwargs)
-        return build_order(**kwargs)
+    def counting(name, wrapped):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(core, "build_order", counting)
-    monkeypatch.setattr(ingest, "build_order", counting)
-    parse(DIAMOND)
-    assert len(calls) == 1
+    for name in calls:
+        wrapper = counting(name, getattr(ingest, name))
+        monkeypatch.setattr(ingest, name, wrapper)
+        monkeypatch.setattr(core, name, wrapper, raising=False)
+    for text in (DIAMOND, to_json(parse(DIAMOND))):
+        calls.update(dict.fromkeys(calls, 0))
+        parse(text)
+        assert calls == {"build_order": 1, "validate": 1, "LatticeDocument": 0}
 
 
 def test_parse_diamond_preset_expansion():
@@ -71,6 +78,29 @@ def test_duplicate_label_location():
         parse("element a\nelement a\nmult preset meet\n")
     assert exc.value.line == 2
     assert exc.value.column == 9
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("  elemant a\n", 1, 3, "unknown directive 'elemant'"),
+    ("name n\nelement n\nelement n\n", 3, 9, "duplicate label 'n'"),
+    ("element a\nelement b\ncover a < e\n", 3, 11, "unknown label 'e'"),
+    ("element a\nelement b\ncover  a  <  b  <\n", 3, 1, "expected: cover <a> < <b>"),
+    ("element a\nelement b\ncover a < b\nmult a u = a\n", 4, 8, "unknown label 'u'"),
+    ("element a\nmult a o = u\n", 2, 8, "unknown label 'o'"),    # the first of two
+    ("element m\nelement x\nmult m x = m\nmult m x = x\n", 4, 6, "mult m x is already given"),
+    ("element e\nmult preset e\n", 2, 13, "unknown preset 'e'"),
+    ("element a\nmult preset meet\nmult preset zero\n", 3, 1, "duplicate mult preset"),
+    ("element o\ngenerator o\ngenerator o o\n", 3, 1, "expected: generator <label>"),
+    ("element t\ngenerator o\n", 2, 11, "unknown label 'o'"),
+    ("element a\n\tgenerator\tt  # t\n", 2, 12, "unknown label 't'"),
+])
+def test_an_error_names_the_column_of_its_token(text, line, column, message):
+    """The column is where the offending token starts, even where its string
+    appears earlier in the line (the 'e' of 'element', the 'u' of 'mult')."""
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert exc.value.witness == (line, column)
 
 
 def test_unknown_label_and_directive():
@@ -100,10 +130,14 @@ def test_the_first_missing_product_is_named():
     text = "element a\nelement b\ncover a < b\nmult a a = a\nmult b b = b\nmult b a = a\n"
     with pytest.raises(LatticeSyntaxError) as exc:
         parse(text)
-    assert str(exc.value) == "line 3, column 1: mult is not total: missing a b"
+    # at the end-of-input line, as "no elements declared" is
+    assert str(exc.value) == "line 7, column 1: mult is not total: missing a b"
     with pytest.raises(LatticeSyntaxError) as exc:
         parse(text.replace("mult b a = a", "mult a b = a"))
-    assert str(exc.value) == "line 3, column 1: mult is not total: missing b a"
+    assert str(exc.value) == "line 7, column 1: mult is not total: missing b a"
+    with pytest.raises(LatticeSyntaxError) as exc:
+        parse(text.rstrip("\n"))
+    assert str(exc.value) == "line 6, column 1: mult is not total: missing a b"
 
 
 def test_a_byte_order_mark_is_read_as_nothing(named_corpus):
