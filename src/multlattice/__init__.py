@@ -15,8 +15,8 @@ from .spectrum import (ElementFlags, FiniteTopology, HyperabelianReport,
 from .systems import (CorrespondenceReport, MSystem, classify_system,
                       complement_system, constructible_topology,
                       correspondence_check, equal_saturations,
-                      inverse_topology, primes_avoiding, saturate,
-                      saturated_m_systems, system_of_points)
+                      inverse_topology, saturate, saturated_m_systems,
+                      system_of_points)
 from .families import (AnnihilatorReport, FamilyReport, PipReport, SigmaReport,
                        annihilators, classify_family, pip_check, residual_left,
                        residual_right, sigma_of_system)
@@ -29,7 +29,7 @@ from .series import SeriesReport, series, solvable_witness_chain
 from .ingest import (LatticeDocument, LatticeSyntaxError, chain, export_dot,
                      export_dot_homeo_pair, export_dot_spectrum,
                      export_dot_topology, export_text, generate,
-                     open_set_lattice, parse, parse_document, poset_space,
+                     open_set_lattice, parse, poset_space,
                      powerset_lattice, random_lattice, to_json, zn_ideals)
 from .verify import CheckResult, VerifyReport, verify_all
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   TheoremViolation, memo, require, validate)
+                   TheoremViolation, analysis, memo, require, validate)
 from .spectrum import hyperabelian_report, prime_mask, spectrum
 from .families import annihilators
 from .systems import bit_indices
@@ -59,17 +59,23 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     every element generates, and (zz') v x <= z ^ z' whenever x <= z, z'
     bounds the table.  When ``x`` is bottom the new multiplication agrees
     with the restriction of the parent multiplication; this is asserted.
-    It is kept under ``L``'s memo key ``"intervals"``, which
-    ``verify.verify_all`` releases with the rest of what ``L``'s suites
-    cached, for the reason :func:`product` gives for keeping no product.
+    It is kept in ``L``'s analysis ``"intervals"``, which a run releases
+    (``core.releasing``), for the reason :func:`product` gives for keeping
+    no product.
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
-    ivs = L._cache["intervals"] if "intervals" in L._cache else memo(L, "intervals", dict)
+    ivs = _intervals(L)
     iv = ivs.get((x, y))
     if iv is None:
         iv = ivs[x, y] = _interval(L, x, y)
     return iv
+
+
+@analysis("intervals")
+def _intervals(L: MultLattice) -> dict:
+    """The intervals of ``L`` built so far, by (x, y)."""
+    return {}
 
 
 def _restrict(table, elems, cell) -> tuple:
@@ -256,11 +262,10 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     they cover the spectrum iff n1*n2 is below the semiprime radical.  Both
     equivalences are asserted.  [bottom, top] is read as ``L`` itself: the
     interval has ``L``'s relation and table and the identity embedding.
-    What a pair reads of ``L`` is kept under its memo key ``"disjointness"``:
+    What a pair reads of ``L`` is kept in its analysis ``"disjointness"``:
     Spec and the radical, built once the gate has passed, and the
     hyperabelian value of each upper interval, filled as pairs ask for it."""
-    spec, radical, hyper_at = L._cache["disjointness"] if "disjointness" in L._cache else memo(
-        L, "disjointness", lambda: _disjointness_reads(L))
+    spec, radical, hyper_at = _disjointness_reads(L)
     v1 = L.up_masks[n1] & spec
     v2 = L.up_masks[n2] & spec
 
@@ -285,6 +290,7 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
     return DisjointnessReport(disjoint, cover)
 
 
+@analysis("disjointness")
 def _disjointness_reads(L: MultLattice) -> tuple:
     """Spec, the semiprime radical and an empty join -> hyperabelian dict,
     once ``L`` has passed the gate of :func:`disjointness_criteria`."""
@@ -352,12 +358,9 @@ def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
 
 
 def identity_morphism(L: MultLattice) -> LatticeMorphism:
-    """x -> x, which respects every multiplication; the mapping, with its
-    order laws checked, is kept per order."""
-    order = L.order
-    f = order._cache["identity"] if "identity" in order._cache else memo(
-        order, "identity", lambda: _order_checked(order, order, tuple(L.elements)))
-    return LatticeMorphism(L, L, f)
+    """x -> x, which respects every multiplication; its order laws are
+    checked once per order (:func:`_order_checked`)."""
+    return LatticeMorphism(L, L, _order_checked(L.order, L.order, tuple(L.elements)))
 
 
 def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial, update_wrapper
 from typing import Iterable, Sequence
 
 # The largest lattice on which a check scans all 2^size subsets.  Above it
@@ -219,9 +220,10 @@ def memo(owner, key, build):
     ``owner._cache``.  The owner is a :class:`MultLattice`, or an
     :class:`OrderData` for values that depend on the order alone.  Nothing
     is stored when ``build()`` raises, so a failure is raised again on the
-    next call.  An accessor with a constant key reads a hit in its own frame,
-    ``cache[key] if key in cache else memo(...)``, and comes here to build;
-    a tuple key comes here for hits too.  A miss raises no ``KeyError``."""
+    next call.  An analysis under a constant key is declared by
+    :func:`analysis`, whose accessor reads a hit in its own frame and comes
+    here to build; a tuple key comes here for hits too.  A miss raises no
+    ``KeyError``."""
     cache = owner._cache
     value = cache.get(key, _MISSING)
     if value is _MISSING:
@@ -230,6 +232,56 @@ def memo(owner, key, build):
 
 
 _MISSING = object()     # memo's marker for a key not in the cache
+
+
+@dataclass
+class Analysis:
+    """A cached analysis: its ``owner`` ("lattice" or "order"), whether a
+    run keeps it on the lattice (:func:`releasing`) and its ``build``, the
+    one place a test swaps in another."""
+    owner: str
+    kept: bool
+    build: object
+
+
+# Every analysis kept under a constant memo key, by key.
+ANALYSES = {}
+
+
+def analysis(key: str, owner: str = "lattice", kept: bool = False):
+    """Declare the decorated function as the build of the analysis ``key``
+    and return its accessor, which takes the same argument.  The value is
+    kept on the argument, a lattice or (``owner="order"``) an order, or with
+    ``owner="lattice.order"`` on the order of the lattice given.  A hit is
+    read in the accessor's own frame; a miss builds through :func:`memo`
+    with the entry's ``build`` as it is then."""
+    def declare(build):
+        entry = ANALYSES[key] = Analysis(owner.rpartition(".")[2], kept, build)
+        # partial, not a lambda: a lambda makes the argument a cell, paid on hits too
+        if owner == "lattice.order":
+            def accessor(L):
+                cache = L.order._cache
+                return cache[key] if key in cache else memo(L.order, key, partial(entry.build, L))
+        else:
+            def accessor(x):
+                cache = x._cache
+                return cache[key] if key in cache else memo(x, key, partial(entry.build, x))
+        # its own code, named as the build: for profiles, and monomorphic interpreter caches
+        accessor.__code__ = accessor.__code__.replace(co_name=build.__name__,
+                                                      co_qualname=build.__qualname__)
+        return update_wrapper(accessor, build)
+    return declare
+
+
+def releasing(L: MultLattice, run):
+    """``run()``, a run over ``L`` whose calls share ``L``'s cache; then ``L``
+    keeps in a new dict only what it held before and the analyses declared
+    kept, so what the run derived (intervals among it) is freed."""
+    held = set(L._cache)
+    out = run()
+    L._cache = {k: v for k, v in L._cache.items()
+                if k in held or k in ANALYSES and ANALYSES[k].kept}
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -252,11 +304,10 @@ class OrderData:
     """The order side of a lattice, before any multiplication is attached.
 
     One object is shared by every lattice on the same order, so it has
-    identity equality and can key caches.  ``_cache`` holds, through
-    :func:`memo`, what is computed from the order alone: the masks, the
-    covers and the full generating set here and, elsewhere, the interval and
-    product orders, the maximal and meet-irreducible flags and the order
-    laws of morphisms.
+    identity equality and can key caches.  ``_cache`` holds what is computed
+    from the order alone: its analyses (:func:`analysis`) and the values
+    :func:`memo` keeps under tuple keys, such as the interval and product
+    orders and the order laws of morphisms.
     """
     size: int
     relation: tuple
@@ -266,24 +317,29 @@ class OrderData:
     top: int
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
+    @analysis("masks", "order")
     def masks(self) -> tuple:
         """The down- and up-set of every element as integer bitmasks."""
-        return self._cache["masks"] if "masks" in self._cache else memo(
-            self, "masks", lambda: _masks(self.size, _up_masks(self.relation)))
+        return _masks(self.size, _up_masks(self.relation))
 
+    @analysis("all_elements", "order")
     def all_elements(self) -> frozenset:
         """Every element: the default generating set, one frozenset per order."""
-        return self._cache["all_elements"] if "all_elements" in self._cache else memo(
-            self, "all_elements", lambda: frozenset(range(self.size)))
+        return frozenset(range(self.size))
 
+    @analysis("covers", "order")
     def covers(self) -> tuple:
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram.
         b covers a exactly when the interval [a, b] is {a, b}."""
-        def build():
-            down, up = self.masks()
-            return tuple((a, b) for a in range(self.size) for b in range(self.size)
-                         if a != b and up[a] & down[b] == 1 << a | 1 << b)
-        return self._cache["covers"] if "covers" in self._cache else memo(self, "covers", build)
+        down, up = self.masks()
+        return tuple((a, b) for a in range(self.size) for b in range(self.size)
+                     if a != b and up[a] & down[b] == 1 << a | 1 << b)
+
+    @analysis("down_sets", "order")
+    def down_sets(self) -> tuple:
+        """The down-set of every element as a frozenset, for :func:`validate`'s bound."""
+        return tuple(frozenset(y for y in range(self.size) if m >> y & 1)
+                     for m in self.masks()[0])
 
     def lub(self, xs: Iterable[int]) -> int:
         """Least upper bound of a set of elements; the empty join is bottom."""
@@ -448,9 +504,7 @@ def _bounded_table(order: OrderData, mult) -> tuple:
         raise BadParams("mult must be a full size x size table")
     # xy <= x meet y iff row x lies in down(x) and column y in down(y); the
     # cell loop below runs only to name the first failing cell, row-major.
-    downs = order._cache["down_sets"] if "down_sets" in order._cache else memo(
-        order, "down_sets", lambda: tuple(
-            frozenset(y for y in range(size) if m >> y & 1) for m in order.masks()[0]))
+    downs = order.down_sets()
     if (all(map(frozenset.issuperset, downs, table))
             and all(map(frozenset.issuperset, downs, zip(*table)))):
         return table
@@ -513,12 +567,12 @@ class PropertyReport:
     infinite_check_method: str = "reduction"
 
 
+@analysis("axioms", kept=True)
 def check_axioms(L: MultLattice) -> PropertyReport:
     """The full report on the four laws, read off their :func:`law_witness` scans
     and built where it is shown (:func:`exhaustive_axioms`, the ``axioms.dist_implies_mono``
     row, ``mlat validate``); one flag is read as ``law_witness(L, flag) is None``."""
-    return L._cache["axioms"] if "axioms" in L._cache else memo(
-        L, "axioms", lambda: axiom_report({law: law_witness(L, law) for law in LAWS}))
+    return axiom_report({law: law_witness(L, law) for law in LAWS})
 
 
 # Each hypothesis-gated statement, named as its verify check, and the check_axioms
@@ -581,20 +635,24 @@ def require(L: MultLattice, statement: str, exc: type) -> None:
 def law_witness(L: MultLattice, flag: str):
     """The first counterexample to the law behind the :class:`PropertyReport`
     flag ``flag`` (``LAW_OF``), or None when it holds: the one site that
-    scans a law, once per law, kept in ``L._cache`` under the law's name.
-    A scan finding ``L`` m-distributive runs the monotone scan as well and
-    refuses a non-monotone ``L``, the self-check :func:`axiom_report` repeats."""
+    scans a law, once per law, kept on ``L`` under the law's name, an
+    analysis declared kept.  A scan finding ``L`` m-distributive runs the
+    monotone scan as well and refuses a non-monotone ``L``."""
     law = LAW_OF.get(flag, flag)
-    return L._cache[law] if law in L._cache else memo(L, law, lambda: _scan_law(L, law))
+    cache = L._cache
+    return cache[law] if law in cache else memo(L, law, partial(ANALYSES[law].build, L))
 
 
-def _scan_law(L: MultLattice, law: str):
+def _scan_law(law: str, L: MultLattice):
     witness = globals()[f"_{law}_witness"](L)     # read when called, so a patch takes effect
-    # Self-check, as in axiom_report: a theorem about any multiplicative lattice.
+    # Self-check: a theorem about any multiplicative lattice.
     if law == "m_distributive" and witness is None and (
             monotone := law_witness(L, "monotone")) is not None:
         raise TheoremViolation("m-distributive but not monotone", witness=monotone)
     return witness
+
+
+ANALYSES.update({law: Analysis("lattice", True, partial(_scan_law, law)) for law in LAWS})
 
 
 def axiom_report(witnesses: dict) -> PropertyReport:
@@ -605,9 +663,6 @@ def axiom_report(witnesses: dict) -> PropertyReport:
     m_distributive = "m_distributive" not in found
     if not m_distributive:
         found["infinitely_m_distributive"] = found["m_distributive"]
-    # Self-check: a theorem about any multiplicative lattice.
-    if m_distributive and "monotone" in found:
-        raise TheoremViolation("m-distributive but not monotone", witness=found["monotone"])
     return PropertyReport("monotone" not in found, m_distributive, m_distributive,
                           "associative" not in found, "commutative" not in found, found)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (HypothesesFail, MultLattice, NotAnMSystem, TheoremViolation,
-                   law_witness, memo, require)
+                   analysis, law_witness, require)
 from .spectrum import classify_all
 from .systems import classify_system
 
@@ -37,22 +37,18 @@ def residual_right(L: MultLattice, a: int, b: int) -> int:
     return residual_tables(L)[1][a][b]
 
 
+@analysis("residual_tables")
 def residual_tables(L: MultLattice):
     """Both residual tables, indexed [l][a]; cached on the lattice since the
-    family classifiers evaluate them for every (l, a) pair.
+    family classifiers evaluate them for every (l, a) pair.  (l :l a) is the
+    adjoint of x -> x*a at l, and (l :r a) that of x -> a*x, each computed
+    for every l at once and transposed to [l][a].
 
     When the lattice is infinitely m-distributive the bounds
     (l :l a) * a <= l and a * (l :r a) <= l are asserted for every pair,
     once, when the tables are built; that reads the m-distributivity scan
     alone (:func:`core.law_witness`), not the full axiom report.
     """
-    return L._cache["residual_tables"] if "residual_tables" in L._cache else memo(
-        L, "residual_tables", lambda: _residual_tables(L))
-
-
-def _residual_tables(L: MultLattice):
-    """(l :l a) is the adjoint of x -> x*a at l, and (l :r a) that of
-    x -> a*x, each computed for every l at once and transposed to [l][a]."""
     dm, mt = L.down_masks, L.mult_table
     left = tuple(zip(*[L.order.adjoint(col, dm) for col in zip(*mt)]))
     right = tuple(zip(*[L.order.adjoint(row, dm) for row in mt]))
@@ -135,10 +131,10 @@ def _counterexamples(L: MultLattice, fmask: int) -> dict:
     return counterexamples
 
 
+@analysis("sorted_generators")
 def _sorted_generators(L: MultLattice) -> list:
     """``L.generators`` in increasing order, kept per lattice."""
-    return L._cache["sorted_generators"] if "sorted_generators" in L._cache else memo(
-        L, "sorted_generators", lambda: sorted(L.generators))
+    return sorted(L.generators)
 
 
 def _oka_counterexamples(L: MultLattice, fmask: int, a_sorted) -> dict:

@@ -32,7 +32,7 @@ from math import gcd, isqrt
 
 from .constructions import open_subspace_homeo
 from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
-                   build_order, law_witness, memo, replace_mult, validate)
+                   analysis, build_order, law_witness, replace_mult, validate)
 from .spectrum import FiniteTopology, spectrum
 
 
@@ -69,14 +69,6 @@ def _strip_comment(raw: str) -> str:
         return ""
     cuts = [cut for cut in (raw.find(" #"), raw.find("\t#")) if cut >= 0]
     return raw[:min(cuts) + 1] if cuts else raw
-
-
-def parse_document(text: str) -> LatticeDocument:
-    """The document of a text-format description, read by :func:`parse`'s pass."""
-    name, labels, covers, preset, products, gens = _read(_text_rows(text), text.count("\n") + 1)
-    triples = tuple((labels[x], labels[y], labels[z]) for (x, y), z in products.items())
-    return LatticeDocument(name, tuple(labels), tuple((labels[a], labels[b]) for a, b in covers),
-                           preset, triples, tuple(labels[g] for g in gens) or None)
 
 
 def parse(text: str) -> MultLattice:
@@ -514,17 +506,13 @@ def open_set_lattice(T: FiniteTopology, name: str = "opens") -> MultLattice:
                     labels=labels, name=name)
 
 
+@analysis("cell_choices", "lattice.order")
 def cell_choices(L: MultLattice) -> tuple:
     """The values that cell [x][y] of a bounded multiplication table on the
     order of L may take: the elements below x meet y, ascending.  Built once
     per order and shared by every table drawn or listed on it, so it is
     immutable: a tuple of rows of tuples."""
     order = L.order
-    return order._cache["cell_choices"] if "cell_choices" in order._cache else memo(
-        order, "cell_choices", lambda: _cell_choices(order))
-
-
-def _cell_choices(order) -> tuple:
     below = tuple(tuple(y for y in range(order.size) if d >> y & 1)
                   for d in order.masks()[0])
     return tuple(tuple(below[m] for m in row) for row in order.meet_table)

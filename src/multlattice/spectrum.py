@@ -15,8 +15,8 @@ import functools
 from dataclasses import dataclass
 
 from .core import (MDistributivityRequired, MultLattice, NotMaximal, OrderData,
-                   PrimeElement, HypothesesFail, TheoremViolation, law_witness,
-                   memo, require)
+                   PrimeElement, HypothesesFail, TheoremViolation, analysis,
+                   law_witness, require)
 
 
 # --------------------------------------------------------------------------
@@ -87,16 +87,10 @@ class ElementFlags:
 _shared_flags = functools.cache(ElementFlags)
 
 
+@analysis("classify", kept=True)
 def classify_all(L: MultLattice) -> tuple:
     """Flags for every element, computed once and cached on the lattice."""
-    return L._cache["classify"] if "classify" in L._cache else memo(
-        L, "classify", lambda: _classify_all(L))
-
-
-def _classify_all(L: MultLattice) -> tuple:
-    order = L.order
-    order_flags = order._cache["order_flags"] if "order_flags" in order._cache else memo(
-        order, "order_flags", lambda: _order_flags(order))
+    order_flags = _order_flags(L.order)
     up, spec = L.up_masks, prime_mask(L)
     nonsemiprime = 0
     for a, row in enumerate(L.mult_table):
@@ -117,6 +111,7 @@ def _nonprime_mask(L: MultLattice, elems) -> int:
     return out
 
 
+@analysis("order_flags", "order")
 def _order_flags(order: OrderData) -> tuple:
     """(maximal, meet-irreducible) for every element, once per order.  x is
     meet-irreducible exactly when at most one element covers it: two covers
@@ -130,30 +125,24 @@ def _order_flags(order: OrderData) -> tuple:
                  for x, count in enumerate(cover_counts))
 
 
+@analysis("primes", kept=True)
 def primes_of(L: MultLattice) -> frozenset:
     """The prime elements of ``L``, cached on the lattice."""
-    return L._cache["primes"] if "primes" in L._cache else memo(
-        L, "primes", lambda: L.set_of(prime_mask(L)))
+    return L.set_of(prime_mask(L))
 
 
+@analysis("prime_mask", kept=True)
 def prime_mask(L: MultLattice) -> int:
     """Spec(L) as a mask, cached on the lattice: the nonprime pass alone,
     which :func:`classify_all` reads.  Inside the package V(x) is
     ``L.up_masks[x] & prime_mask(L)`` and D(x) is its complement in it."""
-    return L._cache["prime_mask"] if "prime_mask" in L._cache else memo(
-        L, "prime_mask", lambda: L.full_mask & ~(_nonprime_mask(L, L.elements) | 1 << L.top))
+    return L.full_mask & ~(_nonprime_mask(L, L.elements) | 1 << L.top)
 
 
 def v_set(L: MultLattice, x: int) -> frozenset:
     """V(x): the primes above x; the closed sets of the Zariski topology.
     A mask inside the package (:func:`prime_mask`), a frozenset here."""
     return L.set_of(L.up_masks[x] & prime_mask(L))
-
-
-def d_set(L: MultLattice, x: int) -> frozenset:
-    """D(x): the primes not above x, the open complement of V(x).  A mask
-    inside the package (:func:`prime_mask`), a frozenset here."""
-    return L.set_of(prime_mask(L) & ~L.up_masks[x])
 
 
 # --------------------------------------------------------------------------
@@ -172,6 +161,7 @@ class SpectrumReport:
     notes: tuple = ()
 
 
+@analysis("spectrum", kept=True)
 def spectrum(L: MultLattice) -> SpectrumReport:
     """Spec(L) with its Zariski topology, radicals, and a sobriety check.
 
@@ -184,11 +174,6 @@ def spectrum(L: MultLattice) -> SpectrumReport:
     of the maximal prime elements, ``jacobson_meet`` the meet of the same
     set, so callers can pick either convention.
     """
-    return L._cache["spectrum"] if "spectrum" in L._cache else memo(
-        L, "spectrum", lambda: _spectrum(L))
-
-
-def _spectrum(L: MultLattice) -> SpectrumReport:
     flags = classify_all(L)
     primes = primes_of(L)
     notes = []
@@ -351,6 +336,7 @@ def _greedy_square_chain(L: MultLattice, steps: list):
     return (tuple(chain), None) if chain[-1] == L.top else (None, chain[-1])
 
 
+@analysis("hyperabelian")
 def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     """Evaluate the six empty-spectrum conditions and assert they agree.
 
@@ -359,11 +345,6 @@ def hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     m-system, the witness, when it lacks bottom.  On an m-distributive (so
     monotone) lattice an m-system's upward closure is one without bottom.
     """
-    return L._cache["hyperabelian"] if "hyperabelian" in L._cache else memo(
-        L, "hyperabelian", lambda: _hyperabelian_report(L))
-
-
-def _hyperabelian_report(L: MultLattice) -> HyperabelianReport:
     require(L, "hyper.six_conditions", MDistributivityRequired)
     flags = classify_all(L)
     steps = _square_steps(L)

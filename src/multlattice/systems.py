@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .core import (POWERSET_LIMIT, MDistributivityRequired, MonotonicityRequired,
-                   MultLattice, NotAnMSystem, TheoremViolation, memo, require)
+                   MultLattice, NotAnMSystem, TheoremViolation, analysis, require)
 from .spectrum import FiniteTopology, classify_all, prime_mask, primes_of, spectrum
 
 
@@ -55,6 +55,7 @@ def subset_columns(n: int) -> tuple:
                  for x in range(n))
 
 
+@analysis("subset_flags")
 def subset_flags(L: MultLattice) -> tuple:
     """Three 2^n-bit integers (m, n, up) whose bit ``mask`` is set when the
     subset ``mask`` is an m-system, an n-system or an up-set, from about n^2
@@ -62,11 +63,6 @@ def subset_flags(L: MultLattice) -> tuple:
     ``core.POWERSET_LIMIT`` elements.  Kept on ``L``, not on ``L.order``,
     since they depend on the multiplication.  Every m-system is asserted to
     be an n-system."""
-    return L._cache["subset_flags"] if "subset_flags" in L._cache else memo(
-        L, "subset_flags", lambda: _subset_flags(L))
-
-
-def _subset_flags(L: MultLattice) -> tuple:
     col = subset_columns(L.size)
     everything = (1 << (1 << L.size)) - 1
     # meets[z]: the subsets with a member below z
@@ -206,13 +202,8 @@ def complement_system(L: MultLattice, x: int) -> MSystem:
     return ms
 
 
-def primes_avoiding(L: MultLattice, S) -> frozenset:
-    """P(S): the primes p with s !<= p for every s in S (an intersection of
-    the basic opens D(s))."""
-    return L.set_of(_avoiding(L, L.mask_of(S)))
-
-
 def _avoiding(L: MultLattice, mask: int) -> int:
+    """P(S) for S = ``mask``: the primes above no member of S, the meet of the D(s)."""
     return sum(1 << p for p in primes_of(L) if not mask & L.down_masks[p])
 
 
@@ -246,6 +237,7 @@ def points_system_mask(L: MultLattice, ymask: int) -> int:
 # The inverse topology
 
 
+@analysis("inverse_topology")
 def inverse_topology(L: MultLattice) -> FiniteTopology:
     """The topology on Spec(L) whose basic opens are the sets V(c), c compact.
 
@@ -254,11 +246,6 @@ def inverse_topology(L: MultLattice) -> FiniteTopology:
     is asserted to be the primes below p: the construction agrees with
     reversing the Zariski specialization order.
     """
-    return L._cache["inverse_topology"] if "inverse_topology" in L._cache else memo(
-        L, "inverse_topology", lambda: _inverse_topology(L))
-
-
-def _inverse_topology(L: MultLattice) -> FiniteTopology:
     primes, spec = spectrum(L).primes, prime_mask(L)
     d_masks = [spec & ~up for up in L.up_masks]      # every element is compact
     closures = {}
@@ -365,18 +352,13 @@ def _closed_masks(L: MultLattice) -> list:
     return out
 
 
+@analysis("m_systems")
 def m_system_masks(L: MultLattice) -> list:
     """The masks of every m-system up to ``core.POWERSET_LIMIT`` elements,
     in mask order, as :func:`subset_flags` decides them, otherwise of the
-    saturated ones; built once per lattice and shared by every statement
-    over them, so callers must not change it."""
-    return L._cache["m_systems"] if "m_systems" in L._cache else memo(
-        L, "m_systems", lambda: _scan_m_systems(L))
-
-
-def _scan_m_systems(L: MultLattice) -> list:
-    """:func:`m_system_masks`: the m-system flags of :func:`subset_flags` in mask order,
-    or above ``core.POWERSET_LIMIT`` :func:`_closed_masks` by size, then members."""
+    saturated ones, :func:`_closed_masks` by size, then members; built once
+    per lattice and shared by every statement over them, so callers must not
+    change it."""
     if L.size > POWERSET_LIMIT:
         return sorted(_closed_masks(L), key=_by_size_then_members)
     return bit_indices(subset_flags(L)[0])

@@ -21,9 +21,9 @@ from json.encoder import encode_basestring_ascii
 from . import constructions as cons
 from . import families as fam
 from . import systems as sys_mod
-from .core import (HYPOTHESES, LAWS, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
+from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
                    TheoremViolation, check_axioms, compact_elements,
-                   exhaustive_axioms, gap, replace_mult, validate)
+                   exhaustive_axioms, gap, releasing, replace_mult, validate)
 from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
                      poset_space, powerset_lattice, random_lattice,
                      random_mult_table, zn_ideals)
@@ -352,14 +352,10 @@ class VerifyReport:
         return self.failed == 0
 
 
-# The analyses a caller reads of a lattice and the law scans the report and gates read.
-KEPT = frozenset({"axioms", *LAWS, "classify", "spectrum", "prime_mask", "primes"})
-
-
 def verify_all(lattices, suites=("all",)) -> VerifyReport:
     """Run the selected suites over one lattice or a sequence of lattices.
-    A lattice's rows share its cache; once they have run, it keeps in a new
-    dict only what it held before the run and the analyses in ``KEPT``."""
+    A lattice's rows share its cache; once they have run, it keeps only what
+    it held before the run and the analyses declared kept (``core.releasing``)."""
     if isinstance(lattices, MultLattice):
         lattices = [lattices]
     names = list(SUITES) if "all" in suites else [s for s in suites if s in SUITES]
@@ -368,10 +364,8 @@ def verify_all(lattices, suites=("all",)) -> VerifyReport:
         raise BadParams(f"unknown suites: {unknown}")
     results = []
     for L in lattices:
-        kept = KEPT.union(L._cache)
-        for s in names:
-            results.extend(SUITES[s](L))
-        L._cache = {k: v for k, v in L._cache.items() if k in kept}
+        for rows in releasing(L, lambda: [SUITES[s](L) for s in names]):
+            results += rows
     results.sort(key=lambda r: (r.lattice, r.check))
     failed = sum(1 for r in results if not r.passed)
     skipped = sum(1 for r in results if r.skipped)

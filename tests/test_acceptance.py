@@ -224,11 +224,7 @@ def test_traced_names_resolve():
     """Every function named in the benchmark tracer's ``LAYERS`` table
     (imported from ``perfbench/tracing.py``, which is only read) still
     exists under that name in its ``multlattice`` module."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    layers = tracing.LAYERS
+    layers = _tracer_layers()
     missing = [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns
                if not callable(getattr(importlib.import_module(f"multlattice.{mod}"),
                                        fn, None))]
@@ -344,6 +340,45 @@ def test_a_law_is_scanned_at_one_site_and_condition_f_reads_no_cap():
         if path.name == "spectrum.py":
             capped += ["spectrum"] * ("POWERSET_LIMIT" in names(tree))
     assert named == [] and building == {("core.py", "_scan_law")} and capped == []
+
+
+def _tracer_layers() -> dict:
+    """``LAYERS`` of ``perfbench/tracing.py``, loaded from the file (only read)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def test_no_module_but_core_touches_a_cache():
+    """No ``._cache`` read or write appears in ``src/multlattice`` outside
+    ``core.py``: every analysis is declared there (``core.analysis``) and a
+    run's release rule is ``core.releasing``."""
+    touched = []
+    for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
+        if path.name != "core.py":
+            touched += [f"{path.name}:{node.lineno}"
+                        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                        if isinstance(node, ast.Attribute) and node.attr == "_cache"]
+    assert touched == []
+
+
+def test_every_export_has_a_reader():
+    """Every name ``multlattice/__init__.py`` exports is read somewhere in
+    ``src/multlattice`` besides ``__init__`` (named, imported or taken as an
+    attribute), or is a function the benchmark tracer names."""
+    package = ROOT / "src" / "multlattice"
+    exported = [a.name for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for a in node.names]
+    read = {name for fns in _tracer_layers().values() for name in fns}
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                read.add(getattr(node, "id", getattr(node, "attr", None)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    read.update(a.name for a in node.names)
+    assert exported and [name for name in exported if name not in read] == []
 
 
 def test_large_round_matches_its_recorded_digest(monkeypatch):

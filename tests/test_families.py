@@ -9,7 +9,7 @@ from multlattice.families import (PipReport, annihilators, classify_family,
                                   pip_check, pip_exhaustive, residual_left,
                                   residual_right, sigma_of_system)
 from multlattice.ingest import chain, zn_ideals
-from multlattice.spectrum import classify_all, d_set, primes_of, v_set
+from multlattice.spectrum import classify_all, prime_mask, primes_of, v_set
 from multlattice.systems import (_saturated_masks, all_m_systems, complement_system,
                                  m_system_masks)
 from multlattice.verify import corpus_exhaustive_tables, run_row, verify_all
@@ -279,7 +279,8 @@ def test_mask_route_matches_the_set_route(named_corpus):
         primes = primes_of(L)
         for x in L.elements:
             above = frozenset(p for p in primes if L.leq(x, p))
-            assert v_set(L, x) == above and d_set(L, x) == primes - above
+            assert v_set(L, x) == above
+            assert L.set_of(prime_mask(L) & ~L.up_masks[x]) == primes - above    # D(x)
         ax = check_axioms(L)
         if not ax.monotone or L.size > POWERSET_LIMIT:
             continue

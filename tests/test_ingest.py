@@ -8,7 +8,7 @@ from multlattice import core, ingest, verify
 from multlattice.core import MultNotBounded, build_order, check_axioms, validate
 from multlattice.ingest import (LatticeSyntaxError, chain, export_dot,
                                 export_dot_spectrum, export_text, generate,
-                                open_set_lattice, parse, parse_document,
+                                lattice_to_document, open_set_lattice, parse,
                                 poset_space, powerset_lattice, random_lattice,
                                 to_json, zn_ideals)
 from multlattice.families import pip_check, pip_exhaustive, sigma_of_mask
@@ -416,15 +416,14 @@ def test_cell_choices_and_draws_match_the_per_draw_reference(name):
 def test_cell_choices_are_built_once_per_order(monkeypatch):
     # each cell_choices build is counted against the order it is built for
     builds = {}
-    memo = ingest.memo
+    entry = core.ANALYSES["cell_choices"]
+    build = entry.build
 
-    def counting(owner, key, build):
-        def counted():
-            builds[owner] = builds.get(owner, 0) + 1
-            return build()
-        return memo(owner, key, counted if key == "cell_choices" else build)
+    def counted(L):
+        builds[L.order] = builds.get(L.order, 0) + 1
+        return build(L)
 
-    monkeypatch.setattr(ingest, "memo", counting)
+    monkeypatch.setattr(entry, "build", counted)
     corpus = verify.corpus_random_tables(1000, 1729)
     assert len(corpus) == 1000
     assert sorted(builds.values()) == [1] * len(verify.RANDOM_SHAPES)
@@ -506,7 +505,7 @@ def test_dot_escapes_quotes_and_backslashes():
 
 
 def test_document_fields_round_trip():
-    doc = parse_document(MINIMAL)
+    doc = lattice_to_document(parse(MINIMAL))
     assert doc.name == "two"
     assert doc.mult_preset == "meet"
     assert doc.covers == (("0", "1"),)

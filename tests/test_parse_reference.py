@@ -8,8 +8,7 @@ it replaced is kept here: a per-line generator (or the JSON payload) fed
 label to its index again.  Both must give the same lattice, or the same
 exception class, message, line and witness, on every lattice of the named,
 exhaustive <= 4 and seeded random corpora in both exports, on seeded
-malformed variants of those exports and on the ``MALFORMED_JSON`` cases;
-``parse_document`` must give the reference's document or error.
+malformed variants of those exports and on the ``MALFORMED_JSON`` cases.
 
 Two errors moved on purpose.  An error names the column of the offending
 token, where the reference named the first place its string appears in the
@@ -25,7 +24,7 @@ import pytest
 
 from multlattice.core import BadParams, LatticeError, build_order, validate
 from multlattice.ingest import (LatticeDocument, LatticeSyntaxError, _strip_comment,
-                                export_text, parse, parse_document, to_json)
+                                export_text, parse, to_json)
 from multlattice.verify import (corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables)
 
@@ -254,7 +253,6 @@ def corpus_exports():
 def test_parse_matches_the_two_pass_reader_on_every_export(corpus_exports):
     for text in corpus_exports:
         assert_same(text, parse, reference_parse)
-        assert_same(text, parse_document, reference_parse_document)
 
 
 def test_parse_matches_the_two_pass_reader_on_malformed_exports(corpus_exports):
@@ -266,9 +264,8 @@ def test_parse_matches_the_two_pass_reader_on_malformed_exports(corpus_exports):
     raised = moved = 0
     for variant in variants:
         moved += assert_same(variant, parse, reference_parse)
-        moved += assert_same(variant, parse_document, reference_parse_document)
         raised += outcome(parse, variant)[0] == "raised"
-    assert len(variants) > raised > len(variants) // 2 and moved > 100
+    assert len(variants) > raised > len(variants) // 2 and moved > 50
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))

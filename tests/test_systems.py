@@ -13,7 +13,7 @@ from multlattice.spectrum import primes_of, spectrum
 from multlattice.systems import (classify_system,
                                  complement_system, constructible_topology, correspondence_check,
                                  equal_saturations, inverse_topology,
-                                 is_compact, primes_avoiding, saturate,
+                                 is_compact, saturate,
                                  saturated_m_systems, system_of_points)
 from multlattice.verify import (corpus_exhaustive_tables, corpus_named, corpus_random_tables,
                                 run_row)
@@ -123,9 +123,10 @@ def test_complement_system_examples():
 
 def test_primes_avoiding_and_points_system():
     L = mk_chain(3, min)
-    assert primes_avoiding(L, set()) == spectrum(L).primes
-    assert primes_avoiding(L, {0}) == frozenset()
-    assert primes_avoiding(L, {2}) == frozenset({0, 1})
+    # P(S), the primes that avoid S, on masks
+    assert L.set_of(systems._avoiding(L, 0)) == spectrum(L).primes
+    assert systems._avoiding(L, 1 << 0) == 0
+    assert systems._avoiding(L, 1 << 2) == 1 << 0 | 1 << 1
 
     assert system_of_points(L, set()).members == frozenset(L.elements)
     assert system_of_points(L, spectrum(L).primes).members == frozenset({2})
@@ -351,7 +352,7 @@ def test_fixed_point_identity_all_subsets(small_exhaustive_corpus):
         for mask in range(1 << L.size):
             S = L.set_of(mask)
             ms = classify_system(L, S)
-            fixed = system_of_points(L, primes_avoiding(L, S)).members == S
+            fixed = system_of_points(L, L.set_of(systems._avoiding(L, mask))).members == S
             assert (ms.is_m and ms.saturated) == fixed, (L.name, sorted(S))
 
 
@@ -368,7 +369,7 @@ def test_fixed_point_identity_above_the_powerset_limit(mult):
         S = L.set_of(mask)
         ms = classify_system(L, S)
         if (ms.is_m and ms.saturated) != (
-                system_of_points(L, primes_avoiding(L, S)).members == S):
+                system_of_points(L, L.set_of(systems._avoiding(L, mask))).members == S):
             mismatches.append(mask)
     assert mismatches == []
     rep = correspondence_check(L)
@@ -514,7 +515,7 @@ def test_tables_on_one_order_keep_their_own_classifications():
 
 
 @pytest.mark.parametrize("edge", [classify_system, saturate, sigma_of_system,
-                                  classify_family, pip_check, primes_avoiding])
+                                  classify_family, pip_check])
 @pytest.mark.parametrize("stray", ["size", "negative", "str", "float", "None"])
 def test_element_sets_with_a_non_element_are_refused(edge, stray):
     # every edge converts its set with MultLattice.mask_of, which checks it;

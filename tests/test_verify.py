@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import gc
 import importlib
@@ -10,6 +11,7 @@ import sys
 import time
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from multlattice.cli import main
 from multlattice.core import (HYPOTHESES, POWERSET_LIMIT, BadParams, check_axioms,
                               replace_mult, validate)
 from multlattice.ingest import chain, powerset_lattice, to_json
-from multlattice.spectrum import FiniteTopology, d_set, primes_of, v_set
+from multlattice.spectrum import FiniteTopology, primes_of, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
                                 corpus_random_tables, enumerate_tables,
@@ -363,8 +365,9 @@ def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
     # suite run after the others still finds it.  (Derived lattices, such
     # as the intervals of the constructions suite, have their own.)
     calls, probed = [], []
-    scan = sys_mod._scan_m_systems
-    monkeypatch.setattr(sys_mod, "_scan_m_systems", lambda M: calls.append(M) or scan(M))
+    entry = core.ANALYSES["m_systems"]
+    scan = entry.build
+    monkeypatch.setattr(entry, "build", lambda M: calls.append(M) or scan(M))
     monkeypatch.setitem(SUITES, "probe", lambda M: probed.append(
         sys_mod.all_m_systems(M) == [M.set_of(s) for s in sys_mod.m_system_masks(M)]) or [])
     L = chain(4, "meet")
@@ -424,7 +427,7 @@ def test_corpus_run_leaves_no_interval_on_any_lattice():
 
 
 # The analyses a caller reads through the public API and the four law scans
-# that the report and the gates read; a run keeps them.
+# that the report and the gates read; a run keeps them (core.ANALYSES).
 READ_ANALYSES = {"axioms", "monotone", "m_distributive", "associative", "commutative",
                  "classify", "spectrum", "prime_mask", "primes"}
 
@@ -437,7 +440,7 @@ def test_verify_all_keeps_what_the_lattice_held_before_the_run():
     assert verify_all(L).failed == 0
     assert L._cache["sentinel"] is sentinel
     assert L._cache is not held         # a new dict: the run's table is freed
-    assert verify.KEPT == READ_ANALYSES
+    assert {key for key, entry in core.ANALYSES.items() if entry.kept} == READ_ANALYSES
 
 
 @pytest.mark.parametrize("corpus", ["zn36", "random5_mdist_s7", "exhaustive3+named"])
@@ -451,6 +454,54 @@ def test_verify_all_keeps_only_prior_entries_and_read_analyses(corpus):
     for L, keys in zip(lattices, before):
         assert keys <= L._cache.keys() <= keys | READ_ANALYSES, L.name
         assert {"axioms", *core.LAWS, "spectrum"} <= L._cache.keys(), L.name
+
+
+def test_a_run_keeps_a_registered_analysis_exactly_when_the_registry_says(monkeypatch):
+    # Each lattice-owned analysis in core.ANALYSES is on a corpus lattice
+    # after a run exactly when it was there before, or the run built it and
+    # the registry marks it kept; the builds are recorded through the
+    # registry, the one place a build is swapped.
+    lattices = corpus_exhaustive_tables(3) + corpus_named()
+    for L in lattices[::7]:
+        sys_mod.m_system_masks(L)       # an entry no run keeps of its own
+    before = [set(L._cache) for L in lattices]
+    owned = {key: entry for key, entry in core.ANALYSES.items() if entry.owner == "lattice"}
+    built = set()
+
+    def recording(key, build):
+        return lambda L: built.add((id(L), key)) or build(L)
+
+    for key, entry in owned.items():
+        monkeypatch.setattr(entry, "build", recording(key, entry.build))
+    assert verify_all(lattices).failed == 0
+    for L, keys in zip(lattices, before):
+        for key, entry in owned.items():
+            kept = key in keys or entry.kept and (id(L), key) in built
+            assert (key in L._cache) == kept, (L.name, key)
+    # the run built every lattice-owned analysis, kept and released alike
+    assert {key for _, key in built} == set(owned)
+    assert {entry.kept for entry in owned.values()} == {True, False}
+
+
+def test_every_constant_memo_key_is_registered_once():
+    # A constant key reaches a cache only through core.analysis, which
+    # declares it, or as one of the law scans core registers for
+    # law_witness; memo itself is called with tuple keys alone.
+    declared, constant, subscripts = [], [], []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(getattr(node, "func", None), "id", None)
+            if isinstance(node, ast.Call) and name == "analysis":
+                declared.append(node.args[0].value)
+            elif isinstance(node, ast.Call) and name == "memo":
+                constant += [k.value for k in node.args[1:2] if isinstance(k, ast.Constant)]
+            elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                  and getattr(node.value, "attr", None) == "_cache"):
+                subscripts.append(node.slice.value)
+    assert len(declared) == len(set(declared)) and not set(declared) & set(core.LAWS)
+    assert set(declared) | set(core.LAWS) == set(core.ANALYSES)
+    assert constant == [] and set(subscripts) <= set(declared)
+    assert all(core.ANALYSES[law].kept for law in core.LAWS)
 
 
 def test_a_gate_read_after_a_run_scans_no_law(monkeypatch):
@@ -502,9 +553,9 @@ def test_verify_all_reads_derived_lattices_on_their_prime_masks(name, monkeypatc
             return out
         return wrapper
 
-    monkeypatch.setattr(spectrum_module, "_spectrum", record(spectra, spectrum_module._spectrum))
-    monkeypatch.setattr(spectrum_module, "_classify_all",
-                        record(classified, spectrum_module._classify_all))
+    for key, log in (("spectrum", spectra), ("classify", classified)):
+        entry = core.ANALYSES[key]
+        monkeypatch.setattr(entry, "build", record(log, entry.build))
     monkeypatch.setattr(sys_mod, "_avoiding", record(avoided, sys_mod._avoiding))
     monkeypatch.setattr(cons, "product", built(products, cons.product))
     monkeypatch.setattr(cons, "_interval", built(intervals, cons._interval))
@@ -592,7 +643,7 @@ def test_lattice_facts_are_no_parameters():
         return list(inspect.signature(fn).parameters)
 
     assert params(families.classify_family) == params(families.pip_check) == ["L", "F"]
-    assert params(v_set) == params(d_set) == ["L", "x"]
+    assert params(v_set) == ["L", "x"]
     assert not hasattr(sys_mod, "m_systems")
 
 
@@ -655,7 +706,8 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
     # condition and its chain dropped: the row searches for a squaring chain
     # on its own, so it finds one, refuses the report's "not hyperabelian"
     # and names the report's blocker.
-    real = spectrum_module._hyperabelian_report
+    entry = core.ANALYSES["hyperabelian"]
+    real = entry.build
 
     def flipped(M):
         rep = real(M)
@@ -663,7 +715,7 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
             rep, hyperabelian=not rep.hyperabelian, chain=None,
             witnesses=dict.fromkeys("abcdef", M.bottom))
 
-    monkeypatch.setattr(spectrum_module, "_hyperabelian_report", flipped)
+    monkeypatch.setattr(entry, "build", flipped)
     assert _failures(chain(3, "zero"), "hyper") == {
         "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
                                   "squaring chain exists fails (witness 0)"}
@@ -672,8 +724,9 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
 def test_chain_row_names_what_it_reached_against_a_hyperabelian_report(monkeypatch):
     # The report on the meet 3-chain flipped to hyperabelian: the row's own
     # search reaches only the bottom, since a*a = a, and names that set.
-    real = spectrum_module._hyperabelian_report
-    monkeypatch.setattr(spectrum_module, "_hyperabelian_report", lambda M: dataclasses.replace(
+    entry = core.ANALYSES["hyperabelian"]
+    real = entry.build
+    monkeypatch.setattr(entry, "build", lambda M: dataclasses.replace(
         real(M), hyperabelian=True, chain=(0, 1, 2), witnesses={}))
     assert _failures(chain(3, "meet"), "hyper") == {
         "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
