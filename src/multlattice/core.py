@@ -220,10 +220,9 @@ def memo(owner, key, build):
     ``owner._cache``.  The owner is a :class:`MultLattice`, or an
     :class:`OrderData` for values that depend on the order alone.  Nothing
     is stored when ``build()`` raises, so a failure is raised again on the
-    next call.  An analysis under a constant key is declared by
-    :func:`analysis`, whose accessor reads a hit in its own frame and comes
-    here to build; a tuple key comes here for hits too.  A miss raises no
-    ``KeyError``."""
+    next call.  A value under a tuple key is kept here; one under a constant
+    key is an analysis (:func:`analysis`), whose accessor reads and builds
+    it in its own frame by the same rule.  A miss raises no ``KeyError``."""
     cache = owner._cache
     value = cache.get(key, _MISSING)
     if value is _MISSING:
@@ -244,31 +243,27 @@ class Analysis:
     build: object
 
 
-# Every analysis kept under a constant memo key, by key.
+# Every analysis kept under a constant memo key, by key; the keys a run keeps.
 ANALYSES = {}
+KEPT_KEYS = set()
 
 
 def analysis(key: str, owner: str = "lattice", kept: bool = False):
     """Declare the decorated function as the build of the analysis ``key``
-    and return its accessor, which takes the same argument.  The value is
-    kept on the argument, a lattice or (``owner="order"``) an order, or with
-    ``owner="lattice.order"`` on the order of the lattice given.  A hit is
-    read in the accessor's own frame; a miss builds through :func:`memo`
-    with the entry's ``build`` as it is then."""
+    and return its accessor, which takes the same argument, a lattice or
+    (``owner="order"``) an order, and keeps the value on it as :func:`memo`
+    would: a hit is one ``in`` test and one subscript, and a miss stores
+    what the entry's ``build``, as it is then, returns."""
     def declare(build):
-        entry = ANALYSES[key] = Analysis(owner.rpartition(".")[2], kept, build)
-        # partial, not a lambda: a lambda makes the argument a cell, paid on hits too
-        if owner == "lattice.order":
-            def accessor(L):
-                cache = L.order._cache
-                return cache[key] if key in cache else memo(L.order, key, partial(entry.build, L))
-        else:
-            def accessor(x):
-                cache = x._cache
-                return cache[key] if key in cache else memo(x, key, partial(entry.build, x))
-        # its own code, named as the build: for profiles, and monomorphic interpreter caches
-        accessor.__code__ = accessor.__code__.replace(co_name=build.__name__,
-                                                      co_qualname=build.__qualname__)
+        entry = ANALYSES[key] = Analysis(owner, kept, build)
+        if kept:
+            KEPT_KEYS.add(key)
+
+        def accessor(x):
+            cache = x._cache
+            if key not in cache:
+                cache[key] = entry.build(x)
+            return cache[key]
         return update_wrapper(accessor, build)
     return declare
 
@@ -279,8 +274,7 @@ def releasing(L: MultLattice, run):
     kept, so what the run derived (intervals among it) is freed."""
     held = set(L._cache)
     out = run()
-    L._cache = {k: v for k, v in L._cache.items()
-                if k in held or k in ANALYSES and ANALYSES[k].kept}
+    L._cache = {k: v for k, v in L._cache.items() if k in held or k in KEPT_KEYS}
     return out
 
 
@@ -640,7 +634,9 @@ def law_witness(L: MultLattice, flag: str):
     monotone scan as well and refuses a non-monotone ``L``."""
     law = LAW_OF.get(flag, flag)
     cache = L._cache
-    return cache[law] if law in cache else memo(L, law, partial(ANALYSES[law].build, L))
+    if law not in cache:
+        cache[law] = ANALYSES[law].build(L)
+    return cache[law]
 
 
 def _scan_law(law: str, L: MultLattice):
@@ -652,7 +648,8 @@ def _scan_law(law: str, L: MultLattice):
     return witness
 
 
-ANALYSES.update({law: Analysis("lattice", True, partial(_scan_law, law)) for law in LAWS})
+for law in LAWS:    # kept; law_witness reads each under the law named by its flag
+    analysis(law, kept=True)(partial(_scan_law, law))
 
 
 def axiom_report(witnesses: dict) -> PropertyReport:

@@ -31,8 +31,9 @@ from dataclasses import dataclass, fields, is_dataclass
 from math import gcd, isqrt
 
 from .constructions import open_subspace_homeo
-from .core import (BadParams, LatticeError, MultLattice, PropertyReport,
-                   analysis, build_order, law_witness, replace_mult, validate)
+from .core import (BadParams, LatticeError, MultLattice, OrderData,
+                   PropertyReport, analysis, build_order, law_witness,
+                   replace_mult, validate)
 from .spectrum import FiniteTopology, spectrum
 
 
@@ -506,13 +507,16 @@ def open_set_lattice(T: FiniteTopology, name: str = "opens") -> MultLattice:
                     labels=labels, name=name)
 
 
-@analysis("cell_choices", "lattice.order")
 def cell_choices(L: MultLattice) -> tuple:
     """The values that cell [x][y] of a bounded multiplication table on the
     order of L may take: the elements below x meet y, ascending.  Built once
     per order and shared by every table drawn or listed on it, so it is
     immutable: a tuple of rows of tuples."""
-    order = L.order
+    return _cell_choices(L.order)
+
+
+@analysis("cell_choices", "order")
+def _cell_choices(order: OrderData) -> tuple:
     below = tuple(tuple(y for y in range(order.size) if d >> y & 1)
                   for d in order.masks()[0])
     return tuple(tuple(below[m] for m in row) for row in order.meet_table)

@@ -610,13 +610,13 @@ def test_the_disjointness_row_builds_no_axiom_report_on_its_intervals(named_corp
 def test_a_verify_run_builds_one_axiom_report_per_lattice(named_corpus, monkeypatch):
     # No derived lattice of a run is given a full axiom report: its gates
     # read the laws they name (the product partners' reports are built once,
-    # before the count).  A report is built where memo stores it.
+    # before the count).  A report is built by its registry entry.
     core_module, built = importlib.import_module("multlattice.core"), []
-    real = core_module.memo
+    entry = core_module.ANALYSES["axioms"]
+    real = entry.build
     for partner in PRODUCT_PARTNERS:
         check_axioms(partner)
-    monkeypatch.setattr(core_module, "memo", lambda owner, key, build: (
-        key == "axioms" and built.append(owner.name)) or real(owner, key, build))
+    monkeypatch.setattr(entry, "build", lambda M: built.append(M.name) or real(M))
     lattices = [replace_mult(L, L.mult_table) for L in named_corpus]
     assert verify_all(lattices).failed == 0
     assert built == [L.name for L in lattices]

@@ -458,8 +458,9 @@ def test_a_falsy_analysis_is_built_once(monkeypatch):
     assert calls == ["chain3_zero"]
 
 
-# Each accessor with its analysis in core.ANALYSES.  The ids keep the form
-# they have always had, so a case's name reads the same from run to run.
+# Each accessor with its analysis in core.ANALYSES.  The third part of an
+# id names the function that built the analysis before the registry did
+# (most are gone); it stays so that each case keeps the id it is known by.
 @pytest.mark.parametrize("module, accessor, key", [
     pytest.param(module, accessor, key, id=f"{module}-{accessor}-{builder}-{key}")
     for module, accessor, builder, key in [
@@ -475,9 +476,9 @@ def test_a_falsy_analysis_is_built_once(monkeypatch):
         ("families", "residual_tables", "_residual_tables", "residual_tables"),
     ]])
 def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, accessor, key):
-    # memo stores a value only once its build returns, so the next read
-    # builds again and raises again; the registry entry is where a build is
-    # swapped.
+    # An accessor stores a value only once its build returns, so the next
+    # read builds again and raises again; the registry entry is where a
+    # build is swapped.
     mod, calls = importlib.import_module(f"multlattice.{module}"), []
 
     def broken(*args):

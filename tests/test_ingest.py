@@ -419,9 +419,9 @@ def test_cell_choices_are_built_once_per_order(monkeypatch):
     entry = core.ANALYSES["cell_choices"]
     build = entry.build
 
-    def counted(L):
-        builds[L.order] = builds.get(L.order, 0) + 1
-        return build(L)
+    def counted(order):
+        builds[order] = builds.get(order, 0) + 1
+        return build(order)
 
     monkeypatch.setattr(entry, "build", counted)
     corpus = verify.corpus_random_tables(1000, 1729)

@@ -441,6 +441,7 @@ def test_verify_all_keeps_what_the_lattice_held_before_the_run():
     assert L._cache["sentinel"] is sentinel
     assert L._cache is not held         # a new dict: the run's table is freed
     assert {key for key, entry in core.ANALYSES.items() if entry.kept} == READ_ANALYSES
+    assert core.KEPT_KEYS == READ_ANALYSES
 
 
 @pytest.mark.parametrize("corpus", ["zn36", "random5_mdist_s7", "exhaustive3+named"])
@@ -485,14 +486,14 @@ def test_a_run_keeps_a_registered_analysis_exactly_when_the_registry_says(monkey
 
 def test_every_constant_memo_key_is_registered_once():
     # A constant key reaches a cache only through core.analysis, which
-    # declares it, or as one of the law scans core registers for
+    # declares it, or as one of the law scans core declares in a loop for
     # law_witness; memo itself is called with tuple keys alone.
     declared, constant, subscripts = [], [], []
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             name = getattr(getattr(node, "func", None), "id", None)
             if isinstance(node, ast.Call) and name == "analysis":
-                declared.append(node.args[0].value)
+                declared += [k.value for k in node.args[:1] if isinstance(k, ast.Constant)]
             elif isinstance(node, ast.Call) and name == "memo":
                 constant += [k.value for k in node.args[1:2] if isinstance(k, ast.Constant)]
             elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
