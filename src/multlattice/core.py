@@ -123,7 +123,8 @@ class MultLattice:
     depends on the multiplication, generators or labels is cached per
     lattice in ``_cache``.
 
-    Built by :func:`validate`, or by ``constructions.interval`` from a validated parent.
+    Built by :func:`validate`, by ``constructions.interval`` from a validated parent,
+    or by ``ingest.from_cell_choices`` from the cell choices of a validated base.
     """
 
     def __init__(self, order, mult_table, generators, labels, name):
@@ -288,9 +289,12 @@ def _up_masks(rows) -> list:
 
 
 def _masks(size: int, up) -> tuple:
-    """The down-sets of the up-set bitmasks ``up``, and the up-sets."""
-    down = tuple(sum(1 << y for y in range(size) if up[y] >> x & 1) for x in range(size))
-    return down, tuple(up)
+    """The down-sets of the up-set bitmasks ``up``, set bit by bit, and the up-sets."""
+    down = [0] * size
+    for y, u in enumerate(up):
+        for x in range(size):
+            down[x] |= (u >> x & 1) << y
+    return tuple(down), tuple(up)
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +421,7 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
         raise NotALattice(f"pair ({x}, {y}) has no {what} bound", witness=(x, y))
 
     full = (1 << size) - 1
-    rel = tuple(tuple(bool(u >> y & 1) for y in range(size)) for u in up_masks)
+    rel = tuple([tuple([bool(u >> y & 1) for y in range(size)]) for u in up_masks])
     order = OrderData(size, rel, join_table, meet_table, by_up[full], by_down[full])
     order._cache["masks"] = down_masks, up_masks
     return order

@@ -32,8 +32,7 @@ from math import gcd, isqrt
 
 from .constructions import open_subspace_homeo
 from .core import (BadParams, LatticeError, MultLattice, OrderData,
-                   PropertyReport, analysis, build_order, law_witness,
-                   replace_mult, validate)
+                   PropertyReport, analysis, build_order, law_witness, validate)
 from .spectrum import FiniteTopology, spectrum
 
 
@@ -522,6 +521,13 @@ def _cell_choices(order: OrderData) -> tuple:
     return tuple(tuple(below[m] for m in row) for row in order.meet_table)
 
 
+def from_cell_choices(base: MultLattice, table, name: str | None = None) -> MultLattice:
+    """``replace_mult(base, table, name)`` for a ``table`` drawn from :func:`cell_choices`
+    of ``base``, bounded by construction and so not validated again; rows become int tuples."""
+    return MultLattice(base.order, tuple(map(tuple, table)), base.generators,
+                       base.labels, base.name if name is None else name)
+
+
 def random_mult_table(L: MultLattice, rng: random.Random):
     """A uniformly random bounded multiplication table on the order of L:
     one ``rng.choice`` per cell, row-major, from the order's shared,
@@ -537,8 +543,9 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
                    name: str | None = None) -> MultLattice:
     """A random lattice of the given size with a random bounded table,
     rejection-sampled until the requested axiom flags match, with at most
-    ``RANDOM_TRIES`` attempts at each.  A draw scans the requested flags'
-    laws alone (:func:`core.law_witness`), up to the first flag that fails.
+    ``RANDOM_TRIES`` attempts at each.  A draw is built by :func:`from_cell_choices`
+    and scans the requested flags' laws alone (:func:`core.law_witness`), up to the first
+    flag that fails.
 
     ``axioms`` maps property-report flag names to required booleans, e.g.
     ``{"m_distributive": True}``; any other value is refused before a draw.
@@ -553,27 +560,23 @@ def random_lattice(size: int, axioms: dict | None = None, seed: int = 0,
     if not_bool := {flag: want for flag, want in axioms.items() if want not in (True, False)}:
         raise BadParams(f"axiom flags take True or False, got {not_bool}")
     rng = random.Random(seed)
-    order_attempts = table_attempts = 0
-    base = None
-    while base is None:
-        order_attempts += 1
-        if order_attempts > RANDOM_TRIES:
-            raise BadParams("could not sample a lattice order; try another seed")
+    for _ in range(RANDOM_TRIES):
         covers = [(i, j) for i in range(1, size - 1) for j in range(i + 1, size - 1)
                   if rng.random() < 0.35]
         covers += [(0, i) for i in range(size)] + [(i, size - 1) for i in range(size)]
         try:
             base = validate(size=size, covers=covers, mult=lambda x, y: 0,
                             name=name or f"random{size}_s{seed}")
+            break
         except LatticeError:
-            base = None
-    while True:
-        table_attempts += 1
-        if table_attempts > RANDOM_TRIES:
-            raise BadParams("could not sample a table with the requested axioms")
-        L = replace_mult(base, random_mult_table(base, rng))
+            pass
+    else:
+        raise BadParams("could not sample a lattice order; try another seed")
+    for _ in range(RANDOM_TRIES):
+        L = from_cell_choices(base, random_mult_table(base, rng))
         if all((law_witness(L, flag) is None) == want for flag, want in axioms.items()):
             return L
+    raise BadParams("could not sample a table with the requested axioms")
 
 
 def int_param(text: str) -> int:

@@ -23,10 +23,10 @@ from . import families as fam
 from . import systems as sys_mod
 from .core import (HYPOTHESES, POWERSET_LIMIT, BadParams, LatticeError, MultLattice,
                    TheoremViolation, check_axioms, compact_elements,
-                   exhaustive_axioms, gap, releasing, replace_mult, validate)
-from .ingest import (SCHEMA_VERSION, cell_choices, chain, open_set_lattice,
-                     poset_space, powerset_lattice, random_lattice,
-                     random_mult_table, zn_ideals)
+                   exhaustive_axioms, gap, releasing, validate)
+from .ingest import (SCHEMA_VERSION, cell_choices, chain, from_cell_choices,
+                     open_set_lattice, poset_space, powerset_lattice,
+                     random_lattice, random_mult_table, zn_ideals)
 from .series import series, solvable_witness_chain
 from .spectrum import (classify_all, hyperabelian_report,
                        maximal_prime_criterion, non_prime_symmetric_witness,
@@ -436,38 +436,31 @@ def enumerate_tables(base: MultLattice):
 
 
 def corpus_exhaustive_tables(max_size: int = 4):
-    """All bounded tables on all lattice shapes of at most ``max_size``
-    elements (up to isomorphism of the underlying order)."""
+    """All bounded tables on all lattice shapes of at most ``max_size`` elements (up
+    to isomorphism of the order), built by ``from_cell_choices``: one ``validate`` a shape."""
     if not 1 <= max_size <= 4:
         raise BadParams(f"exhaustive tables go from 1 to 4 elements, not {max_size}")
-    out = []
-    for name, (size, _) in sorted(LATTICE_SHAPES.items()):
-        if size > max_size:
-            continue
-        base = shape_lattice(name)
-        for i, table in enumerate(enumerate_tables(base)):
-            out.append(replace_mult(base, table, name=f"{name}#t{i}"))
-    return out
+    bases = [shape_lattice(name) for name, (size, _) in sorted(LATTICE_SHAPES.items())
+             if size <= max_size]
+    return [from_cell_choices(base, table, name=f"{base.name}#t{i}")
+            for base in bases for i, table in enumerate(enumerate_tables(base))]
 
 
 RANDOM_SHAPES = ("chain5", "pentagon", "m3", "chain6", "grid2x3")
 
 
 def corpus_random_tables(count: int = 1000, seed: int = 1729):
-    """A seeded random sample of bounded tables on the 5/6-element
-    ``RANDOM_SHAPES``, split evenly between them."""
+    """A seeded random sample of bounded tables on the 5/6-element ``RANDOM_SHAPES``,
+    split evenly, built by ``from_cell_choices``: one ``validate`` a shape."""
     if count < 1:
         raise BadParams(f"a random corpus needs at least one table, not {count}")
     out = []
-    per = count // len(RANDOM_SHAPES)
-    extra = count - per * len(RANDOM_SHAPES)
+    per, extra = divmod(count, len(RANDOM_SHAPES))
     for k, name in enumerate(RANDOM_SHAPES):
-        base = shape_lattice(name)
-        rng = random.Random(seed + k)
-        take = per + (1 if k < extra else 0)
-        for i in range(take):
-            out.append(replace_mult(base, random_mult_table(base, rng),
-                                    name=f"{name}#r{seed + k}.{i}"))
+        base, rng = shape_lattice(name), random.Random(seed + k)
+        out += [from_cell_choices(base, random_mult_table(base, rng),
+                                  name=f"{name}#r{seed + k}.{i}")
+                for i in range(per + (k < extra))]
     return out
 
 

@@ -10,6 +10,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import re
 import time
 from pathlib import Path
 
@@ -250,6 +251,20 @@ def test_every_theorem_violation_names_a_witness():
             if witness is None or (isinstance(witness, ast.Constant) and witness.value is None):
                 bare.append(f"{path.name}:{node.lineno}")
     assert sites > 0 and bare == []
+
+
+def test_the_package_parses_at_its_python_floor():
+    """Every module in ``src/multlattice`` parses with the grammar of the
+    oldest Python that ``requires-python`` in ``pyproject.toml`` admits.
+    This is the grammar alone: a call that only a newer runtime accepts, such
+    as ``CodeType.replace(co_qualname=...)``, is not caught here."""
+    floor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text())
+    version = tuple(map(int, floor.groups()))
+    paths = sorted((ROOT / "src" / "multlattice").glob("*.py"))
+    assert version >= (3, 0) and paths
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=version)
 
 
 def test_no_module_writes_indented_json():

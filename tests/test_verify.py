@@ -17,12 +17,12 @@ import pytest
 
 import multlattice
 from multlattice import constructions as cons
-from multlattice import core, families, verify
+from multlattice import core, families, ingest, verify
 from multlattice import systems as sys_mod
 from multlattice.cli import main
 from multlattice.core import (HYPOTHESES, POWERSET_LIMIT, BadParams, check_axioms,
                               replace_mult, validate)
-from multlattice.ingest import chain, powerset_lattice, to_json
+from multlattice.ingest import chain, powerset_lattice, random_lattice, to_json
 from multlattice.spectrum import FiniteTopology, primes_of, v_set
 from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyReport,
                                 corpus_exhaustive_tables, corpus_named,
@@ -100,6 +100,44 @@ def test_random_corpus_deterministic():
     assert all(x == y for x, y in zip(a, b))
     c = corpus_random_tables(30, seed=100)
     assert any(x != y for x, y in zip(a, c))
+
+
+def test_drawn_tables_are_not_validated_again(monkeypatch):
+    # A table drawn from cell_choices is bounded by construction: the corpus
+    # builders and the sampler validate their shape bases and nothing else,
+    # and each lattice is the one replace_mult builds from a list copy of
+    # its table.
+    real, bases = core.validate, []
+
+    def counted(**kw):
+        bases.append(real(**kw))      # a refused order sample is not counted
+        return bases[-1]
+
+    samples = [(5, {"m_distributive": True}, 7, "random5_mdist_s7"),
+               (5, {"m_distributive": True}, 21, "random5_mdist_s21"),
+               (6, {"monotone": True}, 3, "random6_mono_s3")]
+    builders = [(lambda: corpus_exhaustive_tables(4), 5),
+                (lambda: corpus_random_tables(1000, 1), 5),
+                (lambda: corpus_random_tables(1000, 1729), 5),
+                *((lambda s=s: [random_lattice(*s)], 1) for s in samples)]
+    for module in (core, verify, ingest):
+        monkeypatch.setattr(module, "validate", counted)
+    built = []
+    for build, shapes in builders:
+        bases.clear()
+        built.append((build(), list(bases)))
+        assert len(bases) == shapes
+    monkeypatch.undo()
+    for lattices, shape_bases in built:
+        by_order = {B.order: B for B in shape_bases}
+        for L in lattices:
+            table = L.mult_table
+            assert type(table) is tuple and {*map(type, table)} == {tuple}
+            assert {type(c) for row in table for c in row} == {int}
+            base = by_order[L.order]
+            assert L == replace_mult(base, [list(row) for row in table], name=L.name)
+    drawn = [lattices[0] for lattices, _ in built[3:]]
+    assert [L for L in corpus_named() if L.name.startswith("random")] == drawn
 
 
 def test_corpus_spec_dispatch():
