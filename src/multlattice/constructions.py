@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   TheoremViolation, analysis, memo, require, validate)
+                   TheoremViolation, analysis, require, validate)
 from .spectrum import hyperabelian_report, prime_mask, spectrum
 from .families import annihilators
 from .systems import bit_indices
@@ -51,31 +51,31 @@ class IntervalLattice:
         return self.embedding.index(x)
 
 
+@analysis("interval")
 def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     """The multiplicative lattice on {z : x <= z <= y} with z * z' = (zz') v x.
 
     Built without :func:`validate`: the restricted order, the element list
-    and the shift z -> z v x are computed once per parent order and shared;
+    and the shift z -> z v x are shared per parent order (:func:`_interval_order`);
     every element generates, and (zz') v x <= z ^ z' whenever x <= z, z'
     bounds the table.  When ``x`` is bottom the new multiplication agrees
     with the restriction of the parent multiplication; this is asserted.
-    It is kept in ``L``'s analysis ``"intervals"``, which a run releases
-    (``core.releasing``), for the reason :func:`product` gives for keeping
-    no product.
+    Kept on ``L`` per (x, y) and released by a run (``core.releasing``), for
+    the reason :func:`product` gives for keeping no product.
     """
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
-    ivs = _intervals(L)
-    iv = ivs.get((x, y))
-    if iv is None:
-        iv = ivs[x, y] = _interval(L, x, y)
-    return iv
-
-
-@analysis("intervals")
-def _intervals(L: MultLattice) -> dict:
-    """The intervals of ``L`` built so far, by (x, y)."""
-    return {}
+    elems, shifted, order = _interval_order(L.order, x, y)
+    M = MultLattice(order, _restrict(L.mult_table, elems, shifted), order.all_elements(),
+                    tuple([L.labels[z] for z in elems]), f"{L.name}[{L.labels[x]},{L.labels[y]}]")
+    if x == L.bottom:
+        for i in range(order.size):
+            for j in range(order.size):
+                if elems[M.mult_table[i][j]] != L.mult_table[elems[i]][elems[j]]:
+                    raise TheoremViolation(
+                        "interval from bottom must restrict the multiplication",
+                        witness=(elems[i], elems[j]))
+    return IntervalLattice(M, L, x, y, elems)
 
 
 def _restrict(table, elems, cell) -> tuple:
@@ -83,6 +83,7 @@ def _restrict(table, elems, cell) -> tuple:
     return _rows([cell[table[a][b]] for a in elems for b in elems], len(elems))
 
 
+@analysis("interval_order", "order")
 def _interval_order(order: OrderData, x: int, y: int) -> tuple:
     """The parent elements of [x, y], the shift z -> z v x on every z <= y
     (so on every product of interval elements) as interval indices, and the
@@ -98,21 +99,6 @@ def _interval_order(order: OrderData, x: int, y: int) -> tuple:
                            _restrict(order.meet_table, elems, index),
                            index[x], index[y])
     return elems, shifted, restricted
-
-
-def _interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
-    elems, shifted, order = memo(L.order, ("interval", x, y),
-                                 lambda: _interval_order(L.order, x, y))
-    M = MultLattice(order, _restrict(L.mult_table, elems, shifted), order.all_elements(),
-                    tuple([L.labels[z] for z in elems]), f"{L.name}[{L.labels[x]},{L.labels[y]}]")
-    if x == L.bottom:
-        for i in range(order.size):
-            for j in range(order.size):
-                if elems[M.mult_table[i][j]] != L.mult_table[elems[i]][elems[j]]:
-                    raise TheoremViolation(
-                        "interval from bottom must restrict the multiplication",
-                        witness=(elems[i], elems[j]))
-    return IntervalLattice(M, L, x, y, elems)
 
 
 @dataclass
@@ -167,27 +153,28 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     factor orders, so :func:`validate` checks only the multiplication bound,
     the generators (pairs of factor generators or bottoms) and the labels.
     The labels and generators depend only on the factors' labels and
-    generators, so they too are built once, in a memo on the product order,
-    and shared.  Each call builds a new product lattice: no caller reads one
-    twice, and a cached one would keep its caches alive as long as its left
-    factor.  The int tuple table from :func:`_pairs` is kept without a copy.
-    No row reads a product's :func:`check_axioms` report, so none is built
-    unless asked for."""
-    order = memo(L1.order, ("product", L2.order),
-                 lambda: _product_order(L1.order, L2.order))
-    labels, gens = memo(order, ("names", L1.labels, L1.generators, L2.labels, L2.generators),
-                        lambda: _product_names(L1, L2))
+    generators, so they too are built once per product order and shared.
+    Each call builds a new product lattice: no caller reads one twice, and
+    a cached one would keep its caches alive as long as its left factor.
+    The int tuple table from :func:`_pairs` is kept without a copy.  No row
+    reads a product's :func:`check_axioms` report, so none is built unless
+    asked for."""
+    order = _product_order(L1.order, L2.order)
+    labels, gens = _product_names(order, L1.labels, L1.generators, L2.labels, L2.generators)
     M = validate(order=order, mult=_pairs(L1.mult_table, L2.mult_table),
                  generators=gens, labels=labels, name=f"{L1.name}x{L2.name}")
     return ProductLattice(M, L1, L2)
 
 
-def _product_names(L1: MultLattice, L2: MultLattice) -> tuple:
-    """The labels of ``L1 x L2`` and its generating set."""
-    n2 = L2.size
-    return (tuple([f"({a},{b})" for a in L1.labels for b in L2.labels]),
-            frozenset([a * n2 + b for a in L1.generators | {L1.bottom}
-                       for b in L2.generators | {L2.bottom}]))
+@analysis("product_names", "order")
+def _product_names(order: OrderData, labels1, gens1, labels2, gens2) -> tuple:
+    """The labels and the generating set of the product, on ``order``, of
+    factors with these labels and generators; the factor bottoms are read
+    off the product's bottom."""
+    n2 = len(labels2)
+    b1, b2 = divmod(order.bottom, n2)
+    return (tuple([f"({a},{b})" for a in labels1 for b in labels2]),
+            frozenset([a * n2 + b for a in gens1 | {b1} for b in gens2 | {b2}]))
 
 
 def _pairs(t1, t2) -> tuple:
@@ -197,6 +184,7 @@ def _pairs(t1, t2) -> tuple:
                  len(t1) * n2)
 
 
+@analysis("product_order", "order")
 def _product_order(o1: OrderData, o2: OrderData) -> OrderData:
     n2 = o2.size
     relation = _rows([a and b for r1 in o1.relation for r2 in o2.relation
@@ -260,21 +248,15 @@ class DisjointnessReport:
 def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessReport:
     """V(n1) and V(n2) are disjoint iff [n1 v n2, top] is hyperabelian, and
     they cover the spectrum iff n1*n2 is below the semiprime radical.  Both
-    equivalences are asserted.  [bottom, top] is read as ``L`` itself: the
-    interval has ``L``'s relation and table and the identity embedding.
-    What a pair reads of ``L`` is kept in its analysis ``"disjointness"``:
-    Spec and the radical, built once the gate has passed, and the
-    hyperabelian value of each upper interval, filled as pairs ask for it."""
-    spec, radical, hyper_at = _disjointness_reads(L)
+    equivalences are asserted.  What a pair reads of ``L`` is kept on it:
+    Spec and the radical once the gate has passed, and whether each upper
+    interval is hyperabelian as pairs ask for it."""
+    spec, radical = _disjointness_reads(L)
     v1 = L.up_masks[n1] & spec
     v2 = L.up_masks[n2] & spec
 
     disjoint = not v1 & v2
-    j = L.join_table[n1][n2]
-    hyper = hyper_at.get(j)
-    if hyper is None:
-        M = L if j == L.bottom else interval(L, j, L.top).lattice
-        hyper = hyper_at[j] = hyperabelian_report(M).hyperabelian
+    hyper = _upper_hyperabelian(L, L.join_table[n1][n2])
     if disjoint != hyper:
         raise TheoremViolation(
             f"V({n1}) ^ V({n2}) empty is {disjoint}, but the upper interval "
@@ -292,11 +274,19 @@ def disjointness_criteria(L: MultLattice, n1: int, n2: int) -> DisjointnessRepor
 
 @analysis("disjointness")
 def _disjointness_reads(L: MultLattice) -> tuple:
-    """Spec, the semiprime radical and an empty join -> hyperabelian dict,
-    once ``L`` has passed the gate of :func:`disjointness_criteria`."""
+    """Spec and the semiprime radical, once ``L`` has passed the gate of
+    :func:`disjointness_criteria`."""
     require(L, "constructions.disjointness", MDistributivityRequired)
     radical = spectrum(L).semiprime_radical
-    return prime_mask(L), radical, {}
+    return prime_mask(L), radical
+
+
+@analysis("upper_hyperabelian")
+def _upper_hyperabelian(L: MultLattice, j: int) -> bool:
+    """Whether [j, top] is hyperabelian; [bottom, top] is read as ``L``, which
+    has its relation and table, with the identity embedding."""
+    M = L if j == L.bottom else interval(L, j, L.top).lattice
+    return hyperabelian_report(M).hyperabelian
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +311,7 @@ def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphi
     the only route that checks submultiplicativity: the identity and the
     projections of a product are built without it (their mappings respect
     the multiplication by construction)."""
-    f = _order_checked(source.order, target.order, tuple(int(v) for v in mapping))
+    f = _order_laws(source.order, target.order, tuple(int(v) for v in mapping))
     rel, tmult = target.relation, target.mult_table
     for x, row in enumerate(source.mult_table):
         fx_row = tmult[f[x]]
@@ -332,16 +322,10 @@ def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphi
     return LatticeMorphism(source, target, f)
 
 
-def _order_checked(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
-    """``f``, once :func:`_order_laws` has passed on it, which runs once per
-    source order, target order and mapping."""
-    memo(src, ("morphism", tgt, f), lambda: _order_laws(src, tgt, f))
-    return f
-
-
-def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
-    """Raise :class:`NotAMorphism` unless ``f`` maps into ``tgt`` and
-    preserves bottom, binary joins and top."""
+@analysis("order_laws", "order")
+def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
+    """``f``, once it is checked to map into ``tgt`` and preserve bottom,
+    binary joins and top; :class:`NotAMorphism` otherwise."""
     if len(f) != src.size or any(not 0 <= v < tgt.size for v in f):
         raise NotAMorphism("mapping is not a function into the target",
                            witness=f)
@@ -355,21 +339,32 @@ def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> None:
                                    witness=(x, y))
     if f[src.top] != tgt.top:
         raise NotAMorphism("top is not preserved", witness=src.top)
+    return f
 
 
 def identity_morphism(L: MultLattice) -> LatticeMorphism:
-    """x -> x, which respects every multiplication; its order laws are
-    checked once per order (:func:`_order_checked`)."""
-    return LatticeMorphism(L, L, _order_checked(L.order, L.order, tuple(L.elements)))
+    """x -> x, which respects every multiplication; its mapping, with its
+    order laws checked, is kept per order."""
+    return LatticeMorphism(L, L, _identity(L.order))
+
+
+@analysis("identity", "order")
+def _identity(order: OrderData) -> tuple:
+    return _order_laws(order, order, tuple(range(order.size)))
 
 
 def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:
     """x -> x v l, onto the interval [l, top].  Submultiplicative whenever
     the source is m-distributive.  The map depends on the order alone, so
     it is kept per order."""
-    iv = interval(L, l, L.top)
-    return morphism(L, iv.lattice, memo(L.order, ("quotient", l), lambda: tuple(
-        iv.from_parent(L.join_table[x][l]) for x in L.elements)))
+    return morphism(L, interval(L, l, L.top).lattice, _quotient_map(L.order, l))
+
+
+@analysis("quotient_map", "order")
+def _quotient_map(order: OrderData, l: int) -> tuple:
+    """x -> x v l as indices of [l, top]: the shift of its interval order."""
+    shifted = _interval_order(order, l, order.top)[1]
+    return tuple([shifted[x] for x in range(order.size)])
 
 
 def projection_morphisms(P: ProductLattice) -> tuple:
@@ -377,23 +372,26 @@ def projection_morphisms(P: ProductLattice) -> tuple:
     componentwise, so each projection takes xy to the product of the images
     of x and y.  The mappings, with their order laws checked, are kept per
     order."""
-    M, o1, o2 = P.lattice, P.left.order, P.right.order
-    n2 = o2.size
-    f1, f2 = memo(M.order, ("projections", o1, o2), lambda: (
-        _order_checked(M.order, o1, tuple(k // n2 for k in M.elements)),
-        _order_checked(M.order, o2, tuple(k % n2 for k in M.elements))))
+    M = P.lattice
+    f1, f2 = _projections(M.order, P.left.order, P.right.order)
     return LatticeMorphism(M, P.left, f1), LatticeMorphism(M, P.right, f2)
+
+
+@analysis("projections", "order")
+def _projections(order: OrderData, o1: OrderData, o2: OrderData) -> tuple:
+    n2 = o2.size
+    return (_order_laws(order, o1, tuple(k // n2 for k in range(order.size))),
+            _order_laws(order, o2, tuple(k % n2 for k in range(order.size))))
 
 
 def right_adjoint(f: LatticeMorphism) -> tuple:
     """u with f(x) <= y iff x <= u(y), as a table indexed by target elements.
     The biconditional is asserted exhaustively, once per source order,
     target order and mapping: both sides depend on the orders alone."""
-    src, tgt = f.source.order, f.target.order
-    return memo(src, ("adjoint", tgt, f.mapping),
-                lambda: _right_adjoint(src, tgt, f.mapping))
+    return _right_adjoint(f.source.order, f.target.order, f.mapping)
 
 
+@analysis("adjoint", "order")
 def _right_adjoint(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
     u = src.adjoint(f, tgt.masks()[0])
     for x in range(src.size):

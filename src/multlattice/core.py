@@ -13,7 +13,9 @@ operation in this package is a pure function of its inputs.
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import partial, update_wrapper
 from typing import Iterable, Sequence
@@ -120,8 +122,8 @@ class MultLattice:
     lattice on the same order shares (``replace_mult`` and the derived
     lattices of ``constructions`` pass it on); ``relation``, ``join_table``,
     ``meet_table``, ``bottom``, ``top`` and the masks are read from it.  What
-    depends on the multiplication, generators or labels is cached per
-    lattice in ``_cache``.
+    depends on the multiplication, generators or labels, the intervals among
+    it, is cached per lattice in ``_cache`` (:func:`analysis`).
 
     Built by :func:`validate`, by ``constructions.interval`` from a validated parent,
     or by ``ingest.from_cell_choices`` from the cell choices of a validated base.
@@ -216,24 +218,6 @@ class MultLattice:
         return f"MultLattice({self.name!r}, size={self.size})"
 
 
-def memo(owner, key, build):
-    """``build()``, computed once per owner and key and kept in
-    ``owner._cache``.  The owner is a :class:`MultLattice`, or an
-    :class:`OrderData` for values that depend on the order alone.  Nothing
-    is stored when ``build()`` raises, so a failure is raised again on the
-    next call.  A value under a tuple key is kept here; one under a constant
-    key is an analysis (:func:`analysis`), whose accessor reads and builds
-    it in its own frame by the same rule.  A miss raises no ``KeyError``."""
-    cache = owner._cache
-    value = cache.get(key, _MISSING)
-    if value is _MISSING:
-        value = cache[key] = build()
-    return value
-
-
-_MISSING = object()     # memo's marker for a key not in the cache
-
-
 @dataclass
 class Analysis:
     """A cached analysis: its ``owner`` ("lattice" or "order"), whether a
@@ -244,17 +228,18 @@ class Analysis:
     build: object
 
 
-# Every analysis kept under a constant memo key, by key; the keys a run keeps.
+# Every value the package caches, by analysis key; the keys a run keeps.
 ANALYSES = {}
 KEPT_KEYS = set()
 
 
 def analysis(key: str, owner: str = "lattice", kept: bool = False):
     """Declare the decorated function as the build of the analysis ``key``
-    and return its accessor, which takes the same argument, a lattice or
-    (``owner="order"``) an order, and keeps the value on it as :func:`memo`
-    would: a hit is one ``in`` test and one subscript, and a miss stores
-    what the entry's ``build``, as it is then, returns."""
+    and return its accessor, which takes the build's arguments (a lattice or,
+    with ``owner="order"``, an order, then any parameters) and keeps the
+    value on the owner's ``_cache`` under ``key``, or ``(key, *params)``: a
+    hit is one ``in`` test and one subscript, and a miss stores what the
+    entry's ``build``, as it is then, returns, so a raise stores nothing."""
     def declare(build):
         entry = ANALYSES[key] = Analysis(owner, kept, build)
         if kept:
@@ -265,7 +250,15 @@ def analysis(key: str, owner: str = "lattice", kept: bool = False):
             if key not in cache:
                 cache[key] = entry.build(x)
             return cache[key]
-        return update_wrapper(accessor, build)
+
+        def parametric(x, *params):
+            cache, k = x._cache, (key, *params)
+            if k not in cache:
+                cache[k] = entry.build(x, *params)
+            return cache[k]
+        # one body per build, chosen here: a constant key pays nothing for params
+        one = len(inspect.signature(build).parameters) == 1
+        return update_wrapper(accessor if one else parametric, build)
     return declare
 
 
@@ -303,9 +296,9 @@ class OrderData:
 
     One object is shared by every lattice on the same order, so it has
     identity equality and can key caches.  ``_cache`` holds what is computed
-    from the order alone: its analyses (:func:`analysis`) and the values
-    :func:`memo` keeps under tuple keys, such as the interval and product
-    orders and the order laws of morphisms.
+    from the order alone, by its analyses (:func:`analysis`): among them the
+    interval and product orders and the order laws of morphisms, each kept
+    under its parameters.
     """
     size: int
     relation: tuple
@@ -381,6 +374,7 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
             raise BadParams("size is required when the order is given by covers")
         up = [1 << i for i in range(size)]
         for a, b in covers or []:
+            a, b = _ints((a, b), "cover endpoints")
             if not (0 <= a < size and 0 <= b < size):
                 raise BadParams(f"cover ({a}, {b}) out of range", witness=(a, b))
             up[a] |= 1 << b
@@ -464,6 +458,8 @@ def validate(*, size: int | None = None,
 
     table = _bounded_table(order, mult)
     gens = order.all_elements() if generators is None else frozenset(generators)
+    if {*map(type, gens)} - {int}:
+        gens = frozenset(_ints(gens, "generators"))
     if gens and (min(gens) < 0 or max(gens) >= size):
         raise BadParams("generators out of range")
     # Every element is the join of the generators below it; that needs a
@@ -488,16 +484,17 @@ def validate(*, size: int | None = None,
 def _bounded_table(order: OrderData, mult) -> tuple:
     """``mult`` (a table or a callable) as a tuple of rows, checked to be a
     full table of elements with every product below the meet.  A tuple of
-    ``int`` tuples is kept as given; any other table is copied as ints."""
+    ``int`` tuples is kept as given; any other table is copied as ints
+    (:func:`_ints`)."""
     size = order.size
     if callable(mult):
-        table = tuple([tuple([int(mult(x, y)) for y in range(size)])
+        table = tuple([_ints([mult(x, y) for y in range(size)], "mult cells")
                        for x in range(size)])
     elif (type(mult) is tuple and {*map(type, mult)} == {tuple}
           and {*map(type, itertools.chain.from_iterable(mult))} == {int}):
         table = mult
     else:
-        table = tuple([tuple(map(int, row)) for row in mult])
+        table = tuple([_ints(row, "mult cells") for row in mult])
     if len(table) != size or {*map(len, table)} != {size}:
         raise BadParams("mult must be a full size x size table")
     # xy <= x meet y iff row x lies in down(x) and column y in down(y); the
@@ -517,6 +514,14 @@ def _bounded_table(order: OrderData, mult) -> tuple:
                 raise MultNotBounded(
                     f"mult({x}, {y}) = {z} is not below meet({x}, {y})",
                     witness=(x, y))
+
+
+def _ints(values, what: str) -> tuple:
+    """``values`` by ``operator.index``, which passes ints and bools; BadParams otherwise."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise BadParams(f"{what} must be integers") from None
 
 
 def replace_mult(base: MultLattice, mult_table, name: str | None = None) -> MultLattice:
@@ -636,11 +641,7 @@ def law_witness(L: MultLattice, flag: str):
     scans a law, once per law, kept on ``L`` under the law's name, an
     analysis declared kept.  A scan finding ``L`` m-distributive runs the
     monotone scan as well and refuses a non-monotone ``L``."""
-    law = LAW_OF.get(flag, flag)
-    cache = L._cache
-    if law not in cache:
-        cache[law] = ANALYSES[law].build(L)
-    return cache[law]
+    return _LAW_SCANS[LAW_OF.get(flag, flag)](L)
 
 
 def _scan_law(law: str, L: MultLattice):
@@ -652,8 +653,8 @@ def _scan_law(law: str, L: MultLattice):
     return witness
 
 
-for law in LAWS:    # kept; law_witness reads each under the law named by its flag
-    analysis(law, kept=True)(partial(_scan_law, law))
+# The accessor of each law's scan, kept under the law's name; law_witness reads them.
+_LAW_SCANS = {law: analysis(law, kept=True)(partial(_scan_law, law)) for law in LAWS}
 
 
 def axiom_report(witnesses: dict) -> PropertyReport:

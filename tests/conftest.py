@@ -11,6 +11,13 @@ def mk_chain(n, mult, name=None):
                     mult=mult, name=name or f"c{n}")
 
 
+def cached(owner, key) -> dict:
+    """The values the analysis ``key``, a build with parameters, holds on
+    ``owner``'s cache, by parameters: ``core.analysis`` keeps each under
+    ``(key, *params)``."""
+    return {k[1:]: v for k, v in owner._cache.items() if type(k) is tuple and k[0] == key}
+
+
 @pytest.fixture(scope="session")
 def named_corpus():
     return verify.corpus_named()

@@ -25,7 +25,7 @@ from multlattice.verify import (PRODUCT_PARTNERS, corpus_exhaustive_tables,
                                 corpus_named, corpus_random_tables, enumerate_tables,
                                 run_row, shape_lattice, verify_all)
 
-from conftest import mk_chain
+from conftest import cached, mk_chain
 
 constructions_module = importlib.import_module("multlattice.constructions")
 
@@ -500,6 +500,7 @@ def test_failed_order_law_fails_on_every_lattice_sharing_the_order():
         with pytest.raises(NotAMorphism, match="join not preserved") as info:
             morphism(L, target, (0, 1, 1, 2))
         assert info.value.witness == (1, 2)
+    assert cached(A.order, "order_laws") == {}       # a failed law is not kept
 
 
 @pytest.mark.parametrize("extra", [{"size": 2}, {"covers": [(0, 1)]},
@@ -532,7 +533,8 @@ def test_the_whole_interval_has_the_lattices_six_conditions(named_corpus):
 def test_disjointness_at_the_bottom_pair_builds_no_interval():
     L = zn_ideals(12)
     disjointness_criteria(L, L.bottom, L.bottom)
-    assert "intervals" not in L._cache and "hyperabelian" in L._cache
+    assert cached(L, "interval") == {} and "hyperabelian" in L._cache
+    assert cached(L, "upper_hyperabelian").keys() == {(L.bottom,)}
 
 
 def test_each_disjointness_fault_fails_the_row(monkeypatch):
@@ -600,7 +602,7 @@ def test_the_disjointness_row_builds_no_axiom_report_on_its_intervals(named_corp
             continue
         M = replace_mult(L, L.mult_table)
         assert run_row(M, "constructions.disjointness").passed, L.name
-        uppers = [iv.lattice for (x, y), iv in M._cache.get("intervals", {}).items()
+        uppers = [iv.lattice for (x, y), iv in cached(M, "interval").items()
                   if y == M.top and x != M.bottom]
         assert [N.name for N in uppers if "axioms" in N._cache] == [], L.name
         seen += len(uppers)

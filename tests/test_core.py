@@ -15,7 +15,7 @@ from multlattice.core import (BadParams, LatticeError, MultNotBounded,
 from multlattice.ingest import chain
 from multlattice.spectrum import hyperabelian_report
 
-from conftest import mk_chain
+from conftest import cached, mk_chain
 
 
 def brute_lub(L, xs):
@@ -263,15 +263,44 @@ def test_replace_mult_keeps_an_int_tuple_table_as_given():
 
 @pytest.mark.parametrize("mult", [
     ((0, 0, 0), (0, 1, True), (0, 1, 2)),
-    ((0, 0, 0), (0, 1.0, 1), (0, 1, 2)),
     ([0, 0, 0], [0, 1, 1], [0, 1, 2]),
     [(0, 0, 0), (0, 1, 1), (0, 1, 2)],
-], ids=["bool_cell", "float_cell", "list_rows", "list_of_rows"])
+], ids=["bool_cell", "list_rows", "list_of_rows"])
 def test_any_other_table_is_copied_with_int_cells(mult):
     for L in (mk_chain(3, mult), core.replace_mult(mk_chain(3, min), mult)):
         assert L.mult_table == CHAIN3_MEET and L.mult_table is not mult
         assert type(L.mult_table) is tuple and {*map(type, L.mult_table)} == {tuple}
         assert {type(z) for row in L.mult_table for z in row} == {int}
+
+
+@pytest.mark.parametrize("given, what", [
+    ({"mult": [[0, 0], [0, 1.7]]}, "mult cells"),
+    ({"mult": [[0, 0.9], [0, 1.7]]}, "mult cells"),
+    ({"mult": ((0, 0), (0, 1.0))}, "mult cells"),
+    ({"mult": lambda x, y: float(min(x, y))}, "mult cells"),
+    ({"mult": [[0, 0], [0, "1"]]}, "mult cells"),
+    ({"generators": [0.5, 1]}, "generators"),
+    ({"generators": ["a"]}, "generators"),
+    ({"covers": [(0.0, 1)]}, "cover endpoints"),
+    ({"covers": [(0, "1")]}, "cover endpoints"),
+], ids=["fractional_cell", "truncated_cells", "integral_float_cell", "callable_float_cell",
+        "str_cell", "float_generator", "str_generator", "float_cover", "str_cover"])
+def test_a_non_integer_cell_generator_or_cover_endpoint_is_refused(given, what):
+    # operator.index decides: an int or a bool is an index, and any other
+    # value is refused rather than truncated or left to a later TypeError.
+    with pytest.raises(BadParams, match=f"^{what} must be integers$"):
+        validate(**{"size": 2, "covers": [(0, 1)], "mult": min, **given})
+    if "covers" not in given:       # and so on an order already built
+        with pytest.raises(BadParams, match=f"^{what} must be integers$"):
+            validate(order=mk_chain(2, min).order, **{"mult": min, **given})
+
+
+def test_bool_cells_generators_and_cover_endpoints_are_read_as_ints():
+    L = validate(size=2, covers=[(False, True)], mult=[[0, False], [0, True]],
+                 generators=[True])
+    assert (L.relation, L.mult_table, L.generators) == (
+        ((True, True), (False, True)), ((0, 0), (0, 1)), frozenset([1]))
+    assert {type(z) for row in L.mult_table for z in row} == {type(g) for g in L.generators} == {int}
 
 
 def test_structural_equality_ignores_cache():
@@ -458,9 +487,25 @@ def test_a_falsy_analysis_is_built_once(monkeypatch):
     assert calls == ["chain3_zero"]
 
 
-# Each accessor with its analysis in core.ANALYSES.  The third part of an
-# id names the function that built the analysis before the registry did
-# (most are gone); it stays so that each case keeps the id it is known by.
+# Each accessor with its analysis in core.ANALYSES, and the arguments it is
+# called with on chain3_meet (a lattice alone when none are given).  The
+# third part of a four-part id names the function that built the analysis
+# before the registry did (most are gone); it stays so that each case keeps
+# the id it is known by.
+CALLS = {
+    "interval": lambda L: (L, 0, 2),
+    "upper_hyperabelian": lambda L: (L, 1),
+    "interval_order": lambda L: (L.order, 0, 2),
+    "product_order": lambda L: (L.order, L.order),
+    "product_names": lambda L: (L.order, L.labels, L.generators, L.labels, L.generators),
+    "order_laws": lambda L: (L.order, L.order, (0, 1, 2)),
+    "identity": lambda L: (L.order,),
+    "quotient_map": lambda L: (L.order, 1),
+    "projections": lambda L: (L.order, L.order, L.order),
+    "adjoint": lambda L: (L.order, L.order, (0, 1, 2)),
+}
+
+
 @pytest.mark.parametrize("module, accessor, key", [
     pytest.param(module, accessor, key, id=f"{module}-{accessor}-{builder}-{key}")
     for module, accessor, builder, key in [
@@ -474,23 +519,33 @@ def test_a_falsy_analysis_is_built_once(monkeypatch):
         ("systems", "inverse_topology", "_inverse_topology", "inverse_topology"),
         ("systems", "m_system_masks", "_scan_m_systems", "m_systems"),
         ("families", "residual_tables", "_residual_tables", "residual_tables"),
+    ]] + [
+    pytest.param("constructions", accessor, key, id=f"constructions-{accessor}-{key}")
+    for accessor, key in [
+        ("interval", "interval"), ("_upper_hyperabelian", "upper_hyperabelian"),
+        ("_interval_order", "interval_order"), ("_product_order", "product_order"),
+        ("_product_names", "product_names"), ("_order_laws", "order_laws"),
+        ("_identity", "identity"), ("_quotient_map", "quotient_map"),
+        ("_projections", "projections"), ("_right_adjoint", "adjoint"),
     ]])
 def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, accessor, key):
     # An accessor stores a value only once its build returns, so the next
     # read builds again and raises again; the registry entry is where a
-    # build is swapped.
+    # build is swapped.  A build with parameters is called with them.
     mod, calls = importlib.import_module(f"multlattice.{module}"), []
 
     def broken(*args):
-        calls.append(args[0].name)
+        calls.append(args)
         raise RuntimeError("boom")
 
     monkeypatch.setattr(core.ANALYSES[key], "build", broken)
     L = chain(3, "meet")
+    args = CALLS.get(key, lambda L: (L,))(L)
     for attempt in (1, 2):
         with pytest.raises(RuntimeError, match="boom"):
-            getattr(mod, accessor)(L)
-        assert key not in L._cache and calls == ["chain3_meet"] * attempt
+            getattr(mod, accessor)(*args)
+        assert key not in args[0]._cache and cached(args[0], key) == {}
+        assert calls == [args] * attempt
 
 
 def scanned_report(L):

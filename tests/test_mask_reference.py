@@ -24,7 +24,7 @@ import pytest
 from multlattice import families, systems, verify
 from multlattice.constructions import interval, open_subspace_homeo
 from multlattice.core import (POWERSET_LIMIT, HypothesesFail, TheoremViolation,
-                              check_axioms, memo, require)
+                              check_axioms, require)
 from multlattice.families import pip_exhaustive, residual_tables
 from multlattice.ingest import chain, powerset_lattice, zn_ideals
 from multlattice.spectrum import (classify_all, hyperabelian_report, prime_mask,
@@ -137,7 +137,7 @@ def reference_case_masks(L, associative):
     everything = (1 << (1 << L.size)) - 1
     jt, mt = L.join_table, L.mult_table
     left_t, right_t = residual_tables(L)
-    gens = memo(L, "sorted_generators", lambda: sorted(L.generators))
+    gens = sorted(L.generators)
     left = right = oka = ako = everything & ~col[L.top]
     for a in gens:
         for l, al in enumerate(jt[a]):

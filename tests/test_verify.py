@@ -29,6 +29,7 @@ from multlattice.verify import (LATTICE_SHAPES, SUITES, CheckResult, VerifyRepor
                                 corpus_random_tables, enumerate_tables,
                                 report_to_json, shape_lattice, verify_all)
 
+from conftest import cached
 from test_acceptance import SWEEP_CHECKS
 from test_json_reference import reference_to_json
 
@@ -444,24 +445,31 @@ def test_verify_all_builds_each_interval_once_per_run(monkeypatch):
     # Every row of one run shares an interval, and none is released before
     # the last suite: a probe suite run after the others still finds them.
     requested, built, held = [], [], []
-    interval, build = cons.interval, cons._interval
+    interval, entry = cons.interval, core.ANALYSES["interval"]
+    build = entry.build
     monkeypatch.setattr(cons, "interval", lambda L, x, y: (
         requested.append((id(L), x, y)) or interval(L, x, y)))
-    monkeypatch.setattr(cons, "_interval", lambda L, x, y: (
+    monkeypatch.setattr(entry, "build", lambda L, x, y: (
         built.append((id(L), x, y)) or build(L, x, y)))
     monkeypatch.setitem(SUITES, "probe", lambda L: held.append(
-        len(L._cache.get("intervals", ()))) or [])
+        len(cached(L, "interval"))) or [])
     L = next(M for M in corpus_named() if M.name == "zn36")
     assert verify_all(L).failed == 0
     assert sorted(built) == sorted(set(requested))
     assert len(requested) > len(built)
-    assert held == [len(built)] and "intervals" not in L._cache
+    assert held == [len(built)] and cached(L, "interval") == {}
 
 
 def test_corpus_run_leaves_no_interval_on_any_lattice():
     lattices = corpus_exhaustive_tables(3) + corpus_named()
     assert verify_all(lattices).failed == 0
     assert not any(_intervals_reachable(L._cache) for L in lattices)
+
+
+# The analyses whose build takes parameters; each value is kept under
+# (key, *params), and only the order-owned ones outlive a run.
+PARAMETRIC = {key for key, entry in core.ANALYSES.items()
+              if len(inspect.signature(entry.build).parameters) > 1}
 
 
 # The analyses a caller reads through the public API and the four law scans
@@ -508,7 +516,7 @@ def test_a_run_keeps_a_registered_analysis_exactly_when_the_registry_says(monkey
     built = set()
 
     def recording(key, build):
-        return lambda L: built.add((id(L), key)) or build(L)
+        return lambda L, *params: built.add((id(L), key)) or build(L, *params)
 
     for key, entry in owned.items():
         monkeypatch.setattr(entry, "build", recording(key, entry.build))
@@ -516,31 +524,84 @@ def test_a_run_keeps_a_registered_analysis_exactly_when_the_registry_says(monkey
     for L, keys in zip(lattices, before):
         for key, entry in owned.items():
             kept = key in keys or entry.kept and (id(L), key) in built
-            assert (key in L._cache) == kept, (L.name, key)
-    # the run built every lattice-owned analysis, kept and released alike
+            assert (key in L._cache or bool(cached(L, key))) == kept, (L.name, key)
+    # the run built every lattice-owned analysis, kept and released alike;
+    # one with parameters is never kept
     assert {key for _, key in built} == set(owned)
     assert {entry.kept for entry in owned.values()} == {True, False}
+    assert not any(core.ANALYSES[key].kept for key in PARAMETRIC)
+
+
+def _with_function(tree) -> list:
+    """Each node of ``tree`` with the name of the innermost function around
+    it ("" at module level)."""
+    out, stack = [], [(tree, "")]
+    while stack:
+        node, fn = stack.pop()
+        fn = node.name if isinstance(node, ast.FunctionDef) else fn
+        out.append((node, fn))
+        stack += [(child, fn) for child in ast.iter_child_nodes(node)]
+    return out
 
 
 def test_every_constant_memo_key_is_registered_once():
-    # A constant key reaches a cache only through core.analysis, which
-    # declares it, or as one of the law scans core declares in a loop for
-    # law_witness; memo itself is called with tuple keys alone.
-    declared, constant, subscripts = [], [], []
+    # Every cached value is an analysis.  Its key is declared once, as the
+    # constant first argument of core.analysis or as one of the law scans
+    # core declares in a loop, and a value reaches a cache only in one of
+    # the two accessor bodies analysis returns.  The one other store is
+    # build_order's seed of "masks", which it computed on the way; besides
+    # these, a cache is only made (__init__) and filtered (releasing).
+    # There is no memo helper beside the registry.
+    declared, names, stores, touches = [], set(), [], set()
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            name = getattr(getattr(node, "func", None), "id", None)
-            if isinstance(node, ast.Call) and name == "analysis":
+        for node, fn in _with_function(ast.parse(path.read_text(), str(path))):
+            names.add(getattr(node, "id", getattr(node, "attr", None)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "analysis":
                 declared += [k.value for k in node.args[:1] if isinstance(k, ast.Constant)]
-            elif isinstance(node, ast.Call) and name == "memo":
-                constant += [k.value for k in node.args[1:2] if isinstance(k, ast.Constant)]
-            elif (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
-                  and getattr(node.value, "attr", None) == "_cache"):
-                subscripts.append(node.slice.value)
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and (
+                    getattr(node.value, "id", None) == "cache"
+                    or getattr(node.value, "attr", None) == "_cache"):
+                stores.append((path.name, fn, ast.unparse(node)))
+            elif isinstance(node, ast.Attribute) and node.attr == "_cache":
+                touches.add((path.name, fn))
     assert len(declared) == len(set(declared)) and not set(declared) & set(core.LAWS)
     assert set(declared) | set(core.LAWS) == set(core.ANALYSES)
-    assert constant == [] and set(subscripts) <= set(declared)
     assert all(core.ANALYSES[law].kept for law in core.LAWS)
+    assert sorted(stores) == [("core.py", "accessor", "cache[key]"),
+                              ("core.py", "build_order", "order._cache['masks']"),
+                              ("core.py", "parametric", "cache[k]")]
+    assert touches == {("core.py", fn) for fn in
+                       ("__init__", "accessor", "parametric", "releasing", "build_order")}
+    assert "memo" not in names and not hasattr(core, "memo")
+
+
+def test_each_parametric_analysis_is_built_once_per_owner_and_parameters(monkeypatch):
+    # Over a run of the named corpus each analysis with parameters is built
+    # once per owner and parameters, and core.releasing leaves none of the
+    # lattice-owned ones on a corpus lattice.  ``builds`` holds every owner,
+    # so no id is reused.
+    assert PARAMETRIC == {"interval", "upper_hyperabelian", "interval_order",
+                          "product_order", "product_names", "order_laws",
+                          "quotient_map", "projections", "adjoint"}
+    builds = []
+
+    def recording(key, build):
+        return lambda owner, *params: (
+            builds.append((key, owner, params)) or build(owner, *params))
+
+    for key in PARAMETRIC:
+        entry = core.ANALYSES[key]
+        monkeypatch.setattr(entry, "build", recording(key, entry.build))
+    lattices = corpus_named()
+    assert verify_all(lattices).failed == 0
+    seen = [(key, id(owner), params) for key, owner, params in builds]
+    assert len(seen) == len(set(seen))
+    assert {key for key, _, _ in builds} == PARAMETRIC
+    on_corpus = {key for key, owner, _ in builds if any(owner is L for L in lattices)}
+    assert on_corpus == {key for key in PARAMETRIC if core.ANALYSES[key].owner == "lattice"}
+    for L in lattices:
+        assert [key for key in PARAMETRIC if cached(L, key)] == [], L.name
+        assert cached(L.order, "interval_order"), L.name
 
 
 def test_a_gate_read_after_a_run_scans_no_law(monkeypatch):
@@ -597,7 +658,8 @@ def test_verify_all_reads_derived_lattices_on_their_prime_masks(name, monkeypatc
         monkeypatch.setattr(entry, "build", record(log, entry.build))
     monkeypatch.setattr(sys_mod, "_avoiding", record(avoided, sys_mod._avoiding))
     monkeypatch.setattr(cons, "product", built(products, cons.product))
-    monkeypatch.setattr(cons, "_interval", built(intervals, cons._interval))
+    entry = core.ANALYSES["interval"]
+    monkeypatch.setattr(entry, "build", built(intervals, entry.build))
     assert verify_all(L).failed == 0
     assert [M for M, in spectra] == [L]
     assert products and not any(M is P for (M,) in classified for P, _ in products)
