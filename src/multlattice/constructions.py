@@ -345,12 +345,7 @@ def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
 def identity_morphism(L: MultLattice) -> LatticeMorphism:
     """x -> x, which respects every multiplication; its mapping, with its
     order laws checked, is kept per order."""
-    return LatticeMorphism(L, L, _identity(L.order))
-
-
-@analysis("identity", "order")
-def _identity(order: OrderData) -> tuple:
-    return _order_laws(order, order, tuple(range(order.size)))
+    return LatticeMorphism(L, L, _order_laws(L.order, L.order, tuple(range(L.size))))
 
 
 def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:

@@ -13,7 +13,6 @@ operation in this package is a pure function of its inputs.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -235,30 +234,23 @@ KEPT_KEYS = set()
 
 def analysis(key: str, owner: str = "lattice", kept: bool = False):
     """Declare the decorated function as the build of the analysis ``key``
-    and return its accessor, which takes the build's arguments (a lattice or,
-    with ``owner="order"``, an order, then any parameters) and keeps the
-    value on the owner's ``_cache`` under ``key``, or ``(key, *params)``: a
-    hit is one ``in`` test and one subscript, and a miss stores what the
-    entry's ``build``, as it is then, returns, so a raise stores nothing."""
+    and return its accessor, which takes the build's arguments positionally
+    (a lattice or, with ``owner="order"``, an order, then any parameters)
+    and keeps the value on the owner's ``_cache`` under ``key``, or
+    ``(key, *params)``: a hit is one ``in`` test and one subscript, and a
+    miss stores what the entry's ``build``, as it is then, returns, so a
+    raise stores nothing."""
     def declare(build):
         entry = ANALYSES[key] = Analysis(owner, kept, build)
         if kept:
             KEPT_KEYS.add(key)
 
-        def accessor(x):
-            cache = x._cache
-            if key not in cache:
-                cache[key] = entry.build(x)
-            return cache[key]
-
-        def parametric(x, *params):
-            cache, k = x._cache, (key, *params)
+        def accessor(x, *params):
+            cache, k = x._cache, (key, *params) if params else key
             if k not in cache:
                 cache[k] = entry.build(x, *params)
             return cache[k]
-        # one body per build, chosen here: a constant key pays nothing for params
-        one = len(inspect.signature(build).parameters) == 1
-        return update_wrapper(accessor if one else parametric, build)
+        return update_wrapper(accessor, build)
     return declare
 
 

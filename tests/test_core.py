@@ -499,7 +499,6 @@ CALLS = {
     "product_order": lambda L: (L.order, L.order),
     "product_names": lambda L: (L.order, L.labels, L.generators, L.labels, L.generators),
     "order_laws": lambda L: (L.order, L.order, (0, 1, 2)),
-    "identity": lambda L: (L.order,),
     "quotient_map": lambda L: (L.order, 1),
     "projections": lambda L: (L.order, L.order, L.order),
     "adjoint": lambda L: (L.order, L.order, (0, 1, 2)),
@@ -525,7 +524,7 @@ CALLS = {
         ("interval", "interval"), ("_upper_hyperabelian", "upper_hyperabelian"),
         ("_interval_order", "interval_order"), ("_product_order", "product_order"),
         ("_product_names", "product_names"), ("_order_laws", "order_laws"),
-        ("_identity", "identity"), ("_quotient_map", "quotient_map"),
+        ("_quotient_map", "quotient_map"),
         ("_projections", "projections"), ("_right_adjoint", "adjoint"),
     ]])
 def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, accessor, key):
@@ -547,6 +546,17 @@ def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, acce
         assert key not in args[0]._cache and cached(args[0], key) == {}
         assert calls == [args] * attempt
 
+
+
+def test_an_accessor_takes_its_arguments_positionally():
+    # One accessor body serves every analysis: the parameters are positional
+    # and key the value as (key, *params); a keyword call is refused.
+    L = chain(3, "meet")
+    I = interval(L, 0, 2)
+    assert interval(L, 0, 2) is I is L._cache[("interval", 0, 2)]
+    with pytest.raises(TypeError):
+        interval(L, x=0, y=2)
+    assert core.check_axioms(L) is L._cache["axioms"]
 
 def scanned_report(L):
     """The axiom report read off the four law scans, each run directly."""

@@ -548,7 +548,7 @@ def test_every_constant_memo_key_is_registered_once():
     # Every cached value is an analysis.  Its key is declared once, as the
     # constant first argument of core.analysis or as one of the law scans
     # core declares in a loop, and a value reaches a cache only in one of
-    # the two accessor bodies analysis returns.  The one other store is
+    # the one accessor body analysis returns.  The one other store is
     # build_order's seed of "masks", which it computed on the way; besides
     # these, a cache is only made (__init__) and filtered (releasing).
     # There is no memo helper beside the registry.
@@ -567,11 +567,10 @@ def test_every_constant_memo_key_is_registered_once():
     assert len(declared) == len(set(declared)) and not set(declared) & set(core.LAWS)
     assert set(declared) | set(core.LAWS) == set(core.ANALYSES)
     assert all(core.ANALYSES[law].kept for law in core.LAWS)
-    assert sorted(stores) == [("core.py", "accessor", "cache[key]"),
-                              ("core.py", "build_order", "order._cache['masks']"),
-                              ("core.py", "parametric", "cache[k]")]
+    assert sorted(stores) == [("core.py", "accessor", "cache[k]"),
+                              ("core.py", "build_order", "order._cache['masks']")]
     assert touches == {("core.py", fn) for fn in
-                       ("__init__", "accessor", "parametric", "releasing", "build_order")}
+                       ("__init__", "accessor", "releasing", "build_order")}
     assert "memo" not in names and not hasattr(core, "memo")
 
 
