@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .core import (HypothesesFail, MDistributivityRequired, MultLattice,
                    NotAMorphism, NotComparable, NotPrimeInInterval, OrderData,
-                   TheoremViolation, analysis, require, validate)
+                   TheoremViolation, _ints, _masks, _up_masks, analysis, require,
+                   validate)
 from .spectrum import hyperabelian_report, prime_mask, spectrum
 from .families import annihilators
 from .systems import bit_indices
@@ -66,7 +67,7 @@ def interval(L: MultLattice, x: int, y: int) -> IntervalLattice:
     if not L.relation[x][y]:
         raise NotComparable(f"{x} !<= {y}: not an interval", witness=(x, y))
     elems, shifted, order = _interval_order(L.order, x, y)
-    M = MultLattice(order, _restrict(L.mult_table, elems, shifted), order.all_elements(),
+    M = MultLattice(order, _restrict(L.mult_table, elems, shifted), order.all_elements,
                     tuple([L.labels[z] for z in elems]), f"{L.name}[{L.labels[x]},{L.labels[y]}]")
     if x == L.bottom:
         for i in range(order.size):
@@ -83,7 +84,7 @@ def _restrict(table, elems, cell) -> tuple:
     return _rows([cell[table[a][b]] for a in elems for b in elems], len(elems))
 
 
-@analysis("interval_order", "order")
+@analysis("interval_order")
 def _interval_order(order: OrderData, x: int, y: int) -> tuple:
     """The parent elements of [x, y], the shift z -> z v x on every z <= y
     (so on every product of interval elements) as interval indices, and the
@@ -93,11 +94,11 @@ def _interval_order(order: OrderData, x: int, y: int) -> tuple:
     index = {z: i for i, z in enumerate(elems)}
     shifted = {z: index[order.join_table[z][x]]
                for z in range(order.size) if rel[z][y]}
-    restricted = OrderData(len(elems),
-                           _rows([rel[a][b] for a in elems for b in elems], len(elems)),
-                           _restrict(order.join_table, elems, index),
-                           _restrict(order.meet_table, elems, index),
-                           index[x], index[y])
+    n = len(elems)
+    relation = _rows([rel[a][b] for a in elems for b in elems], n)
+    restricted = OrderData(n, relation, _restrict(order.join_table, elems, index),
+                           _restrict(order.meet_table, elems, index), index[x], index[y],
+                           *_masks(n, _up_masks(relation)), frozenset(range(n)))
     return elems, shifted, restricted
 
 
@@ -166,7 +167,7 @@ def product(L1: MultLattice, L2: MultLattice) -> ProductLattice:
     return ProductLattice(M, L1, L2)
 
 
-@analysis("product_names", "order")
+@analysis("product_names")
 def _product_names(order: OrderData, labels1, gens1, labels2, gens2) -> tuple:
     """The labels and the generating set of the product, on ``order``, of
     factors with these labels and generators; the factor bottoms are read
@@ -184,14 +185,14 @@ def _pairs(t1, t2) -> tuple:
                  len(t1) * n2)
 
 
-@analysis("product_order", "order")
+@analysis("product_order")
 def _product_order(o1: OrderData, o2: OrderData) -> OrderData:
-    n2 = o2.size
+    n2, n = o2.size, o1.size * o2.size
     relation = _rows([a and b for r1 in o1.relation for r2 in o2.relation
-                      for a in r1 for b in r2], o1.size * n2)
-    return OrderData(o1.size * n2, relation, _pairs(o1.join_table, o2.join_table),
-                     _pairs(o1.meet_table, o2.meet_table),
-                     o1.bottom * n2 + o2.bottom, o1.top * n2 + o2.top)
+                      for a in r1 for b in r2], n)
+    return OrderData(n, relation, _pairs(o1.join_table, o2.join_table),
+                     _pairs(o1.meet_table, o2.meet_table), o1.bottom * n2 + o2.bottom,
+                     o1.top * n2 + o2.top, *_masks(n, _up_masks(relation)), frozenset(range(n)))
 
 
 @dataclass
@@ -311,7 +312,7 @@ def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphi
     the only route that checks submultiplicativity: the identity and the
     projections of a product are built without it (their mappings respect
     the multiplication by construction)."""
-    f = _order_laws(source.order, target.order, tuple(int(v) for v in mapping))
+    f = _order_laws(source.order, target.order, _ints(mapping, "mapping values"))
     rel, tmult = target.relation, target.mult_table
     for x, row in enumerate(source.mult_table):
         fx_row = tmult[f[x]]
@@ -322,7 +323,7 @@ def morphism(source: MultLattice, target: MultLattice, mapping) -> LatticeMorphi
     return LatticeMorphism(source, target, f)
 
 
-@analysis("order_laws", "order")
+@analysis("order_laws")
 def _order_laws(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
     """``f``, once it is checked to map into ``tgt`` and preserve bottom,
     binary joins and top; :class:`NotAMorphism` otherwise."""
@@ -355,7 +356,7 @@ def quotient_morphism(L: MultLattice, l: int) -> LatticeMorphism:
     return morphism(L, interval(L, l, L.top).lattice, _quotient_map(L.order, l))
 
 
-@analysis("quotient_map", "order")
+@analysis("quotient_map")
 def _quotient_map(order: OrderData, l: int) -> tuple:
     """x -> x v l as indices of [l, top]: the shift of its interval order."""
     shifted = _interval_order(order, l, order.top)[1]
@@ -372,7 +373,7 @@ def projection_morphisms(P: ProductLattice) -> tuple:
     return LatticeMorphism(M, P.left, f1), LatticeMorphism(M, P.right, f2)
 
 
-@analysis("projections", "order")
+@analysis("projections")
 def _projections(order: OrderData, o1: OrderData, o2: OrderData) -> tuple:
     n2 = o2.size
     return (_order_laws(order, o1, tuple(k // n2 for k in range(order.size))),
@@ -386,9 +387,9 @@ def right_adjoint(f: LatticeMorphism) -> tuple:
     return _right_adjoint(f.source.order, f.target.order, f.mapping)
 
 
-@analysis("adjoint", "order")
+@analysis("adjoint")
 def _right_adjoint(src: OrderData, tgt: OrderData, f: tuple) -> tuple:
-    u = src.adjoint(f, tgt.masks()[0])
+    u = src.adjoint(f, tgt.down_masks)
     for x in range(src.size):
         for y in range(tgt.size):
             if tgt.relation[f[x]][y] != src.relation[x][u[y]]:

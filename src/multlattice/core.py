@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import partial, update_wrapper
+from functools import update_wrapper
 from typing import Iterable, Sequence
 
 # The largest lattice on which a check scans all 2^size subsets.  Above it
@@ -140,7 +140,7 @@ class MultLattice:
         self.generators = generators      # frozenset of indices
         self.labels = labels              # tuple of str
         self.name = name
-        self.down_masks, self.up_masks = order.masks()
+        self.down_masks, self.up_masks = order.down_masks, order.up_masks
         self.full_mask = (1 << self.size) - 1
         self.elements = range(self.size)
         self._cache = {}
@@ -217,38 +217,28 @@ class MultLattice:
         return f"MultLattice({self.name!r}, size={self.size})"
 
 
-@dataclass
-class Analysis:
-    """A cached analysis: its ``owner`` ("lattice" or "order"), whether a
-    run keeps it on the lattice (:func:`releasing`) and its ``build``, the
-    one place a test swaps in another."""
-    owner: str
-    kept: bool
-    build: object
-
-
-# Every value the package caches, by analysis key; the keys a run keeps.
+# The build of every value the package caches, by analysis key (the one
+# place a test swaps a build); the keys a run keeps.
 ANALYSES = {}
 KEPT_KEYS = set()
 
 
-def analysis(key: str, owner: str = "lattice", kept: bool = False):
+def analysis(key: str, kept: bool = False):
     """Declare the decorated function as the build of the analysis ``key``
     and return its accessor, which takes the build's arguments positionally
-    (a lattice or, with ``owner="order"``, an order, then any parameters)
-    and keeps the value on the owner's ``_cache`` under ``key``, or
-    ``(key, *params)``: a hit is one ``in`` test and one subscript, and a
-    miss stores what the entry's ``build``, as it is then, returns, so a
-    raise stores nothing."""
+    (a lattice or an order, then any parameters) and keeps the value on the
+    first one's ``_cache`` under ``key``, or ``(key, *params)``: a hit is one
+    ``in`` test and one subscript, and a miss stores what ``ANALYSES[key]``,
+    as it is then, returns, so a raise stores nothing."""
     def declare(build):
-        entry = ANALYSES[key] = Analysis(owner, kept, build)
+        ANALYSES[key] = build
         if kept:
             KEPT_KEYS.add(key)
 
         def accessor(x, *params):
             cache, k = x._cache, (key, *params) if params else key
             if k not in cache:
-                cache[k] = entry.build(x, *params)
+                cache[k] = ANALYSES[key](x, *params)
             return cache[k]
         return update_wrapper(accessor, build)
     return declare
@@ -287,9 +277,10 @@ class OrderData:
     """The order side of a lattice, before any multiplication is attached.
 
     One object is shared by every lattice on the same order, so it has
-    identity equality and can key caches.  ``_cache`` holds what is computed
-    from the order alone, by its analyses (:func:`analysis`): among them the
-    interval and product orders and the order laws of morphisms, each kept
+    identity equality and can key caches.  Each constructor sets the masks
+    and ``all_elements``, the default generators.  ``_cache`` holds what is
+    computed from the order alone, by its analyses (:func:`analysis`), among
+    them the interval and product orders and the morphism laws, each kept
     under its parameters.
     """
     size: int
@@ -298,31 +289,24 @@ class OrderData:
     meet_table: tuple
     bottom: int
     top: int
+    down_masks: tuple
+    up_masks: tuple
+    all_elements: frozenset
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    @analysis("masks", "order")
-    def masks(self) -> tuple:
-        """The down- and up-set of every element as integer bitmasks."""
-        return _masks(self.size, _up_masks(self.relation))
-
-    @analysis("all_elements", "order")
-    def all_elements(self) -> frozenset:
-        """Every element: the default generating set, one frozenset per order."""
-        return frozenset(range(self.size))
-
-    @analysis("covers", "order")
+    @analysis("covers")
     def covers(self) -> tuple:
         """Pairs (a, b) with b covering a, sorted; basis of the Hasse diagram.
         b covers a exactly when the interval [a, b] is {a, b}."""
-        down, up = self.masks()
+        down, up = self.down_masks, self.up_masks
         return tuple((a, b) for a in range(self.size) for b in range(self.size)
                      if a != b and up[a] & down[b] == 1 << a | 1 << b)
 
-    @analysis("down_sets", "order")
+    @analysis("down_sets")
     def down_sets(self) -> tuple:
         """The down-set of every element as a frozenset, for :func:`validate`'s bound."""
         return tuple(frozenset(y for y in range(self.size) if m >> y & 1)
-                     for m in self.masks()[0])
+                     for m in self.down_masks)
 
     def lub(self, xs: Iterable[int]) -> int:
         """Least upper bound of a set of elements; the empty join is bottom."""
@@ -353,6 +337,8 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
     is closed and checked on the up-set bitmasks of its elements, and the
     boolean relation is written from them.
     """
+    if size is not None:
+        size, = _ints([size], "size")
     if relation is not None:
         size = len(relation) if size is None else size
         if size != len(relation) or any(len(row) != size for row in relation):
@@ -408,9 +394,8 @@ def build_order(*, size: int | None = None, covers=None, relation=None) -> Order
 
     full = (1 << size) - 1
     rel = tuple([tuple([bool(u >> y & 1) for y in range(size)]) for u in up_masks])
-    order = OrderData(size, rel, join_table, meet_table, by_up[full], by_down[full])
-    order._cache["masks"] = down_masks, up_masks
-    return order
+    return OrderData(size, rel, join_table, meet_table, by_up[full], by_down[full],
+                     down_masks, up_masks, frozenset(range(size)))
 
 
 def validate(*, size: int | None = None,
@@ -430,7 +415,7 @@ def validate(*, size: int | None = None,
     the partial-order check and the join/meet search; the new lattice shares
     that object and what is cached on it.  On each route the multiplication
     bound, generators and labels are checked.  The generators default to
-    :meth:`OrderData.all_elements`; each element must be the join of the
+    ``order.all_elements``; each element must be the join of the
     generators below it, tested element by element only when the generating
     set is a proper subset (an element that is a generator is such a join).
     ``mult`` is a full ``size x size`` table of indices or a callable
@@ -449,7 +434,7 @@ def validate(*, size: int | None = None,
     size = order.size
 
     table = _bounded_table(order, mult)
-    gens = order.all_elements() if generators is None else frozenset(generators)
+    gens = order.all_elements if generators is None else frozenset(generators)
     if {*map(type, gens)} - {int}:
         gens = frozenset(_ints(gens, "generators"))
     if gens and (min(gens) < 0 or max(gens) >= size):
@@ -549,8 +534,8 @@ class PropertyReport:
     On a finite lattice ``infinitely_m_distributive`` is ``m_distributive``:
     every join is a finite join, and ``x*bottom <= x meet bottom = bottom``
     holds in every valid table, so the binary law gives the law for
-    arbitrary joins by induction.  Its witness is the m-distributivity
-    witness, and ``infinite_check_method`` names this route.
+    arbitrary joins by induction, and :func:`law_witness` reads its witness
+    off the m-distributivity scan; ``infinite_check_method`` names this route.
     :func:`subset_pair_witness` reads the law literally, as a reference.
     """
     monotone: bool
@@ -602,9 +587,7 @@ SKIP_TEXT = {
     ("monotone", "associative"): "needs monotonicity and associativity",
 }
 
-LAWS = ("monotone", "m_distributive", "associative", "commutative")   # each by _<law>_witness
-# A flag decided by another law's scan; every other flag names its own law.
-LAW_OF = {"infinitely_m_distributive": "m_distributive"}   # see PropertyReport
+LAWS = ("monotone", "m_distributive", "associative", "commutative")
 
 
 def gap(L: MultLattice, statement: str) -> str:
@@ -629,24 +612,12 @@ def require(L: MultLattice, statement: str, exc: type) -> None:
 
 def law_witness(L: MultLattice, flag: str):
     """The first counterexample to the law behind the :class:`PropertyReport`
-    flag ``flag`` (``LAW_OF``), or None when it holds: the one site that
-    scans a law, once per law, kept on ``L`` under the law's name, an
-    analysis declared kept.  A scan finding ``L`` m-distributive runs the
-    monotone scan as well and refuses a non-monotone ``L``."""
-    return _LAW_SCANS[LAW_OF.get(flag, flag)](L)
-
-
-def _scan_law(law: str, L: MultLattice):
-    witness = globals()[f"_{law}_witness"](L)     # read when called, so a patch takes effect
-    # Self-check: a theorem about any multiplicative lattice.
-    if law == "m_distributive" and witness is None and (
-            monotone := law_witness(L, "monotone")) is not None:
-        raise TheoremViolation("m-distributive but not monotone", witness=monotone)
-    return witness
-
-
-# The accessor of each law's scan, kept under the law's name; law_witness reads them.
-_LAW_SCANS = {law: analysis(law, kept=True)(partial(_scan_law, law)) for law in LAWS}
+    flag ``flag``, or None when it holds: the one site that reads a law's
+    scan, each an analysis kept on ``L`` under the law's name.  Infinite
+    m-distributivity is read off the m-distributivity scan, which runs the
+    monotone scan as well once it finds ``L`` m-distributive and refuses a
+    non-monotone ``L``."""
+    return _FLAG_SCANS[flag](L)
 
 
 def axiom_report(witnesses: dict) -> PropertyReport:
@@ -661,6 +632,7 @@ def axiom_report(witnesses: dict) -> PropertyReport:
                           "associative" not in found, "commutative" not in found, found)
 
 
+@analysis("monotone", kept=True)
 def _monotone_witness(L: MultLattice):
     """Monotone iff one-sided monotone in each argument: the first x < y and
     z with x*z !<= y*z ("left") or z*x !<= z*y ("right")."""
@@ -677,6 +649,7 @@ def _monotone_witness(L: MultLattice):
     return None
 
 
+@analysis("m_distributive", kept=True)
 def _m_distributive_witness(L: MultLattice):
     """Distributivity at (x, y) and at (y, x) is one test and holds at x = y,
     so the first failing triple in (x, y, z) order has x < y."""
@@ -689,9 +662,13 @@ def _m_distributive_witness(L: MultLattice):
                     return "left", x, y, z
                 if mt[z][j] != jt[mt[z][x]][mt[z][y]]:
                     return "right", x, y, z
+    # Self-check: a theorem about any multiplicative lattice.
+    if (monotone := law_witness(L, "monotone")) is not None:
+        raise TheoremViolation("m-distributive but not monotone", witness=monotone)
     return None
 
 
+@analysis("associative", kept=True)
 def _associative_witness(L: MultLattice):
     n, mt = L.size, L.mult_table
     for x in range(n):
@@ -702,6 +679,7 @@ def _associative_witness(L: MultLattice):
     return None
 
 
+@analysis("commutative", kept=True)
 def _commutative_witness(L: MultLattice):
     n, mt = L.size, L.mult_table
     for x in range(n):
@@ -709,6 +687,12 @@ def _commutative_witness(L: MultLattice):
             if mt[x][y] != mt[y][x]:
                 return x, y
     return None
+
+
+# The scan that decides each PropertyReport flag; law_witness reads it.
+_FLAG_SCANS = {"monotone": _monotone_witness, "m_distributive": _m_distributive_witness,
+               "infinitely_m_distributive": _m_distributive_witness,
+               "associative": _associative_witness, "commutative": _commutative_witness}
 
 
 def subset_pair_witness(L: MultLattice):

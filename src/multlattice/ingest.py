@@ -112,8 +112,8 @@ def _json_rows(text: str) -> list:
     if payload.get("kind") != "lattice":
         raise LatticeSyntaxError("JSON payload is not a lattice", 1)
 
-    def field(owner, key, kind):
-        value = owner.get(key) or kind()
+    def field(parent, key, kind):
+        value = parent.get(key) or kind()
         if not isinstance(value, kind):
             raise LatticeSyntaxError(f"JSON field {key!r} must be a {kind.__name__}", 1)
         return value
@@ -514,10 +514,10 @@ def cell_choices(L: MultLattice) -> tuple:
     return _cell_choices(L.order)
 
 
-@analysis("cell_choices", "order")
+@analysis("cell_choices")
 def _cell_choices(order: OrderData) -> tuple:
     below = tuple(tuple(y for y in range(order.size) if d >> y & 1)
-                  for d in order.masks()[0])
+                  for d in order.down_masks)
     return tuple(tuple(below[m] for m in row) for row in order.meet_table)
 
 

@@ -111,13 +111,13 @@ def _nonprime_mask(L: MultLattice, elems) -> int:
     return out
 
 
-@analysis("order_flags", "order")
+@analysis("order_flags")
 def _order_flags(order: OrderData) -> tuple:
     """(maximal, meet-irreducible) for every element, once per order.  x is
     meet-irreducible exactly when at most one element covers it: two covers
     meet in x, and everything above x lies above a sole cover."""
     top = order.top
-    up_masks = order.masks()[1]
+    up_masks = order.up_masks
     cover_counts = [0] * order.size
     for a, _ in order.covers():
         cover_counts[a] += 1

@@ -328,33 +328,47 @@ def test_the_full_axiom_report_is_built_only_where_it_is_shown():
 
 
 def test_a_law_is_scanned_at_one_site_and_condition_f_reads_no_cap():
-    """The four law scans ``core._<law>_witness`` are reached from one site,
-    ``core._scan_law``, which looks each up by name: no code in
-    ``src/multlattice`` names a scan, and no other function builds the name.
-    Neither ``systems.first_m_system_without`` nor ``spectrum`` reads
+    """Each of the four law scans ``core._<law>_witness`` is declared the kept
+    analysis of its law, ``@analysis(law, kept=True)``, and is named in
+    ``src/multlattice`` only in ``core._FLAG_SCANS``, the table that
+    ``core.law_witness`` reads, so every read of a law goes through that
+    one site; no f-string builds a scan's name.  Neither
+    ``systems.first_m_system_without`` nor ``spectrum`` reads
     ``POWERSET_LIMIT``: condition (f) is one closure at every size."""
-    scans = {f"_{law}_witness" for law in LAWS}
+    scans = {f"_{law}_witness": law for law in LAWS}
 
     def names(node):
         return {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)} | {
             a.name for n in ast.walk(node) if isinstance(n, ast.ImportFrom) for a in n.names}
 
-    named, building, capped = [], set(), []
+    named, table, declared, building, capped = [], [], {}, [], []
     for path in sorted((ROOT / "src" / "multlattice").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        named += [(path.name, name) for name in names(tree) & scans]
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            building |= {(path.name, fn.name) for n in ast.walk(fn)
-                         if isinstance(n, ast.JoinedStr) and any(
-                             str(getattr(v, "value", "")).endswith("_witness")
-                             for v in n.values)}
-            if path.name == "systems.py" and fn.name == "first_m_system_without":
-                capped += ["first_m_system_without"] * ("POWERSET_LIMIT" in names(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "_FLAG_SCANS" for t in node.targets):
+                table += [(path.name, n.id) for n in ast.walk(node.value)
+                          if isinstance(n, ast.Name) and n.id in scans]
+            elif isinstance(node, ast.FunctionDef) and node.name in scans:
+                declared[path.name, node.name] = [ast.unparse(d) for d in node.decorator_list]
+            elif isinstance(node, ast.JoinedStr) and any(
+                    str(getattr(v, "value", "")).endswith("_witness") for v in node.values):
+                building.append((path.name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and path.name == "systems.py" and (
+                    node.name == "first_m_system_without"):
+                capped += ["first_m_system_without"] * ("POWERSET_LIMIT" in names(node))
+        named += [(path.name, name) for n in ast.walk(tree)
+                  for name in [getattr(n, "id", getattr(n, "attr", None))]
+                  + [a.name for a in getattr(n, "names", ()) if isinstance(n, ast.ImportFrom)]
+                  if name in scans]
         if path.name == "spectrum.py":
             capped += ["spectrum"] * ("POWERSET_LIMIT" in names(tree))
-    assert named == [] and building == {("core.py", "_scan_law")} and capped == []
+    # the table maps infinite m-distributivity to the m-distributivity scan too
+    assert sorted(table) == sorted(named) == sorted(
+        [("core.py", scan) for scan in scans] + [("core.py", "_m_distributive_witness")])
+    assert declared == {("core.py", scan): [f"analysis({law!r}, kept=True)"]
+                        for scan, law in scans.items()}
+    assert building == [] and capped == []
 
 
 def _tracer_layers() -> dict:

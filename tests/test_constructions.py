@@ -614,11 +614,10 @@ def test_a_verify_run_builds_one_axiom_report_per_lattice(named_corpus, monkeypa
     # read the laws they name (the product partners' reports are built once,
     # before the count).  A report is built by its registry entry.
     core_module, built = importlib.import_module("multlattice.core"), []
-    entry = core_module.ANALYSES["axioms"]
-    real = entry.build
+    real = core_module.ANALYSES["axioms"]
     for partner in PRODUCT_PARTNERS:
         check_axioms(partner)
-    monkeypatch.setattr(entry, "build", lambda M: built.append(M.name) or real(M))
+    monkeypatch.setitem(core_module.ANALYSES, "axioms", lambda M: built.append(M.name) or real(M))
     lattices = [replace_mult(L, L.mult_table) for L in named_corpus]
     assert verify_all(lattices).failed == 0
     assert built == [L.name for L in lattices]
@@ -667,6 +666,21 @@ def test_morphism_validation_errors():
     with pytest.raises(NotAMorphism):
         # zero-mult source into meet-mult target: f(1)f(1) = 1 !<= f(1*1) = 0
         morphism(zero3, mk_chain(3, min), (0, 1, 2))
+
+
+@pytest.mark.parametrize("mapping", [(0, 1.9), (0, "1")])
+def test_a_non_integer_mapping_value_is_refused(mapping):
+    # operator.index decides, as it does for validate's cells: a float or a
+    # string is refused rather than truncated or parsed.
+    c2 = mk_chain(2, min)
+    with pytest.raises(BadParams, match="^mapping values must be integers$"):
+        morphism(c2, c2, mapping)
+
+
+def test_bool_mapping_values_are_read_as_ints():
+    c2 = mk_chain(2, min)
+    f = morphism(c2, c2, (0, True))
+    assert f.mapping == (0, 1) and {type(v) for v in f.mapping} == {int}
 
 
 @pytest.mark.parametrize("corpus", ["exhaustive4", "named"])

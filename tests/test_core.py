@@ -283,16 +283,46 @@ def test_any_other_table_is_copied_with_int_cells(mult):
     ({"generators": ["a"]}, "generators"),
     ({"covers": [(0.0, 1)]}, "cover endpoints"),
     ({"covers": [(0, "1")]}, "cover endpoints"),
+    ({"size": 2.0}, "size"),
+    ({"size": "2"}, "size"),
+    ({"size": 2.0, "covers": None, "relation": [[1, 1], [0, 1]]}, "size"),
+    ({"size": "2", "covers": None, "relation": [[1, 1], [0, 1]]}, "size"),
 ], ids=["fractional_cell", "truncated_cells", "integral_float_cell", "callable_float_cell",
-        "str_cell", "float_generator", "str_generator", "float_cover", "str_cover"])
+        "str_cell", "float_generator", "str_generator", "float_cover", "str_cover",
+        "float_size", "str_size", "float_size_relation", "str_size_relation"])
 def test_a_non_integer_cell_generator_or_cover_endpoint_is_refused(given, what):
     # operator.index decides: an int or a bool is an index, and any other
     # value is refused rather than truncated or left to a later TypeError.
     with pytest.raises(BadParams, match=f"^{what} must be integers$"):
         validate(**{"size": 2, "covers": [(0, 1)], "mult": min, **given})
-    if "covers" not in given:       # and so on an order already built
+    if not {"covers", "size"} & given.keys():       # and so on an order already built
         with pytest.raises(BadParams, match=f"^{what} must be integers$"):
             validate(order=mk_chain(2, min).order, **{"mult": min, **given})
+
+
+def test_every_order_carries_its_masks_and_element_set():
+    # build_order, the interval orders and the product orders each set the
+    # masks and the element set of the OrderData they build: the masks are
+    # those of its relation, and every lattice generated by default on the
+    # order shares its one element set.
+    bases = {L.order: L for L in verify.corpus_named() + verify.corpus_exhaustive_tables(4)}
+    orders = {"build_order": list(bases), "interval": [], "product": []}
+    for order, L in bases.items():
+        for x in L.elements:
+            for y in L.elements:
+                if L.leq(x, y):
+                    I = interval(L, x, y).lattice
+                    assert I.generators is I.order.all_elements
+                    orders["interval"].append(I.order)
+        orders["product"] += [product(L, P).lattice.order for P in verify.PRODUCT_PARTNERS]
+    assert all(orders.values())
+    for order in {order for found in orders.values() for order in found}:
+        n = order.size
+        assert (order.down_masks, order.up_masks) == core._masks(n, core._up_masks(order.relation))
+        assert order.all_elements == frozenset(range(n))
+        M = validate(order=order, mult=order.meet_table)
+        assert M.generators is order.all_elements
+        assert (M.down_masks, M.up_masks) == (order.down_masks, order.up_masks)
 
 
 def test_bool_cells_generators_and_cover_endpoints_are_read_as_ints():
@@ -537,7 +567,7 @@ def test_an_accessor_whose_build_raises_stores_nothing(monkeypatch, module, acce
         calls.append(args)
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(core.ANALYSES[key], "build", broken)
+    monkeypatch.setitem(core.ANALYSES, key, broken)
     L = chain(3, "meet")
     args = CALLS.get(key, lambda L: (L,))(L)
     for attempt in (1, 2):
@@ -559,12 +589,9 @@ def test_an_accessor_takes_its_arguments_positionally():
     assert core.check_axioms(L) is L._cache["axioms"]
 
 def scanned_report(L):
-    """The axiom report read off the four law scans, each run directly."""
-    found = {law: w for law, w in (("monotone", core._monotone_witness(L)),
-                                   ("m_distributive", core._m_distributive_witness(L)),
-                                   ("associative", core._associative_witness(L)),
-                                   ("commutative", core._commutative_witness(L)))
-             if w is not None}
+    """The axiom report read off the four law scans, each build run
+    uncached through ``core.ANALYSES``."""
+    found = {law: w for law in core.LAWS if (w := core.ANALYSES[law](L)) is not None}
     if "m_distributive" in found:
         found["infinitely_m_distributive"] = found["m_distributive"]
     return core.PropertyReport("monotone" not in found, "m_distributive" not in found,
@@ -608,8 +635,8 @@ def test_an_m_distributive_interval_still_runs_the_monotone_self_check(monkeypat
     # it runs the monotone scan, here planted to fail on intervals alone: the
     # self-check refuses it although no axiom report is built, not even a
     # throwaway one through axiom_report.
-    real, reports = core._monotone_witness, []
-    monkeypatch.setattr(core, "_monotone_witness",
+    real, reports = core.ANALYSES["monotone"], []
+    monkeypatch.setitem(core.ANALYSES, "monotone",
                         lambda M: ("left", 0, 1, 0) if M.name.endswith("]") else real(M))
     monkeypatch.setattr(core, "axiom_report", reports.append)
     L = chain(4, "meet")

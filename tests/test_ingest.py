@@ -359,9 +359,8 @@ def test_one_flag_is_read_from_its_own_law_scan(monkeypatch, named_corpus):
     # flag build no full report.
     scans = []
     for law in ("associative", "commutative"):
-        real = getattr(core, f"_{law}_witness")
-        monkeypatch.setattr(core, f"_{law}_witness",
-                            lambda M, law=law, real=real: scans.append(law) or real(M))
+        monkeypatch.setitem(core.ANALYSES, law, lambda M, law=law, real=core.ANALYSES[law]: (
+            scans.append(law) or real(M)))
     L = random_lattice(5, {"m_distributive": True}, seed=7)
     assert scans == [] and "axioms" not in L._cache
     assert L._cache["monotone"] is None       # scanned for the self-check
@@ -416,14 +415,13 @@ def test_cell_choices_and_draws_match_the_per_draw_reference(name):
 def test_cell_choices_are_built_once_per_order(monkeypatch):
     # each cell_choices build is counted against the order it is built for
     builds = {}
-    entry = core.ANALYSES["cell_choices"]
-    build = entry.build
+    build = core.ANALYSES["cell_choices"]
 
     def counted(order):
         builds[order] = builds.get(order, 0) + 1
         return build(order)
 
-    monkeypatch.setattr(entry, "build", counted)
+    monkeypatch.setitem(core.ANALYSES, "cell_choices", counted)
     corpus = verify.corpus_random_tables(1000, 1729)
     assert len(corpus) == 1000
     assert sorted(builds.values()) == [1] * len(verify.RANDOM_SHAPES)

@@ -182,7 +182,7 @@ def test_interval_and_product_orders_agree_with_the_matrix_reference(named_corpu
     for order in derived_orders(named_corpus):
         rel = order.relation
         assert fields(order) == ref_build(relation=rel)
-        down, up = order.masks()
+        down, up = order.down_masks, order.up_masks
         assert up == tuple(sum(1 << j for j in range(order.size) if rel[i][j])
                            for i in range(order.size))
         assert down == tuple(sum(1 << j for j in range(order.size) if rel[j][i])

@@ -271,7 +271,7 @@ def test_axioms_rows_fail_with_a_witness(monkeypatch):
     monkeypatch.setattr(core, "subset_pair_witness", lambda M: ((1,), (2,)))
     failures = _failures(L, "axioms")
     assert "axioms.dist_implies_mono" not in failures
-    monkeypatch.setattr(core, "_monotone_witness", lambda M: (0, 1))
+    monkeypatch.setitem(core.ANALYSES, "monotone", lambda M: (0, 1))
     failures["axioms.dist_implies_mono"] = verify.run_row(
         chain(3, "meet"), "axioms.dist_implies_mono").detail
     assert failures == {
@@ -404,9 +404,8 @@ def test_m_systems_are_enumerated_once_per_lattice(monkeypatch):
     # suite run after the others still finds it.  (Derived lattices, such
     # as the intervals of the constructions suite, have their own.)
     calls, probed = [], []
-    entry = core.ANALYSES["m_systems"]
-    scan = entry.build
-    monkeypatch.setattr(entry, "build", lambda M: calls.append(M) or scan(M))
+    scan = core.ANALYSES["m_systems"]
+    monkeypatch.setitem(core.ANALYSES, "m_systems", lambda M: calls.append(M) or scan(M))
     monkeypatch.setitem(SUITES, "probe", lambda M: probed.append(
         sys_mod.all_m_systems(M) == [M.set_of(s) for s in sys_mod.m_system_masks(M)]) or [])
     L = chain(4, "meet")
@@ -445,11 +444,10 @@ def test_verify_all_builds_each_interval_once_per_run(monkeypatch):
     # Every row of one run shares an interval, and none is released before
     # the last suite: a probe suite run after the others still finds them.
     requested, built, held = [], [], []
-    interval, entry = cons.interval, core.ANALYSES["interval"]
-    build = entry.build
+    interval, build = cons.interval, core.ANALYSES["interval"]
     monkeypatch.setattr(cons, "interval", lambda L, x, y: (
         requested.append((id(L), x, y)) or interval(L, x, y)))
-    monkeypatch.setattr(entry, "build", lambda L, x, y: (
+    monkeypatch.setitem(core.ANALYSES, "interval", lambda L, x, y: (
         built.append((id(L), x, y)) or build(L, x, y)))
     monkeypatch.setitem(SUITES, "probe", lambda L: held.append(
         len(cached(L, "interval"))) or [])
@@ -468,8 +466,14 @@ def test_corpus_run_leaves_no_interval_on_any_lattice():
 
 # The analyses whose build takes parameters; each value is kept under
 # (key, *params), and only the order-owned ones outlive a run.
-PARAMETRIC = {key for key, entry in core.ANALYSES.items()
-              if len(inspect.signature(entry.build).parameters) > 1}
+PARAMETRIC = {key for key, build in core.ANALYSES.items()
+              if len(inspect.signature(build).parameters) > 1}
+
+# The analyses built on an OrderData and kept on its cache; every other is
+# built on a lattice.
+ORDER_ANALYSES = {"covers", "down_sets", "order_flags", "cell_choices", "interval_order",
+                  "product_order", "product_names", "order_laws", "quotient_map",
+                  "projections", "adjoint"}
 
 
 # The analyses a caller reads through the public API and the four law scans
@@ -486,7 +490,6 @@ def test_verify_all_keeps_what_the_lattice_held_before_the_run():
     assert verify_all(L).failed == 0
     assert L._cache["sentinel"] is sentinel
     assert L._cache is not held         # a new dict: the run's table is freed
-    assert {key for key, entry in core.ANALYSES.items() if entry.kept} == READ_ANALYSES
     assert core.KEPT_KEYS == READ_ANALYSES
 
 
@@ -506,30 +509,36 @@ def test_verify_all_keeps_only_prior_entries_and_read_analyses(corpus):
 def test_a_run_keeps_a_registered_analysis_exactly_when_the_registry_says(monkeypatch):
     # Each lattice-owned analysis in core.ANALYSES is on a corpus lattice
     # after a run exactly when it was there before, or the run built it and
-    # the registry marks it kept; the builds are recorded through the
-    # registry, the one place a build is swapped.
+    # core.KEPT_KEYS holds it; the builds are recorded through the registry,
+    # the one place a build is swapped, and each is built on an owner of its
+    # kind.
     lattices = corpus_exhaustive_tables(3) + corpus_named()
     for L in lattices[::7]:
         sys_mod.m_system_masks(L)       # an entry no run keeps of its own
     before = [set(L._cache) for L in lattices]
-    owned = {key: entry for key, entry in core.ANALYSES.items() if entry.owner == "lattice"}
-    built = set()
+    owned = set(core.ANALYSES) - ORDER_ANALYSES
+    built, kinds = set(), set()
 
     def recording(key, build):
-        return lambda L, *params: built.add((id(L), key)) or build(L, *params)
+        def wrapper(owner, *params):
+            built.add((id(owner), key))
+            kinds.add((key, type(owner)))
+            return build(owner, *params)
+        return wrapper
 
-    for key, entry in owned.items():
-        monkeypatch.setattr(entry, "build", recording(key, entry.build))
+    for key, build in list(core.ANALYSES.items()):
+        monkeypatch.setitem(core.ANALYSES, key, recording(key, build))
     assert verify_all(lattices).failed == 0
     for L, keys in zip(lattices, before):
-        for key, entry in owned.items():
-            kept = key in keys or entry.kept and (id(L), key) in built
+        for key in owned:
+            kept = key in keys or key in core.KEPT_KEYS and (id(L), key) in built
             assert (key in L._cache or bool(cached(L, key))) == kept, (L.name, key)
+    assert all((kind is core.OrderData) == (key in ORDER_ANALYSES) for key, kind in kinds)
     # the run built every lattice-owned analysis, kept and released alike;
-    # one with parameters is never kept
-    assert {key for _, key in built} == set(owned)
-    assert {entry.kept for entry in owned.values()} == {True, False}
-    assert not any(core.ANALYSES[key].kept for key in PARAMETRIC)
+    # one with parameters, or of an order, is never kept
+    assert {key for _, key in built} >= owned
+    assert owned & core.KEPT_KEYS and owned - core.KEPT_KEYS
+    assert not core.KEPT_KEYS & (PARAMETRIC | ORDER_ANALYSES)
 
 
 def _with_function(tree) -> list:
@@ -545,13 +554,12 @@ def _with_function(tree) -> list:
 
 
 def test_every_constant_memo_key_is_registered_once():
-    # Every cached value is an analysis.  Its key is declared once, as the
-    # constant first argument of core.analysis or as one of the law scans
-    # core declares in a loop, and a value reaches a cache only in one of
-    # the one accessor body analysis returns.  The one other store is
-    # build_order's seed of "masks", which it computed on the way; besides
-    # these, a cache is only made (__init__) and filtered (releasing).
-    # There is no memo helper beside the registry.
+    # Every cached value is an analysis.  Its key, the four law scans'
+    # included, is declared once, as the constant first argument of
+    # core.analysis, whose table maps it to a plain build; a value reaches a
+    # cache only in the one accessor body analysis returns.  Besides it, a
+    # cache is only made (__init__) and filtered (releasing).  There is no
+    # memo helper beside the registry.
     declared, names, stores, touches = [], set(), [], set()
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         for node, fn in _with_function(ast.parse(path.read_text(), str(path))):
@@ -564,13 +572,11 @@ def test_every_constant_memo_key_is_registered_once():
                 stores.append((path.name, fn, ast.unparse(node)))
             elif isinstance(node, ast.Attribute) and node.attr == "_cache":
                 touches.add((path.name, fn))
-    assert len(declared) == len(set(declared)) and not set(declared) & set(core.LAWS)
-    assert set(declared) | set(core.LAWS) == set(core.ANALYSES)
-    assert all(core.ANALYSES[law].kept for law in core.LAWS)
-    assert sorted(stores) == [("core.py", "accessor", "cache[k]"),
-                              ("core.py", "build_order", "order._cache['masks']")]
-    assert touches == {("core.py", fn) for fn in
-                       ("__init__", "accessor", "releasing", "build_order")}
+    assert len(declared) == len(set(declared)) and set(declared) == set(core.ANALYSES)
+    assert all(type(build) is types.FunctionType for build in core.ANALYSES.values())
+    assert set(core.LAWS) <= core.KEPT_KEYS
+    assert stores == [("core.py", "accessor", "cache[k]")]
+    assert touches == {("core.py", fn) for fn in ("__init__", "accessor", "releasing")}
     assert "memo" not in names and not hasattr(core, "memo")
 
 
@@ -589,15 +595,16 @@ def test_each_parametric_analysis_is_built_once_per_owner_and_parameters(monkeyp
             builds.append((key, owner, params)) or build(owner, *params))
 
     for key in PARAMETRIC:
-        entry = core.ANALYSES[key]
-        monkeypatch.setattr(entry, "build", recording(key, entry.build))
+        monkeypatch.setitem(core.ANALYSES, key, recording(key, core.ANALYSES[key]))
     lattices = corpus_named()
     assert verify_all(lattices).failed == 0
     seen = [(key, id(owner), params) for key, owner, params in builds]
     assert len(seen) == len(set(seen))
     assert {key for key, _, _ in builds} == PARAMETRIC
     on_corpus = {key for key, owner, _ in builds if any(owner is L for L in lattices)}
-    assert on_corpus == {key for key in PARAMETRIC if core.ANALYSES[key].owner == "lattice"}
+    assert on_corpus == PARAMETRIC - ORDER_ANALYSES
+    on_orders = {key for key, owner, _ in builds if isinstance(owner, core.OrderData)}
+    assert on_orders == PARAMETRIC & ORDER_ANALYSES
     for L in lattices:
         assert [key for key in PARAMETRIC if cached(L, key)] == [], L.name
         assert cached(L.order, "interval_order"), L.name
@@ -611,8 +618,7 @@ def test_a_gate_read_after_a_run_scans_no_law(monkeypatch):
     assert verify_all(lattices).failed == 0
     scans = []
     for law in core.LAWS:
-        real = getattr(core, f"_{law}_witness")
-        monkeypatch.setattr(core, f"_{law}_witness", lambda M, law=law, real=real: (
+        monkeypatch.setitem(core.ANALYSES, law, lambda M, law=law, real=core.ANALYSES[law]: (
             scans.append((M.name, law)) or real(M)))
     for L in lattices:
         for statement in HYPOTHESES:
@@ -653,12 +659,10 @@ def test_verify_all_reads_derived_lattices_on_their_prime_masks(name, monkeypatc
         return wrapper
 
     for key, log in (("spectrum", spectra), ("classify", classified)):
-        entry = core.ANALYSES[key]
-        monkeypatch.setattr(entry, "build", record(log, entry.build))
+        monkeypatch.setitem(core.ANALYSES, key, record(log, core.ANALYSES[key]))
     monkeypatch.setattr(sys_mod, "_avoiding", record(avoided, sys_mod._avoiding))
     monkeypatch.setattr(cons, "product", built(products, cons.product))
-    entry = core.ANALYSES["interval"]
-    monkeypatch.setattr(entry, "build", built(intervals, entry.build))
+    monkeypatch.setitem(core.ANALYSES, "interval", built(intervals, core.ANALYSES["interval"]))
     assert verify_all(L).failed == 0
     assert [M for M, in spectra] == [L]
     assert products and not any(M is P for (M,) in classified for P, _ in products)
@@ -806,8 +810,7 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
     # condition and its chain dropped: the row searches for a squaring chain
     # on its own, so it finds one, refuses the report's "not hyperabelian"
     # and names the report's blocker.
-    entry = core.ANALYSES["hyperabelian"]
-    real = entry.build
+    real = core.ANALYSES["hyperabelian"]
 
     def flipped(M):
         rep = real(M)
@@ -815,7 +818,7 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
             rep, hyperabelian=not rep.hyperabelian, chain=None,
             witnesses=dict.fromkeys("abcdef", M.bottom))
 
-    monkeypatch.setattr(entry, "build", flipped)
+    monkeypatch.setitem(core.ANALYSES, "hyperabelian", flipped)
     assert _failures(chain(3, "zero"), "hyper") == {
         "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "
                                   "squaring chain exists fails (witness 0)"}
@@ -824,9 +827,8 @@ def test_chain_row_fails_on_a_flipped_hyperabelian_report(monkeypatch):
 def test_chain_row_names_what_it_reached_against_a_hyperabelian_report(monkeypatch):
     # The report on the meet 3-chain flipped to hyperabelian: the row's own
     # search reaches only the bottom, since a*a = a, and names that set.
-    entry = core.ANALYSES["hyperabelian"]
-    real = entry.build
-    monkeypatch.setattr(entry, "build", lambda M: dataclasses.replace(
+    real = core.ANALYSES["hyperabelian"]
+    monkeypatch.setitem(core.ANALYSES, "hyperabelian", lambda M: dataclasses.replace(
         real(M), hyperabelian=True, chain=(0, 1, 2), witnesses={}))
     assert _failures(chain(3, "meet"), "hyper") == {
         "hyper.chain_crosscheck": "TheoremViolation: hyperabelian iff a "

@@ -228,7 +228,7 @@ def ref_hyperabelian_report(L):
 def ref_order_flags(order):
     n = order.size
     top = order.top
-    up_masks = order.masks()[1]
+    up_masks = order.up_masks
     out = []
     for x in range(n):
         maximal = x != top and up_masks[x] == (1 << x) | (1 << top)
@@ -311,7 +311,7 @@ def agree_on(corpus):
         products = [cons.product(L, partner).lattice for partner in PRODUCT_PARTNERS]
         for M in [L, *intervals(L), *products]:
             assert outcome(check_axioms, M) == outcome(ref_check_axioms, M), M.name
-            hyper = outcome(ANALYSES["hyperabelian"].build, M)     # uncached
+            hyper = outcome(ANALYSES["hyperabelian"], M)     # uncached
             assert hyper == outcome(ref_hyperabelian_report, M), M.name
             seen["axioms"] += 1
             seen["hyper"] += hyper[0] == "ok"
